@@ -1,32 +1,42 @@
-(* Exhaustive small-n verification of the Theorem 1 lower bound, up to
-   canonical-view equivalence.
+(* Exhaustive small-n verification of the Theorem 1 lower bound.
 
    The claim being checked: in b-force mode (Lemma 3.6 without the
-   endgame) the Theorem 1 adversary defeats EVERY deterministic
-   online-LOCAL algorithm within the budget — each enumerated strategy
-   either produces a monochromatic edge or is forced into a row path of
-   b-value >= k.  "Every algorithm" is made finite by quotienting: a
-   strategy is a map from the canonical form (Canon.key) of the
-   target's revealed component — structure, prior outputs, and which
-   node is the target, nothing else — to a color in {0,1,2}.  Two
-   views with isomorphic colored components are answered identically,
-   which is exactly the equivalence class a hint-free, id-free
-   algorithm can distinguish, so enumerating these strategies covers
-   all such algorithms while the naive transcript enumeration (3 ^
-   presents) is exponentially larger.  The printed reduction factor is
-   the measured collapse.
+   endgame) the Theorem 1 adversary defeats every strategy of a class
+   within the budget — each enumerated strategy either produces a
+   monochromatic edge or is forced into a row path of b-value >= k.
+   Two enumerations run, over two different classes:
+
+   - naive: a strategy maps the answer transcript so far to a color in
+     {0,1,2}.  The adversary is deterministic, so the transcript fixes
+     everything an algorithm has seen — the whole revealed graph, the
+     presentation order, its own outputs — and this class is EVERY
+     deterministic online-LOCAL strategy against this adversary.  The
+     zero-survivor result at k <= 2 rests on this mode.
+   - canonical: a strategy maps the canonical form (Canon.key) of the
+     target's revealed component — structure, prior outputs, and which
+     node is the target, nothing else — to a color.  These are the
+     component-local strategies, a strict subclass: a real algorithm
+     also sees the other components, the presentation order and its
+     earlier answers.
+
+   The printed "equivalence reduction" is the naive leaf count over the
+   canonical one.  It compares the sizes of two strategy classes; it is
+   not a symmetry quotient of one class.
 
    Strategy enumeration is a depth-first search over decision points:
    run the adversary against a table-driven algorithm; any view whose
-   canonical key is unmapped answers 0 and records the key in
-   discovery order; on completion, backtrack — bump the last decision
-   that still has a color < 2, drop everything after it, rerun from
-   scratch.  Reruns replay identically up to the changed decision
-   because both sides are deterministic.
+   key is unmapped answers 0 and records the key in discovery order; on
+   completion, backtrack — bump the last decision that still has a
+   color < 2, drop everything after it, rerun from scratch.  Reruns
+   replay identically up to the changed decision because both sides are
+   deterministic.
 
-   A leaf "survives" if the run ends Survived with forced_b < k; the
+   A leaf "survives" if the run ends Survived with forced_b < k.  The
    Lemma 3.6 failwith (improper coloring slipping past the per-present
-   check) or a surviving leaf is a refutation and exits nonzero.
+   check, printed as REFUTED) or a surviving leaf (counted in the
+   summary) is a refutation and exits 1.  A search that exceeds
+   --max-leaves proves nothing either way: it prints INCOMPLETE and
+   exits 2.
 
    dune exec bin/exhaust.exe -- -k 1,2 --side 16 *)
 
@@ -100,8 +110,8 @@ type totals = {
    isomorphic views share one decision); [`Naive] keys on the concrete
    answer prefix — the transcript — so every present of every run is
    its own decision point.  The naive mode IS the brute-force
-   enumeration of all deterministic strategies; running both measures
-   the collapse the canonical quotient buys. *)
+   enumeration of all deterministic strategies; the canonical mode
+   enumerates only the component-local ones (see the header). *)
 let run_leaf ~mode ~side ~k ~prefix =
   let tbl : (string, int) Hashtbl.t = Hashtbl.create 97 in
   List.iter (fun (key, c) -> Hashtbl.replace tbl key c) prefix;
@@ -141,6 +151,9 @@ let rec next_strategy = function
   | (key, c) :: rest when c < 2 -> Some (List.rev ((key, c + 1) :: rest))
   | _ :: rest -> next_strategy rest
 
+(* The leaf budget ran out: the search is incomplete, not refuted. *)
+exception Incomplete of int
+
 let enumerate ~mode ~side ~k ~max_leaves =
   let totals =
     {
@@ -155,10 +168,7 @@ let enumerate ~mode ~side ~k ~max_leaves =
     }
   in
   let rec go prefix =
-    if totals.leaves >= max_leaves then
-      failwith
-        (Printf.sprintf "exhaust: more than %d leaves; raise --max-leaves"
-           max_leaves);
+    if totals.leaves >= max_leaves then raise (Incomplete max_leaves);
     let decisions, report, presents = run_leaf ~mode ~side ~k ~prefix in
     totals.leaves <- totals.leaves + 1;
     List.iter (fun (key, _) -> Hashtbl.replace totals.classes key ()) decisions;
@@ -180,15 +190,22 @@ let enumerate ~mode ~side ~k ~max_leaves =
 
 let run ks side max_leaves min_reduction =
   let ks = Harness.Sweep.int_axis ~flag:"-k" ks in
-  let failures = ref 0 in
+  let failures = ref 0 and incomplete = ref 0 in
+  let print_incomplete k what n =
+    incr incomplete;
+    Format.printf "exhaust thm1 side=%d k=%d: %sINCOMPLETE (more than %d leaves)@."
+      side k what n
+  in
   List.iter
     (fun k ->
       match enumerate ~mode:`Canon ~side ~k ~max_leaves with
+      | exception Incomplete n -> print_incomplete k "" n
       | exception Failure msg ->
           incr failures;
           Format.printf "exhaust thm1 side=%d k=%d: REFUTED (%s)@." side k msg
       | t -> (
           match enumerate ~mode:`Naive ~side ~k ~max_leaves with
+          | exception Incomplete n -> print_incomplete k "naive enumeration " n
           | exception Failure msg ->
               incr failures;
               Format.printf "exhaust thm1 side=%d k=%d: naive enumeration \
@@ -226,7 +243,7 @@ let run ks side max_leaves min_reduction =
                   min_reduction
               end))
     ks;
-  if !failures > 0 then 1 else 0
+  if !failures > 0 then 1 else if !incomplete > 0 then 2 else 0
 
 let ks =
   Arg.(
@@ -241,20 +258,36 @@ let side =
 let max_leaves =
   Arg.(
     value & opt int 1_000_000
-    & info [ "max-leaves" ] ~doc:"Abort if the strategy tree exceeds this.")
+    & info [ "max-leaves" ]
+        ~doc:
+          "Stop a search whose strategy tree exceeds this many leaves; it \
+           then reports INCOMPLETE.")
 
 let min_reduction =
   Arg.(
     value & opt float 1.
     & info [ "min-reduction" ]
-        ~doc:"Fail unless naive/enumerated reduction reaches this factor.")
+        ~doc:
+          "Fail unless the naive/canonical leaf-count ratio (printed as the \
+           equivalence reduction) reaches this factor.")
 
 let cmd =
   Cmd.v
     (Cmd.info "exhaust"
        ~doc:
          "Exhaustively verify the Theorem 1 b-force lemma against every \
-          deterministic strategy up to canonical-view equivalence")
+          deterministic strategy (naive transcript enumeration) and against \
+          every component-local strategy (canonical mode, a strict subclass)"
+       ~exits:
+         (Cmd.Exit.info 0 ~doc:"every search completed with no refutation."
+         :: Cmd.Exit.info 1
+              ~doc:
+                "a refutation (REFUTED, or a surviving strategy in the \
+                 summary) or a failed check: a region wider than w(k), a \
+                 reduction below --min-reduction."
+         :: Cmd.Exit.info 2
+              ~doc:"INCOMPLETE: a search exceeded --max-leaves (and none refuted)."
+         :: List.filter (fun i -> Cmd.Exit.info_code i > 2) Cmd.Exit.defaults))
     Term.(const run $ ks $ side $ max_leaves $ min_reduction)
 
 let () = exit (Cmd.eval' cmd)

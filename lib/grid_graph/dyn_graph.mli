@@ -4,7 +4,25 @@
     nodes enter when first seen and never leave, and edges are only ever
     added.  Handles are allocated densely in discovery order and stay
     valid forever, which is what lets an algorithm keep per-node state
-    across reveals. *)
+    across reveals.
+
+    {b Neighbor order.}  Algorithms observe {!neighbors} through
+    [View.neighbors], so its order is part of every game's output.  It
+    is the order an unrandomized stdlib [Hashtbl] created with
+    [Hashtbl.create 4] and filled by [Hashtbl.replace] yields to
+    [Hashtbl.fold (fun w () acc -> w :: acc)], which is {e not} the
+    [add_edge] call order:
+    - a neighbor [w] of a node of degree [d] sits in bucket
+      [Hashtbl.hash w land (b - 1)], where the bucket count [b] is 16 up
+      to degree 32 and doubles each time the degree passes [2b];
+    - neighbors are listed by bucket, highest first, and within a bucket
+      in insertion order, oldest first.
+
+    Each node's list is stored already in that order: an insertion goes
+    after every neighbor whose bucket is at least its own, and the
+    insertion that doubles [b] re-sorts the list stably by the finer
+    bucket (a doubling [Hashtbl] keeps each bucket's relative order).
+    Duplicate edges leave the order untouched. *)
 
 type t
 
@@ -23,7 +41,7 @@ val n : t -> int
 val mem_edge : t -> Graph.node -> Graph.node -> bool
 
 val neighbors : t -> Graph.node -> Graph.node list
-(** Current neighbors (unsorted). *)
+(** Current neighbors, in the order described above. *)
 
 val snapshot : t -> Graph.t
 (** An immutable copy of the current graph; handles coincide. *)

@@ -44,6 +44,12 @@ type group = {
 
 type strategy = Oracle_reps | Bipartite_incremental
 
+(* Handle-indexed state grows by doubling with the handles it has seen
+   (like {!Uf_dyn}), never with [n]: Theorem 1's [n] is the side
+   squared.  A read past the end means "absent" and a write grows the
+   arrays, as with the hashtables they replace, so a handle this
+   instance was never shown (a wrapper answered that step for it)
+   behaves as it always did. *)
 type state = {
   k : int;
   spare : int;  (* the extra color k *)
@@ -51,26 +57,65 @@ type state = {
   strategy : strategy;
   oracle : Models.Oracle.t option;
   uf : Uf_dyn.t;
-  groups : (int, group) Hashtbl.t;  (* union-find root -> group *)
-  label : (int, int) Hashtbl.t;  (* handle -> label *)
-  committed : (int, int) Hashtbl.t;  (* handle -> color *)
+  mutable groups : group array;  (* union-find root -> group; [no_group] = none *)
+  mutable label : int array;  (* handle -> label; -1 = none *)
+  mutable committed : int array;  (* handle -> color; -1 = none *)
+  mutable fresh_at : int array;  (* handle -> the [stamp] of the step it was new in *)
+  mutable stamp : int;  (* steps so far *)
+  mutable side : int array;  (* bipartite flood: handle -> side; -1 = unreached *)
+  mutable cls : int array;  (* bipartite flood: handle -> class *)
   stats : stats;
 }
 
-let label_exn st h =
-  match Hashtbl.find_opt st.label h with
-  | Some l -> l
-  | None -> invalid_arg (Printf.sprintf "kp1: handle %d has no label" h)
+let no_group =
+  { members = []; committed_nodes = []; type_perm = [||]; reps = [||]; size = 0 }
 
-let is_committed st h = Hashtbl.mem st.committed h
+let ensure st h =
+  let cap = Array.length st.label in
+  if h >= cap then begin
+    let cap' = max (h + 1) (2 * cap) in
+    let extend a fill =
+      let a' = Array.make cap' fill in
+      Array.blit a 0 a' 0 cap;
+      a'
+    in
+    st.label <- extend st.label (-1);
+    st.committed <- extend st.committed (-1);
+    st.groups <- extend st.groups no_group;
+    st.fresh_at <- extend st.fresh_at 0;
+    st.side <- extend st.side (-1);
+    st.cls <- extend st.cls 0
+  end
+
+(* Whether [h] is one of the current step's new nodes. *)
+let is_new st h = h < Array.length st.fresh_at && st.fresh_at.(h) = st.stamp
+
+let label_of st h = if h < Array.length st.label then st.label.(h) else -1
+
+let label_exn st h =
+  match label_of st h with
+  | -1 -> invalid_arg (Printf.sprintf "kp1: handle %d has no label" h)
+  | l -> l
+
+let committed_of st h = if h < Array.length st.committed then st.committed.(h) else -1
+let is_committed st h = committed_of st h >= 0
 
 let commit st h color =
-  (match Hashtbl.find_opt st.committed h with
-  | Some c when c <> color ->
+  match committed_of st h with
+  | -1 ->
+      ensure st h;
+      st.committed.(h) <- color
+  | c when c <> color ->
       invalid_arg (Printf.sprintf "kp1: recommitting handle %d (%d -> %d)" h c color)
-  | Some _ -> ()
-  | None -> Hashtbl.replace st.committed h color);
-  ()
+  | _ -> ()
+
+let set_label st h l =
+  ensure st h;
+  st.label.(h) <- l
+
+let find_group st root =
+  let g = if root < Array.length st.groups then st.groups.(root) else no_group in
+  if g == no_group then raise Not_found else g
 
 (* ------------------------------------------------------------------ *)
 (* Labeling new nodes                                                  *)
@@ -124,7 +169,7 @@ let oracle_label st (view : V.t) ~new_nodes ~base ~others =
       if sigma.(p) < 0 then sigma.(p) <- fresh_label ())
     queried;
   (* Label the new nodes. *)
-  List.iter (fun h -> Hashtbl.replace st.label h sigma.(Hashtbl.find part_of h)) new_nodes;
+  List.iter (fun h -> set_label st h sigma.(Hashtbl.find part_of h)) new_nodes;
   (* Renaming of each other group's labels into the base space: rho_X such
      that rho_X(label_X of part p) = sigma(p). *)
   let rho_of x =
@@ -163,8 +208,6 @@ let oracle_label st (view : V.t) ~new_nodes ~base ~others =
    between two groups.  Solving the (tiny) constraint graph with the base
    group pinned to "no flip" decides which groups and pockets flip. *)
 let bipartite_label st (view : V.t) ~new_nodes ~base ~others =
-  let in_new = Hashtbl.create (List.length new_nodes * 2 + 1) in
-  List.iter (fun h -> Hashtbl.replace in_new h ()) new_nodes;
   let groups = (match base with None -> [] | Some b -> [ b ]) @ others in
   let class_count = List.length groups + 1 in
   (* Class indices: 0 .. t for the old groups (0 = base when present), and
@@ -177,15 +220,15 @@ let bipartite_label st (view : V.t) ~new_nodes ~base ~others =
       groups;
     fun x -> Hashtbl.find_opt tbl (Uf_dyn.find st.uf x)
   in
-  (* side/cls of each new node. *)
-  let side = Hashtbl.create (List.length new_nodes * 2 + 1) in
-  let cls = Hashtbl.create (List.length new_nodes * 2 + 1) in
+  (* side/cls of each new node, in [st.side]/[st.cls]. *)
+  List.iter (fun w -> st.side.(w) <- -1) new_nodes;
+  let reached w = st.side.(w) >= 0 in
   (* Parity constraints between classes: (a, b, flip_needed). *)
   let constraints = ref [] in
   let queue = Queue.create () in
   let assign w s c =
-    Hashtbl.replace side w s;
-    Hashtbl.replace cls w c;
+    st.side.(w) <- s;
+    st.cls.(w) <- c;
     Queue.add w queue
   in
   (* Seed from every contact with an old labeled node. *)
@@ -193,17 +236,13 @@ let bipartite_label st (view : V.t) ~new_nodes ~base ~others =
     (fun w ->
       List.iter
         (fun x ->
-          if not (Hashtbl.mem in_new x) then
-            match (Hashtbl.find_opt st.label x, class_of_old_member x) with
-            | Some lx, Some c ->
-                if not (Hashtbl.mem side w) then assign w (1 - lx) c
+          if not (is_new st x) then
+            match (label_of st x, class_of_old_member x) with
+            | lx, Some c when lx >= 0 ->
+                if not (reached w) then assign w (1 - lx) c
                 else
                   (* Second contact: record the implied constraint. *)
-                  constraints :=
-                    ( Hashtbl.find cls w,
-                      c,
-                      Hashtbl.find side w <> 1 - lx )
-                    :: !constraints
+                  constraints := (st.cls.(w), c, st.side.(w) <> 1 - lx) :: !constraints
             | _ -> ())
         (view.V.neighbors w))
     new_nodes;
@@ -213,14 +252,13 @@ let bipartite_label st (view : V.t) ~new_nodes ~base ~others =
      | seed :: _ -> assign seed 0 (class_count - 1));
   while not (Queue.is_empty queue) do
     let w = Queue.pop queue in
-    let sw = Hashtbl.find side w and cw = Hashtbl.find cls w in
+    let sw = st.side.(w) and cw = st.cls.(w) in
     List.iter
       (fun x ->
-        if Hashtbl.mem in_new x then
-          if not (Hashtbl.mem side x) then assign x (1 - sw) cw
-          else if Hashtbl.find cls x <> cw then
-            constraints :=
-              (cw, Hashtbl.find cls x, Hashtbl.find side x <> 1 - sw) :: !constraints)
+        if is_new st x then
+          if not (reached x) then assign x (1 - sw) cw
+          else if st.cls.(x) <> cw then
+            constraints := (cw, st.cls.(x), st.side.(x) <> 1 - sw) :: !constraints)
       (view.V.neighbors w)
   done;
   (* A pocket of new nodes with no old contact at all cannot exist when
@@ -228,7 +266,7 @@ let bipartite_label st (view : V.t) ~new_nodes ~base ~others =
      pocket borders revealed territory, i.e. some old group. *)
   List.iter
     (fun w ->
-      if not (Hashtbl.mem side w) then
+      if not (reached w) then
         invalid_arg "kp1: bipartite labeling left a new node unlabeled")
     new_nodes;
   (* Solve the constraint graph; class 0 (the base, or the fresh class) is
@@ -264,8 +302,7 @@ let bipartite_label st (view : V.t) ~new_nodes ~base ~others =
   (* Commit the labels of the new nodes, flipping flipped classes. *)
   List.iter
     (fun w ->
-      let s = Hashtbl.find side w lxor flip.(Hashtbl.find cls w) in
-      Hashtbl.replace st.label w s)
+      set_label st w (st.side.(w) lxor flip.(st.cls.(w))))
     new_nodes;
   (* Renamings for the other groups follow their class verdicts. *)
   List.mapi (fun i g -> (i + (match base with None -> 0 | Some _ -> 1), g)) others
@@ -329,7 +366,7 @@ let initial_type st ~target_label =
     p;
   p
 
-let group_of st h = Hashtbl.find st.groups (Uf_dyn.find st.uf h)
+let group_of st h = find_group st (Uf_dyn.find st.uf h)
 
 let union_all st (view : V.t) ~new_nodes ~merged =
   List.iter
@@ -339,28 +376,31 @@ let union_all st (view : V.t) ~new_nodes ~merged =
   match new_nodes with
   | [] -> ()
   | w :: _ ->
-      let root = Uf_dyn.find st.uf w in
-      Hashtbl.replace st.groups root merged
+      st.groups.(Uf_dyn.find st.uf w) <- merged
 
 let step st (view : V.t) =
   let target = view.V.target in
   let new_nodes = view.V.new_nodes in
-  List.iter (fun h -> Uf_dyn.ensure st.uf h) new_nodes;
+  st.stamp <- st.stamp + 1;
+  List.iter
+    (fun h ->
+      Uf_dyn.ensure st.uf h;
+      ensure st h;
+      st.fresh_at.(h) <- st.stamp)
+    new_nodes;
   Uf_dyn.ensure st.uf target;
+  ensure st target;
   (* Old groups adjacent to the new ball. *)
-  let in_new = Hashtbl.create (List.length new_nodes * 2 + 1) in
-  List.iter (fun h -> Hashtbl.replace in_new h ()) new_nodes;
   let old_roots = Hashtbl.create 8 in
   List.iter
     (fun w ->
       List.iter
         (fun x ->
-          if not (Hashtbl.mem in_new x) then
-            Hashtbl.replace old_roots (Uf_dyn.find st.uf x) ())
+          if not (is_new st x) then Hashtbl.replace old_roots (Uf_dyn.find st.uf x) ())
         (view.V.neighbors w))
     new_nodes;
   let roots = Hashtbl.fold (fun r () acc -> r :: acc) old_roots [] in
-  let old_groups = List.map (fun r -> Hashtbl.find st.groups r) roots in
+  let old_groups = List.map (find_group st) roots in
   let sorted =
     (* The paper rewrites the smaller groups to match the largest; the
        `Larger ablation deliberately inverts the choice, breaking the
@@ -390,7 +430,7 @@ let step st (view : V.t) =
         }
       in
       List.iter (fun h -> if g.reps.(label_exn st h) < 0 then g.reps.(label_exn st h) <- h) new_nodes;
-      List.iter (fun r -> Hashtbl.remove st.groups r) roots;
+      List.iter (fun r -> st.groups.(r) <- no_group) roots;
       union_all st view ~new_nodes ~merged:g;
       st.stats.largest_group <- max st.stats.largest_group g.size
   | base :: others, _ ->
@@ -407,7 +447,7 @@ let step st (view : V.t) =
       List.iter
         (fun (x, rho) ->
           List.iter
-            (fun v -> Hashtbl.replace st.label v rho.(Hashtbl.find st.label v))
+            (fun v -> st.label.(v) <- rho.(label_exn st v))
             x.members;
           let reps' = Array.make st.k (-1) in
           Array.iteri (fun l rep -> if rep >= 0 then reps'.(rho.(l)) <- rep) x.reps;
@@ -447,7 +487,7 @@ let step st (view : V.t) =
       List.iter
         (fun h -> if base.reps.(label_exn st h) < 0 then base.reps.(label_exn st h) <- h)
         new_nodes;
-      List.iter (fun r -> Hashtbl.remove st.groups r) roots;
+      List.iter (fun r -> st.groups.(r) <- no_group) roots;
       union_all st view ~new_nodes ~merged:base;
       st.stats.largest_group <- max st.stats.largest_group base.size);
   (* Color the target according to its group's type, unless a barrier
@@ -462,7 +502,7 @@ let step st (view : V.t) =
      (* Track it as committed within its group bookkeeping already. *)
      ()
    end);
-  Hashtbl.find st.committed target
+  st.committed.(target)
 
 let make_internal ~k ~locality ~flip ~stats ~strategy ~name =
   if k < 2 then invalid_arg "kp1: k must be >= 2";
@@ -486,9 +526,13 @@ let make_internal ~k ~locality ~flip ~stats ~strategy ~name =
             strategy;
             oracle;
             uf = Uf_dyn.create ();
-            groups = Hashtbl.create 64;
-            label = Hashtbl.create 1024;
-            committed = Hashtbl.create 1024;
+            groups = Array.make 16 no_group;
+            label = Array.make 16 (-1);
+            committed = Array.make 16 (-1);
+            fresh_at = Array.make 16 0;
+            stamp = 0;
+            side = Array.make 16 (-1);
+            cls = Array.make 16 0;
             stats;
           }
         in

@@ -67,7 +67,7 @@ let create ?(bulk = false) ?memo ~palette ~n_total ~radius ~algorithm () =
   t
 
 let new_frame t =
-  let f = { fid = t.next_fid; table = Ptable.create ~capacity:256 (); alive = true } in
+  let f = { fid = t.next_fid; table = Ptable.create (); alive = true } in
   t.next_fid <- t.next_fid + 1;
   Hashtbl.replace t.frames f.fid f;
   f
@@ -170,8 +170,9 @@ let present t f ~row ~col =
   done;
   let new_nodes = List.sort compare !fresh in
   (* Each fresh node connects to every already-revealed grid neighbor.
-     Probe order north, south, west, east is observable through the
-     region's adjacency iteration order — do not reorder. *)
+     Probe order north, south, west, east orders the neighbors that
+     share a bucket of the region graph (see dyn_graph.mli), which
+     algorithms observe — do not reorder. *)
   List.iter
     (fun h ->
       let k = t.coords.(h) in

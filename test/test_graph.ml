@@ -177,6 +177,122 @@ let test_dyn_graph_growth () =
   check_int "n" 100 (Dyn_graph.n d);
   check_int "snapshot m" 99 (Graph.m (Dyn_graph.snapshot d))
 
+(* The model that defines Dyn_graph's neighbor order (dyn_graph.mli):
+   one [(int, unit) Hashtbl.t] per node, read by a consing fold. *)
+module Ref_dyn = struct
+  type t = { mutable adj : (int, unit) Hashtbl.t array; mutable size : int }
+
+  let create () = { adj = [||]; size = 0 }
+
+  let add_node g =
+    if g.size = Array.length g.adj then
+      g.adj <- Array.append g.adj (Array.init (g.size + 1) (fun _ -> Hashtbl.create 4));
+    g.size <- g.size + 1;
+    g.size - 1
+
+  let check g v = if v < 0 || v >= g.size then invalid_arg "Dyn_graph: unknown handle"
+
+  let add_edge g u v =
+    check g u;
+    check g v;
+    if u = v then invalid_arg "Dyn_graph: self-loop";
+    Hashtbl.replace g.adj.(u) v ();
+    Hashtbl.replace g.adj.(v) u ()
+
+  let mem_edge g u v =
+    check g u;
+    check g v;
+    Hashtbl.mem g.adj.(u) v
+
+  let neighbors g v =
+    check g v;
+    Hashtbl.fold (fun w () acc -> w :: acc) g.adj.(v) []
+
+  let snapshot g =
+    let acc = ref [] in
+    for u = 0 to g.size - 1 do
+      Hashtbl.iter (fun v () -> if u < v then acc := (u, v) :: !acc) g.adj.(u)
+    done;
+    Graph.create ~n:g.size ~edges:!acc
+end
+
+type dyn_op = Add_node | Add_edge of int * int
+
+let print_ops ops =
+  String.concat " "
+    (List.map
+       (function Add_node -> "N" | Add_edge (u, v) -> Printf.sprintf "%d-%d" u v)
+       ops)
+
+(* A first batch of nodes, then nodes and edges mixed.  Hubs 0..2
+   collect a third of the endpoints, so the larger cases take a node
+   past degree 64 (two bucket doublings); handles just outside the
+   allocated range and self-loops exercise the errors. *)
+let dyn_ops_gen =
+  let open Proptest.Gen in
+  sized (fun size ->
+      let top = 4 * size in
+      let handle =
+        frequency [ (1, int_range 0 2); (2, int_range 0 top); (1, int_range (-2) (top + 4)) ]
+      in
+      let op =
+        frequency
+          [ (1, return Add_node); (6, map2 (fun u v -> Add_edge (u, v)) handle handle) ]
+      in
+      map2
+        (fun first ops -> List.init first (fun _ -> Add_node) @ ops)
+        (int_range 1 (3 * size))
+        (list ~max_len:(24 * size) op))
+
+let outcome f = match f () with x -> Ok x | exception Invalid_argument m -> Error m
+
+(* Play [ops] on both graphs; every result, exception, neighbor list,
+   adjacency answer and snapshot must agree. *)
+let dyn_agrees ops =
+  let d = Dyn_graph.create () and r = Ref_dyn.create () in
+  let same_neighbors v = Dyn_graph.neighbors d v = Ref_dyn.neighbors r v in
+  List.for_all
+    (function
+      | Add_node -> Dyn_graph.add_node d = Ref_dyn.add_node r
+      | Add_edge (u, v) ->
+          outcome (fun () -> Dyn_graph.add_edge d u v)
+          = outcome (fun () -> Ref_dyn.add_edge r u v)
+          && (u < 0 || u >= Dyn_graph.n d || same_neighbors u))
+    ops
+  && Dyn_graph.n d = r.Ref_dyn.size
+  && List.for_all same_neighbors (List.init (Dyn_graph.n d) Fun.id)
+  && Graph.edges (Dyn_graph.snapshot d) = Graph.edges (Ref_dyn.snapshot r)
+  &&
+  let probe = List.init (Dyn_graph.n d + 2) (fun i -> i - 1) in
+  List.for_all
+    (fun u ->
+      List.for_all
+        (fun v ->
+          outcome (fun () -> Dyn_graph.mem_edge d u v)
+          = outcome (fun () -> Ref_dyn.mem_edge r u v))
+        probe)
+    probe
+
+let prop_dyn_model =
+  Alcotest.test_case "matches per-node Hashtbl model" `Quick (fun () ->
+      Proptest.Runner.check_exn ~config ~name:"dyn graph model" ~print:print_ops
+        dyn_ops_gen dyn_agrees)
+
+(* A star of 150 leaves, attached in a scrambled order (67 is prime to
+   150), so the hub passes three bucket doublings; every edge is added
+   again from the leaf side. *)
+let test_dyn_hub_order () =
+  let leaves = 150 in
+  let ops =
+    List.init (leaves + 1) (fun _ -> Add_node)
+    @ List.concat_map
+        (fun i ->
+          let leaf = 1 + (i * 67 mod leaves) in
+          [ Add_edge (0, leaf); Add_edge (leaf, 0) ])
+        (List.init leaves Fun.id)
+  in
+  check_bool "agrees with the model" true (dyn_agrees ops)
+
 let () =
   Alcotest.run "grid_graph"
     [
@@ -207,5 +323,7 @@ let () =
         [
           Alcotest.test_case "dyn graph" `Quick test_dyn_graph;
           Alcotest.test_case "dyn graph growth" `Quick test_dyn_graph_growth;
+          Alcotest.test_case "hub order past three doublings" `Quick test_dyn_hub_order;
+          prop_dyn_model;
         ] );
     ]
