@@ -82,7 +82,7 @@ let bench_harness_overhead_traced =
      enabled tracing; BENCH_trace_overhead.json isolates the components. *)
   Test.make ~name:"harness: thm1 vs greedy (k=6), guarded+traced"
     (Staged.stage (fun () ->
-         Harness.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
+         Obs.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
              let guard = Harness.Guard.create ~limits:Harness.Guard.default_limits () in
              let algorithm = Harness.Guard.algorithm guard (Portfolio.greedy ()) in
              ignore (Thm1_adversary.run ~n_side:400 ~k:6 ~algorithm ()))))
@@ -420,15 +420,15 @@ let round_robin_best ~passes subjects =
 (* The flight-recorder and stats subjects shared by E9 and E14: same
    guarded thm1 game, observability in its campaign configuration. *)
 let flight_subject measure =
-  Harness.Flight.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
+  Obs.Flight.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
       measure guarded_thm1)
 
 let stats_subject measure =
-  Harness.Stats.enable ();
+  Obs.Stats.enable ();
   Fun.protect
     ~finally:(fun () ->
-      Harness.Stats.disable ();
-      Harness.Stats.reset ())
+      Obs.Stats.disable ();
+      Obs.Stats.reset ())
     (fun () -> measure guarded_thm1)
 
 let trace_overhead () =
@@ -445,15 +445,15 @@ let trace_overhead () =
       ("guarded_untraced_control", fun () -> measure guarded_thm1);
       ( "guarded_traced",
         fun () ->
-          Harness.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
+          Obs.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
               measure guarded_thm1) );
       ( "guarded_metrics",
         fun () ->
-          Harness.Metrics.enable ();
+          Obs.Metrics.enable ();
           Fun.protect
             ~finally:(fun () ->
-              Harness.Metrics.disable ();
-              Harness.Metrics.reset ())
+              Obs.Metrics.disable ();
+              Obs.Metrics.reset ())
             (fun () -> measure guarded_thm1) );
       ("guarded_flight", fun () -> flight_subject measure);
       ("guarded_stats", fun () -> stats_subject measure);
@@ -751,8 +751,12 @@ let serve_throughput () =
         Server.jobs;
         isolation = `Process;
         queue_limit;
-        backoff = fast_backoff;
-        kill_grace = 0.1;
+        supervisor =
+          {
+            Harness.Supervisor.default_config with
+            backoff = fast_backoff;
+            kill_grace = 0.1;
+          };
         chaos;
       }
     in
@@ -865,7 +869,7 @@ let stats_overhead () =
       ("baseline", fun () -> measure guarded_thm1);
       ( "ndjson",
         fun () ->
-          Harness.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
+          Obs.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
               measure guarded_thm1) );
       ("flight", fun () -> flight_subject measure);
       ("stats", fun () -> stats_subject measure);
@@ -1401,8 +1405,12 @@ let fleet_throughput () =
         Server.jobs = 2;
         isolation = `In_domain;
         queue_limit = 256;
-        backoff = fast_backoff;
-        kill_grace = 0.1;
+        supervisor =
+          {
+            Harness.Supervisor.default_config with
+            backoff = fast_backoff;
+            kill_grace = 0.1;
+          };
       }
     in
     let pids =

@@ -187,11 +187,22 @@ let run seed cases targets (exec : Obs_cli.exec) corpus list replay trace metric
             let rendered =
               match exec.Obs_cli.isolation with
               | `In_domain ->
+                  (* Serial targets run first: some fork (sweep-kill), and
+                     on OCaml 5 a process that has ever spawned a domain —
+                     pooled targets do at --jobs > 1 — can no longer fork.
+                     Reports still print in target order. *)
+                  let run t =
+                    render_report (FR.run_target ~jobs:exec.Obs_cli.jobs ~config t)
+                  in
+                  let serial =
+                    List.filter_map
+                      (fun t -> if t.FT.serial then Some (t.FT.name, run t) else None)
+                      targets
+                  in
                   List.map
                     (fun t ->
                       let r =
-                        render_report
-                          (FR.run_target ~jobs:exec.Obs_cli.jobs ~config t)
+                        if t.FT.serial then List.assoc t.FT.name serial else run t
                       in
                       print_rendered Format.std_formatter r;
                       (t.FT.name, r))

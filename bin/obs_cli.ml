@@ -18,6 +18,7 @@
      --retries N          proc mode: extra attempts per crashed cell
      --kill-grace-ms MS   proc mode: SIGTERM -> SIGKILL escalation gap
      --cell-timeout-ms MS proc mode: per-attempt wall-clock watchdog
+                          (serve.exe: the deadline of jobs without one)
 
    The metrics dump goes to stdout *after* the run's own output, so the
    CI determinism check can diff the whole stream (results + registry)
@@ -155,8 +156,9 @@ let cell_timeout_ms =
     & info [ "cell-timeout-ms" ] ~docv:"MS"
         ~doc:
           "With --isolate proc: per-attempt wall-clock watchdog; a cell \
-           exceeding it is killed and certified unresponsive.  Unset: no \
-           watchdog.")
+           exceeding it is killed and certified unresponsive.  In serve, \
+           the deadline of every job submitted without its own.  Unset: \
+           no watchdog.")
 
 type exec = {
   jobs : int;
@@ -182,20 +184,20 @@ let exec_term =
 
 let with_observability ~program ~trace:trace_path ~metrics:want_metrics
     ?(stats = None) ?(flight = None) f =
-  if want_metrics then Harness.Metrics.enable ();
-  if stats <> None then Harness.Stats.enable ();
+  if want_metrics then Obs.Metrics.enable ();
+  if stats <> None then Obs.Stats.enable ();
   let code =
-    Harness.Trace.with_sink_opt ~program trace_path @@ fun () ->
-    Harness.Flight.with_sink_opt ~program flight f
+    Obs.Trace.with_sink_opt ~program trace_path @@ fun () ->
+    Obs.Flight.with_sink_opt ~program flight f
   in
   if want_metrics then
-    Format.printf "%a" Harness.Metrics.pp (Harness.Metrics.drain ());
+    Format.printf "%a" Obs.Metrics.pp (Obs.Metrics.drain ());
   (match stats with
   | None -> ()
   | Some path ->
-      let snap = Harness.Stats.drain () in
+      let snap = Obs.Stats.drain () in
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc
-            (Obs.Json.to_string (Harness.Stats.snapshot_to_json snap));
+            (Obs.Json.to_string (Obs.Stats.snapshot_to_json snap));
           Out_channel.output_char oc '\n'));
   code

@@ -9,7 +9,10 @@
 
    Admission is bounded (--queue-limit; excess submits get a typed
    rejection), duplicate submits dedup on the content-derived job id,
-   crashed jobs retry with seeded backoff and then quarantine, SIGTERM
+   under --isolate proc each job runs in a supervised child (the shared
+   --retries, --kill-grace-ms and --cell-timeout-ms flags: crashed jobs
+   retry with seeded backoff and then quarantine, and --cell-timeout-ms
+   is the deadline of jobs that do not carry their own), SIGTERM
    drains gracefully (in-flight jobs finish, queued jobs stay in the
    --journal), and --resume replays the journal after a crash or drain:
    finished jobs become cached results, accepted-but-unfinished jobs
@@ -27,7 +30,7 @@ let advertise_ready path socket =
       Out_channel.output_string oc (socket ^ "\n"));
   Sys.rename tmp path
 
-let run socket advertise queue_limit job_timeout_ms journal resume chaos
+let run socket advertise queue_limit journal resume chaos
     (exec : Obs_cli.exec) trace metrics stats flight =
   Obs_cli.with_observability ~program:"serve" ~trace ~metrics ~stats ~flight @@ fun () ->
   let config =
@@ -36,10 +39,7 @@ let run socket advertise queue_limit job_timeout_ms journal resume chaos
       Harness.Server.jobs = exec.Obs_cli.jobs;
       isolation = exec.Obs_cli.isolation;
       queue_limit;
-      retries = exec.Obs_cli.supervisor.Harness.Supervisor.retries;
-      kill_grace = exec.Obs_cli.supervisor.Harness.Supervisor.kill_grace;
-      default_deadline =
-        Option.map (fun ms -> float_of_int ms /. 1000.) job_timeout_ms;
+      supervisor = exec.Obs_cli.supervisor;
       chaos = Option.map (fun seed -> Harness.Server.default_chaos ~seed) chaos;
     }
   in
@@ -93,15 +93,6 @@ let queue_limit =
            answered with a typed rejection (backpressure), never queued \
            unboundedly.")
 
-let job_timeout_ms =
-  Arg.(
-    value
-    & opt (some Obs_cli.positive_int) None
-    & info [ "job-timeout-ms" ] ~docv:"MS"
-        ~doc:
-          "With --isolate proc: default per-attempt wall-clock watchdog for \
-           jobs that do not carry their own deadline.  Unset: no watchdog.")
-
 let journal =
   Arg.(
     value
@@ -135,7 +126,7 @@ let cmd =
   Cmd.v
     (Cmd.info "serve" ~doc:"Resilient job server over a Unix/TCP socket")
     Term.(
-      const run $ socket $ advertise $ queue_limit $ job_timeout_ms $ journal $ resume
+      const run $ socket $ advertise $ queue_limit $ journal $ resume
       $ chaos $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.metrics
       $ Obs_cli.stats $ Obs_cli.flight)
 

@@ -13,8 +13,8 @@
 
    dune exec bin/trace_report.exe -- sweep.trace *)
 
-module T = Harness.Trace
-module Mx = Harness.Metrics
+module T = Obs.Trace
+module Mx = Obs.Metrics
 
 (* An open game span on one worker, filled in by Step events until the
    verdict arrives. *)
@@ -91,7 +91,7 @@ let report path =
      flight recorder's binary frames (--flight), sniffed by first
      byte.  The decoded record stream is identical by construction. *)
   let records =
-    if Harness.Flight.is_flight_file path then Harness.Flight.read_file path
+    if Obs.Flight.is_flight_file path then Obs.Flight.read_file path
     else T.read_file path
   in
   let program, version =

@@ -127,12 +127,12 @@ module Set = struct
   type t = { bits : Bytes.t; mutable count : int }
 
   let create n = { bits = Bytes.make (max n 1) '\000'; count = 0 }
-  let mem t i = Bytes.unsafe_get t.bits i <> '\000'
+  let mem t i = Bytes.get t.bits i <> '\000'
   let cardinal t = t.count
 
   let add t i =
-    if Bytes.unsafe_get t.bits i = '\000' then begin
-      Bytes.unsafe_set t.bits i '\001';
+    if Bytes.get t.bits i = '\000' then begin
+      Bytes.set t.bits i '\001';
       t.count <- t.count + 1
     end
 end

@@ -104,10 +104,12 @@ module Set : sig
   (** [create n] is the empty set over universe [0 .. n-1]. *)
 
   val mem : t -> int -> bool
-  (** Membership test. O(1), allocation-free, no bounds check. *)
+  (** Membership test. O(1), allocation-free.
+      @raise Invalid_argument outside the universe. *)
 
   val add : t -> int -> unit
-  (** Insert an element. O(1). *)
+  (** Insert an element. O(1).
+      @raise Invalid_argument outside the universe. *)
 
   val cardinal : t -> int
   (** Number of elements. O(1). *)

@@ -9,13 +9,6 @@ type campaign = {
 
 (* ------------------------------ plumbing ------------------------------ *)
 
-let rec write_all fd buf pos len =
-  if len > 0 then begin
-    match Unix.write fd buf pos len with
-    | n -> write_all fd buf (pos + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd buf pos len
-  end
-
 let sockaddr_of_spec spec =
   match String.index_opt spec ':' with
   | Some 3 when String.sub spec 0 3 = "tcp" -> (
@@ -23,7 +16,7 @@ let sockaddr_of_spec spec =
       match int_of_string_opt port with
       | Some p when p > 0 && p < 65536 ->
           Unix.ADDR_INET (Unix.inet_addr_loopback, p)
-      | _ -> invalid_arg ("Client: bad tcp socket spec " ^ spec))
+      | _ -> invalid_arg ("bad tcp socket spec " ^ spec))
   | _ -> Unix.ADDR_UNIX spec
 
 exception Conn_lost of string
@@ -51,8 +44,7 @@ let with_sigpipe_ignored f =
     f
 
 let send_frame fd ~tag payload =
-  let frame = Wire.encode ~tag payload in
-  try write_all fd frame 0 (Bytes.length frame)
+  try Wire.write_all fd (Wire.encode ~tag payload)
   with Unix.Unix_error (e, _, _) -> raise (Conn_lost (Unix.error_message e))
 
 (* Read until the decoder yields one frame.  Every way the read can go

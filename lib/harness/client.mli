@@ -14,6 +14,20 @@ val job_id : kind:string -> payload:string -> string
     [kind], a NUL byte, and [payload].  Computable offline — equal
     content, equal id, which is the whole idempotency story. *)
 
+val sockaddr_of_spec : string -> Unix.sockaddr
+(** A socket spec, as both ends of the protocol name it: ["tcp:PORT"]
+    is loopback TCP, anything else a Unix-domain socket path.
+    @raise Invalid_argument on a [tcp:] spec whose port is not in
+    [1, 65535]. *)
+
+val split_tab : string -> string * string
+(** [split_tab "a\tb\tc"] is [("a", "b\tc")]; without a tab, [(s, "")].
+    Splits the [id "\t" rest] payloads of ['R'] and ['X'] frames. *)
+
+val with_sigpipe_ignored : (unit -> 'a) -> 'a
+(** Run [f] with [SIGPIPE] ignored (so a write to a closed peer is an
+    [EPIPE] error, not death), restoring the previous disposition. *)
+
 type campaign = {
   results : string list;
       (** one result per submitted spec, {e in spec order} — byte-equal

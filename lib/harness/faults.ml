@@ -4,8 +4,8 @@ module A = Models.Algorithm
    trace distinguishes "fault armed" (visible in the algorithm name)
    from "fault delivered". *)
 let injected ~tag ~call =
-  if Trace.on () then Trace.emit (Trace.Fault_injected { tag; call });
-  if Metrics.on () then Metrics.incr ("faults.injected." ^ tag)
+  if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Fault_injected { tag; call });
+  if Obs.Metrics.on () then Obs.Metrics.incr ("faults.injected." ^ tag)
 
 let wrap ~tag algo transform =
   {

@@ -71,20 +71,6 @@ let home_shard ~shard_seed ~endpoints ~kind ~payload =
   if endpoints < 1 then invalid_arg "Fleet: endpoints must be >= 1";
   shard ~seed:shard_seed ~n:endpoints (Client.job_id ~kind ~payload)
 
-let with_sigpipe_ignored f =
-  let prev =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ | Sys_error _ -> None
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter (fun b -> Sys.set_signal Sys.sigpipe b) prev)
-    f
-
-let split_tab s =
-  match String.index_opt s '\t' with
-  | None -> (s, "")
-  | Some t -> (String.sub s 0 t, String.sub s (t + 1) (String.length s - t - 1))
-
 (* load gap that triggers moving queued work to a shallower endpoint *)
 let rebalance_threshold = 8
 
@@ -168,16 +154,16 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
   let dead_rounds = ref 0 in
   let reasons = ref [] in  (* degraded reasons, newest first *)
   let add_reason r = if not (List.mem r !reasons) then reasons := r :: !reasons in
-  let metric name = if Metrics.on () then Metrics.incr name in
+  let metric name = if Obs.Metrics.on () then Obs.Metrics.incr name in
   let trace_state e state =
     if e.last_state <> state then begin
       e.last_state <- state;
-      if Trace.on () then
-        Trace.emit (Trace.Endpoint_state { endpoint = e.espec; state })
+      if Obs.Trace.on () then
+        Obs.Trace.emit (Obs.Trace.Endpoint_state { endpoint = e.espec; state })
     end
   in
-  if Trace.on () then
-    Trace.emit (Trace.Fleet_start { endpoints = n; jobs = window; shard_seed });
+  if Obs.Trace.on () then
+    Obs.Trace.emit (Obs.Trace.Fleet_start { endpoints = n; jobs = window; shard_seed });
   metric "fleet.campaigns";
   let live e = e.conn <> None && not e.draining in
   let unsubmit_jobs_of e =
@@ -258,7 +244,7 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
     match tag with
     | 'A' -> ()
     | 'R' -> (
-        let id, result = split_tab payload in
+        let id, result = Client.split_tab payload in
         match Hashtbl.find_opt tbl id with
         | Some j when j.result = None ->
             j.result <- Some result;
@@ -275,7 +261,7 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
             metric "fleet.duplicates"
         | None -> ())
     | 'X' -> (
-        let id, reason = split_tab payload in
+        let id, reason = Client.split_tab payload in
         incr rejections;
         metric "fleet.rejections";
         match Hashtbl.find_opt tbl id with
@@ -341,14 +327,14 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
           if !moved > 0 then begin
             rebalanced := !rebalanced + !moved;
             metric "fleet.rebalanced";
-            if Trace.on () then
-              Trace.emit
-                (Trace.Rebalance
+            if Obs.Trace.on () then
+              Obs.Trace.emit
+                (Obs.Trace.Rebalance
                    { moved = !moved; src = deep.espec; dst = shallow.espec })
           end
         end
   in
-  with_sigpipe_ignored @@ fun () ->
+  Client.with_sigpipe_ignored @@ fun () ->
   Fun.protect
     ~finally:(fun () ->
       Array.iter
@@ -397,9 +383,9 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
             | false, Some t when t <> j.target ->
                 incr failovers;
                 metric "fleet.failovers";
-                if Trace.on () then
-                  Trace.emit
-                    (Trace.Failover
+                if Obs.Trace.on () then
+                  Obs.Trace.emit
+                    (Obs.Trace.Failover
                        {
                          id = j.id;
                          src = eps.(j.target).espec;
@@ -484,9 +470,9 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
   let verdict =
     match !reasons with [] -> `Full | rs -> `Degraded (List.rev rs)
   in
-  if Trace.on () then
-    Trace.emit
-      (Trace.Fleet_verdict
+  if Obs.Trace.on () then
+    Obs.Trace.emit
+      (Obs.Trace.Fleet_verdict
          {
            verdict = verdict_to_string verdict;
            results = List.length results;

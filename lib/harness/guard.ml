@@ -54,9 +54,9 @@ let is_fatal = function
 let record_fault t m =
   if t.fault = None then begin
     t.fault <- Some m;
-    if Trace.on () then
-      Trace.emit
-        (Trace.Misbehavior
+    if Obs.Trace.on () then
+      Obs.Trace.emit
+        (Obs.Trace.Misbehavior
            { label = Misbehavior.label m; detail = Misbehavior.to_string m })
   end
 
@@ -121,8 +121,8 @@ let guarded_call t inst view =
       fail t (Misbehavior.Budget_exhausted { used = t.color_calls; budget })
   | _ -> ());
   check_deadline t;
-  if Trace.on () then
-    Trace.emit (Trace.Color_call { calls = t.color_calls; work = t.work });
+  if Obs.Trace.on () then
+    Obs.Trace.emit (Obs.Trace.Color_call { calls = t.color_calls; work = t.work });
   with_current t (fun () ->
       match inst view with
       | color -> color
@@ -142,8 +142,8 @@ let charge t =
       fail t (Misbehavior.Budget_exhausted { used = t.color_calls; budget })
   | _ -> ());
   check_deadline t;
-  if Trace.on () then
-    Trace.emit (Trace.Color_call { calls = t.color_calls; work = t.work })
+  if Obs.Trace.on () then
+    Obs.Trace.emit (Obs.Trace.Color_call { calls = t.color_calls; work = t.work })
 
 let algorithm t algo =
   {

@@ -40,7 +40,7 @@ let parallel ~jobs ~tasks ~work ~consume =
         Condition.broadcast progress)
   in
   let worker index () =
-    if Trace.on () then Trace.emit (Trace.Worker_start { index });
+    if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Worker_start { index });
     let claimed = ref 0 in
     let rec loop () =
       match claim () with
@@ -58,7 +58,7 @@ let parallel ~jobs ~tasks ~work ~consume =
               abort exn (Printexc.get_raw_backtrace ()))
     in
     loop ();
-    if Trace.on () then Trace.emit (Trace.Worker_stop { index; tasks = !claimed });
+    if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Worker_stop { index; tasks = !claimed });
     Mutex.protect mutex (fun () ->
         decr live;
         Condition.broadcast progress)

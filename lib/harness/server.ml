@@ -23,10 +23,7 @@ type config = {
   jobs : int;
   isolation : [ `In_domain | `Process ];
   queue_limit : int;
-  retries : int;
-  kill_grace : float;
-  default_deadline : float option;
-  backoff : Backoff.config;
+  supervisor : Supervisor.config;
   max_frame : int;
   chaos : chaos option;
 }
@@ -36,10 +33,7 @@ let default_config =
     jobs = 2;
     isolation = `Process;
     queue_limit = 64;
-    retries = 2;
-    kill_grace = 0.5;
-    default_deadline = None;
-    backoff = Backoff.default;
+    supervisor = Supervisor.default_config;
     max_frame = Wire.default_max_payload;
     chaos = None;
   }
@@ -47,13 +41,8 @@ let default_config =
 let validate_config c =
   if c.jobs < 1 then invalid_arg "Server: jobs must be >= 1";
   if c.queue_limit < 1 then invalid_arg "Server: queue_limit must be >= 1";
-  if c.retries < 0 then invalid_arg "Server: retries must be >= 0";
-  if c.kill_grace <= 0. then invalid_arg "Server: kill_grace must be positive";
-  (match c.default_deadline with
-  | Some t when t <= 0. -> invalid_arg "Server: default_deadline must be positive"
-  | _ -> ());
   if c.max_frame < 1 then invalid_arg "Server: max_frame must be >= 1";
-  Backoff.validate c.backoff;
+  Supervisor.validate_config c.supervisor;
   match c.chaos with
   | None -> ()
   | Some ch ->
@@ -70,25 +59,6 @@ let validate_config c =
         invalid_arg "Server: chaos max_chaos_delay must be >= 0"
 
 (* ------------------------------ plumbing ------------------------------ *)
-
-let rec write_all fd buf pos len =
-  if len > 0 then begin
-    match Unix.write fd buf pos len with
-    | n -> write_all fd buf (pos + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd buf pos len
-  end
-
-let sockaddr_of_spec spec =
-  match String.index_opt spec ':' with
-  | Some 3 when String.sub spec 0 3 = "tcp" -> (
-      let port = String.sub spec 4 (String.length spec - 4) in
-      match int_of_string_opt port with
-      | Some p when p > 0 && p < 65536 ->
-          (Unix.ADDR_INET (Unix.inet_addr_loopback, p), None)
-      | _ -> invalid_arg ("Server: bad tcp socket spec " ^ spec))
-  | _ -> (Unix.ADDR_UNIX spec, Some spec)
-
-let job_id ~kind ~payload = Digest.to_hex (Digest.string (kind ^ "\x00" ^ payload))
 
 let status_of_result r =
   if String.length r >= 7 && String.sub r 0 7 = "ERROR: " then "error"
@@ -107,8 +77,7 @@ type job = {
   deadline : float option;  (* per-attempt seconds; None = config default *)
   mutable state : jstate;
   mutable waiters : int list;  (* conn ids, most recent first *)
-  mutable failures : Supervisor.failure list;  (* newest first *)
-  mutable attempts : int;  (* spawns so far *)
+  mutable attempts : int;  (* starts so far (a requeue starts afresh) *)
 }
 
 type conn = {
@@ -122,22 +91,6 @@ type conn = {
   mutable close_after_out : bool;
   mutable close_reason : string;
   mutable closed : bool;
-}
-
-type child = {
-  pid : int;
-  cjob : job;
-  cfd : Unix.file_descr;
-  cdec : Wire.decoder;
-  started : float;
-  mutable reply : (char * string) option;
-  mutable cstats : string option;  (* 'S' frame, pending the 'R' *)
-  mutable bad : string option;
-  mutable term_at : float option;
-  mutable killed : bool;
-  mutable timed_out : bool;
-  mutable kill_at : float option;  (* chaos SIGKILL due time *)
-  mutable chaos_killed : bool;
 }
 
 type stats = {
@@ -154,45 +107,14 @@ type stats = {
   mutable chaos_injected : int;
 }
 
-(* -------------------------- process children -------------------------- *)
-
-let child_main ~handler ~(job : job) w =
-  Trace.detach_in_child ();
-  (* Drop the stats shards inherited from the parent image: what this
-     child drains into its 'S' frame must be this job's own
-     contribution, nothing more. *)
-  Stats.reset ();
-  Sys.set_signal Sys.sigterm Sys.Signal_default;
-  Sys.set_signal Sys.sigint Sys.Signal_default;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let reply tag payload =
-    let frame = Wire.encode ~tag payload in
-    try write_all w frame 0 (Bytes.length frame) with Unix.Unix_error _ -> ()
-  in
-  (match handler ~kind:job.kind ~payload:job.payload with
-  | r ->
-      (* Stats travel in their own frame, before the result: the parent
-         stashes the snapshot and only counts it once the same
-         attempt's 'R' lands (a child dying in between is retried and
-         the stale snapshot dies with its child record). *)
-      (if Stats.on () then
-         match Stats.drain () with
-         | [] -> ()
-         | snap -> reply 'S' (Stats.to_string snap));
-      reply 'R' r
-  | exception exn ->
-      (* Contained in the child: no job, however pathological, takes the
-         server down with it. *)
-      reply 'E' (Printexc.to_string exn));
-  Unix._exit 0
-
 (* ----------------------------- the server ----------------------------- *)
 
 let run ?(config = default_config) ?journal ?(resume = false)
     ?(should_stop = fun () -> false) ?(on_ready = fun () -> ()) ~socket
     ~handler () =
   validate_config config;
-  let sockaddr, unix_path = sockaddr_of_spec socket in
+  let sockaddr = Client.sockaddr_of_spec socket in
+  let unix_path = match sockaddr with Unix.ADDR_UNIX path -> Some path | _ -> None in
   let stats =
     {
       accepted = 0;
@@ -208,7 +130,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
       chaos_injected = 0;
     }
   in
-  let metric name = if Metrics.on () then Metrics.incr name in
+  let metric name = if Obs.Metrics.on () then Obs.Metrics.incr name in
   (* chaos schedule: a splitmix stream off the chaos seed *)
   let rng_state =
     ref (Int64.mul (Int64.of_int (match config.chaos with
@@ -224,7 +146,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
   let chaos_fire kind =
     stats.chaos_injected <- stats.chaos_injected + 1;
     metric ("server.chaos." ^ kind);
-    if Trace.on () then Trace.emit (Trace.Chaos_injected { kind })
+    if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Chaos_injected { kind })
   in
   (* ------------------------------ jobs ------------------------------ *)
   let jobs_tbl : (string, job) Hashtbl.t = Hashtbl.create 64 in
@@ -354,8 +276,8 @@ let run ?(config = default_config) ?journal ?(resume = false)
       conn.closed <- true;
       Hashtbl.remove conns conn.cid;
       (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-      if Trace.on () then
-        Trace.emit (Trace.Conn_close { conn = conn.cid; reason })
+      if Obs.Trace.on () then
+        Obs.Trace.emit (Obs.Trace.Conn_close { conn = conn.cid; reason })
     end
   in
   (* enqueue bytes on a connection, through the chaos harness *)
@@ -410,7 +332,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
     | "quarantined" -> stats.quarantined <- stats.quarantined + 1
     | _ -> ());
     metric "server.completed";
-    if Trace.on () then Trace.emit (Trace.Job_done { id = job.id; status });
+    if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Job_done { id = job.id; status });
     List.iter
       (fun cid ->
         match Hashtbl.find_opt conns cid with
@@ -420,197 +342,65 @@ let run ?(config = default_config) ?journal ?(resume = false)
     job.waiters <- []
   in
   (* ------------------------- process backend ------------------------ *)
-  let children : child list ref = ref [] in
-  (* (due, job) retry schedule, sorted by due time *)
-  let retry_queue : (float * job) list ref = ref [] in
-  let schedule_retry job =
-    let delay = Backoff.delay config.backoff ~key:job.id ~attempt:job.attempts in
-    if Trace.on () then
-      Trace.emit (Trace.Cell_retry { key = job.id; attempt = job.attempts; delay });
-    let due = Unix.gettimeofday () +. delay in
-    let rec insert = function
-      | [] -> [ (due, job) ]
-      | (d, _) :: _ as l when due < d -> (due, job) :: l
-      | x :: rest -> x :: insert rest
-    in
-    retry_queue := insert !retry_queue
-  in
-  let spawn job =
+  (* Under `In_domain nothing is ever spawned on it, and it stays idle. *)
+  let engine = Supervisor.create ~jobs:config.jobs config.supervisor in
+  (* chaos: SIGKILLs due for running jobs' children, (due, job) *)
+  let chaos_kills : (float * job) list ref = ref [] in
+  let start_job job =
     job.state <- Running;
-    let attempt = job.attempts in
-    job.attempts <- attempt + 1;
-    if Trace.on () then Trace.emit (Trace.Job_start { id = job.id; attempt });
+    if Obs.Trace.on () then
+      Obs.Trace.emit (Obs.Trace.Job_start { id = job.id; attempt = job.attempts });
+    job.attempts <- job.attempts + 1;
     metric "server.job_starts";
-    let r, w = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
-        (try Unix.close r with Unix.Unix_error _ -> ());
-        child_main ~handler ~job w
-    | pid ->
-        Unix.close w;
-        let kill_at =
-          match config.chaos with
-          | Some c when draw () < c.kill_child ->
-              Some (Unix.gettimeofday () +. (draw () *. c.max_chaos_delay))
-          | _ -> None
-        in
-        children :=
-          {
-            pid;
-            cjob = job;
-            cfd = r;
-            cdec = Wire.decoder ~tags:"RES" ~bare:"H" ();
-            started = Unix.gettimeofday ();
-            reply = None;
-            cstats = None;
-            bad = None;
-            term_at = None;
-            killed = false;
-            timed_out = false;
-            kill_at;
-            chaos_killed = false;
-          }
-          :: !children
+    Supervisor.spawn engine job ~key:job.id ?timeout:job.deadline (fun () ->
+        handler ~kind:job.kind ~payload:job.payload);
+    match config.chaos with
+    | Some c when draw () < c.kill_child ->
+        let due = Unix.gettimeofday () +. (draw () *. c.max_chaos_delay) in
+        chaos_kills := (due, job) :: !chaos_kills
+    | _ -> ()
   in
-  let fill () =
-    if config.isolation = `Process then begin
+  (* A job whose child was abandoned — killed by chaos, or dead during
+     the drain — goes back to the queue, its retry budget uncharged; a
+     drained server leaves it journaled as accepted, to rerun after
+     restart. *)
+  let requeue job =
+    job.state <- Queued;
+    Queue.push job pending
+  in
+  let supervise () =
+    Supervisor.tick engine;
+    if !chaos_kills <> [] then begin
+      let now = Unix.gettimeofday () in
+      let due, later = List.partition (fun (at, _) -> at <= now) !chaos_kills in
+      chaos_kills := later;
+      List.iter
+        (fun (_, job) -> if Supervisor.kill engine job then chaos_fire "kill_child")
+        due
+    end;
+    if config.isolation = `Process && not !draining then begin
       let continue = ref true in
-      while !continue do
-        if !draining || List.length !children >= config.jobs then
-          continue := false
-        else
-          let now = Unix.gettimeofday () in
-          match !retry_queue with
-          | (due, job) :: rest when due <= now ->
-              retry_queue := rest;
-              spawn job
-          | _ -> (
-              match Queue.take_opt pending with
-              | Some job -> spawn job
-              | None -> continue := false)
+      while !continue && Supervisor.room engine do
+        match Queue.take_opt pending with
+        | Some job -> start_job job
+        | None -> continue := false
       done
     end
   in
-  let kill_pid pid signal =
-    try Unix.kill pid signal with Unix.Unix_error _ -> ()
-  in
-  let rec waitpid_retry pid =
-    match Unix.waitpid [] pid with
-    | r -> r
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
-  in
-  let parse_child ch =
-    let again = ref true in
-    while !again do
-      again := false;
-      if ch.reply = None && ch.bad = None then
-        match Wire.decode ch.cdec with
-        | Ok None -> ()
-        | Ok (Some { Wire.tag = 'H'; _ }) -> again := true
-        | Ok (Some { Wire.tag = 'S'; payload }) ->
-            ch.cstats <- Some payload;
-            again := true
-        | Ok (Some { Wire.tag; payload }) -> ch.reply <- Some (tag, payload)
-        | Error e -> ch.bad <- Some (Wire.error_to_string e)
-    done
-  in
-  let reap ch =
-    (try Unix.close ch.cfd with Unix.Unix_error _ -> ());
-    let _, wstatus = waitpid_retry ch.pid in
-    children := List.filter (fun c -> c != ch) !children;
-    let job = ch.cjob in
-    match ch.reply with
-    | Some ('R', r) ->
-        let stats_delta = Option.value ch.cstats ~default:"" in
-        if stats_delta <> "" then ignore (Stats.absorb_string stats_delta);
+  let settle (job, settled) =
+    match settled with
+    | Supervisor.Finished (Supervisor.Done r, stats) ->
+        let stats_delta = Option.value stats ~default:"" in
+        if stats_delta <> "" then ignore (Obs.Stats.absorb_string stats_delta);
         complete ~stats_delta job (status_of_result r) r
-    | Some ('E', msg) -> complete job "error" ("ERROR: " ^ msg)
-    | Some _ -> assert false
-    | None ->
-        if !draining then
-          (* the drain killed nothing, but a child dying right now is
-             abandoned like an interrupted cell: it stays journaled as
-             accepted and reruns after restart *)
-          job.state <- Queued
-        else if ch.chaos_killed then begin
-          (* the server's own chaos harness killed it: retry, charging
-             no budget — injected faults must never quarantine *)
-          job.state <- Queued;
-          schedule_retry job
-        end
-        else begin
-          let failure =
-            if ch.timed_out then
-              Supervisor.Unresponsive
-                {
-                  elapsed = Unix.gettimeofday () -. ch.started;
-                  limit =
-                    Option.value
-                      (match job.deadline with
-                      | Some _ as d -> d
-                      | None -> config.default_deadline)
-                      ~default:0.;
-                  forced = ch.killed;
-                }
-            else
-              match ch.bad with
-              | Some msg -> Supervisor.Protocol msg
-              | None -> (
-                  match wstatus with
-                  | Unix.WEXITED 0 -> Supervisor.Protocol "no reply before exit"
-                  | Unix.WEXITED n -> Supervisor.Exited n
-                  | Unix.WSIGNALED s | Unix.WSTOPPED s -> Supervisor.Signaled s)
-          in
-          job.failures <- failure :: job.failures;
-          let nfails = List.length job.failures in
-          if nfails > config.retries then begin
-            let q =
-              {
-                Supervisor.key = job.id;
-                attempts = nfails;
-                failures = List.rev job.failures;
-              }
-            in
-            complete job "quarantined" (Supervisor.quarantine_to_string q)
-          end
-          else begin
-            stats.retries <- stats.retries + 1;
-            metric "server.retries";
-            job.state <- Queued;
-            schedule_retry job
-          end
-        end
-  in
-  let check_watchdog now =
-    List.iter
-      (fun ch ->
-        if ch.reply = None then begin
-          (match ch.kill_at with
-          | Some t when (not ch.chaos_killed) && now >= t ->
-              ch.chaos_killed <- true;
-              chaos_fire "kill_child";
-              kill_pid ch.pid Sys.sigkill
-          | _ -> ());
-          let limit =
-            match ch.cjob.deadline with
-            | Some _ as d -> d
-            | None -> config.default_deadline
-          in
-          (match limit with
-          | Some l when ch.term_at = None && now -. ch.started > l ->
-              ch.timed_out <- true;
-              ch.term_at <- Some now;
-              kill_pid ch.pid Sys.sigterm;
-              metric "server.kills.term"
-          | _ -> ());
-          match ch.term_at with
-          | Some t when (not ch.killed) && now -. t > config.kill_grace ->
-              ch.killed <- true;
-              kill_pid ch.pid Sys.sigkill;
-              metric "server.kills.kill"
-          | _ -> ()
-        end)
-      !children
+    | Supervisor.Finished (Supervisor.Failed msg, _) ->
+        complete job "error" ("ERROR: " ^ msg)
+    | Supervisor.Finished (Supervisor.Quarantined q, _) ->
+        complete job "quarantined" (Supervisor.quarantine_to_string q)
+    | Supervisor.Retrying ->
+        stats.retries <- stats.retries + 1;
+        metric "server.retries"
+    | Supervisor.Abandoned -> requeue job
   in
   (* -------------------------- domain backend ------------------------- *)
   let worker () =
@@ -630,15 +420,15 @@ let run ?(config = default_config) ?journal ?(resume = false)
       match job with
       | None -> continue := false
       | Some job ->
-          if Trace.on () then
-            Trace.emit (Trace.Job_start { id = job.id; attempt = 0 });
-          if Metrics.on () then Metrics.incr "server.job_starts";
+          if Obs.Trace.on () then
+            Obs.Trace.emit (Obs.Trace.Job_start { id = job.id; attempt = 0 });
+          if Obs.Metrics.on () then Obs.Metrics.incr "server.job_starts";
           let status, result, stats_delta =
-            (* [Stats.scoped] merges the job's contribution into this
+            (* [Obs.Stats.scoped] merges the job's contribution into this
                domain's shard and hands back the delta for the journal
                — the same per-job persistence the 'S' frame gives the
                process backend. *)
-            match Stats.scoped (fun () -> handler ~kind:job.kind ~payload:job.payload) with
+            match Obs.Stats.scoped (fun () -> handler ~kind:job.kind ~payload:job.payload) with
             | r, delta -> (status_of_result r, r, delta)
             | exception exn -> ("error", "ERROR: " ^ Printexc.to_string exn, "")
           in
@@ -669,27 +459,22 @@ let run ?(config = default_config) ?journal ?(resume = false)
         | None -> ())
       (List.rev done_jobs)
   in
+  let running_count () =
+    match config.isolation with
+    | `Process -> Supervisor.live engine
+    | `In_domain -> Mutex.protect dmutex (fun () -> !drunning)
+  in
   (* ------------------------------ frames ----------------------------- *)
   let health_json () =
-    let running =
-      match config.isolation with
-      | `Process -> List.length !children
-      | `In_domain -> Mutex.protect dmutex (fun () -> !drunning)
-    in
     Obs.Json.Obj
       [
         ("status", Obs.Json.String (if !draining then "draining" else "ok"));
         ("queued", Obs.Json.Int (queued_count ()));
-        ("running", Obs.Json.Int running);
+        ("running", Obs.Json.Int (running_count ()));
         ("completed", Obs.Json.Int stats.completed);
       ]
   in
   let stats_json () =
-    let running =
-      match config.isolation with
-      | `Process -> List.length !children
-      | `In_domain -> Mutex.protect dmutex (fun () -> !drunning)
-    in
     Obs.Json.Obj
       [
         ("accepted", Obs.Json.Int stats.accepted);
@@ -704,7 +489,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
         ("conns", Obs.Json.Int stats.conns_opened);
         ("chaos_injected", Obs.Json.Int stats.chaos_injected);
         ("queued", Obs.Json.Int (queued_count ()));
-        ("running", Obs.Json.Int running);
+        ("running", Obs.Json.Int (running_count ()));
         ("draining", Obs.Json.Bool !draining);
       ]
   in
@@ -717,13 +502,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
     | Some nl -> (
         let header = String.sub payload 0 nl in
         let body = String.sub payload (nl + 1) (String.length payload - nl - 1) in
-        let kind, deadline_str =
-          match String.index_opt header '\t' with
-          | None -> (header, "")
-          | Some t ->
-              ( String.sub header 0 t,
-                String.sub header (t + 1) (String.length header - t - 1) )
-        in
+        let kind, deadline_str = Client.split_tab header in
         let deadline =
           match deadline_str with
           | "" -> Ok None
@@ -743,7 +522,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
             conn.close_after_out <- true;
             conn.close_reason <- "protocol"
         | Ok deadline -> (
-            let id = job_id ~kind ~payload:body in
+            let id = Client.job_id ~kind ~payload:body in
             let chaos_drop () =
               match config.chaos with
               | Some c when draw () < c.drop_conn ->
@@ -753,8 +532,8 @@ let run ?(config = default_config) ?journal ?(resume = false)
               | _ -> false
             in
             let submit_trace disposition =
-              if Trace.on () then
-                Trace.emit (Trace.Job_submit { id; kind; disposition })
+              if Obs.Trace.on () then
+                Obs.Trace.emit (Obs.Trace.Job_submit { id; kind; disposition })
             in
             match Hashtbl.find_opt jobs_tbl id with
             | Some ({ state = Finished { result; _ }; _ } as job) ->
@@ -776,9 +555,9 @@ let run ?(config = default_config) ?journal ?(resume = false)
                 if !draining then begin
                   stats.rejected <- stats.rejected + 1;
                   metric "server.rejected";
-                  if Trace.on () then
-                    Trace.emit
-                      (Trace.Job_reject
+                  if Obs.Trace.on () then
+                    Obs.Trace.emit
+                      (Obs.Trace.Job_reject
                          {
                            id;
                            queued = queued_count ();
@@ -789,9 +568,9 @@ let run ?(config = default_config) ?journal ?(resume = false)
                 else if queued_count () >= config.queue_limit then begin
                   stats.rejected <- stats.rejected + 1;
                   metric "server.rejected";
-                  if Trace.on () then
-                    Trace.emit
-                      (Trace.Job_reject
+                  if Obs.Trace.on () then
+                    Obs.Trace.emit
+                      (Obs.Trace.Job_reject
                          {
                            id;
                            queued = queued_count ();
@@ -811,7 +590,6 @@ let run ?(config = default_config) ?journal ?(resume = false)
                       deadline;
                       state = Queued;
                       waiters = [ conn.cid ];
-                      failures = [];
                       attempts = 0;
                     }
                   in
@@ -838,14 +616,9 @@ let run ?(config = default_config) ?journal ?(resume = false)
           (* depth probe: the fleet's rebalancer polls this on every
              endpoint, so it is a fixed tab-separated line — no JSON
              parse on the hot path *)
-          let running =
-            match config.isolation with
-            | `Process -> List.length !children
-            | `In_domain -> Mutex.protect dmutex (fun () -> !drunning)
-          in
           send conn
             (Wire.encode ~tag:'D'
-               (Printf.sprintf "%d\t%d\t%d\t%d" (queued_count ()) running
+               (Printf.sprintf "%d\t%d\t%d\t%d" (queued_count ()) (running_count ())
                   stats.completed
                   (if !draining then 1 else 0)))
       | Ok (Some { Wire.tag; _ }) ->
@@ -930,7 +703,6 @@ let run ?(config = default_config) ?journal ?(resume = false)
                           deadline;
                           state = Queued;
                           waiters = [];
-                          failures = [];
                           attempts = 0;
                         }
                       in
@@ -965,16 +737,14 @@ let run ?(config = default_config) ?journal ?(resume = false)
     Option.iter (fun b -> Sys.set_signal Sys.sigint b) prev_int;
     Option.iter (fun b -> Sys.set_signal Sys.sigpipe b) prev_pipe
   in
-  if Trace.on () then
-    Trace.emit
-      (Trace.Server_start
+  if Obs.Trace.on () then
+    Obs.Trace.emit
+      (Obs.Trace.Server_start
          { socket; jobs = config.jobs; queue_limit = config.queue_limit });
   (* ---------------------------- main loop ---------------------------- *)
   let chunk = Bytes.create 4096 in
-  let running_count () =
-    match config.isolation with
-    | `Process -> List.length !children
-    | `In_domain -> Mutex.protect dmutex (fun () -> !drunning)
+  let find_conn fd =
+    Hashtbl.fold (fun _ c acc -> if c.fd = fd then Some c else acc) conns None
   in
   let flush_conn conn =
     flush_deferred conn (Unix.gettimeofday ());
@@ -1009,14 +779,6 @@ let run ?(config = default_config) ?journal ?(resume = false)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close_conn conn "error"
   in
-  let handle_child_read ch =
-    match Unix.read ch.cfd chunk 0 (Bytes.length chunk) with
-    | 0 -> reap ch
-    | n ->
-        Wire.feed ch.cdec chunk 0 n;
-        parse_child ch
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  in
   let accept_ready () =
     match Unix.accept ~cloexec:true listen_fd with
     | fd, _ ->
@@ -1037,7 +799,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
         Hashtbl.replace conns cid conn;
         stats.conns_opened <- stats.conns_opened + 1;
         metric "server.conns";
-        if Trace.on () then Trace.emit (Trace.Conn_open { conn = cid })
+        if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Conn_open { conn = cid })
     | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
       ->
         ()
@@ -1045,24 +807,8 @@ let run ?(config = default_config) ?journal ?(resume = false)
   let select_timeout now =
     let t = ref 0.25 in
     let consider due = t := Float.max 0. (Float.min !t (due -. now)) in
-    List.iter
-      (fun ch ->
-        if ch.reply = None then begin
-          Option.iter consider ch.kill_at;
-          let limit =
-            match ch.cjob.deadline with
-            | Some _ as d -> d
-            | None -> config.default_deadline
-          in
-          (match (limit, ch.term_at) with
-          | Some l, None -> consider (ch.started +. l)
-          | _ -> ());
-          match ch.term_at with
-          | Some at when not ch.killed -> consider (at +. config.kill_grace)
-          | _ -> ()
-        end)
-      !children;
-    (match !retry_queue with (due, _) :: _ -> consider due | [] -> ());
+    Option.iter consider (Supervisor.next_deadline engine);
+    List.iter (fun (due, _) -> consider due) !chaos_kills;
     Hashtbl.iter
       (fun _ conn ->
         match conn.deferred with (due, _) :: _ -> consider due | [] -> ())
@@ -1075,11 +821,10 @@ let run ?(config = default_config) ?journal ?(resume = false)
       stop_accepting ();
       (* retry-waiting jobs are abandoned like queued ones: journaled as
          accepted, rerun on restart *)
-      List.iter (fun (_, job) -> job.state <- Queued) !retry_queue;
-      retry_queue := [];
-      if Trace.on () then
-        Trace.emit
-          (Trace.Server_drain
+      List.iter requeue (Supervisor.abandon engine);
+      if Obs.Trace.on () then
+        Obs.Trace.emit
+          (Obs.Trace.Server_drain
              { queued = queued_count (); running = running_count () });
       metric "server.drains";
       match config.isolation with
@@ -1093,13 +838,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
     restore_signals ();
     stop_accepting ();
     (* never leak children, also on the exception path *)
-    List.iter (fun ch -> kill_pid ch.pid Sys.sigkill) !children;
-    List.iter
-      (fun ch ->
-        (try Unix.close ch.cfd with Unix.Unix_error _ -> ());
-        ignore (waitpid_retry ch.pid))
-      !children;
-    children := [];
+    Supervisor.shutdown engine;
     (match config.isolation with
     | `In_domain ->
         Mutex.protect dmutex (fun () -> dstop := true);
@@ -1121,9 +860,8 @@ let run ?(config = default_config) ?journal ?(resume = false)
       while not !finished do
         if (Atomic.get drain_req || should_stop ()) && not !draining then
           start_drain ();
-        fill ();
+        supervise ();
         let now = Unix.gettimeofday () in
-        check_watchdog now;
         (* collect results that arrived via the self-pipe *)
         if config.isolation = `In_domain then collect_domain_results ();
         (* flush what can be flushed without waiting for select *)
@@ -1132,7 +870,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
           (if !accepting then [ listen_fd ] else [])
           @ (if config.isolation = `In_domain then [ pipe_r ] else [])
           @ Hashtbl.fold (fun _ c acc -> c.fd :: acc) conns []
-          @ List.map (fun ch -> ch.cfd) !children
+          @ Supervisor.fds engine
         in
         let wfds =
           Hashtbl.fold
@@ -1154,37 +892,21 @@ let run ?(config = default_config) ?journal ?(resume = false)
                   collect_domain_results ()
                 end
                 else
-                  match List.find_opt (fun ch -> ch.cfd = fd) !children with
-                  | Some ch -> handle_child_read ch
-                  | None -> (
-                      match
-                        Hashtbl.fold
-                          (fun _ c acc -> if c.fd = fd then Some c else acc)
-                          conns None
-                      with
-                      | Some conn -> handle_conn_read conn
-                      | None -> ()))
+                  match find_conn fd with
+                  | Some conn -> handle_conn_read conn
+                  | None -> Option.iter settle (Supervisor.read engine fd))
               ready_r;
-            List.iter
-              (fun fd ->
-                match
-                  Hashtbl.fold
-                    (fun _ c acc -> if c.fd = fd then Some c else acc)
-                    conns None
-                with
-                | Some conn -> flush_conn conn
-                | None -> ())
-              ready_w
+            List.iter (fun fd -> Option.iter flush_conn (find_conn fd)) ready_w
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
         if !draining then begin
-          (match config.isolation with
+          match config.isolation with
+          | `Process -> if Supervisor.idle engine then finished := true
           | `In_domain ->
               (* workers have been told to stop; wait for in-flight *)
               if running_count () = 0 then begin
                 collect_domain_results ();
                 finished := true
               end
-          | `Process -> if !children = [] then finished := true)
         end
       done;
       (* a short best-effort flush so waiters of jobs that finished
@@ -1205,15 +927,6 @@ let run ?(config = default_config) ?journal ?(resume = false)
         in
         match Unix.select [] wfds [] 0.05 with
         | _, ready_w, _ ->
-            List.iter
-              (fun fd ->
-                match
-                  Hashtbl.fold
-                    (fun _ c acc -> if c.fd = fd then Some c else acc)
-                    conns None
-                with
-                | Some conn -> flush_conn conn
-                | None -> ())
-              ready_w
+            List.iter (fun fd -> Option.iter flush_conn (find_conn fd)) ready_w
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       done)

@@ -1,6 +1,6 @@
 (** The resilient job server: a long-running front door that accepts
-    game/sweep/fuzz jobs over a socket and multiplexes them across the
-    existing pool/supervisor machinery.
+    game/sweep/fuzz jobs over a socket and runs them on worker domains
+    or on the {!Supervisor}'s child engine.
 
     {2 Protocol}
 
@@ -47,15 +47,20 @@
 
     {2 Execution}
 
-    Jobs run under the configured [isolation]: [`Process] forks one
-    supervised child per job (watchdog SIGTERM→SIGKILL on the per-job
-    deadline, crash retries with the same seeded {!Backoff} schedule as
-    the {!Supervisor}, typed ["QUARANTINED ..."] degradation), while
-    [`In_domain] runs jobs on a pool of worker domains (no fork, no
-    watchdog — the {!Guard}'s territory).  A handler that returns
-    produces its string verbatim; a handler that raises produces
-    ["ERROR: <exn>"] in both modes, so a campaign's bytes never depend
-    on the isolation mode or [jobs] count.
+    Jobs run under the configured [isolation].  [`Process] runs each
+    job as one task of the {!Supervisor}'s child engine — the same
+    engine, child and failure handling as a [Sweep] under
+    [--isolate proc]: the watchdog escalates SIGTERM → SIGKILL on the
+    job's own deadline or else [supervisor.timeout], crashes retry on
+    the seeded [supervisor.backoff] schedule, and a job out of retries
+    degrades to the typed ["QUARANTINED ..."] result.  The server only
+    adds policy: a chaos kill, or a child dying during a drain, requeues
+    the job with its retry budget uncharged.  [`In_domain] runs jobs on
+    a pool of worker domains (no fork, no watchdog — the {!Guard}'s
+    territory).  A handler that returns produces its string verbatim; a
+    handler that raises produces ["ERROR: <exn>"] in both modes (never
+    retried), so a campaign's bytes never depend on the isolation mode
+    or [jobs] count.
 
     {2 Drain and recovery}
 
@@ -107,22 +112,18 @@ type config = {
   queue_limit : int;
       (** max jobs {e queued} (admitted, not yet running); submits
           beyond it are rejected *)
-  retries : int;
-      (** [`Process]: extra attempts after an abnormal child death
-          before the job degrades to ["QUARANTINED ..."] *)
-  kill_grace : float;  (** watchdog SIGTERM → SIGKILL gap, seconds *)
-  default_deadline : float option;
-      (** per-attempt wall-clock limit for jobs that do not carry
-          their own; [None] disables the watchdog *)
-  backoff : Backoff.config;  (** crash-retry schedule *)
+  supervisor : Supervisor.config;
+      (** [`Process]: the child engine's retries, watchdog and backoff.
+          Its [timeout] is the per-attempt deadline of jobs that do not
+          carry their own; [None] disables the watchdog for them. *)
   max_frame : int;  (** decoder payload cap per frame, bytes *)
   chaos : chaos option;  (** fault injection; [None] in production *)
 }
 
 val default_config : config
-(** [jobs = 2], [`Process] isolation, [queue_limit = 64], [retries = 2],
-    [kill_grace = 0.5], no default deadline, {!Backoff.default},
-    {!Wire.default_max_payload}, no chaos. *)
+(** [jobs = 2], [`Process] isolation, [queue_limit = 64],
+    {!Supervisor.default_config}, {!Wire.default_max_payload}, no
+    chaos. *)
 
 val validate_config : config -> unit
 (** @raise Invalid_argument naming the offending field. *)

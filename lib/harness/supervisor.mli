@@ -1,5 +1,6 @@
-(** Process-isolated supervised execution: the OS-boundary containment
-    layer under [Sweep.run ~isolation:`Process].
+(** Process-isolated supervised execution: the one child-process engine
+    of the harness, and the ordered-delivery driver under
+    [Sweep.run ~isolation:`Process] built on it.
 
     Every in-process containment layer has a blind spot: {!Guard}
     deadlines are only polled at ticks (a blocking, non-ticking thunk
@@ -21,6 +22,26 @@
         └─ child[pid] ...          (then Unix._exit — no buffer flushing)
     v}
 
+    {2 One engine, two drivers}
+
+    The {e engine} ({!create} … {!shutdown}) is the only code in the
+    harness that forks, watches, reaps, retries or quarantines a child.
+    It owns no loop: its caller's [Unix.select] loop drives it — select
+    on {!fds} until {!next_deadline}, hand each readable descriptor to
+    {!read}, call {!tick}.  Two drivers sit on it:
+
+    {ul
+    {- {!run}, the ordered-delivery driver: tasks [0 .. n-1] with
+       results consumed in index order.  {!Sweep}, [fuzz.exe] and the
+       experiment tables call it.  On interrupt it {!terminate}s its
+       children and abandons their tasks.}
+    {- the {!Server}'s [`Process] backend: one task per job, mixed into
+       the server's socket loop.  Admission, dedup, the journal, drain
+       and chaos stay the server's: its drain lets in-flight children
+       finish and requeues a job whose child dies meanwhile
+       ({!abandon}), and a chaos kill ({!kill}) requeues the job without
+       charging its retry budget.}}
+
     The parent is {e single-domain by construction}: in OCaml 5, forking
     from a [Domain.spawn]ed worker is unsafe (the child inherits stopped
     GC machinery), so process isolation replaces {!Pool} rather than
@@ -37,17 +58,20 @@
     {e abnormal} death — nonzero exit, a signal, a watchdog kill, or
     protocol garbage — and goes through the retry machinery: the task is
     rescheduled with seeded exponential backoff + jitter (deterministic
-    given [config.seed], the task key, and the attempt number) until the
-    retry budget is spent, at which point it degrades to a typed
+    given [config.backoff], the task key, and the attempt number) until
+    the retry budget is spent, at which point it degrades to a typed
     {!Quarantined} record instead of stalling the run.
 
-    The wall-clock watchdog (per-attempt [config.timeout]) escalates
-    [SIGTERM] → [config.kill_grace] → [SIGKILL]; a task killed this way
-    records a {!Misbehavior.Unresponsive} certificate — exactly the
-    case the in-process guard cannot catch.  Heartbeats are traced and
-    metered for observability but play no role in kill decisions (the
-    watchdog is pure wall-clock, so a heartbeating-but-stuck cell still
-    dies).
+    The wall-clock watchdog (per-attempt [config.timeout], or a task's
+    own [?timeout]) escalates [SIGTERM] → [config.kill_grace] →
+    [SIGKILL]; a task killed this way records a
+    {!Misbehavior.Unresponsive} certificate — exactly the case the
+    in-process guard cannot catch.  Children reset [SIGTERM] and
+    [SIGINT] to their defaults (a parent's own handlers, such as the
+    server's drain, must not swallow the watchdog's [SIGTERM]) and
+    ignore [SIGPIPE].  Heartbeats are traced and metered for
+    observability but play no role in kill decisions (the watchdog is
+    pure wall-clock, so a heartbeating-but-stuck task still dies).
 
     {2 Observability}
 
@@ -62,7 +86,7 @@
     no kills.  Children detach the trace sink first thing after the fork
     ({!Obs.Trace.detach_in_child}) and reset the inherited {!Obs.Stats}
     shards ({!Obs.Stats.reset}), so game-level events from inside a
-    cell are not traced under process isolation — the cost of the
+    task are not traced under process isolation — the cost of the
     stronger containment — while stats survive the boundary: a child
     drains its own registry into a framed ['S'] snapshot that the
     parent re-absorbs (see [on_stats] below). *)
@@ -72,28 +96,26 @@ type config = {
       (** extra attempts after the first (so [retries = 2] means at most
           3 spawns per task); [0] disables retrying.  Default [2]. *)
   timeout : float option;
-      (** per-{e attempt} wall-clock limit in seconds; [None] (default)
-          disables the watchdog. *)
+      (** per-{e attempt} wall-clock limit in seconds for tasks that do
+          not carry their own; [None] (default) disables the watchdog. *)
   kill_grace : float;
       (** seconds between the watchdog's [SIGTERM] and its [SIGKILL]
           escalation.  Default [0.5]. *)
   heartbeat_interval : int;
       (** seconds between child heartbeat bytes; [0] disables them.
           Default [1]. *)
-  backoff_base : float;  (** first retry delay, seconds.  Default [0.05]. *)
-  backoff_max : float;  (** retry delay cap, seconds.  Default [2.0]. *)
-  seed : int;
-      (** seed for the backoff jitter stream — the same seed, task key
-          and attempt number always produce the same delay.  Default
-          [0x5EED]. *)
+  backoff : Backoff.config;
+      (** the retry schedule — the same seed, task key and attempt
+          number always produce the same delay.  Default
+          {!Backoff.default}. *)
 }
 
 val default_config : config
 
 val validate_config : config -> unit
 (** @raise Invalid_argument naming the offending field if [retries < 0],
-    [timeout <= 0], [kill_grace <= 0], [heartbeat_interval < 0],
-    [backoff_base < 0], or [backoff_max < backoff_base]. *)
+    [timeout <= 0], [kill_grace <= 0], [heartbeat_interval < 0], or an
+    invalid [backoff] ({!Backoff.validate}). *)
 
 type failure =
   | Exited of int  (** abnormal child exit with this nonzero code *)
@@ -125,7 +147,8 @@ type quarantine = {
 
 val quarantine_to_string : quarantine -> string
 (** ["QUARANTINED after N attempts: <failure>; <failure>; ..."] — the
-    string a sweep records (and checkpoints) for a quarantined cell. *)
+    string a sweep records (and checkpoints) for a quarantined cell, and
+    a server answers for a quarantined job. *)
 
 type outcome =
   | Done of string  (** the child's thunk returned this string *)
@@ -134,6 +157,82 @@ type outcome =
           the exception, caught {e in the child} (deterministic raises
           are results, not retryable crashes) *)
   | Quarantined of quarantine  (** retry budget exhausted *)
+
+(** {2 The engine} *)
+
+type 'a t
+(** Live children and tasks waiting out a retry backoff, each task
+    tagged with the caller's ['a] (compared physically by {!kill}).
+    Single-domain, like the {!run} loop on top of it. *)
+
+type settled =
+  | Finished of outcome * string option
+      (** the task's final outcome; for {!Done}, the child's encoded
+          {!Obs.Stats} drain (its ['S'] frame) if it sent one *)
+  | Retrying
+      (** the attempt died abnormally and is charged; the task respawns
+          after its backoff (from {!tick}) *)
+  | Abandoned
+      (** the attempt died after {!abandon}, or was {!kill}ed: neither
+          retried nor charged — the caller decides whether to rerun *)
+
+val create : jobs:int -> config -> 'a t
+(** An engine that respawns retries only while fewer than [jobs]
+    children run.
+    @raise Invalid_argument on [jobs < 1] or an invalid [config]. *)
+
+val spawn : 'a t -> 'a -> key:string -> ?timeout:float -> (unit -> string) -> unit
+(** [spawn t tag ~key thunk] forks a child that runs [thunk] and replies
+    with its string.  [key] names the task in traces, backoff seeding
+    and quarantine records; [timeout] is the per-attempt limit, default
+    [config.timeout].  Spawns regardless of [jobs]: the caller checks
+    {!room} first. *)
+
+val live : 'a t -> int
+(** Children running now. *)
+
+val room : 'a t -> bool
+(** Fewer than [jobs] children run. *)
+
+val idle : 'a t -> bool
+(** No child runs and no task waits for a retry. *)
+
+val fds : 'a t -> Unix.file_descr list
+(** The reply pipes of the live children, to select on for reading. *)
+
+val next_deadline : 'a t -> float option
+(** The earliest absolute time at which {!tick} has work: a watchdog
+    [SIGTERM] or [SIGKILL] escalation, or a retry coming due. *)
+
+val read : 'a t -> Unix.file_descr -> ('a * settled) option
+(** Read from a readable descriptor of {!fds}.  [Some] when the child
+    closed its pipe and was reaped: its task's tag and what became of
+    it.  [None] otherwise, also for a descriptor the engine does not
+    own. *)
+
+val tick : 'a t -> unit
+(** Escalate the watchdog, then respawn the retries that are due while
+    {!room} lasts — before the caller adds fresh tasks. *)
+
+val kill : 'a t -> 'a -> bool
+(** [SIGKILL] the running child of the task tagged ['a], if it has not
+    replied yet; the attempt then settles {!Abandoned}.  [false] when
+    there was no such child. *)
+
+val abandon : 'a t -> 'a list
+(** Stop retrying: drop the tasks waiting for a retry (returning their
+    tags), and let every later abnormal death settle {!Abandoned}.
+    Running children are left to finish. *)
+
+val terminate : 'a t -> unit
+(** {!abandon}, then [SIGTERM] every child that has not replied; the
+    watchdog escalates to [SIGKILL] after [config.kill_grace]. *)
+
+val shutdown : 'a t -> unit
+(** [SIGKILL] and reap every live child, and drop waiting retries.  For
+    every exit path, the exceptional ones included. *)
+
+(** {2 Ordered delivery} *)
 
 val run :
   ?config:config ->
@@ -176,8 +275,8 @@ val run :
        on retry timing.}}
 
     [should_stop] is polled once per supervision-loop iteration; when it
-    first returns [true] the supervisor stops dispatching, sends every
-    live child [SIGTERM] (escalating to [SIGKILL] after
+    first returns [true] the driver stops dispatching, {!terminate}s
+    every live child (escalating to [SIGKILL] after
     [config.kill_grace]), reaps them, delivers any replies that did
     complete, and returns — abandoned tasks are neither retried nor
     quarantined, so an interrupted sweep resumes them cleanly.

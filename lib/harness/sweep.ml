@@ -184,9 +184,9 @@ module Journal = struct
   let load path =
     let records = ref [] in
     let corrupt { line; reason } =
-      if Trace.on () then
-        Trace.emit (Trace.Journal_corrupt { path; line; reason });
-      if Metrics.on () then Metrics.incr "sweep.journal_corrupt_records";
+      if Obs.Trace.on () then
+        Obs.Trace.emit (Obs.Trace.Journal_corrupt { path; line; reason });
+      if Obs.Metrics.on () then Obs.Metrics.incr "sweep.journal_corrupt_records";
       Printf.eprintf "journal: %s:%d: corrupt record skipped (%s)\n%!" path
         line reason
     in
@@ -293,9 +293,9 @@ module Journal = struct
         let record = body ^ "\t" ^ trailer_of body ^ "\n" in
         output_string t.oc record;
         flush t.oc;
-        if Trace.on () then
-          Trace.emit (Trace.Checkpoint_flush { key; bytes = String.length record });
-        if Metrics.on () then Metrics.incr "sweep.checkpoint_flushes")
+        if Obs.Trace.on () then
+          Obs.Trace.emit (Obs.Trace.Checkpoint_flush { key; bytes = String.length record });
+        if Obs.Metrics.on () then Obs.Metrics.incr "sweep.checkpoint_flushes")
 
   let close t = close_out_noerr t.oc
 end
@@ -304,7 +304,7 @@ let load = Journal.load_table
 
 (* A checkpoint record value is [output] or [output NUL stats-delta]:
    the cell's printed result, optionally followed by the {!Stats}
-   snapshot the cell contributed ({!Stats.scoped} in-domain, the
+   snapshot the cell contributed ({!Obs.Stats.scoped} in-domain, the
    supervisor's ['S'] frame under process isolation).  NUL never occurs
    in cell output (results are printable text) or in the compact-JSON
    delta, and pre-stats journals simply have no NUL — both layouts
@@ -322,7 +322,7 @@ let split_delta v =
    the output without stats rather than failing the resume. *)
 let replay_value v =
   let out, delta = split_delta v in
-  if delta <> "" && Stats.on () then ignore (Stats.absorb_string delta);
+  if delta <> "" && Obs.Stats.on () then ignore (Obs.Stats.absorb_string delta);
   out
 
 type isolation = [ `In_domain | `Process ]
@@ -378,23 +378,23 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
     | Some r ->
         (* replayed verbatim: resumed output is byte-identical, and the
            checkpointed stats delta is re-absorbed *)
-        if Trace.on () then begin
-          Trace.emit (Trace.Cell_start { key = c.key });
-          Trace.emit (Trace.Cell_finish { key = c.key; status = "replayed" })
+        if Obs.Trace.on () then begin
+          Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
+          Obs.Trace.emit (Obs.Trace.Cell_finish { key = c.key; status = "replayed" })
         end;
-        if Metrics.on () then Metrics.incr "sweep.cells_replayed";
+        if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cells_replayed";
         replay_value r
     | None ->
         if Atomic.get sigint then raise Sys.Break;
-        if Trace.on () then Trace.emit (Trace.Cell_start { key = c.key });
-        if Metrics.on () then Metrics.incr "sweep.cells_run";
+        if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
+        if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cells_run";
         let status = ref "ok" in
         let r, delta =
-          (* [Stats.scoped] captures exactly this cell's contribution
+          (* [Obs.Stats.scoped] captures exactly this cell's contribution
              for the checkpoint; an erroring cell's scope is discarded,
              matching the process-isolated path where a crashed child
              sends no stats. *)
-          match Stats.scoped c.run with
+          match Obs.Stats.scoped c.run with
           | rd -> rd
           | exception (Interrupted as e) -> raise e
           | exception e when Guard.is_fatal e -> raise e
@@ -402,12 +402,12 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
               (* A crashed cell is a recorded result, not an
                  aborted sweep. *)
               status := "error";
-              if Metrics.on () then Metrics.incr "sweep.cell_errors";
+              if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cell_errors";
               ("ERROR: " ^ Printexc.to_string exn, "")
         in
         append_ckpt c.key (join_delta r delta);
-        if Trace.on () then
-          Trace.emit (Trace.Cell_finish { key = c.key; status = !status });
+        if Obs.Trace.on () then
+          Obs.Trace.emit (Obs.Trace.Cell_finish { key = c.key; status = !status });
         r
   in
   let consume _i result = Format.fprintf ppf "%s@." result in
@@ -424,16 +424,16 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
           | Some r ->
               (* replayed verbatim, parent-side: no fork, no re-run *)
               replayed.(i) <- true;
-              if Trace.on () then begin
-                Trace.emit (Trace.Cell_start { key = c.key });
-                Trace.emit
-                  (Trace.Cell_finish { key = c.key; status = "replayed" })
+              if Obs.Trace.on () then begin
+                Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
+                Obs.Trace.emit
+                  (Obs.Trace.Cell_finish { key = c.key; status = "replayed" })
               end;
-              if Metrics.on () then Metrics.incr "sweep.cells_replayed";
+              if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cells_replayed";
               Some (replay_value r)
           | None ->
-              if Trace.on () then Trace.emit (Trace.Cell_start { key = c.key });
-              if Metrics.on () then Metrics.incr "sweep.cells_run";
+              if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
+              if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cells_run";
               None
         in
         (* The child returns exactly the string the in-domain path would
@@ -452,7 +452,7 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
         let stats_of = Array.make (max n 1) "" in
         let on_stats ~task payload =
           stats_of.(task) <- payload;
-          ignore (Stats.absorb_string payload)
+          ignore (Obs.Stats.absorb_string payload)
         in
         let complete i outcome =
           if not replayed.(i) then begin
@@ -461,15 +461,15 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
               match outcome with
               | Supervisor.Done _ -> "ok"
               | Supervisor.Failed _ ->
-                  if Metrics.on () then Metrics.incr "sweep.cell_errors";
+                  if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cell_errors";
                   "error"
               | Supervisor.Quarantined _ ->
-                  if Metrics.on () then Metrics.incr "sweep.cells_quarantined";
+                  if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cells_quarantined";
                   "quarantined"
             in
             append_ckpt c.key (join_delta (result_of outcome) stats_of.(i));
-            if Trace.on () then
-              Trace.emit (Trace.Cell_finish { key = c.key; status })
+            if Obs.Trace.on () then
+              Obs.Trace.emit (Obs.Trace.Cell_finish { key = c.key; status })
           end
         in
         Supervisor.run ?config:supervisor

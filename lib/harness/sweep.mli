@@ -25,7 +25,7 @@
        results come from the checkpoint table, never from re-execution);}
     {- {e stats persistence} — when {!Stats} is enabled, each record's
        value carries the cell's own stats contribution after a [NUL]
-       byte ({!Stats.scoped} in-domain, the supervisor's ['S'] frame
+       byte ({!Obs.Stats.scoped} in-domain, the supervisor's ['S'] frame
        under [`Process]); replaying a cell re-absorbs its delta, so a
        killed-and-resumed sweep drains the same totals as an
        uninterrupted one.  With stats disabled the journal bytes are

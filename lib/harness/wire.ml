@@ -28,6 +28,15 @@ let encode ~tag payload =
 
 let encode_bare tag = Bytes.make 1 tag
 
+let write_all fd buf =
+  let rec go pos len =
+    if len > 0 then
+      match Unix.write fd buf pos len with
+      | n -> go (pos + n) (len - n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos len
+  in
+  go 0 (Bytes.length buf)
+
 (* IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320), table-driven.
    Stays in [Wire] because it is the harness's shared integrity
    primitive: journal v2 record trailers checksum with it, and any

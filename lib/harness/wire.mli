@@ -54,6 +54,10 @@ val encode : tag:char -> string -> bytes
 val encode_bare : char -> bytes
 (** The one-byte wire image of a bare tag. *)
 
+val write_all : Unix.file_descr -> bytes -> unit
+(** Write the whole buffer to a blocking descriptor, restarting on
+    [EINTR].  @raise Unix.Unix_error on any other write error. *)
+
 val crc32 : string -> int
 (** IEEE 802.3 CRC-32 (the zlib/PNG polynomial) of the whole string,
     as a non-negative int in [0, 0xFFFFFFFF].  Pure OCaml,

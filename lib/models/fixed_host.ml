@@ -130,7 +130,16 @@ let make_view t ~target ~new_nodes =
     step = t.steps;
   }
 
+(* An order entry outside the host is an adversary bug, certified before
+   any per-node table is indexed with it. *)
+let in_host t v = v >= 0 && v < Graph.n t.host
+
 let present t v =
+  if not (in_host t v) then
+    raise
+      (Run_stats.Dishonest_transcript
+         (Printf.sprintf "Fixed_host.present: node %d outside [0, %d)" v
+            (Graph.n t.host)));
   if Packed.Set.mem t.presented_set v then
     raise
       (Run_stats.Dishonest_transcript
@@ -275,7 +284,7 @@ let run ?bulk ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm ~order () =
   let rec go = function
     | [] -> ()
     | v :: rest ->
-        if Packed.Set.mem t.presented_set v then
+        if in_host t v && Packed.Set.mem t.presented_set v then
           (* A duplicated reveal order is an adversary bug: certify it
              rather than letting [present]'s invalid_arg abort the run. *)
           t.first_violation <- Some (Run_stats.Repeated_presentation v)

@@ -55,9 +55,9 @@ val start :
 
 val present : t -> Grid_graph.Graph.node -> int
 (** Present one host node; returns the color the algorithm answered.
-    @raise Run_stats.Dishonest_transcript if the node was already
-    presented (an adversary rule violation, typed so the guarded engine
-    certifies it as such). *)
+    @raise Run_stats.Dishonest_transcript if the node is not a host node
+    or was already presented (an adversary rule violation, typed so the
+    guarded engine certifies it as such). *)
 
 val coloring : t -> Colorings.Coloring.t
 (** Colors output so far, indexed by host node (shared, do not mutate). *)
@@ -83,7 +83,9 @@ val run :
 (** Whole-run convenience: present every node of [order] (stopping early
     on a violation), then audit the result.  When [order] covers all host
     nodes and no violation occurred, [Run_stats.succeeded] on the outcome
-    decides whether the algorithm won. *)
+    decides whether the algorithm won.
+    @raise Run_stats.Dishonest_transcript on an [order] entry that is not
+    a host node (see {!present}). *)
 
 val orders : all:Grid_graph.Graph.t -> [ `Sequential | `Random of int ] -> Grid_graph.Graph.node list
 (** Common presentation orders: [`Sequential] is [0, 1, ..., n-1];

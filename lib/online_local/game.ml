@@ -1,8 +1,8 @@
 module G = Harness.Guard
 module M = Harness.Misbehavior
-module Tr = Harness.Trace
-module Mx = Harness.Metrics
-module St = Harness.Stats
+module Tr = Obs.Trace
+module Mx = Obs.Metrics
+module St = Obs.Stats
 
 type outcome =
   | Defeated

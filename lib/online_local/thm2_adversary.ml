@@ -70,7 +70,14 @@ let run_rect ?(bulk = false) ?memo ~wrap ~rows ~cols ~algorithm () =
      two rows have been presented. *)
   let row1 = t and row2 = (3 * t) + 2 in
   let band_lo = (2 * t) + 1 and band_hi = min ((4 * t) + 3) (rows - 1) in
-  let row_nodes r = List.init cols (fun j -> (r * cols) + j) in
+  (* Below the threshold a band row can lie outside the host: it
+     contributes no nodes, and its b-value reads 0. *)
+  let row_nodes r =
+    if r < rows then List.init cols (fun j -> (r * cols) + j) else []
+  in
+  let row_b coloring ~row ~east =
+    if row < rows then row_cycle_b_rect coloring ~cols ~row ~east else 0
+  in
   let prefix = row_nodes row1 @ row_nodes row2 in
   (* Dense packed-int set — the executor core's representation — instead
      of an [(int, unit)] hashtable for the prefix-complement scan. *)
@@ -93,8 +100,7 @@ let run_rect ?(bulk = false) ?memo ~wrap ~rows ~cols ~algorithm () =
     let coloring = outcome.Models.Run_stats.coloring in
     let s_east, s_west =
       if Colorings.Coloring.is_total coloring then
-        ( row_cycle_b_rect coloring ~cols ~row:row1 ~east:true,
-          row_cycle_b_rect coloring ~cols ~row:row2 ~east:false )
+        (row_b coloring ~row:row1 ~east:true, row_b coloring ~row:row2 ~east:false)
       else (0, 0)
     in
     {

@@ -332,12 +332,12 @@ let metrics_jobs =
       (String.concat ";" (List.map string_of_int ws))
   in
   let run_once ~jobs workloads =
-    Harness.Metrics.enable ();
-    Harness.Metrics.reset ();
+    Obs.Metrics.enable ();
+    Obs.Metrics.reset ();
     Fun.protect
       ~finally:(fun () ->
-        Harness.Metrics.disable ();
-        Harness.Metrics.reset ())
+        Obs.Metrics.disable ();
+        Obs.Metrics.reset ())
       (fun () ->
         let cells =
           List.mapi
@@ -346,16 +346,16 @@ let metrics_jobs =
                 Harness.Sweep.key = Printf.sprintf "w-%d" i;
                 run =
                   (fun () ->
-                    Harness.Metrics.incr "fuzz.cells";
-                    Harness.Metrics.add "fuzz.work" w;
-                    Harness.Metrics.observe "fuzz.load" w;
+                    Obs.Metrics.incr "fuzz.cells";
+                    Obs.Metrics.add "fuzz.work" w;
+                    Obs.Metrics.observe "fuzz.load" w;
                     Printf.sprintf "w=%d" w);
               })
             workloads
         in
         let out = render ~jobs cells in
-        let snap = Harness.Metrics.drain () in
-        (out, Format.asprintf "%a" Harness.Metrics.pp snap))
+        let snap = Obs.Metrics.drain () in
+        (out, Format.asprintf "%a" Obs.Metrics.pp snap))
   in
   let prop workloads =
     let out1, snap1 = run_once ~jobs:1 workloads in
@@ -371,7 +371,7 @@ let metrics_jobs =
     max_cases = Some 40;
     available =
       (fun () ->
-        if Harness.Metrics.on () then
+        if Obs.Metrics.on () then
           Error
             "metrics registry already enabled (run without --metrics to fuzz \
              this target)"
@@ -400,12 +400,12 @@ let stats_merge =
             cells))
   in
   let with_stats f =
-    Harness.Stats.enable ();
-    Harness.Stats.reset ();
+    Obs.Stats.enable ();
+    Obs.Stats.reset ();
     Fun.protect
       ~finally:(fun () ->
-        Harness.Stats.disable ();
-        Harness.Stats.reset ())
+        Obs.Stats.disable ();
+        Obs.Stats.reset ())
       f
   in
   let run_once ~jobs cells_values =
@@ -417,15 +417,15 @@ let stats_merge =
             Harness.Sweep.key = Printf.sprintf "s-%d" i;
             run =
               (fun () ->
-                List.iter (fun v -> Harness.Stats.observe "fuzz.value" v) vs;
-                Harness.Stats.observe "fuzz.cell_len" (List.length vs);
+                List.iter (fun v -> Obs.Stats.observe "fuzz.value" v) vs;
+                Obs.Stats.observe "fuzz.cell_len" (List.length vs);
                 Printf.sprintf "n=%d" (List.length vs));
           })
         cells_values
     in
     let out = render ~jobs cells in
-    let snap = Harness.Stats.drain () in
-    (out, Harness.Stats.to_string snap, Format.asprintf "%a" Harness.Stats.pp snap)
+    let snap = Obs.Stats.drain () in
+    (out, Obs.Stats.to_string snap, Format.asprintf "%a" Obs.Stats.pp snap)
   in
   let prop cells_values =
     (* Jobs-invariance of the drained registry, down to the bytes of
@@ -441,14 +441,14 @@ let stats_merge =
       List.map
         (fun vs ->
           let (), d =
-            Harness.Stats.scoped (fun () ->
-                List.iter (fun v -> Harness.Stats.observe "fuzz.value" v) vs)
+            Obs.Stats.scoped (fun () ->
+                List.iter (fun v -> Obs.Stats.observe "fuzz.value" v) vs)
           in
           if d = "" then []
-          else match Harness.Stats.of_string d with Ok s -> s | Error _ -> [])
+          else match Obs.Stats.of_string d with Ok s -> s | Error _ -> [])
         cells_values
     in
-    let merge = Harness.Stats.merge in
+    let merge = Obs.Stats.merge in
     let commutative =
       match deltas with
       | a :: b :: _ -> merge a b = merge b a
@@ -468,7 +468,7 @@ let stats_merge =
     max_cases = Some 40;
     available =
       (fun () ->
-        if Harness.Stats.on () then
+        if Obs.Stats.on () then
           Error
             "stats registry already enabled (run without --stats to fuzz this \
              target)"
@@ -517,8 +517,7 @@ let sweep_kill =
     {
       Harness.Supervisor.default_config with
       Harness.Supervisor.heartbeat_interval = 0;
-      backoff_base = 0.001;
-      backoff_max = 0.01;
+      backoff = { Harness.Backoff.default with base = 0.001; max = 0.01 };
     }
   in
   let prop (payloads, victim, kill_work, jobs) =

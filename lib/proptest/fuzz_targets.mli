@@ -22,7 +22,7 @@
        whose victim cell SIGKILLs its own worker at randomized timing
        must, after the supervisor's retry, print bytes identical to an
        unkilled run;}
-    {- [metrics-jobs] — {!Harness.Metrics} totals and sweep output
+    {- [metrics-jobs] — {!Obs.Metrics} totals and sweep output
        byte-identical at [--jobs 1] vs [--jobs 2];}
     {- [wire-codec] — the {!Harness.Wire} framing codec under
        truncation, bit flips, forged length prefixes and byte-at-a-time

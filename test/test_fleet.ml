@@ -55,14 +55,11 @@ let stop_server pid =
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] pid)
 
+let fast_supervisor =
+  { Harness.Supervisor.default_config with backoff = fast_backoff; kill_grace = 0.1 }
+
 let fast_config jobs isolation =
-  {
-    Server.default_config with
-    Server.jobs;
-    isolation;
-    backoff = fast_backoff;
-    kill_grace = 0.1;
-  }
+  { Server.default_config with Server.jobs; isolation; supervisor = fast_supervisor }
 
 (* Wait until a forked server's socket answers a health ping — the
    fleet types initial unreachability into the verdict, so tests that

@@ -2,8 +2,8 @@
    vocabulary, anomaly-triggered flushing, the teardown tail flush, ring
    capacity, and the format sniff trace_report uses. *)
 
-module T = Harness.Trace
-module F = Harness.Flight
+module T = Obs.Trace
+module F = Obs.Flight
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

@@ -22,7 +22,9 @@ let fast_backoff = { Backoff.base = 0.002; max = 0.02; seed = 0x5EED }
      rev    -> the payload reversed
      upper  -> uppercased, multi-line results preserved
      fail   -> raises (the typed ERROR path)
-     slow   -> sleeps 30 ms, then echoes (drain / backpressure fodder) *)
+     slow   -> sleeps 30 ms, then echoes (drain / backpressure fodder)
+     hang   -> sleeps a minute (watchdog fodder; `Process only)
+     suicide -> SIGKILLs its own process (crash fodder; `Process only) *)
 let handler ~kind ~payload =
   match kind with
   | "rev" -> String.init (String.length payload) (fun i ->
@@ -32,6 +34,12 @@ let handler ~kind ~payload =
   | "slow" ->
       Unix.sleepf 0.03;
       "slept for " ^ payload
+  | "hang" ->
+      Unix.sleepf 60.;
+      "woke up"
+  | "suicide" ->
+      Unix.kill (Unix.getpid ()) Sys.sigkill;
+      "unreachable"
   | other -> failwith ("unknown kind: " ^ other)
 
 (* What the server must answer for one spec — computed locally, the
@@ -78,14 +86,11 @@ let mixed_specs =
     ("upper", "last one");
   ]
 
+let fast_supervisor =
+  { Harness.Supervisor.default_config with backoff = fast_backoff; kill_grace = 0.1 }
+
 let fast_config jobs isolation =
-  {
-    Server.default_config with
-    Server.jobs;
-    isolation;
-    backoff = fast_backoff;
-    kill_grace = 0.1;
-  }
+  { Server.default_config with Server.jobs; isolation; supervisor = fast_supervisor }
 
 (* ------------------------- basic round trips ------------------------- *)
 
@@ -298,6 +303,65 @@ let test_journal_replay_serves_cached () =
           check_string (Printf.sprintf "replayed result %d" i) (expected spec) got)
         (List.combine specs c3.Client.results))
 
+(* ---------------------------- containment ---------------------------- *)
+
+(* The `Process backend's watchdog and crash-retry paths, pinned by the
+   exact result strings a campaign sees.  Chaos kills never reach these
+   paths (they are charged no retry), so only these cases do. *)
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let ends_with ~suffix s =
+  let n = String.length suffix and m = String.length s in
+  m >= n && String.sub s (m - n) n = suffix
+
+let check_unresponsive what got =
+  (* "(limit 0.100s)" and not "(limit 0.100s, forced SIGKILL)": the
+     child must die of the watchdog's SIGTERM, not of the escalation *)
+  check_bool (what ^ ": " ^ got) true
+    (starts_with ~prefix:"QUARANTINED after 1 attempts: unresponsive after " got
+    && ends_with ~suffix:"(limit 0.100s)" got)
+
+let test_default_deadline_quarantines () =
+  let config =
+    {
+      (fast_config 1 `Process) with
+      Server.supervisor = { fast_supervisor with retries = 0; timeout = Some 0.1 };
+    }
+  in
+  with_server ~config @@ fun ~socket ~pid:_ ->
+  match (campaign ~socket [ ("hang", "default") ]).Client.results with
+  | [ got ] -> check_unresponsive "default deadline" got
+  | _ -> Alcotest.fail "expected one result"
+
+let test_crash_retries_then_quarantines () =
+  with_server ~config:(fast_config 1 `Process) @@ fun ~socket ~pid:_ ->
+  match (campaign ~socket [ ("suicide", "thrice") ]).Client.results with
+  | [ got ] ->
+      check_string "three SIGKILLed attempts"
+        "QUARANTINED after 3 attempts: killed by SIGKILL; killed by SIGKILL; \
+         killed by SIGKILL"
+        got
+  | _ -> Alcotest.fail "expected one result"
+
+let test_submit_deadline_wins () =
+  let config =
+    {
+      (fast_config 1 `Process) with
+      Server.supervisor = { fast_supervisor with retries = 0; timeout = Some 10. };
+    }
+  in
+  with_server ~config @@ fun ~socket ~pid:_ ->
+  match
+    (Client.run_campaign ~backoff:fast_backoff ~deadline:0.1 ~socket
+       [ ("hang", "per-submit") ])
+      .Client.results
+  with
+  | [ got ] -> check_unresponsive "per-submit deadline" got
+  | _ -> Alcotest.fail "expected one result"
+
 (* ------------------------------ chaos -------------------------------- *)
 
 (* The acceptance gate: under every injected fault the campaign still
@@ -353,6 +417,15 @@ let () =
           Alcotest.test_case "domain jobs=4" `Quick test_drain_recovery_domain_4;
           Alcotest.test_case "journal replays cached results" `Quick
             test_journal_replay_serves_cached;
+        ] );
+      ( "containment",
+        [
+          Alcotest.test_case "default deadline quarantines" `Quick
+            test_default_deadline_quarantines;
+          Alcotest.test_case "crash retries then quarantines" `Quick
+            test_crash_retries_then_quarantines;
+          Alcotest.test_case "submit deadline beats the default" `Quick
+            test_submit_deadline_wins;
         ] );
       ( "chaos",
         [

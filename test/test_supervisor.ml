@@ -17,8 +17,7 @@ let fast =
   {
     Sup.default_config with
     Sup.heartbeat_interval = 0;
-    backoff_base = 0.001;
-    backoff_max = 0.01;
+    backoff = { Harness.Backoff.default with base = 0.001; max = 0.01 };
   }
 
 let with_temp_file f =
@@ -377,9 +376,10 @@ let test_validation () =
   rejects "heartbeat_interval < 0" (fun () ->
       run_with { fast with Sup.heartbeat_interval = -1 });
   rejects "backoff_base < 0" (fun () ->
-      run_with { fast with Sup.backoff_base = -0.1 });
+      run_with { fast with Sup.backoff = { fast.Sup.backoff with base = -0.1 } });
   rejects "backoff_max < backoff_base" (fun () ->
-      run_with { fast with Sup.backoff_base = 1.0; backoff_max = 0.5 });
+      run_with
+        { fast with Sup.backoff = { fast.Sup.backoff with base = 1.0; max = 0.5 } });
   rejects "jobs < 1" (fun () -> run_with ~jobs:0 fast);
   rejects "tasks < 0" (fun () -> run_with ~tasks:(-1) fast);
   rejects "sweep jobs < 1" (fun () ->

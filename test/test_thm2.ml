@@ -137,6 +137,40 @@ let test_even_side_not_guaranteed () =
   let r = T2.run ~wrap:`Cylindrical ~side:12 ~algorithm:A.greedy_first_fit () in
   check_bool "even side -> preconditions false" false r.T2.preconditions_met
 
+(* Below the 4T+4 row threshold the band rows t and 3t+2 can lie outside
+   the host (side 7 against AEL T=3 puts row 11 on a 7-row torus).  Every
+   such game must still end in a report: the missing row contributes no
+   prefix nodes and reads b = 0. *)
+let test_below_threshold_games () =
+  List.iter
+    (fun wrap ->
+      for side = 5 to 15 do
+        List.iter
+          (fun (label, algorithm, t) ->
+            let r = T2.run ~wrap ~side ~algorithm () in
+            let what = Printf.sprintf "%s side=%d" label side in
+            check_bool (what ^ " preconditions") ((4 * t) + 4 <= side && side mod 2 = 1)
+              r.T2.preconditions_met;
+            if (3 * t) + 2 >= side then check_int (what ^ " missing row b") 0 r.T2.s_west)
+          (("greedy", A.greedy_first_fit, A.greedy_first_fit.A.locality ~n:(side * side))
+          :: List.map
+               (fun t -> (Printf.sprintf "ael(T=%d)" t, Portfolio.ael ~t (), t))
+               [ 1; 2; 3; 4 ])
+      done)
+    [ `Toroidal; `Cylindrical ]
+
+let test_fixed_host_rejects_foreign_nodes () =
+  let host = T2.variant_host ~wrap:`Toroidal ~side:5 ~reflect:false ~band_lo:1 ~band_hi:3 in
+  List.iter
+    (fun bad ->
+      match
+        Models.Fixed_host.run ~host ~palette:3 ~algorithm:A.greedy_first_fit
+          ~order:[ 0; bad; 1 ] ()
+      with
+      | _ -> Alcotest.failf "order entry %d was presented" bad
+      | exception Models.Run_stats.Dishonest_transcript _ -> ())
+    [ 25; 100; -1 ]
+
 let () =
   Alcotest.run "thm2-adversary"
     [
@@ -155,5 +189,8 @@ let () =
           Alcotest.test_case "ael crashes into a certificate" `Quick test_defeats_ael_on_torus;
           Alcotest.test_case "preconditions small side" `Quick test_preconditions_reported;
           Alcotest.test_case "preconditions even side" `Quick test_even_side_not_guaranteed;
+          Alcotest.test_case "below-threshold games end" `Quick test_below_threshold_games;
+          Alcotest.test_case "fixed host rejects foreign nodes" `Quick
+            test_fixed_host_rejects_foreign_nodes;
         ] );
     ]

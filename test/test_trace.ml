@@ -4,8 +4,8 @@
 
 open Online_local
 module J = Obs.Json
-module T = Harness.Trace
-module Mx = Harness.Metrics
+module T = Obs.Trace
+module Mx = Obs.Metrics
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
