@@ -972,7 +972,8 @@ let stats_overhead_check () =
 (* ---------------- game-step throughput (E13) ---------------------- *)
 
 (* Steps/s and reveals/s of the adversary executors on the game hot
-   path ([~bulk:true]), at two instance sizes per theorem.  "Steps" are
+   path (the default path, with no trace sink or recorder installed),
+   at two instance sizes per theorem.  "Steps" are
    presentation steps (the unit the paper's adversaries spend), and
    "reveals" are host nodes entering the revealed region — the two
    counters every executor already maintains, so the benchmark measures
@@ -1004,17 +1005,15 @@ let game_steps_before =
 let game_steps_configs () =
   let greedy () = Portfolio.greedy () in
   let thm3 gadgets () =
-    let r = Thm3_adversary.run ~bulk:true ~k:3 ~gadgets ~algorithm:(greedy ()) () in
+    let r = Thm3_adversary.run ~k:3 ~gadgets ~algorithm:(greedy ()) () in
     (r.Thm3_adversary.presented, r.Thm3_adversary.revealed)
   in
   let thm2 side () =
-    let r =
-      Thm2_adversary.run ~bulk:true ~wrap:`Toroidal ~side ~algorithm:(greedy ()) ()
-    in
+    let r = Thm2_adversary.run ~wrap:`Toroidal ~side ~algorithm:(greedy ()) () in
     (r.Thm2_adversary.presented, r.Thm2_adversary.revealed)
   in
   let thm1 ~n_side ~k () =
-    let r = Thm1_adversary.run ~bulk:true ~n_side ~k ~algorithm:(greedy ()) () in
+    let r = Thm1_adversary.run ~n_side ~k ~algorithm:(greedy ()) () in
     (r.Thm1_adversary.presented, r.Thm1_adversary.revealed)
   in
   [
@@ -1047,7 +1046,7 @@ let game_steps_measure ?(budget = 0.5) f =
 
 let game_steps () =
   Format.printf
-    "== E13: game-step throughput (bulk executors, whole games) ==@.@.";
+    "== E13: game-step throughput (whole games, no sink installed) ==@.@.";
   Format.printf "%-22s %12s %12s %8s %10s@." "config" "steps/s" "reveals/s"
     "games" "vs before";
   let rows =
@@ -1081,7 +1080,6 @@ let game_steps () =
     Obs.Json.Obj
       [
         ("unit", Obs.Json.String "whole games, presented steps and revealed nodes per second");
-        ("bulk", Obs.Json.Bool true);
         ( "runs",
           Obs.Json.List
             (List.map
@@ -1213,8 +1211,7 @@ let canon_memo_cells ~memo () =
     (fun t ->
       List.map
         (fun algo ->
-          Jobs_catalog.thm1_cell ~memo ~bulk:false ~validate:true ~t ~k:12
-            ~side:16_000 ~algo ())
+          Jobs_catalog.thm1_cell ~memo ~validate:true ~t ~k:12 ~side:16_000 ~algo ())
         [ "greedy"; "stripes" ])
     (List.init 12 (fun i -> i + 1))
 

@@ -140,7 +140,7 @@ let run_leaf ~mode ~side ~k ~prefix =
         c)
   in
   let report =
-    Thm1_adversary.run ~bulk:true ~endgame:false ~n_side:side ~k ~algorithm ()
+    Thm1_adversary.run ~endgame:false ~n_side:side ~k ~algorithm ()
   in
   (prefix @ List.rev_map (fun key -> (key, 0)) !fresh, report, !presents)
 

@@ -164,11 +164,7 @@ let run_supervised ~config ~(exec : Obs_cli.exec) targets =
   Array.to_list results |> List.filter_map Fun.id
 
 let run seed cases targets (exec : Obs_cli.exec) corpus list replay trace metrics
-    stats flight bulk =
-  (* Before any worker domains or supervised children exist: both
-     inherit the flag (domains share the atomic, children fork after
-     this point). *)
-  FT.set_bulk bulk;
+    stats flight =
   if list then list_targets ()
   else
     match replay with
@@ -259,6 +255,6 @@ let cmd =
     Term.(
       const run $ seed $ cases $ targets $ Obs_cli.exec_term $ corpus $ list
       $ replay $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats
-      $ Obs_cli.flight $ Obs_cli.bulk)
+      $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

@@ -7,8 +7,6 @@
      --metrics      print the merged metrics registry after the run
      --stats FILE   write drained streaming stats (JSON) to FILE
      --flight FILE  binary flight-recorder ring, flushed on anomaly
-     --bulk         executor fast path: skip per-step trace/metrics
-                    event construction (verdicts unchanged)
 
    and the same execution-backend flags, parsed and validated here so
    "--jobs 0" fails identically everywhere, naming the flag:
@@ -23,7 +21,13 @@
    The metrics dump goes to stdout *after* the run's own output, so the
    CI determinism check can diff the whole stream (results + registry)
    across --jobs counts.  It is printed even on the interrupted
-   (exit 130) path: a Ctrl-C'd sweep still reports what it counted. *)
+   (exit 130) path: a Ctrl-C'd sweep still reports what it counted.
+
+   Observers never raise into or steer the code they observe: a
+   --trace, --flight or --stats file that cannot be written (a full
+   disk, say) leaves the run and its stdout untouched, and the run ends
+   with one "<program>: --trace FILE: <error>" line per failed file on
+   stderr and exit status 1. *)
 
 open Cmdliner
 
@@ -64,17 +68,6 @@ let flight =
            (binary encoding, see trace_report) and flush them to $(docv) \
            only on anomaly — misbehavior, quarantine, watchdog kill, \
            fault injection, or a failed audit.")
-
-let bulk =
-  Arg.(
-    value
-    & flag
-    & info [ "bulk" ]
-        ~doc:
-          "Campaign fast path: skip per-step trace/metrics event \
-           construction and the paranoid re-audit inside the game \
-           executors.  Results and verdicts are byte-identical with and \
-           without $(b,--bulk); only observability detail is elided.")
 
 let memo =
   Arg.(
@@ -186,18 +179,30 @@ let with_observability ~program ~trace:trace_path ~metrics:want_metrics
     ?(stats = None) ?(flight = None) f =
   if want_metrics then Obs.Metrics.enable ();
   if stats <> None then Obs.Stats.enable ();
+  let failed = ref false in
+  let report flag path msg =
+    Printf.eprintf "%s: %s %s: %s\n%!" program flag path msg;
+    failed := true
+  in
+  let on_error flag = Option.map (fun path -> report flag path) in
   let code =
-    Obs.Trace.with_sink_opt ~program trace_path @@ fun () ->
-    Obs.Flight.with_sink_opt ~program flight f
+    Obs.Trace.with_sink_opt ~program ?on_error:(on_error "--trace" trace_path) trace_path
+    @@ fun () ->
+    Obs.Flight.with_sink_opt ~program ?on_error:(on_error "--flight" flight) flight f
   in
   if want_metrics then
     Format.printf "%a" Obs.Metrics.pp (Obs.Metrics.drain ());
   (match stats with
   | None -> ()
-  | Some path ->
+  | Some path -> (
       let snap = Obs.Stats.drain () in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc
-            (Obs.Json.to_string (Obs.Stats.snapshot_to_json snap));
-          Out_channel.output_char oc '\n'));
-  code
+      try
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc
+              (Obs.Json.to_string (Obs.Stats.snapshot_to_json snap));
+            Out_channel.output_char oc '\n';
+            (* Flushed here so a failed write raises instead of being
+               swallowed by the close. *)
+            Out_channel.flush oc)
+      with Sys_error msg -> report "--stats" path msg));
+  if !failed && code = 0 then 1 else code

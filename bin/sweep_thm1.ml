@@ -13,7 +13,7 @@
 open Cmdliner
 
 let run ts ks sides algos validate checkpoint resume exec trace metrics stats
-    flight bulk memo =
+    flight memo =
   let cells =
     List.concat_map
       (fun t ->
@@ -23,8 +23,7 @@ let run ts ks sides algos validate checkpoint resume exec trace metrics stats
               (fun side ->
                 List.map
                   (fun algo ->
-                    Jobs_catalog.thm1_cell ~memo ~bulk ~validate ~t ~k ~side
-                      ~algo ())
+                    Jobs_catalog.thm1_cell ~memo ~validate ~t ~k ~side ~algo ())
                   (Harness.Sweep.string_axis ~flag:"--algo" algos))
               (Harness.Sweep.int_axis ~flag:"--side" sides))
           (Harness.Sweep.int_axis ~flag:"-k" ks))
@@ -72,6 +71,6 @@ let cmd =
     Term.(
       const run $ ts $ ks $ sides $ algos $ validate $ checkpoint $ resume
       $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats
-      $ Obs_cli.flight $ Obs_cli.bulk $ Obs_cli.memo)
+      $ Obs_cli.flight $ Obs_cli.memo)
 
 let () = exit (Cmd.eval' cmd)

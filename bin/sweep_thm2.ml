@@ -5,7 +5,7 @@
 
 open Cmdliner
 
-let run sides wraps checkpoint resume exec trace metrics stats flight bulk memo =
+let run sides wraps checkpoint resume exec trace metrics stats flight memo =
   let cells =
     List.concat_map
       (fun wrap ->
@@ -13,7 +13,7 @@ let run sides wraps checkpoint resume exec trace metrics stats flight bulk memo 
           (fun side ->
             List.map
               (fun (algo, _) ->
-                Jobs_catalog.thm2_cell ~memo ~bulk ~side ~wrap ~algo ())
+                Jobs_catalog.thm2_cell ~memo ~side ~wrap ~algo ())
               Jobs_catalog.thm2_algorithms)
           (Harness.Sweep.int_axis ~flag:"--side" sides))
       (Harness.Sweep.string_axis ~flag:"--wrap" wraps)
@@ -51,6 +51,6 @@ let cmd =
     Term.(
       const run $ sides $ wraps $ checkpoint $ resume $ Obs_cli.exec_term
       $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats $ Obs_cli.flight
-      $ Obs_cli.bulk $ Obs_cli.memo)
+      $ Obs_cli.memo)
 
 let () = exit (Cmd.eval' cmd)

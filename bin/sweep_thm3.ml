@@ -5,7 +5,7 @@
 
 open Cmdliner
 
-let run ks gadget_counts checkpoint resume exec trace metrics stats flight bulk memo =
+let run ks gadget_counts checkpoint resume exec trace metrics stats flight memo =
   let cells =
     List.concat_map
       (fun k ->
@@ -13,7 +13,7 @@ let run ks gadget_counts checkpoint resume exec trace metrics stats flight bulk 
           (fun gadgets ->
             List.map
               (fun (algo, _) ->
-                Jobs_catalog.thm3_cell ~memo ~bulk ~k ~gadgets ~algo ())
+                Jobs_catalog.thm3_cell ~memo ~k ~gadgets ~algo ())
               Jobs_catalog.thm3_algorithms)
           (Harness.Sweep.int_axis ~flag:"--gadgets" gadget_counts))
       (Harness.Sweep.int_axis ~flag:"-k" ks)
@@ -50,6 +50,6 @@ let cmd =
     Term.(
       const run $ ks $ gadget_counts $ checkpoint $ resume $ Obs_cli.exec_term
       $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats $ Obs_cli.flight
-      $ Obs_cli.bulk $ Obs_cli.memo)
+      $ Obs_cli.memo)
 
 let () = exit (Cmd.eval' cmd)

@@ -13,12 +13,11 @@
    A payload that does not parse, or an unknown kind, raises — which the
    server maps to a typed "ERROR: ..." result, never a crash.
 
-   Cell constructors take ~bulk (the executor fast path; identical
-   result strings either way) and ~memo (the Canon.Memo caches; also
-   identical result strings — hits replay recorded answers and Stats
-   observes).  The socket handler always runs non-bulk and memo-off:
-   server results stay byte-identical to historical runs by
-   construction, not just by the equivalence arguments. *)
+   Cell constructors take ~memo (the Canon.Memo caches; identical
+   result strings either way — hits replay recorded answers and Stats
+   observes).  The socket handler always runs memo-off: server results
+   stay byte-identical to historical runs by construction, not just by
+   the equivalence argument. *)
 
 open Online_local
 module Sweep = Harness.Sweep
@@ -53,10 +52,10 @@ let thm1_algorithm name t =
 let thm1_report_tbl : (string, Thm1_adversary.report) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
-let thm1_run ?(bulk = false) ?(memo = false) ~validate ~t ~k ~side ~algo () =
+let thm1_run ?(memo = false) ~validate ~t ~k ~side ~algo () =
   let algorithm = thm1_algorithm algo t in
   let run_live ?memo:ctx () =
-    Thm1_adversary.run ~bulk ?memo:ctx ~validate ~n_side:side ~k ~algorithm ()
+    Thm1_adversary.run ?memo:ctx ~validate ~n_side:side ~k ~algorithm ()
   in
   let r =
     if not memo then run_live ()
@@ -93,10 +92,10 @@ let thm1_run ?(bulk = false) ?(memo = false) ~validate ~t ~k ~side ~algo () =
     (Thm1_adversary.guaranteed ~t ~k)
     (Thm1_adversary.recommended_k ~n_side:side ~t)
 
-let thm1_cell ?(memo = false) ~bulk ~validate ~t ~k ~side ~algo () =
+let thm1_cell ?(memo = false) ~validate ~t ~k ~side ~algo () =
   {
     Sweep.key = Printf.sprintf "t=%d k=%d side=%d algo=%s" t k side algo;
-    run = thm1_run ~bulk ~memo ~validate ~t ~k ~side ~algo;
+    run = thm1_run ~memo ~validate ~t ~k ~side ~algo;
   }
 
 let thm1_of_key payload =
@@ -113,24 +112,24 @@ let thm2_wrap_of = function
 let thm2_algorithms =
   [ ("greedy", Portfolio.greedy); ("ael(T=1)", fun () -> Portfolio.ael ~t:1 ()) ]
 
-let thm2_run ?(bulk = false) ?(memo = false) ~side ~wrap ~algo () =
+let thm2_run ?(memo = false) ~side ~wrap ~algo () =
   let algorithm =
     match List.assoc_opt algo thm2_algorithms with
     | Some a -> a ()
     | None -> failwith ("unknown algorithm: " ^ algo)
   in
   let r =
-    Thm2_adversary.run ~bulk
+    Thm2_adversary.run
       ?memo:(memo_ctx ~memo algorithm)
       ~wrap:(thm2_wrap_of wrap) ~side ~algorithm ()
   in
   Format.asprintf "thm2 %s side=%d vs %-12s %a" wrap side algo
     Thm2_adversary.pp_report r
 
-let thm2_cell ?(memo = false) ~bulk ~side ~wrap ~algo () =
+let thm2_cell ?(memo = false) ~side ~wrap ~algo () =
   {
     Sweep.key = Printf.sprintf "wrap=%s side=%d algo=%s" wrap side algo;
-    run = thm2_run ~bulk ~memo ~side ~wrap ~algo;
+    run = thm2_run ~memo ~side ~wrap ~algo;
   }
 
 let thm2_of_key payload =
@@ -142,24 +141,24 @@ let thm2_of_key payload =
 let thm3_algorithms =
   [ ("greedy", Portfolio.greedy); ("gadget-rows", Portfolio.gadget_rows) ]
 
-let thm3_run ?(bulk = false) ?(memo = false) ~k ~gadgets ~algo () =
+let thm3_run ?(memo = false) ~k ~gadgets ~algo () =
   let algorithm =
     match List.assoc_opt algo thm3_algorithms with
     | Some a -> a ()
     | None -> failwith ("unknown algorithm: " ^ algo)
   in
   let r =
-    Thm3_adversary.run ~bulk
+    Thm3_adversary.run
       ?memo:(memo_ctx ~memo algorithm)
       ~k ~gadgets ~algorithm ()
   in
   Format.asprintf "thm3 k=%d gadgets=%d (n=%d) vs %-12s@.  %a" k gadgets
     (gadgets * k * k) algo Thm3_adversary.pp_report r
 
-let thm3_cell ?(memo = false) ~bulk ~k ~gadgets ~algo () =
+let thm3_cell ?(memo = false) ~k ~gadgets ~algo () =
   {
     Sweep.key = Printf.sprintf "k=%d gadgets=%d algo=%s" k gadgets algo;
-    run = thm3_run ~bulk ~memo ~k ~gadgets ~algo;
+    run = thm3_run ~memo ~k ~gadgets ~algo;
   }
 
 let thm3_of_key payload =

@@ -386,7 +386,7 @@ let e7_games () =
     (Game.upper_grid_oracle, 8, fun () -> Portfolio.kp1 ~k:2 ~t:8 ());
   ]
 
-let fault_matrix ?(bulk = false) () =
+let fault_matrix () =
   let injections =
     ("none", fun algo -> algo) :: Harness.Faults.algorithm_faults
   in
@@ -394,7 +394,7 @@ let fault_matrix ?(bulk = false) () =
     (fun (game, n, base) ->
       List.map
         (fun (fault, inject) ->
-          let v = game.Game.play ~bulk ~limits:e7_limits ~n (inject (base ())) in
+          let v = game.Game.play ~limits:e7_limits ~n (inject (base ())) in
           (game.Game.name, fault, Game.outcome_label v.Game.outcome))
         injections)
     (e7_games ())

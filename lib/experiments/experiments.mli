@@ -40,13 +40,11 @@ val e6_lemma_checks : ?quick:bool -> Format.formatter -> unit
 (** Section 3.1/4.1 groundwork: exhaustive counts for Lemmas 3.3-3.5,
     Claim 4.5 and Equation (1) on enumerable instances. *)
 
-val fault_matrix : ?bulk:bool -> unit -> (string * string * string) list
+val fault_matrix : unit -> (string * string * string) list
 (** The E7 matrix data: [(game, fault, outcome label)] for every game in
     the registry crossed with every {!Harness.Faults.algorithm_faults}
     class (plus a no-fault baseline), each played under the E7 budgets.
-    Deterministic; the fault-matrix test pins these rows exactly.
-    [~bulk:true] plays every cell on the executor fast path — the
-    bulk-equivalence test asserts the rows are identical either way. *)
+    Deterministic; the fault-matrix test pins these rows exactly. *)
 
 val e7_fault_matrix : ?quick:bool -> Format.formatter -> unit
 (** Engine soundness.  Prints {!fault_matrix} as a table, then the

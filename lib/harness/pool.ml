@@ -40,6 +40,12 @@ let parallel ~jobs ~tasks ~work ~consume =
         Condition.broadcast progress)
   in
   let worker index () =
+    (* [live] drops on every exit path, or the consumer waits forever. *)
+    Fun.protect ~finally:(fun () ->
+        Mutex.protect mutex (fun () ->
+            decr live;
+            Condition.broadcast progress))
+    @@ fun () ->
     if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Worker_start { index });
     let claimed = ref 0 in
     let rec loop () =
@@ -58,10 +64,7 @@ let parallel ~jobs ~tasks ~work ~consume =
               abort exn (Printexc.get_raw_backtrace ()))
     in
     loop ();
-    if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Worker_stop { index; tasks = !claimed });
-    Mutex.protect mutex (fun () ->
-        decr live;
-        Condition.broadcast progress)
+    if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Worker_stop { index; tasks = !claimed })
   in
   let domains = List.init workers (fun i -> Domain.spawn (worker i)) in
   (* The calling domain is the consumer: results are handed to [consume]
@@ -108,11 +111,19 @@ let parallel ~jobs ~tasks ~work ~consume =
         abort exn bt;
         Some (exn, bt)
   in
-  List.iter Domain.join domains;
-  match (consumer_crash, !crash) with
-  | Some (exn, bt), _ -> Printexc.raise_with_backtrace exn bt
-  | None, Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-  | None, None -> ()
+  (* Join every domain before re-raising anything: a worker that died
+     outside [work] must not leave its siblings running cells. *)
+  let join_crash = ref None in
+  List.iter
+    (fun d ->
+      try Domain.join d
+      with exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        if Option.is_none !join_crash then join_crash := Some (exn, bt))
+    domains;
+  match List.find_map Fun.id [ consumer_crash; !crash; !join_crash ] with
+  | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
+  | None -> ()
 
 let run ~jobs ~tasks ~work ~consume =
   if tasks < 0 then invalid_arg "Pool.run: negative task count";

@@ -13,7 +13,6 @@ type t = {
   hints : Graph.node -> View.hint option;  (* by host node *)
   coloring : Colorings.Coloring.t;
   presented_set : Packed.Set.t;
-  bulk : bool;
   memo : Canon.Memo.ctx option;
   mutable steps : int;
   mutable max_view : int;
@@ -60,7 +59,7 @@ let hint_repr = function
       Printf.sprintf "G%d:%d:%d:%d" frame gadget row col
   | Some (View.Layer_pos { layer }) -> Printf.sprintf "l%d" layer
 
-let start ?(bulk = false) ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm () =
+let start ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm () =
   let n = Graph.n host in
   let ids = match ids with Some f -> f | None -> fun v -> v + 1 in
   let hints = match hints with Some f -> f | None -> fun _ -> None in
@@ -79,7 +78,6 @@ let start ?(bulk = false) ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm ()
       hints;
       coloring = Colorings.Coloring.create n;
       presented_set = Packed.Set.create (max n 1);
-      bulk;
       memo;
       steps = 0;
       max_view = 0;
@@ -148,7 +146,7 @@ let present t v =
   t.steps <- t.steps + 1;
   let new_nodes = reveal_ball t v in
   t.max_view <- max t.max_view (Dyn_graph.n t.region);
-  if (not t.bulk) && Obs.Trace.on () then begin
+  if Obs.Trace.on () then begin
     Obs.Trace.emit
       (Obs.Trace.Reveal
          {
@@ -167,7 +165,7 @@ let present t v =
            max_view = t.max_view;
          })
   end;
-  if (not t.bulk) && Obs.Metrics.on () then begin
+  if Obs.Metrics.on () then begin
     Obs.Metrics.incr "fixed_host.presented";
     Obs.Metrics.add "fixed_host.revealed" (List.length new_nodes)
   end;
@@ -250,7 +248,7 @@ let audit t =
           (fun (u, v) -> Run_stats.Monochromatic_edge (u, v))
           (Colorings.Coloring.find_monochromatic_edge t.host t.coloring)
   in
-  if (not t.bulk) && Obs.Trace.on () then
+  if Obs.Trace.on () then
     Obs.Trace.emit
       (Obs.Trace.Audit
          {
@@ -261,7 +259,7 @@ let audit t =
              | None -> ""
              | Some v -> Format.asprintf "%a" Run_stats.pp_violation v);
          });
-  if (not t.bulk) && Obs.Metrics.on () then begin
+  if Obs.Metrics.on () then begin
     Obs.Metrics.observe "fixed_host.run.presented" t.steps;
     Obs.Metrics.observe "fixed_host.run.max_view" t.max_view;
     Obs.Metrics.gauge_max "fixed_host.max_view" t.max_view
@@ -279,8 +277,8 @@ let audit t =
     max_view_size = t.max_view;
   }
 
-let run ?bulk ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm ~order () =
-  let t = start ?bulk ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm () in
+let run ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm ~order () =
+  let t = start ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm () in
   let rec go = function
     | [] -> ()
     | v :: rest ->

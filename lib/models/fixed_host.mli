@@ -19,14 +19,14 @@
     O(revealed region) and not O(host).  Handle lookup is a flat array
     read, presented-twice detection a dense byte set: both O(1) and
     allocation-free.  Per step the executor allocates only the fresh
-    handle list, the view closure record, and (unless [~bulk]) the
-    trace/metrics events.  See [lib/online_local/README.md]. *)
+    handle list, the view closure record, and (while a trace sink or
+    the metrics registry is on) the trace/metrics events.  See
+    [lib/online_local/README.md]. *)
 
 type t
 (** A running execution (host, algorithm instance, revealed region). *)
 
 val start :
-  ?bulk:bool ->
   ?memo:Canon.Memo.ctx ->
   ?ids:(Grid_graph.Graph.node -> int) ->
   ?hints:(Grid_graph.Graph.node -> View.hint option) ->
@@ -36,9 +36,7 @@ val start :
   algorithm:Algorithm.t ->
   unit ->
   t
-(** Create an execution.  [bulk] (default [false]) skips per-step trace
-    and metrics event construction on the hot path — it never changes
-    colors, violations, or the audited outcome, only observability.
+(** Create an execution.
     [memo] enables the {!Canon.Memo} step cache: the host adjacency,
     ids, hints and every answer are folded into the context's chain
     digest, and calls of [pure] algorithms whose chain key was answered
@@ -69,7 +67,6 @@ val to_host : t -> Grid_graph.Graph.node -> Grid_graph.Graph.node
 (** Map a view handle to its host node. *)
 
 val run :
-  ?bulk:bool ->
   ?memo:Canon.Memo.ctx ->
   ?ids:(Grid_graph.Graph.node -> int) ->
   ?hints:(Grid_graph.Graph.node -> View.hint option) ->

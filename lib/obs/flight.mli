@@ -17,10 +17,14 @@
 
     Each record is one frame in {!Harness.Wire}'s framing — tag ['F'],
     4-byte big-endian payload length, payload — so any Wire decoder can
-    walk a flight file.  The payload is the {!Trace.record} envelope
-    and event encoded with zigzag-LEB128 varints, length-prefixed
-    strings and 8-byte IEEE floats: a [Step] event is ~25 bytes against
-    ~120 as NDJSON.  The first frame of every file is the
+    walk a flight file.  The payload is the {!Trace.record} envelope,
+    the event's binary id and its fields, walked generically over the
+    one event declaration, {!Trace.kinds}: zigzag-LEB128 varints,
+    length-prefixed strings, 8-byte IEEE floats, one byte per bool and
+    a presence byte per option.  A [Step] event is ~25 bytes against
+    ~120 as NDJSON.  The file stays binary because anomaly-heavy runs
+    flush tens of thousands of records: NDJSON would triple their size
+    and add ~3 µs per record.  The first frame of every file is the
     {!Trace.Trace_header}, so a flight file is self-describing and
     {!read_file} rejects newer format versions like the NDJSON reader
     does.  [bin/trace_report.exe] sniffs the first byte (['F'] vs
@@ -47,19 +51,21 @@ val on : unit -> bool
 
 val record : Trace.event -> unit
 (** Append one event to this domain's ring (no-op without a sink);
-    flush the ring if the event is anomalous.  Installed as the
-    {!Trace.set_hook} consumer by {!with_sink} — call sites keep
+    flush the ring if the event is {!Trace.anomalous}.  Installed as
+    the {!Trace.set_hook} consumer by {!with_sink} — call sites keep
     emitting through {!Trace.emit}. *)
-
-val anomalous : Trace.event -> bool
-(** The flush triggers: [Misbehavior], [Cell_quarantined],
-    [Child_kill], [Fault_injected], and [Audit] with [ok = false]. *)
 
 val flush : unit -> unit
 (** Force-flush this domain's ring (e.g. before a deliberate abort).
     Bumps the [flight.flushes] metric like an anomaly flush. *)
 
-val with_sink : ?program:string -> ?cap:int -> path:string -> (unit -> 'a) -> 'a
+val with_sink :
+  ?program:string ->
+  ?cap:int ->
+  ?on_error:(string -> unit) ->
+  path:string ->
+  (unit -> 'a) ->
+  'a
 (** Truncate [path], write the header frame, install the recorder (and
     the {!Trace.set_hook} tap) for the duration of the callback, then
     uninstall — also on exception.  If any anomaly flushed during the
@@ -67,10 +73,24 @@ val with_sink : ?program:string -> ?cap:int -> path:string -> (unit -> 'a) -> 'a
     an anomalous run's file also carries the events after the last
     anomaly (the verdict, the audit); a clean run leaves only the
     header on disk.  Rings from a previous sink are invalidated, not
-    inherited.  Nesting raises [Invalid_argument]. *)
+    inherited.  Nesting raises [Invalid_argument].
 
-val with_sink_opt : ?program:string -> ?cap:int -> string option -> (unit -> 'a) -> 'a
+    Like {!Trace.with_sink}, the recorder catches its own I/O errors:
+    the first one (writing the header or any flush) detaches it, the
+    callback runs on, and after it returns [on_error] gets the error's
+    message (default: raise [Sys_error]). *)
+
+val with_sink_opt :
+  ?program:string ->
+  ?cap:int ->
+  ?on_error:(string -> unit) ->
+  string option ->
+  (unit -> 'a) ->
+  'a
 (** [None] is just the callback; [Some path] is {!with_sink}. *)
+
+val frame : Trace.record -> string
+(** One record's frame: tag, length and payload, as a flush writes it. *)
 
 val is_flight_file : string -> bool
 (** True when the file exists, is non-empty and starts with the frame

@@ -72,397 +72,348 @@ type event =
 
 type record = { i : int; w : int; ts : float; ev : event }
 
-(* ------------------------------- codec ------------------------------- *)
+(* ------------------------------ schema ------------------------------ *)
 
-let opt_int = function None -> Json.Null | Some n -> Json.Int n
-let opt_float = function None -> Json.Null | Some f -> Json.Float f
+type ty = Int | Float | Bool | String | Int_opt | Float_opt
+type value = I of int | F of float | B of bool | S of string | Absent
+type kind = { tag : string; fields : (string * ty) list; hot : bool }
 
-let event_fields = function
-  | Trace_header { version; program } ->
-      ("trace_header", [ ("version", Json.Int version); ("program", Json.String program) ])
-  | Cell_start { key } -> ("cell_start", [ ("key", Json.String key) ])
-  | Cell_finish { key; status } ->
-      ("cell_finish", [ ("key", Json.String key); ("status", Json.String status) ])
-  | Checkpoint_flush { key; bytes } ->
-      ("checkpoint_flush", [ ("key", Json.String key); ("bytes", Json.Int bytes) ])
-  | Worker_start { index } -> ("worker_start", [ ("index", Json.Int index) ])
-  | Worker_stop { index; tasks } ->
-      ("worker_stop", [ ("index", Json.Int index); ("tasks", Json.Int tasks) ])
+let kind ?(hot = false) tag fields = { tag; fields; hot }
+
+(* One entry per constructor, in the order of [event]: an event's binary
+   id is its position here, so entries are only ever appended. *)
+let kinds =
+  [|
+    kind "trace_header" [ ("version", Int); ("program", String) ];
+    kind "cell_start" [ ("key", String) ];
+    kind "cell_finish" [ ("key", String); ("status", String) ];
+    kind "checkpoint_flush" [ ("key", String); ("bytes", Int) ];
+    kind "worker_start" [ ("index", Int) ];
+    kind "worker_stop" [ ("index", Int); ("tasks", Int) ];
+    kind "game_start"
+      [
+        ("adversary", String); ("algorithm", String); ("n", Int);
+        ("max_color_calls", Int_opt); ("max_work", Int_opt); ("deadline", Float_opt);
+      ];
+    kind "game_verdict"
+      [
+        ("adversary", String); ("algorithm", String); ("n", Int); ("outcome", String);
+        ("guaranteed", Bool); ("color_calls", Int); ("work", Int);
+      ];
+    kind ~hot:true "step"
+      [
+        ("executor", String); ("step", Int); ("target", Int); ("revealed", Int);
+        ("max_view", Int);
+      ];
+    kind ~hot:true "reveal"
+      [ ("executor", String); ("step", Int); ("fresh", Int); ("revealed", Int) ];
+    kind ~hot:true "color_call" [ ("calls", Int); ("work", Int) ];
+    kind "audit" [ ("executor", String); ("ok", Bool); ("detail", String) ];
+    kind "fault_injected" [ ("tag", String); ("call", Int) ];
+    kind "misbehavior" [ ("label", String); ("detail", String) ];
+    kind "child_spawn" [ ("key", String); ("pid", Int); ("attempt", Int) ];
+    kind "child_heartbeat" [ ("key", String); ("pid", Int) ];
+    kind "child_kill"
+      [ ("key", String); ("pid", Int); ("signal", String); ("elapsed", Float) ];
+    kind "child_exit"
+      [
+        ("key", String); ("pid", Int); ("status", String); ("cpu_user", Float);
+        ("cpu_sys", Float);
+      ];
+    kind "cell_retry" [ ("key", String); ("attempt", Int); ("delay", Float) ];
+    kind "cell_quarantined" [ ("key", String); ("attempts", Int); ("reason", String) ];
+    kind "server_start" [ ("socket", String); ("jobs", Int); ("queue_limit", Int) ];
+    kind "conn_open" [ ("conn", Int) ];
+    kind "conn_close" [ ("conn", Int); ("reason", String) ];
+    kind "job_submit" [ ("id", String); ("kind", String); ("disposition", String) ];
+    kind "job_reject" [ ("id", String); ("queued", Int); ("limit", Int) ];
+    kind "job_start" [ ("id", String); ("attempt", Int) ];
+    kind "job_done" [ ("id", String); ("status", String) ];
+    kind "server_drain" [ ("queued", Int); ("running", Int) ];
+    kind "chaos_injected" [ ("kind", String) ];
+    kind "canon_hit" [ ("kind", String); ("key", String) ];
+    kind "journal_corrupt" [ ("path", String); ("line", Int); ("reason", String) ];
+    kind "fleet_start" [ ("endpoints", Int); ("jobs", Int); ("shard_seed", Int) ];
+    kind "endpoint_state" [ ("endpoint", String); ("state", String) ];
+    kind "failover" [ ("id", String); ("src", String); ("dst", String) ];
+    kind "rebalance" [ ("moved", Int); ("src", String); ("dst", String) ];
+    kind "fleet_verdict"
+      [ ("verdict", String); ("results", Int); ("failovers", Int); ("duplicates", Int) ];
+  |]
+
+(* ------------------------------ columns ----------------------------- *)
+
+(* Field values in flat form, one array per column: ints (bools as 0/1),
+   floats and strings, plus a presence byte beside each int or float
+   cell that holds an option.  A field's index is its position among
+   its kind's fields of the same column, and slot [k] of a column
+   starts at [k] times the most cells any kind needs there — compact,
+   because the flight ring's footprint competes with the game it
+   records for cache. *)
+type columns = {
+  ints : int array;
+  floats : float array;
+  strs : string array;
+  int_set : Bytes.t;
+  float_set : Bytes.t;
+  (* where the slot being stored starts in [ints], [floats] and [strs] *)
+  mutable bi : int;
+  mutable bf : int;
+  mutable bs : int;
+}
+
+(* The most fields of one column any kind has. *)
+let width column =
+  let count k = List.length (List.filter (fun (_, ty) -> column ty) k.fields) in
+  Array.fold_left (fun m k -> max m (count k)) 0 kinds
+
+let int_width = width (function Int | Bool | Int_opt -> true | _ -> false)
+let float_width = width (function Float | Float_opt -> true | _ -> false)
+let str_width = width (( = ) String)
+
+let columns n =
+  {
+    ints = Array.make (n * int_width) 0;
+    floats = Array.make (n * float_width) 0.0;
+    strs = Array.make (n * str_width) "";
+    int_set = Bytes.make (n * int_width) '\000';
+    float_set = Bytes.make (n * float_width) '\000';
+    bi = 0;
+    bf = 0;
+    bs = 0;
+  }
+
+(* Inlined, and indexed from fixed slot bases rather than moving
+   cursors: [store] is the flight ring's per-event hot path. *)
+let[@inline] put_int c j n = c.ints.(c.bi + j) <- n
+let[@inline] put_float c j f = c.floats.(c.bf + j) <- f
+let[@inline] put_str c j s = c.strs.(c.bs + j) <- s
+let[@inline] put_bool c j b = put_int c j (Bool.to_int b)
+
+let put_opt_int c j = function
+  | None -> Bytes.set c.int_set (c.bi + j) '\000'
+  | Some n ->
+      Bytes.set c.int_set (c.bi + j) '\001';
+      put_int c j n
+
+let put_opt_float c j = function
+  | None -> Bytes.set c.float_set (c.bf + j) '\000'
+  | Some f ->
+      Bytes.set c.float_set (c.bf + j) '\001';
+      put_float c j f
+
+let store c k ev =
+  c.bi <- k * int_width;
+  c.bf <- k * float_width;
+  c.bs <- k * str_width;
+  match ev with
+  | Trace_header { version; program } -> put_int c 0 version; put_str c 0 program; 0
+  | Cell_start { key } -> put_str c 0 key; 1
+  | Cell_finish { key; status } -> put_str c 0 key; put_str c 1 status; 2
+  | Checkpoint_flush { key; bytes } -> put_str c 0 key; put_int c 0 bytes; 3
+  | Worker_start { index } -> put_int c 0 index; 4
+  | Worker_stop { index; tasks } -> put_int c 0 index; put_int c 1 tasks; 5
   | Game_start { adversary; algorithm; n; max_color_calls; max_work; deadline } ->
-      ( "game_start",
-        [
-          ("adversary", Json.String adversary);
-          ("algorithm", Json.String algorithm);
-          ("n", Json.Int n);
-          ("max_color_calls", opt_int max_color_calls);
-          ("max_work", opt_int max_work);
-          ("deadline", opt_float deadline);
-        ] )
+      put_str c 0 adversary; put_str c 1 algorithm; put_int c 0 n;
+      put_opt_int c 1 max_color_calls; put_opt_int c 2 max_work;
+      put_opt_float c 0 deadline; 6
   | Game_verdict { adversary; algorithm; n; outcome; guaranteed; color_calls; work } ->
-      ( "game_verdict",
-        [
-          ("adversary", Json.String adversary);
-          ("algorithm", Json.String algorithm);
-          ("n", Json.Int n);
-          ("outcome", Json.String outcome);
-          ("guaranteed", Json.Bool guaranteed);
-          ("color_calls", Json.Int color_calls);
-          ("work", Json.Int work);
-        ] )
+      put_str c 0 adversary; put_str c 1 algorithm; put_int c 0 n; put_str c 2 outcome;
+      put_bool c 1 guaranteed; put_int c 2 color_calls; put_int c 3 work; 7
   | Step { executor; step; target; revealed; max_view } ->
-      ( "step",
-        [
-          ("executor", Json.String executor);
-          ("step", Json.Int step);
-          ("target", Json.Int target);
-          ("revealed", Json.Int revealed);
-          ("max_view", Json.Int max_view);
-        ] )
+      put_str c 0 executor; put_int c 0 step; put_int c 1 target; put_int c 2 revealed;
+      put_int c 3 max_view; 8
   | Reveal { executor; step; fresh; revealed } ->
-      ( "reveal",
-        [
-          ("executor", Json.String executor);
-          ("step", Json.Int step);
-          ("fresh", Json.Int fresh);
-          ("revealed", Json.Int revealed);
-        ] )
-  | Color_call { calls; work } ->
-      ("color_call", [ ("calls", Json.Int calls); ("work", Json.Int work) ])
+      put_str c 0 executor; put_int c 0 step; put_int c 1 fresh; put_int c 2 revealed; 9
+  | Color_call { calls; work } -> put_int c 0 calls; put_int c 1 work; 10
   | Audit { executor; ok; detail } ->
-      ( "audit",
-        [
-          ("executor", Json.String executor);
-          ("ok", Json.Bool ok);
-          ("detail", Json.String detail);
-        ] )
-  | Fault_injected { tag; call } ->
-      ("fault_injected", [ ("tag", Json.String tag); ("call", Json.Int call) ])
-  | Misbehavior { label; detail } ->
-      ("misbehavior", [ ("label", Json.String label); ("detail", Json.String detail) ])
+      put_str c 0 executor; put_bool c 0 ok; put_str c 1 detail; 11
+  | Fault_injected { tag; call } -> put_str c 0 tag; put_int c 0 call; 12
+  | Misbehavior { label; detail } -> put_str c 0 label; put_str c 1 detail; 13
   | Child_spawn { key; pid; attempt } ->
-      ( "child_spawn",
-        [ ("key", Json.String key); ("pid", Json.Int pid); ("attempt", Json.Int attempt) ]
-      )
-  | Child_heartbeat { key; pid } ->
-      ("child_heartbeat", [ ("key", Json.String key); ("pid", Json.Int pid) ])
+      put_str c 0 key; put_int c 0 pid; put_int c 1 attempt; 14
+  | Child_heartbeat { key; pid } -> put_str c 0 key; put_int c 0 pid; 15
   | Child_kill { key; pid; signal; elapsed } ->
-      ( "child_kill",
-        [
-          ("key", Json.String key);
-          ("pid", Json.Int pid);
-          ("signal", Json.String signal);
-          ("elapsed", Json.Float elapsed);
-        ] )
+      put_str c 0 key; put_int c 0 pid; put_str c 1 signal; put_float c 0 elapsed; 16
   | Child_exit { key; pid; status; cpu_user; cpu_sys } ->
-      ( "child_exit",
-        [
-          ("key", Json.String key);
-          ("pid", Json.Int pid);
-          ("status", Json.String status);
-          ("cpu_user", Json.Float cpu_user);
-          ("cpu_sys", Json.Float cpu_sys);
-        ] )
+      put_str c 0 key; put_int c 0 pid; put_str c 1 status; put_float c 0 cpu_user;
+      put_float c 1 cpu_sys; 17
   | Cell_retry { key; attempt; delay } ->
-      ( "cell_retry",
-        [
-          ("key", Json.String key);
-          ("attempt", Json.Int attempt);
-          ("delay", Json.Float delay);
-        ] )
+      put_str c 0 key; put_int c 0 attempt; put_float c 0 delay; 18
   | Cell_quarantined { key; attempts; reason } ->
-      ( "cell_quarantined",
-        [
-          ("key", Json.String key);
-          ("attempts", Json.Int attempts);
-          ("reason", Json.String reason);
-        ] )
+      put_str c 0 key; put_int c 0 attempts; put_str c 1 reason; 19
   | Server_start { socket; jobs; queue_limit } ->
-      ( "server_start",
-        [
-          ("socket", Json.String socket);
-          ("jobs", Json.Int jobs);
-          ("queue_limit", Json.Int queue_limit);
-        ] )
-  | Conn_open { conn } -> ("conn_open", [ ("conn", Json.Int conn) ])
-  | Conn_close { conn; reason } ->
-      ("conn_close", [ ("conn", Json.Int conn); ("reason", Json.String reason) ])
+      put_str c 0 socket; put_int c 0 jobs; put_int c 1 queue_limit; 20
+  | Conn_open { conn } -> put_int c 0 conn; 21
+  | Conn_close { conn; reason } -> put_int c 0 conn; put_str c 0 reason; 22
   | Job_submit { id; kind; disposition } ->
-      ( "job_submit",
-        [
-          ("id", Json.String id);
-          ("kind", Json.String kind);
-          ("disposition", Json.String disposition);
-        ] )
+      put_str c 0 id; put_str c 1 kind; put_str c 2 disposition; 23
   | Job_reject { id; queued; limit } ->
-      ( "job_reject",
-        [ ("id", Json.String id); ("queued", Json.Int queued); ("limit", Json.Int limit) ]
-      )
-  | Job_start { id; attempt } ->
-      ("job_start", [ ("id", Json.String id); ("attempt", Json.Int attempt) ])
-  | Job_done { id; status } ->
-      ("job_done", [ ("id", Json.String id); ("status", Json.String status) ])
-  | Server_drain { queued; running } ->
-      ("server_drain", [ ("queued", Json.Int queued); ("running", Json.Int running) ])
-  | Chaos_injected { kind } -> ("chaos_injected", [ ("kind", Json.String kind) ])
-  | Canon_hit { kind; key } ->
-      ("canon_hit", [ ("kind", Json.String kind); ("key", Json.String key) ])
+      put_str c 0 id; put_int c 0 queued; put_int c 1 limit; 24
+  | Job_start { id; attempt } -> put_str c 0 id; put_int c 0 attempt; 25
+  | Job_done { id; status } -> put_str c 0 id; put_str c 1 status; 26
+  | Server_drain { queued; running } -> put_int c 0 queued; put_int c 1 running; 27
+  | Chaos_injected { kind } -> put_str c 0 kind; 28
+  | Canon_hit { kind; key } -> put_str c 0 kind; put_str c 1 key; 29
   | Journal_corrupt { path; line; reason } ->
-      ( "journal_corrupt",
-        [
-          ("path", Json.String path);
-          ("line", Json.Int line);
-          ("reason", Json.String reason);
-        ] )
+      put_str c 0 path; put_int c 0 line; put_str c 1 reason; 30
   | Fleet_start { endpoints; jobs; shard_seed } ->
-      ( "fleet_start",
-        [
-          ("endpoints", Json.Int endpoints);
-          ("jobs", Json.Int jobs);
-          ("shard_seed", Json.Int shard_seed);
-        ] )
-  | Endpoint_state { endpoint; state } ->
-      ( "endpoint_state",
-        [ ("endpoint", Json.String endpoint); ("state", Json.String state) ] )
-  | Failover { id; src; dst } ->
-      ( "failover",
-        [
-          ("id", Json.String id);
-          ("src", Json.String src);
-          ("dst", Json.String dst);
-        ] )
+      put_int c 0 endpoints; put_int c 1 jobs; put_int c 2 shard_seed; 31
+  | Endpoint_state { endpoint; state } -> put_str c 0 endpoint; put_str c 1 state; 32
+  | Failover { id; src; dst } -> put_str c 0 id; put_str c 1 src; put_str c 2 dst; 33
   | Rebalance { moved; src; dst } ->
-      ( "rebalance",
-        [
-          ("moved", Json.Int moved);
-          ("src", Json.String src);
-          ("dst", Json.String dst);
-        ] )
+      put_int c 0 moved; put_str c 0 src; put_str c 1 dst; 34
   | Fleet_verdict { verdict; results; failovers; duplicates } ->
-      ( "fleet_verdict",
-        [
-          ("verdict", Json.String verdict);
-          ("results", Json.Int results);
-          ("failovers", Json.Int failovers);
-          ("duplicates", Json.Int duplicates);
-        ] )
+      put_str c 0 verdict; put_int c 0 results; put_int c 1 failovers;
+      put_int c 2 duplicates; 35
+
+let load c k id =
+  let i = ref (k * int_width) and f = ref (k * float_width) and s = ref (k * str_width) in
+  let next r =
+    let j = !r in
+    incr r;
+    j
+  in
+  let get = function
+    | Int -> I c.ints.(next i)
+    | Bool -> B (c.ints.(next i) <> 0)
+    | Float -> F c.floats.(next f)
+    | String -> S c.strs.(next s)
+    | Int_opt ->
+        let j = next i in
+        if Bytes.get c.int_set j = '\000' then Absent else I c.ints.(j)
+    | Float_opt ->
+        let j = next f in
+        if Bytes.get c.float_set j = '\000' then Absent else F c.floats.(j)
+  in
+  (* In field order: [get] advances the counters. *)
+  let rec values = function
+    | [] -> []
+    | (_, ty) :: rest ->
+        let v = get ty in
+        v :: values rest
+  in
+  values kinds.(id).fields
+
+let to_values ev =
+  let c = columns 1 in
+  let id = store c 0 ev in
+  (id, load c 0 id)
+
+let decode_error msg = raise (Json.Parse_error msg)
+
+let int_opt = function I n -> Some n | _ -> None
+let float_opt = function F f -> Some f | _ -> None
+
+let of_values id values =
+  match (id, values) with
+  | 0, [ I v; S program ] ->
+      if v > version then
+        decode_error
+          (Printf.sprintf "trace format version %d is newer than this reader (max %d)" v
+             version);
+      Trace_header { version = v; program }
+  | 1, [ S key ] -> Cell_start { key }
+  | 2, [ S key; S status ] -> Cell_finish { key; status }
+  | 3, [ S key; I bytes ] -> Checkpoint_flush { key; bytes }
+  | 4, [ I index ] -> Worker_start { index }
+  | 5, [ I index; I tasks ] -> Worker_stop { index; tasks }
+  | 6, [ S adversary; S algorithm; I n; calls; work; deadline ] ->
+      let max_color_calls = int_opt calls and max_work = int_opt work in
+      let deadline = float_opt deadline in
+      Game_start { adversary; algorithm; n; max_color_calls; max_work; deadline }
+  | 7, [ S adversary; S algorithm; I n; S outcome; B guaranteed; I color_calls; I work ] ->
+      Game_verdict { adversary; algorithm; n; outcome; guaranteed; color_calls; work }
+  | 8, [ S executor; I step; I target; I revealed; I max_view ] ->
+      Step { executor; step; target; revealed; max_view }
+  | 9, [ S executor; I step; I fresh; I revealed ] ->
+      Reveal { executor; step; fresh; revealed }
+  | 10, [ I calls; I work ] -> Color_call { calls; work }
+  | 11, [ S executor; B ok; S detail ] -> Audit { executor; ok; detail }
+  | 12, [ S tag; I call ] -> Fault_injected { tag; call }
+  | 13, [ S label; S detail ] -> Misbehavior { label; detail }
+  | 14, [ S key; I pid; I attempt ] -> Child_spawn { key; pid; attempt }
+  | 15, [ S key; I pid ] -> Child_heartbeat { key; pid }
+  | 16, [ S key; I pid; S signal; F elapsed ] -> Child_kill { key; pid; signal; elapsed }
+  | 17, [ S key; I pid; S status; F cpu_user; F cpu_sys ] ->
+      Child_exit { key; pid; status; cpu_user; cpu_sys }
+  | 18, [ S key; I attempt; F delay ] -> Cell_retry { key; attempt; delay }
+  | 19, [ S key; I attempts; S reason ] -> Cell_quarantined { key; attempts; reason }
+  | 20, [ S socket; I jobs; I queue_limit ] -> Server_start { socket; jobs; queue_limit }
+  | 21, [ I conn ] -> Conn_open { conn }
+  | 22, [ I conn; S reason ] -> Conn_close { conn; reason }
+  | 23, [ S id; S kind; S disposition ] -> Job_submit { id; kind; disposition }
+  | 24, [ S id; I queued; I limit ] -> Job_reject { id; queued; limit }
+  | 25, [ S id; I attempt ] -> Job_start { id; attempt }
+  | 26, [ S id; S status ] -> Job_done { id; status }
+  | 27, [ I queued; I running ] -> Server_drain { queued; running }
+  | 28, [ S kind ] -> Chaos_injected { kind }
+  | 29, [ S kind; S key ] -> Canon_hit { kind; key }
+  | 30, [ S path; I line; S reason ] -> Journal_corrupt { path; line; reason }
+  | 31, [ I endpoints; I jobs; I shard_seed ] -> Fleet_start { endpoints; jobs; shard_seed }
+  | 32, [ S endpoint; S state ] -> Endpoint_state { endpoint; state }
+  | 33, [ S id; S src; S dst ] -> Failover { id; src; dst }
+  | 34, [ I moved; S src; S dst ] -> Rebalance { moved; src; dst }
+  | 35, [ S verdict; I results; I failovers; I duplicates ] ->
+      Fleet_verdict { verdict; results; failovers; duplicates }
+  | _ -> decode_error (Printf.sprintf "trace record: values do not fit event id %d" id)
+
+let anomalous = function
+  | Misbehavior _ | Cell_quarantined _ | Child_kill _ | Fault_injected _ -> true
+  | Audit { ok; _ } -> not ok
+  | _ -> false
+
+(* ---------------------------- NDJSON codec ---------------------------- *)
+
+let json_of_value = function
+  | I n -> Json.Int n
+  | F f -> Json.Float f
+  | B b -> Json.Bool b
+  | S s -> Json.String s
+  | Absent -> Json.Null
 
 let record_to_json r =
-  let tag, fields = event_fields r.ev in
+  let id, values = to_values r.ev in
+  let k = kinds.(id) in
   Json.Obj
     (("i", Json.Int r.i)
     :: ("w", Json.Int r.w)
     :: ("ts", Json.Float r.ts)
-    :: ("ev", Json.String tag)
-    :: fields)
+    :: ("ev", Json.String k.tag)
+    :: List.map2 (fun (name, _) v -> (name, json_of_value v)) k.fields values)
 
 let record_to_string r = Json.to_string (record_to_json r)
 
-let decode_error msg = raise (Json.Parse_error msg)
+(* Field [name] of the record object, read as [ty]; an option field may
+   be null or missing. *)
+let field j (name, ty) =
+  let req what conv v =
+    match conv v with
+    | Some x -> x
+    | None -> decode_error ("trace record: missing " ^ what ^ " field " ^ name)
+  in
+  let v = Option.value (Json.member name j) ~default:Json.Null in
+  match ty with
+  | Int -> I (req "int" Json.to_int_opt v)
+  | Float -> F (req "float" Json.to_float_opt v)
+  | Bool -> B (req "bool" Json.to_bool_opt v)
+  | String -> S (req "string" Json.to_string_opt v)
+  | Int_opt -> if v = Json.Null then Absent else I (req "int" Json.to_int_opt v)
+  | Float_opt -> if v = Json.Null then Absent else F (req "float" Json.to_float_opt v)
 
-let req_int j k =
-  match Json.to_int_opt (Option.value (Json.member k j) ~default:Json.Null) with
-  | Some n -> n
-  | None -> decode_error ("trace record: missing int field " ^ k)
-
-let req_float j k =
-  match Json.to_float_opt (Option.value (Json.member k j) ~default:Json.Null) with
-  | Some f -> f
-  | None -> decode_error ("trace record: missing float field " ^ k)
-
-let req_string j k =
-  match Json.to_string_opt (Option.value (Json.member k j) ~default:Json.Null) with
-  | Some s -> s
-  | None -> decode_error ("trace record: missing string field " ^ k)
-
-let req_bool j k =
-  match Json.to_bool_opt (Option.value (Json.member k j) ~default:Json.Null) with
-  | Some b -> b
-  | None -> decode_error ("trace record: missing bool field " ^ k)
-
-let opt_int_of j k =
-  match Json.member k j with
-  | None | Some Json.Null -> None
-  | Some v -> (
-      match Json.to_int_opt v with
-      | Some n -> Some n
-      | None -> decode_error ("trace record: field " ^ k ^ " is not an int"))
-
-let opt_float_of j k =
-  match Json.member k j with
-  | None | Some Json.Null -> None
-  | Some v -> (
-      match Json.to_float_opt v with
-      | Some f -> Some f
-      | None -> decode_error ("trace record: field " ^ k ^ " is not a number"))
-
-let event_of_json j =
-  match req_string j "ev" with
-  | "trace_header" ->
-      let v = req_int j "version" in
-      if v > version then
-        decode_error
-          (Printf.sprintf
-             "trace format version %d is newer than this reader (max %d)" v version);
-      Trace_header { version = v; program = req_string j "program" }
-  | "cell_start" -> Cell_start { key = req_string j "key" }
-  | "cell_finish" ->
-      Cell_finish { key = req_string j "key"; status = req_string j "status" }
-  | "checkpoint_flush" ->
-      Checkpoint_flush { key = req_string j "key"; bytes = req_int j "bytes" }
-  | "worker_start" -> Worker_start { index = req_int j "index" }
-  | "worker_stop" -> Worker_stop { index = req_int j "index"; tasks = req_int j "tasks" }
-  | "game_start" ->
-      Game_start
-        {
-          adversary = req_string j "adversary";
-          algorithm = req_string j "algorithm";
-          n = req_int j "n";
-          max_color_calls = opt_int_of j "max_color_calls";
-          max_work = opt_int_of j "max_work";
-          deadline = opt_float_of j "deadline";
-        }
-  | "game_verdict" ->
-      Game_verdict
-        {
-          adversary = req_string j "adversary";
-          algorithm = req_string j "algorithm";
-          n = req_int j "n";
-          outcome = req_string j "outcome";
-          guaranteed = req_bool j "guaranteed";
-          color_calls = req_int j "color_calls";
-          work = req_int j "work";
-        }
-  | "step" ->
-      Step
-        {
-          executor = req_string j "executor";
-          step = req_int j "step";
-          target = req_int j "target";
-          revealed = req_int j "revealed";
-          max_view = req_int j "max_view";
-        }
-  | "reveal" ->
-      Reveal
-        {
-          executor = req_string j "executor";
-          step = req_int j "step";
-          fresh = req_int j "fresh";
-          revealed = req_int j "revealed";
-        }
-  | "color_call" -> Color_call { calls = req_int j "calls"; work = req_int j "work" }
-  | "audit" ->
-      Audit
-        {
-          executor = req_string j "executor";
-          ok = req_bool j "ok";
-          detail = req_string j "detail";
-        }
-  | "fault_injected" ->
-      Fault_injected { tag = req_string j "tag"; call = req_int j "call" }
-  | "misbehavior" ->
-      Misbehavior { label = req_string j "label"; detail = req_string j "detail" }
-  | "child_spawn" ->
-      Child_spawn
-        { key = req_string j "key"; pid = req_int j "pid"; attempt = req_int j "attempt" }
-  | "child_heartbeat" ->
-      Child_heartbeat { key = req_string j "key"; pid = req_int j "pid" }
-  | "child_kill" ->
-      Child_kill
-        {
-          key = req_string j "key";
-          pid = req_int j "pid";
-          signal = req_string j "signal";
-          elapsed = req_float j "elapsed";
-        }
-  | "child_exit" ->
-      Child_exit
-        {
-          key = req_string j "key";
-          pid = req_int j "pid";
-          status = req_string j "status";
-          cpu_user = req_float j "cpu_user";
-          cpu_sys = req_float j "cpu_sys";
-        }
-  | "cell_retry" ->
-      Cell_retry
-        {
-          key = req_string j "key";
-          attempt = req_int j "attempt";
-          delay = req_float j "delay";
-        }
-  | "cell_quarantined" ->
-      Cell_quarantined
-        {
-          key = req_string j "key";
-          attempts = req_int j "attempts";
-          reason = req_string j "reason";
-        }
-  | "server_start" ->
-      Server_start
-        {
-          socket = req_string j "socket";
-          jobs = req_int j "jobs";
-          queue_limit = req_int j "queue_limit";
-        }
-  | "conn_open" -> Conn_open { conn = req_int j "conn" }
-  | "conn_close" ->
-      Conn_close { conn = req_int j "conn"; reason = req_string j "reason" }
-  | "job_submit" ->
-      Job_submit
-        {
-          id = req_string j "id";
-          kind = req_string j "kind";
-          disposition = req_string j "disposition";
-        }
-  | "job_reject" ->
-      Job_reject
-        { id = req_string j "id"; queued = req_int j "queued"; limit = req_int j "limit" }
-  | "job_start" -> Job_start { id = req_string j "id"; attempt = req_int j "attempt" }
-  | "job_done" -> Job_done { id = req_string j "id"; status = req_string j "status" }
-  | "server_drain" ->
-      Server_drain { queued = req_int j "queued"; running = req_int j "running" }
-  | "chaos_injected" -> Chaos_injected { kind = req_string j "kind" }
-  | "canon_hit" -> Canon_hit { kind = req_string j "kind"; key = req_string j "key" }
-  | "journal_corrupt" ->
-      Journal_corrupt
-        {
-          path = req_string j "path";
-          line = req_int j "line";
-          reason = req_string j "reason";
-        }
-  | "fleet_start" ->
-      Fleet_start
-        {
-          endpoints = req_int j "endpoints";
-          jobs = req_int j "jobs";
-          shard_seed = req_int j "shard_seed";
-        }
-  | "endpoint_state" ->
-      Endpoint_state
-        { endpoint = req_string j "endpoint"; state = req_string j "state" }
-  | "failover" ->
-      Failover
-        { id = req_string j "id"; src = req_string j "src"; dst = req_string j "dst" }
-  | "rebalance" ->
-      Rebalance
-        { moved = req_int j "moved"; src = req_string j "src"; dst = req_string j "dst" }
-  | "fleet_verdict" ->
-      Fleet_verdict
-        {
-          verdict = req_string j "verdict";
-          results = req_int j "results";
-          failovers = req_int j "failovers";
-          duplicates = req_int j "duplicates";
-        }
-  | other -> decode_error ("trace record: unknown event " ^ other)
+let id_of_tag =
+  let t = Hashtbl.create 64 in
+  Array.iteri (fun id k -> Hashtbl.replace t k.tag id) kinds;
+  Hashtbl.find_opt t
 
 let record_of_json j =
-  {
-    i = req_int j "i";
-    w = req_int j "w";
-    ts = req_float j "ts";
-    ev = event_of_json j;
-  }
+  let get name ty = field j (name, ty) in
+  match (get "i" Int, get "w" Int, get "ts" Float, get "ev" String) with
+  | I i, I w, F ts, S tag -> (
+      match id_of_tag tag with
+      | None -> decode_error ("trace record: unknown event " ^ tag)
+      | Some id -> { i; w; ts; ev = of_values id (List.map (field j) kinds.(id).fields) })
+  | _ -> assert false
 
 let read_file path =
   let lines =
@@ -481,7 +432,13 @@ let read_file path =
 
 (* ------------------------------- sink ------------------------------- *)
 
-type sink = { oc : out_channel; mutex : Mutex.t; mutable seq : int; t0 : float }
+type sink = {
+  oc : out_channel;
+  mutex : Mutex.t;
+  mutable seq : int;
+  t0 : float;
+  mutable error : string option;  (** the first I/O error; set once, under [mutex] *)
+}
 
 let sink : sink option Atomic.t = Atomic.make None
 
@@ -493,21 +450,36 @@ let set_hook h = Atomic.set hook h
 
 let on () = Atomic.get sink <> None || Atomic.get hook <> None
 
+let uninstall s =
+  match Atomic.get sink with
+  | Some s' as cur when s' == s -> ignore (Atomic.compare_and_set sink cur None)
+  | _ -> ()
+
+(* Observers never raise into the code they observe: the first I/O
+   error detaches the sink, and its teardown reports the error. *)
+let fail s msg =
+  if s.error = None then s.error <- Some msg;
+  uninstall s
+
 let write s ev =
   (* Whole lines under the mutex: a parallel sweep's workers interleave
      at record granularity, never inside one. *)
   Mutex.protect s.mutex (fun () ->
-      let r =
-        {
-          i = s.seq;
-          w = (Domain.self () :> int);
-          ts = Unix.gettimeofday () -. s.t0;
-          ev;
-        }
-      in
-      s.seq <- s.seq + 1;
-      output_string s.oc (record_to_string r);
-      output_char s.oc '\n')
+      if s.error = None then begin
+        let r =
+          {
+            i = s.seq;
+            w = (Domain.self () :> int);
+            ts = Unix.gettimeofday () -. s.t0;
+            ev;
+          }
+        in
+        s.seq <- s.seq + 1;
+        try
+          output_string s.oc (record_to_string r);
+          output_char s.oc '\n'
+        with Sys_error msg -> fail s msg
+      end)
 
 let emit ev =
   (match Atomic.get sink with None -> () | Some s -> write s ev);
@@ -517,19 +489,35 @@ let detach_in_child () =
   Atomic.set sink None;
   Atomic.set hook None
 
-let with_sink ?(program = Filename.basename Sys.executable_name) ~path f =
-  let oc = open_out_bin path in
-  let s = { oc; mutex = Mutex.create (); seq = 0; t0 = Unix.gettimeofday () } in
-  if not (Atomic.compare_and_set sink None (Some s)) then begin
-    close_out_noerr oc;
-    invalid_arg "Trace.with_sink: a sink is already installed"
-  end;
-  write s (Trace_header { version; program });
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set sink None;
-      close_out_noerr oc)
-    f
+let with_sink ?(program = Filename.basename Sys.executable_name)
+    ?(on_error = fun msg -> raise (Sys_error msg)) ~path f =
+  let nested () = invalid_arg "Trace.with_sink: a sink is already installed" in
+  if Atomic.get sink <> None then nested ();
+  match open_out_bin path with
+  | exception Sys_error msg ->
+      let v = f () in
+      on_error msg;
+      v
+  | oc ->
+      let s =
+        { oc; mutex = Mutex.create (); seq = 0; t0 = Unix.gettimeofday (); error = None }
+      in
+      if not (Atomic.compare_and_set sink None (Some s)) then begin
+        close_out_noerr oc;
+        nested ()
+      end;
+      write s (Trace_header { version; program });
+      let v =
+        Fun.protect
+          ~finally:(fun () ->
+            uninstall s;
+            Mutex.protect s.mutex (fun () ->
+                if s.error = None then (try close_out oc with Sys_error msg -> fail s msg);
+                close_out_noerr oc))
+          f
+      in
+      Option.iter on_error s.error;
+      v
 
-let with_sink_opt ?program path f =
-  match path with None -> f () | Some path -> with_sink ?program ~path f
+let with_sink_opt ?program ?on_error path f =
+  match path with None -> f () | Some path -> with_sink ?program ?on_error ~path f

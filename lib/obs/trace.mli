@@ -11,6 +11,16 @@
     per-worker streams: events with equal [w] are causally ordered), and
     [ts] is seconds since the sink was opened.
 
+    {2 One declaration, two codecs}
+
+    Every event constructor is declared once, in {!kinds}: its NDJSON
+    tag, its binary id (its position in the array) and its ordered,
+    typed fields.  {!store} and {!of_values} map an event to and from
+    its field values; the NDJSON codec here and {!Flight}'s binary
+    codec are generic walkers over that declaration, so adding an event
+    is one constructor, one {!kinds} entry and one line in each mapping.
+    [test/golden/trace_codec.expected] pins both formats' bytes.
+
     {2 Overhead contract}
 
     With no sink installed, {!on} is a single atomic load and {!emit} is
@@ -163,6 +173,59 @@ type event =
 
 type record = { i : int; w : int; ts : float; ev : event }
 
+(** {2 Schema} *)
+
+type ty = Int | Float | Bool | String | Int_opt | Float_opt
+(** A field's type.  An absent option is [null] in NDJSON. *)
+
+type value = I of int | F of float | B of bool | S of string | Absent
+(** A field's value; [Absent] only for an absent option field. *)
+
+type kind = {
+  tag : string;  (** the NDJSON ["ev"] value *)
+  fields : (string * ty) list;  (** names and types, in encoding order *)
+  hot : bool;
+      (** emitted per presentation step or color call ([Step], [Reveal],
+          [Color_call]): most of a trace's records, so consumers may
+          amortize per-event costs over them *)
+}
+
+val kinds : kind array
+(** One entry per constructor of {!event}, in declaration order; an
+    event's binary id is its index. *)
+
+type columns
+(** Preallocated room for the field values of a fixed number of events,
+    one slot each, in unboxed arrays: ints and bools, floats, strings,
+    and presence bytes for option fields. *)
+
+val columns : int -> columns
+(** Room for that many events of any kind. *)
+
+val store : columns -> int -> event -> int
+(** [store c k ev] writes the event's field values into slot [k] and
+    returns its id: the one event-to-values mapping.  It allocates
+    nothing, so the flight ring stores per-step events with it on the
+    hot path. *)
+
+val load : columns -> int -> int -> value list
+(** [load c k id] reads back the values of the event with id [id] held
+    in slot [k]. *)
+
+val to_values : event -> int * value list
+(** The event's id and its field values, in [kinds.(id).fields] order
+    ({!store} then {!load}). *)
+
+val of_values : int -> value list -> event
+(** Inverse of {!to_values}.
+    @raise Json.Parse_error when the values do not fit [kinds.(id)], or
+    on a {!Trace_header} newer than {!version}. *)
+
+val anomalous : event -> bool
+(** Events that mean something went wrong: [Misbehavior],
+    [Cell_quarantined], [Child_kill], [Fault_injected], and [Audit] with
+    [ok = false].  {!Flight} flushes its ring on them. *)
+
 (** {2 Emission} *)
 
 val on : unit -> bool
@@ -187,19 +250,26 @@ val detach_in_child : unit -> unit
     also terminate via [Unix._exit], which skips [at_exit] flushing of
     inherited buffers. *)
 
-val with_sink : ?program:string -> path:string -> (unit -> 'a) -> 'a
+val with_sink :
+  ?program:string -> ?on_error:(string -> unit) -> path:string -> (unit -> 'a) -> 'a
 (** Open [path], write the {!Trace_header}, install the sink for the
     duration of the callback, then flush, close and uninstall — also on
     exception.  Nesting is not supported: a sink installed while another
-    is active raises [Invalid_argument]. *)
+    is active raises [Invalid_argument].
 
-val with_sink_opt : ?program:string -> string option -> (unit -> 'a) -> 'a
+    Observers never raise into the code they observe: the sink catches
+    its own I/O errors, opening [path] included.  The first one detaches
+    it, the callback runs on, and after it returns [on_error] gets the
+    error's message (default: raise [Sys_error]).  If the callback
+    raises, its exception wins and [on_error] is not called. *)
+
+val with_sink_opt :
+  ?program:string -> ?on_error:(string -> unit) -> string option -> (unit -> 'a) -> 'a
 (** [with_sink_opt None f] is [f ()]; [with_sink_opt (Some path) f] is
     [with_sink ~path f] — the shape every [--trace FILE] flag needs. *)
 
 (** {2 Codec} *)
 
-val record_to_json : record -> Json.t
 val record_to_string : record -> string
 (** One canonical NDJSON line, without the trailing newline. *)
 

@@ -24,7 +24,6 @@ type t = {
   name : string;
   description : string;
   play :
-    ?bulk:bool ->
     ?paranoid:bool ->
     ?memo:bool ->
     ?limits:G.limits ->
@@ -148,7 +147,7 @@ let thm1 =
     name = "thm1-grid";
     description = "Lemma 3.6 + cycle closure on an n x n simple grid";
     play =
-      (fun ?(bulk = false) ?(paranoid = false) ?(memo = false) ?limits ~n algorithm ->
+      (fun ?(paranoid = false) ?(memo = false) ?limits ~n algorithm ->
         let t = algorithm.Models.Algorithm.locality ~n:(n * n) in
         let k = max 1 (Thm1_adversary.recommended_k ~n_side:n ~t) in
         let ctx = memo_ctx ~memo algorithm in
@@ -156,9 +155,8 @@ let thm1 =
           ~guaranteed:(Thm1_adversary.guaranteed ~t ~k) algorithm
           (fun guarded ->
             let r =
-              Thm1_adversary.run ~bulk ?memo:ctx
-                ~validate:(paranoid && not bulk)
-                ~n_side:n ~k ~algorithm:guarded ()
+              Thm1_adversary.run ?memo:ctx ~validate:paranoid ~n_side:n ~k
+                ~algorithm:guarded ()
             in
             (r.Thm1_adversary.result, Format.asprintf "%a" Thm1_adversary.pp_report r)));
   }
@@ -168,7 +166,7 @@ let thm2 wrap name =
     name;
     description = "two-row b-value attack on an n x n wrapped grid (n rounded to odd)";
     play =
-      (fun ?(bulk = false) ?paranoid:_ ?(memo = false) ?limits ~n algorithm ->
+      (fun ?paranoid:_ ?(memo = false) ?limits ~n algorithm ->
         let side = if n mod 2 = 0 then n + 1 else n in
         let rounding =
           if side <> n then
@@ -181,7 +179,7 @@ let thm2 wrap name =
           referee ?limits ?memo:ctx ~adversary:name ~n:side ~guaranteed:false algorithm
             (fun guarded ->
               let report =
-                Thm2_adversary.run ~bulk ?memo:ctx ~wrap ~side ~algorithm:guarded ()
+                Thm2_adversary.run ?memo:ctx ~wrap ~side ~algorithm:guarded ()
               in
               r := Some report;
               ( report.Thm2_adversary.result,
@@ -203,7 +201,7 @@ let thm3 =
     name = "thm3-gadgets";
     description = "gadget seam attack on a chain of n gadgets (k = 3)";
     play =
-      (fun ?(bulk = false) ?paranoid:_ ?(memo = false) ?limits ~n algorithm ->
+      (fun ?paranoid:_ ?(memo = false) ?limits ~n algorithm ->
         let gadgets = max 3 n in
         let ctx = memo_ctx ~memo algorithm in
         let r = ref None in
@@ -211,7 +209,7 @@ let thm3 =
           referee ?limits ?memo:ctx ~adversary:"thm3-gadgets" ~n:gadgets ~guaranteed:false
             algorithm (fun guarded ->
               let report =
-                Thm3_adversary.run ~bulk ?memo:ctx ~k:3 ~gadgets ~algorithm:guarded ()
+                Thm3_adversary.run ?memo:ctx ~k:3 ~gadgets ~algorithm:guarded ()
               in
               r := Some report;
               ( report.Thm3_adversary.result,
@@ -235,7 +233,7 @@ let upper ~with_oracle name description =
     name;
     description;
     play =
-      (fun ?(bulk = false) ?paranoid:_ ?(memo = false) ?limits ~n algorithm ->
+      (fun ?paranoid:_ ?(memo = false) ?limits ~n algorithm ->
         let side = max 4 n in
         let grid = Topology.Grid2d.(create Simple ~rows:side ~cols:side) in
         let host = Topology.Grid2d.graph grid in
@@ -249,7 +247,7 @@ let upper ~with_oracle name description =
         referee ?limits ?memo:ctx ~adversary:name ~n:side ~guaranteed:false algorithm
           (fun guarded ->
             let outcome =
-              Models.Fixed_host.run ~bulk ?memo:ctx ?oracle ~hints ~host ~palette:3
+              Models.Fixed_host.run ?memo:ctx ?oracle ~hints ~host ~palette:3
                 ~algorithm:guarded ~order ()
             in
             ( (match outcome.Models.Run_stats.violation with

@@ -41,7 +41,6 @@ type t = {
   name : string;
   description : string;
   play :
-    ?bulk:bool ->
     ?paranoid:bool ->
     ?memo:bool ->
     ?limits:Harness.Guard.limits ->
@@ -52,12 +51,7 @@ type t = {
           gadget count) — see {!val-games}.  [~paranoid:true] replays the
           Theorem 1 transcript through {!Virtual_grid.validate}; an audit
           failure surfaces as {!Adversary_fault} with a
-          [Dishonest_transcript] certificate.  [~bulk:true] is the
-          campaign fast path: per-step trace/metrics event construction
-          is skipped in the executors and the paranoid re-audit is
-          forced off.  Bulk cannot change the verdict — it only elides
-          observability work whose inputs are already determined by the
-          transcript (asserted over the E7 fault matrix in the tests).
+          [Dishonest_transcript] certificate.
           [~memo:true] routes the executors through the
           {!Canon.Memo} step cache: color calls of [pure] algorithms
           whose observable history matches an earlier run on this

@@ -148,13 +148,13 @@ let total_span vg frames =
       (max w (chi - clo + 1), h + (rhi - rlo + 1) + 2))
     (0, 0) frames
 
-let run ?(bulk = false) ?memo ?(endgame = true) ?(validate = false)
+let run ?memo ?(endgame = true) ?(validate = false)
     ?(snapshot = false) ?dims ~n_side ~k ~algorithm () =
   let rows, cols = match dims with Some d -> d | None -> (n_side, n_side) in
   let n_total = rows * cols in
   let radius = algorithm.Models.Algorithm.locality ~n:n_total in
   let vg =
-    Vg.create ~bulk ?memo ~palette:3 ~n_total ~radius ~algorithm ()
+    Vg.create ?memo ~palette:3 ~n_total ~radius ~algorithm ()
   in
   let render_window frame ~row_range ~col_range =
     Topology.Render.region ~rows:row_range ~cols:col_range (fun r c ->

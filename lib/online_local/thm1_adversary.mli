@@ -36,7 +36,6 @@ type report = {
 val pp_report : Format.formatter -> report -> unit
 
 val run :
-  ?bulk:bool ->
   ?memo:Canon.Memo.ctx ->
   ?endgame:bool ->
   ?validate:bool ->
@@ -56,9 +55,7 @@ val run :
     [~endgame:false] stops after the path construction (useful for
     measuring forced b-values at scale without paying for the rectangle
     fill).  [~validate:true] replays the transcript through
-    {!Virtual_grid.validate} — quadratic, tests only.  [~bulk:true] is
-    forwarded to {!Virtual_grid.create}: per-step observability events
-    are skipped, the report is unchanged. *)
+    {!Virtual_grid.validate} — quadratic, tests only. *)
 
 val recommended_k : n_side:int -> t:int -> int
 (** The largest b-value target whose construction (path plus endgame

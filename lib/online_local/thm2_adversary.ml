@@ -57,7 +57,7 @@ let row_cycle_b_rect coloring ~cols ~row ~east =
 
 let row_cycle_b coloring ~side ~row ~east = row_cycle_b_rect coloring ~cols:side ~row ~east
 
-let run_rect ?(bulk = false) ?memo ~wrap ~rows ~cols ~algorithm () =
+let run_rect ?memo ~wrap ~rows ~cols ~algorithm () =
   let n = rows * cols in
   let t = algorithm.Models.Algorithm.locality ~n in
   (* Odd columns make the row b-values odd; 4T+4 rows leave room for two
@@ -90,7 +90,7 @@ let run_rect ?(bulk = false) ?memo ~wrap ~rows ~cols ~algorithm () =
   in
   let full_order = prefix @ rest in
   let run_on host order =
-    Models.Fixed_host.run ~bulk ?memo ~host ~palette:3 ~algorithm ~order ()
+    Models.Fixed_host.run ?memo ~host ~palette:3 ~algorithm ~order ()
   in
   if not preconditions_met then
     (* The attack is only guaranteed above the threshold; still play the
@@ -153,5 +153,5 @@ let run_rect ?(bulk = false) ?memo ~wrap ~rows ~cols ~algorithm () =
     }
   end
 
-let run ?bulk ?memo ~wrap ~side ~algorithm () =
-  run_rect ?bulk ?memo ~wrap ~rows:side ~cols:side ~algorithm ()
+let run ?memo ~wrap ~side ~algorithm () =
+  run_rect ?memo ~wrap ~rows:side ~cols:side ~algorithm ()

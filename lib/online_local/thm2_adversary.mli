@@ -41,7 +41,6 @@ val variant_host :
     grid.  Exposed for the isomorphism tests. *)
 
 val run :
-  ?bulk:bool ->
   ?memo:Canon.Memo.ctx ->
   wrap:[ `Cylindrical | `Toroidal ] ->
   side:int ->
@@ -50,8 +49,7 @@ val run :
   report
 (** Play the adversary on a [side x side] grid ([side] odd).  Probes the
     two rows on the plain host, selects the variant, replays in full,
-    and audits the outcome.  [~bulk:true] is forwarded to the executor
-    (per-step observability skipped; report unchanged). *)
+    and audits the outcome. *)
 
 val row_cycle_b : Colorings.Coloring.t -> side:int -> row:int -> east:bool -> int
 (** b-value of the directed cycle along one row of a [side x side]
@@ -64,7 +62,6 @@ val variant_host_rect :
 (** Rectangular generalization of {!variant_host}. *)
 
 val run_rect :
-  ?bulk:bool ->
   ?memo:Canon.Memo.ctx ->
   wrap:[ `Cylindrical | `Toroidal ] ->
   rows:int ->

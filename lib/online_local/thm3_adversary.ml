@@ -24,7 +24,7 @@ let pp_report ppf r =
     (match r.last_class with None -> "-" | Some c -> class_name c)
     r.seam_used r.presented r.preconditions_met
 
-let run ?(bulk = false) ?memo ~k ~gadgets ~algorithm () =
+let run ?memo ~k ~gadgets ~algorithm () =
   if k < 3 then invalid_arg "thm3: k must be >= 3";
   if gadgets < 3 then invalid_arg "thm3: need at least 3 gadgets";
   let n = gadgets * k * k in
@@ -54,7 +54,7 @@ let run ?(bulk = false) ?memo ~k ~gadgets ~algorithm () =
       let g, i, j = Topology.Gadget.coords chain v in
       Some (Models.View.Gadget_pos { frame = 0; gadget = g; row = i; col = j })
     in
-    Models.Fixed_host.run ~bulk ?memo ~hints
+    Models.Fixed_host.run ?memo ~hints
       ~host:(Topology.Gadget.graph chain)
       ~palette ~algorithm ~order ()
   in

@@ -27,7 +27,6 @@ type report = {
 val pp_report : Format.formatter -> report -> unit
 
 val run :
-  ?bulk:bool ->
   ?memo:Canon.Memo.ctx ->
   k:int ->
   gadgets:int ->
@@ -35,8 +34,6 @@ val run :
   unit ->
   report
 (** Play the adversary on a chain of [gadgets] gadgets of side [k]
-    (so [n = gadgets * k^2]) with palette [2k - 2].  [~bulk:true] is
-    forwarded to the executor (per-step observability skipped; report
-    unchanged).
+    (so [n = gadgets * k^2]) with palette [2k - 2].
     @raise Invalid_argument if [k < 3] (with [k = 2] the palette would
     have 2 colors and the instance is degenerate) or [gadgets < 3]. *)

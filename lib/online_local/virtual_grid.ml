@@ -14,7 +14,6 @@ type t = {
   palette : int;
   n_total : int;
   radius : int;
-  bulk : bool;  (* skip per-step trace/metrics event construction *)
   memo : Canon.Memo.ctx option;
   region : Grid_graph.Dyn_graph.t;
   mutable coords : int array;  (* handle -> current packed frame coords *)
@@ -30,7 +29,7 @@ type t = {
   mutable first_violation : Models.Run_stats.violation option;
 }
 
-let create ?(bulk = false) ?memo ~palette ~n_total ~radius ~algorithm () =
+let create ?memo ~palette ~n_total ~radius ~algorithm () =
   (* The chain starts from everything that shapes views besides the
      presentation history itself; equal chains then certify identical
      observable histories (see lib/canon/README.md). *)
@@ -45,7 +44,6 @@ let create ?(bulk = false) ?memo ~palette ~n_total ~radius ~algorithm () =
       palette;
       n_total;
       radius;
-      bulk;
       memo;
       region = Grid_graph.Dyn_graph.create ();
       coords = Array.make 64 0;
@@ -192,7 +190,7 @@ let present t f ~row ~col =
   in
   Bytes.set t.presented target '\001';
   t.targets <- target :: t.targets;
-  if (not t.bulk) && Obs.Trace.on () then begin
+  if Obs.Trace.on () then begin
     Obs.Trace.emit
       (Obs.Trace.Reveal
          {
@@ -213,7 +211,7 @@ let present t f ~row ~col =
            max_view = Grid_graph.Dyn_graph.n t.region;
          })
   end;
-  if (not t.bulk) && Obs.Metrics.on () then begin
+  if Obs.Metrics.on () then begin
     Obs.Metrics.incr "virtual_grid.presented";
     Obs.Metrics.add "virtual_grid.revealed" (List.length new_nodes);
     Obs.Metrics.gauge_max "virtual_grid.max_view" (Grid_graph.Dyn_graph.n t.region)

@@ -44,7 +44,6 @@ type t
 type frame
 
 val create :
-  ?bulk:bool ->
   ?memo:Canon.Memo.ctx ->
   palette:int ->
   n_total:int ->
@@ -54,9 +53,7 @@ val create :
   t
 (** [radius] is the ball radius revealed per presentation (the
     algorithm's locality, plus its oracle radius if any — the built-in
-    algorithms attacked here carry none).  [bulk] (default [false])
-    skips per-step trace and metrics event construction; it cannot
-    change colors, violations, or honesty checks.  [memo] enables the
+    algorithms attacked here carry none).  [memo] enables the
     step cache: every observable input (presentations, merges,
     reflections) and every answer is folded into the context's chain
     digest, and color calls whose chain key was already answered in an

@@ -24,11 +24,6 @@ type t = {
 
 let always_available () = Ok ()
 
-(* Campaign fast path for the game targets: set once at startup (before
-   any worker domains or forked children exist), read per case. *)
-let bulk_mode = Atomic.make false
-let set_bulk b = Atomic.set bulk_mode b
-
 (* ------------------------------------------------------------------ *)
 (* proper-vs-brute                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -176,8 +171,7 @@ let game_prop game c =
     | Some (_, inject) -> inject c.algorithm
   in
   let v =
-    game.Game.play ~bulk:(Atomic.get bulk_mode) ~limits:fuzz_limits ~n:c.n
-      algorithm
+    game.Game.play ~limits:fuzz_limits ~n:c.n algorithm
   in
   let flag_consistent =
     v.Game.defeated = (match v.Game.outcome with Game.Defeated -> true | _ -> false)
@@ -759,22 +753,14 @@ let wire_codec =
 (* view-incremental                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Differential for the incremental executor core.  Three executions of
-   the same (host, algorithm, order) triple are compared step by step:
-
-   - the real {!Models.Fixed_host} executor (incremental
-     {!Grid_graph.Bfs.Frontier} reveals, flat handle map, packed
-     presented set), bulk off;
-   - the same executor with [~bulk:true];
-   - a reference replay of the pre-incremental reveal rule from first
-     principles: per presented node, a batch [Bfs.ball] over the whole
-     host filtered against the revealed-so-far set.
-
-   Per step the fresh host-node list (order included — handle
-   numbering is observable through greedy first-fit) and the answered
-   color must agree across all three; the whole-run [run] outcomes
-   (counters, violation shape, coloring) must agree bulk-on vs
-   bulk-off. *)
+(* Differential for the incremental executor core: the real
+   {!Models.Fixed_host} executor (incremental {!Grid_graph.Bfs.Frontier}
+   reveals, flat handle map, packed presented set) against a reference
+   replay of the pre-incremental reveal rule from first principles — per
+   presented node, a batch [Bfs.ball] over the whole host filtered
+   against the revealed-so-far set.  Per step the fresh host-node list
+   must agree, order included: handle numbering is observable through
+   greedy first-fit. *)
 
 let view_incremental =
   let gen =
@@ -797,8 +783,8 @@ let view_incremental =
        nodes in handle order, answered color).  Stops where [run]
        stops — on the first out-of-palette answer (an algorithm raise
        surfaces as color -1). *)
-    let transcript ~bulk =
-      let t = Models.Fixed_host.start ~bulk ~host ~palette ~algorithm () in
+    let transcript =
+      let t = Models.Fixed_host.start ~host ~palette ~algorithm () in
       let steps = ref [] in
       let stop = ref false in
       List.iter
@@ -819,55 +805,27 @@ let view_incremental =
         order;
       List.rev !steps
     in
-    let base = transcript ~bulk:false in
-    let bulk = transcript ~bulk:true in
     (* Reference reveal bookkeeping, replayed over the real transcript's
        steps: batch ball minus already-revealed, both in ascending host
        order. *)
     let revealed = Hashtbl.create 64 in
-    let reference_agrees =
-      List.for_all
-        (fun (v, fresh, _) ->
-          let expect =
-            List.filter
-              (fun u -> not (Hashtbl.mem revealed u))
-              (Grid_graph.Bfs.ball host [ v ] radius)
-          in
-          List.iter (fun u -> Hashtbl.replace revealed u ()) expect;
-          fresh = expect)
-        base
-    in
-    let outcome bulk =
-      Models.Fixed_host.run ~bulk ~host ~palette ~algorithm ~order ()
-    in
-    let o1 = outcome false and o2 = outcome true in
-    let stats (o : Models.Run_stats.outcome) =
-      (o.presented, o.revealed, o.max_view_size)
-    in
-    let violation_shape (o : Models.Run_stats.outcome) =
-      match o.violation with
-      | None -> "none"
-      | Some (Models.Run_stats.Monochromatic_edge (u, v)) ->
-          Printf.sprintf "mono:%d-%d" u v
-      | Some (Models.Run_stats.Palette_overflow { node; color }) ->
-          Printf.sprintf "overflow:%d:%d" node color
-      | Some (Models.Run_stats.Repeated_presentation v) ->
-          Printf.sprintf "repeat:%d" v
-      | Some (Models.Run_stats.Algorithm_failure { node; message; _ }) ->
-          Printf.sprintf "fail:%d:%s" node message
-    in
-    reference_agrees && base = bulk
-    && stats o1 = stats o2
-    && violation_shape o1 = violation_shape o2
-    && Coloring.to_array o1.Models.Run_stats.coloring
-       = Coloring.to_array o2.Models.Run_stats.coloring
+    List.for_all
+      (fun (v, fresh, _) ->
+        let expect =
+          List.filter
+            (fun u -> not (Hashtbl.mem revealed u))
+            (Grid_graph.Bfs.ball host [ v ] radius)
+        in
+        List.iter (fun u -> Hashtbl.replace revealed u ()) expect;
+        fresh = expect)
+      transcript
   in
   {
     name = "view-incremental";
     doc =
       "Fixed_host executor differential: incremental Frontier reveals vs a \
-       batch ball-and-filter reference, and bulk vs non-bulk, agree on every \
-       per-step fresh-node list, color, counter and violation";
+       batch ball-and-filter reference agree on every per-step fresh-node \
+       list";
     serial = false;
     max_cases = None;
     available = always_available;
@@ -939,8 +897,7 @@ let canon_relabel =
           run =
             (fun () ->
               Format.asprintf "%a" Game.pp_verdict
-                (Game.thm1.Game.play ~bulk:(Atomic.get bulk_mode) ~memo:true
-                   ~n:12 algorithm));
+                (Game.thm1.Game.play ~memo:true ~n:12 algorithm));
         })
       [
         ("greedy", Online_local.Portfolio.greedy ());

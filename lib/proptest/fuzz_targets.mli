@@ -30,9 +30,8 @@
        declared length can never drive an allocation;}
     {- [view-incremental] — the {!Models.Fixed_host} executor core:
        incremental {!Grid_graph.Bfs.Frontier} reveals against a batch
-       ball-and-filter reference, and bulk against non-bulk, must agree
-       on every per-step fresh-node list, answered color, run counter,
-       violation and final coloring;}
+       ball-and-filter reference must agree on every per-step fresh-node
+       list;}
     {- [demo-bug] — a deliberately broken property (list sums stay
        below 100), armed only when [FUZZ_DEMO_BUG=1]: the CI probe that
        shrinking and replay actually work end-to-end.}} *)
@@ -59,13 +58,6 @@ type t = {
       (** [Error reason] skips the target (reported, not failed) *)
   packed : packed;
 }
-
-val set_bulk : bool -> unit
-(** Play the game targets' cases with [~bulk:true] (the executor fast
-    path).  Set once at startup, before any worker domains or supervised
-    children exist.  Verdicts are identical either way — this exists so
-    long fuzz campaigns can spend their budget on cases instead of
-    per-step trace events, and so CI can fuzz both paths. *)
 
 val all : t list
 (** Every target, [demo-bug] included. *)

@@ -10,13 +10,13 @@ let check_bool = Alcotest.(check bool)
    cell key format is a wire-protocol break, not a cosmetic edit. *)
 let test_pinned_keys () =
   let c1 =
-    Jobs_catalog.thm1_cell ~bulk:false ~validate:false ~t:2 ~k:7 ~side:120
+    Jobs_catalog.thm1_cell ~validate:false ~t:2 ~k:7 ~side:120
       ~algo:"greedy" ()
   in
   check_string "thm1 key" "t=2 k=7 side=120 algo=greedy" c1.Harness.Sweep.key;
-  let c2 = Jobs_catalog.thm2_cell ~bulk:false ~side:9 ~wrap:"torus" ~algo:"greedy" () in
+  let c2 = Jobs_catalog.thm2_cell ~side:9 ~wrap:"torus" ~algo:"greedy" () in
   check_string "thm2 key" "wrap=torus side=9 algo=greedy" c2.Harness.Sweep.key;
-  let c3 = Jobs_catalog.thm3_cell ~bulk:false ~k:3 ~gadgets:4 ~algo:"greedy" () in
+  let c3 = Jobs_catalog.thm3_cell ~k:3 ~gadgets:4 ~algo:"greedy" () in
   check_string "thm3 key" "k=3 gadgets=4 algo=greedy" c3.Harness.Sweep.key
 
 (* A job whose payload is a sweep cell's key produces the cell's exact
@@ -25,15 +25,15 @@ let test_catalog_matches_sweep_cells () =
   let pairs =
     [
       ( "thm1",
-        Jobs_catalog.thm1_cell ~bulk:false ~validate:false ~t:1 ~k:5 ~side:60
+        Jobs_catalog.thm1_cell ~validate:false ~t:1 ~k:5 ~side:60
           ~algo:"greedy" () );
       ( "thm1",
-        Jobs_catalog.thm1_cell ~bulk:false ~validate:false ~t:2 ~k:6 ~side:60
+        Jobs_catalog.thm1_cell ~validate:false ~t:2 ~k:6 ~side:60
           ~algo:"ael" () );
-      ("thm2", Jobs_catalog.thm2_cell ~bulk:false ~side:9 ~wrap:"torus" ~algo:"greedy" ());
+      ("thm2", Jobs_catalog.thm2_cell ~side:9 ~wrap:"torus" ~algo:"greedy" ());
       ( "thm2",
-        Jobs_catalog.thm2_cell ~bulk:false ~side:7 ~wrap:"cylinder" ~algo:"greedy" () );
-      ("thm3", Jobs_catalog.thm3_cell ~bulk:false ~k:3 ~gadgets:4 ~algo:"gadget-rows" ());
+        Jobs_catalog.thm2_cell ~side:7 ~wrap:"cylinder" ~algo:"greedy" () );
+      ("thm3", Jobs_catalog.thm3_cell ~k:3 ~gadgets:4 ~algo:"gadget-rows" ());
     ]
   in
   List.iter
@@ -45,19 +45,16 @@ let test_catalog_matches_sweep_cells () =
       check_string (kind ^ " " ^ cell.Harness.Sweep.key) local dispatched)
     pairs
 
-(* Bulk and memo are execution strategies, not semantics: every
-   combination yields the plain cell's bytes. *)
+(* Memo is an execution strategy, not semantics: a cold and a warmed
+   memo cell yield the plain cell's bytes. *)
 let test_cell_variants_agree () =
-  let base ~bulk ~memo =
-    (Jobs_catalog.thm1_cell ~memo ~bulk ~validate:false ~t:1 ~k:5 ~side:60
-       ~algo:"stripes" ())
+  let base ~memo =
+    (Jobs_catalog.thm1_cell ~memo ~validate:false ~t:1 ~k:5 ~side:60 ~algo:"stripes" ())
       .Harness.Sweep.run ()
   in
-  let plain = base ~bulk:false ~memo:false in
-  check_string "bulk" plain (base ~bulk:true ~memo:false);
-  check_string "memo" plain (base ~bulk:false ~memo:true);
-  check_string "memo warmed" plain (base ~bulk:false ~memo:true);
-  check_string "bulk+memo" plain (base ~bulk:true ~memo:true)
+  let plain = base ~memo:false in
+  check_string "memo" plain (base ~memo:true);
+  check_string "memo warmed" plain (base ~memo:true)
 
 (* Pinned result prefix: the report layout itself is part of what the
    server replays to historical clients. *)
@@ -102,7 +99,7 @@ let () =
           Alcotest.test_case "pinned cell keys" `Quick test_pinned_keys;
           Alcotest.test_case "catalog = sweep cells" `Quick
             test_catalog_matches_sweep_cells;
-          Alcotest.test_case "bulk/memo variants agree" `Quick
+          Alcotest.test_case "memo variants agree" `Quick
             test_cell_variants_agree;
           Alcotest.test_case "pinned result shape" `Quick
             test_pinned_result_shape;

@@ -1,6 +1,6 @@
 (* The flight recorder: binary codec roundtrip over the whole event
    vocabulary, anomaly-triggered flushing, the teardown tail flush, ring
-   capacity, and the format sniff trace_report uses. *)
+   capacity, write failures, and the format sniff trace_report uses. *)
 
 module T = Obs.Trace
 module F = Obs.Flight
@@ -15,70 +15,7 @@ let with_temp_file suffix f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-(* One event per constructor, with field values exercising negatives,
-   zeros, options, floats and embedded newlines/NULs in strings. *)
-let all_events : T.event list =
-  [
-    T.Trace_header { version = T.version; program = "test" };
-    T.Cell_start { key = "k space\ttab" };
-    T.Cell_finish { key = "k"; status = "ok" };
-    T.Checkpoint_flush { key = "k"; bytes = 0 };
-    T.Worker_start { index = 3 };
-    T.Worker_stop { index = 3; tasks = 17 };
-    T.Game_start
-      {
-        adversary = "thm1-grid";
-        algorithm = "greedy";
-        n = 400;
-        max_color_calls = Some 12;
-        max_work = None;
-        deadline = Some 1.5;
-      };
-    T.Game_verdict
-      {
-        adversary = "thm1-grid";
-        algorithm = "greedy";
-        n = 400;
-        outcome = "DEFEATED";
-        guaranteed = true;
-        color_calls = 41;
-        work = 1234;
-      };
-    T.Step
-      { executor = "virtual_grid"; step = 7; target = -1; revealed = 99;
-        max_view = 99 };
-    T.Reveal { executor = "virtual_grid"; step = 7; fresh = 4; revealed = 99 };
-    T.Color_call { calls = 1; work = 0 };
-    T.Audit { executor = "fixed_host"; ok = true; detail = "fine" };
-    T.Fault_injected { tag = "flip"; call = 9 };
-    T.Misbehavior { label = "budget"; detail = "line1\nline2\x00nul" };
-    T.Child_spawn { key = "cell"; pid = 4242; attempt = 2 };
-    T.Child_heartbeat { key = "cell"; pid = 4242 };
-    T.Child_kill { key = "cell"; pid = 4242; signal = "KILL"; elapsed = 0.25 };
-    T.Child_exit
-      { key = "cell"; pid = 4242; status = "signaled 9"; cpu_user = 0.5;
-        cpu_sys = 0.125 };
-    T.Cell_retry { key = "cell"; attempt = 1; delay = 0.0625 };
-    T.Cell_quarantined { key = "cell"; attempts = 3; reason = "kept dying" };
-    T.Server_start { socket = "/tmp/x.sock"; jobs = 2; queue_limit = 64 };
-    T.Conn_open { conn = 11 };
-    T.Conn_close { conn = 11; reason = "eof" };
-    T.Job_submit { id = "abc123"; kind = "thm1"; disposition = "queued" };
-    T.Job_reject { id = "abc123"; queued = 64; limit = 64 };
-    T.Job_start { id = "abc123"; attempt = 0 };
-    T.Job_done { id = "abc123"; status = "done" };
-    T.Server_drain { queued = 0; running = 2 };
-    T.Chaos_injected { kind = "close" };
-    T.Canon_hit { kind = "color"; key = "h\x00ash" };
-    T.Journal_corrupt { path = "/tmp/j.journal"; line = 3; reason = "crc 0 != 1" };
-    T.Fleet_start { endpoints = 3; jobs = 16; shard_seed = 42 };
-    T.Endpoint_state { endpoint = "tcp:7001"; state = "breaker_open" };
-    T.Failover { id = "abc123"; src = "/tmp/a.sock"; dst = "tcp:7001" };
-    T.Rebalance { moved = 5; src = "tcp:7001"; dst = "/tmp/a.sock" };
-    T.Fleet_verdict
-      { verdict = "DEGRADED (endpoint tcp:7001 unreachable)"; results = 12;
-        failovers = 2; duplicates = 1 };
-  ]
+let all_events = Trace_fixture.all_events
 
 (* Decoded records minus the leading file-header frame. *)
 let recorded path =
@@ -123,11 +60,11 @@ let test_anomaly_flush_and_tail () =
   F.with_sink ~program:"test" ~path (fun () ->
       T.emit (T.Color_call { calls = 1; work = 1 });
       check_bool "anomalous" true
-        (F.anomalous (T.Misbehavior { label = "l"; detail = "d" }));
+        (T.anomalous (T.Misbehavior { label = "l"; detail = "d" }));
       check_bool "audit ok not anomalous" false
-        (F.anomalous (T.Audit { executor = "x"; ok = true; detail = "" }));
+        (T.anomalous (T.Audit { executor = "x"; ok = true; detail = "" }));
       check_bool "audit failure anomalous" true
-        (F.anomalous (T.Audit { executor = "x"; ok = false; detail = "" }));
+        (T.anomalous (T.Audit { executor = "x"; ok = false; detail = "" }));
       T.emit (T.Misbehavior { label = "l"; detail = "d" });
       (* Everything up to the anomaly is on disk before the sink ends. *)
       check_int "flushed through the anomaly" 2
@@ -173,6 +110,25 @@ let test_is_flight_file () =
   check_bool "flight file" true (F.is_flight_file flight);
   check_bool "ndjson file" false (F.is_flight_file ndjson);
   check_bool "missing file" false (F.is_flight_file "/nonexistent/x.flight")
+
+(* /dev/full fails the header write: the recorder detaches, emits
+   (anomalies included, which would flush) return, and teardown reports
+   the error. *)
+let test_full_disk_detaches () =
+  (match
+     F.with_sink ~program:"test" ~path:"/dev/full" (fun () ->
+         List.iter T.emit all_events;
+         check_bool "recorder detached" false (F.on ());
+         F.flush ())
+   with
+  | () -> Alcotest.fail "teardown did not report the write error"
+  | exception Sys_error _ -> ());
+  check_bool "hook removed" false (T.on ());
+  let errors = ref 0 in
+  F.with_sink ~program:"test" ~path:"/dev/full"
+    ~on_error:(fun _ -> incr errors)
+    (fun () -> T.emit (T.Misbehavior { label = "l"; detail = "d" }));
+  check_int "one error reported" 1 !errors
 
 let test_read_rejects_corruption () =
   with_temp_file ".flight" @@ fun path ->
@@ -228,6 +184,7 @@ let () =
             test_anomaly_flush_and_tail;
           Alcotest.test_case "ring capacity" `Quick test_ring_capacity;
           Alcotest.test_case "incremental flush" `Quick test_flush_is_incremental;
+          Alcotest.test_case "full disk detaches" `Quick test_full_disk_detaches;
         ] );
       ( "sniff",
         [ Alcotest.test_case "is_flight_file" `Quick test_is_flight_file ] );

@@ -271,22 +271,6 @@ let test_fault_matrix () =
       check_string (Printf.sprintf "%s x %s" eg ef) eo ao)
     expected_matrix actual
 
-(* The bulk contract: the executor fast path elides per-step trace and
-   metrics events and the paranoid re-audit, and changes nothing else.
-   Quantified here over the whole E7 matrix — every game crossed with
-   every fault class — the strongest equivalence the repo's own
-   infrastructure can state in one call. *)
-let test_fault_matrix_bulk_equivalent () =
-  let baseline = Experiments.fault_matrix () in
-  let bulk = Experiments.fault_matrix ~bulk:true () in
-  check_int "matrix size" (List.length baseline) (List.length bulk);
-  List.iter2
-    (fun (bg, bf, bo) (kg, kf, ko) ->
-      check_string (Printf.sprintf "%s/%s game" bg bf) bg kg;
-      check_string (Printf.sprintf "%s/%s fault" bg bf) bf kf;
-      check_string (Printf.sprintf "%s x %s bulk" bg bf) bo ko)
-    baseline bulk
-
 (* ------------------------------ sweep ------------------------------ *)
 
 let with_temp_checkpoint f =
@@ -775,8 +759,6 @@ let () =
       ( "matrix",
         [
           Alcotest.test_case "fault matrix pinned" `Slow test_fault_matrix;
-          Alcotest.test_case "fault matrix bulk-equivalent" `Slow
-            test_fault_matrix_bulk_equivalent;
         ] );
       ( "misbehavior",
         [ Alcotest.test_case "pp pinned" `Quick test_misbehavior_pp_pinned ] );

@@ -277,8 +277,7 @@ let memo_cells ~memo () =
     (fun t ->
       List.map
         (fun algo ->
-          Jobs_catalog.thm1_cell ~memo ~bulk:false ~validate:false ~t ~k:5
-            ~side:60 ~algo ())
+          Jobs_catalog.thm1_cell ~memo ~validate:false ~t ~k:5 ~side:60 ~algo ())
         [ "greedy"; "stripes" ])
     [ 1; 2 ]
 

@@ -79,48 +79,21 @@ let test_json_accessors () =
 
 (* --------------------------- trace codec --------------------------- *)
 
-(* One of each event variant: the codec round-trip must cover the whole
-   type, so adding an event without a decoder breaks this test. *)
-let all_events =
-  [
-    T.Trace_header { version = T.version; program = "test" };
-    T.Cell_start { key = "t=1 k=6" };
-    T.Cell_finish { key = "t=1 k=6"; status = "ok" };
-    T.Checkpoint_flush { key = "t=1 k=6"; bytes = 41 };
-    T.Worker_start { index = 2 };
-    T.Worker_stop { index = 2; tasks = 7 };
-    T.Game_start
-      {
-        adversary = "thm1-grid";
-        algorithm = "greedy";
-        n = 40;
-        max_color_calls = Some 100;
-        max_work = None;
-        deadline = Some 1.5;
-      };
-    T.Game_verdict
-      {
-        adversary = "thm1-grid";
-        algorithm = "greedy";
-        n = 40;
-        outcome = "DEFEATED";
-        guaranteed = true;
-        color_calls = 17;
-        work = 990;
-      };
-    T.Step { executor = "virtual_grid"; step = 3; target = 12; revealed = 30; max_view = 30 };
-    T.Reveal { executor = "virtual_grid"; step = 3; fresh = 5; revealed = 30 };
-    T.Color_call { calls = 17; work = 990 };
-    T.Audit { executor = "fixed_host"; ok = false; detail = "monochromatic edge 0 -- 1" };
-    T.Fault_injected { tag = "wrong-color"; call = 4 };
-    T.Misbehavior { label = "raised"; detail = "raised: Failure" };
-    T.Journal_corrupt { path = "j.journal"; line = 7; reason = "torn record" };
-    T.Fleet_start { endpoints = 2; jobs = 8; shard_seed = 0 };
-    T.Endpoint_state { endpoint = "/tmp/a.sock"; state = "up" };
-    T.Failover { id = "deadbeef"; src = "/tmp/a.sock"; dst = "tcp:7002" };
-    T.Rebalance { moved = 3; src = "/tmp/a.sock"; dst = "tcp:7002" };
-    T.Fleet_verdict { verdict = "FULL"; results = 5; failovers = 0; duplicates = 0 };
-  ]
+let all_events = Trace_fixture.all_events
+
+(* The shared fixture holds one event per constructor, in declaration
+   order, so the round-trips below cover the whole type. *)
+let test_fixture_covers_every_kind () =
+  Alcotest.(check (list int))
+    "ids" (List.init (Array.length T.kinds) Fun.id)
+    (List.map (fun ev -> fst (T.to_values ev)) all_events)
+
+let test_values_roundtrip () =
+  List.iter
+    (fun ev ->
+      let id, values = T.to_values ev in
+      check_bool T.kinds.(id).T.tag true (T.of_values id values = ev))
+    all_events
 
 let test_event_codec_roundtrip () =
   List.iteri
@@ -179,6 +152,38 @@ let test_sink_rejects_nesting () =
               match T.with_sink ~program:"inner" ~path:p2 (fun () -> ()) with
               | exception Invalid_argument _ -> ()
               | () -> Alcotest.fail "nested sink accepted")))
+
+(* Observers never raise into the code they observe: /dev/full accepts
+   the open and fails every write, so the sink detaches on its first
+   flush, every emit returns, and teardown reports the error. *)
+let test_sink_on_full_disk () =
+  let emitted = ref 0 in
+  let emit_many () =
+    for i = 1 to 20_000 do
+      T.emit (T.Color_call { calls = i; work = i });
+      incr emitted
+    done
+  in
+  (match T.with_sink ~program:"test" ~path:"/dev/full" emit_many with
+  | () -> Alcotest.fail "teardown did not report the write error"
+  | exception Sys_error _ -> ());
+  check_int "every emit returned" 20_000 !emitted;
+  check_bool "sink detached" false (T.on ());
+  let errors = ref [] in
+  let v =
+    T.with_sink ~program:"test" ~path:"/dev/full"
+      ~on_error:(fun msg -> errors := msg :: !errors)
+      (fun () ->
+        emit_many ();
+        42)
+  in
+  check_int "callback result kept" 42 v;
+  check_int "one error reported" 1 (List.length !errors);
+  let opened = ref false in
+  T.with_sink ~program:"test" ~path:"/nonexistent/dir/x.trace"
+    ~on_error:(fun _ -> opened := true)
+    (fun () -> check_bool "no sink without a file" false (T.on ()));
+  check_bool "open failure reported" true !opened
 
 let test_read_file_strict () =
   with_temp_file ".trace" (fun path ->
@@ -446,6 +451,9 @@ let () =
         ] );
       ( "codec",
         [
+          Alcotest.test_case "fixture covers every kind" `Quick
+            test_fixture_covers_every_kind;
+          Alcotest.test_case "values roundtrip" `Quick test_values_roundtrip;
           Alcotest.test_case "event roundtrip" `Quick test_event_codec_roundtrip;
           Alcotest.test_case "newer version rejected" `Quick
             test_codec_rejects_newer_version;
@@ -456,6 +464,7 @@ let () =
         [
           Alcotest.test_case "ndjson roundtrip" `Quick test_sink_ndjson_roundtrip;
           Alcotest.test_case "nesting rejected" `Quick test_sink_rejects_nesting;
+          Alcotest.test_case "full disk detaches" `Quick test_sink_on_full_disk;
           Alcotest.test_case "strict reader" `Quick test_read_file_strict;
         ] );
       ( "metrics",
