@@ -717,7 +717,7 @@ let isolation_overhead () =
 
 (* ------------------ job-server throughput (E12) ------------------- *)
 
-(* What the serve.exe front door costs: a fleet of trivial jobs is
+(* What the serve.exe front door costs: a batch of trivial jobs is
    pushed through a forked server (proc isolation, the production
    default) three ways — chaos off, chaos on (fixed seed), and against
    a deliberately tiny admission queue — and jobs/s, the retry tallies,
@@ -1343,217 +1343,6 @@ let canon_memo_check () =
          fresh);
   Format.printf "@.within budget@."
 
-(* ------------- E16: fleet dispatch throughput and gate ------------- *)
-
-(* Sharded campaigns over 1/2/3 servers plus one mid-run SIGKILL
-   failover leg.  Byte-identity with the serverless baseline is
-   asserted inside every scenario (a mismatch is a failed bench, not a
-   worse number); the jobs/s axis shows what sharding buys and what
-   failover costs. *)
-
-let fleet_throughput () =
-  let module Server = Harness.Server in
-  let module Client = Harness.Client in
-  let module Fleet = Harness.Fleet in
-  let fast_backoff = { Harness.Backoff.base = 0.002; max = 0.02; seed = 0x5EED } in
-  let handler ~kind ~payload =
-    match kind with
-    | "rev" ->
-        String.init (String.length payload) (fun i ->
-            payload.[String.length payload - 1 - i])
-    | "slowrev" ->
-        (* just enough per-job cost that a mid-run SIGKILL lands while
-           the campaign is genuinely in flight *)
-        Unix.sleepf 0.005;
-        String.init (String.length payload) (fun i ->
-            payload.[String.length payload - 1 - i])
-    | other -> failwith ("unknown kind: " ^ other)
-  in
-  let n_jobs = 200 in
-  let specs =
-    List.init n_jobs (fun i -> ("rev", Printf.sprintf "payload-%06d" i))
-  in
-  let slow_specs =
-    List.init n_jobs (fun i -> ("slowrev", Printf.sprintf "payload-%06d" i))
-  in
-  let wait_ready socket =
-    let deadline = Unix.gettimeofday () +. 5. in
-    let rec go () =
-      match Client.health ~recv_timeout:1. ~socket () with
-      | Ok _ -> ()
-      | Error (`Unreachable _) ->
-          if Unix.gettimeofday () > deadline then
-            failwith ("BENCH fleet_throughput: server never ready on " ^ socket);
-          Unix.sleepf 0.01;
-          go ()
-    in
-    go ()
-  in
-  let scenario ~label ~endpoints:n ~kill_one ~specs =
-    let sockets =
-      List.init n (fun _ ->
-          let s = Filename.temp_file "bench_fleet" ".sock" in
-          (try Sys.remove s with Sys_error _ -> ());
-          s)
-    in
-    let config =
-      {
-        Server.default_config with
-        Server.jobs = 2;
-        isolation = `In_domain;
-        queue_limit = 256;
-        supervisor =
-          {
-            Harness.Supervisor.default_config with
-            backoff = fast_backoff;
-            kill_grace = 0.1;
-          };
-      }
-    in
-    let pids =
-      List.map
-        (fun socket ->
-          match Unix.fork () with
-          | 0 ->
-              (try Server.run ~config ~socket ~handler () with _ -> ());
-              Unix._exit 0
-          | pid -> pid)
-        sockets
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter
-          (fun pid ->
-            (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-            ignore (Unix.waitpid [] pid))
-          pids;
-        List.iter
-          (fun s -> try Sys.remove s with Sys_error _ -> ())
-          sockets)
-      (fun () ->
-        List.iter wait_ready sockets;
-        let killer =
-          if not kill_one then None
-          else
-            let victim = List.nth pids (n - 1) in
-            match Unix.fork () with
-            | 0 ->
-                Unix.sleepf 0.05;
-                (try Unix.kill victim Sys.sigkill with Unix.Unix_error _ -> ());
-                Unix._exit 0
-            | pid -> Some pid
-        in
-        let t0 = Unix.gettimeofday () in
-        let c =
-          Fleet.run_campaign ~backoff:fast_backoff ~window:32
-            ~recv_timeout:10. ~probe_interval:0.05 ~endpoints:sockets specs
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        Option.iter (fun pid -> ignore (Unix.waitpid [] pid)) killer;
-        List.iteri
-          (fun i ((kind, payload), got) ->
-            if not (String.equal (handler ~kind ~payload) got) then
-              failwith
-                (Printf.sprintf
-                   "BENCH fleet_throughput: %s result %d differs from the \
-                    serverless baseline — determinism contract broken"
-                   label i))
-          (List.combine specs c.Fleet.results);
-        if kill_one && c.Fleet.failovers < 1 then
-          failwith
-            ("BENCH fleet_throughput: " ^ label
-           ^ ": SIGKILL mid-run produced no failovers");
-        (label, n, dt, c))
-  in
-  Format.printf
-    "== E16: fleet dispatch throughput (%d trivial jobs, 2 workers per \
-     server) ==@.@."
-    n_jobs;
-  let runs =
-    [
-      scenario ~label:"servers_1" ~endpoints:1 ~kill_one:false ~specs;
-      scenario ~label:"servers_2" ~endpoints:2 ~kill_one:false ~specs;
-      scenario ~label:"servers_3" ~endpoints:3 ~kill_one:false ~specs;
-      scenario ~label:"servers_3_kill_1" ~endpoints:3 ~kill_one:true
-        ~specs:slow_specs;
-    ]
-  in
-  Format.printf "%-18s %-9s %-9s %-10s %-11s %s@." "scenario" "servers"
-    "jobs/s" "failovers" "duplicates" "verdict";
-  let rows =
-    List.map
-      (fun (label, n, dt, (c : Fleet.campaign)) ->
-        let rate = float_of_int n_jobs /. dt in
-        Format.printf "%-18s %-9d %-9.0f %-10d %-11d %s@." label n rate
-          c.Fleet.failovers c.Fleet.duplicates
-          (Fleet.verdict_to_string c.Fleet.verdict);
-        (label, n, dt, rate, c))
-      runs
-  in
-  let results =
-    Obs.Json.Obj
-      [
-        ("n_jobs", Obs.Json.Int n_jobs);
-        ("isolation", Obs.Json.String "domain");
-        ("identical_output", Obs.Json.Bool true);
-        ( "runs",
-          Obs.Json.List
-            (List.map
-               (fun (label, n, dt, rate, (c : Fleet.campaign)) ->
-                 Obs.Json.Obj
-                   [
-                     ("scenario", Obs.Json.String label);
-                     ("servers", Obs.Json.Int n);
-                     ("seconds", Obs.Json.Float dt);
-                     ("jobs_per_s", Obs.Json.Float rate);
-                     ("failovers", Obs.Json.Int c.Fleet.failovers);
-                     ("duplicates", Obs.Json.Int c.Fleet.duplicates);
-                     ("resubmits", Obs.Json.Int c.Fleet.resubmits);
-                     ( "verdict",
-                       Obs.Json.String (Fleet.verdict_to_string c.Fleet.verdict)
-                     );
-                   ])
-               rows) );
-      ]
-  in
-  write_bench_record "BENCH_fleet_throughput.json"
-    (bench_record ~bench:"fleet_throughput" ~jobs_axis:[ 1; 2; 3 ] ~results);
-  rows
-
-(* The E16 gate re-runs the scenarios fresh (byte-identity and the
-   failover assertions are inside) and then checks the shape of the
-   numbers: sharding must not collapse throughput, and the kill leg
-   must have actually exercised failover. *)
-let fleet_throughput_check () =
-  let rows = fleet_throughput () in
-  let rate_of label =
-    match
-      List.find_map
-        (fun (l, _, _, rate, c) ->
-          if String.equal l label then Some (rate, c) else None)
-        rows
-    with
-    | Some r -> r
-    | None -> failwith ("BENCH fleet_throughput check: no row for " ^ label)
-  in
-  let r1, _ = rate_of "servers_1" in
-  let r3, _ = rate_of "servers_3" in
-  let _, (killed : Harness.Fleet.campaign) = rate_of "servers_3_kill_1" in
-  Format.printf "@.== E16 gate ==@.@.";
-  Format.printf "servers_3 / servers_1 = %.2fx@." (r3 /. r1);
-  if r3 < 0.4 *. r1 then
-    failwith
-      (Printf.sprintf
-         "BENCH fleet_throughput check: 3-server sharding collapsed \
-          throughput (%.0f vs %.0f jobs/s)"
-         r3 r1);
-  (match killed.Harness.Fleet.verdict with
-  | `Degraded _ -> ()
-  | `Full ->
-      failwith
-        "BENCH fleet_throughput check: kill leg reported a FULL verdict");
-  Format.printf "gate passed: sharding scales, failover exercised and typed@."
-
 let () =
   if Array.exists (String.equal "--sweep-scaling") Sys.argv then
     sweep_scaling ()
@@ -1565,10 +1354,6 @@ let () =
     isolation_overhead ()
   else if Array.exists (String.equal "--serve-throughput") Sys.argv then
     serve_throughput ()
-  else if Array.exists (String.equal "--fleet-throughput-check") Sys.argv then
-    fleet_throughput_check ()
-  else if Array.exists (String.equal "--fleet-throughput") Sys.argv then
-    ignore (fleet_throughput ())
   else if Array.exists (String.equal "--game-steps") Sys.argv then
     game_steps ()
   else if Array.exists (String.equal "--game-steps-check") Sys.argv then

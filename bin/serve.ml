@@ -22,15 +22,7 @@
 
 open Cmdliner
 
-(* Atomic publish: write to a temp file, then rename into place — a
-   fleet orchestrator polling the file never reads a half-written spec. *)
-let advertise_ready path socket =
-  let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (socket ^ "\n"));
-  Sys.rename tmp path
-
-let run socket advertise queue_limit journal resume chaos
+let run socket queue_limit journal resume chaos
     (exec : Obs_cli.exec) trace metrics stats flight =
   Obs_cli.with_observability ~program:"serve" ~trace ~metrics ~stats ~flight @@ fun () ->
   let config =
@@ -46,7 +38,6 @@ let run socket advertise queue_limit journal resume chaos
   match
     Harness.Server.run ~config ?journal ~resume ~socket
       ~on_ready:(fun () ->
-        Option.iter (fun path -> advertise_ready path socket) advertise;
         Format.eprintf "serve: listening on %s (%d jobs, %s isolation)%s@."
           socket config.Harness.Server.jobs
           (match config.Harness.Server.isolation with
@@ -71,17 +62,6 @@ let socket =
           "Listen on this Unix-domain socket path, or on loopback TCP with \
            $(b,tcp:PORT).  A stale socket file is replaced; the file is \
            removed on exit.")
-
-let advertise =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "advertise" ] ~docv:"FILE"
-        ~doc:
-          "Once the socket is accepting, write its spec to $(docv) \
-           (atomically: temp file + rename).  Lets a fleet orchestrator \
-           wait for readiness by polling for the file instead of racing \
-           the bind.")
 
 let queue_limit =
   Arg.(
@@ -126,7 +106,7 @@ let cmd =
   Cmd.v
     (Cmd.info "serve" ~doc:"Resilient job server over a Unix/TCP socket")
     Term.(
-      const run $ socket $ advertise $ queue_limit $ journal $ resume
+      const run $ socket $ queue_limit $ journal $ resume
       $ chaos $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.metrics
       $ Obs_cli.stats $ Obs_cli.flight)
 

@@ -75,7 +75,7 @@ let run socket kind payloads from deadline_ms window max_attempts health stats
         0
       end
     end
-  with Failure msg ->
+  with Failure msg | Invalid_argument msg ->
     Format.eprintf "submit: %s@." msg;
     1
 

@@ -148,11 +148,6 @@ let report path =
   let chaos_kinds = Hashtbl.create 4 in
   let canon_hits = Hashtbl.create 4 in  (* "step"/"game" memo hits *)
   let journal_corruptions = ref [] in  (* (path, line, reason), reverse *)
-  let fleet_start = ref None in  (* (endpoints, jobs, shard_seed) *)
-  let endpoint_states = Hashtbl.create 4 in  (* "endpoint state" -> count *)
-  let failovers = ref 0 in
-  let rebalanced = ref 0 in
-  let fleet_verdicts = ref [] in  (* (verdict, results, failovers, dups) *)
   List.iter
     (fun r ->
       let w = worker r.T.w in
@@ -245,15 +240,7 @@ let report path =
       | T.Chaos_injected { kind } -> count chaos_kinds kind 1
       | T.Canon_hit { kind; _ } -> count canon_hits kind 1
       | T.Journal_corrupt { path; line; reason } ->
-          journal_corruptions := (path, line, reason) :: !journal_corruptions
-      | T.Fleet_start { endpoints; jobs; shard_seed } ->
-          fleet_start := Some (endpoints, jobs, shard_seed)
-      | T.Endpoint_state { endpoint; state } ->
-          count endpoint_states (endpoint ^ " " ^ state) 1
-      | T.Failover _ -> incr failovers
-      | T.Rebalance { moved; _ } -> rebalanced := !rebalanced + moved
-      | T.Fleet_verdict { verdict; results; failovers = f; duplicates } ->
-          fleet_verdicts := (verdict, results, f, duplicates) :: !fleet_verdicts)
+          journal_corruptions := (path, line, reason) :: !journal_corruptions)
     records;
   let ppf = Format.std_formatter in
   Format.fprintf ppf "trace %s: program %s, format v%d@." path program version;
@@ -331,25 +318,6 @@ let report path =
           (fun (kind, n) -> Format.fprintf ppf "    %-16s %d@." kind n)
           (sorted_counts chaos_kinds)
       end);
-  (match !fleet_start with
-  | None -> ()
-  | Some (endpoints, jobs, shard_seed) ->
-      Format.fprintf ppf "@.fleet dispatch@.";
-      Format.fprintf ppf "  endpoints          %d (jobs %d, shard seed %d)@."
-        endpoints jobs shard_seed;
-      List.iter
-        (fun (key, n) -> Format.fprintf ppf "  state %-20s %d@." key n)
-        (sorted_counts endpoint_states);
-      if !failovers > 0 then
-        Format.fprintf ppf "  failovers          %d@." !failovers;
-      if !rebalanced > 0 then
-        Format.fprintf ppf "  jobs rebalanced    %d@." !rebalanced;
-      List.iter
-        (fun (verdict, results, f, dups) ->
-          Format.fprintf ppf
-            "  verdict %s: %d results, %d failovers, %d duplicate deliveries@."
-            verdict results f dups)
-        (List.rev !fleet_verdicts));
   if !journal_corruptions <> [] then begin
     Format.fprintf ppf "@.journal corruption (records skipped on load)@.";
     List.iter

@@ -75,54 +75,9 @@ let split_tab s =
   | None -> (s, "")
   | Some t -> (String.sub s 0 t, String.sub s (t + 1) (String.length s - t - 1))
 
-(* every server→client tag: ack, result, reject, health, stats (usage),
-   error, and the depth-probe reply *)
-let reply_tags = "ARXHUED"
-
-(* ------------------------------ endpoint ------------------------------ *)
-
-(* A connected endpoint with its own decoder and read buffer — the
-   connection abstraction {!Fleet} multiplexes with [Unix.select]:
-   [fd] for readiness, then [pump] to turn one readable edge into
-   decoded frames. *)
-module Endpoint = struct
-  type t = {
-    spec : string;
-    fd : Unix.file_descr;
-    dec : Wire.decoder;
-    chunk : Bytes.t;
-  }
-
-  let spec t = t.spec
-  let fd t = t.fd
-
-  let connect ?(recv_timeout = 30.) spec =
-    match connect ~recv_timeout spec with
-    | fd -> { spec; fd; dec = Wire.decoder ~tags:reply_tags (); chunk = Bytes.create 4096 }
-    | exception Unix.Unix_error (e, _, _) ->
-        raise (Conn_lost (Unix.error_message e))
-
-  let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-  let send t ~tag payload = send_frame t.fd ~tag payload
-
-  let rec drain t acc =
-    match Wire.decode t.dec with
-    | Ok (Some f) -> drain t (f :: acc)
-    | Ok None -> List.rev acc
-    | Error e -> raise (Conn_lost (Wire.error_to_string e))
-
-  let pump t =
-    match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
-    | 0 -> raise (Conn_lost "eof")
-    | n ->
-        Wire.feed t.dec t.chunk 0 n;
-        drain t []
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        raise (Conn_lost "receive timeout")
-    | exception Unix.Unix_error (e, _, _) ->
-        raise (Conn_lost (Unix.error_message e))
-end
+(* every server→client tag: ack, result, reject, health, stats (usage)
+   and error *)
+let reply_tags = "ARXHUE"
 
 (* ------------------------------ campaign ------------------------------ *)
 
@@ -133,31 +88,48 @@ type jstatus = {
   mutable submitted : bool;  (* on the current connection *)
 }
 
+(* The server answers a kind it cannot split back out of the submit
+   header [kind TAB deadline_ms LF], or a 0 ms deadline, with 'E' on
+   every retry, so both are refused before connecting. *)
+let check_kind (kind, _) =
+  if kind = "" || String.contains kind '\t' || String.contains kind '\n' then
+    invalid_arg (Printf.sprintf "Client: bad job kind %S (empty, TAB or LF)" kind)
+
+(* Rounded, not truncated: a deadline of whole milliseconds (as
+   submit.exe's --deadline-ms) goes out exact. *)
+let deadline_field = function
+  | None -> ""
+  | Some s ->
+      let ms = Float.round (s *. 1000.) in
+      if not (ms >= 1.) then
+        invalid_arg (Printf.sprintf "Client: deadline %gs is under 1 ms" s);
+      Printf.sprintf "%.0f" ms
+
+(* The unique jobs in first-appearance order, and a status per id:
+   duplicate specs share an id. *)
+let unique_jobs specs =
+  let tbl = Hashtbl.create 64 in
+  let order =
+    List.filter_map
+      (fun (kind, payload) ->
+        let id = job_id ~kind ~payload in
+        if Hashtbl.mem tbl id then None
+        else begin
+          Hashtbl.replace tbl id { result = None; attempts = 0; due = 0.; submitted = false };
+          Some (id, kind, payload)
+        end)
+      specs
+  in
+  (tbl, order)
+
 let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
     ?(max_attempts = 10_000) ?(recv_timeout = 30.) ~socket specs =
   if window < 1 then invalid_arg "Client: window must be >= 1";
   if max_attempts < 1 then invalid_arg "Client: max_attempts must be >= 1";
   Backoff.validate backoff;
-  let deadline_ms =
-    match deadline with
-    | None -> ""
-    | Some s ->
-        if s <= 0. then invalid_arg "Client: deadline must be positive";
-        string_of_int (int_of_float (s *. 1000.))
-  in
-  (* unique jobs, in first-appearance order; duplicate specs share an id *)
-  let tbl : (string, jstatus) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun (kind, payload) ->
-      let id = job_id ~kind ~payload in
-      if not (Hashtbl.mem tbl id) then begin
-        Hashtbl.replace tbl id
-          { result = None; attempts = 0; due = 0.; submitted = false };
-        order := (id, kind, payload) :: !order
-      end)
-    specs;
-  let order = List.rev !order in
+  List.iter check_kind specs;
+  let deadline_ms = deadline_field deadline in
+  let tbl, order = unique_jobs specs in
   let resubmits = ref 0 and rejections = ref 0 and reconnects = ref 0 in
   let total_submits = ref 0 in
   let conn_failures = ref 0 in
@@ -264,7 +236,10 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
                       Unix.gettimeofday ()
                       +. Backoff.delay backoff ~key:id ~attempt:j.attempts
                 | None -> ())
-            | 'E' -> raise (Conn_lost ("server error: " ^ payload))
+            | 'E' ->
+                (* the server refused a request it parsed: resubmitting
+                   the same bytes can only be refused again *)
+                failwith ("Client: server error: " ^ payload)
             | _ -> ()
           end
         with
@@ -274,16 +249,9 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
             loop ())
   in
   loop ();
-  let results =
-    List.map
-      (fun (kind, payload) ->
-        match (Hashtbl.find tbl (job_id ~kind ~payload)).result with
-        | Some r -> r
-        | None -> assert false)
-      specs
-  in
+  let result (kind, payload) = Option.get (Hashtbl.find tbl (job_id ~kind ~payload)).result in
   {
-    results;
+    results = List.map result specs;
     resubmits = !resubmits;
     rejections = !rejections;
     reconnects = !reconnects;

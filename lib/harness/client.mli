@@ -24,10 +24,6 @@ val split_tab : string -> string * string
 (** [split_tab "a\tb\tc"] is [("a", "b\tc")]; without a tab, [(s, "")].
     Splits the [id "\t" rest] payloads of ['R'] and ['X'] frames. *)
 
-val with_sigpipe_ignored : (unit -> 'a) -> 'a
-(** Run [f] with [SIGPIPE] ignored (so a write to a closed peer is an
-    [EPIPE] error, not death), restoring the previous disposition. *)
-
 type campaign = {
   results : string list;
       (** one result per submitted spec, {e in spec order} — byte-equal
@@ -56,11 +52,16 @@ val run_campaign :
     failure of any shape (EOF, reset, frame decode error, [recv_timeout]
     seconds of silence — default 30) reconnects and resubmits every
     unresolved job.  [deadline] (seconds) is forwarded with each submit
-    as the per-attempt job deadline.
+    as the per-attempt job deadline, rounded to whole milliseconds.
 
+    @raise Invalid_argument before connecting on a kind that is empty or
+    holds a TAB or LF byte, or a [deadline] that rounds to 0 ms — the
+    server would refuse every submit of it.
     @raise Failure if one job is rejected or one connect attempt fails
     [max_attempts] (default 10_000) times in a row — the bound that
-    turns a dead or wedged server into an error instead of a hang. *)
+    turns a dead or wedged server into an error instead of a hang — or
+    on the server's ['E'] answer: it refused a request it parsed, and
+    the same bytes resubmitted can only be refused again. *)
 
 val health :
   ?recv_timeout:float ->
@@ -70,8 +71,8 @@ val health :
 (** One-shot ['P'] ping; [Ok json] is the server's health JSON.
     [Error (`Unreachable reason)] is every way the socket can fail to
     answer — missing, refused, reset, EOF, or [recv_timeout] seconds of
-    silence — a state callers branch on (the fleet marks the endpoint
-    down; [submit.exe --health] exits 2 naming the socket).
+    silence — a state callers branch on ([submit.exe --health] exits 2
+    naming the socket, which is how scripts wait for a restarted server).
     @raise Failure only on protocol corruption: a reachable server that
     answers with anything but ['H']. *)
 
@@ -82,36 +83,3 @@ val stats :
   (string, [ `Unreachable of string ]) result
 (** One-shot ['T'] request; [Ok json] is the server's stats JSON.
     Errors as {!health}. *)
-
-exception Conn_lost of string
-(** One connection attempt or established connection failed — EOF,
-    reset, refused, decode error, receive timeout.  The campaign loop
-    absorbs these (reconnect + resubmit); {!Endpoint} surfaces them to
-    the fleet's failover logic. *)
-
-(** A connected endpoint with its own frame decoder — the unit the
-    {!Fleet} router multiplexes with [Unix.select].  All functions
-    raise {!Conn_lost} on connection failure; none raise [Unix_error]. *)
-module Endpoint : sig
-  type t
-
-  val connect : ?recv_timeout:float -> string -> t
-  (** Connect to a socket spec (Unix path or [tcp:PORT]).  The receive
-      timeout (default 30 s) bounds how long a wedged server can stall
-      one {!pump}. *)
-
-  val spec : t -> string
-  val fd : t -> Unix.file_descr
-  (** For [Unix.select] readiness polling — do not read or close it
-      directly. *)
-
-  val send : t -> tag:char -> string -> unit
-  (** Send one framed request ({!Wire.encode}). *)
-
-  val pump : t -> Wire.frame list
-  (** One [Unix.read] (call only when [fd] selected readable, so it
-      does not block) followed by every frame that now decodes.  [[]]
-      means a frame is still incomplete — select again. *)
-
-  val close : t -> unit
-end

@@ -12,9 +12,7 @@
     {- ['S'] submit — payload [kind "\t" deadline_ms "\n" job-payload]
        ([deadline_ms] empty for the server default);}
     {- ['P'] health ping — empty payload;}
-    {- ['T'] stats — empty payload;}
-    {- ['Q'] depth probe — empty payload; the cheap polling frame the
-       {!Fleet} rebalancer uses.}}
+    {- ['T'] stats — empty payload.}}
 
     Server→client frames:
 
@@ -25,11 +23,8 @@
        [REJECTED (Overloaded)] backpressure answer, also sent while
        draining);}
     {- ['H'] health / ['U'] stats — one canonical JSON object;}
-    {- ['D'] depth — [queued "\t" running "\t" completed "\t" draining]
-       with [draining] 0 or 1, fixed-layout so probes need no JSON
-       parse;}
-    {- ['E'] protocol error — a {!Wire.error} rendering; the connection
-       closes after it.}}
+    {- ['E'] protocol error — a {!Wire.error} rendering or a malformed
+       submit; the connection closes after it.}}
 
     {2 Idempotency and admission}
 
@@ -43,7 +38,10 @@
 
     The admission queue is {e bounded} ([queue_limit]): a submit that
     would grow it past the limit is answered with ['X'] and costs no
-    memory — backpressure, never unbounded growth.
+    memory.  A connection's unsent replies are bounded too: while they
+    exceed 1 MiB the server reads no more of its requests, and every
+    socket is non-blocking, so a client that stops reading stalls only
+    itself — backpressure, never unbounded growth.
 
     {2 Execution}
 
@@ -72,8 +70,17 @@
     replays the journal: finished jobs become cached results (served
     without re-running), accepted-but-unfinished jobs re-enter the
     queue in acceptance order.  An accepted job is therefore never
-    lost, and a client that resubmits after the restart gets
-    byte-identical results. *)
+    lost — not to a drain, nor to a SIGKILL — and a client that
+    resubmits after the restart gets byte-identical results.
+
+    {2 Three parts and a loop}
+
+    {!run} is a single-domain [Unix.select] loop over three parts, each
+    usable without a socket or a server: the {!Journal} codec, the
+    {!Conn} connection layer, and an execution {!Backend}.  The loop
+    owns admission, dedup and the queue of admitted jobs; it starts
+    jobs while the backend has room, and hands the backend's readable
+    descriptors back to it to settle. *)
 
 type chaos = {
   chaos_seed : int;  (** seed for the injection schedule *)
@@ -155,3 +162,150 @@ val run :
     tab or newline byte is rejected per-request with an ['E'] frame, not
     here).
     @raise Failure if the socket cannot be bound or listened on. *)
+
+(** {2 The parts} *)
+
+(** The seeded schedule of chaos injections: one stream of decisions,
+    shared by every injection point of a server so that a seed replays
+    the same schedule. *)
+module Chaos : sig
+  type t
+
+  val create : chaos option -> t
+  (** [None] never injects anything. *)
+
+  val injected : t -> int
+  (** Injections fired so far. *)
+end
+
+(** The crash-recovery records the server appends to its
+    {!Sweep.Journal}: ["j:" id] when a job is accepted, with value
+    [kind TAB deadline_ms TAB payload], and ["d:" id] when it finishes,
+    with its result joined to the stats delta ({!Sweep.join_delta}). *)
+module Journal : sig
+  type job = {
+    id : string;  (** {!Client.job_id} of [kind] and [payload] *)
+    kind : string;
+    deadline_ms : int option;
+        (** per-attempt deadline, whole milliseconds; [None] is the
+            configured default.  Seconds only at {!Supervisor.spawn}. *)
+    payload : string;
+  }
+
+  type record = Accepted of job | Finished of { id : string; value : string }
+
+  val deadline_of_string : string -> (int option, string) result
+  (** The [deadline_ms] field of a submit header or an ["j:"] record:
+      [""] is [None], a positive decimal is [Some ms]; anything else is
+      [Error] with the field. *)
+
+  val encode : record -> string * string
+  (** The journal [(key, value)] of a record. *)
+
+  val decode : string * string -> record option
+  (** Inverse of {!encode}; [None] for a key of any other shape or an
+      ["j:"] value without its two TABs.  An unparseable deadline
+      decodes as [None]. *)
+
+  type recovered = {
+    cached : (job * string) list;
+        (** accepted jobs that finished, with their ["d:"] value (the
+            last one when there are several) *)
+    queued : job list;  (** accepted jobs with no ["d:"] record *)
+  }
+
+  val recover : (string * string) list -> recovered
+  (** Map {!Sweep.Journal.load}'s records to what a restart serves and
+      reruns, both in acceptance order.  The first ["j:"] record of an
+      id counts; records of other shapes are skipped.  Pure. *)
+end
+
+(** One client connection: its decoder, its unsent output and the
+    chaos applied to what it sends.  The socket is non-blocking, so
+    nothing here waits for the peer. *)
+module Conn : sig
+  type t
+
+  val create : chaos:Chaos.t -> max_frame:int -> int -> Unix.file_descr -> t
+  (** [create ~chaos ~max_frame id fd] takes over the connected socket
+      [fd] (made non-blocking) under the trace id [id].  Requests may
+      carry up to [max_frame] payload bytes, and the connection stops
+      reading while more than 1 MiB of output waits. *)
+
+  val fill : t -> Bytes.t -> unit
+  (** One [read] into the decoder, using the scratch buffer; EOF or a
+      socket error closes the connection. *)
+
+  val next_frame : t -> Wire.frame option
+  (** The next complete request, or [None]: none is buffered, the
+      output is over its bound, or the connection is closing.  A frame
+      that fails to decode is answered by {!fail}. *)
+
+  val send : t -> bytes -> unit
+  (** Queue one encoded frame.  Chaos may truncate it (and close the
+      connection after it), or hold back its second half for a seeded
+      delay.  A no-op once the connection is closing. *)
+
+  val fail : t -> string -> unit
+  (** The protocol-error close: send ['E'] with the reason, then close
+      once the output is flushed. *)
+
+  val flush : t -> float -> unit
+  (** [flush t now] writes what the socket takes now, held-back chunks
+      due by [now] included, and closes a connection whose closing
+      output is all written. *)
+
+  val wants_read : t -> bool
+  (** Open, with no more than 1 MiB unsent. *)
+
+  val unsent : t -> int
+  (** Output bytes queued but not yet written. *)
+
+  val next_due : t -> float option
+  (** When the first held-back chunk is due. *)
+
+  val close : t -> string -> unit
+  (** Close now; [reason] goes to the [Conn_close] trace event. *)
+
+  val closed : t -> bool
+end
+
+(** The one interface the loop runs jobs through.  Tasks carry the
+    caller's tag ['a]; the caller's side is single-domain. *)
+module Backend : sig
+  type settled =
+    | Done of { result : string; delta : string }
+        (** the job's result — ["ERROR: ..."] when its handler raised,
+            ["QUARANTINED ..."] when it ran out of retries — and its
+            encoded {!Obs.Stats} contribution, already merged into this
+            process's registry *)
+    | Retrying  (** an attempt died and is charged; the task respawns *)
+    | Abandoned  (** an attempt was killed uncharged: the caller reruns it *)
+
+  type 'a t = {
+    room : unit -> bool;  (** fewer than [jobs] tasks run *)
+    start : 'a -> key:string -> timeout:float option -> (unit -> string) -> unit;
+        (** start a task now; the caller checks [room] first *)
+    fds : unit -> Unix.file_descr list;  (** to select on for reading *)
+    next_deadline : unit -> float option;  (** when [tick] has work *)
+    tick : unit -> unit;  (** watchdog, due retries, due chaos kills *)
+    settle : Unix.file_descr -> ('a * settled) list;
+        (** what a readable descriptor of [fds] settled *)
+    running : unit -> int;
+    idle : unit -> bool;  (** nothing runs and no retry waits *)
+    abandon : unit -> 'a list;
+        (** retry no more: the tasks that were waiting for a retry *)
+    shutdown : unit -> unit;  (** kill and reap, or stop and join *)
+  }
+
+  val processes : jobs:int -> chaos:Chaos.t -> Supervisor.config -> 'a t
+  (** One {!Supervisor} child per task, with its watchdog, retries and
+      quarantine; [timeout] is the per-attempt limit.  Chaos SIGKILLs
+      a child now and then, settled {!Abandoned}. *)
+
+  val domains : jobs:int -> 'a t
+  (** [jobs] worker domains, spawned now, that take tasks from the
+      caller through a handoff slot and wake its select through a
+      pipe.  No watchdog: [timeout] is ignored, and nothing is retried
+      or abandoned.  A process that has run it cannot fork safely. *)
+end

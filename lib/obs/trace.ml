@@ -59,16 +59,6 @@ type event =
   | Chaos_injected of { kind : string }
   | Canon_hit of { kind : string; key : string }
   | Journal_corrupt of { path : string; line : int; reason : string }
-  | Fleet_start of { endpoints : int; jobs : int; shard_seed : int }
-  | Endpoint_state of { endpoint : string; state : string }
-  | Failover of { id : string; src : string; dst : string }
-  | Rebalance of { moved : int; src : string; dst : string }
-  | Fleet_verdict of {
-      verdict : string;
-      results : int;
-      failovers : int;
-      duplicates : int;
-    }
 
 type record = { i : int; w : int; ts : float; ev : event }
 
@@ -133,12 +123,6 @@ let kinds =
     kind "chaos_injected" [ ("kind", String) ];
     kind "canon_hit" [ ("kind", String); ("key", String) ];
     kind "journal_corrupt" [ ("path", String); ("line", Int); ("reason", String) ];
-    kind "fleet_start" [ ("endpoints", Int); ("jobs", Int); ("shard_seed", Int) ];
-    kind "endpoint_state" [ ("endpoint", String); ("state", String) ];
-    kind "failover" [ ("id", String); ("src", String); ("dst", String) ];
-    kind "rebalance" [ ("moved", Int); ("src", String); ("dst", String) ];
-    kind "fleet_verdict"
-      [ ("verdict", String); ("results", Int); ("failovers", Int); ("duplicates", Int) ];
   |]
 
 (* ------------------------------ columns ----------------------------- *)
@@ -257,15 +241,6 @@ let store c k ev =
   | Canon_hit { kind; key } -> put_str c 0 kind; put_str c 1 key; 29
   | Journal_corrupt { path; line; reason } ->
       put_str c 0 path; put_int c 0 line; put_str c 1 reason; 30
-  | Fleet_start { endpoints; jobs; shard_seed } ->
-      put_int c 0 endpoints; put_int c 1 jobs; put_int c 2 shard_seed; 31
-  | Endpoint_state { endpoint; state } -> put_str c 0 endpoint; put_str c 1 state; 32
-  | Failover { id; src; dst } -> put_str c 0 id; put_str c 1 src; put_str c 2 dst; 33
-  | Rebalance { moved; src; dst } ->
-      put_int c 0 moved; put_str c 0 src; put_str c 1 dst; 34
-  | Fleet_verdict { verdict; results; failovers; duplicates } ->
-      put_str c 0 verdict; put_int c 0 results; put_int c 1 failovers;
-      put_int c 2 duplicates; 35
 
 let load c k id =
   let i = ref (k * int_width) and f = ref (k * float_width) and s = ref (k * str_width) in
@@ -350,12 +325,6 @@ let of_values id values =
   | 28, [ S kind ] -> Chaos_injected { kind }
   | 29, [ S kind; S key ] -> Canon_hit { kind; key }
   | 30, [ S path; I line; S reason ] -> Journal_corrupt { path; line; reason }
-  | 31, [ I endpoints; I jobs; I shard_seed ] -> Fleet_start { endpoints; jobs; shard_seed }
-  | 32, [ S endpoint; S state ] -> Endpoint_state { endpoint; state }
-  | 33, [ S id; S src; S dst ] -> Failover { id; src; dst }
-  | 34, [ I moved; S src; S dst ] -> Rebalance { moved; src; dst }
-  | 35, [ S verdict; I results; I failovers; I duplicates ] ->
-      Fleet_verdict { verdict; results; failovers; duplicates }
   | _ -> decode_error (Printf.sprintf "trace record: values do not fit event id %d" id)
 
 let anomalous = function

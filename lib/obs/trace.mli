@@ -43,9 +43,16 @@
 val version : int
 (** Trace format version, [5] (v2 added the supervisor child-lifecycle
     events; v3 the job-server events; v4 the memo-cache [Canon_hit]
-    event; v5 the fleet-dispatch events and [Journal_corrupt]).
+    event; v5 the multi-server dispatch events and [Journal_corrupt]).
     Readers must reject newer versions rather than misparse them;
-    older traces parse fine under a newer reader. *)
+    older traces parse fine under a newer reader.
+
+    v5's five multi-server dispatch kinds (binary ids 31–35) are
+    retired, together with the dispatcher that emitted them.  They were
+    the tail of {!kinds}, so every other id keeps its value; a v5 trace
+    that holds one no longer decodes.  A new kind that reuses ids 31–35
+    must bump [version], so that an old v5 trace cannot be misread as
+    it. *)
 
 type event =
   | Trace_header of { version : int; program : string }
@@ -139,7 +146,8 @@ type event =
           before exit) *)
   | Chaos_injected of { kind : string }
       (** the [--chaos] harness fired one injection: ["drop_conn"],
-          ["partial_frame"], ["truncate_frame"], or ["kill_child"] *)
+          ["partial_frame"], ["truncate_frame"], ["kill_child"], or
+          ["corrupt_journal"] *)
   | Canon_hit of { kind : string; key : string }
       (** the canonical-view memo cache answered from cache: [kind] is
           ["step"] (one skipped color call) or ["game"] (a whole cached
@@ -149,27 +157,6 @@ type event =
       (** a checkpoint/journal record failed its v2 CRC/length check and
           was skipped on load ([line] is 1-based); the affected cell or
           job reruns instead of replaying corrupted bytes *)
-  | Fleet_start of { endpoints : int; jobs : int; shard_seed : int }
-      (** a fleet campaign opened against [endpoints] servers *)
-  | Endpoint_state of { endpoint : string; state : string }
-      (** an endpoint changed state: ["up"], ["unreachable"],
-          ["draining"], ["breaker_open"], or ["down"] *)
-  | Failover of { id : string; src : string; dst : string }
-      (** job [id] was resubmitted from a failed endpoint [src] to [dst]
-          under its content-derived id (the dedup layer makes the retry
-          exactly-once) *)
-  | Rebalance of { moved : int; src : string; dst : string }
-      (** [moved] not-yet-submitted jobs migrated from a deep queue to a
-          shallow one, guided by depth probes *)
-  | Fleet_verdict of {
-      verdict : string;
-      results : int;
-      failovers : int;
-      duplicates : int;
-    }
-      (** campaign end: [verdict] is ["FULL"] (every endpoint healthy
-          throughout) or ["DEGRADED reason"]; [duplicates] counts
-          redundant result deliveries that were deduplicated *)
 
 type record = { i : int; w : int; ts : float; ev : event }
 

@@ -59,15 +59,4 @@ let all_events : T.event list =
     T.Chaos_injected { kind = "drop_conn" };
     T.Canon_hit { kind = "step"; key = "h\x00ash" };
     T.Journal_corrupt { path = "/tmp/j.journal"; line = 3; reason = "crc 0 != 1" };
-    T.Fleet_start { endpoints = 3; jobs = 16; shard_seed = 42 };
-    T.Endpoint_state { endpoint = "tcp:7001"; state = "breaker_open" };
-    T.Failover { id = "abc123"; src = "/tmp/a.sock"; dst = "tcp:7001" };
-    T.Rebalance { moved = 5; src = "tcp:7001"; dst = "/tmp/a.sock" };
-    T.Fleet_verdict
-      {
-        verdict = "DEGRADED (endpoint tcp:7001 unreachable)";
-        results = 12;
-        failovers = 2;
-        duplicates = 1;
-      };
   ]

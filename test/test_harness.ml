@@ -659,7 +659,7 @@ let test_pool_ordered_delivery () =
 (* ----------------------------- backoff ----------------------------- *)
 
 (* Property coverage for the one retry schedule everything shares
-   (supervisor, client, fleet breakers): the delay for (config, key,
+   (supervisor and client): the delay for (config, key,
    attempt) is a pure function of its arguments — byte-equal across
    domains — and always lands in [envelope, 2*envelope) where envelope
    is the capped exponential term.  That bound is what makes the cap a

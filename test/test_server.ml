@@ -49,6 +49,11 @@ let expected (kind, payload) =
   | r -> r
   | exception Failure msg -> "ERROR: Failure(\"" ^ msg ^ "\")"
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec find i = i + n <= String.length s && (String.sub s i n = sub || find (i + 1)) in
+  find 0
+
 let temp_path suffix =
   let path = Filename.temp_file "server_test" suffix in
   (try Sys.remove path with Sys_error _ -> ());
@@ -131,13 +136,7 @@ let test_dedup_duplicate_specs () =
     | Ok json -> json
     | Error (`Unreachable reason) -> Alcotest.failf "stats unreachable: %s" reason
   in
-  check_bool "server accepted exactly one job" true
-    (let needle = "\"accepted\":1" in
-     let rec find i =
-       i + String.length needle <= String.length stats
-       && (String.sub stats i (String.length needle) = needle || find (i + 1))
-     in
-     find 0)
+  check_bool "server accepted exactly one job" true (contains ~sub:"\"accepted\":1" stats)
 
 let test_health_and_stats () =
   with_server ~config:(fast_config 1 `In_domain) @@ fun ~socket ~pid:_ ->
@@ -362,6 +361,146 @@ let test_submit_deadline_wins () =
   | [ got ] -> check_unresponsive "per-submit deadline" got
   | _ -> Alcotest.fail "expected one result"
 
+(* SIGKILL the server mid-campaign — once its journal holds a finished
+   job — and restart it on the same journal with ~resume.  The campaign
+   that was running through the kill reconnects to the new server and
+   must return byte-identical results. *)
+let sigkill_resume_scenario ~jobs ~isolation () =
+  let config = fast_config jobs isolation in
+  let journal = temp_path ".journal" in
+  let socket = temp_path ".sock" in
+  let specs = List.init 24 (fun i -> ("slow", Printf.sprintf "kill-%d" i)) in
+  let pid1 = fork_server ~journal ~resume:false ~config ~socket () in
+  let restarted =
+    match Unix.fork () with
+    | 0 ->
+        let finished () =
+          contains ~sub:"\nd:"
+            (try In_channel.with_open_bin journal In_channel.input_all with Sys_error _ -> "")
+        in
+        let give_up = Unix.gettimeofday () +. 10. in
+        while (not (finished ())) && Unix.gettimeofday () < give_up do
+          Unix.sleepf 0.002
+        done;
+        Unix.kill pid1 Sys.sigkill;
+        (try Server.run ~config ~journal ~resume:true ~socket ~handler () with _ -> ());
+        Unix._exit 0
+    | pid -> pid
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.waitpid [] pid1);
+      stop_server restarted;
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ journal; socket ])
+    (fun () ->
+      let c = campaign ~window:24 ~socket specs in
+      check_bool "the kill landed mid-campaign" true (c.Client.reconnects > 0);
+      List.iteri
+        (fun i (spec, got) -> check_string (Printf.sprintf "result %d" i) (expected spec) got)
+        (List.combine specs c.Client.results))
+
+(* A client that submits a job with a 4 MB reply and never reads it
+   must not stall the server for anyone else. *)
+let slow_reader_scenario isolation () =
+  with_server ~config:(fast_config 2 isolation) @@ fun ~socket ~pid:_ ->
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let rec connect tries =
+    try Unix.connect fd (Unix.ADDR_UNIX socket)
+    with Unix.Unix_error _ when tries > 0 ->
+      Unix.sleepf 0.02;
+      connect (tries - 1)
+  in
+  connect 250;
+  Harness.Wire.write_all fd
+    (Harness.Wire.encode ~tag:'S' ("rev\t\n" ^ String.make (4 lsl 20) 'x'));
+  Unix.sleepf 0.3;
+  let t0 = Unix.gettimeofday () in
+  match Client.health ~recv_timeout:2. ~socket () with
+  | Ok _ -> check_bool "health answered within 2 s" true (Unix.gettimeofday () -. t0 < 2.)
+  | Error (`Unreachable reason) -> Alcotest.failf "health while a reply waits: %s" reason
+
+(* Run [f] in a child and report how it ended: the parent kills it after
+   [seconds], so a client that would retry forever fails the test
+   instead of hanging it. *)
+let within ~seconds f =
+  match Unix.fork () with
+  | 0 ->
+      let code = match f () with () -> 0 | exception Failure _ -> 1 | exception _ -> 2 in
+      Unix._exit code
+  | pid ->
+      let give_up = Unix.gettimeofday () +. seconds in
+      let rec wait () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Unix.gettimeofday () < give_up ->
+            Unix.sleepf 0.01;
+            wait ()
+        | 0, _ ->
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            `Timed_out
+        | _, Unix.WEXITED 0 -> `Returned
+        | _, Unix.WEXITED 1 -> `Failure
+        | _ -> `Other
+      in
+      wait ()
+
+(* Refused before connecting: there is nothing behind this socket. *)
+let test_malformed_kind_refused () =
+  let socket = temp_path ".sock" in
+  List.iter
+    (fun (what, kind, deadline) ->
+      match Client.run_campaign ?deadline ~max_attempts:1 ~socket [ (kind, "x") ] with
+      | _ -> Alcotest.failf "%s: campaign returned" what
+      | exception Invalid_argument _ -> ()
+      | exception e -> Alcotest.failf "%s: %s" what (Printexc.to_string e))
+    [
+      ("empty kind", "", None);
+      ("kind with TAB", "a\tb", None);
+      ("kind with LF", "a\nb", None);
+      ("0 ms deadline", "rev", Some 0.0004);
+    ]
+
+(* The server's 'E' answer ends the campaign instead of a retry loop. *)
+let test_error_reply_fails () =
+  let config = { (fast_config 1 `Process) with Server.max_frame = 256 } in
+  with_server ~config @@ fun ~socket ~pid:_ ->
+  match
+    within ~seconds:10. (fun () ->
+        ignore (campaign ~max_attempts:3 ~socket [ ("rev", String.make 1024 'x') ]))
+  with
+  | `Failure -> ()
+  | `Timed_out -> Alcotest.fail "campaign still retrying after 10 s"
+  | `Returned | `Other -> Alcotest.fail "campaign did not fail with Failure"
+
+let test_dead_socket_bound () =
+  let socket = temp_path ".sock" in
+  match campaign ~max_attempts:3 ~socket [ ("rev", "x") ] with
+  | _ -> Alcotest.fail "a campaign against a missing socket returned"
+  | exception Failure _ -> ()
+
+(* --deadline-ms 1001 reaches the journal as 1001, not 1000. *)
+let test_deadline_ms_exact () =
+  let journal = temp_path ".journal" in
+  Fun.protect ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
+  @@ fun () ->
+  (with_server ~journal ~config:(fast_config 1 `Process) @@ fun ~socket ~pid:_ ->
+   ignore
+     (Client.run_campaign ~backoff:fast_backoff ~deadline:(1001. /. 1000.) ~socket
+        [ ("rev", "deadline") ]));
+  let records = Harness.Sweep.Journal.load journal in
+  let accepted =
+    List.filter (fun (key, _) -> String.length key > 2 && String.sub key 0 2 = "j:") records
+  in
+  (match accepted with
+  | [ (_, value) ] ->
+      check_string "deadline field" "1001" (List.nth (String.split_on_char '\t' value) 1)
+  | _ -> Alcotest.fail "expected one j: record");
+  match (Server.Journal.recover records).Server.Journal.cached with
+  | [ ({ Server.Journal.deadline_ms = Some ms; _ }, _) ] ->
+      Alcotest.(check (float 0.)) "seconds" 1.001 (float_of_int ms /. 1000.)
+  | _ -> Alcotest.fail "expected one cached job with a deadline"
+
 (* ------------------------------ chaos -------------------------------- *)
 
 (* The acceptance gate: under every injected fault the campaign still
@@ -417,6 +556,27 @@ let () =
           Alcotest.test_case "domain jobs=4" `Quick test_drain_recovery_domain_4;
           Alcotest.test_case "journal replays cached results" `Quick
             test_journal_replay_serves_cached;
+          Alcotest.test_case "SIGKILL + resume proc jobs=1" `Quick
+            (sigkill_resume_scenario ~jobs:1 ~isolation:`Process);
+          Alcotest.test_case "SIGKILL + resume proc jobs=4" `Quick
+            (sigkill_resume_scenario ~jobs:4 ~isolation:`Process);
+          Alcotest.test_case "SIGKILL + resume domain jobs=1" `Quick
+            (sigkill_resume_scenario ~jobs:1 ~isolation:`In_domain);
+          Alcotest.test_case "SIGKILL + resume domain jobs=4" `Quick
+            (sigkill_resume_scenario ~jobs:4 ~isolation:`In_domain);
+          Alcotest.test_case "deadline ms journaled exactly" `Quick test_deadline_ms_exact;
+        ] );
+      ( "clients",
+        [
+          Alcotest.test_case "unread 4 MB reply stalls nobody, proc" `Quick
+            (slow_reader_scenario `Process);
+          Alcotest.test_case "unread 4 MB reply stalls nobody, domain" `Quick
+            (slow_reader_scenario `In_domain);
+          Alcotest.test_case "malformed kind refused before connecting" `Quick
+            test_malformed_kind_refused;
+          Alcotest.test_case "error reply fails, never loops" `Quick test_error_reply_fails;
+          Alcotest.test_case "dead socket gives up after max_attempts" `Quick
+            test_dead_socket_bound;
         ] );
       ( "containment",
         [
