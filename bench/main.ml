@@ -364,7 +364,7 @@ let sweep_scaling () =
        ~jobs_axis:(List.map (fun (jobs, _, _) -> jobs) rows)
        ~results)
 
-(* ----------------- trace/metrics overhead (E9) ------------------- *)
+(* ---------------- trace/flight/stats overhead (E9) ---------------- *)
 
 (* The overhead contract of the observability layer, measured on the
    same guarded thm1 game as the bechamel harness-overhead subject:
@@ -373,7 +373,6 @@ let sweep_scaling () =
      guarded_untraced           guarded, hooks disabled (production default)
      guarded_untraced_control   identical second measurement of the above
      guarded_traced             guarded, sink streaming to /dev/null
-     guarded_metrics            guarded, metrics registry enabled
      guarded_flight             guarded, flight-recorder ring armed
      guarded_stats              guarded, stats registry enabled
 
@@ -434,7 +433,7 @@ let stats_subject measure =
 let trace_overhead () =
   let inner = 60 and passes = 8 in
   Format.printf
-    "== E9: trace/metrics overhead (thm1 vs greedy, k=6, side=400; best of \
+    "== E9: trace/flight/stats overhead (thm1 vs greedy, k=6, side=400; best of \
      %d passes x %d runs) ==@.@."
     passes inner;
   let measure f = measure_inner ~inner f in
@@ -447,14 +446,6 @@ let trace_overhead () =
         fun () ->
           Obs.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
               measure guarded_thm1) );
-      ( "guarded_metrics",
-        fun () ->
-          Obs.Metrics.enable ();
-          Fun.protect
-            ~finally:(fun () ->
-              Obs.Metrics.disable ();
-              Obs.Metrics.reset ())
-            (fun () -> measure guarded_thm1) );
       ("guarded_flight", fun () -> flight_subject measure);
       ("guarded_stats", fun () -> stats_subject measure);
     ]
@@ -467,13 +458,12 @@ let trace_overhead () =
     subjects;
   let disabled_pct = Float.max 0. (pct "guarded_untraced_control" "guarded_untraced") in
   let traced_pct = pct "guarded_traced" "guarded_untraced" in
-  let metrics_pct = pct "guarded_metrics" "guarded_untraced" in
   let flight_pct = pct "guarded_flight" "guarded_untraced" in
   let stats_pct = pct "guarded_stats" "guarded_untraced" in
   Format.printf
-    "@.tracing disabled: %+.2f%%  traced: %+.2f%%  metrics: %+.2f%%  \
-     flight: %+.2f%%  stats: %+.2f%%@."
-    disabled_pct traced_pct metrics_pct flight_pct stats_pct;
+    "@.tracing disabled: %+.2f%%  traced: %+.2f%%  flight: %+.2f%%  \
+     stats: %+.2f%%@."
+    disabled_pct traced_pct flight_pct stats_pct;
   let results =
     Obs.Json.Obj
       [
@@ -490,7 +480,6 @@ let trace_overhead () =
               ("guard_vs_raw", Obs.Json.Float (pct "guarded_untraced" "raw"));
               ("tracing_disabled", Obs.Json.Float disabled_pct);
               ("tracing_enabled", Obs.Json.Float traced_pct);
-              ("metrics_enabled", Obs.Json.Float metrics_pct);
               ("flight_enabled", Obs.Json.Float flight_pct);
               ("stats_enabled", Obs.Json.Float stats_pct);
             ] );
@@ -1206,14 +1195,27 @@ let game_steps_check () =
 
 let canon_memo_grid = "thm1 t=1..12 k=12 side=16000 algo=greedy,stripes validate=true"
 
-let canon_memo_cells ~memo () =
+let canon_memo_axes =
   List.concat_map
-    (fun t ->
-      List.map
-        (fun algo ->
-          Jobs_catalog.thm1_cell ~memo ~validate:true ~t ~k:12 ~side:16_000 ~algo ())
-        [ "greedy"; "stripes" ])
+    (fun t -> List.map (fun algo -> (t, algo)) [ "greedy"; "stripes" ])
     (List.init 12 (fun i -> i + 1))
+
+let canon_memo_cells ~memo () =
+  List.map
+    (fun (t, algo) ->
+      Jobs_catalog.thm1_cell ~memo ~validate:true ~t ~k:12 ~side:16_000 ~algo ())
+    canon_memo_axes
+
+(* The game cache runs the first cell of each distinct game key live and
+   replays the rest.  Its key is (algorithm name, radius, k, side,
+   validate), and only the first two vary over this grid. *)
+let canon_memo_misses =
+  List.map
+    (fun (t, algo) ->
+      let a = Jobs_catalog.thm1_algorithm algo t in
+      (a.Models.Algorithm.name, a.Models.Algorithm.locality ~n:(16_000 * 16_000)))
+    canon_memo_axes
+  |> List.sort_uniq compare |> List.length
 
 let canon_memo_render ~memo () =
   let buf = Buffer.create 4096 in
@@ -1225,8 +1227,8 @@ let canon_memo_render ~memo () =
 
 (* One measurement pass: memo-off (best of [passes]; the caches stay
    untouched, memo-off never reads or writes them), then memo-on cold,
-   then memo-on warm.  Returns (off, cold, warm, hits, misses) after
-   asserting all three outputs byte-equal. *)
+   then memo-on warm.  Returns (off, cold, warm) after asserting all
+   three outputs byte-equal. *)
 let canon_memo_measure ~passes () =
   ignore (canon_memo_render ~memo:false ());
   let off_t, off_out =
@@ -1237,17 +1239,7 @@ let canon_memo_measure ~passes () =
       (canon_memo_render ~memo:false ())
       (List.init (passes - 1) Fun.id)
   in
-  let metrics_were_on = Obs.Metrics.on () in
-  Obs.Metrics.enable ();
-  ignore (Obs.Metrics.drain ());
   let cold_t, cold_out = canon_memo_render ~memo:true () in
-  let snap = Obs.Metrics.drain () in
-  if not metrics_were_on then Obs.Metrics.disable ();
-  let counter name =
-    match List.assoc_opt name snap.Obs.Metrics.counters with
-    | Some v -> v
-    | None -> 0
-  in
   let warm_t, warm_out = canon_memo_render ~memo:true () in
   List.iter
     (fun (label, out) ->
@@ -1258,13 +1250,15 @@ let canon_memo_measure ~passes () =
               byte-identity contract is broken"
              label))
     [ ("memo-on (cold)", cold_out); ("memo-on (warm)", warm_out) ];
-  (off_t, cold_t, warm_t, counter "canon.game.hit", counter "canon.game.miss")
+  (off_t, cold_t, warm_t)
 
 let canon_memo () =
-  let cells = List.length (canon_memo_cells ~memo:false ()) in
+  let cells = List.length canon_memo_axes in
+  let misses = canon_memo_misses in
+  let hits = cells - misses in
   Format.printf "== E15: cross-cell memoization (%s; %d cells) ==@.@."
     canon_memo_grid cells;
-  let off_t, cold_t, warm_t, hits, misses = canon_memo_measure ~passes:3 () in
+  let off_t, cold_t, warm_t = canon_memo_measure ~passes:3 () in
   let speedup = off_t /. cold_t in
   Format.printf "%-16s %-12s %s@." "mode" "seconds" "speedup";
   Format.printf "%-16s %-12.3f %.2fx@." "memo-off" off_t 1.0;
@@ -1331,10 +1325,10 @@ let canon_memo_check () =
          "BENCH canon_memo check: committed speedup %.2fx is below the 2x \
           claim — regenerate with --canon-memo on a quiet machine"
          committed_speedup);
-  let off_t, cold_t, _, _, misses = canon_memo_measure ~passes:2 () in
+  let off_t, cold_t, _ = canon_memo_measure ~passes:2 () in
   let fresh = off_t /. cold_t in
   Format.printf "fresh cold speedup: %.2fx (bound 1.5x; %d live runs)@." fresh
-    misses;
+    canon_memo_misses;
   if fresh < 1.5 then
     failwith
       (Printf.sprintf

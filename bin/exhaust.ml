@@ -119,7 +119,7 @@ let run_leaf ~mode ~side ~k ~prefix =
   let presents = ref 0 in
   let transcript = Buffer.create 64 in
   let algorithm =
-    Models.Algorithm.stateless ~pure:false ~name:"exhaust-strategy"
+    Models.Algorithm.stateless ~name:"exhaust-strategy"
       ~locality:(fun ~n:_ -> 0)
       (fun view ->
         incr presents;

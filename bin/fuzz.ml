@@ -1,6 +1,5 @@
 (* Differential fuzz harness over the whole engine: colorings, b-values,
-   adversary games (faults included), sweep checkpointing and the
-   metrics registry.
+   adversary games (faults included) and sweep checkpointing.
 
    Each target pairs a seeded generator with a property whose failure is
    a genuine bug; failures shrink to a minimal counterexample and print
@@ -163,8 +162,8 @@ let run_supervised ~config ~(exec : Obs_cli.exec) targets =
     ();
   Array.to_list results |> List.filter_map Fun.id
 
-let run seed cases targets (exec : Obs_cli.exec) corpus list replay trace metrics
-    stats flight =
+let run seed cases targets (exec : Obs_cli.exec) corpus list replay trace stats
+    flight =
   if list then list_targets ()
   else
     match replay with
@@ -175,7 +174,7 @@ let run seed cases targets (exec : Obs_cli.exec) corpus list replay trace metric
             Format.eprintf "fuzz: %s@." msg;
             2
         | Ok targets ->
-            Obs_cli.with_observability ~program:"fuzz" ~trace ~metrics ~stats ~flight
+            Obs_cli.with_observability ~program:"fuzz" ~trace ~stats ~flight
             @@ fun () ->
             let config = { Runner.default_config with Runner.seed; cases } in
             Format.printf "fuzz seed=%d cases=%d targets=%d@." seed cases
@@ -254,7 +253,6 @@ let cmd =
     (Cmd.info "fuzz" ~doc:"Differential fuzz harness over games, colorings and sweeps")
     Term.(
       const run $ seed $ cases $ targets $ Obs_cli.exec_term $ corpus $ list
-      $ replay $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats
-      $ Obs_cli.flight)
+      $ replay $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

@@ -4,7 +4,6 @@
    Every binary in this directory exposes the same observability flags:
 
      --trace FILE   stream NDJSON trace events to FILE
-     --metrics      print the merged metrics registry after the run
      --stats FILE   write drained streaming stats (JSON) to FILE
      --flight FILE  binary flight-recorder ring, flushed on anomaly
 
@@ -18,10 +17,8 @@
      --cell-timeout-ms MS proc mode: per-attempt wall-clock watchdog
                           (serve.exe: the deadline of jobs without one)
 
-   The metrics dump goes to stdout *after* the run's own output, so the
-   CI determinism check can diff the whole stream (results + registry)
-   across --jobs counts.  It is printed even on the interrupted
-   (exit 130) path: a Ctrl-C'd sweep still reports what it counted.
+   The stats file is written even on the interrupted (exit 130) path:
+   a Ctrl-C'd sweep still reports what it counted.
 
    Observers never raise into or steer the code they observe: a
    --trace, --flight or --stats file that cannot be written (a full
@@ -37,15 +34,6 @@ let trace =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:"Stream NDJSON trace events to $(docv) (see trace_report).")
-
-let metrics =
-  Arg.(
-    value
-    & flag
-    & info [ "metrics" ]
-        ~doc:
-          "Print the merged metrics registry on stdout after the run. \
-           Totals are identical at every --jobs count.")
 
 let stats =
   Arg.(
@@ -68,21 +56,6 @@ let flight =
            (binary encoding, see trace_report) and flush them to $(docv) \
            only on anomaly — misbehavior, quarantine, watchdog kill, \
            fault injection, or a failed audit.")
-
-let memo =
-  Arg.(
-    value
-    & flag
-    & info [ "memo" ]
-        ~doc:
-          "Cross-cell memoization: replay color calls and thm1 reports \
-           whose observable history already ran on this worker (see \
-           lib/canon/README.md).  Result bytes and --stats files are \
-           identical with and without $(b,--memo) at every --jobs count, \
-           isolation mode, and resume history; caches are per-process \
-           and never checkpointed.  Hit counters (canon.*) are \
-           telemetry: a --memo run's --metrics dump is not \
-           jobs-invariant, so don't byte-diff the two together.")
 
 (* ----------------------- execution-backend flags ----------------------- *)
 
@@ -175,9 +148,8 @@ let exec_term =
   in
   Term.(const make $ jobs $ isolate $ retries $ kill_grace_ms $ cell_timeout_ms)
 
-let with_observability ~program ~trace:trace_path ~metrics:want_metrics
-    ?(stats = None) ?(flight = None) f =
-  if want_metrics then Obs.Metrics.enable ();
+let with_observability ~program ~trace:trace_path ?(stats = None)
+    ?(flight = None) f =
   if stats <> None then Obs.Stats.enable ();
   let failed = ref false in
   let report flag path msg =
@@ -190,8 +162,6 @@ let with_observability ~program ~trace:trace_path ~metrics:want_metrics
     @@ fun () ->
     Obs.Flight.with_sink_opt ~program ?on_error:(on_error "--flight" flight) flight f
   in
-  if want_metrics then
-    Format.printf "%a" Obs.Metrics.pp (Obs.Metrics.drain ());
   (match stats with
   | None -> ()
   | Some path -> (

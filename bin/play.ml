@@ -17,8 +17,8 @@ let algorithm_of name t =
   | "kp1" -> Portfolio.kp1 ~k:2 ~t ()
   | other -> failwith ("unknown algorithm: " ^ other)
 
-let run list_games game_name algo_name t n paranoid memo max_calls max_work
-    deadline trace metrics stats flight =
+let run list_games game_name algo_name t n paranoid max_calls max_work deadline
+    trace stats flight =
   if list_games then begin
     List.iter
       (fun g -> Format.printf "%-18s %s@." g.Game.name g.Game.description)
@@ -31,7 +31,7 @@ let run list_games game_name algo_name t n paranoid memo max_calls max_work
         Format.printf "unknown game %s; try --list@." game_name;
         1
     | Some g ->
-        Obs_cli.with_observability ~program:"play" ~trace ~metrics ~stats ~flight
+        Obs_cli.with_observability ~program:"play" ~trace ~stats ~flight
         @@ fun () ->
         let d = Harness.Guard.default_limits in
         let limits =
@@ -42,7 +42,7 @@ let run list_games game_name algo_name t n paranoid memo max_calls max_work
             deadline;
           }
         in
-        let verdict = g.Game.play ~paranoid ~memo ~limits ~n (algorithm_of algo_name t) in
+        let verdict = g.Game.play ~paranoid ~limits ~n (algorithm_of algo_name t) in
         Format.printf "%a@." Game.pp_verdict verdict;
         0
 
@@ -85,9 +85,7 @@ let cmd =
   Cmd.v
     (Cmd.info "play" ~doc:"Pit an algorithm against a lower-bound adversary")
     Term.(
-      const run $ list_games $ game $ algo $ t $ n $ paranoid $ Obs_cli.memo
-      $ max_calls $ max_work
-      $ deadline $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats
-      $ Obs_cli.flight)
+      const run $ list_games $ game $ algo $ t $ n $ paranoid $ max_calls
+      $ max_work $ deadline $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

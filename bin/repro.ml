@@ -5,8 +5,8 @@
    dune exec bin/repro.exe -- --jobs 4   -- render drivers on 4 domains
                                          (output is byte-identical) *)
 
-let run quick exec trace metrics stats flight =
-  Obs_cli.with_observability ~program:"repro" ~trace ~metrics ~stats ~flight @@ fun () ->
+let run quick exec trace stats flight =
+  Obs_cli.with_observability ~program:"repro" ~trace ~stats ~flight @@ fun () ->
   Experiments.run_all ~quick ~jobs:exec.Obs_cli.jobs
     ~isolation:exec.Obs_cli.isolation ~supervisor:exec.Obs_cli.supervisor
     Format.std_formatter;
@@ -22,7 +22,7 @@ let cmd =
   Cmd.v
     (Cmd.info "repro" ~doc:"Reproduce all experiments of the paper")
     Term.(
-      const run $ quick $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.metrics
-      $ Obs_cli.stats $ Obs_cli.flight)
+      const run $ quick $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.stats
+      $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

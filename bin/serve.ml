@@ -23,8 +23,8 @@
 open Cmdliner
 
 let run socket queue_limit journal resume chaos
-    (exec : Obs_cli.exec) trace metrics stats flight =
-  Obs_cli.with_observability ~program:"serve" ~trace ~metrics ~stats ~flight @@ fun () ->
+    (exec : Obs_cli.exec) trace stats flight =
+  Obs_cli.with_observability ~program:"serve" ~trace ~stats ~flight @@ fun () ->
   let config =
     {
       Harness.Server.default_config with
@@ -107,7 +107,7 @@ let cmd =
     (Cmd.info "serve" ~doc:"Resilient job server over a Unix/TCP socket")
     Term.(
       const run $ socket $ queue_limit $ journal $ resume
-      $ chaos $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.metrics
-      $ Obs_cli.stats $ Obs_cli.flight)
+      $ chaos $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.stats
+      $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

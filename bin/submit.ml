@@ -32,8 +32,8 @@ let read_specs_file path =
   go []
 
 let run socket kind payloads from deadline_ms window max_attempts health stats
-    trace metrics stats_out flight =
-  Obs_cli.with_observability ~program:"submit" ~trace ~metrics ~stats:stats_out ~flight
+    trace stats_out flight =
+  Obs_cli.with_observability ~program:"submit" ~trace ~stats:stats_out ~flight
   @@ fun () ->
   (* exit 2: the server is unreachable — an operational state with its
      own exit code, distinct from protocol/usage failures (exit 1) *)
@@ -143,7 +143,7 @@ let cmd =
     (Cmd.info "submit" ~doc:"Submit jobs to serve.exe and print their results")
     Term.(
       const run $ socket $ kind $ payloads $ from $ deadline_ms $ window
-      $ max_attempts $ health $ stats $ Obs_cli.trace $ Obs_cli.metrics
-      $ Obs_cli.stats $ Obs_cli.flight)
+      $ max_attempts $ health $ stats $ Obs_cli.trace $ Obs_cli.stats
+      $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

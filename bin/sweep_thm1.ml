@@ -12,8 +12,8 @@
 
 open Cmdliner
 
-let run ts ks sides algos validate checkpoint resume exec trace metrics stats
-    flight memo =
+let run ts ks sides algos validate checkpoint resume exec trace stats flight
+    memo =
   let cells =
     List.concat_map
       (fun t ->
@@ -29,7 +29,7 @@ let run ts ks sides algos validate checkpoint resume exec trace metrics stats
           (Harness.Sweep.int_axis ~flag:"-k" ks))
       (Harness.Sweep.int_axis ~flag:"-t" ts)
   in
-  Obs_cli.with_observability ~program:"sweep_thm1" ~trace ~metrics ~stats ~flight
+  Obs_cli.with_observability ~program:"sweep_thm1" ~trace ~stats ~flight
   @@ fun () ->
   match
     Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
@@ -65,12 +65,25 @@ let checkpoint =
 let resume =
   Arg.(value & flag & info [ "resume" ] ~doc:"Replay cells already in the checkpoint.")
 
+let memo =
+  Arg.(
+    value
+    & flag
+    & info [ "memo" ]
+        ~doc:
+          "Game cache: a cell whose (algorithm, radius, k, side, validate) \
+           already ran on this worker replays that run's report instead of \
+           playing it again (see lib/canon/README.md).  Result bytes and \
+           --stats files are identical with and without $(b,--memo) at \
+           every --jobs count, isolation mode, and resume history; the \
+           cache is per-process and never checkpointed.")
+
 let cmd =
   Cmd.v
     (Cmd.info "sweep_thm1" ~doc:"Theorem 1 adversary sweep")
     Term.(
       const run $ ts $ ks $ sides $ algos $ validate $ checkpoint $ resume
-      $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats
-      $ Obs_cli.flight $ Obs_cli.memo)
+      $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight
+      $ memo)
 
 let () = exit (Cmd.eval' cmd)

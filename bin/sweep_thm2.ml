@@ -5,20 +5,19 @@
 
 open Cmdliner
 
-let run sides wraps checkpoint resume exec trace metrics stats flight memo =
+let run sides wraps checkpoint resume exec trace stats flight =
   let cells =
     List.concat_map
       (fun wrap ->
         List.concat_map
           (fun side ->
             List.map
-              (fun (algo, _) ->
-                Jobs_catalog.thm2_cell ~memo ~side ~wrap ~algo ())
+              (fun (algo, _) -> Jobs_catalog.thm2_cell ~side ~wrap ~algo ())
               Jobs_catalog.thm2_algorithms)
           (Harness.Sweep.int_axis ~flag:"--side" sides))
       (Harness.Sweep.string_axis ~flag:"--wrap" wraps)
   in
-  Obs_cli.with_observability ~program:"sweep_thm2" ~trace ~metrics ~stats ~flight
+  Obs_cli.with_observability ~program:"sweep_thm2" ~trace ~stats ~flight
   @@ fun () ->
   match
     Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
@@ -50,7 +49,6 @@ let cmd =
     (Cmd.info "sweep_thm2" ~doc:"Theorem 2 adversary sweep")
     Term.(
       const run $ sides $ wraps $ checkpoint $ resume $ Obs_cli.exec_term
-      $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats $ Obs_cli.flight
-      $ Obs_cli.memo)
+      $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

@@ -5,20 +5,19 @@
 
 open Cmdliner
 
-let run ks gadget_counts checkpoint resume exec trace metrics stats flight memo =
+let run ks gadget_counts checkpoint resume exec trace stats flight =
   let cells =
     List.concat_map
       (fun k ->
         List.concat_map
           (fun gadgets ->
             List.map
-              (fun (algo, _) ->
-                Jobs_catalog.thm3_cell ~memo ~k ~gadgets ~algo ())
+              (fun (algo, _) -> Jobs_catalog.thm3_cell ~k ~gadgets ~algo ())
               Jobs_catalog.thm3_algorithms)
           (Harness.Sweep.int_axis ~flag:"--gadgets" gadget_counts))
       (Harness.Sweep.int_axis ~flag:"-k" ks)
   in
-  Obs_cli.with_observability ~program:"sweep_thm3" ~trace ~metrics ~stats ~flight
+  Obs_cli.with_observability ~program:"sweep_thm3" ~trace ~stats ~flight
   @@ fun () ->
   match
     Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
@@ -49,7 +48,6 @@ let cmd =
     (Cmd.info "sweep_thm3" ~doc:"Theorem 3 adversary sweep")
     Term.(
       const run $ ks $ gadget_counts $ checkpoint $ resume $ Obs_cli.exec_term
-      $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats $ Obs_cli.flight
-      $ Obs_cli.memo)
+      $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

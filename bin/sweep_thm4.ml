@@ -47,8 +47,7 @@ let cell host_name ~size ~seeds =
   in
   { Harness.Sweep.key; run }
 
-let run host_name sides ns seeds checkpoint resume exec trace metrics stats
-    flight =
+let run host_name sides ns seeds checkpoint resume exec trace stats flight =
   let seeds = List.init seeds (fun i -> i + 1) in
   (* grid/tri scale by side, ktree by node count. *)
   let sizes =
@@ -56,7 +55,7 @@ let run host_name sides ns seeds checkpoint resume exec trace metrics stats
     else Harness.Sweep.int_axis ~flag:"--side" sides
   in
   let cells = List.map (fun size -> cell host_name ~size ~seeds) sizes in
-  Obs_cli.with_observability ~program:"sweep_thm4" ~trace ~metrics ~stats ~flight
+  Obs_cli.with_observability ~program:"sweep_thm4" ~trace ~stats ~flight
   @@ fun () ->
   match
     Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
@@ -90,7 +89,6 @@ let cmd =
     (Cmd.info "sweep_thm4" ~doc:"Theorem 4 locality scaling sweep")
     Term.(
       const run $ host $ sides $ ns $ seeds $ checkpoint $ resume
-      $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats
-      $ Obs_cli.flight)
+      $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

@@ -31,7 +31,7 @@ let cell ~k ~base_side ~t =
           (Models.Run_stats.succeeded outcome ~colors:(k + 1) ~host));
   }
 
-let run ks base_sides ts checkpoint resume exec trace metrics stats flight =
+let run ks base_sides ts checkpoint resume exec trace stats flight =
   let cells =
     List.concat_map
       (fun k ->
@@ -43,7 +43,7 @@ let run ks base_sides ts checkpoint resume exec trace metrics stats flight =
           (Harness.Sweep.int_axis ~flag:"--base-side" base_sides))
       (Harness.Sweep.int_axis ~flag:"-k" ks)
   in
-  Obs_cli.with_observability ~program:"sweep_thm5" ~trace ~metrics ~stats ~flight
+  Obs_cli.with_observability ~program:"sweep_thm5" ~trace ~stats ~flight
   @@ fun () ->
   match
     Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
@@ -76,6 +76,6 @@ let cmd =
     (Cmd.info "sweep_thm5" ~doc:"Theorem 5 reduction sweep")
     Term.(
       const run $ ks $ base_sides $ ts $ checkpoint $ resume $ Obs_cli.exec_term
-      $ Obs_cli.trace $ Obs_cli.metrics $ Obs_cli.stats $ Obs_cli.flight)
+      $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

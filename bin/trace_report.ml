@@ -14,7 +14,6 @@
    dune exec bin/trace_report.exe -- sweep.trace *)
 
 module T = Obs.Trace
-module Mx = Obs.Metrics
 
 (* An open game span on one worker, filled in by Step events until the
    verdict arrives. *)
@@ -42,7 +41,7 @@ type worker = {
 type adversary_stats = {
   mutable games : int;
   outcomes : (string, int ref) Hashtbl.t;  (* outcome label -> count *)
-  mutable defeat_buckets : int array;  (* log2 buckets of defeat steps *)
+  mutable defeat_buckets : int array;  (* sketch buckets of defeat steps *)
   mutable budget_games : int;  (* games that ran under a color-call budget *)
   mutable budget_used : int;
   mutable budget_limit : int;
@@ -53,7 +52,7 @@ let adversary_stats () =
   {
     games = 0;
     outcomes = Hashtbl.create 8;
-    defeat_buckets = Array.make 64 0;
+    defeat_buckets = Array.make (Obs.Stats.sketch_index max_int + 1) 0;
     budget_games = 0;
     budget_used = 0;
     budget_limit = 0;
@@ -81,8 +80,8 @@ let pp_buckets ppf buckets =
   Array.iteri
     (fun b n ->
       if n > 0 then
-        let lo = Mx.bucket_lo b in
-        let hi = if b = 0 then 0 else (2 * lo) - 1 in
+        let lo = Obs.Stats.sketch_value b in
+        let hi = Obs.Stats.sketch_value (b + 1) - 1 in
         Format.fprintf ppf "  [%d..%d] %d" lo hi n)
     buckets
 
@@ -146,7 +145,7 @@ let report path =
   let job_statuses = Hashtbl.create 4 in  (* "ok"/"error"/"quarantined" *)
   let drains = ref [] in  (* (queued, running), reverse order *)
   let chaos_kinds = Hashtbl.create 4 in
-  let canon_hits = Hashtbl.create 4 in  (* "step"/"game" memo hits *)
+  let canon_hits = Hashtbl.create 4 in  (* memo hits, by cache kind *)
   let journal_corruptions = ref [] in  (* (path, line, reason), reverse *)
   List.iter
     (fun r ->
@@ -192,7 +191,7 @@ let report path =
           | Some g ->
               if outcome = "DEFEATED" then begin
                 (* how long the adversary needed: last presentation step *)
-                let b = Mx.bucket_of g.g_steps in
+                let b = Obs.Stats.sketch_index g.g_steps in
                 st.defeat_buckets.(b) <- st.defeat_buckets.(b) + 1
               end;
               (match g.g_max_calls with

@@ -169,5 +169,3 @@ let canon g = if g.n = 0 then g else transport (snd (search g)) g
 let key g = if g.n = 0 then "0;;" else fst (search g)
 let digest g = Digest.to_hex (Digest.string (key g))
 let iso_equal a b = a.n = b.n && String.equal (key a) (key b)
-
-module Memo = Canon_memo

@@ -16,7 +16,7 @@
     Colors are semantic: they encode whatever per-vertex decoration must
     be respected by the isomorphism (partial coloring outputs, the
     current target, hint classes, ...).  Callers build the color ints
-    with an injective encoding — see {!Memo} and [bin/exhaust.ml]. *)
+    with an injective encoding — see [bin/exhaust.ml]. *)
 
 type graph = {
   n : int;
@@ -67,6 +67,3 @@ val refine_classes : graph -> int array
     in [0..k-1], isomorphism-invariant, fixpoint of signature
     refinement starting from the vertex colors.  Not necessarily
     discrete — {!certificate} individualizes on top of it. *)
-
-(** Cross-cell memo cache — see {!Canon_memo}. *)
-module Memo = Canon_memo

@@ -13,21 +13,16 @@
    A payload that does not parse, or an unknown kind, raises — which the
    server maps to a typed "ERROR: ..." result, never a crash.
 
-   Cell constructors take ~memo (the Canon.Memo caches; identical
-   result strings either way — hits replay recorded answers and Stats
-   observes).  The socket handler always runs memo-off: server results
-   stay byte-identical to historical runs by construction, not just by
-   the equivalence argument. *)
+   thm1 cell constructors take ~memo (the game cache below; identical
+   result strings either way — a hit replays the recorded report and its
+   Stats observes).  The socket handler always runs memo-off: server
+   results stay byte-identical to historical runs by construction, not
+   just by the equivalence argument. *)
 
 open Online_local
 module Sweep = Harness.Sweep
 
 let kinds = [ "thm1"; "thm2"; "thm3"; "fuzz" ]
-
-let memo_ctx ~memo algorithm =
-  if memo then
-    Some (Canon.Memo.create ~pure:algorithm.Models.Algorithm.pure ())
-  else None
 
 (* ------------------------------- thm1 -------------------------------- *)
 
@@ -46,17 +41,14 @@ let thm1_algorithm name t =
    (k, side) — the cell text re-formats the cached report with its own
    t.  Sound for *any* deterministic algorithm, stateful or not: each
    live run instantiates a fresh instance, so the whole-run result
-   (unlike a single skipped color call) carries no hidden state.
-   Per-domain, per-process, never checkpointed — exactly like the step
-   table (see lib/canon/README.md). *)
+   carries no hidden state.  Per-domain, per-process, never
+   checkpointed (see lib/canon/README.md). *)
 let thm1_report_tbl : (string, Thm1_adversary.report) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
 let thm1_run ?(memo = false) ~validate ~t ~k ~side ~algo () =
   let algorithm = thm1_algorithm algo t in
-  let run_live ?memo:ctx () =
-    Thm1_adversary.run ?memo:ctx ~validate ~n_side:side ~k ~algorithm ()
-  in
+  let run_live () = Thm1_adversary.run ~validate ~n_side:side ~k ~algorithm () in
   let r =
     if not memo then run_live ()
     else begin
@@ -68,7 +60,8 @@ let thm1_run ?(memo = false) ~validate ~t ~k ~side ~algo () =
       let tbl = Domain.DLS.get thm1_report_tbl in
       match Hashtbl.find_opt tbl gkey with
       | Some r ->
-          Canon.Memo.note_hit ~kind:"game" ~key:gkey;
+          if Obs.Trace.on () then
+            Obs.Trace.emit (Obs.Trace.Canon_hit { kind = "game"; key = gkey });
           (* Replay the Stats observes the live run would have made, so
              a --stats file is byte-identical to the memo-off run. *)
           if Obs.Stats.on () then begin
@@ -79,8 +72,7 @@ let thm1_run ?(memo = false) ~validate ~t ~k ~side ~algo () =
           end;
           r
       | None ->
-          Canon.Memo.note_miss ~kind:"game";
-          let r = run_live ?memo:(memo_ctx ~memo algorithm) () in
+          let r = run_live () in
           Hashtbl.replace tbl gkey r;
           r
     end
@@ -112,24 +104,20 @@ let thm2_wrap_of = function
 let thm2_algorithms =
   [ ("greedy", Portfolio.greedy); ("ael(T=1)", fun () -> Portfolio.ael ~t:1 ()) ]
 
-let thm2_run ?(memo = false) ~side ~wrap ~algo () =
+let thm2_run ~side ~wrap ~algo () =
   let algorithm =
     match List.assoc_opt algo thm2_algorithms with
     | Some a -> a ()
     | None -> failwith ("unknown algorithm: " ^ algo)
   in
-  let r =
-    Thm2_adversary.run
-      ?memo:(memo_ctx ~memo algorithm)
-      ~wrap:(thm2_wrap_of wrap) ~side ~algorithm ()
-  in
+  let r = Thm2_adversary.run ~wrap:(thm2_wrap_of wrap) ~side ~algorithm () in
   Format.asprintf "thm2 %s side=%d vs %-12s %a" wrap side algo
     Thm2_adversary.pp_report r
 
-let thm2_cell ?(memo = false) ~side ~wrap ~algo () =
+let thm2_cell ~side ~wrap ~algo () =
   {
     Sweep.key = Printf.sprintf "wrap=%s side=%d algo=%s" wrap side algo;
-    run = thm2_run ~memo ~side ~wrap ~algo;
+    run = thm2_run ~side ~wrap ~algo;
   }
 
 let thm2_of_key payload =
@@ -141,24 +129,20 @@ let thm2_of_key payload =
 let thm3_algorithms =
   [ ("greedy", Portfolio.greedy); ("gadget-rows", Portfolio.gadget_rows) ]
 
-let thm3_run ?(memo = false) ~k ~gadgets ~algo () =
+let thm3_run ~k ~gadgets ~algo () =
   let algorithm =
     match List.assoc_opt algo thm3_algorithms with
     | Some a -> a ()
     | None -> failwith ("unknown algorithm: " ^ algo)
   in
-  let r =
-    Thm3_adversary.run
-      ?memo:(memo_ctx ~memo algorithm)
-      ~k ~gadgets ~algorithm ()
-  in
+  let r = Thm3_adversary.run ~k ~gadgets ~algorithm () in
   Format.asprintf "thm3 k=%d gadgets=%d (n=%d) vs %-12s@.  %a" k gadgets
     (gadgets * k * k) algo Thm3_adversary.pp_report r
 
-let thm3_cell ?(memo = false) ~k ~gadgets ~algo () =
+let thm3_cell ~k ~gadgets ~algo () =
   {
     Sweep.key = Printf.sprintf "k=%d gadgets=%d algo=%s" k gadgets algo;
-    run = thm3_run ~memo ~k ~gadgets ~algo;
+    run = thm3_run ~k ~gadgets ~algo;
   }
 
 let thm3_of_key payload =

@@ -4,15 +4,12 @@ module A = Models.Algorithm
    trace distinguishes "fault armed" (visible in the algorithm name)
    from "fault delivered". *)
 let injected ~tag ~call =
-  if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Fault_injected { tag; call });
-  if Obs.Metrics.on () then Obs.Metrics.incr ("faults.injected." ^ tag)
+  if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Fault_injected { tag; call })
 
 let wrap ~tag algo transform =
   {
     algo with
     A.name = Printf.sprintf "%s(%s)" tag algo.A.name;
-    (* call-count-dependent faults are stateful: never memo-skip them *)
-    pure = false;
     instantiate =
       (fun ~n ~palette ~oracle ->
         transform ~palette (algo.A.instantiate ~n ~palette ~oracle));
@@ -68,7 +65,6 @@ let amnesia algo =
   {
     algo with
     A.name = Printf.sprintf "amnesia(%s)" algo.A.name;
-    pure = false;
     instantiate =
       (fun ~n ~palette ~oracle ->
         (* A fresh instance per color call: the unbounded global memory

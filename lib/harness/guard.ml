@@ -130,21 +130,6 @@ let guarded_call t inst view =
       | exception e when is_fatal e -> raise e
       | exception exn -> fail t (raised exn))
 
-(* One skipped color call's worth of accounting — everything
-   [guarded_call] does except run the instance, so a memo-served answer
-   leaves the meters, budget faults and Color_call trace exactly where a
-   live call would have. *)
-let charge t =
-  (match t.fault with Some m -> raise (Misbehaved m) | None -> ());
-  t.color_calls <- t.color_calls + 1;
-  (match t.limits.max_color_calls with
-  | Some budget when t.color_calls > budget ->
-      fail t (Misbehavior.Budget_exhausted { used = t.color_calls; budget })
-  | _ -> ());
-  check_deadline t;
-  if Obs.Trace.on () then
-    Obs.Trace.emit (Obs.Trace.Color_call { calls = t.color_calls; work = t.work })
-
 let algorithm t algo =
   {
     algo with

@@ -85,15 +85,6 @@ val tick : ?cost:int -> unit -> unit
     domain, so instrumented algorithms run unchanged outside the
     harness. *)
 
-val charge : t -> unit
-(** Account for one color call that was answered from the memo cache
-    instead of run live: bumps the call meter, checks the call budget
-    and deadline, and emits the [Color_call] trace event — exactly what
-    a guarded call would have done around the skipped instance, so
-    memo-on guard meters and budget faults stay byte-identical to
-    memo-off.  Raises {!Misbehaved} like a live call would (fail-fast
-    when already faulted, [Budget_exhausted] on overflow). *)
-
 val algorithm : t -> Models.Algorithm.t -> Models.Algorithm.t
 (** Wrap an algorithm so every [instantiate] and every color call runs
     under the guard: budgets and deadline are checked per call, the

@@ -58,8 +58,6 @@ let validate_config c =
       if ch.max_chaos_delay < 0. then
         invalid_arg "Server: chaos max_chaos_delay must be >= 0"
 
-let metric name = if Obs.Metrics.on () then Obs.Metrics.incr name
-
 (* --------------------------- chaos schedule --------------------------- *)
 
 (* Every injection point draws from one splitmix stream off the chaos
@@ -87,7 +85,6 @@ module Chaos = struct
 
   let fire t kind =
     t.injected <- t.injected + 1;
-    metric ("server.chaos." ^ kind);
     if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Chaos_injected { kind })
 end
 
@@ -539,7 +536,6 @@ let complete t job result delta =
   t.stats.completed <- t.stats.completed + 1;
   if status = "error" then t.stats.errors <- t.stats.errors + 1;
   if status = "quarantined" then t.stats.quarantined <- t.stats.quarantined + 1;
-  metric "server.completed";
   if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Job_done { id; status });
   List.iter (fun conn -> Conn.send conn (result_frame id result)) (List.rev job.waiters);
   job.waiters <- []
@@ -549,7 +545,6 @@ let start_job t job =
   if Obs.Trace.on () then
     Obs.Trace.emit (Obs.Trace.Job_start { id; attempt = job.attempts });
   job.attempts <- job.attempts + 1;
-  metric "server.job_starts";
   t.backend.start job ~key:id
     ~timeout:(Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms)
     (fun () -> t.handler ~kind ~payload)
@@ -558,8 +553,7 @@ let settle t (job, settled) =
   match settled with
   | Backend.Done { result; delta } -> complete t job result delta
   | Backend.Retrying ->
-      t.stats.retries <- t.stats.retries + 1;
-      metric "server.retries"
+      t.stats.retries <- t.stats.retries + 1
   | Backend.Abandoned ->
       (* a child killed by chaos or dead during the drain: back to the
          queue with its retry budget uncharged; a drained server leaves
@@ -612,7 +606,6 @@ let parse_submit payload =
 
 let reject t conn id reason =
   t.stats.rejected <- t.stats.rejected + 1;
-  metric "server.rejected";
   if Obs.Trace.on () then
     Obs.Trace.emit
       (Obs.Trace.Job_reject
@@ -639,12 +632,10 @@ let handle_submit t conn spec =
   | Some { result = Some result; _ } ->
       submitted "cached";
       t.stats.dedup_cached <- t.stats.dedup_cached + 1;
-      metric "server.dedup.cached";
       answer [ ack; result_frame id result ]
   | Some job ->
       submitted "inflight";
       t.stats.dedup_inflight <- t.stats.dedup_inflight + 1;
-      metric "server.dedup.inflight";
       if not (List.memq conn job.waiters) then job.waiters <- conn :: job.waiters;
       answer [ ack ]
   | None when t.draining -> reject t conn id "draining"
@@ -659,7 +650,6 @@ let handle_submit t conn spec =
       Queue.push job t.pending;
       submitted "new";
       t.stats.accepted <- t.stats.accepted + 1;
-      metric "server.accepted";
       answer [ ack ]
 
 let rec serve_frames t conn =
@@ -686,7 +676,6 @@ let recover t path =
     let job = { spec; result; waiters = []; attempts = 0 } in
     Hashtbl.replace t.jobs spec.Journal.id job;
     t.stats.recovered <- t.stats.recovered + 1;
-    metric "server.recovered";
     job
   in
   (* the stats delta is absorbed into this process's registry, so
@@ -721,8 +710,7 @@ let accept t listener =
       let conn = Conn.create ~chaos:t.chaos ~max_frame:t.config.max_frame t.next_conn fd in
       t.next_conn <- t.next_conn + 1;
       Hashtbl.replace t.conns fd conn;
-      t.stats.conns_opened <- t.stats.conns_opened + 1;
-      metric "server.conns"
+      t.stats.conns_opened <- t.stats.conns_opened + 1
   | exception
       Unix.Unix_error
         ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _) ->
@@ -737,8 +725,7 @@ let start_drain t =
   if Obs.Trace.on () then
     Obs.Trace.emit
       (Obs.Trace.Server_drain
-         { queued = Queue.length t.pending; running = t.backend.running () });
-  metric "server.drains"
+         { queued = Queue.length t.pending; running = t.backend.running () })
 
 let drop_closed t =
   Hashtbl.filter_map_inplace (fun _ c -> if Conn.closed c then None else Some c) t.conns

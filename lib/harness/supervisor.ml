@@ -206,7 +206,6 @@ let fork_child t task =
         Obs.Trace.emit
           (Obs.Trace.Child_spawn
              { key = task.name; pid; attempt = List.length task.failures });
-      if Obs.Metrics.on () then Obs.Metrics.incr "supervisor.spawns";
       t.live <-
         {
           task;
@@ -269,15 +268,12 @@ let rec watch t now = function
         | Some limit when c.term_at = None && now -. c.start > limit ->
             c.timed_out <- true;
             c.term_at <- Some now;
-            send_kill c Sys.sigterm "sigterm";
-            if Obs.Metrics.on () then Obs.Metrics.incr "supervisor.kills.term"
+            send_kill c Sys.sigterm "sigterm"
         | _ -> ());
         match c.term_at with
         | Some at when (not c.killed) && now -. at > t.config.kill_grace ->
             c.killed <- true;
-            send_kill c Sys.sigkill "sigkill";
-            if c.timed_out && Obs.Metrics.on () then
-              Obs.Metrics.incr "supervisor.kills.kill"
+            send_kill c Sys.sigkill "sigkill"
         | _ -> ()
       end;
       watch t now rest
@@ -338,7 +334,6 @@ let rec parse c =
         if Obs.Trace.on () then
           Obs.Trace.emit
             (Obs.Trace.Child_heartbeat { key = c.task.name; pid = c.pid });
-        if Obs.Metrics.on () then Obs.Metrics.incr "supervisor.heartbeats";
         parse c
     | Ok (Some { Wire.tag = 'S'; payload }) ->
         c.stats <- Some payload;
@@ -406,7 +401,6 @@ let reap t c =
           Obs.Trace.emit
             (Obs.Trace.Cell_quarantined
                { key = task.name; attempts; reason = failure_to_string failure });
-        if Obs.Metrics.on () then Obs.Metrics.incr "supervisor.quarantines";
         Finished
           ( Quarantined
               { key = task.name; attempts; failures = List.rev task.failures },
@@ -419,7 +413,6 @@ let reap t c =
         if Obs.Trace.on () then
           Obs.Trace.emit
             (Obs.Trace.Cell_retry { key = task.name; attempt = attempts; delay });
-        if Obs.Metrics.on () then Obs.Metrics.incr "supervisor.retries";
         let due = Unix.gettimeofday () +. delay in
         let rec insert = function
           | [] -> [ (due, task) ]

@@ -69,21 +69,17 @@
     in-process guard cannot catch.  Children reset [SIGTERM] and
     [SIGINT] to their defaults (a parent's own handlers, such as the
     server's drain, must not swallow the watchdog's [SIGTERM]) and
-    ignore [SIGPIPE].  Heartbeats are traced and metered for
-    observability but play no role in kill decisions (the watchdog is
+    ignore [SIGPIPE].  Heartbeats are traced for observability but
+    play no role in kill decisions (the watchdog is
     pure wall-clock, so a heartbeating-but-stuck task still dies).
 
     {2 Observability}
 
     Child lifecycle is emitted through {!Obs.Trace} ([Child_spawn],
     [Child_heartbeat], [Child_kill], [Child_exit] with exit status and
-    CPU rusage from [Unix.times], [Cell_retry], [Cell_quarantined]) and
-    {!Obs.Metrics} ([supervisor.spawns], [supervisor.heartbeats],
-    [supervisor.kills.term], [supervisor.kills.kill],
-    [supervisor.retries], [supervisor.quarantines]).  Unlike the sweep
-    metrics, [supervisor.heartbeats] is timing-dependent and therefore
-    {e not} jobs-count-invariant; the others are invariant on a run with
-    no kills.  Children detach the trace sink first thing after the fork
+    CPU rusage from [Unix.times], [Cell_retry], [Cell_quarantined]);
+    [trace_report] tallies them.  Heartbeat counts are timing-dependent
+    and therefore {e not} jobs-count-invariant.  Children detach the trace sink first thing after the fork
     ({!Obs.Trace.detach_in_child}) and reset the inherited {!Obs.Stats}
     shards ({!Obs.Stats.reset}), so game-level events from inside a
     task are not traced under process isolation — the cost of the

@@ -186,7 +186,6 @@ module Journal = struct
     let corrupt { line; reason } =
       if Obs.Trace.on () then
         Obs.Trace.emit (Obs.Trace.Journal_corrupt { path; line; reason });
-      if Obs.Metrics.on () then Obs.Metrics.incr "sweep.journal_corrupt_records";
       Printf.eprintf "journal: %s:%d: corrupt record skipped (%s)\n%!" path
         line reason
     in
@@ -294,8 +293,7 @@ module Journal = struct
         output_string t.oc record;
         flush t.oc;
         if Obs.Trace.on () then
-          Obs.Trace.emit (Obs.Trace.Checkpoint_flush { key; bytes = String.length record });
-        if Obs.Metrics.on () then Obs.Metrics.incr "sweep.checkpoint_flushes")
+          Obs.Trace.emit (Obs.Trace.Checkpoint_flush { key; bytes = String.length record }))
 
   let close t = close_out_noerr t.oc
 end
@@ -382,12 +380,10 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
           Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
           Obs.Trace.emit (Obs.Trace.Cell_finish { key = c.key; status = "replayed" })
         end;
-        if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cells_replayed";
         replay_value r
     | None ->
         if Atomic.get sigint then raise Sys.Break;
         if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
-        if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cells_run";
         let status = ref "ok" in
         let r, delta =
           (* [Obs.Stats.scoped] captures exactly this cell's contribution
@@ -402,7 +398,6 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
               (* A crashed cell is a recorded result, not an
                  aborted sweep. *)
               status := "error";
-              if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cell_errors";
               ("ERROR: " ^ Printexc.to_string exn, "")
         in
         append_ckpt c.key (join_delta r delta);
@@ -429,11 +424,9 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
                 Obs.Trace.emit
                   (Obs.Trace.Cell_finish { key = c.key; status = "replayed" })
               end;
-              if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cells_replayed";
               Some (replay_value r)
           | None ->
               if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
-              if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cells_run";
               None
         in
         (* The child returns exactly the string the in-domain path would
@@ -460,12 +453,8 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
             let status =
               match outcome with
               | Supervisor.Done _ -> "ok"
-              | Supervisor.Failed _ ->
-                  if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cell_errors";
-                  "error"
-              | Supervisor.Quarantined _ ->
-                  if Obs.Metrics.on () then Obs.Metrics.incr "sweep.cells_quarantined";
-                  "quarantined"
+              | Supervisor.Failed _ -> "error"
+              | Supervisor.Quarantined _ -> "quarantined"
             in
             append_ckpt c.key (join_delta (result_of outcome) stats_of.(i));
             if Obs.Trace.on () then

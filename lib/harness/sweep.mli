@@ -61,12 +61,12 @@ type cell = { key : string; run : unit -> string }
     ([... TAB @crc32hex:length], checksummed with {!Wire.crc32}); a
     record whose trailer is missing or fails verification — torn,
     bit-flipped, hand-edited — is {e skipped} on load with a typed
-    warning ([Journal_corrupt] trace event, [sweep.journal_corrupt_records]
-    metric, one stderr line), so a resume reruns exactly the affected
-    cells instead of replaying corrupted bytes.  v0 (headerless) and v1
-    files replay unchanged; resuming into one appends a v2 header line
-    so new records are CRC-protected while the old prefix keeps its
-    original parsing rules. *)
+    warning ([Journal_corrupt] trace event, one stderr line), so a
+    resume reruns exactly the affected cells instead of replaying
+    corrupted bytes.  v0 (headerless) and v1 files replay unchanged;
+    resuming into one appends a v2 header line so new records are
+    CRC-protected while the old prefix keeps its original parsing
+    rules. *)
 module Journal : sig
   val version : int
   (** Journal format version, [2].  {!load} accepts this version and

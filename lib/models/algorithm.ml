@@ -3,12 +3,11 @@ type instance = View.t -> int
 type t = {
   name : string;
   locality : n:int -> int;
-  pure : bool;
   instantiate : n:int -> palette:int -> oracle:Oracle.t option -> instance;
 }
 
-let stateless ?(pure = true) ~name ~locality f =
-  { name; locality; pure; instantiate = (fun ~n:_ ~palette:_ ~oracle:_ -> f) }
+let stateless ?pure:_ ~name ~locality f =
+  { name; locality; instantiate = (fun ~n:_ ~palette:_ ~oracle:_ -> f) }
 
 let greedy_first_fit =
   let answer (view : View.t) =

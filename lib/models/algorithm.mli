@@ -13,13 +13,6 @@ type t = {
   locality : n:int -> int;
       (** the locality [T(n)]; executors reveal [B(v, T)] per presented
           node (plus the oracle radius when an oracle is in play) *)
-  pure : bool;
-      (** replayable: the instance keeps no mutable state across calls
-          and its answer is a deterministic function of the view and
-          any (deterministic) oracle — so a call whose observable
-          history matches an earlier run's may be answered from the
-          memo cache ({!Canon.Memo}).  Stateful algorithms must be
-          [false]: skipping a call would desynchronise their memory. *)
   instantiate : n:int -> palette:int -> oracle:Oracle.t option -> instance;
       (** fresh mutable state for one run.  Algorithms that need an
           oracle should fail fast ([invalid_arg]) when given [None]. *)
@@ -27,9 +20,8 @@ type t = {
 
 val stateless : ?pure:bool -> name:string -> locality:(n:int -> int) -> (View.t -> int) -> t
 (** An algorithm with no global memory (every SLOCAL algorithm is one).
-    [pure] defaults to [true] — pass [false] for a stateless wrapper
-    whose answers still depend on more than the run's own history
-    (wall clock, global randomness, cross-run mutable tables). *)
+    [pure] is accepted and ignored; [bench/suite/replay.ml] still
+    passes it. *)
 
 val greedy_first_fit : t
 (** The locality-1 greedy: the smallest palette color not used by an

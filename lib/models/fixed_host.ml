@@ -13,7 +13,6 @@ type t = {
   hints : Graph.node -> View.hint option;  (* by host node *)
   coloring : Colorings.Coloring.t;
   presented_set : Packed.Set.t;
-  memo : Canon.Memo.ctx option;
   mutable steps : int;
   mutable max_view : int;
   mutable first_violation : Run_stats.violation option;
@@ -32,34 +31,7 @@ let record_handle t host_node =
   t.handle_of_host.(host_node) <- handle;
   handle
 
-(* Everything that shapes views beyond the presentation order: the host
-   adjacency itself is hashed so two different hosts can never share a
-   memo chain (thm2's reflected band, thm3's seam chain, ...). *)
-let host_fingerprint host =
-  let b = Buffer.create 1024 in
-  let n = Graph.n host in
-  Buffer.add_string b (string_of_int n);
-  for v = 0 to n - 1 do
-    Buffer.add_char b ';';
-    Array.iter
-      (fun w ->
-        if v < w then begin
-          Buffer.add_string b (string_of_int w);
-          Buffer.add_char b ','
-        end)
-      (Graph.neighbors host v)
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-let hint_repr = function
-  | None -> "-"
-  | Some (View.Grid_pos { frame; row; col }) ->
-      Printf.sprintf "g%d:%d:%d" frame row col
-  | Some (View.Gadget_pos { frame; gadget; row; col }) ->
-      Printf.sprintf "G%d:%d:%d:%d" frame gadget row col
-  | Some (View.Layer_pos { layer }) -> Printf.sprintf "l%d" layer
-
-let start ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm () =
+let start ?ids ?hints ?oracle ~host ~palette ~algorithm () =
   let n = Graph.n host in
   let ids = match ids with Some f -> f | None -> fun v -> v + 1 in
   let hints = match hints with Some f -> f | None -> fun _ -> None in
@@ -78,7 +50,6 @@ let start ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm () =
       hints;
       coloring = Colorings.Coloring.create n;
       presented_set = Packed.Set.create (max n 1);
-      memo;
       steps = 0;
       max_view = 0;
       first_violation = None;
@@ -87,12 +58,6 @@ let start ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm () =
   let oracle = Option.map (fun mk -> mk ~to_host:(to_host t)) oracle in
   t.radius <- locality + (match oracle with Some o -> o.Oracle.radius | None -> 0);
   t.instance <- algorithm.Algorithm.instantiate ~n ~palette ~oracle;
-  (match memo with
-  | Some ctx when Canon.Memo.pure ctx ->
-      Canon.Memo.begin_run ctx
-        (Printf.sprintf "fh|%s|%d|%d|%b|%s" algorithm.Algorithm.name palette
-           t.radius (oracle <> None) (host_fingerprint host))
-  | _ -> ());
   t
 
 let reveal_ball t center =
@@ -165,55 +130,10 @@ let present t v =
            max_view = t.max_view;
          })
   end;
-  if Obs.Metrics.on () then begin
-    Obs.Metrics.incr "fixed_host.presented";
-    Obs.Metrics.add "fixed_host.revealed" (List.length new_nodes)
-  end;
   let target = t.handle_of_host.(v) in
-  (* Memo: fold the step's full observable delta (each fresh node's id
-     and hint enter the chain exactly once, when the node enters the
-     region), then replay a cached answer if this chain key was already
-     answered — pure algorithms only, exceptions never cached. *)
-  let memo_step =
-    match t.memo with
-    | Some ctx when Canon.Memo.pure ctx ->
-        let b = Buffer.create 64 in
-        Buffer.add_string b "p|";
-        Buffer.add_string b (string_of_int v);
-        List.iter
-          (fun h ->
-            let hv = to_host t h in
-            Buffer.add_char b '|';
-            Buffer.add_string b (string_of_int hv);
-            Buffer.add_char b ':';
-            Buffer.add_string b (string_of_int (t.ids hv));
-            Buffer.add_char b ':';
-            Buffer.add_string b (hint_repr (t.hints hv)))
-          new_nodes;
-        let suffix = Buffer.contents b in
-        Some (ctx, suffix, Canon.Memo.step_key ctx suffix)
-    | _ -> None
-  in
-  let cached =
-    match memo_step with
-    | Some (ctx, _, key) -> Canon.Memo.find ctx key
-    | None -> None
-  in
   let color =
-    match
-      (match cached with
-      | Some c ->
-          (match memo_step with
-          | Some (ctx, _, _) -> Canon.Memo.charge ctx
-          | None -> ());
-          c
-      | None -> t.instance (make_view t ~target ~new_nodes))
-    with
-    | c ->
-        (match (memo_step, cached) with
-        | Some (ctx, _, key), None -> Canon.Memo.add ctx key c
-        | _ -> ());
-        c
+    match t.instance (make_view t ~target ~new_nodes) with
+    | c -> c
     | exception ((Stack_overflow | Out_of_memory | Sys.Break) as e) -> raise e
     | exception exn ->
         let backtrace = Printexc.get_backtrace () in
@@ -224,10 +144,6 @@ let present t v =
                  { node = v; message = Printexc.to_string exn; backtrace });
         -1
   in
-  (match memo_step with
-  | Some (ctx, suffix, _) ->
-      Canon.Memo.fold ctx (suffix ^ "=" ^ string_of_int color)
-  | None -> ());
   (if t.first_violation = None then
      if color < 0 || color >= t.palette then
        t.first_violation <- Some (Run_stats.Palette_overflow { node = v; color })
@@ -259,11 +175,6 @@ let audit t =
              | None -> ""
              | Some v -> Format.asprintf "%a" Run_stats.pp_violation v);
          });
-  if Obs.Metrics.on () then begin
-    Obs.Metrics.observe "fixed_host.run.presented" t.steps;
-    Obs.Metrics.observe "fixed_host.run.max_view" t.max_view;
-    Obs.Metrics.gauge_max "fixed_host.max_view" t.max_view
-  end;
   if Obs.Stats.on () then begin
     Obs.Stats.observe "fixed_host.presented" t.steps;
     Obs.Stats.observe "fixed_host.revealed" (Dyn_graph.n t.region);
@@ -277,8 +188,8 @@ let audit t =
     max_view_size = t.max_view;
   }
 
-let run ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm ~order () =
-  let t = start ?memo ?ids ?hints ?oracle ~host ~palette ~algorithm () in
+let run ?ids ?hints ?oracle ~host ~palette ~algorithm ~order () =
+  let t = start ?ids ?hints ?oracle ~host ~palette ~algorithm () in
   let rec go = function
     | [] -> ()
     | v :: rest ->

@@ -19,15 +19,13 @@
     O(revealed region) and not O(host).  Handle lookup is a flat array
     read, presented-twice detection a dense byte set: both O(1) and
     allocation-free.  Per step the executor allocates only the fresh
-    handle list, the view closure record, and (while a trace sink or
-    the metrics registry is on) the trace/metrics events.  See
-    [lib/online_local/README.md]. *)
+    handle list, the view closure record, and (while a trace sink is
+    on) the trace events.  See [lib/online_local/README.md]. *)
 
 type t
 (** A running execution (host, algorithm instance, revealed region). *)
 
 val start :
-  ?memo:Canon.Memo.ctx ->
   ?ids:(Grid_graph.Graph.node -> int) ->
   ?hints:(Grid_graph.Graph.node -> View.hint option) ->
   ?oracle:(to_host:(Grid_graph.Graph.node -> Grid_graph.Graph.node) -> Oracle.t) ->
@@ -36,13 +34,7 @@ val start :
   algorithm:Algorithm.t ->
   unit ->
   t
-(** Create an execution.
-    [memo] enables the {!Canon.Memo} step cache: the host adjacency,
-    ids, hints and every answer are folded into the context's chain
-    digest, and calls of [pure] algorithms whose chain key was answered
-    in an earlier run replay the cached color (charging the guard via
-    the context), leaving output byte-identical to memo-off
-    output.  [ids] assigns the unique identifier of each
+(** Create an execution.  [ids] assigns the unique identifier of each
     host node (default: host node + 1); [hints] attaches per-host-node
     hints ({e fixed-frame} — this executor commits the embedding up
     front, so all hints share frame 0 and honestly reveal host
@@ -67,7 +59,6 @@ val to_host : t -> Grid_graph.Graph.node -> Grid_graph.Graph.node
 (** Map a view handle to its host node. *)
 
 val run :
-  ?memo:Canon.Memo.ctx ->
   ?ids:(Grid_graph.Graph.node -> int) ->
   ?hints:(Grid_graph.Graph.node -> View.hint option) ->
   ?oracle:(to_host:(Grid_graph.Graph.node -> Grid_graph.Graph.node) -> Oracle.t) ->

@@ -81,7 +81,6 @@ let to_online t =
   {
     Algorithm.name = "online<-local:" ^ t.name;
     locality = t.locality;
-    pure = false;
     instantiate = (fun ~n ~palette ~oracle -> instantiate ~n ~palette ~oracle);
   }
 

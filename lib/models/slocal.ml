@@ -52,7 +52,6 @@ let to_online t =
   {
     Algorithm.name = "online<-slocal:" ^ t.name;
     locality = t.locality;
-    pure = false;
     instantiate = (fun ~n ~palette ~oracle -> instantiate ~n ~palette ~oracle);
   }
 

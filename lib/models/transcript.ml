@@ -15,9 +15,6 @@ let wrap t (algo : Algorithm.t) =
   {
     algo with
     Algorithm.name = algo.Algorithm.name ^ "+transcript";
-    (* recording is a side effect per call: a skipped call would lose
-       its transcript entry *)
-    pure = false;
     instantiate =
       (fun ~n ~palette ~oracle ->
         let inner = algo.Algorithm.instantiate ~n ~palette ~oracle in

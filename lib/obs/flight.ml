@@ -269,10 +269,7 @@ let flush_ring s r =
           Buffer.add_string out (slot_frame s r k)
         done;
         match write_file [ Open_append ] s.path (Buffer.contents out) with
-        | () ->
-            Metrics.incr "flight.flushes";
-            Metrics.add "flight.flush_records" (r.next - first);
-            r.flushed <- r.next
+        | () -> r.flushed <- r.next
         | exception Sys_error msg -> detach s msg
       end)
 

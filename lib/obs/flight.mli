@@ -56,8 +56,7 @@ val record : Trace.event -> unit
     emitting through {!Trace.emit}. *)
 
 val flush : unit -> unit
-(** Force-flush this domain's ring (e.g. before a deliberate abort).
-    Bumps the [flight.flushes] metric like an anomaly flush. *)
+(** Force-flush this domain's ring (e.g. before a deliberate abort). *)
 
 val with_sink :
   ?program:string ->

@@ -129,9 +129,9 @@ let on () = Atomic.get enabled
 let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
 
-(* Same shape as Metrics: domain-private shards for lock-free recording,
-   registered globally so drain can merge shards of terminated workers;
-   [foreign] collects absorbed child-process and checkpoint snapshots. *)
+(* Domain-private shards for lock-free recording, registered globally
+   so drain can merge shards of terminated workers; [foreign] collects
+   absorbed child-process and checkpoint snapshots. *)
 let registry : shard list ref = ref []
 let foreign : (string, acc) Hashtbl.t = Hashtbl.create 32
 let registry_mutex = Mutex.create ()

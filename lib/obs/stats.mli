@@ -1,14 +1,18 @@
 (** Streaming campaign statistics: mergeable per-series accumulators —
     count, mean, variance, min/max, and an HDR-style quantile sketch —
-    {e sharded per domain} like {!Metrics} and merged at {!drain}.
+    {e sharded per domain} and merged at {!drain}.  Each domain records
+    into a private [Domain.DLS] shard, so the hot path takes no lock;
+    shards register in a global list, so {!drain} also merges the
+    shards of domains that have since terminated.
 
     The OnlineStats idiom: every series is O(1) memory however many
     observations it absorbs, and two partial accumulators merge with
     Chan's parallel identities (counts and sums add, the cross term of
-    the variance falls out of the exact sums).  The registry is the
-    campaign-scale companion to {!Metrics}: where a counter answers
-    "how many", a stats series answers "how were they distributed" —
-    still at one atomic load per call when disabled.
+    the variance falls out of the exact sums).  A series answers both
+    "how many" (its count and sum) and "how were they distributed" —
+    still at one atomic load per call when disabled.  Run-dependent
+    counts (cache hits, retries, kills, flushes) are not kept here:
+    they are {!Trace} events, which [trace_report] tallies.
 
     {2 Determinism contract}
 

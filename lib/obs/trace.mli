@@ -35,7 +35,8 @@
     whole lines at a time, so a trace written by a parallel sweep is
     still one valid NDJSON stream.  Event {e interleaving} across
     domains follows completion order and is not deterministic; determinism
-    lives in {!Metrics}, whose merged totals are jobs-count-invariant.
+    lives in {!Stats}, whose drained snapshot is jobs-count- and
+    isolation-invariant.
 
     The first record of every trace is a {!Trace_header} carrying the
     format version ({!version}) and the emitting program's name. *)
@@ -149,10 +150,10 @@ type event =
           ["partial_frame"], ["truncate_frame"], ["kill_child"], or
           ["corrupt_journal"] *)
   | Canon_hit of { kind : string; key : string }
-      (** the canonical-view memo cache answered from cache: [kind] is
-          ["step"] (one skipped color call) or ["game"] (a whole cached
-          adversary report); [key] is the cache key (an MD5 chain digest
-          or resolved cell parameters) *)
+      (** the thm1 game cache ([sweep_thm1 --memo]) answered a cell from
+          a cached adversary report: [kind] is ["game"] and [key] the
+          resolved cell parameters.  Traces written before the per-step
+          cache was deleted may also carry [kind = "step"]. *)
   | Journal_corrupt of { path : string; line : int; reason : string }
       (** a checkpoint/journal record failed its v2 CRC/length check and
           was skipped on load ([line] is 1-based); the affected cell or

@@ -1,7 +1,6 @@
 module G = Harness.Guard
 module M = Harness.Misbehavior
 module Tr = Obs.Trace
-module Mx = Obs.Metrics
 module St = Obs.Stats
 
 type outcome =
@@ -25,35 +24,17 @@ type t = {
   description : string;
   play :
     ?paranoid:bool ->
-    ?memo:bool ->
     ?limits:G.limits ->
     n:int ->
     Models.Algorithm.t ->
     verdict;
 }
 
-(* One memo context per game: its chain digest is scoped to a single
-   run's observable history while the cache table behind it is
-   per-domain, so identical games replayed later on the same domain hit.
-   The guard charge hook is bound in [referee] once the guard exists. *)
-let memo_ctx ~memo algorithm =
-  if memo then
-    Some (Canon.Memo.create ~pure:algorithm.Models.Algorithm.pure ())
-  else None
-
 let outcome_label = function
   | Defeated -> "DEFEATED"
   | Survived -> "survived"
   | Algorithm_fault m -> "ALGORITHM-FAULT (" ^ M.label m ^ ")"
   | Adversary_fault m -> "ADVERSARY-FAULT (" ^ M.label m ^ ")"
-
-(* Metric-name-safe outcome tag (no parentheses, no per-certificate
-   cardinality, so totals merge across fault variants). *)
-let outcome_tag = function
-  | Defeated -> "defeated"
-  | Survived -> "survived"
-  | Algorithm_fault _ -> "algorithm-fault"
-  | Adversary_fault _ -> "adversary-fault"
 
 let pp_verdict ppf v =
   Format.fprintf ppf "@[<v>%s vs %s (n=%d): %s%s@,%s@]" v.adversary v.algorithm v.n
@@ -72,7 +53,7 @@ let of_violation = function
         (M.Dishonest_transcript
            { message = Printf.sprintf "node %d presented twice" v })
 
-let referee ?(limits = G.default_limits) ?memo ~adversary ~n ~guaranteed algorithm play =
+let referee ?(limits = G.default_limits) ~adversary ~n ~guaranteed algorithm play =
   if Tr.on () then
     Tr.emit
       (Tr.Game_start
@@ -86,9 +67,6 @@ let referee ?(limits = G.default_limits) ?memo ~adversary ~n ~guaranteed algorit
          });
   let guard = G.create ~limits () in
   let guarded = G.algorithm guard algorithm in
-  (match memo with
-  | Some ctx -> Canon.Memo.set_charge ctx (fun () -> G.charge guard)
-  | None -> ());
   let result = G.capture guard (fun () -> play guarded) in
   let outcome, detail =
     (* A typed fault recorded on the guard wins over whatever the
@@ -116,18 +94,11 @@ let referee ?(limits = G.default_limits) ?memo ~adversary ~n ~guaranteed algorit
            color_calls = G.color_calls guard;
            work = G.work guard;
          });
-  if Mx.on () then begin
-    Mx.incr ("game.outcome." ^ outcome_tag outcome);
-    Mx.incr ("game.played." ^ adversary);
-    (* Guard-meter totals accumulate here, once per game — never in
-       [Guard.tick], which is far too hot to meter. *)
-    Mx.add "guard.color_calls" (G.color_calls guard);
-    Mx.add "guard.work" (G.work guard)
-  end;
   if St.on () then begin
-    (* Per-game distributions, once per verdict like the metric totals
-       above.  Only guard meters and sizes — deterministic values, per
-       the Stats jobs-invariance contract. *)
+    (* Per-game distributions, once per verdict — never in
+       [Guard.tick], which is far too hot to meter.  Only guard meters
+       and sizes: deterministic values, per the Stats jobs-invariance
+       contract. *)
     St.observe "game.color_calls" (G.color_calls guard);
     St.observe "game.work" (G.work guard);
     St.observe ("game.n." ^ adversary) n
@@ -147,15 +118,14 @@ let thm1 =
     name = "thm1-grid";
     description = "Lemma 3.6 + cycle closure on an n x n simple grid";
     play =
-      (fun ?(paranoid = false) ?(memo = false) ?limits ~n algorithm ->
+      (fun ?(paranoid = false) ?limits ~n algorithm ->
         let t = algorithm.Models.Algorithm.locality ~n:(n * n) in
         let k = max 1 (Thm1_adversary.recommended_k ~n_side:n ~t) in
-        let ctx = memo_ctx ~memo algorithm in
-        referee ?limits ?memo:ctx ~adversary:"thm1-grid" ~n
+        referee ?limits ~adversary:"thm1-grid" ~n
           ~guaranteed:(Thm1_adversary.guaranteed ~t ~k) algorithm
           (fun guarded ->
             let r =
-              Thm1_adversary.run ?memo:ctx ~validate:paranoid ~n_side:n ~k
+              Thm1_adversary.run ~validate:paranoid ~n_side:n ~k
                 ~algorithm:guarded ()
             in
             (r.Thm1_adversary.result, Format.asprintf "%a" Thm1_adversary.pp_report r)));
@@ -166,20 +136,19 @@ let thm2 wrap name =
     name;
     description = "two-row b-value attack on an n x n wrapped grid (n rounded to odd)";
     play =
-      (fun ?paranoid:_ ?(memo = false) ?limits ~n algorithm ->
+      (fun ?paranoid:_ ?limits ~n algorithm ->
         let side = if n mod 2 = 0 then n + 1 else n in
         let rounding =
           if side <> n then
             Printf.sprintf "side rounded %d -> %d (odd side required); " n side
           else ""
         in
-        let ctx = memo_ctx ~memo algorithm in
         let r = ref None in
         let v =
-          referee ?limits ?memo:ctx ~adversary:name ~n:side ~guaranteed:false algorithm
+          referee ?limits ~adversary:name ~n:side ~guaranteed:false algorithm
             (fun guarded ->
               let report =
-                Thm2_adversary.run ?memo:ctx ~wrap ~side ~algorithm:guarded ()
+                Thm2_adversary.run ~wrap ~side ~algorithm:guarded ()
               in
               r := Some report;
               ( report.Thm2_adversary.result,
@@ -201,15 +170,14 @@ let thm3 =
     name = "thm3-gadgets";
     description = "gadget seam attack on a chain of n gadgets (k = 3)";
     play =
-      (fun ?paranoid:_ ?(memo = false) ?limits ~n algorithm ->
+      (fun ?paranoid:_ ?limits ~n algorithm ->
         let gadgets = max 3 n in
-        let ctx = memo_ctx ~memo algorithm in
         let r = ref None in
         let v =
-          referee ?limits ?memo:ctx ~adversary:"thm3-gadgets" ~n:gadgets ~guaranteed:false
+          referee ?limits ~adversary:"thm3-gadgets" ~n:gadgets ~guaranteed:false
             algorithm (fun guarded ->
               let report =
-                Thm3_adversary.run ?memo:ctx ~k:3 ~gadgets ~algorithm:guarded ()
+                Thm3_adversary.run ~k:3 ~gadgets ~algorithm:guarded ()
               in
               r := Some report;
               ( report.Thm3_adversary.result,
@@ -233,7 +201,7 @@ let upper ~with_oracle name description =
     name;
     description;
     play =
-      (fun ?paranoid:_ ?(memo = false) ?limits ~n algorithm ->
+      (fun ?paranoid:_ ?limits ~n algorithm ->
         let side = max 4 n in
         let grid = Topology.Grid2d.(create Simple ~rows:side ~cols:side) in
         let host = Topology.Grid2d.graph grid in
@@ -243,11 +211,10 @@ let upper ~with_oracle name description =
         in
         let order = Models.Fixed_host.orders ~all:host (`Random 7) in
         let oracle = if with_oracle then Some (Oracles.grid_bipartition grid) else None in
-        let ctx = memo_ctx ~memo algorithm in
-        referee ?limits ?memo:ctx ~adversary:name ~n:side ~guaranteed:false algorithm
+        referee ?limits ~adversary:name ~n:side ~guaranteed:false algorithm
           (fun guarded ->
             let outcome =
-              Models.Fixed_host.run ?memo:ctx ?oracle ~hints ~host ~palette:3
+              Models.Fixed_host.run ?oracle ~hints ~host ~palette:3
                 ~algorithm:guarded ~order ()
             in
             ( (match outcome.Models.Run_stats.violation with

@@ -42,7 +42,6 @@ type t = {
   description : string;
   play :
     ?paranoid:bool ->
-    ?memo:bool ->
     ?limits:Harness.Guard.limits ->
     n:int ->
     Models.Algorithm.t ->
@@ -52,12 +51,6 @@ type t = {
           Theorem 1 transcript through {!Virtual_grid.validate}; an audit
           failure surfaces as {!Adversary_fault} with a
           [Dishonest_transcript] certificate.
-          [~memo:true] routes the executors through the
-          {!Canon.Memo} step cache: color calls of [pure] algorithms
-          whose observable history matches an earlier run on this
-          domain replay the cached answer, charging the guard so
-          verdicts, meters and reports stay byte-identical to
-          memo-off (asserted over the same fault matrix).
           A game of [k] steps costs O(sum of per-step frontier sizes)
           in the executor plus the algorithm's own work — see
           [lib/online_local/README.md] for the per-step cost model and
@@ -67,7 +60,6 @@ type t = {
 
 val referee :
   ?limits:Harness.Guard.limits ->
-  ?memo:Canon.Memo.ctx ->
   adversary:string ->
   n:int ->
   guaranteed:bool ->
@@ -85,9 +77,7 @@ val referee :
     type, not message text); then the violation decides — monochromatic
     edge is a genuine {!Defeated}, palette overflow and algorithm crashes
     are {!Algorithm_fault}, repeated presentation is {!Adversary_fault}.
-    Exposed so tests can build rigged games.  [?memo] installs the
-    guard's {!Harness.Guard.charge} as the context's charge hook before
-    running [play], so memo-served calls meter like live ones. *)
+    Exposed so tests can build rigged games. *)
 
 val outcome_label : outcome -> string
 

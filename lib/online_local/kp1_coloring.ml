@@ -509,7 +509,6 @@ let make_internal ~k ~locality ~flip ~stats ~strategy ~name =
   {
     Models.Algorithm.name;
     locality;
-    pure = false;
     instantiate =
       (fun ~n:_ ~palette ~oracle ->
         if palette < k + 1 then invalid_arg "kp1: palette must have k+1 colors";

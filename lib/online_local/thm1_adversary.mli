@@ -36,7 +36,6 @@ type report = {
 val pp_report : Format.formatter -> report -> unit
 
 val run :
-  ?memo:Canon.Memo.ctx ->
   ?endgame:bool ->
   ?validate:bool ->
   ?snapshot:bool ->

@@ -41,7 +41,6 @@ val variant_host :
     grid.  Exposed for the isomorphism tests. *)
 
 val run :
-  ?memo:Canon.Memo.ctx ->
   wrap:[ `Cylindrical | `Toroidal ] ->
   side:int ->
   algorithm:Models.Algorithm.t ->
@@ -62,7 +61,6 @@ val variant_host_rect :
 (** Rectangular generalization of {!variant_host}. *)
 
 val run_rect :
-  ?memo:Canon.Memo.ctx ->
   wrap:[ `Cylindrical | `Toroidal ] ->
   rows:int ->
   cols:int ->

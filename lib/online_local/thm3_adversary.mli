@@ -27,7 +27,6 @@ type report = {
 val pp_report : Format.formatter -> report -> unit
 
 val run :
-  ?memo:Canon.Memo.ctx ->
   k:int ->
   gadgets:int ->
   algorithm:Models.Algorithm.t ->

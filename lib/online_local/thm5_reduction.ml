@@ -148,7 +148,6 @@ let reduce ~inner =
   {
     Models.Algorithm.name = "thm5-reduce:" ^ inner.Models.Algorithm.name;
     locality = (fun ~n -> inner.Models.Algorithm.locality ~n:(2 * n));
-    pure = false;
     instantiate =
       (fun ~n ~palette ~oracle ->
         let n2 = 2 * n in

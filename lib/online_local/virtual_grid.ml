@@ -14,7 +14,6 @@ type t = {
   palette : int;
   n_total : int;
   radius : int;
-  memo : Canon.Memo.ctx option;
   region : Grid_graph.Dyn_graph.t;
   mutable coords : int array;  (* handle -> current packed frame coords *)
   mutable frame_ids : int array;  (* handle -> current frame id *)
@@ -29,22 +28,12 @@ type t = {
   mutable first_violation : Models.Run_stats.violation option;
 }
 
-let create ?memo ~palette ~n_total ~radius ~algorithm () =
-  (* The chain starts from everything that shapes views besides the
-     presentation history itself; equal chains then certify identical
-     observable histories (see lib/canon/README.md). *)
-  (match memo with
-  | Some ctx when Canon.Memo.pure ctx ->
-      Canon.Memo.begin_run ctx
-        (Printf.sprintf "vg|%s|%d|%d|%d" algorithm.Models.Algorithm.name palette
-           n_total radius)
-  | _ -> ());
+let create ~palette ~n_total ~radius ~algorithm () =
   let t =
     {
       palette;
       n_total;
       radius;
-      memo;
       region = Grid_graph.Dyn_graph.create ();
       coords = Array.make 64 0;
       frame_ids = Array.make 64 (-1);
@@ -211,44 +200,9 @@ let present t f ~row ~col =
            max_view = Grid_graph.Dyn_graph.n t.region;
          })
   end;
-  if Obs.Metrics.on () then begin
-    Obs.Metrics.incr "virtual_grid.presented";
-    Obs.Metrics.add "virtual_grid.revealed" (List.length new_nodes);
-    Obs.Metrics.gauge_max "virtual_grid.max_view" (Grid_graph.Dyn_graph.n t.region)
-  end;
-  (* Memo: the chain digest is a complete fingerprint of the observable
-     history, so a key hit means the algorithm would see the very same
-     view — replay the cached color and charge the guard meter instead
-     of running the instance.  Only [pure] algorithms are eligible;
-     exceptions are never cached (their violation kind differs from a
-     replayed color's). *)
-  let memo_step =
-    match t.memo with
-    | Some ctx when Canon.Memo.pure ctx ->
-        let suffix = Printf.sprintf "p|%d|%d|%d" f.fid row col in
-        Some (ctx, suffix, Canon.Memo.step_key ctx suffix)
-    | _ -> None
-  in
-  let cached =
-    match memo_step with
-    | Some (ctx, _, key) -> Canon.Memo.find ctx key
-    | None -> None
-  in
   let color =
-    match
-      (match cached with
-      | Some c ->
-          (match memo_step with
-          | Some (ctx, _, _) -> Canon.Memo.charge ctx
-          | None -> ());
-          c
-      | None -> (Lazy.force !(t.instance)) (make_view t ~target ~new_nodes))
-    with
-    | c ->
-        (match (memo_step, cached) with
-        | Some (ctx, _, key), None -> Canon.Memo.add ctx key c
-        | _ -> ());
-        c
+    match (Lazy.force !(t.instance)) (make_view t ~target ~new_nodes) with
+    | c -> c
     | exception ((Stack_overflow | Out_of_memory | Sys.Break) as e) -> raise e
     | exception exn ->
         let backtrace = Printexc.get_backtrace () in
@@ -259,10 +213,6 @@ let present t f ~row ~col =
                  { node = target; message = Printexc.to_string exn; backtrace });
         -1
   in
-  (match memo_step with
-  | Some (ctx, suffix, _) ->
-      Canon.Memo.fold ctx (suffix ^ "=" ^ string_of_int color)
-  | None -> ());
   if color < 0 || color >= t.palette then begin
     if t.first_violation = None then
       t.first_violation <-
@@ -279,14 +229,8 @@ let present t f ~row ~col =
   end;
   color
 
-let fold_memo t s =
-  match t.memo with
-  | Some ctx when Canon.Memo.pure ctx -> Canon.Memo.fold ctx s
-  | _ -> ()
-
 let reflect t f =
   check_alive f "reflect";
-  fold_memo t (Printf.sprintf "r|%d" f.fid);
   let entries = Ptable.fold f.table ~init:[] ~f:(fun acc k h -> (k, h) :: acc) in
   Ptable.clear f.table;
   List.iter
@@ -300,7 +244,6 @@ let merge t ~keep ~absorb ~reflect:refl ~dr ~dc =
   check_alive keep "merge";
   check_alive absorb "merge";
   if keep.fid = absorb.fid then invalid_arg "Virtual_grid.merge: same frame";
-  fold_memo t (Printf.sprintf "m|%d|%d|%b|%d|%d" keep.fid absorb.fid refl dr dc);
   let map k =
     let r = Coord.row k + dr in
     let c = (if refl then - Coord.col k else Coord.col k) + dc in

@@ -44,7 +44,6 @@ type t
 type frame
 
 val create :
-  ?memo:Canon.Memo.ctx ->
   palette:int ->
   n_total:int ->
   radius:int ->
@@ -53,13 +52,7 @@ val create :
   t
 (** [radius] is the ball radius revealed per presentation (the
     algorithm's locality, plus its oracle radius if any — the built-in
-    algorithms attacked here carry none).  [memo] enables the
-    step cache: every observable input (presentations, merges,
-    reflections) and every answer is folded into the context's chain
-    digest, and color calls whose chain key was already answered in an
-    earlier run replay the cached color — for [pure] algorithms only,
-    charging the guard through the context so memo-on output stays
-    byte-identical to memo-off. *)
+    algorithms attacked here carry none). *)
 
 val new_frame : t -> frame
 

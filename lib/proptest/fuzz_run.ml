@@ -1,5 +1,4 @@
 module Tr = Obs.Trace
-module Mx = Obs.Metrics
 
 type status =
   | Passed of { cases : int }
@@ -52,10 +51,9 @@ let run_target ?(jobs = 1) ~config (t : Fuzz_targets.t) =
       if Tr.on () then Tr.emit (Tr.Cell_start { key = "fuzz:" ^ t.name });
       (* All cases run whatever happens (no early stop), and only the
          lowest-index failure is kept: the sequential loop and the pool
-         agree on the report AND on the metrics totals. *)
+         agree on the report. *)
       let work i =
         let size = Runner.size_for config i in
-        if Mx.on () then Mx.incr "fuzz.cases";
         match Runner.run_case gen prop ~seed:config.Runner.seed ~case:i ~size with
         | Runner.Case_pass -> None
         | Runner.Case_fail { tree; message } -> Some { case = i; size; tree; message }
@@ -74,9 +72,7 @@ let run_target ?(jobs = 1) ~config (t : Fuzz_targets.t) =
       let status =
         match !first_failure with
         | None -> Passed { cases }
-        | Some f ->
-            if Mx.on () then Mx.incr "fuzz.failures";
-            Failed (counterexample_of ~config ~name:t.name ~print prop f)
+        | Some f -> Failed (counterexample_of ~config ~name:t.name ~print prop f)
       in
       if Tr.on () then
         Tr.emit

@@ -31,8 +31,7 @@ type report = {
 val run_target : ?jobs:int -> config:Runner.config -> Fuzz_targets.t -> report
 (** Run one target's full case budget (capped at the target's
     [max_cases]).  Emits [Cell_start]/[Cell_finish] trace events (key
-    [fuzz:<name>]) and [fuzz.cases]/[fuzz.failures] metrics when the
-    respective sinks are on. *)
+    [fuzz:<name>]) when a trace sink is on. *)
 
 val replay : ?max_shrinks:int -> string -> (report, string) result
 (** [replay token] re-runs exactly the case a replay token

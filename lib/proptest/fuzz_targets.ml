@@ -316,64 +316,6 @@ let sweep_resume =
   }
 
 (* ------------------------------------------------------------------ *)
-(* metrics-jobs                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let metrics_jobs =
-  let gen = Gen.list ~min_len:1 ~max_len:8 (Gen.int_range 0 50) in
-  let print ws =
-    Printf.sprintf "workloads=[%s]"
-      (String.concat ";" (List.map string_of_int ws))
-  in
-  let run_once ~jobs workloads =
-    Obs.Metrics.enable ();
-    Obs.Metrics.reset ();
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Metrics.disable ();
-        Obs.Metrics.reset ())
-      (fun () ->
-        let cells =
-          List.mapi
-            (fun i w ->
-              {
-                Harness.Sweep.key = Printf.sprintf "w-%d" i;
-                run =
-                  (fun () ->
-                    Obs.Metrics.incr "fuzz.cells";
-                    Obs.Metrics.add "fuzz.work" w;
-                    Obs.Metrics.observe "fuzz.load" w;
-                    Printf.sprintf "w=%d" w);
-              })
-            workloads
-        in
-        let out = render ~jobs cells in
-        let snap = Obs.Metrics.drain () in
-        (out, Format.asprintf "%a" Obs.Metrics.pp snap))
-  in
-  let prop workloads =
-    let out1, snap1 = run_once ~jobs:1 workloads in
-    let out2, snap2 = run_once ~jobs:2 workloads in
-    String.equal out1 out2 && String.equal snap1 snap2
-  in
-  {
-    name = "metrics-jobs";
-    doc =
-      "Sweep output and drained metrics registry byte-identical at --jobs 1 \
-       vs --jobs 2";
-    serial = true (* owns the process-global metrics registry *);
-    max_cases = Some 40;
-    available =
-      (fun () ->
-        if Obs.Metrics.on () then
-          Error
-            "metrics registry already enabled (run without --metrics to fuzz \
-             this target)"
-        else Ok ());
-    packed = Packed { gen; print; prop };
-  }
-
-(* ------------------------------------------------------------------ *)
 (* stats-merge                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -836,12 +778,10 @@ let view_incremental =
 (* canon-relabel                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Canonical labeling under attack from three sides: the key must be
-   invariant under random relabelings, [Canon.iso_equal] must agree
+(* Canonical labeling under attack from two sides: the key must be
+   invariant under random relabelings, and [Canon.iso_equal] must agree
    with a brute-force permutation search (both directions — distinct
-   keys for non-isomorphic pairs included), and a memo-on game sweep
-   must render byte-identically at --jobs 1 and --jobs 4 (hits depend
-   on domain packing; output must not). *)
+   keys for non-isomorphic pairs included). *)
 let canon_relabel =
   let colored_graph =
     Gen.bind (Gen.int_range 1 6) (fun n ->
@@ -889,22 +829,6 @@ let canon_relabel =
            t.Canon.colors = b.Canon.colors && t.Canon.adj = b.Canon.adj)
          (perms (List.init a.Canon.n (fun i -> i)))
   in
-  let memo_game_cells () =
-    List.map
-      (fun (key, algorithm) ->
-        {
-          Harness.Sweep.key;
-          run =
-            (fun () ->
-              Format.asprintf "%a" Game.pp_verdict
-                (Game.thm1.Game.play ~memo:true ~n:12 algorithm));
-        })
-      [
-        ("greedy", Online_local.Portfolio.greedy ());
-        ("stripes", Online_local.Portfolio.stripes3 ());
-        ("greedy-again", Online_local.Portfolio.greedy ());
-      ]
-  in
   let prop ((a_raw, b_raw, perm) : (int * (int * int) list * int array)
                                    * (int * (int * int) list * int array)
                                    * int array) =
@@ -917,19 +841,14 @@ let canon_relabel =
     (* 2. iso_equal = brute-force permutation search, both verdicts *)
     && Canon.iso_equal a b = brute_iso a b
     && String.equal (Canon.key a) (Canon.key b) = brute_iso a b
-    (* 3. memo-on sweeps render byte-identically at jobs 1 and 4 *)
-    && String.equal
-         (render ~jobs:1 (memo_game_cells ()))
-         (render ~jobs:4 (memo_game_cells ()))
   in
   {
     name = "canon-relabel";
     doc =
-      "Canonical labeling: key invariance under random relabelings, \
+      "Canonical labeling: key invariance under random relabelings and \
        iso_equal vs brute-force isomorphism (distinct keys for \
-       non-isomorphic views), and memo-on sweep byte-identity at --jobs 1 \
-       vs 4";
-    serial = true (* spawns worker domains for the jobs comparison *);
+       non-isomorphic views)";
+    serial = false;
     max_cases = Some 60;
     available = always_available;
     packed = Packed { gen; print; prop };
@@ -970,7 +889,6 @@ let all =
     thm3_game;
     sweep_resume;
     sweep_kill;
-    metrics_jobs;
     stats_merge;
     wire_codec;
     view_incremental;

@@ -22,8 +22,6 @@
        whose victim cell SIGKILLs its own worker at randomized timing
        must, after the supervisor's retry, print bytes identical to an
        unkilled run;}
-    {- [metrics-jobs] — {!Obs.Metrics} totals and sweep output
-       byte-identical at [--jobs 1] vs [--jobs 2];}
     {- [wire-codec] — the {!Harness.Wire} framing codec under
        truncation, bit flips, forged length prefixes and byte-at-a-time
        chunking: typed errors only, never an exception, and a forged
@@ -49,7 +47,7 @@ type t = {
   doc : string;
   serial : bool;
       (** must run its cases sequentially on the calling domain
-          (touches process-global state: the metrics registry, signal
+          (touches process-global state: the stats registry, signal
           handlers, temp files) *)
   max_cases : int option;
       (** cap on the per-target case budget, for targets whose single

@@ -81,43 +81,6 @@ let test_verdict_renders () =
   let s = Format.asprintf "%a" Game.pp_verdict v in
   check_bool "mentions adversary" true (contains ~needle:"thm3" s)
 
-(* E7 fault matrix x memo: a memo-on play renders the exact verdict of a
-   memo-off play — fault injection included (fault wrappers are impure,
-   so the cache must decline them, not replay around them) — and a
-   second memo-on play against a warmed per-domain cache agrees too. *)
-let test_memo_matches_memo_off () =
-  let limits =
-    {
-      Harness.Guard.max_color_calls = Some 200_000;
-      max_work = Some 100_000;
-      deadline = Some 10.0;
-    }
-  in
-  List.iter
-    (fun (game, n) ->
-      List.iter
-        (fun (fault, inject) ->
-          List.iter
-            (fun (aname, algo) ->
-              let play ~memo = game.Game.play ~memo ~limits ~n (inject (algo ())) in
-              let label which =
-                Printf.sprintf "%s/%s/%s: %s = memo off" game.Game.name fault
-                  aname which
-              in
-              let render v = Format.asprintf "%a" Game.pp_verdict v in
-              let off = render (play ~memo:false) in
-              Alcotest.(check string) (label "memo on") off (render (play ~memo:true));
-              Alcotest.(check string) (label "warmed memo") off
-                (render (play ~memo:true)))
-            [ ("greedy", Portfolio.greedy); ("ael", fun () -> Portfolio.ael ~t:1 ()) ])
-        (("none", fun algo -> algo) :: Harness.Faults.algorithm_faults))
-    [
-      (Game.thm1, 12);
-      (Game.thm2_torus, 9);
-      (Game.thm3, 7);
-      (Game.upper_grid, 6);
-    ]
-
 let () =
   Alcotest.run "game"
     [
@@ -135,7 +98,5 @@ let () =
           Alcotest.test_case "upper games survivable" `Quick test_upper_games_survivable;
           Alcotest.test_case "portfolio total" `Quick test_portfolio_run_games_total;
           Alcotest.test_case "verdict renders" `Quick test_verdict_renders;
-          Alcotest.test_case "memo = memo-off, fault matrix" `Slow
-            test_memo_matches_memo_off;
         ] );
     ]

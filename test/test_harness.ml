@@ -82,7 +82,6 @@ let test_instantiate_failure_poisons () =
     {
       A.name = "broken-instantiate";
       locality = (fun ~n:_ -> 1);
-      pure = false;
       instantiate = (fun ~n:_ ~palette:_ ~oracle:_ -> failwith "ctor boom");
     }
   in
@@ -132,7 +131,6 @@ let test_amnesia_reinstantiates () =
     {
       A.name = "counting";
       locality = (fun ~n:_ -> 1);
-      pure = false;
       instantiate =
         (fun ~n:_ ~palette:_ ~oracle:_ ->
           incr instantiations;

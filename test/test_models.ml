@@ -296,7 +296,6 @@ let test_oracle_radius_extends_reveals () =
     {
       Models.Algorithm.name = "noop";
       locality = (fun ~n:_ -> 1);
-      pure = false;
       instantiate = (fun ~n:_ ~palette:_ ~oracle:_ _ -> 0);
     }
   in

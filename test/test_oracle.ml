@@ -161,7 +161,6 @@ let test_oracle_through_executor () =
     {
       Models.Algorithm.name = "oracle-probe";
       locality = (fun ~n:_ -> 1);
-      pure = false;
       instantiate =
         (fun ~n:_ ~palette:_ ~oracle ->
           let o = Option.get oracle in

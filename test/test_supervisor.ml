@@ -267,8 +267,8 @@ let test_inline_short_circuits () =
   check_bool "delivered in index order" true
     (List.rev !seen = [ (0, "inline-0"); (1, "inline-1"); (2, "inline-2") ])
 
-(* Memo cells under the process backend.  The Canon.Memo tables live in
-   Domain.DLS of whichever process runs the cell, so nothing about them
+(* Memo cells under the process backend.  The thm1 game cache lives in
+   Domain.DLS of whichever process runs the cell, so nothing about it
    crosses the supervisor wire or the checkpoint file — which is what
    makes memo-on output independent of isolation mode, worker count,
    kills, and resume history. *)
@@ -284,8 +284,9 @@ let memo_cells ~memo () =
 (* No `In_domain jobs > 1 here: spawning even one domain latches
    Unix.fork off for the rest of the process (see the header comment),
    and the later proc-backend tests fork.  The multi-domain half of the
-   memo contract is covered by the canon-relabel fuzz target, which
-   renders the same memo cells at jobs 1 and jobs 4. *)
+   memo contract is covered by test_catalog's "memo variants agree",
+   which renders a memo grid at jobs 1 and jobs 4 in an executable that
+   never forks. *)
 let test_memo_isolation_modes () =
   let baseline = render ~isolation:`In_domain (memo_cells ~memo:false ()) in
   List.iter

@@ -40,7 +40,6 @@ let test_locality_relation () =
     {
       Models.Algorithm.name = "loc-probe";
       locality = (fun ~n -> n);
-      pure = false;
       instantiate = (fun ~n:_ ~palette:_ ~oracle:_ _ -> 0);
     }
   in

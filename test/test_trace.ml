@@ -1,11 +1,9 @@
 (* The observability layer: canonical JSON, the NDJSON trace codec and
-   sink, the sharded metrics registry, and the versioned sweep
-   checkpoint header. *)
+   sink, and the versioned sweep checkpoint header. *)
 
 open Online_local
 module J = Obs.Json
 module T = Obs.Trace
-module Mx = Obs.Metrics
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -195,82 +193,6 @@ let test_read_file_strict () =
             (String.length msg > 0
             && Option.is_some (String.index_opt msg ':'))
       | _ -> Alcotest.fail "malformed line accepted")
-
-(* ----------------------------- metrics ----------------------------- *)
-
-let test_metrics_disabled_records_nothing () =
-  Mx.reset ();
-  Mx.disable ();
-  Mx.incr "nope";
-  Mx.observe "nope.hist" 3;
-  let s = Mx.drain () in
-  check_int "no counters" 0 (List.length s.Mx.counters);
-  check_int "no hists" 0 (List.length s.Mx.hists)
-
-let test_metrics_merge_and_pp () =
-  Mx.reset ();
-  Mx.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Mx.disable ();
-      Mx.reset ())
-    (fun () ->
-      Mx.incr "c.one";
-      Mx.add "c.one" 4;
-      Mx.gauge_max "g.peak" 10;
-      Mx.gauge_max "g.peak" 7;
-      Mx.observe "h.sizes" 1;
-      Mx.observe "h.sizes" 6;
-      let s = Mx.drain () in
-      check_bool "counter summed" true (List.assoc "c.one" s.Mx.counters = 5);
-      check_bool "gauge maxed" true (List.assoc "g.peak" s.Mx.gauges = 10);
-      let h = List.assoc "h.sizes" s.Mx.hists in
-      check_int "hist count" 2 h.Mx.count;
-      check_int "hist sum" 7 h.Mx.sum;
-      check_int "hist max" 6 h.Mx.max_value;
-      check_int "1 lands in bucket 1" 1 h.Mx.buckets.(Mx.bucket_of 1);
-      check_int "6 lands in bucket 3" 1 h.Mx.buckets.(Mx.bucket_of 6))
-
-let drain_to_string () = Format.asprintf "%a" Mx.pp (Mx.drain ())
-
-(* The determinism contract: a fixed workload drains byte-identical
-   totals however it was spread over domains. *)
-let metrics_workload jobs =
-  Mx.reset ();
-  Mx.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Mx.disable ();
-      Mx.reset ())
-    (fun () ->
-      Harness.Pool.run ~jobs ~tasks:16
-        ~work:(fun i ->
-          Mx.incr "tasks.run";
-          Mx.add "tasks.sum" i;
-          Mx.gauge_max "tasks.max" i;
-          Mx.observe "tasks.hist" (i + 1);
-          i)
-        ~consume:(fun _ _ -> ());
-      drain_to_string ())
-
-let test_metrics_jobs_invariant () =
-  let sequential = metrics_workload 1 in
-  let parallel = metrics_workload 4 in
-  check_string "drained registry identical at jobs=1 and jobs=4" sequential parallel;
-  check_bool "registry is non-trivial" true
-    (String.length sequential > 0
-    && Option.is_some
-         (String.index_opt sequential 't') (* has the tasks.* names *))
-
-let test_bucket_bounds () =
-  check_int "bucket of 0" 0 (Mx.bucket_of 0);
-  check_int "bucket of 1" 1 (Mx.bucket_of 1);
-  check_int "bucket of 7" 3 (Mx.bucket_of 7);
-  check_int "bucket of 8" 4 (Mx.bucket_of 8);
-  List.iter
-    (fun v ->
-      check_bool "bucket_lo <= v" true (Mx.bucket_lo (Mx.bucket_of v) <= v))
-    [ 1; 2; 3; 7; 8; 100; 4096; max_int ]
 
 (* ------------------------- traced game run ------------------------- *)
 
@@ -466,14 +388,6 @@ let () =
           Alcotest.test_case "nesting rejected" `Quick test_sink_rejects_nesting;
           Alcotest.test_case "full disk detaches" `Quick test_sink_on_full_disk;
           Alcotest.test_case "strict reader" `Quick test_read_file_strict;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "disabled is inert" `Quick
-            test_metrics_disabled_records_nothing;
-          Alcotest.test_case "merge and pp" `Quick test_metrics_merge_and_pp;
-          Alcotest.test_case "jobs-count invariant" `Quick test_metrics_jobs_invariant;
-          Alcotest.test_case "bucket bounds" `Quick test_bucket_bounds;
         ] );
       ( "integration",
         [
