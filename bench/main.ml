@@ -707,8 +707,8 @@ let isolation_overhead () =
 (* ------------------ job-server throughput (E12) ------------------- *)
 
 (* What the serve.exe front door costs: a batch of trivial jobs is
-   pushed through a forked server (proc isolation, the production
-   default) three ways — chaos off, chaos on (fixed seed), and against
+   pushed through a forked server (every job in a supervised child)
+   three ways — chaos off, chaos on (fixed seed), and against
    a deliberately tiny admission queue — and jobs/s, the retry tallies,
    and the queue-rejection rate are reported.  Result byte-identity
    against a local map of the handler is asserted in every scenario:
@@ -738,7 +738,6 @@ let serve_throughput () =
       {
         Server.default_config with
         Server.jobs;
-        isolation = `Process;
         queue_limit;
         supervisor =
           {

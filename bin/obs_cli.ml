@@ -1,21 +1,25 @@
-(* Shared flag plumbing for the sweep, repro, play, serve and fuzz
-   binaries.
+(* Shared flag plumbing for the binaries in this directory.
 
-   Every binary in this directory exposes the same observability flags:
+   Every binary but exhaust and trace_report takes the same
+   observability flags:
 
      --trace FILE   stream NDJSON trace events to FILE
      --stats FILE   write drained streaming stats (JSON) to FILE
      --flight FILE  binary flight-recorder ring, flushed on anomaly
 
-   and the same execution-backend flags, parsed and validated here so
-   "--jobs 0" fails identically everywhere, naming the flag:
+   repro, fuzz and the sweep_thm* binaries take the same execution
+   flags, parsed and validated here so "--jobs 0" fails identically
+   everywhere, naming the flag:
 
      --jobs N             worker domains (in-domain) / children (proc)
      --isolate MODE       domain (default) | proc
      --retries N          proc mode: extra attempts per crashed cell
      --kill-grace-ms MS   proc mode: SIGTERM -> SIGKILL escalation gap
      --cell-timeout-ms MS proc mode: per-attempt wall-clock watchdog
-                          (serve.exe: the deadline of jobs without one)
+
+   serve takes them too, but runs every job in a supervised child: its
+   --isolate accepts only proc, the proc-mode flags always apply, and
+   --cell-timeout-ms is the deadline of jobs submitted without one.
 
    The stats file is written even on the interrupted (exit 130) path:
    a Ctrl-C'd sweep still reports what it counted.
@@ -82,8 +86,8 @@ let jobs =
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Workers: domains under --isolate domain, child processes under \
-           --isolate proc (default: available cores, capped at 8).  Output \
-           bytes never depend on $(docv).")
+           --isolate proc and in serve (default: available cores, capped at \
+           8).  Output bytes never depend on $(docv).")
 
 let isolate =
   Arg.(
@@ -102,9 +106,9 @@ let retries =
     & opt non_negative_int Harness.Supervisor.default_config.Harness.Supervisor.retries
     & info [ "retries" ] ~docv:"N"
         ~doc:
-          "With --isolate proc: extra attempts after a cell's worker dies \
-           abnormally, before the cell is quarantined.  0 disables \
-           retrying.")
+          "With --isolate proc, and always in serve: extra attempts after a \
+           cell's worker dies abnormally, before the cell is quarantined.  \
+           0 disables retrying.")
 
 let kill_grace_ms =
   Arg.(
@@ -112,8 +116,8 @@ let kill_grace_ms =
     & opt positive_int 500
     & info [ "kill-grace-ms" ] ~docv:"MS"
         ~doc:
-          "With --isolate proc: how long a timed-out child gets between \
-           SIGTERM and the SIGKILL escalation.")
+          "With --isolate proc, and always in serve: how long a timed-out \
+           child gets between SIGTERM and the SIGKILL escalation.")
 
 let cell_timeout_ms =
   Arg.(
@@ -121,10 +125,10 @@ let cell_timeout_ms =
     & opt (some positive_int) None
     & info [ "cell-timeout-ms" ] ~docv:"MS"
         ~doc:
-          "With --isolate proc: per-attempt wall-clock watchdog; a cell \
-           exceeding it is killed and certified unresponsive.  In serve, \
-           the deadline of every job submitted without its own.  Unset: \
-           no watchdog.")
+          "With --isolate proc, and always in serve: per-attempt wall-clock \
+           watchdog; a cell exceeding it is killed and certified \
+           unresponsive.  In serve, the deadline of every job submitted \
+           without its own.  Unset: no watchdog.")
 
 type exec = {
   jobs : int;
@@ -132,21 +136,20 @@ type exec = {
   supervisor : Harness.Supervisor.config;
 }
 
-let exec_term =
-  let make jobs isolation retries kill_grace_ms cell_timeout_ms =
+let supervisor_term =
+  let make retries kill_grace_ms cell_timeout_ms =
     {
-      jobs;
-      isolation;
-      supervisor =
-        {
-          Harness.Supervisor.default_config with
-          Harness.Supervisor.retries;
-          kill_grace = float_of_int kill_grace_ms /. 1000.;
-          timeout = Option.map (fun ms -> float_of_int ms /. 1000.) cell_timeout_ms;
-        };
+      Harness.Supervisor.default_config with
+      Harness.Supervisor.retries;
+      kill_grace = float_of_int kill_grace_ms /. 1000.;
+      timeout = Option.map (fun ms -> float_of_int ms /. 1000.) cell_timeout_ms;
     }
   in
-  Term.(const make $ jobs $ isolate $ retries $ kill_grace_ms $ cell_timeout_ms)
+  Term.(const make $ retries $ kill_grace_ms $ cell_timeout_ms)
+
+let exec_term =
+  let make jobs isolation supervisor = { jobs; isolation; supervisor } in
+  Term.(const make $ jobs $ isolate $ supervisor_term)
 
 let with_observability ~program ~trace:trace_path ?(stats = None)
     ?(flight = None) f =

@@ -1,48 +1,46 @@
 (* The resilient job server front door: accept thm1/thm2/thm3/fuzz jobs
-   over a Unix-domain (or loopback TCP) socket and run them under the
-   harness's isolation machinery.
+   over a Unix-domain (or loopback TCP) socket and run each in a
+   supervised child process.
 
      dune exec bin/serve.exe -- --socket /tmp/jobs.sock --jobs 4 \
-       --isolate proc --journal jobs.journal
+       --journal jobs.journal
      dune exec bin/serve.exe -- --socket tcp:7421 --queue-limit 16
      dune exec bin/serve.exe -- --socket /tmp/jobs.sock --chaos 42
 
    Admission is bounded (--queue-limit; excess submits get a typed
    rejection), duplicate submits dedup on the content-derived job id,
-   under --isolate proc each job runs in a supervised child (the shared
-   --retries, --kill-grace-ms and --cell-timeout-ms flags: crashed jobs
-   retry with seeded backoff and then quarantine, and --cell-timeout-ms
-   is the deadline of jobs that do not carry their own), SIGTERM
-   drains gracefully (in-flight jobs finish, queued jobs stay in the
-   --journal), and --resume replays the journal after a crash or drain:
-   finished jobs become cached results, accepted-but-unfinished jobs
-   re-enter the queue.  --chaos SEED injects deterministic faults
-   (dropped connections, partial/truncated frames, child SIGKILLs) to
-   rehearse exactly those failure paths. *)
+   and each job runs on the sweeps' child engine (Harness.Supervisor):
+   at most --jobs children at a time, crashed jobs retry with seeded
+   backoff (--retries) and then quarantine, and the watchdog kills a
+   job over its deadline, or over --cell-timeout-ms for a job that
+   carries none, escalating SIGTERM -> SIGKILL after --kill-grace-ms.
+   --isolate proc is accepted and changes nothing; --isolate domain is
+   a usage error.  SIGTERM drains gracefully (in-flight jobs finish,
+   queued jobs stay in the --journal), and --resume replays the journal
+   after a crash or drain: finished jobs become cached results,
+   accepted-but-unfinished jobs re-enter the queue.  --chaos SEED
+   injects deterministic faults (dropped connections, partial/truncated
+   frames, child SIGKILLs) to rehearse exactly those failure paths. *)
 
 open Cmdliner
 
-let run socket queue_limit journal resume chaos
-    (exec : Obs_cli.exec) trace stats flight =
+let run socket queue_limit journal resume chaos jobs () supervisor trace stats
+    flight =
   Obs_cli.with_observability ~program:"serve" ~trace ~stats ~flight @@ fun () ->
   let config =
     {
       Harness.Server.default_config with
-      Harness.Server.jobs = exec.Obs_cli.jobs;
-      isolation = exec.Obs_cli.isolation;
+      Harness.Server.jobs;
       queue_limit;
-      supervisor = exec.Obs_cli.supervisor;
+      supervisor;
       chaos = Option.map (fun seed -> Harness.Server.default_chaos ~seed) chaos;
     }
   in
   match
     Harness.Server.run ~config ?journal ~resume ~socket
       ~on_ready:(fun () ->
-        Format.eprintf "serve: listening on %s (%d jobs, %s isolation)%s@."
-          socket config.Harness.Server.jobs
-          (match config.Harness.Server.isolation with
-          | `Process -> "proc"
-          | `In_domain -> "domain")
+        Format.eprintf "serve: listening on %s (%d jobs, proc isolation)%s@."
+          socket jobs
           (if chaos <> None then " [CHAOS]" else ""))
       ~handler:Jobs_catalog.handler ()
   with
@@ -98,16 +96,28 @@ let chaos =
     & info [ "chaos" ] ~docv:"SEED"
         ~doc:
           "Inject deterministic faults from this seed: dropped connections, \
-           partial and truncated reply frames, and (under --isolate proc) \
-           child SIGKILLs.  Injected kills are charged no retry budget, so \
-           chaos never quarantines a healthy job.")
+           partial and truncated reply frames, and child SIGKILLs.  Injected \
+           kills are charged no retry budget, so chaos never quarantines a \
+           healthy job.")
+
+(* The one mode there is, still accepted by name: command lines that
+   pass --isolate proc keep working, and any other value is a usage
+   error. *)
+let isolate =
+  Arg.(
+    value
+    & opt (enum [ ("proc", ()) ]) ()
+    & info [ "isolate" ] ~docv:"MODE"
+        ~doc:
+          "Job isolation: $(b,proc), the only mode.  Every job runs in a \
+           supervised child process.")
 
 let cmd =
   Cmd.v
     (Cmd.info "serve" ~doc:"Resilient job server over a Unix/TCP socket")
     Term.(
-      const run $ socket $ queue_limit $ journal $ resume
-      $ chaos $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.stats
+      const run $ socket $ queue_limit $ journal $ resume $ chaos $ Obs_cli.jobs
+      $ isolate $ Obs_cli.supervisor_term $ Obs_cli.trace $ Obs_cli.stats
       $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

@@ -21,7 +21,6 @@ let default_chaos ~seed =
 
 type config = {
   jobs : int;
-  isolation : [ `In_domain | `Process ];
   queue_limit : int;
   supervisor : Supervisor.config;
   max_frame : int;
@@ -31,7 +30,6 @@ type config = {
 let default_config =
   {
     jobs = 2;
-    isolation = `Process;
     queue_limit = 64;
     supervisor = Supervisor.default_config;
     max_frame = Wire.default_max_payload;
@@ -329,151 +327,6 @@ module Conn = struct
       close t t.close_reason
 end
 
-(* ------------------------- execution backends ------------------------- *)
-
-module Backend = struct
-  type settled = Done of { result : string; delta : string } | Retrying | Abandoned
-
-  type 'a t = {
-    room : unit -> bool;
-    start : 'a -> key:string -> timeout:float option -> (unit -> string) -> unit;
-    fds : unit -> Unix.file_descr list;
-    next_deadline : unit -> float option;
-    tick : unit -> unit;
-    settle : Unix.file_descr -> ('a * settled) list;
-    running : unit -> int;
-    idle : unit -> bool;
-    abandon : unit -> 'a list;
-    shutdown : unit -> unit;
-  }
-
-  let processes ~jobs ~chaos config =
-    let engine = Supervisor.create ~jobs config in
-    (* chaos: SIGKILLs due for running jobs' children, (due, tag) *)
-    let kills = ref [] in
-    let settled = function
-      | Supervisor.Finished (Supervisor.Done result, stats) ->
-          let delta = Option.value stats ~default:"" in
-          if delta <> "" then ignore (Obs.Stats.absorb_string delta);
-          Done { result; delta }
-      | Supervisor.Finished (Supervisor.Failed msg, _) ->
-          Done { result = "ERROR: " ^ msg; delta = "" }
-      | Supervisor.Finished (Supervisor.Quarantined q, _) ->
-          Done { result = Supervisor.quarantine_to_string q; delta = "" }
-      | Supervisor.Retrying -> Retrying
-      | Supervisor.Abandoned -> Abandoned
-    in
-    {
-      room = (fun () -> Supervisor.room engine);
-      start =
-        (fun tag ~key ~timeout work ->
-          Supervisor.spawn engine tag ~key ?timeout work;
-          if Chaos.roll chaos (fun c -> c.kill_child) then
-            kills := (Unix.gettimeofday () +. Chaos.delay chaos, tag) :: !kills);
-      fds = (fun () -> Supervisor.fds engine);
-      next_deadline =
-        (fun () ->
-          List.fold_left
-            (fun acc (due, _) -> Some (Option.fold ~none:due ~some:(Float.min due) acc))
-            (Supervisor.next_deadline engine) !kills);
-      tick =
-        (fun () ->
-          Supervisor.tick engine;
-          let now = Unix.gettimeofday () in
-          let due, later = List.partition (fun (at, _) -> at <= now) !kills in
-          kills := later;
-          List.iter
-            (fun (_, tag) -> if Supervisor.kill engine tag then Chaos.fire chaos "kill_child")
-            due);
-      settle =
-        (fun fd ->
-          Option.to_list
-            (Option.map (fun (tag, s) -> (tag, settled s)) (Supervisor.read engine fd)));
-      running = (fun () -> Supervisor.live engine);
-      idle = (fun () -> Supervisor.idle engine);
-      abandon = (fun () -> Supervisor.abandon engine);
-      shutdown = (fun () -> Supervisor.shutdown engine);
-    }
-
-  let domains ~jobs =
-    let lock = Mutex.create () and wake = Condition.create () in
-    (* at most [jobs] tasks handed over and not yet picked up, and the
-       results not yet settled; the caller's side is single-domain *)
-    let inbox = Queue.create () and outbox = Queue.create () in
-    let stop = ref false and running = ref 0 in
-    let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock pipe_r;
-    Unix.set_nonblock pipe_w;
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        match
-          Mutex.protect lock (fun () ->
-              while Queue.is_empty inbox && not !stop do
-                Condition.wait wake lock
-              done;
-              if !stop then None else Queue.take_opt inbox)
-        with
-        | None -> continue := false
-        | Some (tag, work) ->
-            (* [Obs.Stats.scoped] merges the job's contribution into this
-               domain's shard and hands back the delta for the journal —
-               the per-job persistence the 'S' frame gives the process
-               backend *)
-            let result, delta =
-              match Obs.Stats.scoped work with
-              | r -> r
-              | exception exn -> ("ERROR: " ^ Printexc.to_string exn, "")
-            in
-            Mutex.protect lock (fun () -> Queue.push (tag, Done { result; delta }) outbox);
-            (* wake the caller's select; a full pipe is already readable *)
-            (try ignore (Unix.write_substring pipe_w "x" 0 1) with Unix.Unix_error _ -> ())
-      done
-    in
-    let workers = List.init jobs (fun _ -> Domain.spawn worker) in
-    let scratch = Bytes.create 256 in
-    {
-      room = (fun () -> !running < jobs);
-      start =
-        (fun tag ~key:_ ~timeout:_ work ->
-          incr running;
-          Mutex.protect lock (fun () -> Queue.push (tag, work) inbox);
-          Condition.signal wake);
-      fds = (fun () -> [ pipe_r ]);
-      next_deadline = (fun () -> None);
-      tick = ignore;
-      settle =
-        (fun fd ->
-          if fd <> pipe_r then []
-          else begin
-            (try
-               while Unix.read pipe_r scratch 0 (Bytes.length scratch) > 0 do
-                 ()
-               done
-             with Unix.Unix_error _ -> ());
-            let settled =
-              Mutex.protect lock (fun () ->
-                  let l = List.of_seq (Queue.to_seq outbox) in
-                  Queue.clear outbox;
-                  l)
-            in
-            running := !running - List.length settled;
-            settled
-          end);
-      running = (fun () -> !running);
-      idle = (fun () -> !running = 0);
-      abandon = (fun () -> []);
-      shutdown =
-        (fun () ->
-          Mutex.protect lock (fun () -> stop := true);
-          Condition.broadcast wake;
-          List.iter Domain.join workers;
-          List.iter
-            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-            [ pipe_r; pipe_w ]);
-    }
-end
-
 (* ------------------------------ the server ----------------------------- *)
 
 type job = {
@@ -503,7 +356,8 @@ type t = {
   stats : stats;
   jobs : (string, job) Hashtbl.t;
   pending : job Queue.t;  (* admitted, not started; only the loop touches it *)
-  backend : job Backend.t;
+  engine : job Supervisor.t;
+  mutable kills : (float * job) list;  (* chaos: SIGKILLs due, (due, job) *)
   conns : (Unix.file_descr, Conn.t) Hashtbl.t;
   journal : (string * Sweep.Journal.t) option;
   mutable listener : Unix.file_descr option;  (* [None] once accepting stops *)
@@ -545,16 +399,28 @@ let start_job t job =
   if Obs.Trace.on () then
     Obs.Trace.emit (Obs.Trace.Job_start { id; attempt = job.attempts });
   job.attempts <- job.attempts + 1;
-  t.backend.start job ~key:id
-    ~timeout:(Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms)
-    (fun () -> t.handler ~kind ~payload)
+  Supervisor.spawn t.engine job ~key:id
+    ?timeout:(Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms)
+    (fun () -> t.handler ~kind ~payload);
+  if Chaos.roll t.chaos (fun c -> c.kill_child) then
+    t.kills <- (Unix.gettimeofday () +. Chaos.delay t.chaos, job) :: t.kills
+
+let kill_due t =
+  let now = Unix.gettimeofday () in
+  let due, later = List.partition (fun (at, _) -> at <= now) t.kills in
+  t.kills <- later;
+  List.iter
+    (fun (_, job) -> if Supervisor.kill t.engine job then Chaos.fire t.chaos "kill_child")
+    due
 
 let settle t (job, settled) =
   match settled with
-  | Backend.Done { result; delta } -> complete t job result delta
-  | Backend.Retrying ->
-      t.stats.retries <- t.stats.retries + 1
-  | Backend.Abandoned ->
+  | Supervisor.Finished (outcome, stats) ->
+      let delta = Option.value stats ~default:"" in
+      if delta <> "" then ignore (Obs.Stats.absorb_string delta);
+      complete t job (Supervisor.outcome_to_string outcome) delta
+  | Supervisor.Retrying -> t.stats.retries <- t.stats.retries + 1
+  | Supervisor.Abandoned ->
       (* a child killed by chaos or dead during the drain: back to the
          queue with its retry budget uncharged; a drained server leaves
          it journaled as accepted, to rerun after restart *)
@@ -567,7 +433,7 @@ let health_json t =
     [
       ("status", Obs.Json.String (if t.draining then "draining" else "ok"));
       ("queued", Obs.Json.Int (Queue.length t.pending));
-      ("running", Obs.Json.Int (t.backend.running ()));
+      ("running", Obs.Json.Int (Supervisor.live t.engine));
       ("completed", Obs.Json.Int t.stats.completed);
     ]
 
@@ -587,7 +453,7 @@ let stats_json t =
       ("conns", Obs.Json.Int s.conns_opened);
       ("chaos_injected", Obs.Json.Int (Chaos.injected t.chaos));
       ("queued", Obs.Json.Int (Queue.length t.pending));
-      ("running", Obs.Json.Int (t.backend.running ()));
+      ("running", Obs.Json.Int (Supervisor.live t.engine));
       ("draining", Obs.Json.Bool t.draining);
     ]
 
@@ -721,11 +587,11 @@ let start_drain t =
   stop_accepting t;
   (* retry-waiting jobs are abandoned like queued ones: journaled as
      accepted, rerun on restart *)
-  List.iter (fun job -> Queue.push job t.pending) (t.backend.abandon ());
+  List.iter (fun job -> Queue.push job t.pending) (Supervisor.abandon t.engine);
   if Obs.Trace.on () then
     Obs.Trace.emit
       (Obs.Trace.Server_drain
-         { queued = Queue.length t.pending; running = t.backend.running () })
+         { queued = Queue.length t.pending; running = Supervisor.live t.engine })
 
 let drop_closed t =
   Hashtbl.filter_map_inplace (fun _ c -> if Conn.closed c then None else Some c) t.conns
@@ -736,20 +602,22 @@ let unsent_fds t =
 (* One turn: start what fits, wait for input, a finished job or a due
    timer, handle it, and answer. *)
 let step t ~chunk =
-  t.backend.tick ();
+  Supervisor.tick t.engine;
+  kill_due t;
   if not t.draining then
-    while t.backend.room () && not (Queue.is_empty t.pending) do
+    while Supervisor.room t.engine && not (Queue.is_empty t.pending) do
       start_job t (Queue.pop t.pending)
     done;
   let now = Unix.gettimeofday () in
   let timeout = ref 0.25 in
   let consider due = timeout := Float.max 0. (Float.min !timeout (due -. now)) in
-  Option.iter consider (t.backend.next_deadline ());
+  Option.iter consider (Supervisor.next_deadline t.engine);
+  List.iter (fun (due, _) -> consider due) t.kills;
   Hashtbl.iter (fun _ c -> Option.iter consider (Conn.next_due c)) t.conns;
   let rfds =
     Option.to_list t.listener
     @ Hashtbl.fold (fun fd c acc -> if Conn.wants_read c then fd :: acc else acc) t.conns []
-    @ t.backend.fds ()
+    @ Supervisor.fds t.engine
   in
   (* the write set only wakes the loop; the writes come below *)
   (match Unix.select rfds (unsent_fds t) [] !timeout with
@@ -760,7 +628,7 @@ let step t ~chunk =
           else
             match Hashtbl.find_opt t.conns fd with
             | Some conn -> Conn.fill conn chunk
-            | None -> List.iter (settle t) (t.backend.settle fd))
+            | None -> Option.iter (settle t) (Supervisor.read t.engine fd))
         ready
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
   (* Answer each connection and write what its socket takes now; the
@@ -810,17 +678,11 @@ let run ?(config = default_config) ?journal ?(resume = false)
     Option.map (fun path -> (path, Sweep.Journal.open_out ~resume path)) journal
   in
   let listener = listen_on socket in
-  let chaos = Chaos.create config.chaos in
-  let backend =
-    match config.isolation with
-    | `Process -> Backend.processes ~jobs:config.jobs ~chaos config.supervisor
-    | `In_domain -> Backend.domains ~jobs:config.jobs
-  in
   let t =
     {
       config;
       handler;
-      chaos;
+      chaos = Chaos.create config.chaos;
       stats =
         {
           accepted = 0;
@@ -836,7 +698,8 @@ let run ?(config = default_config) ?journal ?(resume = false)
         };
       jobs = Hashtbl.create 64;
       pending = Queue.create ();
-      backend;
+      engine = Supervisor.create ~jobs:config.jobs config.supervisor;
+      kills = [];
       conns = Hashtbl.create 16;
       journal = journal_out;
       listener = Some listener;
@@ -849,8 +712,8 @@ let run ?(config = default_config) ?journal ?(resume = false)
   let cleanup () =
     restore_signals ();
     stop_accepting t;
-    (* never leak children or domains, also on the exception path *)
-    t.backend.shutdown ();
+    (* never leak children, also on the exception path *)
+    Supervisor.shutdown t.engine;
     Hashtbl.iter (fun _ conn -> Conn.close conn "shutdown") t.conns;
     Hashtbl.reset t.conns;
     Option.iter (fun (_, j) -> Sweep.Journal.close j) t.journal;
@@ -868,7 +731,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
   let chunk = Bytes.create 4096 in
   let rec loop () =
     if (Atomic.get drain_req || should_stop ()) && not t.draining then start_drain t;
-    if not (t.draining && t.backend.idle ()) then begin
+    if not (t.draining && Supervisor.idle t.engine) then begin
       step t ~chunk;
       loop ()
     end

@@ -1,6 +1,6 @@
 (** The resilient job server: a long-running front door that accepts
-    game/sweep/fuzz jobs over a socket and runs them on worker domains
-    or on the {!Supervisor}'s child engine.
+    game/sweep/fuzz jobs over a socket and runs each as a task of the
+    {!Supervisor}'s child engine.
 
     {2 Protocol}
 
@@ -45,20 +45,17 @@
 
     {2 Execution}
 
-    Jobs run under the configured [isolation].  [`Process] runs each
-    job as one task of the {!Supervisor}'s child engine — the same
-    engine, child and failure handling as a [Sweep] under
-    [--isolate proc]: the watchdog escalates SIGTERM → SIGKILL on the
-    job's own deadline or else [supervisor.timeout], crashes retry on
-    the seeded [supervisor.backoff] schedule, and a job out of retries
-    degrades to the typed ["QUARANTINED ..."] result.  The server only
-    adds policy: a chaos kill, or a child dying during a drain, requeues
-    the job with its retry budget uncharged.  [`In_domain] runs jobs on
-    a pool of worker domains (no fork, no watchdog — the {!Guard}'s
-    territory).  A handler that returns produces its string verbatim; a
-    handler that raises produces ["ERROR: <exn>"] in both modes (never
-    retried), so a campaign's bytes never depend on the isolation mode
-    or [jobs] count.
+    Every job runs in a forked child, as one task of the {!Supervisor}'s
+    engine — the same engine, child and failure handling as a [Sweep]
+    under [--isolate proc]: the watchdog escalates SIGTERM → SIGKILL on
+    the job's own deadline or else [supervisor.timeout], crashes retry
+    on the seeded [supervisor.backoff] schedule, and a job out of
+    retries degrades to the typed ["QUARANTINED ..."] result.  A handler
+    that returns produces its string verbatim; a handler that raises
+    produces ["ERROR: <exn>"], never retried
+    ({!Supervisor.outcome_to_string}), so a campaign's bytes never
+    depend on the [jobs] count.  A handler may fork, install signal
+    handlers or own process-wide state: its child is its own process.
 
     {2 Drain and recovery}
 
@@ -73,14 +70,19 @@
     lost — not to a drain, nor to a SIGKILL — and a client that
     resubmits after the restart gets byte-identical results.
 
-    {2 Three parts and a loop}
+    {2 Two parts, the engine and a loop}
 
-    {!run} is a single-domain [Unix.select] loop over three parts, each
-    usable without a socket or a server: the {!Journal} codec, the
-    {!Conn} connection layer, and an execution {!Backend}.  The loop
-    owns admission, dedup and the queue of admitted jobs; it starts
-    jobs while the backend has room, and hands the backend's readable
-    descriptors back to it to settle. *)
+    {!run} is a single-domain [Unix.select] loop over two parts, each
+    usable without a socket or a server — the {!Journal} codec and the
+    {!Conn} connection layer — and the {!Supervisor} engine, which it
+    drives directly: it spawns jobs while the engine has [room], selects
+    on the engine's [fds] until its [next_deadline], hands each readable
+    one to [read], and calls [tick].  The loop keeps only the server's
+    own policy: admission, dedup and the queue of admitted jobs; seeded
+    chaos kills ({!Supervisor.kill}); putting a job whose child was
+    abandoned — by a chaos kill, or by a death during a drain — back in
+    the queue with its retry budget uncharged; and journaling each
+    finished job's stats delta. *)
 
 type chaos = {
   chaos_seed : int;  (** seed for the injection schedule *)
@@ -95,9 +97,9 @@ type chaos = {
       (** probability a reply frame is cut mid-frame and the
           connection closed (the client sees EOF inside a frame) *)
   kill_child : float;
-      (** [`Process] mode: probability a job's child is SIGKILLed at a
-          random point of its run (charged no retry, like an
-          interrupt, so chaos cannot quarantine a healthy job) *)
+      (** probability a job's child is SIGKILLed at a random point of
+          its run (charged no retry, like an interrupt, so chaos cannot
+          quarantine a healthy job) *)
   corrupt_journal : float;
       (** probability each journal append is followed by simulated disk
           damage to the last record — a seeded bit-flip, or a
@@ -114,21 +116,20 @@ val default_chaos : seed:int -> chaos
     corrupt-journal 10%, delays up to 50 ms. *)
 
 type config = {
-  jobs : int;  (** max jobs executing concurrently *)
-  isolation : [ `In_domain | `Process ];
+  jobs : int;  (** max job children running concurrently *)
   queue_limit : int;
       (** max jobs {e queued} (admitted, not yet running); submits
           beyond it are rejected *)
   supervisor : Supervisor.config;
-      (** [`Process]: the child engine's retries, watchdog and backoff.
-          Its [timeout] is the per-attempt deadline of jobs that do not
+      (** the child engine's retries, watchdog and backoff.  Its
+          [timeout] is the per-attempt deadline of jobs that do not
           carry their own; [None] disables the watchdog for them. *)
   max_frame : int;  (** decoder payload cap per frame, bytes *)
   chaos : chaos option;  (** fault injection; [None] in production *)
 }
 
 val default_config : config
-(** [jobs = 2], [`Process] isolation, [queue_limit = 64],
+(** [jobs = 2], [queue_limit = 64],
     {!Supervisor.default_config}, {!Wire.default_max_payload}, no
     chaos. *)
 
@@ -268,44 +269,4 @@ module Conn : sig
   (** Close now; [reason] goes to the [Conn_close] trace event. *)
 
   val closed : t -> bool
-end
-
-(** The one interface the loop runs jobs through.  Tasks carry the
-    caller's tag ['a]; the caller's side is single-domain. *)
-module Backend : sig
-  type settled =
-    | Done of { result : string; delta : string }
-        (** the job's result — ["ERROR: ..."] when its handler raised,
-            ["QUARANTINED ..."] when it ran out of retries — and its
-            encoded {!Obs.Stats} contribution, already merged into this
-            process's registry *)
-    | Retrying  (** an attempt died and is charged; the task respawns *)
-    | Abandoned  (** an attempt was killed uncharged: the caller reruns it *)
-
-  type 'a t = {
-    room : unit -> bool;  (** fewer than [jobs] tasks run *)
-    start : 'a -> key:string -> timeout:float option -> (unit -> string) -> unit;
-        (** start a task now; the caller checks [room] first *)
-    fds : unit -> Unix.file_descr list;  (** to select on for reading *)
-    next_deadline : unit -> float option;  (** when [tick] has work *)
-    tick : unit -> unit;  (** watchdog, due retries, due chaos kills *)
-    settle : Unix.file_descr -> ('a * settled) list;
-        (** what a readable descriptor of [fds] settled *)
-    running : unit -> int;
-    idle : unit -> bool;  (** nothing runs and no retry waits *)
-    abandon : unit -> 'a list;
-        (** retry no more: the tasks that were waiting for a retry *)
-    shutdown : unit -> unit;  (** kill and reap, or stop and join *)
-  }
-
-  val processes : jobs:int -> chaos:Chaos.t -> Supervisor.config -> 'a t
-  (** One {!Supervisor} child per task, with its watchdog, retries and
-      quarantine; [timeout] is the per-attempt limit.  Chaos SIGKILLs
-      a child now and then, settled {!Abandoned}. *)
-
-  val domains : jobs:int -> 'a t
-  (** [jobs] worker domains, spawned now, that take tasks from the
-      caller through a handoff slot and wake its select through a
-      pipe.  No watchdog: [timeout] is ignored, and nothing is retried
-      or abandoned.  A process that has run it cannot fork safely. *)
 end

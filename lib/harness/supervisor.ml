@@ -71,6 +71,11 @@ let quarantine_to_string q =
 
 type outcome = Done of string | Failed of string | Quarantined of quarantine
 
+let outcome_to_string = function
+  | Done r -> r
+  | Failed msg -> "ERROR: " ^ msg
+  | Quarantined q -> quarantine_to_string q
+
 (* ------------------------------ child side ------------------------------ *)
 
 let heartbeat_byte = Wire.encode_bare 'H'

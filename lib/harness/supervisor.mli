@@ -35,12 +35,11 @@
        results consumed in index order.  {!Sweep}, [fuzz.exe] and the
        experiment tables call it.  On interrupt it {!terminate}s its
        children and abandons their tasks.}
-    {- the {!Server}'s [`Process] backend: one task per job, mixed into
-       the server's socket loop.  Admission, dedup, the journal, drain
-       and chaos stay the server's: its drain lets in-flight children
-       finish and requeues a job whose child dies meanwhile
-       ({!abandon}), and a chaos kill ({!kill}) requeues the job without
-       charging its retry budget.}}
+    {- the {!Server}'s socket loop: one task per job.  Admission,
+       dedup, the journal, drain and chaos stay the server's: its drain
+       lets in-flight children finish and requeues a job whose child
+       dies meanwhile ({!abandon}), and a chaos kill ({!kill}) requeues
+       the job without charging its retry budget.}}
 
     The parent is {e single-domain by construction}: in OCaml 5, forking
     from a [Domain.spawn]ed worker is unsafe (the child inherits stopped
@@ -153,6 +152,12 @@ type outcome =
           the exception, caught {e in the child} (deterministic raises
           are results, not retryable crashes) *)
   | Quarantined of quarantine  (** retry budget exhausted *)
+
+val outcome_to_string : outcome -> string
+(** The result string a sweep prints and checkpoints, and a server
+    answers, for an outcome: [Done]'s string verbatim, ["ERROR: "]
+    before a [Failed] message — the in-domain path's format for a raise
+    — or {!quarantine_to_string}. *)
 
 (** {2 The engine} *)
 

@@ -430,14 +430,11 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
               None
         in
         (* The child returns exactly the string the in-domain path would
-           have produced, and the ERROR mapping below uses the identical
-           format — well-behaved and deterministically-raising cells
-           print the same bytes under both isolation modes. *)
-        let result_of = function
-          | Supervisor.Done r -> r
-          | Supervisor.Failed msg -> "ERROR: " ^ msg
-          | Supervisor.Quarantined q -> Supervisor.quarantine_to_string q
-        in
+           have produced, and [Supervisor.outcome_to_string] maps a raise
+           to the identical ERROR format — well-behaved and
+           deterministically-raising cells print the same bytes under
+           both isolation modes. *)
+        let result_of = Supervisor.outcome_to_string in
         (* Child stats arrive as the supervisor's ['S'] frame; stash
            the delta so [complete] can checkpoint it next to the cell's
            result, and absorb it so this process's drain matches the

@@ -5,8 +5,8 @@
    drives it with the real client over a Unix-domain socket.  The
    anchor assertion throughout: campaign results are byte-identical to
    a local map of the handler over the same specs — whatever the
-   server's jobs count, isolation mode, chaos setting, or how many
-   times it was killed and restarted in between. *)
+   server's jobs count, chaos setting, or how many times it was killed
+   and restarted in between. *)
 
 module Server = Harness.Server
 module Client = Harness.Client
@@ -23,8 +23,8 @@ let fast_backoff = { Backoff.base = 0.002; max = 0.02; seed = 0x5EED }
      upper  -> uppercased, multi-line results preserved
      fail   -> raises (the typed ERROR path)
      slow   -> sleeps 30 ms, then echoes (drain / backpressure fodder)
-     hang   -> sleeps a minute (watchdog fodder; `Process only)
-     suicide -> SIGKILLs its own process (crash fodder; `Process only) *)
+     hang   -> sleeps a minute (watchdog fodder)
+     suicide -> SIGKILLs its own process (crash fodder) *)
 let handler ~kind ~payload =
   match kind with
   | "rev" -> String.init (String.length payload) (fun i ->
@@ -59,7 +59,7 @@ let temp_path suffix =
   (try Sys.remove path with Sys_error _ -> ());
   path
 
-let fork_server ?journal ?resume ~config ~socket () =
+let fork_server ?(handler = handler) ?journal ?resume ~config ~socket () =
   match Unix.fork () with
   | 0 ->
       (try Server.run ~config ?journal ?resume ~socket ~handler () with _ -> ());
@@ -70,9 +70,9 @@ let stop_server pid =
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] pid)
 
-let with_server ?journal ?resume ~config f =
+let with_server ?handler ?journal ?resume ~config f =
   let socket = temp_path ".sock" in
-  let pid = fork_server ?journal ?resume ~config ~socket () in
+  let pid = fork_server ?handler ?journal ?resume ~config ~socket () in
   Fun.protect
     ~finally:(fun () ->
       stop_server pid;
@@ -94,13 +94,12 @@ let mixed_specs =
 let fast_supervisor =
   { Harness.Supervisor.default_config with backoff = fast_backoff; kill_grace = 0.1 }
 
-let fast_config jobs isolation =
-  { Server.default_config with Server.jobs; isolation; supervisor = fast_supervisor }
+let fast_config jobs = { Server.default_config with Server.jobs; supervisor = fast_supervisor }
 
 (* ------------------------- basic round trips ------------------------- *)
 
 let test_basic_roundtrip () =
-  with_server ~config:(fast_config 2 `Process) @@ fun ~socket ~pid:_ ->
+  with_server ~config:(fast_config 2) @@ fun ~socket ~pid:_ ->
   let c = campaign ~socket mixed_specs in
   check_int "all results" (List.length mixed_specs) (List.length c.Client.results);
   List.iteri
@@ -111,22 +110,17 @@ let test_basic_roundtrip () =
 let test_results_jobs_isolation_invariant () =
   let baseline = List.map expected mixed_specs in
   List.iter
-    (fun (jobs, isolation, label) ->
-      with_server ~config:(fast_config jobs isolation) @@ fun ~socket ~pid:_ ->
+    (fun jobs ->
+      with_server ~config:(fast_config jobs) @@ fun ~socket ~pid:_ ->
       let c = campaign ~socket mixed_specs in
       List.iteri
         (fun i (want, got) ->
-          check_string (Printf.sprintf "%s result %d" label i) want got)
+          check_string (Printf.sprintf "proc/%d result %d" jobs i) want got)
         (List.combine baseline c.Client.results))
-    [
-      (1, `Process, "proc/1");
-      (4, `Process, "proc/4");
-      (1, `In_domain, "domain/1");
-      (4, `In_domain, "domain/4");
-    ]
+    [ 1; 4 ]
 
 let test_dedup_duplicate_specs () =
-  with_server ~config:(fast_config 2 `In_domain) @@ fun ~socket ~pid:_ ->
+  with_server ~config:(fast_config 2) @@ fun ~socket ~pid:_ ->
   (* the same spec three times: one job server-side, three results *)
   let specs = [ ("rev", "same"); ("rev", "same"); ("rev", "same") ] in
   let c = campaign ~socket specs in
@@ -139,7 +133,7 @@ let test_dedup_duplicate_specs () =
   check_bool "server accepted exactly one job" true (contains ~sub:"\"accepted\":1" stats)
 
 let test_health_and_stats () =
-  with_server ~config:(fast_config 1 `In_domain) @@ fun ~socket ~pid:_ ->
+  with_server ~config:(fast_config 1) @@ fun ~socket ~pid:_ ->
   let retry_oneshot f =
     (* the forked server may still be binding; retry briefly *)
     let rec go n =
@@ -174,9 +168,7 @@ let test_health_unreachable_is_typed () =
 (* --------------------------- backpressure ---------------------------- *)
 
 let test_bounded_queue_rejects_and_recovers () =
-  let config =
-    { (fast_config 1 `In_domain) with Server.queue_limit = 1 }
-  in
+  let config = { (fast_config 1) with Server.queue_limit = 1 } in
   with_server ~config @@ fun ~socket ~pid:_ ->
   let specs = List.init 6 (fun i -> ("slow", string_of_int i)) in
   let c = campaign ~window:6 ~socket specs in
@@ -236,8 +228,8 @@ let raw_submit_all ~socket specs =
    campaign against the restarted server.  The results must be
    byte-identical to the serverless baseline: nothing lost to the
    drain, nothing recomputed into a different answer. *)
-let drain_recovery_scenario ~jobs ~isolation () =
-  let config = fast_config jobs isolation in
+let drain_recovery_scenario ~jobs () =
+  let config = fast_config jobs in
   let journal = temp_path ".journal" in
   let socket = temp_path ".sock" in
   let specs = List.init 12 (fun i -> ("slow", Printf.sprintf "job-%d" i)) in
@@ -261,26 +253,13 @@ let drain_recovery_scenario ~jobs ~isolation () =
           let c = campaign ~window:12 ~socket specs in
           List.iteri
             (fun i (want, got) ->
-              check_string
-                (Printf.sprintf "%s/%d result %d"
-                   (match isolation with `Process -> "proc" | `In_domain -> "domain")
-                   jobs i)
-                want got)
+              check_string (Printf.sprintf "proc/%d result %d" jobs i) want got)
             (List.combine baseline c.Client.results)))
-
-let test_drain_recovery_proc_1 = drain_recovery_scenario ~jobs:1 ~isolation:`Process
-let test_drain_recovery_proc_4 = drain_recovery_scenario ~jobs:4 ~isolation:`Process
-
-let test_drain_recovery_domain_1 =
-  drain_recovery_scenario ~jobs:1 ~isolation:`In_domain
-
-let test_drain_recovery_domain_4 =
-  drain_recovery_scenario ~jobs:4 ~isolation:`In_domain
 
 (* A journal written by a drained server replays: finished jobs are
    served from the journal (status cached), unfinished re-run. *)
 let test_journal_replay_serves_cached () =
-  let config = fast_config 2 `Process in
+  let config = fast_config 2 in
   let journal = temp_path ".journal" in
   let specs = [ ("rev", "cache me"); ("fail", "cached error") ] in
   Fun.protect
@@ -304,8 +283,8 @@ let test_journal_replay_serves_cached () =
 
 (* ---------------------------- containment ---------------------------- *)
 
-(* The `Process backend's watchdog and crash-retry paths, pinned by the
-   exact result strings a campaign sees.  Chaos kills never reach these
+(* The engine's watchdog and crash-retry paths, pinned by the exact
+   result strings a campaign sees.  Chaos kills never reach these
    paths (they are charged no retry), so only these cases do. *)
 
 let starts_with ~prefix s =
@@ -326,7 +305,7 @@ let check_unresponsive what got =
 let test_default_deadline_quarantines () =
   let config =
     {
-      (fast_config 1 `Process) with
+      (fast_config 1) with
       Server.supervisor = { fast_supervisor with retries = 0; timeout = Some 0.1 };
     }
   in
@@ -336,7 +315,7 @@ let test_default_deadline_quarantines () =
   | _ -> Alcotest.fail "expected one result"
 
 let test_crash_retries_then_quarantines () =
-  with_server ~config:(fast_config 1 `Process) @@ fun ~socket ~pid:_ ->
+  with_server ~config:(fast_config 1) @@ fun ~socket ~pid:_ ->
   match (campaign ~socket [ ("suicide", "thrice") ]).Client.results with
   | [ got ] ->
       check_string "three SIGKILLed attempts"
@@ -348,7 +327,7 @@ let test_crash_retries_then_quarantines () =
 let test_submit_deadline_wins () =
   let config =
     {
-      (fast_config 1 `Process) with
+      (fast_config 1) with
       Server.supervisor = { fast_supervisor with retries = 0; timeout = Some 10. };
     }
   in
@@ -365,8 +344,8 @@ let test_submit_deadline_wins () =
    job — and restart it on the same journal with ~resume.  The campaign
    that was running through the kill reconnects to the new server and
    must return byte-identical results. *)
-let sigkill_resume_scenario ~jobs ~isolation () =
-  let config = fast_config jobs isolation in
+let sigkill_resume_scenario ~jobs () =
+  let config = fast_config jobs in
   let journal = temp_path ".journal" in
   let socket = temp_path ".sock" in
   let specs = List.init 24 (fun i -> ("slow", Printf.sprintf "kill-%d" i)) in
@@ -401,8 +380,8 @@ let sigkill_resume_scenario ~jobs ~isolation () =
 
 (* A client that submits a job with a 4 MB reply and never reads it
    must not stall the server for anyone else. *)
-let slow_reader_scenario isolation () =
-  with_server ~config:(fast_config 2 isolation) @@ fun ~socket ~pid:_ ->
+let test_slow_reader () =
+  with_server ~config:(fast_config 2) @@ fun ~socket ~pid:_ ->
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   let rec connect tries =
@@ -463,7 +442,7 @@ let test_malformed_kind_refused () =
 
 (* The server's 'E' answer ends the campaign instead of a retry loop. *)
 let test_error_reply_fails () =
-  let config = { (fast_config 1 `Process) with Server.max_frame = 256 } in
+  let config = { (fast_config 1) with Server.max_frame = 256 } in
   with_server ~config @@ fun ~socket ~pid:_ ->
   match
     within ~seconds:10. (fun () ->
@@ -484,7 +463,7 @@ let test_deadline_ms_exact () =
   let journal = temp_path ".journal" in
   Fun.protect ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
   @@ fun () ->
-  (with_server ~journal ~config:(fast_config 1 `Process) @@ fun ~socket ~pid:_ ->
+  (with_server ~journal ~config:(fast_config 1) @@ fun ~socket ~pid:_ ->
    ignore
      (Client.run_campaign ~backoff:fast_backoff ~deadline:(1001. /. 1000.) ~socket
         [ ("rev", "deadline") ]));
@@ -501,18 +480,46 @@ let test_deadline_ms_exact () =
       Alcotest.(check (float 0.)) "seconds" 1.001 (float_of_int ms /. 1000.)
   | _ -> Alcotest.fail "expected one cached job with a deadline"
 
+(* --------------------------- the job catalog --------------------------- *)
+
+(* The fuzz targets flagged serial own process-wide state: sweep-kill
+   forks, sweep-resume installs a SIGINT handler and writes temporary
+   checkpoint files, and stats-merge owns the stats registry.  Served
+   next to a thm2 job, each must answer the status line that
+   [fuzz.exe --targets T --seed 1 --cases 4] prints. *)
+let test_serial_fuzz_jobs () =
+  let thm2 = ("thm2", "wrap=torus side=13 algo=greedy") in
+  let specs =
+    List.map
+      (fun target -> ("fuzz", Printf.sprintf "target=%s seed=1 cases=4" target))
+      [ "sweep-kill"; "sweep-resume"; "stats-merge" ]
+    @ [ thm2 ]
+  in
+  let baseline =
+    [
+      "sweep-kill: PASS (4 cases)";
+      "sweep-resume: PASS (4 cases)";
+      "stats-merge: PASS (4 cases)";
+      Jobs_catalog.handler ~kind:(fst thm2) ~payload:(snd thm2);
+    ]
+  in
+  List.iter
+    (fun jobs ->
+      with_server ~handler:Jobs_catalog.handler ~config:(fast_config jobs)
+      @@ fun ~socket ~pid:_ ->
+      let c = campaign ~socket specs in
+      List.iteri
+        (fun i (want, got) -> check_string (Printf.sprintf "jobs=%d result %d" jobs i) want got)
+        (List.combine baseline c.Client.results))
+    [ 1; 2 ]
+
 (* ------------------------------ chaos -------------------------------- *)
 
-(* The acceptance gate: under every injected fault the campaign still
-   converges and its bytes equal the serverless baseline.  Process
-   isolation so kill_child is exercised too. *)
+(* The acceptance gate: under every injected fault, child kills
+   included, the campaign still converges and its bytes equal the
+   serverless baseline. *)
 let chaos_scenario ~seed () =
-  let config =
-    {
-      (fast_config 2 `Process) with
-      Server.chaos = Some (Server.default_chaos ~seed);
-    }
-  in
+  let config = { (fast_config 2) with Server.chaos = Some (Server.default_chaos ~seed) } in
   let specs =
     List.init 10 (fun i ->
         if i mod 3 = 0 then ("fail", Printf.sprintf "chaos-%d" i)
@@ -550,28 +557,20 @@ let () =
         ] );
       ( "drain-recovery",
         [
-          Alcotest.test_case "proc jobs=1" `Quick test_drain_recovery_proc_1;
-          Alcotest.test_case "proc jobs=4" `Quick test_drain_recovery_proc_4;
-          Alcotest.test_case "domain jobs=1" `Quick test_drain_recovery_domain_1;
-          Alcotest.test_case "domain jobs=4" `Quick test_drain_recovery_domain_4;
+          Alcotest.test_case "proc jobs=1" `Quick (drain_recovery_scenario ~jobs:1);
+          Alcotest.test_case "proc jobs=4" `Quick (drain_recovery_scenario ~jobs:4);
           Alcotest.test_case "journal replays cached results" `Quick
             test_journal_replay_serves_cached;
           Alcotest.test_case "SIGKILL + resume proc jobs=1" `Quick
-            (sigkill_resume_scenario ~jobs:1 ~isolation:`Process);
+            (sigkill_resume_scenario ~jobs:1);
           Alcotest.test_case "SIGKILL + resume proc jobs=4" `Quick
-            (sigkill_resume_scenario ~jobs:4 ~isolation:`Process);
-          Alcotest.test_case "SIGKILL + resume domain jobs=1" `Quick
-            (sigkill_resume_scenario ~jobs:1 ~isolation:`In_domain);
-          Alcotest.test_case "SIGKILL + resume domain jobs=4" `Quick
-            (sigkill_resume_scenario ~jobs:4 ~isolation:`In_domain);
+            (sigkill_resume_scenario ~jobs:4);
           Alcotest.test_case "deadline ms journaled exactly" `Quick test_deadline_ms_exact;
         ] );
       ( "clients",
         [
           Alcotest.test_case "unread 4 MB reply stalls nobody, proc" `Quick
-            (slow_reader_scenario `Process);
-          Alcotest.test_case "unread 4 MB reply stalls nobody, domain" `Quick
-            (slow_reader_scenario `In_domain);
+            test_slow_reader;
           Alcotest.test_case "malformed kind refused before connecting" `Quick
             test_malformed_kind_refused;
           Alcotest.test_case "error reply fails, never loops" `Quick test_error_reply_fails;
@@ -587,6 +586,9 @@ let () =
           Alcotest.test_case "submit deadline beats the default" `Quick
             test_submit_deadline_wins;
         ] );
+      ( "catalog",
+        [ Alcotest.test_case "serial fuzz targets answer as fuzz.exe" `Quick test_serial_fuzz_jobs ]
+      );
       ( "chaos",
         [
           Alcotest.test_case "soak seed=7" `Quick test_chaos_seed_7;

@@ -1,15 +1,11 @@
-(* The three parts of Harness.Server, each driven on its own: the
-   journal codec and recovery (pure), the connection layer (over a
-   socketpair, no listening socket), and the worker-domain backend.
-
-   The domain backend spawns domains, after which OCaml 5 cannot fork
-   safely, so this executable never forks; the forked-server tests
-   live in test_server. *)
+(* The two parts of Harness.Server, each driven on its own: the
+   journal codec and recovery (pure), and the connection layer (over a
+   socketpair, no listening socket).  The forked-server tests live in
+   test_server. *)
 
 module Server = Harness.Server
 module Journal = Server.Journal
 module Conn = Server.Conn
-module Backend = Server.Backend
 module Wire = Harness.Wire
 
 let check_bool = Alcotest.(check bool)
@@ -155,45 +151,6 @@ let test_conn_chaos_truncates () =
     (read_peer peer);
   Unix.close peer
 
-(* --------------------------- domain backend --------------------------- *)
-
-let test_domain_backend () =
-  let b : int Backend.t = Backend.domains ~jobs:2 in
-  Fun.protect ~finally:b.shutdown @@ fun () ->
-  let results = Hashtbl.create 8 in
-  let pump () =
-    let ready, _, _ = Unix.select (b.fds ()) [] [] 5. in
-    check_bool "a result within 5 s" true (ready <> []);
-    List.iter
-      (fun fd ->
-        List.iter
-          (function
-            | i, Backend.Done { result; _ } -> Hashtbl.replace results i result
-            | _ -> Alcotest.fail "domains neither retry nor abandon")
-          (b.settle fd))
-      ready
-  in
-  for i = 0 to 5 do
-    while not (b.room ()) do
-      check_int "never more than jobs running" 2 (b.running ());
-      pump ()
-    done;
-    b.start i ~key:(string_of_int i) ~timeout:None (fun () ->
-        Unix.sleepf 0.01;
-        if i = 3 then failwith "three" else String.make i 'x')
-  done;
-  while not (b.idle ()) do
-    pump ()
-  done;
-  check_int "all settled" 6 (Hashtbl.length results);
-  Hashtbl.iter
-    (fun i r ->
-      check_string (string_of_int i)
-        (if i = 3 then "ERROR: Failure(\"three\")" else String.make i 'x')
-        r)
-    results;
-  check_bool "nothing to abandon" true (b.abandon () = [])
-
 let () =
   Alcotest.run "server-parts"
     [
@@ -209,5 +166,4 @@ let () =
           Alcotest.test_case "slow reader backpressure" `Quick test_conn_backpressure;
           Alcotest.test_case "chaos truncates" `Quick test_conn_chaos_truncates;
         ] );
-      ("backend", [ Alcotest.test_case "worker domains" `Quick test_domain_backend ]);
     ]
