@@ -11,8 +11,8 @@
                                                    run (writes
                                                    BENCH_trace_overhead.json)
    dune exec bench/main.exe -- --isolation-overhead
-                                                -- only the E11 fork/pipe
-                                                   overhead run (writes
+                                                -- only the E11 process-
+                                                   isolation overhead run (writes
                                                    BENCH_isolation_overhead.json)
    dune exec bench/main.exe -- --game-steps     -- only the E13 game-step
                                                    throughput run (writes
@@ -598,13 +598,14 @@ let fuzz_throughput () =
 
 (* --------------- process-isolation overhead (E11) ---------------- *)
 
-(* What one fork/pipe/waitpid round trip costs per sweep cell: the same
-   fixed thm1 cell grid runs under `In_domain and under `Process (at
-   jobs 1 and at the pool default), output byte-identity across all
-   three is asserted (the Sweep isolation contract), and the per-cell
-   premium of `Process over `In_domain at jobs 1 is reported.  Cells
-   are deliberately light (~ms) so the premium is visible rather than
-   drowned in cell cost — this is the worst case for --isolate proc. *)
+(* What process isolation costs per sweep cell — a worker fork per jobs
+   slot, and a request and a reply frame per cell: the same fixed thm1
+   cell grid runs under `In_domain and under `Process (at jobs 1 and at
+   the pool default), output byte-identity across all three is asserted
+   (the Sweep isolation contract), and the per-cell premium of `Process
+   over `In_domain at jobs 1 is reported.  Cells are deliberately light
+   (~ms) so the premium is visible rather than drowned in cell cost —
+   this is the worst case for --isolate proc. *)
 
 let isolation_overhead () =
   let cells () =
@@ -679,7 +680,7 @@ let isolation_overhead () =
   List.iter
     (fun (name, jobs, dt, _) -> Format.printf "%-12s %-8d %-12.3f@." name jobs dt)
     measured;
-  Format.printf "@.per-cell fork/pipe premium at jobs 1: %+.0f us@." per_cell_us;
+  Format.printf "@.per-cell process-isolation premium at jobs 1: %+.0f us@." per_cell_us;
   let results =
     Obs.Json.Obj
       [
@@ -707,7 +708,7 @@ let isolation_overhead () =
 (* ------------------ job-server throughput (E12) ------------------- *)
 
 (* What the serve.exe front door costs: a batch of trivial jobs is
-   pushed through a forked server (every job in a supervised child)
+   pushed through a forked server (every job on a supervised worker)
    three ways — chaos off, chaos on (fixed seed), and against
    a deliberately tiny admission queue — and jobs/s, the retry tallies,
    and the queue-rejection rate are reported.  Result byte-identity

@@ -14,8 +14,8 @@
    --jobs or --isolate is and however often it is re-run; shrunk repro
    files land in the corpus directory.  Exit 1 when any target fails.
 
-   With --isolate proc each target runs inside a supervised child
-   process (Harness.Supervisor): a target that segfaults, OOMs or hangs
+   With --isolate proc each target runs on a supervised worker process
+   (Harness.Supervisor): a target that segfaults, OOMs or hangs
    is killed and retried instead of taking the whole harness down, and
    is reported as "<target>: ERROR (...)" once quarantined.  Targets
    then parallelize across processes (--jobs), cases within one target
@@ -45,7 +45,7 @@ let status_line (r : FR.report) =
         c.Runner.case c.Runner.size c.Runner.shrink_steps
 
 (* Everything the parent needs from a finished target, reduced to plain
-   strings/bools so a supervised child can Marshal it over the result
+   strings/bools so a supervised worker can Marshal it over the result
    pipe (a full FR.report holds the target record, hence closures). *)
 type rendered = {
   line : string;  (** the one-line status *)
@@ -121,10 +121,10 @@ let run_replay token =
       print_rendered Format.std_formatter (render_report r);
       (match r.FR.status with FR.Failed _ -> 1 | _ -> 0)
 
-(* --isolate proc: one supervised child per target.  Cases inside a
+(* --isolate proc: one supervised task per target.  Cases inside a
    target run serially (jobs:1) — process-level parallelism across
    targets replaces domain-level parallelism within one.  An abnormal
-   child death (crash, kill, hang) is retried by the supervisor and, once
+   worker death (crash, kill, hang) is retried by the supervisor and, once
    quarantined, reported as a failing ERROR line rather than aborting the
    harness. *)
 let run_supervised ~config ~(exec : Obs_cli.exec) targets =

@@ -11,13 +11,13 @@
    flags, parsed and validated here so "--jobs 0" fails identically
    everywhere, naming the flag:
 
-     --jobs N             worker domains (in-domain) / children (proc)
+     --jobs N             worker domains (in-domain) / processes (proc)
      --isolate MODE       domain (default) | proc
      --retries N          proc mode: extra attempts per crashed cell
      --kill-grace-ms MS   proc mode: SIGTERM -> SIGKILL escalation gap
      --cell-timeout-ms MS proc mode: per-attempt wall-clock watchdog
 
-   serve takes them too, but runs every job in a supervised child: its
+   serve takes them too, but runs every job on a supervised worker: its
    --isolate accepts only proc, the proc-mode flags always apply, and
    --cell-timeout-ms is the deadline of jobs submitted without one.
 
@@ -85,7 +85,7 @@ let jobs =
     & opt positive_int (Harness.Pool.default_jobs ())
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Workers: domains under --isolate domain, child processes under \
+          "Workers: domains under --isolate domain, worker processes under \
            --isolate proc and in serve (default: available cores, capped at \
            8).  Output bytes never depend on $(docv).")
 
@@ -96,9 +96,12 @@ let isolate =
     & info [ "isolate" ] ~docv:"MODE"
         ~doc:
           "Cell isolation: $(b,domain) runs cells on worker domains in this \
-           process; $(b,proc) forks each cell into a supervised child \
-           process that survives kills, retries crashed cells with seeded \
-           backoff, and quarantines crash-looping ones.")
+           process; $(b,proc) runs them on supervised worker processes, one \
+           per --jobs slot, forked when a cell first needs the slot and \
+           replaced when the worker dies, is killed, or its cell raised or \
+           spawned a domain.  A cell survives kills of its worker: crashed \
+           cells retry with seeded backoff, and crash-looping ones are \
+           quarantined.")
 
 let retries =
   Arg.(
@@ -116,8 +119,8 @@ let kill_grace_ms =
     & opt positive_int 500
     & info [ "kill-grace-ms" ] ~docv:"MS"
         ~doc:
-          "With --isolate proc, and always in serve: how long a timed-out \
-           child gets between SIGTERM and the SIGKILL escalation.")
+          "With --isolate proc, and always in serve: how long the worker of \
+           a timed-out cell gets between SIGTERM and the SIGKILL escalation.")
 
 let cell_timeout_ms =
   Arg.(

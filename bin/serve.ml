@@ -1,6 +1,6 @@
 (* The resilient job server front door: accept thm1/thm2/thm3/fuzz jobs
-   over a Unix-domain (or loopback TCP) socket and run each in a
-   supervised child process.
+   over a Unix-domain (or loopback TCP) socket and run each on a
+   supervised worker process.
 
      dune exec bin/serve.exe -- --socket /tmp/jobs.sock --jobs 4 \
        --journal jobs.journal
@@ -9,8 +9,10 @@
 
    Admission is bounded (--queue-limit; excess submits get a typed
    rejection), duplicate submits dedup on the content-derived job id,
-   and each job runs on the sweeps' child engine (Harness.Supervisor):
-   at most --jobs children at a time, crashed jobs retry with seeded
+   and each job runs on the sweeps' worker engine (Harness.Supervisor):
+   at most --jobs jobs at a time, one warm worker process each, forked
+   when a job first needs it and replaced when it dies, is killed, or
+   its job raised or spawned a domain; crashed jobs retry with seeded
    backoff (--retries) and then quarantine, and the watchdog kills a
    job over its deadline, or over --cell-timeout-ms for a job that
    carries none, escalating SIGTERM -> SIGKILL after --kill-grace-ms.
@@ -20,7 +22,7 @@
    after a crash or drain: finished jobs become cached results,
    accepted-but-unfinished jobs re-enter the queue.  --chaos SEED
    injects deterministic faults (dropped connections, partial/truncated
-   frames, child SIGKILLs) to rehearse exactly those failure paths. *)
+   frames, worker SIGKILLs) to rehearse exactly those failure paths. *)
 
 open Cmdliner
 
@@ -96,7 +98,7 @@ let chaos =
     & info [ "chaos" ] ~docv:"SEED"
         ~doc:
           "Inject deterministic faults from this seed: dropped connections, \
-           partial and truncated reply frames, and child SIGKILLs.  Injected \
+           partial and truncated reply frames, and worker SIGKILLs.  Injected \
            kills are charged no retry budget, so chaos never quarantines a \
            healthy job.")
 
@@ -109,8 +111,10 @@ let isolate =
     & opt (enum [ ("proc", ()) ]) ()
     & info [ "isolate" ] ~docv:"MODE"
         ~doc:
-          "Job isolation: $(b,proc), the only mode.  Every job runs in a \
-           supervised child process.")
+          "Job isolation: $(b,proc), the only mode.  Every job runs on a \
+           supervised worker process: one per --jobs slot, forked when a \
+           job first needs it, and replaced when it dies, is killed, or \
+           its job raised or spawned a domain.")
 
 let cmd =
   Cmd.v

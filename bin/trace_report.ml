@@ -263,7 +263,7 @@ let report path =
   end;
   if !child_spawns > 0 then begin
     Format.fprintf ppf "@.supervisor (process isolation)@.";
-    Format.fprintf ppf "  children spawned   %d@." !child_spawns;
+    Format.fprintf ppf "  workers spawned    %d@." !child_spawns;
     List.iter
       (fun (status, n) -> Format.fprintf ppf "  reaped %-12s %d@." status n)
       (sorted_counts exit_statuses);
@@ -286,7 +286,7 @@ let report path =
       (List.rev !quarantined);
     if !child_heartbeats > 0 then
       Format.fprintf ppf "  heartbeats         %d@." !child_heartbeats;
-    Format.fprintf ppf "  child cpu          %.3fs user, %.3fs sys@."
+    Format.fprintf ppf "  worker cpu         %.3fs user, %.3fs sys@."
       !child_cpu_user !child_cpu_sys
   end;
   (match !server_socket with

@@ -465,7 +465,7 @@ let run_all ?(quick = false) ?(jobs = 1) ?(isolation = `In_domain) ?supervisor
   in
   match isolation with
   | `Process ->
-      (* Each driver renders in a supervised child; like the in-domain
+      (* Each driver renders on a supervised worker; like the in-domain
          parallel path below, buffers are delivered in driver order so the
          output is byte-identical at any jobs count.  A driver that raises
          or is quarantined aborts the repro — tables must be whole. *)

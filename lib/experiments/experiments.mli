@@ -63,9 +63,9 @@ val run_all :
     concurrently on a {!Harness.Pool} (each into a private buffer) and
     the buffers are printed in driver order — output is byte-identical
     to the sequential run.  With [~isolation:`Process] each driver
-    instead renders inside a supervised child process
+    instead renders on a supervised worker process
     ({!Harness.Supervisor}, tuned by [?supervisor]); output is still
-    byte-identical, and a driver whose child dies abnormally is retried,
+    byte-identical, and a driver whose worker dies abnormally is retried,
     then — unlike a sweep cell — aborts the repro with [Failure]
     (partial experiment tables are worse than no tables).  One caveat:
     E7's 10-second wall-clock deadline is measured per game, so extreme

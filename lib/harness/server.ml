@@ -351,7 +351,6 @@ type stats = {
 
 type t = {
   config : config;
-  handler : kind:string -> payload:string -> string;
   chaos : Chaos.t;
   stats : stats;
   jobs : (string, job) Hashtbl.t;
@@ -401,7 +400,7 @@ let start_job t job =
   job.attempts <- job.attempts + 1;
   Supervisor.spawn t.engine job ~key:id
     ?timeout:(Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms)
-    (fun () -> t.handler ~kind ~payload);
+    (kind ^ "\t" ^ payload);
   if Chaos.roll t.chaos (fun c -> c.kill_child) then
     t.kills <- (Unix.gettimeofday () +. Chaos.delay t.chaos, job) :: t.kills
 
@@ -421,7 +420,7 @@ let settle t (job, settled) =
       complete t job (Supervisor.outcome_to_string outcome) delta
   | Supervisor.Retrying -> t.stats.retries <- t.stats.retries + 1
   | Supervisor.Abandoned ->
-      (* a child killed by chaos or dead during the drain: back to the
+      (* a worker killed by chaos or dead during the drain: back to the
          queue with its retry budget uncharged; a drained server leaves
          it journaled as accepted, to rerun after restart *)
       Queue.push job t.pending
@@ -681,7 +680,6 @@ let run ?(config = default_config) ?journal ?(resume = false)
   let t =
     {
       config;
-      handler;
       chaos = Chaos.create config.chaos;
       stats =
         {
@@ -698,7 +696,12 @@ let run ?(config = default_config) ?journal ?(resume = false)
         };
       jobs = Hashtbl.create 64;
       pending = Queue.create ();
-      engine = Supervisor.create ~jobs:config.jobs config.supervisor;
+      engine =
+        Supervisor.create ~jobs:config.jobs
+          ~work:(fun request ->
+            let kind, payload = Client.split_tab request in
+            handler ~kind ~payload)
+          config.supervisor;
       kills = [];
       conns = Hashtbl.create 16;
       journal = journal_out;
@@ -712,7 +715,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
   let cleanup () =
     restore_signals ();
     stop_accepting t;
-    (* never leak children, also on the exception path *)
+    (* reap every worker, also on the exception path *)
     Supervisor.shutdown t.engine;
     Hashtbl.iter (fun _ conn -> Conn.close conn "shutdown") t.conns;
     Hashtbl.reset t.conns;

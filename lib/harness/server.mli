@@ -1,6 +1,6 @@
 (** The resilient job server: a long-running front door that accepts
     game/sweep/fuzz jobs over a socket and runs each as a task of the
-    {!Supervisor}'s child engine.
+    {!Supervisor}'s worker engine.
 
     {2 Protocol}
 
@@ -45,17 +45,25 @@
 
     {2 Execution}
 
-    Every job runs in a forked child, as one task of the {!Supervisor}'s
-    engine — the same engine, child and failure handling as a [Sweep]
-    under [--isolate proc]: the watchdog escalates SIGTERM → SIGKILL on
-    the job's own deadline or else [supervisor.timeout], crashes retry
-    on the seeded [supervisor.backoff] schedule, and a job out of
-    retries degrades to the typed ["QUARANTINED ..."] result.  A handler
-    that returns produces its string verbatim; a handler that raises
-    produces ["ERROR: <exn>"], never retried
-    ({!Supervisor.outcome_to_string}), so a campaign's bytes never
-    depend on the [jobs] count.  A handler may fork, install signal
-    handlers or own process-wide state: its child is its own process.
+    Every job runs in a worker process, as one task of the
+    {!Supervisor}'s engine — the same engine, workers and failure
+    handling as a [Sweep] under [--isolate proc].  The server forks no
+    worker before it is listening: the first [jobs] jobs that run side
+    by side fork one warm worker each, and those workers run every
+    later job, the handler applied to the request [kind TAB payload].
+    The watchdog escalates SIGTERM → SIGKILL on the job's own deadline
+    or else [supervisor.timeout], crashes retry on the seeded
+    [supervisor.backoff] schedule, and a job out of retries degrades to
+    the typed ["QUARANTINED ..."] result.  A handler that returns
+    produces its string verbatim; a handler that raises produces
+    ["ERROR: <exn>"], never retried ({!Supervisor.outcome_to_string}),
+    so a campaign's bytes never depend on the [jobs] count.  A handler
+    may fork, install signal handlers or own process-wide state: before
+    each job its worker restores the signal dispositions, trace sink
+    and stats registry a fresh fork had, and a worker whose job raised
+    or spawned a domain is replaced by a fresh fork.  Workers hold no
+    descriptor of the server's — not the listener, a client socket or
+    the journal — and exit when the server dies, even by SIGKILL.
 
     {2 Drain and recovery}
 
@@ -79,10 +87,11 @@
     on the engine's [fds] until its [next_deadline], hands each readable
     one to [read], and calls [tick].  The loop keeps only the server's
     own policy: admission, dedup and the queue of admitted jobs; seeded
-    chaos kills ({!Supervisor.kill}); putting a job whose child was
+    chaos kills ({!Supervisor.kill}); putting a job whose worker was
     abandoned — by a chaos kill, or by a death during a drain — back in
     the queue with its retry budget uncharged; and journaling each
-    finished job's stats delta. *)
+    finished job's stats delta.  Its cleanup reaps every worker before
+    {!run} returns. *)
 
 type chaos = {
   chaos_seed : int;  (** seed for the injection schedule *)
@@ -97,7 +106,7 @@ type chaos = {
       (** probability a reply frame is cut mid-frame and the
           connection closed (the client sees EOF inside a frame) *)
   kill_child : float;
-      (** probability a job's child is SIGKILLed at a random point of
+      (** probability a job's worker is SIGKILLed at a random point of
           its run (charged no retry, like an interrupt, so chaos cannot
           quarantine a healthy job) *)
   corrupt_journal : float;
@@ -116,12 +125,12 @@ val default_chaos : seed:int -> chaos
     corrupt-journal 10%, delays up to 50 ms. *)
 
 type config = {
-  jobs : int;  (** max job children running concurrently *)
+  jobs : int;  (** max jobs running concurrently, one worker process each *)
   queue_limit : int;
       (** max jobs {e queued} (admitted, not yet running); submits
           beyond it are rejected *)
   supervisor : Supervisor.config;
-      (** the child engine's retries, watchdog and backoff.  Its
+      (** the worker engine's retries, watchdog and backoff.  Its
           [timeout] is the per-attempt deadline of jobs that do not
           carry their own; [None] disables the watchdog for them. *)
   max_frame : int;  (** decoder payload cap per frame, bytes *)

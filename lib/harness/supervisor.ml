@@ -76,98 +76,155 @@ let outcome_to_string = function
   | Failed msg -> "ERROR: " ^ msg
   | Quarantined q -> quarantine_to_string q
 
-(* ------------------------------ child side ------------------------------ *)
+(* ------------------------------ worker side ----------------------------- *)
+
+external domain_is_multicore : unit -> bool = "harness_domain_is_multicore"
+[@@noalloc]
+
+external close_inherited : Unix.file_descr -> Unix.file_descr -> unit
+  = "harness_close_inherited"
+[@@noalloc]
 
 let heartbeat_byte = Wire.encode_bare 'H'
 
-(* Runs [thunk], speaks the reply protocol on [w], and never returns.
-   [Unix._exit] (not [exit]) so inherited channel buffers — the parent's
-   trace sink, the parent's stdout — are not flushed a second time. *)
-let child_main config thunk w =
+(* What a fresh fork gave a task.  Inherited shards would make a stats
+   drain re-count the parent's history (or the previous task's); the
+   parent's signal handlers must not survive the fork: a server's SIGTERM
+   drain handler would swallow the watchdog's SIGTERM and turn every
+   watchdog kill into a forced SIGKILL.  A reply to a parent that is
+   already gone is dropped, not fatal. *)
+let restore () =
   Obs.Trace.detach_in_child ();
-  (* Inherited shards would make the child's stats drain re-count the
-     parent's whole history; from here on the child accumulates only its
-     own task. *)
   Obs.Stats.reset ();
-  (* The parent's handlers must not survive the fork: a server's SIGTERM
-     drain handler would swallow the watchdog's SIGTERM and turn every
-     watchdog kill into a forced SIGKILL.  A reply to a parent that is
-     already gone is dropped, not fatal. *)
   Sys.set_signal Sys.sigterm Sys.Signal_default;
   Sys.set_signal Sys.sigint Sys.Signal_default;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  if config.heartbeat_interval > 0 then begin
-    Sys.set_signal Sys.sigalrm
-      (Sys.Signal_handle
-         (fun _ ->
-           (try Wire.write_all w heartbeat_byte
-            with Unix.Unix_error _ -> ());
-           ignore (Unix.alarm config.heartbeat_interval)));
-    ignore (Unix.alarm config.heartbeat_interval)
-  end;
-  let reply tag payload =
-    (* Disarm heartbeats first so no 'H' can interleave the frame. *)
-    ignore (Unix.alarm 0);
-    if config.heartbeat_interval > 0 then
-      Sys.set_signal Sys.sigalrm Sys.Signal_ignore;
-    (try Wire.write_all w (Wire.encode ~tag payload) with Unix.Unix_error _ -> ())
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+
+(* The next 'T' request on [fd]; [None] at EOF. *)
+let rec next_request fd dec buf =
+  match Wire.decode dec with
+  | Ok (Some { Wire.payload; _ }) -> Some payload
+  | Error _ -> None
+  | Ok None -> (
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 -> None
+      | n ->
+          Wire.feed dec buf 0 n;
+          next_request fd dec buf
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_request fd dec buf
+      | exception Unix.Unix_error _ -> None)
+
+(* Serves requests from [req] until EOF and never returns.  Each reply
+   is one write: ['S'] (optional), then ['R'] or ['E'], then — when the
+   worker stays for another task — a bare ['H'] that tells the parent so.
+   A worker retires after a raise, so OOM or stack-overflow state never
+   carries over, and once a task spawned a domain, since it could no
+   longer fork.  [Unix._exit] (not [exit]) so inherited channel buffers —
+   the parent's trace sink, the parent's stdout — are not flushed a
+   second time. *)
+let worker_main config work ~req ~rep =
+  close_inherited req rep;
+  let dec = Wire.decoder ~max_payload:max_int ~tags:"T" () in
+  let buf = Bytes.create 4096 in
+  (* Heartbeats go out only while a task runs, never after its reply. *)
+  let running = ref false in
+  let beat _ =
+    if !running then begin
+      (match Wire.write_all rep heartbeat_byte with
+      | () -> ()
+      | exception Unix.Unix_error (Unix.EPIPE, _, _) -> Unix._exit 0 (* the parent is gone *)
+      | exception Unix.Unix_error _ -> ());
+      ignore (Unix.alarm config.heartbeat_interval)
+    end
   in
-  let code =
-    match thunk () with
-    | s ->
-        (* Stats travel in their own frame, before the result: the parent
-           keeps the snapshot only if the same attempt's 'R' lands (a
-           child dying in between is retried, and the stale snapshot dies
-           with its attempt). *)
-        (if Obs.Stats.on () then
-           match Obs.Stats.drain () with
-           | [] -> ()
-           | snap -> reply 'S' (Obs.Stats.to_string snap));
-        reply 'R' s;
-        0
-    | exception Sys.Break -> 130
-    | exception exn ->
-        (* Even in-process-fatal conditions (Stack_overflow, Out_of_memory)
-           are contained here: the whole point of process isolation is that
-           no task, however pathological, takes its parent down with it. *)
-        reply 'E' (Printexc.to_string exn);
-        0
+  let rec serve () =
+    restore ();
+    match next_request req dec buf with
+    | None -> Unix._exit 0
+    | Some request ->
+        if config.heartbeat_interval > 0 then begin
+          running := true;
+          Sys.set_signal Sys.sigalrm (Sys.Signal_handle beat);
+          ignore (Unix.alarm config.heartbeat_interval)
+        end;
+        let out = Buffer.create 256 in
+        let frame tag payload = Buffer.add_bytes out (Wire.encode ~tag payload) in
+        let stays =
+          match work request with
+          | s ->
+              (* Stats travel in their own frame, before the result: the
+                 parent keeps the snapshot only if the same attempt's 'R'
+                 lands. *)
+              (if Obs.Stats.on () then
+                 match Obs.Stats.drain () with
+                 | [] -> ()
+                 | snap -> frame 'S' (Obs.Stats.to_string snap));
+              frame 'R' s;
+              not (domain_is_multicore ())
+          | exception Sys.Break -> Unix._exit 130
+          | exception exn ->
+              (* Even in-process-fatal conditions (Stack_overflow,
+                 Out_of_memory) are contained here: no task, however
+                 pathological, takes its parent down with it. *)
+              frame 'E' (Printexc.to_string exn);
+              false
+        in
+        running := false;
+        ignore (Unix.alarm 0);
+        if stays then Buffer.add_bytes out heartbeat_byte;
+        (try Wire.write_all rep (Buffer.to_bytes out) with Unix.Unix_error _ -> ());
+        if stays then serve () else Unix._exit 0
   in
-  Unix._exit code
+  serve ()
 
 (* ------------------------------ the engine ------------------------------ *)
 
-(* A task outlives its attempts: the thunk, its per-attempt limit and its
-   failure history carry over to every retry. *)
+(* A task outlives its attempts: its request, its per-attempt limit and
+   its failure history carry over to every retry. *)
 type 'a task = {
   tag : 'a;
   name : string;
-  thunk : unit -> string;
+  request : string;
   limit : float option;
   mutable failures : failure list;  (* newest first *)
 }
 
-(* One attempt: a live child and what it has said so far. *)
-type 'a child = {
+(* One attempt of a task, on a worker. *)
+type 'a attempt = {
   task : 'a task;
-  pid : int;
-  fd : Unix.file_descr;
-  dec : Wire.decoder;
   start : float;
-  mutable reply : (char * string) option;
   mutable stats : string option;
-  mutable bad : string option;
   mutable term_at : float option;
   mutable killed : bool;
   mutable timed_out : bool;
   mutable dropped : bool;  (* killed by the caller: settles [Abandoned] *)
 }
 
+type 'a state =
+  | Busy of 'a attempt
+  | Replied  (* answered; a bare 'H' next means it takes another task *)
+  | Ready
+  | Retiring  (* exits next: it raised, spawned a domain, was killed or wrote garbage *)
+
+(* A worker process: the parent writes requests to [req] and reads
+   replies from [rep]. *)
+type 'a worker = {
+  pid : int;
+  req : Unix.file_descr;
+  rep : Unix.file_descr;
+  dec : Wire.decoder;
+  mutable state : 'a state;
+  mutable key : string;  (* its current or last task, for traces *)
+  mutable bad : string option;  (* why its output failed to decode *)
+}
+
 type 'a t = {
   config : config;
   jobs : int;
+  work : string -> string;
   chunk : Bytes.t;
-  mutable live : 'a child list;
+  mutable workers : 'a worker list;
+  queue : 'a task Queue.t;  (* spawned, waiting for a ready worker *)
   mutable waiting : (float * 'a task) list;  (* retries, by due time *)
   mutable abandoning : bool;
   mutable prev_cutime : float;
@@ -179,278 +236,391 @@ type settled =
   | Retrying
   | Abandoned
 
-let create ~jobs config =
+let create ~jobs ~work config =
   validate_config config;
   if jobs < 1 then invalid_arg "Supervisor: jobs must be >= 1";
   let tm = Unix.times () in
   {
     config;
     jobs;
+    work;
     chunk = Bytes.create 4096;
-    live = [];
+    workers = [];
+    queue = Queue.create ();
     waiting = [];
     abandoning = false;
     prev_cutime = tm.Unix.tms_cutime;
     prev_cstime = tm.Unix.tms_cstime;
   }
 
-let live t = List.length t.live
-let room t = List.length t.live < t.jobs
-let idle t = t.live = [] && t.waiting = []
-let fds t = List.map (fun c -> c.fd) t.live
+(* The scans below are top-level recursions, not closures: the caller's
+   loop runs them on every wake-up, and a server's short campaign should
+   not grow its heap for them. *)
+let rec busy n = function
+  | [] -> n
+  | { state = Busy _; _ } :: rest -> busy (n + 1) rest
+  | _ :: rest -> busy n rest
 
-let fork_child t task =
-  let r, w = Unix.pipe () in
+let rec ready = function
+  | [] -> None
+  | ({ state = Ready; _ } as w) :: _ -> Some w
+  | _ :: rest -> ready rest
+
+let live t = busy (Queue.length t.queue) t.workers
+let room t = live t < t.jobs
+let idle t = live t = 0 && t.waiting = []
+let fds t = List.map (fun w -> w.rep) t.workers
+
+let fork_worker t task =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let rep_r, rep_w = Unix.pipe ~cloexec:true () in
   match Unix.fork () with
-  | 0 ->
-      (try Unix.close r with Unix.Unix_error _ -> ());
-      child_main t.config task.thunk w
+  | 0 -> worker_main t.config t.work ~req:req_r ~rep:rep_w
   | pid ->
-      Unix.close w;
+      Unix.close req_r;
+      Unix.close rep_w;
       if Obs.Trace.on () then
         Obs.Trace.emit
           (Obs.Trace.Child_spawn
              { key = task.name; pid; attempt = List.length task.failures });
-      t.live <-
+      let w =
         {
-          task;
           pid;
-          fd = r;
+          req = req_w;
+          rep = rep_r;
           dec = Wire.decoder ~tags:"RES" ~bare:"H" ();
-          start = Unix.gettimeofday ();
-          reply = None;
-          stats = None;
+          state = Ready;
+          key = task.name;
           bad = None;
-          term_at = None;
-          killed = false;
-          timed_out = false;
-          dropped = false;
         }
-        :: t.live
+      in
+      t.workers <- w :: t.workers;
+      w
 
-let spawn t tag ~key ?timeout thunk =
+(* Write [task]'s request to [w]; false when [w] is gone.  SIGPIPE is
+   ignored for the write only, so a sweep's own output keeps the
+   disposition it had. *)
+let send w task =
+  let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let sent =
+    match Wire.write_all w.req (Wire.encode ~tag:'T' task.request) with
+    | () -> true
+    | exception Unix.Unix_error _ -> false
+  in
+  Sys.set_signal Sys.sigpipe previous;
+  sent
+
+let begin_attempt w task =
+  w.key <- task.name;
+  w.state <-
+    Busy
+      {
+        task;
+        start = Unix.gettimeofday ();
+        stats = None;
+        term_at = None;
+        killed = false;
+        timed_out = false;
+        dropped = false;
+      }
+
+(* A worker that must take no further task: it exits or is killed, and
+   its slot frees when it is reaped. *)
+let retire w =
+  w.state <- Retiring;
+  try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ()
+
+(* Hand queued tasks to ready workers, forking while fewer than [jobs]
+   workers exist.  A ready worker that turns out to be gone retires and
+   its task stays queued, uncharged: it never started.  A fresh worker
+   gets its task even if the write fails, so a worker that dies at birth
+   is an attempt that failed, not an endless loop. *)
+let rec dispatch t =
+  if not (Queue.is_empty t.queue) then
+    match ready t.workers with
+    | Some w ->
+        let task = Queue.peek t.queue in
+        if send w task then begin
+          ignore (Queue.pop t.queue);
+          begin_attempt w task
+        end
+        else retire w;
+        dispatch t
+    | None when List.length t.workers < t.jobs ->
+        let task = Queue.pop t.queue in
+        let w = fork_worker t task in
+        ignore (send w task);
+        begin_attempt w task;
+        dispatch t
+    | None -> ()
+
+let spawn t tag ~key ?timeout request =
   let limit = match timeout with Some _ -> timeout | None -> t.config.timeout in
-  fork_child t { tag; name = key; thunk; limit; failures = [] }
+  Queue.push { tag; name = key; request; limit; failures = [] } t.queue;
+  dispatch t
 
-(* When [tick] next has work for child [c]: its watchdog SIGTERM, or
-   the SIGKILL escalation.  The scans below are top-level recursions,
-   not closures: the caller's loop runs them on every wake-up, and a
-   server's short campaign should not grow its heap for them. *)
-let child_deadline t c =
-  if c.reply <> None then infinity
-  else
-    match (c.term_at, c.task.limit) with
-    | None, Some limit -> c.start +. limit
-    | Some at, _ when not c.killed -> at +. t.config.kill_grace
-    | _ -> infinity
+(* When [tick] next has work for attempt [a]: its watchdog SIGTERM, or
+   the SIGKILL escalation. *)
+let attempt_deadline t a =
+  match (a.term_at, a.task.limit) with
+  | None, Some limit -> a.start +. limit
+  | Some at, _ when not a.killed -> at +. t.config.kill_grace
+  | _ -> infinity
 
 let rec earliest t acc = function
   | [] -> acc
-  | c :: rest -> earliest t (Float.min acc (child_deadline t c)) rest
+  | { state = Busy a; _ } :: rest -> earliest t (Float.min acc (attempt_deadline t a)) rest
+  | _ :: rest -> earliest t acc rest
 
 let next_deadline t =
   let retry = match t.waiting with (due, _) :: _ -> due | [] -> infinity in
-  let due = earliest t retry t.live in
+  let due = earliest t retry t.workers in
   if due = infinity then None else Some due
 
-let send_kill c signal name =
-  (try Unix.kill c.pid signal with Unix.Unix_error _ -> ());
+let send_kill w a signal name =
+  (try Unix.kill w.pid signal with Unix.Unix_error _ -> ());
   if Obs.Trace.on () then
     Obs.Trace.emit
       (Obs.Trace.Child_kill
          {
-           key = c.task.name;
-           pid = c.pid;
+           key = a.task.name;
+           pid = w.pid;
            signal = name;
-           elapsed = Unix.gettimeofday () -. c.start;
+           elapsed = Unix.gettimeofday () -. a.start;
          })
 
 let rec watch t now = function
   | [] -> ()
-  | c :: rest ->
-      if c.reply = None then begin
-        (match c.task.limit with
-        | Some limit when c.term_at = None && now -. c.start > limit ->
-            c.timed_out <- true;
-            c.term_at <- Some now;
-            send_kill c Sys.sigterm "sigterm"
-        | _ -> ());
-        match c.term_at with
-        | Some at when (not c.killed) && now -. at > t.config.kill_grace ->
-            c.killed <- true;
-            send_kill c Sys.sigkill "sigkill"
-        | _ -> ()
-      end;
+  | w :: rest ->
+      (match w.state with
+      | Busy a -> (
+          (match a.task.limit with
+          | Some limit when a.term_at = None && now -. a.start > limit ->
+              a.timed_out <- true;
+              a.term_at <- Some now;
+              send_kill w a Sys.sigterm "sigterm"
+          | _ -> ());
+          match a.term_at with
+          | Some at when (not a.killed) && now -. at > t.config.kill_grace ->
+              a.killed <- true;
+              send_kill w a Sys.sigkill "sigkill"
+          | _ -> ())
+      | Replied | Ready | Retiring -> ());
       watch t now rest
 
 let rec respawn t now =
   match t.waiting with
   | (due, task) :: rest when due <= now && room t ->
       t.waiting <- rest;
-      fork_child t task;
+      Queue.push task t.queue;
       respawn t now
   | _ -> ()
 
 let tick t =
   let now = Unix.gettimeofday () in
-  watch t now t.live;
-  respawn t now
+  watch t now t.workers;
+  respawn t now;
+  dispatch t
+
+let rec running_task tag = function
+  | [] -> None
+  | ({ state = Busy a; _ } as w) :: _ when a.task.tag == tag && not a.dropped -> Some (w, a)
+  | _ :: rest -> running_task tag rest
 
 let kill t tag =
-  match
-    List.find_opt
-      (fun c -> c.task.tag == tag && c.reply = None && not c.dropped)
-      t.live
-  with
+  match running_task tag t.workers with
   | None -> false
-  | Some c ->
-      c.dropped <- true;
-      c.killed <- true;
-      send_kill c Sys.sigkill "sigkill";
+  | Some (w, a) ->
+      a.dropped <- true;
+      a.killed <- true;
+      send_kill w a Sys.sigkill "sigkill";
       true
 
 let abandon t =
   t.abandoning <- true;
-  let dropped = List.map (fun (_, task) -> task.tag) t.waiting in
+  let dropped =
+    List.map (fun (_, task) -> task.tag) t.waiting
+    @ List.of_seq (Seq.map (fun task -> task.tag) (Queue.to_seq t.queue))
+  in
   t.waiting <- [];
+  Queue.clear t.queue;
   dropped
 
 let terminate t =
   ignore (abandon t);
   let now = Unix.gettimeofday () in
   List.iter
-    (fun c ->
-      if c.reply = None && c.term_at = None then begin
-        c.term_at <- Some now;
-        send_kill c Sys.sigterm "sigterm"
-      end)
-    t.live
+    (fun w ->
+      match w.state with
+      | Busy a when a.term_at = None ->
+          a.term_at <- Some now;
+          send_kill w a Sys.sigterm "sigterm"
+      | _ -> ())
+    t.workers
 
 let rec waitpid_retry pid =
   match Unix.waitpid [] pid with
   | r -> r
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
 
-let rec parse c =
-  if c.reply = None && c.bad = None then
-    match Wire.decode c.dec with
-    | Ok None -> ()
-    | Ok (Some { Wire.tag = 'H'; _ }) ->
-        if Obs.Trace.on () then
-          Obs.Trace.emit
-            (Obs.Trace.Child_heartbeat { key = c.task.name; pid = c.pid });
-        parse c
-    | Ok (Some { Wire.tag = 'S'; payload }) ->
-        c.stats <- Some payload;
-        parse c
-    | Ok (Some { Wire.tag; payload }) -> c.reply <- Some (tag, payload)
-    | Error e -> c.bad <- Some (Wire.error_to_string e)
+(* A worker that wrote garbage is never trusted again; a task it was
+   running dies with it. *)
+let garbage w msg =
+  if w.bad = None then w.bad <- Some msg;
+  match w.state with
+  | Busy _ -> ( try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ())
+  | Replied | Ready | Retiring -> retire w
 
-let reap t c =
-  (try Unix.close c.fd with Unix.Unix_error _ -> ());
-  let _, status = waitpid_retry c.pid in
+(* Decode what [w] sent; [settled] is the reply of its attempt, if one
+   landed. *)
+let rec parse w settled =
+  match Wire.decode w.dec with
+  | Ok None -> settled
+  | Error e ->
+      garbage w (Wire.error_to_string e);
+      settled
+  | Ok (Some { Wire.tag; payload }) -> (
+      match (w.state, tag) with
+      | Busy a, 'H' ->
+          if Obs.Trace.on () then
+            Obs.Trace.emit (Obs.Trace.Child_heartbeat { key = a.task.name; pid = w.pid });
+          parse w settled
+      | Busy a, 'S' ->
+          a.stats <- Some payload;
+          parse w settled
+      | Busy a, ('R' | 'E') ->
+          (* After 'E' the worker exits on its own.  One that was
+             signalled dies even if its reply got out first. *)
+          if tag = 'E' then w.state <- Retiring
+          else if a.term_at <> None || a.killed then retire w
+          else w.state <- Replied;
+          let outcome = if tag = 'R' then Done payload else Failed payload in
+          parse w (Some (a.task.tag, Finished (outcome, if tag = 'R' then a.stats else None)))
+      | Replied, 'H' ->
+          w.state <- Ready;
+          parse w settled
+      | _ ->
+          garbage w (Printf.sprintf "unexpected %C frame" tag);
+          settled)
+
+let exited t w status =
   let tm = Unix.times () in
   let cpu_user = tm.Unix.tms_cutime -. t.prev_cutime in
   let cpu_sys = tm.Unix.tms_cstime -. t.prev_cstime in
   t.prev_cutime <- tm.Unix.tms_cutime;
   t.prev_cstime <- tm.Unix.tms_cstime;
-  let status_str =
-    match status with
-    | Unix.WEXITED n -> "exit:" ^ string_of_int n
-    | Unix.WSIGNALED s -> "signal:" ^ signal_name s
-    | Unix.WSTOPPED s -> "stopped:" ^ signal_name s
-  in
   if Obs.Trace.on () then
-    Obs.Trace.emit
-      (Obs.Trace.Child_exit
-         { key = c.task.name; pid = c.pid; status = status_str; cpu_user; cpu_sys });
-  t.live <- List.filter (fun c' -> c' != c) t.live;
-  match c.reply with
-  | Some ('R', payload) -> Finished (Done payload, c.stats)
-  | Some ('E', payload) -> Finished (Failed payload, None)
-  | Some _ -> assert false
-  | None when c.dropped || t.abandoning ->
-      (* The caller killed it, or is stopping: neither retried nor
-         charged, so a resume (or the caller's requeue) reruns it. *)
-      Abandoned
-  | None ->
-      let failure =
-        if c.timed_out then
-          Unresponsive
-            {
-              elapsed = Unix.gettimeofday () -. c.start;
-              limit = Option.value c.task.limit ~default:0.;
-              forced = c.killed;
-            }
-        else
-          match c.bad with
-          | Some msg -> Protocol msg
-          | None -> (
-              match status with
-              | Unix.WEXITED 0 -> Protocol "no reply before exit"
-              | Unix.WEXITED n -> Exited n
-              | Unix.WSIGNALED s | Unix.WSTOPPED s -> Signaled s)
+    let status =
+      match status with
+      | Unix.WEXITED n -> "exit:" ^ string_of_int n
+      | Unix.WSIGNALED s -> "signal:" ^ signal_name s
+      | Unix.WSTOPPED s -> "stopped:" ^ signal_name s
+    in
+    Obs.Trace.emit (Obs.Trace.Child_exit { key = w.key; pid = w.pid; status; cpu_user; cpu_sys })
+
+let close_pipes w =
+  (try Unix.close w.req with Unix.Unix_error _ -> ());
+  try Unix.close w.rep with Unix.Unix_error _ -> ()
+
+(* What becomes of an attempt whose worker died before replying. *)
+let died t w a status =
+  if a.dropped || t.abandoning then
+    (* The caller killed it, or is stopping: neither retried nor charged,
+       so a resume (or the caller's requeue) reruns it. *)
+    Abandoned
+  else
+    let failure =
+      if a.timed_out then
+        Unresponsive
+          {
+            elapsed = Unix.gettimeofday () -. a.start;
+            limit = Option.value a.task.limit ~default:0.;
+            forced = a.killed;
+          }
+      else
+        match w.bad with
+        | Some msg -> Protocol msg
+        | None -> (
+            match status with
+            | Unix.WEXITED 0 -> Protocol "no reply before exit"
+            | Unix.WEXITED n -> Exited n
+            | Unix.WSIGNALED s | Unix.WSTOPPED s -> Signaled s)
+    in
+    (match to_misbehavior failure with
+    | Some m ->
+        if Obs.Trace.on () then
+          Obs.Trace.emit
+            (Obs.Trace.Misbehavior
+               { label = Misbehavior.label m; detail = Misbehavior.to_string m })
+    | None -> ());
+    let task = a.task in
+    task.failures <- failure :: task.failures;
+    let attempts = List.length task.failures in
+    if attempts > t.config.retries then begin
+      if Obs.Trace.on () then
+        Obs.Trace.emit
+          (Obs.Trace.Cell_quarantined
+             { key = task.name; attempts; reason = failure_to_string failure });
+      Finished
+        (Quarantined { key = task.name; attempts; failures = List.rev task.failures }, None)
+    end
+    else begin
+      let delay = Backoff.delay t.config.backoff ~key:task.name ~attempt:attempts in
+      if Obs.Trace.on () then
+        Obs.Trace.emit (Obs.Trace.Cell_retry { key = task.name; attempt = attempts; delay });
+      let due = Unix.gettimeofday () +. delay in
+      let rec insert = function
+        | [] -> [ (due, task) ]
+        | (d, _) :: _ as l when due < d -> (due, task) :: l
+        | x :: rest -> x :: insert rest
       in
-      (match to_misbehavior failure with
-      | Some m ->
-          if Obs.Trace.on () then
-            Obs.Trace.emit
-              (Obs.Trace.Misbehavior
-                 { label = Misbehavior.label m; detail = Misbehavior.to_string m })
-      | None -> ());
-      let task = c.task in
-      task.failures <- failure :: task.failures;
-      let attempts = List.length task.failures in
-      if attempts > t.config.retries then begin
-        if Obs.Trace.on () then
-          Obs.Trace.emit
-            (Obs.Trace.Cell_quarantined
-               { key = task.name; attempts; reason = failure_to_string failure });
-        Finished
-          ( Quarantined
-              { key = task.name; attempts; failures = List.rev task.failures },
-            None )
-      end
-      else begin
-        let delay =
-          Backoff.delay t.config.backoff ~key:task.name ~attempt:attempts
-        in
-        if Obs.Trace.on () then
-          Obs.Trace.emit
-            (Obs.Trace.Cell_retry { key = task.name; attempt = attempts; delay });
-        let due = Unix.gettimeofday () +. delay in
-        let rec insert = function
-          | [] -> [ (due, task) ]
-          | (d, _) :: _ as l when due < d -> (due, task) :: l
-          | x :: rest -> x :: insert rest
-        in
-        t.waiting <- insert t.waiting;
-        Retrying
-      end
+      t.waiting <- insert t.waiting;
+      Retrying
+    end
+
+(* [w] closed its reply pipe: it exited. *)
+let reap t w =
+  close_pipes w;
+  let _, status = waitpid_retry w.pid in
+  exited t w status;
+  t.workers <- List.filter (fun w' -> w' != w) t.workers;
+  match w.state with
+  | Busy a -> Some (a.task.tag, died t w a status)
+  | Replied | Ready | Retiring -> None
+
+let rec find_worker fd = function
+  | [] -> None
+  | w :: _ when w.rep = fd -> Some w
+  | _ :: rest -> find_worker fd rest
 
 let read t fd =
-  match List.find_opt (fun c -> c.fd = fd) t.live with
+  match find_worker fd t.workers with
   | None -> None
-  | Some c -> (
-      match Unix.read c.fd t.chunk 0 (Bytes.length t.chunk) with
-      | 0 -> Some (c.task.tag, reap t c)
-      | n ->
-          Wire.feed c.dec t.chunk 0 n;
-          parse c;
-          None
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> None)
+  | Some w ->
+      let settled =
+        match Unix.read fd t.chunk 0 (Bytes.length t.chunk) with
+        | 0 -> reap t w
+        | n ->
+            Wire.feed w.dec t.chunk 0 n;
+            parse w None
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
+      in
+      dispatch t;
+      settled
 
+(* Busy workers are killed; the others read EOF and exit 0. *)
 let shutdown t =
   List.iter
-    (fun c -> try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ())
-    t.live;
-  List.iter
-    (fun c ->
-      (try Unix.close c.fd with Unix.Unix_error _ -> ());
-      ignore (waitpid_retry c.pid))
-    t.live;
-  t.live <- [];
-  t.waiting <- []
+    (fun w ->
+      (match w.state with
+      | Busy _ -> ( try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ())
+      | Replied | Ready | Retiring -> ());
+      close_pipes w)
+    t.workers;
+  List.iter (fun w -> exited t w (snd (waitpid_retry w.pid))) t.workers;
+  t.workers <- [];
+  t.waiting <- [];
+  Queue.clear t.queue
 
 (* --------------------------- ordered delivery --------------------------- *)
 
@@ -460,7 +630,7 @@ let run ?(config = default_config) ?(should_stop = fun () -> false) ~jobs
     ?(complete = fun _ _ -> ()) ~consume () =
   if jobs < 1 then invalid_arg "Supervisor.run: jobs must be >= 1";
   if tasks < 0 then invalid_arg "Supervisor.run: tasks must be >= 0";
-  let t = create ~jobs config in
+  let t = create ~jobs ~work:(fun request -> work (int_of_string request)) config in
   let outcomes : outcome option array = Array.make (max tasks 1) None in
   let next_consume = ref 0 in
   let deliver idx outcome =
@@ -487,7 +657,7 @@ let run ?(config = default_config) ?(should_stop = fun () -> false) ~jobs
   Fun.protect ~finally:(fun () -> shutdown t) (fun () ->
       while (not (idle t)) || ((not !interrupted) && !next_fresh < tasks) do
         if (not !interrupted) && should_stop () then begin
-          (* Under interruption the children die because we (or the
+          (* Under interruption the workers die because we (or the
              terminal's process group) killed them: abandon their tasks
              so a resume reruns them, charging no retry. *)
           interrupted := true;
@@ -499,7 +669,7 @@ let run ?(config = default_config) ?(should_stop = fun () -> false) ~jobs
           incr next_fresh;
           match inline idx with
           | Some s -> deliver idx (Done s)
-          | None -> spawn t idx ~key:(key idx) (fun () -> work idx)
+          | None -> spawn t idx ~key:(key idx) (string_of_int idx)
         done;
         let wait =
           match next_deadline t with
@@ -508,7 +678,7 @@ let run ?(config = default_config) ?(should_stop = fun () -> false) ~jobs
         in
         match fds t with
         | [] ->
-            (* Nothing in flight: we are waiting out a retry backoff. *)
+            (* No worker: we are waiting out a retry backoff. *)
             if not (idle t) then Unix.sleepf wait
         | fds -> (
             match Unix.select fds [] [] wait with

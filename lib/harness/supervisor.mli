@@ -1,31 +1,38 @@
-(** Process-isolated supervised execution: the one child-process engine
-    of the harness, and the ordered-delivery driver under
+(** Process-isolated supervised execution: the one worker-process
+    engine of the harness, and the ordered-delivery driver under
     [Sweep.run ~isolation:`Process] built on it.
 
     Every in-process containment layer has a blind spot: {!Guard}
     deadlines are only polled at ticks (a blocking, non-ticking thunk
     evades them — see guard.mli), and nothing in-process survives an
     OOM-kill or a stray [SIGKILL] aimed at a worker.  The supervisor
-    closes both gaps by forking each task into a {e child process} that
-    speaks a tiny length-prefixed protocol over a pipe — {!Wire}
-    framing with framed ['R']/['E'] replies and the bare ['H']
-    heartbeat, the same audited codec the {!Server} speaks on its
-    socket:
+    closes both gaps by running every task in a {e worker process}: one
+    warm worker per [jobs] slot, forked lazily the first time a task
+    needs the slot, which takes task after task.  Parent and worker
+    speak {!Wire} framing over two pipes — the same audited codec the
+    {!Server} speaks on its socket:
 
     {v
       parent (single domain: fork/select/waitpid loop)
-        ├─ child[pid] ── pipe ──▶  'H'            heartbeat (SIGALRM-driven)
-        │                          'S' len bytes  stats snapshot (optional,
-        │                                         just before a success 'R')
-        │                          'R' len bytes  result payload
-        │                          'E' len bytes  contained exception text
-        └─ child[pid] ...          (then Unix._exit — no buffer flushing)
+        ├─ worker[pid] ◀── pipe ──  'T' len bytes  a task's request
+        │              ── pipe ──▶  'H'            heartbeat (SIGALRM-driven)
+        │                           'S' len bytes  stats snapshot (optional,
+        │                                          just before a success 'R')
+        │                           'R' len bytes  result payload
+        │                           'E' len bytes  contained exception text
+        │                           'H'            after 'R': ready for the next
+        └─ worker[pid] ...          (EOF on its request pipe: exit 0)
     v}
+
+    A closure cannot cross a fork that already happened, so the engine
+    is created with the one [work] function its workers run, and a task
+    is a request string: {!run}'s request is the task index, the
+    server's is [kind TAB payload].
 
     {2 One engine, two drivers}
 
     The {e engine} ({!create} … {!shutdown}) is the only code in the
-    harness that forks, watches, reaps, retries or quarantines a child.
+    harness that forks, watches, reaps, retries or quarantines a worker.
     It owns no loop: its caller's [Unix.select] loop drives it — select
     on {!fds} until {!next_deadline}, hand each readable descriptor to
     {!read}, call {!tick}.  Two drivers sit on it:
@@ -34,62 +41,84 @@
     {- {!run}, the ordered-delivery driver: tasks [0 .. n-1] with
        results consumed in index order.  {!Sweep}, [fuzz.exe] and the
        experiment tables call it.  On interrupt it {!terminate}s its
-       children and abandons their tasks.}
+       workers and abandons their tasks.}
     {- the {!Server}'s socket loop: one task per job.  Admission,
        dedup, the journal, drain and chaos stay the server's: its drain
-       lets in-flight children finish and requeues a job whose child
-       dies meanwhile ({!abandon}), and a chaos kill ({!kill}) requeues
-       the job without charging its retry budget.}}
+       lets in-flight tasks finish and requeues a job whose worker dies
+       meanwhile ({!abandon}), and a chaos kill ({!kill}) requeues the
+       job without charging its retry budget.}}
 
-    The parent is {e single-domain by construction}: in OCaml 5, forking
-    from a [Domain.spawn]ed worker is unsafe (the child inherits stopped
-    GC machinery), so process isolation replaces {!Pool} rather than
-    layering on it — [jobs] children run concurrently under one
-    [Unix.select] loop.
+    The parent is {e single-domain by construction}: OCaml 5.1 refuses
+    [Unix.fork] for the rest of a process's life once any domain was
+    spawned, so process isolation replaces {!Pool} rather than layering
+    on it — [jobs] workers run concurrently under one [Unix.select]
+    loop.
+
+    {2 Workers}
+
+    A worker starts clean: it closes every inherited descriptor except
+    stdio and its own two pipe ends — the server's listener, client
+    sockets and journal, a sweep's checkpoint, sibling workers' pipes —
+    so a closed connection reads EOF at once, a drained server refuses
+    connections, and a worker reads EOF and exits 0 when its parent
+    dies, even by [SIGKILL].  Before each task it restores what a fresh
+    fork gave the task: [SIGTERM] and [SIGINT] at their defaults (a
+    parent's own handlers, such as the server's drain, must not swallow
+    the watchdog's [SIGTERM]), [SIGPIPE] ignored, the trace sink
+    detached ({!Obs.Trace.detach_in_child}), and the {!Obs.Stats}
+    shards reset ({!Obs.Stats.reset}).
+
+    A worker is replaced — the next task that needs its slot forks a
+    new one — only when it dies (of its task, the watchdog, a {!kill}
+    or {!terminate}, or anything outside), writes garbage, replies
+    ['E'] (so OOM or stack-overflow state never carries over), or
+    spawned a domain during its task (it could no longer fork: the
+    worker tests the runtime's [caml_domain_is_multicore], the
+    condition [Unix.fork] checks).  With no failures a run forks at
+    most [jobs] workers.  {!shutdown} reaps every worker, so the
+    parent's child-CPU totals still count them.
 
     {2 Failure handling}
 
-    A child that returns sends ['R'] and its result is delivered as
-    {!Done}.  A child whose thunk raises catches the exception {e
-    inside the child} and sends ['E'] — delivered as {!Failed}, never
-    retried (the raise is deterministic; retrying would break
-    byte-equivalence with the in-domain path).  Everything else is an
-    {e abnormal} death — nonzero exit, a signal, a watchdog kill, or
-    protocol garbage — and goes through the retry machinery: the task is
-    rescheduled with seeded exponential backoff + jitter (deterministic
-    given [config.backoff], the task key, and the attempt number) until
-    the retry budget is spent, at which point it degrades to a typed
-    {!Quarantined} record instead of stalling the run.
+    A task that returns sends ['R'] and its result is delivered as
+    {!Done}.  A task that raises has the exception caught {e inside the
+    worker}, which sends ['E'] — delivered as {!Failed}, never retried
+    (the raise is deterministic; retrying would break byte-equivalence
+    with the in-domain path).  Everything else is an {e abnormal}
+    death of the worker running the task — nonzero exit, a signal, a
+    watchdog kill, or protocol garbage — and goes through the retry
+    machinery: the task is rescheduled with seeded exponential
+    backoff + jitter (deterministic given [config.backoff], the task
+    key, and the attempt number) until the retry budget is spent, at
+    which point it degrades to a typed {!Quarantined} record instead of
+    stalling the run.  A worker that dies between tasks costs no task anything.
 
     The wall-clock watchdog (per-attempt [config.timeout], or a task's
     own [?timeout]) escalates [SIGTERM] → [config.kill_grace] →
-    [SIGKILL]; a task killed this way records a
+    [SIGKILL] on the task's worker; a task killed this way records a
     {!Misbehavior.Unresponsive} certificate — exactly the case the
-    in-process guard cannot catch.  Children reset [SIGTERM] and
-    [SIGINT] to their defaults (a parent's own handlers, such as the
-    server's drain, must not swallow the watchdog's [SIGTERM]) and
-    ignore [SIGPIPE].  Heartbeats are traced for observability but
-    play no role in kill decisions (the watchdog is
+    in-process guard cannot catch.  Heartbeats are traced for
+    observability but play no role in kill decisions (the watchdog is
     pure wall-clock, so a heartbeating-but-stuck task still dies).
 
     {2 Observability}
 
-    Child lifecycle is emitted through {!Obs.Trace} ([Child_spawn],
-    [Child_heartbeat], [Child_kill], [Child_exit] with exit status and
-    CPU rusage from [Unix.times], [Cell_retry], [Cell_quarantined]);
-    [trace_report] tallies them.  Heartbeat counts are timing-dependent
-    and therefore {e not} jobs-count-invariant.  Children detach the trace sink first thing after the fork
-    ({!Obs.Trace.detach_in_child}) and reset the inherited {!Obs.Stats}
-    shards ({!Obs.Stats.reset}), so game-level events from inside a
-    task are not traced under process isolation — the cost of the
-    stronger containment — while stats survive the boundary: a child
-    drains its own registry into a framed ['S'] snapshot that the
-    parent re-absorbs (see [on_stats] below). *)
+    Worker lifecycle is emitted through {!Obs.Trace} ([Child_spawn] and
+    [Child_exit], with exit status and the worker's lifetime CPU
+    rusage from [Unix.times], once per worker process;
+    [Child_heartbeat], [Child_kill], [Cell_retry], [Cell_quarantined]
+    per task); [trace_report] tallies them.  Heartbeat counts are
+    timing-dependent and therefore {e not} jobs-count-invariant.
+    Because workers detach the trace sink, game-level events from
+    inside a task are not traced under process isolation — the cost of
+    the stronger containment — while stats survive the boundary: a
+    worker drains its own registry into a framed ['S'] snapshot that
+    the parent re-absorbs (see [on_stats] below). *)
 
 type config = {
   retries : int;
       (** extra attempts after the first (so [retries = 2] means at most
-          3 spawns per task); [0] disables retrying.  Default [2]. *)
+          3 attempts per task); [0] disables retrying.  Default [2]. *)
   timeout : float option;
       (** per-{e attempt} wall-clock limit in seconds for tasks that do
           not carry their own; [None] (default) disables the watchdog. *)
@@ -97,7 +126,8 @@ type config = {
       (** seconds between the watchdog's [SIGTERM] and its [SIGKILL]
           escalation.  Default [0.5]. *)
   heartbeat_interval : int;
-      (** seconds between child heartbeat bytes; [0] disables them.
+      (** seconds between a running task's heartbeat bytes; [0]
+          disables them.
           Default [1]. *)
   backoff : Backoff.config;
       (** the retry schedule — the same seed, task key and attempt
@@ -113,17 +143,17 @@ val validate_config : config -> unit
     invalid [backoff] ({!Backoff.validate}). *)
 
 type failure =
-  | Exited of int  (** abnormal child exit with this nonzero code *)
+  | Exited of int  (** abnormal worker exit with this nonzero code *)
   | Signaled of int
-      (** child killed by this signal (OCaml signal number — e.g. an
+      (** worker killed by this signal (OCaml signal number — e.g. an
           external [kill -9], an OOM kill) *)
   | Unresponsive of { elapsed : float; limit : float; forced : bool }
       (** the watchdog killed the attempt after [elapsed] seconds
           (per-attempt limit [limit]); [forced] means [SIGTERM] was
           ignored and the [SIGKILL] escalation fired *)
   | Protocol of string
-      (** the child closed its pipe without a complete reply frame (or
-          wrote garbage) yet exited 0 *)
+      (** the worker wrote garbage, or exited 0 without a complete
+          reply frame *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val failure_to_string : failure -> string
@@ -146,11 +176,11 @@ val quarantine_to_string : quarantine -> string
     a server answers for a quarantined job. *)
 
 type outcome =
-  | Done of string  (** the child's thunk returned this string *)
+  | Done of string  (** the task returned this string *)
   | Failed of string
-      (** the child's thunk raised; payload is [Printexc.to_string] of
-          the exception, caught {e in the child} (deterministic raises
-          are results, not retryable crashes) *)
+      (** the task raised; payload is [Printexc.to_string] of the
+          exception, caught {e in the worker} (deterministic raises are
+          results, not retryable crashes) *)
   | Quarantined of quarantine  (** retry budget exhausted *)
 
 val outcome_to_string : outcome -> string
@@ -162,13 +192,13 @@ val outcome_to_string : outcome -> string
 (** {2 The engine} *)
 
 type 'a t
-(** Live children and tasks waiting out a retry backoff, each task
-    tagged with the caller's ['a] (compared physically by {!kill}).
-    Single-domain, like the {!run} loop on top of it. *)
+(** Workers, tasks in flight and tasks waiting out a retry backoff,
+    each task tagged with the caller's ['a] (compared physically by
+    {!kill}).  Single-domain, like the {!run} loop on top of it. *)
 
 type settled =
   | Finished of outcome * string option
-      (** the task's final outcome; for {!Done}, the child's encoded
+      (** the task's final outcome; for {!Done}, the worker's encoded
           {!Obs.Stats} drain (its ['S'] frame) if it sent one *)
   | Retrying
       (** the attempt died abnormally and is charged; the task respawns
@@ -177,61 +207,70 @@ type settled =
       (** the attempt died after {!abandon}, or was {!kill}ed: neither
           retried nor charged — the caller decides whether to rerun *)
 
-val create : jobs:int -> config -> 'a t
-(** An engine that respawns retries only while fewer than [jobs]
-    children run.
+val create : jobs:int -> work:(string -> string) -> config -> 'a t
+(** An engine whose workers run [work] on each task's request string,
+    at most [jobs] workers and [jobs] tasks at a time.  Forks nothing
+    until a task needs a worker.
     @raise Invalid_argument on [jobs < 1] or an invalid [config]. *)
 
-val spawn : 'a t -> 'a -> key:string -> ?timeout:float -> (unit -> string) -> unit
-(** [spawn t tag ~key thunk] forks a child that runs [thunk] and replies
-    with its string.  [key] names the task in traces, backoff seeding
+val spawn : 'a t -> 'a -> key:string -> ?timeout:float -> string -> unit
+(** [spawn t tag ~key request] starts a task: a ready worker runs
+    [work request] and replies with its string, or a worker is forked
+    for it if fewer than [jobs] exist.  With neither, the task waits
+    for the first worker to become ready (or to be replaced) and still
+    counts in {!live}.  [key] names the task in traces, backoff seeding
     and quarantine records; [timeout] is the per-attempt limit, default
-    [config.timeout].  Spawns regardless of [jobs]: the caller checks
+    [config.timeout].  Starts regardless of [jobs]: the caller checks
     {!room} first. *)
 
 val live : 'a t -> int
-(** Children running now. *)
+(** Tasks in flight: started and not yet settled, retries waiting out
+    their backoff excluded.  Not workers. *)
 
 val room : 'a t -> bool
-(** Fewer than [jobs] children run. *)
+(** Fewer than [jobs] tasks are in flight. *)
 
 val idle : 'a t -> bool
-(** No child runs and no task waits for a retry. *)
+(** No task is in flight and none waits for a retry.  Idle workers may
+    remain; {!shutdown} reaps them. *)
 
 val fds : 'a t -> Unix.file_descr list
-(** The reply pipes of the live children, to select on for reading. *)
+(** The reply pipes of every worker, idle ones included (so a worker
+    that dies between tasks is reaped), to select on for reading. *)
 
 val next_deadline : 'a t -> float option
 (** The earliest absolute time at which {!tick} has work: a watchdog
     [SIGTERM] or [SIGKILL] escalation, or a retry coming due. *)
 
 val read : 'a t -> Unix.file_descr -> ('a * settled) option
-(** Read from a readable descriptor of {!fds}.  [Some] when the child
-    closed its pipe and was reaped: its task's tag and what became of
-    it.  [None] otherwise, also for a descriptor the engine does not
-    own. *)
+(** Read from a readable descriptor of {!fds}.  [Some] when a task
+    settled: its reply landed, or its worker died and was reaped.
+    [None] otherwise, also for a descriptor the engine does not own.
+    Hands waiting tasks to workers that became ready. *)
 
 val tick : 'a t -> unit
-(** Escalate the watchdog, then respawn the retries that are due while
+(** Escalate the watchdog, then restart the retries that are due while
     {!room} lasts — before the caller adds fresh tasks. *)
 
 val kill : 'a t -> 'a -> bool
-(** [SIGKILL] the running child of the task tagged ['a], if it has not
-    replied yet; the attempt then settles {!Abandoned}.  [false] when
-    there was no such child. *)
+(** [SIGKILL] the worker running the task tagged ['a], if the task has
+    not replied yet; the attempt then settles {!Abandoned}.  [false]
+    when no worker runs it. *)
 
 val abandon : 'a t -> 'a list
-(** Stop retrying: drop the tasks waiting for a retry (returning their
-    tags), and let every later abnormal death settle {!Abandoned}.
-    Running children are left to finish. *)
+(** Stop retrying: drop the tasks waiting for a retry or for a worker
+    (returning their tags), and let every later abnormal death settle
+    {!Abandoned}.  Running tasks are left to finish. *)
 
 val terminate : 'a t -> unit
-(** {!abandon}, then [SIGTERM] every child that has not replied; the
-    watchdog escalates to [SIGKILL] after [config.kill_grace]. *)
+(** {!abandon}, then [SIGTERM] every worker whose task has not replied;
+    the watchdog escalates to [SIGKILL] after [config.kill_grace]. *)
 
 val shutdown : 'a t -> unit
-(** [SIGKILL] and reap every live child, and drop waiting retries.  For
-    every exit path, the exceptional ones included. *)
+(** [SIGKILL] every worker with a task in flight, close every worker's
+    pipes (the others read EOF and exit 0), reap them all, and drop
+    waiting tasks.  For every exit path, the exceptional ones
+    included. *)
 
 (** {2 Ordered delivery} *)
 
@@ -249,23 +288,23 @@ val run :
   unit ->
   unit
 (** [run ~jobs ~tasks ~key ~work ~consume ()] executes tasks
-    [0 .. tasks-1], at most [jobs] child processes at a time.
+    [0 .. tasks-1] on at most [jobs] worker processes.
 
     {ul
     {- [key i] names task [i] for traces, backoff seeding and
        quarantine records;}
     {- [inline i] (parent-side, called once when task [i] is first
-       dispatched) may short-circuit the fork by returning the result
+       dispatched) may short-circuit the worker by returning the result
        directly — this is how a resumed sweep replays checkpointed
-       cells without paying a fork;}
-    {- [work i] runs {e in the forked child} and its string return is
+       cells without running them;}
+    {- [work i] runs {e in a worker process} and its string return is
        the task's payload;}
-    {- [on_stats ~task payload] receives the child's encoded
+    {- [on_stats ~task payload] receives the worker's encoded
        {!Obs.Stats} drain (the ['S'] frame sent just before a
-       successful ['R']), exactly once per {!Done} task — a child that
+       successful ['R']), exactly once per {!Done} task — a worker that
        dies after sending ['S'] is retried and only the surviving
-       attempt's snapshot is delivered.  Children {!Obs.Stats.reset}
-       after the fork, so the payload is the cell's own contribution.
+       attempt's snapshot is delivered.  Workers {!Obs.Stats.reset}
+       before each task, so the payload is the cell's own contribution.
        Default: absorb into this process's registry with
        {!Obs.Stats.absorb_string}, which keeps drained totals
        byte-identical with the in-domain path;}
@@ -277,12 +316,12 @@ val run :
 
     [should_stop] is polled once per supervision-loop iteration; when it
     first returns [true] the driver stops dispatching, {!terminate}s
-    every live child (escalating to [SIGKILL] after
+    every running task's worker (escalating to [SIGKILL] after
     [config.kill_grace]), reaps them, delivers any replies that did
     complete, and returns — abandoned tasks are neither retried nor
     quarantined, so an interrupted sweep resumes them cleanly.
 
-    Always reaps its children, also on exception.
+    Always reaps every worker before it returns, also on exception.
 
     @raise Invalid_argument on [jobs < 1], [tasks < 0], or an invalid
     [config] (see {!validate_config}). *)

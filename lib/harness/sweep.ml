@@ -359,7 +359,7 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
      boundary below still surfaces {!Interrupted} after the checkpoint
      is flushed and closed.  Process isolation records the flag even at
      [jobs = 1]: raising mid-supervision would unwind the parent loop
-     and leak children, so the supervisor polls it via [should_stop]
+     and leak workers, so the supervisor polls it via [should_stop]
      and drains cleanly. *)
   let previous_sigint =
     let handler =
@@ -388,7 +388,7 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
         let r, delta =
           (* [Obs.Stats.scoped] captures exactly this cell's contribution
              for the checkpoint; an erroring cell's scope is discarded,
-             matching the process-isolated path where a crashed child
+             matching the process-isolated path where a crashed worker
              sends no stats. *)
           match Obs.Stats.scoped c.run with
           | rd -> rd
@@ -417,7 +417,7 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
           let c = cells_arr.(i) in
           match Hashtbl.find_opt completed c.key with
           | Some r ->
-              (* replayed verbatim, parent-side: no fork, no re-run *)
+              (* replayed verbatim, parent-side: no worker, no re-run *)
               replayed.(i) <- true;
               if Obs.Trace.on () then begin
                 Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
@@ -429,7 +429,7 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
               if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
               None
         in
-        (* The child returns exactly the string the in-domain path would
+        (* The worker returns exactly the string the in-domain path would
            have produced, and [Supervisor.outcome_to_string] maps a raise
            to the identical ERROR format — well-behaved and
            deterministically-raising cells print the same bytes under

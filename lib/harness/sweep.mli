@@ -147,9 +147,10 @@ type isolation = [ `In_domain | `Process ]
     [`In_domain] (the default): on worker domains of a {!Pool} inside
     this process — the PR 2 behavior.
 
-    [`Process]: each cell forks into a child process under
-    {!Supervisor.run}; [jobs] bounds concurrent children and {!Pool} is
-    not used (forking from spawned domains is unsafe in OCaml 5).  The
+    [`Process]: cells run on worker processes under {!Supervisor.run},
+    one warm worker per [jobs] slot, forked when a cell first needs it;
+    {!Pool} is not used (OCaml 5.1 cannot fork once a domain was
+    spawned).  The
     observable contract is preserved — output in cell order,
     byte-identical to the in-domain mode for every cell that returns or
     raises deterministically, same checkpoint format, [--resume]
@@ -164,8 +165,8 @@ type isolation = [ `In_domain | `Process ]
     cell instead of aborting the run.  Quarantined cells are
     checkpointed like any result, so a resume replays the quarantine
     verbatim (delete its line to rerun the cell).  Game-level trace
-    events from inside cells are not emitted in this mode (children
-    detach the sink); the supervisor's child-lifecycle events take
+    events from inside cells are not emitted in this mode (workers
+    detach the sink); the supervisor's worker-lifecycle events take
     their place. *)
 
 exception Interrupted

@@ -103,20 +103,24 @@ type event =
   | Misbehavior of { label : string; detail : string }
       (** a guard recorded its first misbehavior certificate *)
   | Child_spawn of { key : string; pid : int; attempt : int }
-      (** the supervisor forked a worker process for a cell ([attempt]
-          is 0 for the first try) *)
+      (** the supervisor forked a worker process, once per worker: for
+          the cell [key] that first needed it ([attempt] is that cell's,
+          0 for the first try); the worker then runs cell after cell *)
   | Child_heartbeat of { key : string; pid : int }
-      (** a liveness byte arrived from a worker process *)
+      (** a liveness byte arrived from the worker running cell [key] *)
   | Child_kill of { key : string; pid : int; signal : string; elapsed : float }
-      (** the watchdog sent [signal] (["sigterm"] or ["sigkill"]) after
-          [elapsed] seconds of cell wall-clock *)
+      (** the supervisor sent [signal] (["sigterm"] or ["sigkill"]) to
+          the worker running cell [key] — a watchdog escalation, a
+          caller's kill or an interrupt — after [elapsed] seconds of
+          cell wall-clock *)
   | Child_exit of {
-      key : string;
+      key : string;  (** the cell it ran last, or was running *)
       pid : int;
       status : string;  (** ["exit:N"] or ["signal:NAME"] *)
-      cpu_user : float;  (** child user CPU seconds, from [Unix.times] *)
-      cpu_sys : float;  (** child system CPU seconds *)
-    }  (** a worker process was reaped *)
+      cpu_user : float;  (** the worker's user CPU seconds over its
+                             life, from [Unix.times] *)
+      cpu_sys : float;  (** its system CPU seconds *)
+    }  (** a worker process was reaped, once per worker *)
   | Cell_retry of { key : string; attempt : int; delay : float }
       (** a failed cell was rescheduled: [attempt] is the upcoming try
           (1-based), [delay] the seeded backoff in seconds *)

@@ -73,7 +73,8 @@ let min_defeating_b ~n_side ~t:_ ~algorithm ~k_max =
         Harness.Guard.capture guard (fun () ->
             Thm1_adversary.run ~n_side ~k ~algorithm:(algorithm ()) ())
       with
-      | Ok { Thm1_adversary.result = `Defeated _; _ } -> Some k
-      | Ok { Thm1_adversary.result = `Survived; _ } | Error _ -> go (k + 1)
+      (* A construction wider than the host is not a defeat on it. *)
+      | Ok { Thm1_adversary.result = `Defeated _; fits = true; _ } -> Some k
+      | Ok _ | Error _ -> go (k + 1)
   in
   go 1

@@ -36,5 +36,8 @@ val adversarial_orders : host:Grid_graph.Graph.t -> seeds:int list -> Grid_graph
 
 val min_defeating_b : n_side:int -> t:int -> algorithm:(unit -> Models.Algorithm.t) -> k_max:int -> int option
 (** Smallest b-value target at which the Theorem 1 adversary defeats a
-    fresh instance of the algorithm on an [n_side^2] virtual grid;
-    [None] if it survives every [k <= k_max]. *)
+    fresh instance of the algorithm on an [n_side^2] virtual grid with a
+    construction that fits it (the [fits] field of its
+    [Thm1_adversary.report]): a defeat wider than the host is not a
+    defeat on it.  [None] if there
+    is no such defeat for any [k <= k_max]. *)

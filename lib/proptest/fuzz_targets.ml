@@ -416,7 +416,7 @@ let stats_merge =
 (* sweep-kill                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A process-isolated sweep must survive a worker child dying mid-cell
+(* A process-isolated sweep must survive a worker process dying mid-cell
    at any point: the victim cell SIGKILLs its own worker process on the
    first attempt (after a randomized amount of work, so the kill lands
    at a random point of the parent's supervision loop), the supervisor

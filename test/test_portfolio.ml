@@ -120,6 +120,20 @@ let test_min_defeating_b () =
   | Some k -> check_bool "within range" true (k >= 1 && k <= 9)
   | None -> Alcotest.fail "greedy should be defeated at some k <= 9"
 
+(* ael(16) on a 4096^2 grid survives every b-target k <= 6; the
+   adversary's first defeat, at k = 7, spans 4520 columns and does not
+   fit the host, so it is no defeat there. *)
+let test_unfitting_defeat_not_counted () =
+  let algorithm () = Portfolio.ael ~t:16 () in
+  let r =
+    Online_local.Thm1_adversary.run ~n_side:4096 ~k:7 ~algorithm:(algorithm ()) ()
+  in
+  check_bool "defeated at k = 7" true
+    (match r.Online_local.Thm1_adversary.result with `Defeated _ -> true | `Survived -> false);
+  check_bool "wider than the host" false r.Online_local.Thm1_adversary.fits;
+  check_bool "no fitting defeat for k <= 7" true
+    (Measure.min_defeating_b ~n_side:4096 ~t:16 ~algorithm ~k_max:7 = None)
+
 let () =
   Alcotest.run "portfolio"
     [
@@ -140,5 +154,7 @@ let () =
             test_min_locality_binary_search;
           Alcotest.test_case "min locality kp1" `Slow test_min_locality_kp1_on_grid;
           Alcotest.test_case "min defeating b" `Quick test_min_defeating_b;
+          Alcotest.test_case "an unfitting defeat does not count" `Quick
+            test_unfitting_defeat_not_counted;
         ] );
     ]

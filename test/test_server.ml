@@ -23,6 +23,7 @@ let fast_backoff = { Backoff.base = 0.002; max = 0.02; seed = 0x5EED }
      upper  -> uppercased, multi-line results preserved
      fail   -> raises (the typed ERROR path)
      slow   -> sleeps 30 ms, then echoes (drain / backpressure fodder)
+     nap    -> sleeps [payload] seconds, then echoes
      hang   -> sleeps a minute (watchdog fodder)
      suicide -> SIGKILLs its own process (crash fodder) *)
 let handler ~kind ~payload =
@@ -34,6 +35,9 @@ let handler ~kind ~payload =
   | "slow" ->
       Unix.sleepf 0.03;
       "slept for " ^ payload
+  | "nap" ->
+      Unix.sleepf (float_of_string payload);
+      "napped " ^ payload
   | "hang" ->
       Unix.sleepf 60.;
       "woke up"
@@ -513,6 +517,147 @@ let test_serial_fuzz_jobs () =
         (List.combine baseline c.Client.results))
     [ 1; 2 ]
 
+(* stats-merge spawns domains (it drains the registry at jobs 2), and
+   OCaml 5.1 refuses Unix.fork for the rest of a process's life once a
+   domain was spawned; sweep-kill forks.  At jobs 1 both run on the
+   same worker unless it retires after the first, so sweep-kill would
+   answer a FAIL raised by Unix.fork. *)
+let test_fork_after_domain () =
+  let specs =
+    List.map
+      (fun target -> ("fuzz", Printf.sprintf "target=%s seed=1 cases=4" target))
+      [ "stats-merge"; "sweep-kill" ]
+  in
+  with_server ~handler:Jobs_catalog.handler ~config:(fast_config 1) @@ fun ~socket ~pid:_ ->
+  let c = campaign ~socket specs in
+  List.iteri
+    (fun i (want, got) -> check_string (Printf.sprintf "result %d" i) want got)
+    (List.combine [ "stats-merge: PASS (4 cases)"; "sweep-kill: PASS (4 cases)" ]
+       c.Client.results)
+
+(* --------------------------- worker hygiene --------------------------- *)
+
+(* A warm worker is forked while the server holds its listener, client
+   sockets and the other workers' pipes; it must keep none of them. *)
+
+let rec connect_retrying ~socket tries =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX socket) with
+  | () -> fd
+  | exception Unix.Unix_error _ when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.02;
+      connect_retrying ~socket (tries - 1)
+
+(* Frames from [fd] until EOF, or [Error] if none came within the
+   socket's receive timeout. *)
+let read_to_eof fd =
+  let dec = Harness.Wire.decoder ~tags:"ARXEH" () in
+  let buf = Bytes.create 4096 in
+  let rec go tags =
+    match Harness.Wire.decode dec with
+    | Ok (Some { Harness.Wire.tag; _ }) -> go (tag :: tags)
+    | Error e -> Error (Harness.Wire.error_to_string e)
+    | Ok None -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> Ok (List.rev tags)
+        | n ->
+            Harness.Wire.feed dec buf 0 n;
+            go tags
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Error "no EOF within 3 s")
+  in
+  go []
+
+(* The job on this connection forks the worker while the connection is
+   open; the protocol-error close that follows must reach the client. *)
+let test_protocol_close_reaches_client () =
+  with_server ~config:(fast_config 1) @@ fun ~socket ~pid:_ ->
+  let fd = connect_retrying ~socket 250 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 3.;
+  let dec = Harness.Wire.decoder ~tags:"ARXEH" () in
+  let buf = Bytes.create 4096 in
+  Harness.Wire.write_all fd (Harness.Wire.encode ~tag:'S' "rev\t\nwarm");
+  let rec result () =
+    match Harness.Wire.decode dec with
+    | Ok (Some { Harness.Wire.tag = 'R'; payload }) -> payload
+    | Ok (Some _) -> result ()
+    | Error e -> Alcotest.fail (Harness.Wire.error_to_string e)
+    | Ok None -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> Alcotest.fail "EOF before the result"
+        | n ->
+            Harness.Wire.feed dec buf 0 n;
+            result ())
+  in
+  check_bool "the job ran" true (ends_with ~suffix:"\tmraw" (result ()));
+  Harness.Wire.write_all fd (Harness.Wire.encode ~tag:'Z' "");
+  match read_to_eof fd with
+  | Ok tags -> check_bool "'E', then EOF" true (tags = [ 'E' ])
+  | Error reason -> Alcotest.fail reason
+
+(* While the drain waits for a job on the warm worker, a new connect is
+   refused. *)
+let test_drain_refuses_connections () =
+  let socket = temp_path ".sock" in
+  let pid = fork_server ~config:(fast_config 1) ~socket () in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_server pid;
+      try Sys.remove socket with Sys_error _ -> ())
+  @@ fun () ->
+  ignore (campaign ~socket [ ("rev", "warm") ]);
+  raw_submit_all ~socket [ ("nap", "1.5") ];
+  Unix.kill pid Sys.sigterm;
+  let give_up = Unix.gettimeofday () +. 1. in
+  let rec refused () =
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | () ->
+        Unix.close fd;
+        Unix.gettimeofday () < give_up && (Unix.sleepf 0.02; refused ())
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
+        Unix.close fd;
+        true
+  in
+  check_bool "connect refused during the drain" true (refused ())
+
+(* The parent pid of a live process; [None] once it is gone or a
+   zombie. *)
+let parent_of pid =
+  match In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | stat -> (
+      (* "pid (comm) state ppid ...": comm may hold spaces *)
+      let from = String.rindex stat ')' + 2 in
+      match String.split_on_char ' ' (String.sub stat from (String.length stat - from)) with
+      | state :: ppid :: _ when state <> "Z" -> int_of_string_opt ppid
+      | _ -> None)
+
+let children_of pid =
+  Sys.readdir "/proc" |> Array.to_list
+  |> List.filter_map int_of_string_opt
+  |> List.filter (fun p -> parent_of p = Some pid)
+
+let test_sigkill_leaves_no_worker () =
+  let socket = temp_path ".sock" in
+  let pid = fork_server ~config:(fast_config 2) ~socket () in
+  let workers =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        try Sys.remove socket with Sys_error _ -> ())
+      (fun () ->
+        ignore (campaign ~socket (List.init 6 (fun i -> ("slow", string_of_int i))));
+        children_of pid)
+  in
+  check_int "two warm workers" 2 (List.length workers);
+  Unix.sleepf 2.;
+  check_bool "no worker alive 2 s after the kill" true
+    (List.for_all (fun w -> parent_of w = None) workers)
+
 (* ------------------------------ chaos -------------------------------- *)
 
 (* The acceptance gate: under every injected fault, child kills
@@ -587,8 +732,20 @@ let () =
             test_submit_deadline_wins;
         ] );
       ( "catalog",
-        [ Alcotest.test_case "serial fuzz targets answer as fuzz.exe" `Quick test_serial_fuzz_jobs ]
-      );
+        [
+          Alcotest.test_case "serial fuzz targets answer as fuzz.exe" `Quick test_serial_fuzz_jobs;
+          Alcotest.test_case "a worker that spawned a domain retires" `Quick
+            test_fork_after_domain;
+        ] );
+      ( "workers",
+        [
+          Alcotest.test_case "protocol-error close reaches the client" `Quick
+            test_protocol_close_reaches_client;
+          Alcotest.test_case "drain refuses new connections" `Quick
+            test_drain_refuses_connections;
+          Alcotest.test_case "SIGKILLed server leaves no worker" `Quick
+            test_sigkill_leaves_no_worker;
+        ] );
       ( "chaos",
         [
           Alcotest.test_case "soak seed=7" `Quick test_chaos_seed_7;
