@@ -1,5 +1,5 @@
 (* Benchmark harness: one bechamel micro-benchmark per experiment (the
-   inner loops that dominate each reproduction), the domain-scaling
+   inner loops that dominate each reproduction), the worker-scaling
    benchmark of the parallel sweep engine (E8), and the full
    regeneration of every experiment table (EXPERIMENTS.md).
 
@@ -262,19 +262,24 @@ let bench_record ~bench ~jobs_axis ~results =
       ("results", results);
     ]
 
+(* The jobs count of a parallel leg: the binaries' default (cores,
+   capped at 8), floored at 2 so the leg is parallel on one core too. *)
+let parallel_jobs = max 2 (min 8 (Domain.recommended_domain_count ()))
+
 let write_bench_record path record =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (Obs.Json.to_string record);
       Out_channel.output_char oc '\n');
   Format.printf "@.record written to %s@." path
 
-(* ------------------- E8: sweep domain scaling -------------------- *)
+(* --------------------- E8: sweep worker scaling -------------------- *)
 
 (* A fixed Theorem-1 cell grid, heavy enough (~0.1 s/cell, transcript
-   validation on) that domain-spawn overhead is negligible against cell
-   cost.  The same grid runs at 1/2/4/8 domains; output equality across
-   jobs counts is asserted, wall-clock per jobs count is reported, and
-   the record is written to BENCH_sweep_parallel.json. *)
+   validation on) that worker start-up is negligible against cell cost.
+   The same grid runs on 1/2/4/8 worker processes, as the sweep binaries
+   run it; each run's output must equal the in-process serial reference,
+   and wall-clock and worker CPU per jobs count are reported and written
+   to BENCH_sweep_parallel.json. *)
 
 let scaling_cells () =
   List.concat_map
@@ -305,38 +310,44 @@ let scaling_cells () =
 
 let sweep_scaling () =
   Format.printf
-    "== E8: parallel sweep scaling (thm1 grid, %d cells, validate on) ==@.@."
+    "== E8: parallel sweep scaling (thm1 grid, %d cells, validate on, worker \
+     processes) ==@.@."
     (List.length (scaling_cells ()));
   Format.printf "recommended_domain_count on this machine: %d@.@."
     (Domain.recommended_domain_count ());
-  let render jobs =
+  (* Wall seconds, the reaped workers' CPU seconds, and the output. *)
+  let render ~isolation jobs =
     let buf = Buffer.create 4096 in
     let ppf = Format.formatter_of_buffer buf in
-    let t0 = Unix.gettimeofday () in
-    Harness.Sweep.run ~jobs ~ppf (scaling_cells ());
-    let dt = Unix.gettimeofday () -. t0 in
-    (dt, Buffer.contents buf)
+    let child_cpu () =
+      let tm = Unix.times () in
+      tm.Unix.tms_cutime +. tm.Unix.tms_cstime
+    in
+    let t0 = Unix.gettimeofday () and c0 = child_cpu () in
+    Harness.Sweep.run ~jobs ~isolation ~ppf (scaling_cells ());
+    (Unix.gettimeofday () -. t0, child_cpu () -. c0, Buffer.contents buf)
   in
+  let _, _, reference = render ~isolation:`In_domain 1 in
   (* Warm-up run: pay allocator/code warmup outside the measurements. *)
-  ignore (render 1);
-  let base_t, base_out = render 1 in
-  let rows =
-    (1, base_t, 1.0)
-    :: List.map
-         (fun jobs ->
-           let t, out = render jobs in
-           if not (String.equal out base_out) then
-             failwith
-               (Printf.sprintf
-                  "BENCH sweep_parallel: output at --jobs %d differs from \
-                   --jobs 1 — determinism contract broken"
-                  jobs);
-           (jobs, t, base_t /. t))
-         [ 2; 4; 8 ]
+  ignore (render ~isolation:`Process 1);
+  let runs =
+    List.map
+      (fun jobs ->
+        let t, cpu, out = render ~isolation:`Process jobs in
+        if not (String.equal out reference) then
+          failwith
+            (Printf.sprintf
+               "BENCH sweep_parallel: output at --jobs %d differs from the \
+                in-process sweep — determinism contract broken"
+               jobs);
+        (jobs, t, cpu))
+      [ 1; 2; 4; 8 ]
   in
-  Format.printf "%-8s %-12s %s@." "jobs" "seconds" "speedup";
+  let base_t = match runs with (_, t, _) :: _ -> t | [] -> assert false in
+  let rows = List.map (fun (jobs, t, cpu) -> (jobs, t, cpu, base_t /. t)) runs in
+  Format.printf "%-8s %-12s %-12s %s@." "jobs" "seconds" "worker cpu" "speedup";
   List.iter
-    (fun (jobs, t, s) -> Format.printf "%-8d %-12.3f %.2fx@." jobs t s)
+    (fun (jobs, t, cpu, s) -> Format.printf "%-8d %-12.3f %-12.3f %.2fx@." jobs t cpu s)
     rows;
   let results =
     Obs.Json.Obj
@@ -345,15 +356,17 @@ let sweep_scaling () =
           Obs.Json.String
             "thm1 t=4,6 k=12,13 side=30000 algo=ael,greedy validate=true" );
         ("cells", Obs.Json.Int (List.length (scaling_cells ())));
+        ("isolation", Obs.Json.String "process");
         ("identical_output", Obs.Json.Bool true);
         ( "runs",
           Obs.Json.List
             (List.map
-               (fun (jobs, t, s) ->
+               (fun (jobs, t, cpu, s) ->
                  Obs.Json.Obj
                    [
                      ("jobs", Obs.Json.Int jobs);
                      ("seconds", Obs.Json.Float t);
+                     ("worker_cpu_seconds", Obs.Json.Float cpu);
                      ("speedup", Obs.Json.Float s);
                    ])
                rows) );
@@ -361,7 +374,7 @@ let sweep_scaling () =
   in
   write_bench_record "BENCH_sweep_parallel.json"
     (bench_record ~bench:"sweep_parallel"
-       ~jobs_axis:(List.map (fun (jobs, _, _) -> jobs) rows)
+       ~jobs_axis:(List.map (fun (jobs, _, _, _) -> jobs) rows)
        ~results)
 
 (* ---------------- trace/flight/stats overhead (E9) ---------------- *)
@@ -490,12 +503,12 @@ let trace_overhead () =
 
 (* ------------------ fuzz-harness throughput (E10) ----------------- *)
 
-(* Cases/second of [Proptest.Fuzz_run.run_target] on the parallel-safe
-   differential targets, at 1 domain and at the pool default.  The same
-   fixed (seed, cases) runs at both jobs counts; every target must pass
-   (a counterexample would make the timing meaningless), and the
-   per-target status lines are asserted identical across jobs — the
-   same byte-identity contract bin/fuzz.exe ships under. *)
+(* Cases/second of [Proptest.Fuzz_run.run_target] on three differential
+   targets, in this process: the cases of a target run one after
+   another, as on a fuzz.exe worker.  Every target must pass (a
+   counterexample would make the timing meaningless), and the measured
+   pass must report exactly what the warm-up pass did.  Across jobs
+   counts, fuzz.exe's byte-identity is CI's (--jobs 1 vs --jobs 4). *)
 
 let fuzz_throughput () =
   let targets = [ "proper-vs-brute"; "bvalue-cancel"; "thm3-game" ] in
@@ -503,9 +516,6 @@ let fuzz_throughput () =
   let config =
     { Proptest.Runner.default_config with Proptest.Runner.seed = 0xBE7; cases }
   in
-  (* On a 1-core box default_jobs is 1; floor the second point at 2 so
-     the pool path (and its determinism) is always on the axis. *)
-  let jobs_axis = [ 1; max 2 (Harness.Pool.default_jobs ()) ] in
   Format.printf "== E10: fuzz harness throughput (%d cases/target, seed %d) ==@.@."
     cases config.Proptest.Runner.seed;
   let describe report =
@@ -518,7 +528,7 @@ let fuzz_throughput () =
     | Proptest.Fuzz_run.Skipped reason ->
         failwith ("BENCH fuzz_throughput: target skipped: " ^ reason)
   in
-  let run jobs =
+  let run () =
     List.map
       (fun name ->
         let target =
@@ -527,81 +537,49 @@ let fuzz_throughput () =
           | None -> failwith ("BENCH fuzz_throughput: unknown target " ^ name)
         in
         let t0 = Unix.gettimeofday () in
-        let report = Proptest.Fuzz_run.run_target ~jobs ~config target in
+        let report = Proptest.Fuzz_run.run_target ~config target in
         let dt = Unix.gettimeofday () -. t0 in
         (name, describe report, dt))
       targets
   in
   (* Warm-up pass outside the measurements. *)
-  ignore (run 1);
-  let rows =
-    List.map
-      (fun jobs ->
-        let measured = run jobs in
-        let statuses = List.map (fun (n, s, _) -> (n, s)) measured in
-        (jobs, statuses, measured))
-      jobs_axis
-  in
-  (match rows with
-  | (_, base, _) :: rest ->
-      List.iter
-        (fun (jobs, statuses, _) ->
-          if statuses <> base then
-            failwith
-              (Printf.sprintf
-                 "BENCH fuzz_throughput: report at --jobs %d differs from \
-                  --jobs 1 — determinism contract broken"
-                 jobs))
-        rest
-  | [] -> ());
-  Format.printf "%-8s %-18s %-12s %s@." "jobs" "target" "seconds" "cases/s";
+  let warm = run () in
+  let measured = run () in
+  if List.map (fun (n, s, _) -> (n, s)) warm <> List.map (fun (n, s, _) -> (n, s)) measured
+  then failwith "BENCH fuzz_throughput: a re-run reported differently";
+  Format.printf "%-18s %-12s %s@." "target" "seconds" "cases/s";
   List.iter
-    (fun (jobs, _, measured) ->
-      List.iter
-        (fun (name, _, dt) ->
-          Format.printf "%-8d %-18s %-12.3f %.0f@." jobs name dt
-            (float_of_int cases /. dt))
-        measured)
-    rows;
+    (fun (name, _, dt) ->
+      Format.printf "%-18s %-12.3f %.0f@." name dt (float_of_int cases /. dt))
+    measured;
   let results =
     Obs.Json.Obj
       [
         ("targets", Obs.Json.List (List.map (fun n -> Obs.Json.String n) targets));
         ("cases_per_target", Obs.Json.Int cases);
         ("seed", Obs.Json.Int config.Proptest.Runner.seed);
-        ("identical_reports", Obs.Json.Bool true);
-        ( "runs",
+        ( "per_target",
           Obs.Json.List
             (List.map
-               (fun (jobs, _, measured) ->
+               (fun (name, _, dt) ->
                  Obs.Json.Obj
                    [
-                     ("jobs", Obs.Json.Int jobs);
-                     ( "per_target",
-                       Obs.Json.List
-                         (List.map
-                            (fun (name, _, dt) ->
-                              Obs.Json.Obj
-                                [
-                                  ("target", Obs.Json.String name);
-                                  ("seconds", Obs.Json.Float dt);
-                                  ( "cases_per_sec",
-                                    Obs.Json.Float (float_of_int cases /. dt) );
-                                ])
-                            measured) );
+                     ("target", Obs.Json.String name);
+                     ("seconds", Obs.Json.Float dt);
+                     ("cases_per_sec", Obs.Json.Float (float_of_int cases /. dt));
                    ])
-               rows) );
+               measured) );
       ]
   in
   write_bench_record "BENCH_fuzz_throughput.json"
-    (bench_record ~bench:"fuzz_throughput" ~jobs_axis ~results)
+    (bench_record ~bench:"fuzz_throughput" ~jobs_axis:[ 1 ] ~results)
 
 (* --------------- process-isolation overhead (E11) ---------------- *)
 
 (* What process isolation costs per sweep cell — a worker fork per jobs
    slot, and a request and a reply frame per cell: the same fixed thm1
-   cell grid runs under `In_domain and under `Process (at jobs 1 and at
-   the pool default), output byte-identity across all three is asserted
+   cell grid runs in-process and on worker processes (at jobs 1 and at
+   the binaries' default), output byte-identity across all three is asserted
    (the Sweep isolation contract), and the per-cell premium of `Process
    over `In_domain at jobs 1 is reported.  Cells are deliberately light
    (~ms) so the premium is visible rather than drowned in cell cost —
@@ -627,7 +605,7 @@ let isolation_overhead () =
       [ 5; 6; 7; 8 ]
   in
   let n_cells = List.length (cells ()) in
-  let jobs_axis = [ 1; max 2 (Harness.Pool.default_jobs ()) ] in
+  let jobs_axis = [ 1; parallel_jobs ] in
   Format.printf
     "== E11: process-isolation overhead (thm1 grid, %d light cells) ==@.@."
     n_cells;
@@ -728,7 +706,7 @@ let serve_throughput () =
     | other -> failwith ("unknown kind: " ^ other)
   in
   let n_jobs = 200 in
-  let jobs = max 2 (Harness.Pool.default_jobs ()) in
+  let jobs = parallel_jobs in
   let specs =
     List.init n_jobs (fun i -> ("rev", Printf.sprintf "payload-%06d" i))
   in

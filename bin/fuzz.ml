@@ -8,19 +8,19 @@
      dune exec bin/fuzz.exe -- --seed 7 --cases 500 --jobs 4
      dune exec bin/fuzz.exe -- --targets thm1-game,bvalue-cancel
      dune exec bin/fuzz.exe -- --replay 'demo-bug:24301:3:12'
-     dune exec bin/fuzz.exe -- --isolate proc --retries 1
+     dune exec bin/fuzz.exe -- --retries 1
 
    Stdout is byte-identical for a fixed (seed, cases, targets) whatever
-   --jobs or --isolate is and however often it is re-run; shrunk repro
-   files land in the corpus directory.  Exit 1 when any target fails.
+   --jobs is and however often it is re-run; shrunk repro files land in
+   the corpus directory.  Exit 1 when any target fails.
 
-   With --isolate proc each target runs on a supervised worker process
-   (Harness.Supervisor): a target that segfaults, OOMs or hangs
-   is killed and retried instead of taking the whole harness down, and
-   is reported as "<target>: ERROR (...)" once quarantined.  Targets
-   then parallelize across processes (--jobs), cases within one target
-   run serially — even "serial" targets are safe to run concurrently in
-   this mode because each owns its process-global state. *)
+   Each target runs as one task on a supervised worker process
+   (Harness.Supervisor), at most --jobs at a time: a target that
+   segfaults, OOMs or hangs is killed and retried instead of taking the
+   whole harness down, and is reported as "<target>: ERROR (...)" once
+   quarantined.  The cases of one target run one after another, and a
+   target that owns process-wide state (signal handlers, the stats
+   registry, forks) owns it inside its worker. *)
 
 open Cmdliner
 module FT = Proptest.Fuzz_targets
@@ -107,8 +107,7 @@ let resolve_targets = function
 let list_targets () =
   List.iter
     (fun (t : FT.t) ->
-      Printf.printf "%-16s %s%s\n" t.FT.name t.FT.doc
-        (if t.FT.serial then " [serial]" else ""))
+      Printf.printf "%-16s %s\n" t.FT.name t.FT.doc)
     FT.all;
   0
 
@@ -121,12 +120,10 @@ let run_replay token =
       print_rendered Format.std_formatter (render_report r);
       (match r.FR.status with FR.Failed _ -> 1 | _ -> 0)
 
-(* --isolate proc: one supervised task per target.  Cases inside a
-   target run serially (jobs:1) — process-level parallelism across
-   targets replaces domain-level parallelism within one.  An abnormal
-   worker death (crash, kill, hang) is retried by the supervisor and, once
-   quarantined, reported as a failing ERROR line rather than aborting the
-   harness. *)
+(* One supervised task per target; reports print in target order.  An
+   abnormal worker death (crash, kill, hang) is retried by the
+   supervisor and, once quarantined, reported as a failing ERROR line
+   rather than aborting the harness. *)
 let run_supervised ~config ~(exec : Obs_cli.exec) targets =
   let targets = Array.of_list targets in
   let results = Array.make (Array.length targets) None in
@@ -134,7 +131,7 @@ let run_supervised ~config ~(exec : Obs_cli.exec) targets =
     ~jobs:exec.Obs_cli.jobs ~tasks:(Array.length targets)
     ~key:(fun i -> targets.(i).FT.name)
     ~work:(fun i ->
-      Marshal.to_string (render_report (FR.run_target ~jobs:1 ~config targets.(i))) [])
+      Marshal.to_string (render_report (FR.run_target ~config targets.(i))) [])
     ~consume:(fun i outcome ->
       let name = targets.(i).FT.name in
       let r =
@@ -179,31 +176,7 @@ let run seed cases targets (exec : Obs_cli.exec) corpus list replay trace stats
             let config = { Runner.default_config with Runner.seed; cases } in
             Format.printf "fuzz seed=%d cases=%d targets=%d@." seed cases
               (List.length targets);
-            let rendered =
-              match exec.Obs_cli.isolation with
-              | `In_domain ->
-                  (* Serial targets run first: some fork (sweep-kill), and
-                     on OCaml 5 a process that has ever spawned a domain —
-                     pooled targets do at --jobs > 1 — can no longer fork.
-                     Reports still print in target order. *)
-                  let run t =
-                    render_report (FR.run_target ~jobs:exec.Obs_cli.jobs ~config t)
-                  in
-                  let serial =
-                    List.filter_map
-                      (fun t -> if t.FT.serial then Some (t.FT.name, run t) else None)
-                      targets
-                  in
-                  List.map
-                    (fun t ->
-                      let r =
-                        if t.FT.serial then List.assoc t.FT.name serial else run t
-                      in
-                      print_rendered Format.std_formatter r;
-                      (t.FT.name, r))
-                    targets
-              | `Process -> run_supervised ~config ~exec targets
-            in
+            let rendered = run_supervised ~config ~exec targets in
             write_corpus ~corpus rendered;
             if List.exists (fun (_, r) -> r.failed) rendered then 1 else 0)
 

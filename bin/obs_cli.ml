@@ -7,19 +7,22 @@
      --stats FILE   write drained streaming stats (JSON) to FILE
      --flight FILE  binary flight-recorder ring, flushed on anomaly
 
-   repro, fuzz and the sweep_thm* binaries take the same execution
-   flags, parsed and validated here so "--jobs 0" fails identically
-   everywhere, naming the flag:
+   repro, fuzz, serve and the sweep_thm* binaries run every cell,
+   driver, target or job on a supervised worker process
+   (Harness.Supervisor), one warm worker per --jobs slot, and take the
+   same execution flags, parsed and validated here so "--jobs 0" fails
+   identically everywhere, naming the flag:
 
-     --jobs N             worker domains (in-domain) / processes (proc)
-     --isolate MODE       domain (default) | proc
-     --retries N          proc mode: extra attempts per crashed cell
-     --kill-grace-ms MS   proc mode: SIGTERM -> SIGKILL escalation gap
-     --cell-timeout-ms MS proc mode: per-attempt wall-clock watchdog
+     --jobs N             worker processes (default: cores, capped at 8)
+     --isolate proc       the only mode, accepted and ignored; "domain"
+                          is a usage error
+     --retries N          extra attempts per task whose worker crashed
+     --kill-grace-ms MS   SIGTERM -> SIGKILL escalation gap
+     --cell-timeout-ms MS per-attempt wall-clock watchdog (in serve, the
+                          deadline of jobs submitted without one)
 
-   serve takes them too, but runs every job on a supervised worker: its
-   --isolate accepts only proc, the proc-mode flags always apply, and
-   --cell-timeout-ms is the deadline of jobs submitted without one.
+   A worker's trace events reach --trace and --flight through its
+   parent, tagged with the worker's slot (see Obs.Flight.relay).
 
    The stats file is written even on the interrupted (exit 130) path:
    a Ctrl-C'd sweep still reports what it counted.
@@ -48,7 +51,7 @@ let stats =
           "Stream per-game statistics (count/mean/variance/min/max and \
            quantile sketches) and write the drained snapshot to $(docv) \
            as JSON after the run.  The bytes are identical at every \
-           --jobs count and isolation mode.")
+           --jobs count.")
 
 let flight =
   Arg.(
@@ -59,7 +62,8 @@ let flight =
           "Flight recorder: retain trace events in an in-memory ring \
            (binary encoding, see trace_report) and flush them to $(docv) \
            only on anomaly — misbehavior, quarantine, watchdog kill, \
-           fault injection, or a failed audit.")
+           fault injection, or a failed audit.  A worker process ships \
+           the events of a task that hit one, tagged with its slot.")
 
 (* ----------------------- execution-backend flags ----------------------- *)
 
@@ -79,29 +83,35 @@ let int_at_least lo what =
 let positive_int = int_at_least 1 "a positive integer"
 let non_negative_int = int_at_least 0 "a non-negative integer"
 
+(* Sweeps are memory-bandwidth-bound well before wide fan-out pays
+   off, hence the cap. *)
+let default_jobs = max 1 (min 8 (Domain.recommended_domain_count ()))
+
 let jobs =
   Arg.(
     value
-    & opt positive_int (Harness.Pool.default_jobs ())
+    & opt positive_int default_jobs
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Workers: domains under --isolate domain, worker processes under \
-           --isolate proc and in serve (default: available cores, capped at \
-           8).  Output bytes never depend on $(docv).")
+          "Worker processes: at most $(docv) tasks run at once, each slot on \
+           one warm worker (default: available cores, capped at 8).  Output \
+           bytes never depend on $(docv).")
 
+(* The one mode there is, still accepted by name: command lines that
+   pass --isolate proc keep working, and any other value is a usage
+   error. *)
 let isolate =
   Arg.(
     value
-    & opt (enum [ ("domain", `In_domain); ("proc", `Process) ]) `In_domain
+    & opt (enum [ ("proc", ()) ]) ()
     & info [ "isolate" ] ~docv:"MODE"
         ~doc:
-          "Cell isolation: $(b,domain) runs cells on worker domains in this \
-           process; $(b,proc) runs them on supervised worker processes, one \
-           per --jobs slot, forked when a cell first needs the slot and \
-           replaced when the worker dies, is killed, or its cell raised or \
-           spawned a domain.  A cell survives kills of its worker: crashed \
-           cells retry with seeded backoff, and crash-looping ones are \
-           quarantined.")
+          "Isolation: $(b,proc), the only mode.  Every task runs on a \
+           supervised worker process: one per --jobs slot, forked when a \
+           task first needs it, and replaced when it dies, is killed, or \
+           its task raised or spawned a domain.  A task survives kills of \
+           its worker: crashed tasks retry with seeded backoff, and \
+           crash-looping ones are quarantined.")
 
 let retries =
   Arg.(
@@ -109,9 +119,8 @@ let retries =
     & opt non_negative_int Harness.Supervisor.default_config.Harness.Supervisor.retries
     & info [ "retries" ] ~docv:"N"
         ~doc:
-          "With --isolate proc, and always in serve: extra attempts after a \
-           cell's worker dies abnormally, before the cell is quarantined.  \
-           0 disables retrying.")
+          "Extra attempts after a task's worker dies abnormally, before the \
+           task is quarantined.  0 disables retrying.")
 
 let kill_grace_ms =
   Arg.(
@@ -119,8 +128,8 @@ let kill_grace_ms =
     & opt positive_int 500
     & info [ "kill-grace-ms" ] ~docv:"MS"
         ~doc:
-          "With --isolate proc, and always in serve: how long the worker of \
-           a timed-out cell gets between SIGTERM and the SIGKILL escalation.")
+          "How long the worker of a timed-out task gets between SIGTERM and \
+           the SIGKILL escalation.")
 
 let cell_timeout_ms =
   Arg.(
@@ -128,16 +137,11 @@ let cell_timeout_ms =
     & opt (some positive_int) None
     & info [ "cell-timeout-ms" ] ~docv:"MS"
         ~doc:
-          "With --isolate proc, and always in serve: per-attempt wall-clock \
-           watchdog; a cell exceeding it is killed and certified \
-           unresponsive.  In serve, the deadline of every job submitted \
-           without its own.  Unset: no watchdog.")
+          "Per-attempt wall-clock watchdog; a task exceeding it is killed \
+           and certified unresponsive.  In serve, the deadline of every job \
+           submitted without its own.  Unset: no watchdog.")
 
-type exec = {
-  jobs : int;
-  isolation : Harness.Sweep.isolation;
-  supervisor : Harness.Supervisor.config;
-}
+type exec = { jobs : int; supervisor : Harness.Supervisor.config }
 
 let supervisor_term =
   let make retries kill_grace_ms cell_timeout_ms =
@@ -151,7 +155,7 @@ let supervisor_term =
   Term.(const make $ retries $ kill_grace_ms $ cell_timeout_ms)
 
 let exec_term =
-  let make jobs isolation supervisor = { jobs; isolation; supervisor } in
+  let make jobs () supervisor = { jobs; supervisor } in
   Term.(const make $ jobs $ isolate $ supervisor_term)
 
 let with_observability ~program ~trace:trace_path ?(stats = None)

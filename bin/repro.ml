@@ -2,14 +2,14 @@
 
    dune exec bin/repro.exe            -- full tables
    dune exec bin/repro.exe -- --quick -- bench-sized tables
-   dune exec bin/repro.exe -- --jobs 4   -- render drivers on 4 domains
-                                         (output is byte-identical) *)
+   dune exec bin/repro.exe -- --jobs 4   -- render drivers on 4 worker
+                                         processes (output is
+                                         byte-identical) *)
 
 let run quick exec trace stats flight =
   Obs_cli.with_observability ~program:"repro" ~trace ~stats ~flight @@ fun () ->
-  Experiments.run_all ~quick ~jobs:exec.Obs_cli.jobs
-    ~isolation:exec.Obs_cli.isolation ~supervisor:exec.Obs_cli.supervisor
-    Format.std_formatter;
+  Experiments.run_all ~quick ~jobs:exec.Obs_cli.jobs ~isolation:`Process
+    ~supervisor:exec.Obs_cli.supervisor Format.std_formatter;
   Format.printf "@.";
   0
 

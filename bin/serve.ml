@@ -26,15 +26,16 @@
 
 open Cmdliner
 
-let run socket queue_limit journal resume chaos jobs () supervisor trace stats
+let run socket queue_limit journal resume chaos (exec : Obs_cli.exec) trace stats
     flight =
   Obs_cli.with_observability ~program:"serve" ~trace ~stats ~flight @@ fun () ->
+  let jobs = exec.Obs_cli.jobs in
   let config =
     {
       Harness.Server.default_config with
       Harness.Server.jobs;
       queue_limit;
-      supervisor;
+      supervisor = exec.Obs_cli.supervisor;
       chaos = Option.map (fun seed -> Harness.Server.default_chaos ~seed) chaos;
     }
   in
@@ -102,26 +103,11 @@ let chaos =
            kills are charged no retry budget, so chaos never quarantines a \
            healthy job.")
 
-(* The one mode there is, still accepted by name: command lines that
-   pass --isolate proc keep working, and any other value is a usage
-   error. *)
-let isolate =
-  Arg.(
-    value
-    & opt (enum [ ("proc", ()) ]) ()
-    & info [ "isolate" ] ~docv:"MODE"
-        ~doc:
-          "Job isolation: $(b,proc), the only mode.  Every job runs on a \
-           supervised worker process: one per --jobs slot, forked when a \
-           job first needs it, and replaced when it dies, is killed, or \
-           its job raised or spawned a domain.")
-
 let cmd =
   Cmd.v
     (Cmd.info "serve" ~doc:"Resilient job server over a Unix/TCP socket")
     Term.(
-      const run $ socket $ queue_limit $ journal $ resume $ chaos $ Obs_cli.jobs
-      $ isolate $ Obs_cli.supervisor_term $ Obs_cli.trace $ Obs_cli.stats
-      $ Obs_cli.flight)
+      const run $ socket $ queue_limit $ journal $ resume $ chaos
+      $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

@@ -4,7 +4,8 @@
    --checkpoint FILE each finished cell is flushed to FILE, and --resume
    replays completed cells verbatim, so a killed sweep can be restarted
    and still print byte-identical final output.  --jobs N runs cells on
-   N domains; output order and resume behavior do not depend on N.
+   N worker processes; output order and resume behavior do not depend
+   on N.
 
    dune exec bin/sweep_thm1.exe -- -t 1,2 -k 6,9 --side 4000 --algo ael \
      --jobs 4 --checkpoint sweep_thm1.ckpt
@@ -33,7 +34,7 @@ let run ts ks sides algos validate checkpoint resume exec trace stats flight
   @@ fun () ->
   match
     Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
-      ~isolation:exec.Obs_cli.isolation ~supervisor:exec.Obs_cli.supervisor
+      ~isolation:`Process ~supervisor:exec.Obs_cli.supervisor
       ~ppf:Format.std_formatter cells
   with
   | () -> 0
@@ -75,8 +76,8 @@ let memo =
            already ran on this worker replays that run's report instead of \
            playing it again (see lib/canon/README.md).  Result bytes and \
            --stats files are identical with and without $(b,--memo) at \
-           every --jobs count, isolation mode, and resume history; the \
-           cache is per-process and never checkpointed.")
+           every --jobs count and resume history; the cache lives in each \
+           worker process and is never checkpointed.")
 
 let cmd =
   Cmd.v

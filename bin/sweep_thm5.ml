@@ -47,7 +47,7 @@ let run ks base_sides ts checkpoint resume exec trace stats flight =
   @@ fun () ->
   match
     Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
-      ~isolation:exec.Obs_cli.isolation ~supervisor:exec.Obs_cli.supervisor
+      ~isolation:`Process ~supervisor:exec.Obs_cli.supervisor
       ~ppf:Format.std_formatter cells
   with
   | () -> 0

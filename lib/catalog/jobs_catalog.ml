@@ -8,7 +8,7 @@
    cell.  That shared representation is what the server's determinism
    contract rests on — `submit` output for a spec list is byte-identical
    to the serverless sweep over the same cells, whatever the server's
-   --jobs/--isolate/--chaos settings were.
+   --jobs/--chaos settings were.
 
    A payload that does not parse, or an unknown kind, raises — which the
    server maps to a typed "ERROR: ..." result, never a crash.
@@ -151,9 +151,9 @@ let thm3_of_key payload =
 
 (* ------------------------------- fuzz -------------------------------- *)
 
-(* Payload "target=NAME seed=N cases=N".  Cases run serially (jobs:1)
-   inside whatever isolation the server provides; the one-line report
-   matches bin/fuzz.exe's status line for the same (seed, cases). *)
+(* Payload "target=NAME seed=N cases=N".  Cases run one after another
+   on the job's worker; the one-line report matches bin/fuzz.exe's
+   status line for the same (seed, cases). *)
 let fuzz_of_payload payload =
   Scanf.sscanf payload "target=%s seed=%d cases=%d" (fun name seed cases ->
       match Proptest.Fuzz_targets.find name with
@@ -162,7 +162,7 @@ let fuzz_of_payload payload =
           let config =
             { Proptest.Runner.default_config with Proptest.Runner.seed; cases }
           in
-          let r = Proptest.Fuzz_run.run_target ~jobs:1 ~config target in
+          let r = Proptest.Fuzz_run.run_target ~config target in
           match r.Proptest.Fuzz_run.status with
           | Proptest.Fuzz_run.Passed { cases } ->
               Printf.sprintf "%s: PASS (%d cases)" name cases

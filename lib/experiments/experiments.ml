@@ -456,21 +456,26 @@ let driver_names =
 
 let run_all ?(quick = false) ?(jobs = 1) ?(isolation = `In_domain) ?supervisor
     ppf =
-  let render_driver (driver : ?quick:bool -> Format.formatter -> unit) =
-    let buf = Buffer.create 4096 in
-    let bppf = Format.formatter_of_buffer buf in
-    driver ~quick bppf;
-    Format.pp_print_flush bppf ();
-    Buffer.contents buf
-  in
   match isolation with
+  | `In_domain ->
+      List.iter
+        (fun (driver : ?quick:bool -> Format.formatter -> unit) -> driver ~quick ppf)
+        drivers
   | `Process ->
-      (* Each driver renders on a supervised worker; like the in-domain
-         parallel path below, buffers are delivered in driver order so the
-         output is byte-identical at any jobs count.  A driver that raises
-         or is quarantined aborts the repro — tables must be whole. *)
+      (* Each driver renders into a buffer on a supervised worker, and
+         the buffers are printed in driver order, so the output is
+         byte-identical to the in-domain run at any jobs count.  A driver
+         that raises or is quarantined aborts the repro — tables must be
+         whole. *)
       let drivers = Array.of_list drivers in
       let names = Array.of_list driver_names in
+      let render_driver (driver : ?quick:bool -> Format.formatter -> unit) =
+        let buf = Buffer.create 4096 in
+        let bppf = Format.formatter_of_buffer buf in
+        driver ~quick bppf;
+        Format.pp_print_flush bppf ();
+        Buffer.contents buf
+      in
       Harness.Supervisor.run ?config:supervisor ~jobs
         ~tasks:(Array.length drivers)
         ~key:(fun i -> names.(i))
@@ -487,19 +492,3 @@ let run_all ?(quick = false) ?(jobs = 1) ?(isolation = `In_domain) ?supervisor
                    (Harness.Supervisor.quarantine_to_string q)))
         ();
       Format.pp_print_flush ppf ()
-  | `In_domain ->
-      if jobs <= 1 then
-        List.iter
-          (fun (driver : ?quick:bool -> Format.formatter -> unit) ->
-            driver ~quick ppf)
-          drivers
-      else begin
-        (* Each driver renders into its own buffer on a pool worker; buffers
-           are concatenated in driver order, so the output is byte-identical
-           to the sequential run at any jobs count. *)
-        let drivers = Array.of_list drivers in
-        Harness.Pool.run ~jobs ~tasks:(Array.length drivers)
-          ~work:(fun i -> render_driver drivers.(i))
-          ~consume:(fun _ rendered -> Format.pp_print_string ppf rendered);
-        Format.pp_print_flush ppf ()
-      end

@@ -59,13 +59,14 @@ val run_all :
   ?supervisor:Harness.Supervisor.config ->
   Format.formatter ->
   unit
-(** All of the above, in order.  With [jobs > 1] the drivers render
-    concurrently on a {!Harness.Pool} (each into a private buffer) and
-    the buffers are printed in driver order — output is byte-identical
-    to the sequential run.  With [~isolation:`Process] each driver
-    instead renders on a supervised worker process
-    ({!Harness.Supervisor}, tuned by [?supervisor]); output is still
-    byte-identical, and a driver whose worker dies abnormally is retried,
+(** All of the above, in order.  By default the drivers run one after
+    another in the calling domain, printing straight to the formatter;
+    [jobs] and [supervisor] are then unused.  With
+    [~isolation:`Process] (what [repro.exe] runs) each driver renders
+    into a private buffer on a supervised worker process — at most
+    [jobs] at a time, tuned by [?supervisor] ({!Harness.Supervisor}) —
+    and the buffers are printed in driver order, so the output is
+    byte-identical.  A driver whose worker dies abnormally is retried,
     then — unlike a sweep cell — aborts the repro with [Failure]
     (partial experiment tables are worse than no tables).  One caveat:
     E7's 10-second wall-clock deadline is measured per game, so extreme

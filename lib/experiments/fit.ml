@@ -1,4 +1,11 @@
-type line = { slope : float; intercept : float; r_squared : float }
+type line = {
+  slope : float;
+  intercept : float;
+  r_squared : float;
+  residuals : float list;
+  se_slope : float;
+  se_intercept : float;
+}
 
 let fit points =
   let n = List.length points in
@@ -13,12 +20,21 @@ let fit points =
   let intercept = (sy -. (slope *. sx)) /. nf in
   let mean_y = sy /. nf in
   let ss_tot = List.fold_left (fun a (_, y) -> a +. ((y -. mean_y) ** 2.)) 0. points in
-  let ss_res =
-    List.fold_left
-      (fun a (x, y) -> a +. ((y -. (slope *. x) -. intercept) ** 2.))
-      0. points
-  in
-  { slope; intercept; r_squared = 1. -. (ss_res /. ss_tot) }
+  let residuals = List.map (fun (x, y) -> y -. (slope *. x) -. intercept) points in
+  let ss_res = List.fold_left (fun a r -> a +. (r *. r)) 0. residuals in
+  (* Residual variance on n - 2 degrees of freedom; two points fit
+     exactly and leave none, so their errors are undefined. *)
+  let variance = if n > 2 then ss_res /. (nf -. 2.) else Float.nan in
+  let mean_x = sx /. nf in
+  let sxx_centered = sxx -. (nf *. mean_x *. mean_x) in
+  {
+    slope;
+    intercept;
+    r_squared = 1. -. (ss_res /. ss_tot);
+    residuals;
+    se_slope = sqrt (variance /. sxx_centered);
+    se_intercept = sqrt (variance *. ((1. /. nf) +. (mean_x *. mean_x /. sxx_centered)));
+  }
 
 let fit_log_x points = fit (List.map (fun (x, y) -> (log x /. log 2., y)) points)
 

@@ -10,8 +10,7 @@
 
     That same per-instance discipline is what makes the combinators safe
     under a parallel {!Sweep}: no wrapper touches global mutable state,
-    so two pool workers injecting faults concurrently cannot perturb
-    each other's cells.  In particular {!chaos_oracle} derives every
+    so a warm worker's earlier cells cannot perturb its later ones.  In particular {!chaos_oracle} derives every
     corruption purely from [(handle, seed)] — a stateless seeded
     function, not a shared RNG stream — so fault-matrix results are
     identical at any [--jobs] count. *)

@@ -72,9 +72,8 @@ let check_deadline t =
       if elapsed > deadline then
         fail t (Misbehavior.Deadline_exceeded { elapsed; deadline })
 
-(* The ambient guard is domain-local, not global: each {!Pool} worker
-   runs its own cells with its own innermost guard, so a guard installed
-   on one domain must never meter (or fail) a game on another. *)
+(* The ambient guard is domain-local, not global: a guard installed on
+   one domain must never meter (or fail) a game on another. *)
 let current : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

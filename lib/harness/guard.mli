@@ -31,17 +31,16 @@
     reaches a poll point, so its deadline silently never fires and the
     sweep stalls.  In-process containment cannot close this gap: there
     is no safe way to asynchronously interrupt an OCaml domain.  Run the
-    sweep under process isolation ([Sweep.run ~isolation:`Process], or
-    [--isolate proc]) to cover it: the {!Supervisor}'s wall-clock
+    sweep on worker processes ([Sweep.run ~isolation:`Process], as every
+    binary does) to cover it: the {!Supervisor}'s wall-clock
     watchdog kills the whole worker process from outside and records a
     typed {!Misbehavior.Unresponsive} certificate, which is exactly the
     case this guard cannot catch.
 
     Domain safety: a guard's meters are mutated only by the domain
     running its guarded calls, and the {e ambient} guard that {!tick}
-    consults is domain-local — parallel {!Sweep} workers each meter
-    their own innermost guard and can never charge (or fault) a game
-    running on another domain.  Backtrace recording is per-domain in
+    consults is domain-local — a guard can never charge (or fault) a
+    game running on another domain.  Backtrace recording is per-domain in
     OCaml 5 and {!create} enables it on the domain that will run the
     game, since guards are created inside the cell that plays it. *)
 

@@ -26,8 +26,8 @@ type t =
       (** the cell stopped responding entirely — it blocked without
           ticking, so the in-process {!Guard} deadline poll never fired,
           and the {!Supervisor} watchdog had to kill the worker process
-          after [elapsed] seconds (per-attempt limit [limit]).  Only
-          process isolation can produce this certificate; see the
+          after [elapsed] seconds (per-attempt limit [limit]).  Only a
+          worker process can produce this certificate; see the
           "Blocking thunks" note in [guard.mli]. *)
 
 val label : t -> string

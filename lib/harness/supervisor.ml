@@ -87,14 +87,15 @@ external close_inherited : Unix.file_descr -> Unix.file_descr -> unit
 
 let heartbeat_byte = Wire.encode_bare 'H'
 
-(* What a fresh fork gave a task.  Inherited shards would make a stats
-   drain re-count the parent's history (or the previous task's); the
-   parent's signal handlers must not survive the fork: a server's SIGTERM
-   drain handler would swallow the watchdog's SIGTERM and turn every
-   watchdog kill into a forced SIGKILL.  A reply to a parent that is
-   already gone is dropped, not fatal. *)
-let restore () =
-  Obs.Trace.detach_in_child ();
+(* What a fresh fork gave a task.  The trace sink and recorder are the
+   worker's own capture, started afresh; inherited shards would make a
+   stats drain re-count the parent's history (or the previous task's);
+   the parent's signal handlers must not survive the fork: a server's
+   SIGTERM drain handler would swallow the watchdog's SIGTERM and turn
+   every watchdog kill into a forced SIGKILL.  A reply to a parent that
+   is already gone is dropped, not fatal. *)
+let restore capture =
+  Obs.Flight.begin_task capture;
   Obs.Stats.reset ();
   Sys.set_signal Sys.sigterm Sys.Signal_default;
   Sys.set_signal Sys.sigint Sys.Signal_default;
@@ -115,8 +116,9 @@ let rec next_request fd dec buf =
       | exception Unix.Unix_error _ -> None)
 
 (* Serves requests from [req] until EOF and never returns.  Each reply
-   is one write: ['S'] (optional), then ['R'] or ['E'], then — when the
-   worker stays for another task — a bare ['H'] that tells the parent so.
+   is one write: ['V'] and ['S'] (both optional), then ['R'] or ['E'],
+   then — when the worker stays for another task — a bare ['H'] that
+   tells the parent so.
    A worker retires after a raise, so OOM or stack-overflow state never
    carries over, and once a task spawned a domain, since it could no
    longer fork.  [Unix._exit] (not [exit]) so inherited channel buffers —
@@ -124,6 +126,7 @@ let rec next_request fd dec buf =
    second time. *)
 let worker_main config work ~req ~rep =
   close_inherited req rep;
+  let capture = Obs.Flight.capture_in_child () in
   let dec = Wire.decoder ~max_payload:max_int ~tags:"T" () in
   let buf = Bytes.create 4096 in
   (* Heartbeats go out only while a task runs, never after its reply. *)
@@ -138,7 +141,7 @@ let worker_main config work ~req ~rep =
     end
   in
   let rec serve () =
-    restore ();
+    restore capture;
     match next_request req dec buf with
     | None -> Unix._exit 0
     | Some request ->
@@ -149,12 +152,14 @@ let worker_main config work ~req ~rep =
         end;
         let out = Buffer.create 256 in
         let frame tag payload = Buffer.add_bytes out (Wire.encode ~tag payload) in
+        (* Events and stats travel in their own frames, before the
+           result: the parent keeps them only if the same attempt's
+           reply lands. *)
+        let ship_events () = Option.iter (frame 'V') (Obs.Flight.end_task capture) in
         let stays =
           match work request with
           | s ->
-              (* Stats travel in their own frame, before the result: the
-                 parent keeps the snapshot only if the same attempt's 'R'
-                 lands. *)
+              ship_events ();
               (if Obs.Stats.on () then
                  match Obs.Stats.drain () with
                  | [] -> ()
@@ -166,6 +171,7 @@ let worker_main config work ~req ~rep =
               (* Even in-process-fatal conditions (Stack_overflow,
                  Out_of_memory) are contained here: no task, however
                  pathological, takes its parent down with it. *)
+              ship_events ();
               frame 'E' (Printexc.to_string exn);
               false
         in
@@ -193,6 +199,7 @@ type 'a task = {
 type 'a attempt = {
   task : 'a task;
   start : float;
+  mutable events : string option;
   mutable stats : string option;
   mutable term_at : float option;
   mutable killed : bool;
@@ -207,9 +214,11 @@ type 'a state =
   | Retiring  (* exits next: it raised, spawned a domain, was killed or wrote garbage *)
 
 (* A worker process: the parent writes requests to [req] and reads
-   replies from [rep]. *)
+   replies from [rep].  [slot] (1 .. jobs) names its relayed trace
+   stream; a replacement takes the slot of the worker it replaces. *)
 type 'a worker = {
   pid : int;
+  slot : int;
   req : Unix.file_descr;
   rep : Unix.file_descr;
   dec : Wire.decoder;
@@ -271,7 +280,12 @@ let room t = live t < t.jobs
 let idle t = live t = 0 && t.waiting = []
 let fds t = List.map (fun w -> w.rep) t.workers
 
+let rec free_slot t slot =
+  if List.exists (fun w -> w.slot = slot) t.workers then free_slot t (slot + 1)
+  else slot
+
 let fork_worker t task =
+  let slot = free_slot t 1 in
   let req_r, req_w = Unix.pipe ~cloexec:true () in
   let rep_r, rep_w = Unix.pipe ~cloexec:true () in
   match Unix.fork () with
@@ -286,9 +300,12 @@ let fork_worker t task =
       let w =
         {
           pid;
+          slot;
           req = req_w;
           rep = rep_r;
-          dec = Wire.decoder ~tags:"RES" ~bare:"H" ();
+          (* Uncapped: the peer is this process's own fork, and a traced
+             task's events can outgrow the socket default. *)
+          dec = Wire.decoder ~max_payload:max_int ~tags:"VRES" ~bare:"H" ();
           state = Ready;
           key = task.name;
           bad = None;
@@ -317,6 +334,7 @@ let begin_attempt w task =
       {
         task;
         start = Unix.gettimeofday ();
+        events = None;
         stats = None;
         term_at = None;
         killed = false;
@@ -485,10 +503,14 @@ let rec parse w settled =
           if Obs.Trace.on () then
             Obs.Trace.emit (Obs.Trace.Child_heartbeat { key = a.task.name; pid = w.pid });
           parse w settled
+      | Busy a, 'V' ->
+          a.events <- Some payload;
+          parse w settled
       | Busy a, 'S' ->
           a.stats <- Some payload;
           parse w settled
       | Busy a, ('R' | 'E') ->
+          Option.iter (Obs.Flight.relay ~w:w.slot) a.events;
           (* After 'E' the worker exits on its own.  One that was
              signalled dies even if its reply got out first. *)
           if tag = 'E' then w.state <- Retiring

@@ -1,5 +1,6 @@
-(** Process-isolated supervised execution: the one worker-process
-    engine of the harness, and the ordered-delivery driver under
+(** Supervised execution on worker processes: the one worker engine of
+    the harness — every binary runs its cells, drivers, targets and jobs
+    on it — and the ordered-delivery driver under
     [Sweep.run ~isolation:`Process] built on it.
 
     Every in-process containment layer has a blind spot: {!Guard}
@@ -16,6 +17,8 @@
       parent (single domain: fork/select/waitpid loop)
         ├─ worker[pid] ◀── pipe ──  'T' len bytes  a task's request
         │              ── pipe ──▶  'H'            heartbeat (SIGALRM-driven)
+        │                           'V' len bytes  the task's trace events
+        │                                          (optional, first)
         │                           'S' len bytes  stats snapshot (optional,
         │                                          just before a success 'R')
         │                           'R' len bytes  result payload
@@ -50,9 +53,8 @@
 
     The parent is {e single-domain by construction}: OCaml 5.1 refuses
     [Unix.fork] for the rest of a process's life once any domain was
-    spawned, so process isolation replaces {!Pool} rather than layering
-    on it — [jobs] workers run concurrently under one [Unix.select]
-    loop.
+    spawned, so [jobs] workers run concurrently under one [Unix.select]
+    loop and nothing in the harness spawns a domain.
 
     {2 Workers}
 
@@ -64,8 +66,9 @@
     dies, even by [SIGKILL].  Before each task it restores what a fresh
     fork gave the task: [SIGTERM] and [SIGINT] at their defaults (a
     parent's own handlers, such as the server's drain, must not swallow
-    the watchdog's [SIGTERM]), [SIGPIPE] ignored, the trace sink
-    detached ({!Obs.Trace.detach_in_child}), and the {!Obs.Stats}
+    the watchdog's [SIGTERM]), [SIGPIPE] ignored, a fresh capture of
+    the task's trace events ({!Obs.Flight.begin_task}; the parent's
+    sink and recorder were detached at fork), and the {!Obs.Stats}
     shards reset ({!Obs.Stats.reset}).
 
     A worker is replaced — the next task that needs its slot forks a
@@ -109,11 +112,19 @@
     [Child_heartbeat], [Child_kill], [Cell_retry], [Cell_quarantined]
     per task); [trace_report] tallies them.  Heartbeat counts are
     timing-dependent and therefore {e not} jobs-count-invariant.
-    Because workers detach the trace sink, game-level events from
-    inside a task are not traced under process isolation — the cost of
-    the stronger containment — while stats survive the boundary: a
-    worker drains its own registry into a framed ['S'] snapshot that
-    the parent re-absorbs (see [on_stats] below). *)
+
+    A task's own events cross the boundary too.  When the parent has an
+    NDJSON sink or a flight recorder, the worker captures the task's
+    events and sends them as a ['V'] frame ahead of its reply — all of
+    them for a sink, and only for a task that hit an anomaly when there
+    is just a recorder — and the parent relays them when the reply
+    lands ({!Obs.Flight.relay}), with [w] set to the worker's 1-based
+    slot: a replacement worker takes its predecessor's slot, so a slot
+    is one causally ordered stream.  With neither, nothing is captured
+    and no frame is sent.  Stats cross the same way: a worker drains
+    its own registry into a framed ['S'] snapshot that the parent
+    re-absorbs (see [on_stats] below).  Events and stats of an attempt
+    whose worker died are lost with it. *)
 
 type config = {
   retries : int;
@@ -310,9 +321,9 @@ val run :
        byte-identical with the in-domain path;}
     {- [complete i outcome] fires in {e completion} order, as each task
        settles — the hook for prompt checkpointing;}
-    {- [consume i outcome] fires in {e strict index order} (buffered
-       like {!Pool.run}'s), so output bytes never depend on [jobs] or
-       on retry timing.}}
+    {- [consume i outcome] fires in {e strict index order} (a
+       completion buffer holds out-of-order outcomes), so output bytes
+       never depend on [jobs] or on retry timing.}}
 
     [should_stop] is polled once per supervision-loop iteration; when it
     first returns [true] the driver stops dispatching, {!terminate}s

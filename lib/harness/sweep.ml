@@ -303,7 +303,7 @@ let load = Journal.load_table
 (* A checkpoint record value is [output] or [output NUL stats-delta]:
    the cell's printed result, optionally followed by the {!Stats}
    snapshot the cell contributed ({!Obs.Stats.scoped} in-domain, the
-   supervisor's ['S'] frame under process isolation).  NUL never occurs
+   supervisor's ['S'] frame on workers).  NUL never occurs
    in cell output (results are printable text) or in the compact-JSON
    delta, and pre-stats journals simply have no NUL — both layouts
    parse under both vintages. *)
@@ -342,54 +342,54 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
   in
   let out = Option.map (fun path -> Journal.open_out ~resume path) checkpoint in
   let cells_arr = Array.of_list cells in
-  let parallel = jobs > 1 && Array.length cells_arr > 1 in
   let append_ckpt key r =
     Option.iter (fun j -> Journal.append j ~key r) out
   in
   let sigint = Atomic.make false in
-  (* Trap SIGINT.  Sequentially (jobs <= 1) it raises [Sys.Break] — the
-     one interrupt every containment layer (Guard.guarded_call,
-     Guard.capture, the executors) treats as fatal and re-raises — so
-     Ctrl-C landing inside algorithm or adversary code can never be
-     swallowed into a fake cell result and flushed to the checkpoint.
-     Under a pool, OCaml delivers signal handlers on one domain only, so
-     raising there could land inside the pool's own bookkeeping instead
-     of a cell; the handler just records the request, every worker stops
-     before claiming its next cell, in-flight cells drain, and the
-     boundary below still surfaces {!Interrupted} after the checkpoint
-     is flushed and closed.  Process isolation records the flag even at
-     [jobs = 1]: raising mid-supervision would unwind the parent loop
-     and leak workers, so the supervisor polls it via [should_stop]
-     and drains cleanly. *)
+  (* Trap SIGINT.  In-domain it raises [Sys.Break] — the one interrupt
+     every containment layer (Guard.guarded_call, Guard.capture, the
+     executors) treats as fatal and re-raises — so Ctrl-C landing inside
+     algorithm or adversary code can never be swallowed into a fake cell
+     result and flushed to the checkpoint.  Under worker processes,
+     raising mid-supervision would unwind the parent loop and leak
+     workers, so the handler only records the request: the supervisor
+     polls it via [should_stop] and drains cleanly.  Either way the
+     boundary below surfaces {!Interrupted} after the checkpoint is
+     flushed and closed. *)
   let previous_sigint =
     let handler =
-      if parallel || isolation = `Process then
-        Sys.Signal_handle (fun _ -> Atomic.set sigint true)
-      else Sys.Signal_handle (fun _ -> raise Sys.Break)
+      match isolation with
+      | `Process -> Sys.Signal_handle (fun _ -> Atomic.set sigint true)
+      | `In_domain -> Sys.Signal_handle (fun _ -> raise Sys.Break)
     in
     try Some (Sys.signal Sys.sigint handler)
     with Invalid_argument _ | Sys_error _ -> None
   in
-  let work i =
-    let c = cells_arr.(i) in
-    match Hashtbl.find_opt completed c.key with
-    | Some r ->
-        (* replayed verbatim: resumed output is byte-identical, and the
-           checkpointed stats delta is re-absorbed *)
-        if Obs.Trace.on () then begin
-          Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
-          Obs.Trace.emit (Obs.Trace.Cell_finish { key = c.key; status = "replayed" })
-        end;
-        replay_value r
+  let print result = Format.fprintf ppf "%s@." result in
+  let trace_cell key status =
+    if Obs.Trace.on () then begin
+      Obs.Trace.emit (Obs.Trace.Cell_start { key });
+      Obs.Trace.emit (Obs.Trace.Cell_finish { key; status })
+    end
+  in
+  (* A checkpointed cell replays verbatim: resumed output is
+     byte-identical, and its stats delta is re-absorbed. *)
+  let replayed c =
+    Hashtbl.find_opt completed c.key
+    |> Option.map (fun r ->
+           trace_cell c.key "replayed";
+           replay_value r)
+  in
+  let run_in_domain c =
+    match replayed c with
+    | Some r -> print r
     | None ->
-        if Atomic.get sigint then raise Sys.Break;
         if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
         let status = ref "ok" in
         let r, delta =
           (* [Obs.Stats.scoped] captures exactly this cell's contribution
              for the checkpoint; an erroring cell's scope is discarded,
-             matching the process-isolated path where a crashed worker
-             sends no stats. *)
+             matching a worker, which sends no stats with an error. *)
           match Obs.Stats.scoped c.run with
           | rd -> rd
           | exception (Interrupted as e) -> raise e
@@ -403,39 +403,43 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
         append_ckpt c.key (join_delta r delta);
         if Obs.Trace.on () then
           Obs.Trace.emit (Obs.Trace.Cell_finish { key = c.key; status = !status });
-        r
+        print r
   in
-  let consume _i result = Format.fprintf ppf "%s@." result in
   let run_cells () =
     match isolation with
-    | `In_domain ->
-        Pool.run ~jobs ~tasks:(Array.length cells_arr) ~work ~consume
+    | `In_domain -> Array.iter run_in_domain cells_arr
     | `Process ->
         let n = Array.length cells_arr in
-        let replayed = Array.make (max n 1) false in
+        let is_replayed = Array.make (max n 1) false in
         let inline i =
-          let c = cells_arr.(i) in
-          match Hashtbl.find_opt completed c.key with
-          | Some r ->
-              (* replayed verbatim, parent-side: no worker, no re-run *)
-              replayed.(i) <- true;
-              if Obs.Trace.on () then begin
-                Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
-                Obs.Trace.emit
-                  (Obs.Trace.Cell_finish { key = c.key; status = "replayed" })
-              end;
-              Some (replay_value r)
-          | None ->
-              if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Cell_start { key = c.key });
-              None
+          let r = replayed cells_arr.(i) in
+          is_replayed.(i) <- r <> None;
+          r
         in
-        (* The worker returns exactly the string the in-domain path would
-           have produced, and [Supervisor.outcome_to_string] maps a raise
-           to the identical ERROR format — well-behaved and
-           deterministically-raising cells print the same bytes under
-           both isolation modes. *)
+        (* A worker brackets its cell with [Cell_start] and
+           [Cell_finish], so they reach the parent's trace on the
+           worker's own relayed stream, around the cell's events.  It
+           returns exactly the string the in-domain path would have
+           produced, and [Supervisor.outcome_to_string] maps a raise to
+           the identical ERROR format: well-behaved and
+           deterministically-raising cells print the same bytes either
+           way. *)
+        let work i =
+          let key = cells_arr.(i).key in
+          if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Cell_start { key });
+          let finish status =
+            if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Cell_finish { key; status })
+          in
+          match cells_arr.(i).run () with
+          | r ->
+              finish "ok";
+              r
+          | exception e ->
+              finish "error";
+              raise e
+        in
         let result_of = Supervisor.outcome_to_string in
-        (* Child stats arrive as the supervisor's ['S'] frame; stash
+        (* Worker stats arrive as the supervisor's ['S'] frame; stash
            the delta so [complete] can checkpoint it next to the cell's
            result, and absorb it so this process's drain matches the
            in-domain path byte for byte. *)
@@ -445,28 +449,22 @@ let run ?(resume = false) ?checkpoint ?(jobs = 1) ?(isolation = `In_domain)
           ignore (Obs.Stats.absorb_string payload)
         in
         let complete i outcome =
-          if not replayed.(i) then begin
+          if not is_replayed.(i) then begin
             let c = cells_arr.(i) in
-            let status =
-              match outcome with
-              | Supervisor.Done _ -> "ok"
-              | Supervisor.Failed _ -> "error"
-              | Supervisor.Quarantined _ -> "quarantined"
-            in
             append_ckpt c.key (join_delta (result_of outcome) stats_of.(i));
-            if Obs.Trace.on () then
-              Obs.Trace.emit (Obs.Trace.Cell_finish { key = c.key; status })
+            (* A quarantined cell's last worker died with its events:
+               the parent reports the cell. *)
+            match outcome with
+            | Supervisor.Quarantined _ -> trace_cell c.key "quarantined"
+            | Supervisor.Done _ | Supervisor.Failed _ -> ()
           end
         in
         Supervisor.run ?config:supervisor
           ~should_stop:(fun () -> Atomic.get sigint)
           ~jobs ~tasks:n
           ~key:(fun i -> cells_arr.(i).key)
-          ~inline
-          ~work:(fun i -> (cells_arr.(i)).run ())
-          ~on_stats
-          ~complete
-          ~consume:(fun i o -> consume i (result_of o))
+          ~inline ~work ~on_stats ~complete
+          ~consume:(fun _ o -> print (result_of o))
           ()
   in
   match

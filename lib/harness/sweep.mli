@@ -10,23 +10,27 @@
     killed-and-resumed sweep prints byte-identical final output to an
     uninterrupted one.
 
-    With [?jobs] above 1, cells are dispatched across a {!Pool} of that
-    many worker domains.  The observable contract is unchanged:
+    Cells run in one of two places (see {!isolation}): one after
+    another in the calling domain — the reference, and the default — or
+    on [jobs] supervised worker processes, which is how the binaries
+    run every sweep.  The observable contract is the same either way:
 
     {ul
     {- {e ordered output} — results are printed to [ppf] in cell order,
-       on the calling domain; a completion buffer holds out-of-order
-       results until their turn;}
+       on the calling domain; on workers, a completion buffer holds
+       out-of-order results until their turn;}
     {- {e checkpoint integrity} — records are appended under a mutex and
        flushed whole, so the file keeps the newline-terminated
-       torn-record semantics regardless of the jobs count;}
+       torn-record semantics; on workers they land in completion order,
+       so equivalent checkpoints are equal as sets of records;}
     {- {e deterministic replay} — [--resume] output is byte-identical
-       whatever [jobs] was on the original or the resuming run (replayed
-       results come from the checkpoint table, never from re-execution);}
+       whatever [jobs] and isolation were on the original or the
+       resuming run (replayed results come from the checkpoint table,
+       never from re-execution);}
     {- {e stats persistence} — when {!Stats} is enabled, each record's
        value carries the cell's own stats contribution after a [NUL]
        byte ({!Obs.Stats.scoped} in-domain, the supervisor's ['S'] frame
-       under [`Process]); replaying a cell re-absorbs its delta, so a
+       on workers); replaying a cell re-absorbs its delta, so a
        killed-and-resumed sweep drains the same totals as an
        uninterrupted one.  With stats disabled the journal bytes are
        unchanged from the pre-stats format, and pre-stats journals
@@ -34,19 +38,16 @@
     {- {e per-cell containment} — a cell raising a non-fatal exception
        records and prints ["ERROR: ..."] and only that cell degrades.}}
 
-    Interrupts and fatal errors: sequentially, SIGINT is trapped as
+    Interrupts and fatal errors: in-domain, SIGINT is trapped as
     [Sys.Break] — fatal to every containment layer ({!Guard.is_fatal}),
     so an interrupt landing inside guarded algorithm or adversary code
-    aborts the cell instead of being recorded as its result.  Under a
-    pool, signal handlers are only delivered on one domain, so SIGINT
-    instead stops workers from claiming further cells while in-flight
-    cells drain (an in-flight cell runs to completion and is
-    checkpointed).  Either way the sweep surfaces as {!Interrupted} once
-    the checkpoint is flushed and closed.  Any other fatal exception
-    ([Stack_overflow], [Out_of_memory]) in any worker drains the pool
-    the same way and then re-raises.  Only newline-terminated checkpoint
-    records replay, so a record torn by a kill mid-write reruns its
-    cell. *)
+    aborts the cell instead of being recorded as its result — and a
+    fatal exception ([Stack_overflow], [Out_of_memory]) re-raises.  On
+    workers, SIGINT stops the supervisor, which terminates the running
+    cells (they rerun on resume) and reaps its workers.  Either way the
+    sweep surfaces as {!Interrupted} once the checkpoint is flushed and
+    closed.  Only newline-terminated checkpoint records replay, so a
+    record torn by a kill mid-write reruns its cell. *)
 
 type cell = { key : string; run : unit -> string }
 
@@ -144,30 +145,33 @@ val replay_value : string -> string
 type isolation = [ `In_domain | `Process ]
 (** Where cell thunks execute.
 
-    [`In_domain] (the default): on worker domains of a {!Pool} inside
-    this process — the PR 2 behavior.
+    [`In_domain] (the default): one after another in the calling
+    domain, whatever [jobs] is.  It never forks and never spawns a
+    domain, so cells may write into the caller's own data — the
+    in-process reference that tests and the layered benchmark's oracle
+    compare worker output against.
 
-    [`Process]: cells run on worker processes under {!Supervisor.run},
-    one warm worker per [jobs] slot, forked when a cell first needs it;
-    {!Pool} is not used (OCaml 5.1 cannot fork once a domain was
-    spawned).  The
-    observable contract is preserved — output in cell order,
-    byte-identical to the in-domain mode for every cell that returns or
-    raises deterministically, same checkpoint format, [--resume]
-    equivalence across modes and jobs counts — and three behaviors are
-    {e gained}: a cell killed from outside (OOM, stray SIGKILL) is
-    retried with seeded backoff and then degrades to one
-    ["QUARANTINED ..."] result line instead of destroying the sweep; a
-    cell that blocks without ticking is killed by the wall-clock
-    watchdog ({!Misbehavior.Unresponsive} — see the guard's documented
-    blind spot); and in-process-fatal conditions ([Stack_overflow],
-    [Out_of_memory]) inside a cell degrade to ["ERROR: ..."] for that
-    cell instead of aborting the run.  Quarantined cells are
-    checkpointed like any result, so a resume replays the quarantine
-    verbatim (delete its line to rerun the cell).  Game-level trace
-    events from inside cells are not emitted in this mode (workers
-    detach the sink); the supervisor's worker-lifecycle events take
-    their place. *)
+    [`Process]: on worker processes under {!Supervisor.run}, one warm
+    worker per [jobs] slot, forked when a cell first needs it; every
+    binary runs its sweeps this way.  The observable contract is
+    preserved — output in cell order, byte-identical to the in-domain
+    mode for every cell that returns or raises deterministically, same
+    checkpoint format, [--resume] equivalence across modes and jobs
+    counts — and three behaviors are {e gained}: a cell killed from
+    outside (OOM, stray SIGKILL) is retried with seeded backoff and then
+    degrades to one ["QUARANTINED ..."] result line instead of
+    destroying the sweep; a cell that blocks without ticking is killed
+    by the wall-clock watchdog ({!Misbehavior.Unresponsive} — see the
+    guard's documented blind spot); and in-process-fatal conditions
+    ([Stack_overflow], [Out_of_memory]) inside a cell degrade to
+    ["ERROR: ..."] for that cell instead of aborting the run.
+    Quarantined cells are checkpointed like any result, so a resume
+    replays the quarantine verbatim (delete its line to rerun the
+    cell).  A worker brackets each cell with [Cell_start] and
+    [Cell_finish] and ships the cell's trace events to this process,
+    which relays them tagged with the worker's slot
+    ({!Obs.Flight.relay}); a quarantined cell's events died with its
+    worker, and this process reports the cell itself. *)
 
 exception Interrupted
 (** Raised at the sweep boundary after a SIGINT (and honored if a cell
@@ -183,17 +187,15 @@ val run :
   ppf:Format.formatter ->
   cell list ->
   unit
-(** Run the cells — in order with [jobs <= 1] (the default), or
-    dispatched over a [jobs]-domain {!Pool} — printing each result line
-    to [ppf] in cell order either way.  Without [~resume] an existing
-    checkpoint file is truncated.  Cell thunks must not share mutable
-    state with each other; everything the harness itself provides
-    ({!Guard}'s ambient state, {!Faults} combinators) is already
-    domain-safe per cell.
+(** Run the cells, printing each result line to [ppf] in cell order.
+    Without [~resume] an existing checkpoint file is truncated.  Cell
+    thunks must not share mutable state with each other: on workers,
+    what a cell writes stays in its worker.
 
-    [?isolation] selects the execution backend (see {!isolation});
-    [?supervisor] tunes the [`Process] backend's retry/watchdog knobs
-    (ignored under [`In_domain]) — defaults to
+    [?isolation] selects where cells run (see {!isolation}); [?jobs]
+    (default 1) bounds the worker processes under [`Process] and is
+    unused in-domain; [?supervisor] tunes the [`Process] backend's
+    retry/watchdog knobs (ignored under [`In_domain]) — defaults to
     {!Supervisor.default_config}.
 
     @raise Invalid_argument on duplicate cell keys, [jobs < 1], or an

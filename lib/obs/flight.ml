@@ -127,23 +127,9 @@ let decode_record cur : Trace.record =
   | ev -> { i; w; ts; ev }
   | exception Json.Parse_error msg -> fail cur msg
 
-(* ------------------------------- sink ------------------------------- *)
+(* ------------------------------- rings ------------------------------ *)
 
 let default_cap = 4096
-
-type sink = {
-  path : string;
-  cap : int;
-  t0 : float;
-  mutable error : string option;  (** the first I/O error, set once *)
-}
-
-let sink : sink option Atomic.t = Atomic.make None
-let on () = Atomic.get sink <> None
-
-(* Bumped on every install: a ring cached for a previous sink is reset
-   before it records again, so no event is inherited. *)
-let ring_epoch = Atomic.make 0
 
 (* The hot path must neither encode nor retain fresh heap values: eager
    encoding costs ~8 points of E14 overhead, and parking freshly
@@ -159,13 +145,50 @@ type ring = {
   ids : Bytes.t;  (** event id per slot *)
   tss : float array;  (** unboxed timestamp per slot *)
   values : Trace.columns;  (** field values, one slot per record *)
-  w : int;  (** id of the domain recording into it *)
+  w : int;  (** the stream it records: a domain id or a worker slot *)
   mutable now : float;  (** cached clock, refreshed every 32 hot appends *)
   mutable next : int;  (** total records appended *)
   mutable flushed : int;  (** records already written to disk *)
   buf : Buffer.t;  (** scratch for encoding at flush, domain-private *)
   r_epoch : int;  (** the install this ring records for *)
 }
+
+let make_ring ~cap ~w ~epoch =
+  {
+    ids = Bytes.make cap '\000';
+    tss = Array.make cap 0.0;
+    values = Trace.columns cap;
+    w;
+    now = Unix.gettimeofday ();
+    next = 0;
+    flushed = 0;
+    buf = Buffer.create 256;
+    r_epoch = epoch;
+  }
+
+(* ------------------------------- sink ------------------------------- *)
+
+(* Where flushes go: the flight file, or — in a supervised worker
+   process — the frames its current task ships to the parent. *)
+type target = File of string | Memory of Buffer.t
+
+type sink = {
+  target : target;
+  cap : int;
+  t0 : float;  (** 0 for a worker's capture: its stamps are absolute *)
+  lossless : bool;
+      (** flush a full ring rather than overwrite it: a worker whose
+          parent streams NDJSON ships every event *)
+  relayed : (int, ring) Hashtbl.t;  (** rings of relayed worker streams, by [w] *)
+  mutable error : string option;  (** the first I/O error, set once *)
+}
+
+let sink : sink option Atomic.t = Atomic.make None
+let on () = Atomic.get sink <> None
+
+(* Bumped on every install: a ring cached for a previous sink is reset
+   before it records again, so no event is inherited. *)
+let ring_epoch = Atomic.make 0
 
 (* The frame of the record parked in slot [k] (an absolute index). *)
 let slot_frame s r k =
@@ -178,10 +201,10 @@ let ring_key : ring option ref Domain.DLS.key =
 
 (* A ring is reset, not reallocated, when a new sink is installed, and
    the rings of exited domains are handed on to the next domain that
-   records.  A parallel sweep spawns fresh worker domains, so a run made
-   of many short sweeps (the fuzz harness) would otherwise allocate a
-   ring per domain, and that allocation, with the major collections it
-   drives, outweighs the recording itself. *)
+   records.  A worker process installs a fresh capture per task, so a
+   long sweep would otherwise allocate a ring per cell, and that
+   allocation, with the major collections it drives, outweighs the
+   recording itself. *)
 let spares : ring list ref = ref []
 let spares_mutex = Mutex.create ()
 
@@ -210,18 +233,7 @@ let ring_for s =
       let r =
         match reused with
         | Some r -> { r with w; next = 0; flushed = 0; r_epoch = epoch }
-        | None ->
-            {
-              ids = Bytes.make s.cap '\000';
-              tss = Array.make s.cap 0.0;
-              values = Trace.columns s.cap;
-              w;
-              now = Unix.gettimeofday ();
-              next = 0;
-              flushed = 0;
-              buf = Buffer.create 256;
-              r_epoch = epoch;
-            }
+        | None -> make_ring ~cap:s.cap ~w ~epoch
       in
       if Option.is_none previous then
         Domain.at_exit (fun () ->
@@ -264,13 +276,16 @@ let flush_ring s r =
   Mutex.protect flush_mutex (fun () ->
       let first = max r.flushed (r.next - s.cap) in
       if s.error = None && first < r.next then begin
-        let out = Buffer.create 4096 in
+        let out = match s.target with Memory frames -> frames | File _ -> Buffer.create 4096 in
         for k = first to r.next - 1 do
           Buffer.add_string out (slot_frame s r k)
         done;
-        match write_file [ Open_append ] s.path (Buffer.contents out) with
-        | () -> r.flushed <- r.next
-        | exception Sys_error msg -> detach s msg
+        match s.target with
+        | Memory _ -> r.flushed <- r.next
+        | File path -> (
+            match write_file [ Open_append ] path (Buffer.contents out) with
+            | () -> r.flushed <- r.next
+            | exception Sys_error msg -> detach s msg)
       end)
 
 (* Anomaly flushes under the current sink: a nonzero count makes the
@@ -278,26 +293,32 @@ let flush_ring s r =
    events {e after} the last anomaly (the verdict, the audit). *)
 let anomaly_flushes = Atomic.make 0
 
+(* Park [ev] in [r]'s next slot; [ts] stamps it, or — for [nan] — the
+   ring's cached clock does.  Hot events share a clock sample refreshed
+   every 32 appends — ~30ns/event of [gettimeofday] is the next-largest
+   cost after allocation.  Every other event (every anomaly is one)
+   takes a fresh sample. *)
+let append s r ~ts ev =
+  if s.lossless && r.next - r.flushed >= s.cap then flush_ring s r;
+  let k = r.next mod s.cap in
+  let id = Trace.store r.values k ev in
+  if Float.is_nan ts then begin
+    if r.next land 31 = 0 || not Trace.kinds.(id).hot then
+      r.now <- Unix.gettimeofday ();
+    r.tss.(k) <- r.now -. s.t0
+  end
+  else r.tss.(k) <- ts;
+  Bytes.set r.ids k (Char.unsafe_chr id);
+  r.next <- r.next + 1;
+  if Trace.anomalous ev then begin
+    Atomic.incr anomaly_flushes;
+    flush_ring s r
+  end
+
 let record ev =
   match Atomic.get sink with
   | None -> ()
-  | Some s ->
-      let r = ring_for s in
-      let k = r.next mod s.cap in
-      let id = Trace.store r.values k ev in
-      (* Hot events share a clock sample refreshed every 32 appends —
-         ~30ns/event of [gettimeofday] is the next-largest cost after
-         allocation.  Every other event (every anomaly is one) takes a
-         fresh sample. *)
-      if r.next land 31 = 0 || not Trace.kinds.(id).hot then
-        r.now <- Unix.gettimeofday ();
-      r.tss.(k) <- r.now -. s.t0;
-      Bytes.set r.ids k (Char.unsafe_chr id);
-      r.next <- r.next + 1;
-      if Trace.anomalous ev then begin
-        Atomic.incr anomaly_flushes;
-        flush_ring s r
-      end
+  | Some s -> append s (ring_for s) ~ts:Float.nan ev
 
 let flush () =
   match Atomic.get sink with
@@ -306,7 +327,16 @@ let flush () =
 
 let with_sink ?(program = Filename.basename Sys.executable_name)
     ?(cap = default_cap) ?(on_error = fun msg -> raise (Sys_error msg)) ~path f =
-  let s = { path; cap; t0 = Unix.gettimeofday (); error = None } in
+  let s =
+    {
+      target = File path;
+      cap;
+      t0 = Unix.gettimeofday ();
+      lossless = false;
+      relayed = Hashtbl.create 4;
+      error = None;
+    }
+  in
   if not (Atomic.compare_and_set sink None (Some s)) then
     invalid_arg "Flight.with_sink: a flight sink is already installed";
   Atomic.incr ring_epoch;
@@ -324,9 +354,12 @@ let with_sink ?(program = Filename.basename Sys.executable_name)
   let v =
     Fun.protect
       ~finally:(fun () ->
-        (* An anomalous run flushes its tail on the way out — a clean run
-           leaves only the header on disk. *)
-        if Atomic.get anomaly_flushes > 0 then flush ();
+        (* An anomalous run flushes its tails on the way out — a clean
+           run leaves only the header on disk. *)
+        if Atomic.get anomaly_flushes > 0 then begin
+          flush ();
+          Hashtbl.iter (fun _ r -> flush_ring s r) s.relayed
+        end;
         uninstall s)
       f
   in
@@ -348,15 +381,10 @@ let is_flight_file path =
           | c -> c = frame_tag
           | exception End_of_file -> false)
 
-let read_file path =
-  let data =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> In_channel.input_all ic)
-  in
+(* Hand each record framed in [data] to [f]; [path] names the source in
+   errors. *)
+let iter_records ~path data f =
   let cur = { data; pos = 0; path } in
-  let records = ref [] in
   while cur.pos < String.length data do
     if data.[cur.pos] <> frame_tag then
       fail cur (Printf.sprintf "expected frame tag %C" frame_tag);
@@ -369,7 +397,90 @@ let read_file path =
     let sub = { data = String.sub data cur.pos len; pos = 0; path } in
     let r = decode_record sub in
     if sub.pos <> len then fail sub "trailing bytes in frame payload";
-    records := r :: !records;
+    f r;
     cur.pos <- payload_end
-  done;
+  done
+
+let read_file path =
+  let data =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> In_channel.input_all ic)
+  in
+  let records = ref [] in
+  iter_records ~path data (fun r -> records := r :: !records);
   List.rev !records
+
+(* -------------------------- worker processes ------------------------ *)
+
+(* A worker records its task's events into a ring whose flushes land in
+   [frames], stamped with absolute times (its sink's [t0] is 0), and
+   ships [frames] with its reply.  [`All] flushes a full ring and always
+   ships (the parent streams NDJSON); [`Anomalies] flushes like the
+   recorder and ships only when the task hit an anomaly. *)
+type capture = { mode : [ `Off | `All | `Anomalies ]; frames : Buffer.t }
+
+let capture_in_child () =
+  let streaming = Trace.detach_in_child () in
+  let mode =
+    match Atomic.get sink with
+    | _ when streaming -> `All
+    | Some { target = Memory _; lossless = true; _ } -> `All
+    | Some _ -> `Anomalies
+    | None -> `Off
+  in
+  Atomic.set sink None;
+  { mode; frames = Buffer.create 4096 }
+
+let begin_task c =
+  ignore (Trace.detach_in_child ());
+  Atomic.set sink None;
+  Buffer.clear c.frames;
+  if c.mode <> `Off then begin
+    Atomic.set sink
+      (Some
+         {
+           target = Memory c.frames;
+           cap = default_cap;
+           t0 = 0.;
+           lossless = c.mode = `All;
+           relayed = Hashtbl.create 1;
+           error = None;
+         });
+    Atomic.incr ring_epoch;
+    Atomic.set anomaly_flushes 0;
+    Trace.set_hook (Some record)
+  end
+
+let end_task c =
+  match Atomic.get sink with
+  | Some ({ target = Memory frames; _ } as s) when frames == c.frames ->
+      if s.lossless || Atomic.get anomaly_flushes > 0 then flush_ring s (ring_for s);
+      uninstall s;
+      if Buffer.length frames = 0 then None else Some (Buffer.contents frames)
+  | Some _ | None -> None
+
+(* A relayed stream gets its own ring in a recorder, so an anomaly in
+   it flushes the events that led up to it; a capturing worker (one
+   whose task forked workers of its own) records them as its own. *)
+let relay ~w frames =
+  let forward (r : Trace.record) =
+    Trace.relay ~w ~at:r.ts r.ev;
+    match Atomic.get sink with
+    | None -> ()
+    | Some ({ target = Memory _; _ } as s) -> append s (ring_for s) ~ts:r.ts r.ev
+    | Some ({ target = File _; _ } as s) ->
+        let ring =
+          match Hashtbl.find_opt s.relayed w with
+          | Some ring -> ring
+          | None ->
+              let ring = make_ring ~cap:s.cap ~w ~epoch:0 in
+              Hashtbl.replace s.relayed w ring;
+              ring
+        in
+        append s ring ~ts:(r.ts -. s.t0) r.ev
+  in
+  (* Observers never raise into the run: a garbled shipment loses the
+     rest of its events, nothing more. *)
+  try iter_records ~path:"worker events" frames forward with Json.Parse_error _ -> ()

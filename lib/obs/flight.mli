@@ -32,19 +32,26 @@
 
     {2 Scope}
 
-    Rings are domain-private: an anomaly flushes the ring of the domain
-    that saw it (the events causally near the anomaly), not every
-    domain's.  Flushes append under a process-wide mutex with one
-    [write] each, so concurrent anomalies interleave at flush
-    granularity.  Record [i] is the per-domain sequence number, [w] the
-    domain id — per-worker streams stay causally ordered, as
-    [trace_report] expects.  Forked children are detached by
-    {!Trace.detach_in_child} along with the NDJSON sink: child-side
-    anomalies surface in the parent as quarantine/kill events, which
-    flush the parent's ring. *)
+    Rings are per stream: an anomaly flushes the ring of the stream that
+    saw it (the events causally near the anomaly), not every ring.  A
+    stream is a domain of this process, or a supervised worker process
+    relayed by {!relay}.  Flushes append under a process-wide mutex with
+    one [write] each, so concurrent anomalies interleave at flush
+    granularity.  Record [i] is the per-stream sequence number, [w] the
+    stream (the domain id, or the worker's 1-based slot) — per-worker
+    streams stay causally ordered, as [trace_report] expects.
+
+    A worker process records its task's events into a ring of its own
+    ({!capture_in_child}) and ships them with its reply, but only when
+    its parent has somewhere to put them: every event when the parent
+    streams NDJSON, and only the events of a task that hit an anomaly
+    when the parent has just a recorder.  The parent relays them into
+    its NDJSON sink and into the ring of that worker's stream, where an
+    anomaly flushes as it would have in-process.  A clean run therefore
+    still leaves only the header, whichever process ran its cells. *)
 
 val default_cap : int
-(** Events retained per domain ring (4096). *)
+(** Events retained per ring (4096). *)
 
 val on : unit -> bool
 (** Whether a flight sink is installed. *)
@@ -68,10 +75,10 @@ val with_sink :
 (** Truncate [path], write the header frame, install the recorder (and
     the {!Trace.set_hook} tap) for the duration of the callback, then
     uninstall — also on exception.  If any anomaly flushed during the
-    callback, teardown flushes the calling domain's ring once more, so
-    an anomalous run's file also carries the events after the last
-    anomaly (the verdict, the audit); a clean run leaves only the
-    header on disk.  Rings from a previous sink are invalidated, not
+    callback, teardown flushes the calling domain's ring and every
+    relayed worker's ring once more, so an anomalous run's file also
+    carries the events after the last anomaly (the verdict, the audit);
+    a clean run leaves only the header on disk.  Rings from a previous sink are invalidated, not
     inherited.  Nesting raises [Invalid_argument].
 
     Like {!Trace.with_sink}, the recorder catches its own I/O errors:
@@ -100,3 +107,42 @@ val read_file : string -> Trace.record list
     @raise Json.Parse_error on a malformed frame or an incompatible
     header version, naming the byte offset (same exception family as
     {!Trace.read_file}, so readers handle both formats uniformly). *)
+
+(** {2 Worker processes}
+
+    How a supervised worker process's events reach its parent: the
+    worker captures each task's events with {!begin_task} and
+    {!end_task} and ships the frames in its reply; the parent hands them
+    to {!relay}.  The frames are this module's file frames, so every
+    event kind crosses unchanged.  Single-domain on both sides. *)
+
+type capture
+(** What a worker records of its tasks, decided once at fork. *)
+
+val capture_in_child : unit -> capture
+(** Call in a freshly forked worker process before anything emits: it
+    detaches the inherited NDJSON sink and recorder
+    ({!Trace.detach_in_child}) and notes what the parent observes.  A
+    parent with an NDJSON sink gets every event of every task; a parent
+    with only a recorder gets a task's events only when one of them was
+    {!Trace.anomalous}; a parent with neither gets nothing, and then
+    nothing is recorded either ({!Trace.on} stays false).  A capturing
+    worker's own workers capture as it does. *)
+
+val begin_task : capture -> unit
+(** Start a task: drop whatever sink or hook the previous task left, and
+    start recording this task's events if the parent wants any. *)
+
+val end_task : capture -> string option
+(** Stop recording and return the frames to ship, or [None] when there
+    are none: nothing was recorded, or the parent has only a recorder and
+    the task saw no anomaly.  The last {!default_cap} events before each
+    anomaly are kept, like a recorder's flush; with an NDJSON parent,
+    every event is. *)
+
+val relay : w:int -> string -> unit
+(** In the parent: re-emit the events of a shipment from the worker in
+    slot [w] — to the NDJSON sink ({!Trace.relay}, envelope [w], the
+    worker's timestamps) and into the installed recorder's ring for
+    stream [w], whose anomalies flush it.  A garbled shipment is cut
+    short, never raised. *)

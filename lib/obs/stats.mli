@@ -25,8 +25,8 @@
     time.  Merge is then exactly commutative {e and} associative, and
     {!drain} sorts series names, so the drained snapshot (and its
     {!snapshot_to_json} bytes) is byte-identical however the work was
-    distributed: same totals at [--jobs 1] and [--jobs 4], in-domain or
-    process-isolated (CI diffs exactly this).  Keep wall-clock and
+    distributed: same totals at [--jobs 1] and [--jobs 4], in-process or
+    on worker processes (CI diffs exactly this).  Keep wall-clock and
     jobs-dependent values out of the registry; they belong in the
     {!Trace}, which makes no such promise.
 
@@ -119,7 +119,7 @@ val quantile : series -> num:int -> den:int -> int
 
 val pp : Format.formatter -> snapshot -> unit
 (** Human-readable dump, stable formatting (CI diffs this output across
-    [--jobs] and isolation modes). *)
+    [--jobs] counts). *)
 
 val snapshot_to_json : snapshot -> Json.t
 (** Derived view — count/mean/variance/stddev/min/max/p50/p90/p99 and

@@ -430,19 +430,12 @@ let fail s msg =
   if s.error = None then s.error <- Some msg;
   uninstall s
 
-let write s ev =
-  (* Whole lines under the mutex: a parallel sweep's workers interleave
+let write s ~w ~at ev =
+  (* Whole lines under the mutex: emitters on several domains interleave
      at record granularity, never inside one. *)
   Mutex.protect s.mutex (fun () ->
       if s.error = None then begin
-        let r =
-          {
-            i = s.seq;
-            w = (Domain.self () :> int);
-            ts = Unix.gettimeofday () -. s.t0;
-            ev;
-          }
-        in
+        let r = { i = s.seq; w; ts = at -. s.t0; ev } in
         s.seq <- s.seq + 1;
         try
           output_string s.oc (record_to_string r);
@@ -451,12 +444,19 @@ let write s ev =
       end)
 
 let emit ev =
-  (match Atomic.get sink with None -> () | Some s -> write s ev);
+  (match Atomic.get sink with
+  | None -> ()
+  | Some s -> write s ~w:(Domain.self () :> int) ~at:(Unix.gettimeofday ()) ev);
   match Atomic.get hook with None -> () | Some f -> f ev
 
+let relay ~w ~at ev =
+  match Atomic.get sink with None -> () | Some s -> write s ~w ~at ev
+
 let detach_in_child () =
+  let streaming = Atomic.get sink <> None in
   Atomic.set sink None;
-  Atomic.set hook None
+  Atomic.set hook None;
+  streaming
 
 let with_sink ?(program = Filename.basename Sys.executable_name)
     ?(on_error = fun msg -> raise (Sys_error msg)) ~path f =
@@ -475,7 +475,8 @@ let with_sink ?(program = Filename.basename Sys.executable_name)
         close_out_noerr oc;
         nested ()
       end;
-      write s (Trace_header { version; program });
+      write s ~w:(Domain.self () :> int) ~at:(Unix.gettimeofday ())
+        (Trace_header { version; program });
       let v =
         Fun.protect
           ~finally:(fun () ->

@@ -6,10 +6,15 @@
     {v {"i":12,"w":0,"ts":0.00153,"ev":"step", ...event fields...} v}
 
     where [i] is a global emission index (total order over the whole
-    trace — records are written to the file in [i] order), [w] is the
-    id of the domain that emitted the event (so a reader can demultiplex
-    per-worker streams: events with equal [w] are causally ordered), and
-    [ts] is seconds since the sink was opened.
+    trace — records are written to the file in [i] order), [w] names
+    the stream that emitted the event, and [ts] is seconds since the
+    sink was opened.  [w] is the emitting domain's id (0 for the main
+    domain) for an event emitted in this process, and the worker's
+    1-based [--jobs] slot for an event a supervised worker process
+    captured and its parent {!relay}ed.  A reader demultiplexes
+    per-worker streams by [w]: events with equal [w] are causally
+    ordered.  A relayed event keeps the time the worker emitted it, so
+    [ts] need not grow with [i] across streams.
 
     {2 One declaration, two codecs}
 
@@ -32,11 +37,13 @@
     {2 Concurrency}
 
     One sink serves every domain: records are appended under a mutex,
-    whole lines at a time, so a trace written by a parallel sweep is
-    still one valid NDJSON stream.  Event {e interleaving} across
-    domains follows completion order and is not deterministic; determinism
-    lives in {!Stats}, whose drained snapshot is jobs-count- and
-    isolation-invariant.
+    whole lines at a time, so the file stays one valid NDJSON stream.
+    A parallel sweep's workers are processes: each captures its task's
+    events and ships them with its reply, and the parent relays them
+    into this sink ({!relay}, through {!Flight.relay}).  Event
+    {e interleaving} across workers follows completion order and is
+    not deterministic; determinism lives in {!Stats}, whose drained
+    snapshot is jobs-count-invariant.
 
     The first record of every trace is a {!Trace_header} carrying the
     format version ({!version}) and the emitting program's name. *)
@@ -63,9 +70,14 @@ type event =
           checkpoint without re-running) *)
   | Checkpoint_flush of { key : string; bytes : int }
       (** one record appended and flushed to the checkpoint file *)
-  | Worker_start of { index : int }  (** pool worker domain spawned *)
+  | Worker_start of { index : int }
+      (** retired: a worker domain of the deleted domain pool started.
+          Nothing emits it; it stays so that later ids do not shift and
+          older traces still decode. *)
   | Worker_stop of { index : int; tasks : int }
-      (** pool worker finished, having run [tasks] tasks *)
+      (** retired with [Worker_start]: that worker domain stopped after
+          [tasks] tasks.  Worker processes report through [Child_spawn]
+          and [Child_exit]. *)
   | Game_start of {
       adversary : string;
       algorithm : string;
@@ -233,14 +245,21 @@ val set_hook : (event -> unit) option -> unit
     NDJSON sink.  This is how {!Flight} taps the event stream without
     the sites knowing about it; one slot, last set wins. *)
 
-val detach_in_child : unit -> unit
+val relay : w:int -> at:float -> event -> unit
+(** Append one record to the installed sink (no-op without one) with
+    envelope [w] and the absolute time [at] ([Unix.gettimeofday]
+    seconds), for an event another process emitted.  The hook is not
+    called: {!Flight.relay} feeds the recorder itself. *)
+
+val detach_in_child : unit -> bool
 (** Drop the installed sink and hook {e in this process} without
-    closing anything.
-    Must be the first thing a forked child calls: the child inherits the
-    parent's buffered [out_channel], and any emission (or buffer flush
-    at exit) would corrupt the parent's NDJSON stream.  Children must
-    also terminate via [Unix._exit], which skips [at_exit] flushing of
-    inherited buffers. *)
+    closing anything, and say whether a sink was installed.
+    A forked child calls it (through {!Flight.capture_in_child}) before
+    it emits anything: the child inherits the parent's buffered
+    [out_channel], and any emission (or buffer flush at exit) would
+    corrupt the parent's NDJSON stream.  Children must also terminate
+    via [Unix._exit], which skips [at_exit] flushing of inherited
+    buffers. *)
 
 val with_sink :
   ?program:string -> ?on_error:(string -> unit) -> path:string -> (unit -> 'a) -> 'a

@@ -36,7 +36,7 @@ let counterexample_of ~config ~name ~print prop (f : _ failure) =
         ~size:f.size;
   }
 
-let run_target ?(jobs = 1) ~config (t : Fuzz_targets.t) =
+let run_target ~config (t : Fuzz_targets.t) =
   match t.Fuzz_targets.available () with
   | Error reason -> { target = t; status = Skipped reason; cases_run = 0 }
   | Ok () ->
@@ -47,28 +47,18 @@ let run_target ?(jobs = 1) ~config (t : Fuzz_targets.t) =
         | None -> config.Runner.cases
       in
       let config = { config with Runner.cases } in
-      let jobs = if t.Fuzz_targets.serial then 1 else jobs in
       if Tr.on () then Tr.emit (Tr.Cell_start { key = "fuzz:" ^ t.name });
       (* All cases run whatever happens (no early stop), and only the
-         lowest-index failure is kept: the sequential loop and the pool
-         agree on the report. *)
-      let work i =
+         lowest-index failure is kept. *)
+      let first_failure = ref None in
+      for i = 0 to cases - 1 do
         let size = Runner.size_for config i in
         match Runner.run_case gen prop ~seed:config.Runner.seed ~case:i ~size with
-        | Runner.Case_pass -> None
-        | Runner.Case_fail { tree; message } -> Some { case = i; size; tree; message }
-      in
-      let first_failure = ref None in
-      let consume _i r =
-        match (!first_failure, r) with
-        | None, Some f -> first_failure := Some f
-        | _ -> ()
-      in
-      if jobs <= 1 then
-        for i = 0 to cases - 1 do
-          consume i (work i)
-        done
-      else Harness.Pool.run ~jobs ~tasks:cases ~work ~consume;
+        | Runner.Case_pass -> ()
+        | Runner.Case_fail { tree; message } ->
+            if Option.is_none !first_failure then
+              first_failure := Some { case = i; size; tree; message }
+      done;
       let status =
         match !first_failure with
         | None -> Passed { cases }

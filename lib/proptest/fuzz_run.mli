@@ -1,21 +1,19 @@
 (** The engine behind [bin/fuzz.exe]: run {!Fuzz_targets} under a
-    {!Runner.config}, optionally fanned over a {!Harness.Pool}.
+    {!Runner.config}.  [fuzz.exe] runs each target as one task on a
+    supervised worker process; the cases of a target run one after
+    another.
 
     Determinism contract: for a fixed [(seed, cases)] the report of
     every target — counterexample, shrink count, replay token included —
-    is byte-identical whatever [jobs] is.  Three ingredients:
+    is byte-identical whichever process runs it.  Three ingredients:
 
     {ul
     {- every case [i] runs on the independent stream
-       [Rng.of_seed_case ~seed ~case:i], so no case depends on which
-       domain ran it or what ran before;}
+       [Rng.of_seed_case ~seed ~case:i], so no case depends on what ran
+       before;}
     {- all [cases] cases always run (no early stop on failure), and
        only the {e lowest-index} failure is reported and shrunk;}
-    {- shrinking happens on the calling domain, from the failing case's
-       recorded tree.}}
-
-    Targets marked [serial] (process-global state) always run their
-    cases sequentially on the calling domain, whatever [jobs] says. *)
+    {- shrinking starts from the failing case's recorded tree.}} *)
 
 type status =
   | Passed of { cases : int }
@@ -28,7 +26,7 @@ type report = {
   cases_run : int;  (** 0 when skipped *)
 }
 
-val run_target : ?jobs:int -> config:Runner.config -> Fuzz_targets.t -> report
+val run_target : config:Runner.config -> Fuzz_targets.t -> report
 (** Run one target's full case budget (capped at the target's
     [max_cases]).  Emits [Cell_start]/[Cell_finish] trace events (key
     [fuzz:<name>]) when a trace sink is on. *)

@@ -16,7 +16,6 @@ type packed =
 type t = {
   name : string;
   doc : string;
-  serial : bool;
   max_cases : int option;
   available : unit -> (unit, string) result;
   packed : packed;
@@ -59,7 +58,6 @@ let proper_vs_brute =
     doc =
       "Brute.find_coloring against the independent propriety checker and its \
        own existence/counting/chromatic faces, on all graphs up to 7 nodes";
-    serial = false;
     max_cases = None;
     available = always_available;
     packed = Packed { gen; print; prop };
@@ -111,7 +109,6 @@ let bvalue_cancel =
     doc =
       "Lemmas 3.3-3.5 (cell cancellation, rectangle b = 0, parity) on random \
        proper 3-colorings of random simple grids and random rectangles";
-    serial = false;
     max_cases = None;
     available = always_available;
     packed = Packed { gen; print; prop };
@@ -192,7 +189,7 @@ let game_prop game c =
   in
   flag_consistent && honest_adversary && guaranteed_defeat && faults_classified
 
-let game_target ?(serial = false) ~name ~doc ~n_range pick_game =
+let game_target ~name ~doc ~n_range pick_game =
   let gen =
     Gen.bind (game_case_gen ~n_range) (fun c ->
         Gen.map (fun game -> (game, c)) pick_game)
@@ -200,7 +197,6 @@ let game_target ?(serial = false) ~name ~doc ~n_range pick_game =
   {
     name;
     doc;
-    serial;
     max_cases = None;
     available = always_available;
     packed =
@@ -246,10 +242,10 @@ let with_temp_file f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-let render ?resume ?checkpoint ?jobs cells =
+let render ?resume ?checkpoint ?jobs ?isolation cells =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  Harness.Sweep.run ?resume ?checkpoint ?jobs ~ppf cells;
+  Harness.Sweep.run ?resume ?checkpoint ?jobs ?isolation ~ppf cells;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
@@ -309,7 +305,6 @@ let sweep_resume =
     doc =
       "Sweep checkpoint/resume byte-identity under random cell sets, injected \
        cell failures and random checkpoint truncation (torn records included)";
-    serial = true (* global SIGINT handler + temp checkpoint files *);
     max_cases = Some 60;
     available = always_available;
     packed = Packed { gen; print; prop };
@@ -344,7 +339,7 @@ let stats_merge =
         Obs.Stats.reset ())
       f
   in
-  let run_once ~jobs cells_values =
+  let run_once ?isolation cells_values =
     with_stats @@ fun () ->
     let cells =
       List.mapi
@@ -359,15 +354,16 @@ let stats_merge =
           })
         cells_values
     in
-    let out = render ~jobs cells in
+    let out = render ~jobs:2 ?isolation cells in
     let snap = Obs.Stats.drain () in
     (out, Obs.Stats.to_string snap, Format.asprintf "%a" Obs.Stats.pp snap)
   in
   let prop cells_values =
-    (* Jobs-invariance of the drained registry, down to the bytes of
-       both the transport encoding and the rendered table. *)
-    let out1, str1, pp1 = run_once ~jobs:1 cells_values in
-    let out2, str2, pp2 = run_once ~jobs:2 cells_values in
+    (* The drained registry of an in-process sweep and of one on two
+       worker processes, equal down to the bytes of both the transport
+       encoding and the rendered table. *)
+    let out1, str1, pp1 = run_once cells_values in
+    let out2, str2, pp2 = run_once ~isolation:`Process cells_values in
     let invariant =
       String.equal out1 out2 && String.equal str1 str2 && String.equal pp1 pp2
     in
@@ -399,8 +395,7 @@ let stats_merge =
     name = "stats-merge";
     doc =
       "Stats merge commutative/associative over per-cell deltas, and the \
-       drained registry byte-identical at --jobs 1 vs --jobs 2";
-    serial = true (* owns the process-global stats registry *);
+       drained registry byte-identical in-process vs on 2 worker processes";
     max_cases = Some 40;
     available =
       (fun () ->
@@ -493,7 +488,6 @@ let sweep_kill =
       "Process-isolated sweep survives a worker SIGKILLed at random timing \
        mid-cell: one retry later the output is byte-identical to an unkilled \
        run";
-    serial = true (* forks (unsafe from pool domains) + SIGINT handler *);
     max_cases = Some 12;
     available = always_available;
     packed = Packed { gen; print; prop };
@@ -685,7 +679,6 @@ let wire_codec =
       "Wire framing under truncation, bit flips, forged length prefixes and \
        1-byte chunking: typed errors only, never an exception, never an \
        allocation driven by a declared length";
-    serial = false;
     max_cases = None;
     available = always_available;
     packed = Packed { gen; print; prop };
@@ -768,7 +761,6 @@ let view_incremental =
       "Fixed_host executor differential: incremental Frontier reveals vs a \
        batch ball-and-filter reference agree on every per-step fresh-node \
        list";
-    serial = false;
     max_cases = None;
     available = always_available;
     packed = Packed { gen; print; prop };
@@ -848,7 +840,6 @@ let canon_relabel =
       "Canonical labeling: key invariance under random relabelings and \
        iso_equal vs brute-force isomorphism (distinct keys for \
        non-isomorphic views)";
-    serial = false;
     max_cases = Some 60;
     available = always_available;
     packed = Packed { gen; print; prop };
@@ -870,7 +861,6 @@ let demo_bug =
       "Deliberately broken property (list sums stay below 100); shrinks to \
        [100].  Armed only when FUZZ_DEMO_BUG=1 — the CI probe that shrinking \
        and replay work end-to-end";
-    serial = false;
     max_cases = None;
     available =
       (fun () ->

@@ -45,10 +45,6 @@ type packed =
 type t = {
   name : string;
   doc : string;
-  serial : bool;
-      (** must run its cases sequentially on the calling domain
-          (touches process-global state: the stats registry, signal
-          handlers, temp files) *)
   max_cases : int option;
       (** cap on the per-target case budget, for targets whose single
           case is itself a whole sweep *)

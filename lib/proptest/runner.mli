@@ -4,9 +4,9 @@
     Every case [i] of a check runs on the stream
     [Rng.of_seed_case ~seed ~case:i] at a size that ramps linearly over
     the case budget — so cases are independent of each other and of the
-    domain that runs them, which is what lets {!Fuzz_run} fan the same
-    cases over a {!Harness.Pool} and still report byte-identical
-    results at any jobs count.
+    process that runs them, which is what lets [fuzz.exe] run a target
+    on any worker and still report byte-identical results at any jobs
+    count.
 
     On failure the runner descends the generator's shrink tree greedily
     (first failing child, repeat) and reports the minimal

@@ -45,10 +45,10 @@ let test_catalog_matches_sweep_cells () =
       check_string (kind ^ " " ^ cell.Harness.Sweep.key) local dispatched)
     pairs
 
-let render ~jobs cells =
+let render ?(jobs = 1) ?isolation cells =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
-  Harness.Sweep.run ~jobs ~ppf cells;
+  Harness.Sweep.run ~jobs ?isolation ~ppf cells;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
@@ -62,12 +62,13 @@ let memo_grid ~memo =
     [ 1; 2; 3 ]
 
 (* Memo is an execution strategy, not semantics: a cold and a warmed
-   memo cell yield the plain cell's bytes, and so does a memo-on grid at
-   jobs 1 and 4.  The game cache is per domain, so which cells hit
-   depends on how cells land on domains; the output must not.  This
-   executable never forks, so it may spawn domains (test_supervisor
-   covers the process backend).  greedy and stripes ignore t, so the
-   grid's t = 2, 3 cells of both are game-cache hits at jobs 1. *)
+   memo cell yield the plain cell's bytes, and so does a memo-on grid
+   in-process and on 4 worker processes.  The game cache lives in each
+   worker, so which cells hit depends on how cells land on workers; the
+   output must not.  greedy and stripes ignore t, so the grid's t = 2,
+   3 cells of both are game-cache hits on one worker, and the trace of
+   a one-worker sweep shows them: the worker's events reach the
+   parent's sink. *)
 let test_cell_variants_agree () =
   let base ~memo =
     (Jobs_catalog.thm1_cell ~memo ~validate:false ~t:1 ~k:5 ~side:60 ~algo:"stripes" ())
@@ -76,23 +77,24 @@ let test_cell_variants_agree () =
   let plain = base ~memo:false in
   check_string "memo" plain (base ~memo:true);
   check_string "memo warmed" plain (base ~memo:true);
-  let off = render ~jobs:1 (memo_grid ~memo:false) in
-  check_string "memo grid jobs 4" off (render ~jobs:4 (memo_grid ~memo:true));
+  let off = render (memo_grid ~memo:false) in
+  check_string "memo grid jobs 4" off
+    (render ~jobs:4 ~isolation:`Process (memo_grid ~memo:true));
   let path = Filename.temp_file "test_catalog" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let on =
         Obs.Trace.with_sink ~program:"test_catalog" ~path (fun () ->
-            render ~jobs:1 (memo_grid ~memo:true))
+            render ~isolation:`Process (memo_grid ~memo:true))
       in
       check_string "memo grid jobs 1" off on;
       let game_hit r =
         match r.Obs.Trace.ev with
-        | Obs.Trace.Canon_hit { kind = "game"; _ } -> true
+        | Obs.Trace.Canon_hit { kind = "game"; _ } -> r.Obs.Trace.w = 1
         | _ -> false
       in
-      check_bool "game cache hit traced" true
+      check_bool "game cache hit traced on the worker's stream" true
         (List.exists game_hit (Obs.Trace.read_file path)))
 
 (* Pinned result prefix: the report layout itself is part of what the

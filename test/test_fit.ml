@@ -11,7 +11,10 @@ let test_exact_line () =
   let l = Fit.fit pts in
   check_float "slope" 2.0 l.Fit.slope;
   check_float "intercept" 1.0 l.Fit.intercept;
-  check_float "r_squared" 1.0 l.Fit.r_squared
+  check_float "r_squared" 1.0 l.Fit.r_squared;
+  List.iter (check_float "residual" 0.0) l.Fit.residuals;
+  check_float "se slope" 0.0 l.Fit.se_slope;
+  check_float "se intercept" 0.0 l.Fit.se_intercept
 
 let test_negative_slope () =
   let pts = [ (0.0, 10.0); (1.0, 7.0); (2.0, 4.0); (3.0, 1.0) ] in
@@ -32,7 +35,31 @@ let test_imperfect_fit () =
   let l = Fit.fit [ (0.0, 0.0); (1.0, 1.0); (2.0, 1.0); (3.0, 2.0) ] in
   check_float "slope" 0.6 l.Fit.slope;
   check_float "intercept" 0.1 l.Fit.intercept;
-  check_bool "r_squared in (0,1)" true (l.Fit.r_squared > 0.0 && l.Fit.r_squared < 1.0)
+  check_bool "r_squared in (0,1)" true (l.Fit.r_squared > 0.0 && l.Fit.r_squared < 1.0);
+  (* Residuals y - (0.6x + 0.1); their squares sum to 0.2, so
+     s^2 = 0.2 / (4 - 2) = 0.1, and Sxx = 5 about mean x = 1.5. *)
+  Alcotest.(check (list (float 1e-9)))
+    "residuals" [ -0.1; 0.3; -0.3; 0.1 ] l.Fit.residuals;
+  check_float "se slope = sqrt (0.1 / 5)" (sqrt 0.02) l.Fit.se_slope;
+  check_float "se intercept = sqrt (0.1 * (1/4 + 2.25/5))" (sqrt 0.07)
+    l.Fit.se_intercept;
+  Alcotest.(check (float 1e-5)) "se slope, rounded" 0.14142 l.Fit.se_slope;
+  Alcotest.(check (float 1e-5)) "se intercept, rounded" 0.26458 l.Fit.se_intercept
+
+let test_two_points () =
+  (* Two points fit exactly and leave no degree of freedom: zero
+     residuals, undefined standard errors — not an exception. *)
+  let l = Fit.fit [ (0.0, 1.0); (2.0, 5.0) ] in
+  check_float "slope" 2.0 l.Fit.slope;
+  List.iter (check_float "residual" 0.0) l.Fit.residuals;
+  check_bool "se slope nan" true (Float.is_nan l.Fit.se_slope);
+  check_bool "se intercept nan" true (Float.is_nan l.Fit.se_intercept)
+
+let test_pp_unchanged () =
+  (* The printed form carries slope, intercept and R^2 only. *)
+  Alcotest.(check string)
+    "pp" "slope=0.600 intercept=0.100 R^2=0.900"
+    (Format.asprintf "%a" Fit.pp (Fit.fit [ (0.0, 0.0); (1.0, 1.0); (2.0, 1.0); (3.0, 2.0) ]))
 
 let test_fit_log_x () =
   (* y = 3 log2 x + 2: fit_log_x recovers slope 3 exactly. *)
@@ -87,6 +114,8 @@ let () =
           Alcotest.test_case "negative slope" `Quick test_negative_slope;
           Alcotest.test_case "constant data" `Quick test_constant_data;
           Alcotest.test_case "imperfect fit" `Quick test_imperfect_fit;
+          Alcotest.test_case "two points" `Quick test_two_points;
+          Alcotest.test_case "pp unchanged" `Quick test_pp_unchanged;
           Alcotest.test_case "fit_log_x" `Quick test_fit_log_x;
           Alcotest.test_case "too few points" `Quick test_too_few_points;
           Alcotest.test_case "pp" `Quick test_pp_mentions_fields;

@@ -275,10 +275,10 @@ let with_temp_checkpoint f =
   let path = Filename.temp_file "sweep_test" ".ckpt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
-let render cells ?resume ?checkpoint ?jobs () =
+let render cells ?resume ?checkpoint ?jobs ?isolation () =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  Harness.Sweep.run ?resume ?checkpoint ?jobs ~ppf cells;
+  Harness.Sweep.run ?resume ?checkpoint ?jobs ?isolation ~ppf cells;
   Buffer.contents buf
 
 let counted_cells log =
@@ -486,8 +486,13 @@ let test_axis_rejects_empty () =
 
 (* ------------------------- parallel sweep -------------------------- *)
 
-(* Ten cells with deliberately uneven, reverse-sorted costs: the first
-   cells finish last, so under any real pool the completion order
+(* A parallel sweep runs on worker processes; the in-process sweep is
+   the reference it must match.  Nothing in this executable spawns a
+   domain before these tests (the backoff group, which does, runs
+   last), so they may fork.
+
+   Ten cells with deliberately uneven, reverse-sorted costs: the first
+   cells finish last, so on several workers the completion order
    differs from the cell order and the completion buffer actually has
    to reorder. *)
 let uneven_cells ?(broken = []) () =
@@ -519,7 +524,9 @@ let test_parallel_matches_sequential () =
   with_temp_checkpoint (fun p1 ->
       with_temp_checkpoint (fun p4 ->
           let seq = render (uneven_cells ()) ~checkpoint:p1 () in
-          let par = render (uneven_cells ()) ~jobs:4 ~checkpoint:p4 () in
+          let par =
+            render (uneven_cells ()) ~jobs:4 ~isolation:`Process ~checkpoint:p4 ()
+          in
           check_string "stdout identical at jobs=1 vs jobs=4" seq par;
           Alcotest.(check (list string))
             "checkpoints equivalent (same record set)" (checkpoint_records p1)
@@ -528,7 +535,7 @@ let test_parallel_matches_sequential () =
 let test_parallel_crashed_cell_degrades_alone () =
   let broken = [ 4 ] in
   let seq = render (uneven_cells ~broken ()) () in
-  let par = render (uneven_cells ~broken ()) ~jobs:3 () in
+  let par = render (uneven_cells ~broken ()) ~jobs:3 ~isolation:`Process () in
   check_string "ERROR cell identical at any jobs count" seq par;
   check_bool "the error is recorded in place" true
     (let lines = String.split_on_char '\n' par in
@@ -538,7 +545,9 @@ let test_parallel_resume_across_jobs_counts () =
   (* Kill-and-resume must replay byte-identically regardless of the
      jobs count used on either side of the kill. *)
   with_temp_checkpoint (fun path ->
-      let full = render (uneven_cells ()) ~jobs:4 ~checkpoint:path () in
+      let full =
+        render (uneven_cells ()) ~jobs:4 ~isolation:`Process ~checkpoint:path ()
+      in
       (* Simulate a kill: drop the last two checkpoint records (whatever
          completion order they were appended in). *)
       let kept =
@@ -555,14 +564,16 @@ let test_parallel_resume_across_jobs_counts () =
       Out_channel.with_open_text path (fun oc ->
           List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) kept);
       let resumed_par =
-        render (uneven_cells ()) ~resume:true ~jobs:2 ~checkpoint:path ()
+        render (uneven_cells ()) ~resume:true ~jobs:2 ~isolation:`Process
+          ~checkpoint:path ()
       in
       check_string "jobs=4 run resumed at jobs=2" full resumed_par)
 
 let test_parallel_fatal_aborts_sweep () =
-  (* A fatal exception (here Stack_overflow) in any worker must abort
-     the whole sweep — drained, joined, and re-raised — never be
-     recorded as a cell result. *)
+  (* A fatal exception (here Stack_overflow) in an in-process cell must
+     abort the whole sweep — re-raised, whatever [jobs] says — never be
+     recorded as a cell result.  (A worker process contains it as that
+     cell's ERROR instead: test_supervisor.) *)
   with_temp_checkpoint (fun path ->
       let cells =
         List.init 6 (fun i ->
@@ -583,8 +594,8 @@ let test_parallel_fatal_aborts_sweep () =
            (checkpoint_records path)))
 
 let test_parallel_interrupted_cell_propagates () =
-  (* A cell raising Sweep.Interrupted directly is honored under a pool
-     exactly as sequentially. *)
+  (* A cell raising Sweep.Interrupted directly is honored in-process
+     whatever [jobs] says. *)
   let cells =
     List.init 4 (fun i ->
         {
@@ -598,9 +609,10 @@ let test_parallel_interrupted_cell_propagates () =
     (fun () -> ignore (render cells ~jobs:2 ()))
 
 let test_parallel_guarded_games_deterministic () =
-  (* Whole guarded games on pool workers: the E7 fault matrix re-run on
-     4 domains must pin the exact same rows — Guard's ambient state is
-     domain-local and the fault combinators share nothing. *)
+  (* Whole guarded games on worker processes: the E7 fault matrix re-run
+     on 4 workers must pin the exact same rows as in-process — Guard's
+     ambient state and the fault combinators carry nothing from one cell
+     to the next on a warm worker. *)
   let cells_of () =
     List.map
       (fun (game, n, base) ->
@@ -633,26 +645,8 @@ let test_parallel_guarded_games_deterministic () =
     |> List.concat
   in
   let seq = render (cells_of ()) () in
-  let par = render (cells_of ()) ~jobs:4 () in
-  check_string "fault sub-matrix identical on 4 domains" seq par
-
-let test_pool_ordered_delivery () =
-  (* Pool.run alone: consume must see indices in order with results
-     matching, whatever the completion order. *)
-  let seen = ref [] in
-  Harness.Pool.run ~jobs:4 ~tasks:20
-    ~work:(fun i ->
-      let acc = ref 0 in
-      for j = 1 to (20 - i) * 5_000 do
-        acc := (!acc + j) land 0xFF
-      done;
-      ignore !acc;
-      i * i)
-    ~consume:(fun i v -> seen := (i, v) :: !seen);
-  Alcotest.(check (list (pair int int)))
-    "in order, correct values"
-    (List.init 20 (fun i -> (i, i * i)))
-    (List.rev !seen)
+  let par = render (cells_of ()) ~jobs:4 ~isolation:`Process () in
+  check_string "fault sub-matrix identical on 4 worker processes" seq par
 
 (* ----------------------------- backoff ----------------------------- *)
 
@@ -776,7 +770,6 @@ let () =
         ] );
       ( "parallel-sweep",
         [
-          Alcotest.test_case "pool ordered delivery" `Quick test_pool_ordered_delivery;
           Alcotest.test_case "jobs=4 matches jobs=1" `Quick
             test_parallel_matches_sequential;
           Alcotest.test_case "crashed cell degrades alone" `Quick

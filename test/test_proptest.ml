@@ -1,6 +1,6 @@
 (* Self-tests for the property-based testing engine: stream
    determinism, shrinking minimality, replay tokens, and the fuzz
-   driver's jobs-invariance. *)
+   driver's invariance across processes. *)
 
 module Rng = Proptest.Rng
 module Gen = Proptest.Gen
@@ -209,16 +209,29 @@ let test_fuzz_registry () =
 
 let test_fuzz_jobs_invariant () =
   (* The full report of a target — pass/fail, counterexample, replay
-     token — is identical at jobs 1 and jobs 3. *)
-  let t = Option.get (Proptest.Fuzz_targets.find "proper-vs-brute") in
+     token — is identical in this process and on a supervised worker,
+     three targets on three workers, as fuzz.exe runs them. *)
+  let targets =
+    Array.map
+      (fun name -> Option.get (Proptest.Fuzz_targets.find name))
+      [| "proper-vs-brute"; "bvalue-cancel"; "wire-codec" |]
+  in
   let cfg = { Runner.default_config with Runner.seed = 77; cases = 40 } in
-  let run jobs =
-    match (Proptest.Fuzz_run.run_target ~jobs ~config:cfg t).Proptest.Fuzz_run.status with
+  let describe t =
+    match (Proptest.Fuzz_run.run_target ~config:cfg t).Proptest.Fuzz_run.status with
     | Proptest.Fuzz_run.Passed { cases } -> Printf.sprintf "pass %d" cases
     | Proptest.Fuzz_run.Failed c -> Format.asprintf "%a" Runner.pp_counterexample c
     | Proptest.Fuzz_run.Skipped r -> "skip " ^ r
   in
-  check_string "jobs 1 = jobs 3" (run 1) (run 3)
+  let on_workers = Array.make (Array.length targets) "" in
+  Harness.Supervisor.run ~jobs:3 ~tasks:(Array.length targets)
+    ~key:(fun i -> targets.(i).Proptest.Fuzz_targets.name)
+    ~work:(fun i -> describe targets.(i))
+    ~consume:(fun i o -> on_workers.(i) <- Harness.Supervisor.outcome_to_string o)
+    ();
+  Array.iteri
+    (fun i t -> check_string t.Proptest.Fuzz_targets.name (describe t) on_workers.(i))
+    targets
 
 let test_fuzz_replay_demo_bug () =
   (* Fuzz_run.replay bypasses the availability gate, so the demo target

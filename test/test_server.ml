@@ -486,8 +486,8 @@ let test_deadline_ms_exact () =
 
 (* --------------------------- the job catalog --------------------------- *)
 
-(* The fuzz targets flagged serial own process-wide state: sweep-kill
-   forks, sweep-resume installs a SIGINT handler and writes temporary
+(* Some fuzz targets own process-wide state: sweep-kill forks,
+   sweep-resume installs a SIGINT handler and writes temporary
    checkpoint files, and stats-merge owns the stats registry.  Served
    next to a thm2 job, each must answer the status line that
    [fuzz.exe --targets T --seed 1 --cases 4] prints. *)
@@ -517,11 +517,12 @@ let test_serial_fuzz_jobs () =
         (List.combine baseline c.Client.results))
     [ 1; 2 ]
 
-(* stats-merge spawns domains (it drains the registry at jobs 2), and
-   OCaml 5.1 refuses Unix.fork for the rest of a process's life once a
-   domain was spawned; sweep-kill forks.  At jobs 1 both run on the
-   same worker unless it retires after the first, so sweep-kill would
-   answer a FAIL raised by Unix.fork. *)
+(* stats-merge and sweep-kill both fork workers of their own and touch
+   process-wide state; at jobs 1 they run one after the other on one
+   warm worker and must still answer as fuzz.exe does.  Neither spawns
+   a domain any more, so the rule that retires a worker whose task did
+   (OCaml 5.1 refuses Unix.fork for the rest of a process's life once a
+   domain was spawned) is tested in test_supervisor. *)
 let test_fork_after_domain () =
   let specs =
     List.map
@@ -609,6 +610,19 @@ let test_drain_refuses_connections () =
   @@ fun () ->
   ignore (campaign ~socket [ ("rev", "warm") ]);
   raw_submit_all ~socket [ ("nap", "1.5") ];
+  (* The ack can leave before the job starts, and a drain keeps a job
+     that has not started in the queue: signal once it runs. *)
+  let running () =
+    match Client.health ~socket () with
+    | Ok json ->
+        Obs.Json.member "running" (Obs.Json.of_string json)
+        |> Option.map Obs.Json.to_int_opt = Some (Some 1)
+    | Error _ -> false
+  in
+  let until = Unix.gettimeofday () +. 1. in
+  while (not (running ())) && Unix.gettimeofday () < until do
+    Unix.sleepf 0.005
+  done;
   Unix.kill pid Sys.sigterm;
   let give_up = Unix.gettimeofday () +. 1. in
   let rec refused () =

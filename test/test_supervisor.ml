@@ -1,5 +1,6 @@
-(* The process-isolation backend: Harness.Supervisor directly, and
-   Harness.Sweep.run ~isolation:`Process through it.
+(* The worker-process engine: Harness.Supervisor directly, and
+   Harness.Sweep.run ~isolation:`Process through it, against the
+   in-process sweep as the reference.
 
    Everything here forks, so every test runs on the main domain (alcotest
    executes cases sequentially in-process) and uses a fast supervisor
@@ -357,6 +358,155 @@ let test_memo_kill_resume () =
                 (render ~resume:true ~checkpoint:ckpt_on ~isolation:`In_domain
                    (cells ~memo:true marker)))))
 
+let test_ordered_delivery_uneven () =
+  (* Tasks finish in reverse order on four workers; consume still sees
+     them in index order, a raising task included. *)
+  let seen = ref [] in
+  Sup.run ~config:fast ~jobs:4 ~tasks:8
+    ~key:string_of_int
+    ~work:(fun i ->
+      Unix.sleepf (float_of_int (8 - i) *. 0.005);
+      if i = 5 then failwith "task 5";
+      string_of_int (i * i))
+    ~consume:(fun i o -> seen := (i, Sup.outcome_to_string o) :: !seen)
+    ();
+  Alcotest.(check (list (pair int string)))
+    "index order, values and the raise in place"
+    (List.init 8 (fun i ->
+         (i, if i = 5 then "ERROR: Failure(\"task 5\")" else string_of_int (i * i))))
+    (List.rev !seen)
+
+(* OCaml 5.1 refuses Unix.fork for the rest of a process's life once a
+   domain was spawned, joined or not.  A worker whose task spawned one
+   must retire, or the next task it takes cannot fork workers of its
+   own. *)
+let test_domain_spawner_retires () =
+  let cells =
+    [
+      {
+        Sweep.key = "spawner";
+        run = (fun () -> string_of_int (Domain.join (Domain.spawn (fun () -> 6 * 7))));
+      };
+      {
+        Sweep.key = "forker";
+        run =
+          (fun () ->
+            render ~isolation:`Process ~supervisor:fast
+              [ { Sweep.key = "inner"; run = (fun () -> "inner ok") } ]);
+      };
+    ]
+  in
+  check_string "the second task forks on a fresh worker" "42\ninner ok\n\n"
+    (render ~jobs:1 ~isolation:`Process ~supervisor:fast cells)
+
+(* --------------------------- worker events --------------------------- *)
+
+(* A guarded thm1 game against greedy whose color-call budget runs out
+   mid-game: the guard's Misbehavior certificate is an anomaly, and
+   Step events come before it. *)
+let budget_cell =
+  {
+    Sweep.key = "budget";
+    run =
+      (fun () ->
+        let g = Option.get (Online_local.Game.find "thm1-grid") in
+        let v =
+          g.Online_local.Game.play
+            ~limits:
+              { Harness.Guard.max_color_calls = Some 40; max_work = None; deadline = None }
+            ~n:30
+            (Online_local.Portfolio.greedy ())
+        in
+        Online_local.Game.outcome_label v.Online_local.Game.outcome);
+  }
+
+let traced_cells () = memo_cells ~memo:false () @ [ budget_cell ]
+
+let with_traced f =
+  with_temp_file (fun path ->
+      let out = Obs.Trace.with_sink ~program:"test_supervisor" ~path f in
+      (out, Obs.Trace.read_file path))
+
+let kind_counts records =
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      let tag = Obs.Trace.kinds.(fst (Obs.Trace.to_values r.Obs.Trace.ev)).Obs.Trace.tag in
+      if not (String.starts_with ~prefix:"child_" tag) then
+        Hashtbl.replace counts tag (1 + Option.value ~default:0 (Hashtbl.find_opt counts tag)))
+    records;
+  List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [])
+
+let test_worker_events_relayed () =
+  (* Worker processes ship their cells' events to the parent's sink:
+     apart from the supervisor's own child_* events, a sweep on two
+     workers traces exactly the events of the in-process sweep, and
+     every cell's span sits on the stream of the worker that ran it. *)
+  let base_out, base = with_traced (fun () -> render (traced_cells ())) in
+  let out, records =
+    with_traced (fun () ->
+        render ~jobs:2 ~isolation:`Process ~supervisor:fast (traced_cells ()))
+  in
+  check_string "output" base_out out;
+  Alcotest.(check (list (pair string int)))
+    "per-kind counts" (kind_counts base) (kind_counts records);
+  let streams =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun r ->
+           match r.Obs.Trace.ev with
+           | Obs.Trace.Cell_start _ | Obs.Trace.Step _ | Obs.Trace.Cell_finish _ ->
+               Some r.Obs.Trace.w
+           | _ -> None)
+         records)
+  in
+  Alcotest.(check (list int)) "cells and steps on worker slots 1 and 2" [ 1; 2 ] streams
+
+let test_worker_anomaly_in_flight_file () =
+  (* With only a flight recorder, a worker ships just the events of a
+     cell that hit an anomaly: the file holds that cell's steps, the
+     anomaly itself and its tail, on the worker's stream — and nothing
+     from the clean cells. *)
+  with_temp_file (fun path ->
+      ignore
+        (Obs.Flight.with_sink ~program:"test_supervisor" ~path (fun () ->
+             render ~jobs:2 ~isolation:`Process ~supervisor:fast (traced_cells ())));
+      let records = List.tl (Obs.Flight.read_file path) in
+      let cells =
+        List.filter_map
+          (fun r ->
+            match r.Obs.Trace.ev with Obs.Trace.Cell_start { key } -> Some key | _ -> None)
+          records
+      in
+      Alcotest.(check (list string)) "only the anomalous cell" [ "budget" ] cells;
+      let rec steps_then_anomaly seen_step = function
+        | [] -> false
+        | { Obs.Trace.ev = Obs.Trace.Step _; _ } :: rest -> steps_then_anomaly true rest
+        | { Obs.Trace.ev = Obs.Trace.Misbehavior _; _ } :: _ -> seen_step
+        | _ :: rest -> steps_then_anomaly seen_step rest
+      in
+      check_bool "steps, then the misbehavior" true (steps_then_anomaly false records);
+      check_bool "the verdict rides the tail flush" true
+        (List.exists
+           (fun r -> match r.Obs.Trace.ev with Obs.Trace.Game_verdict _ -> true | _ -> false)
+           records);
+      check_bool "the cell's events on its worker's stream" true
+        (List.for_all
+           (fun r ->
+             match r.Obs.Trace.ev with
+             | Obs.Trace.Cell_start _ | Obs.Trace.Step _ | Obs.Trace.Misbehavior _
+             | Obs.Trace.Game_verdict _ ->
+                 r.Obs.Trace.w >= 1
+             | _ -> true)
+           records));
+  with_temp_file (fun path ->
+      ignore
+        (Obs.Flight.with_sink ~program:"test_supervisor" ~path (fun () ->
+             render ~jobs:2 ~isolation:`Process ~supervisor:fast
+               (memo_cells ~memo:false ())));
+      check_int "a clean sweep leaves the header only" 1
+        (List.length (Obs.Flight.read_file path)))
+
 let test_validation () =
   let rejects what f =
     match f () with
@@ -416,6 +566,17 @@ let () =
             test_deterministic_raise_not_retried;
           Alcotest.test_case "inline short-circuits" `Quick
             test_inline_short_circuits;
+          Alcotest.test_case "ordered delivery, uneven costs" `Quick
+            test_ordered_delivery_uneven;
+          Alcotest.test_case "a worker that spawned a domain retires" `Quick
+            test_domain_spawner_retires;
           Alcotest.test_case "validation" `Quick test_validation;
+        ] );
+      ( "worker-events",
+        [
+          Alcotest.test_case "relayed to the parent's trace" `Quick
+            test_worker_events_relayed;
+          Alcotest.test_case "anomaly reaches the flight file" `Quick
+            test_worker_anomaly_in_flight_file;
         ] );
     ]
