@@ -238,8 +238,13 @@ let run_benchmarks () =
       "results": ...}
    so downstream tooling can parse every BENCH_*.json the same way. *)
 
+(* The short hash of HEAD, with "-dirty" when the working tree has
+   uncommitted changes: a record measured before its change is committed
+   names the commit it sits on and says so. *)
 let git_commit () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+  match
+    Unix.open_process_in "git describe --always --dirty --abbrev=7 --exclude='*' 2>/dev/null"
+  with
   | exception _ -> "unknown"
   | ic -> (
       let line = try input_line ic with End_of_file -> "" in

@@ -174,7 +174,6 @@ let report path =
              whole-sweep notion — tallied globally *)
           incr ckpt_flushes;
           ckpt_bytes := !ckpt_bytes + bytes
-      | T.Worker_start _ | T.Worker_stop _ -> ()
       | T.Game_start { adversary = a; max_color_calls; _ } ->
           w.cur_game <-
             Some

@@ -41,10 +41,9 @@ let thm1_algorithm name t =
    (k, side) — the cell text re-formats the cached report with its own
    t.  Sound for *any* deterministic algorithm, stateful or not: each
    live run instantiates a fresh instance, so the whole-run result
-   carries no hidden state.  Per-domain, per-process, never
-   checkpointed (see lib/canon/README.md). *)
-let thm1_report_tbl : (string, Thm1_adversary.report) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+   carries no hidden state.  One table per process (the library is
+   single-domain), never checkpointed (see lib/canon/README.md). *)
+let thm1_reports : (string, Thm1_adversary.report) Hashtbl.t = Hashtbl.create 64
 
 let thm1_run ?(memo = false) ~validate ~t ~k ~side ~algo () =
   let algorithm = thm1_algorithm algo t in
@@ -57,8 +56,7 @@ let thm1_run ?(memo = false) ~validate ~t ~k ~side ~algo () =
         Printf.sprintf "thm1|%s|%d|%d|%d|%b" algorithm.Models.Algorithm.name
           radius k side validate
       in
-      let tbl = Domain.DLS.get thm1_report_tbl in
-      match Hashtbl.find_opt tbl gkey with
+      match Hashtbl.find_opt thm1_reports gkey with
       | Some r ->
           if Obs.Trace.on () then
             Obs.Trace.emit (Obs.Trace.Canon_hit { kind = "game"; key = gkey });
@@ -73,7 +71,7 @@ let thm1_run ?(memo = false) ~validate ~t ~k ~side ~algo () =
           r
       | None ->
           let r = run_live () in
-          Hashtbl.replace tbl gkey r;
+          Hashtbl.replace thm1_reports gkey r;
           r
     end
   in

@@ -101,12 +101,22 @@ let e1_grid_lower_bound ?(quick = false) ppf =
 
 (* ------------------------------- E2 ------------------------------- *)
 
+(* A played run whose violation is the algorithm's own failure is a
+   fault, not a defeat: it proves nothing about the theorem, and the
+   adversary's evidence (s-values, classes, seam) was never gathered. *)
+let is_fault = function `Defeated (RS.Algorithm_failure _) -> true | _ -> false
+
+let result_label = function
+  | `Defeated (RS.Algorithm_failure _) -> "ALG-FAULT"
+  | `Defeated _ -> "DEFEATED"
+  | `Survived -> "survived"
+
 let e2_torus_lower_bound ?(quick = false) ppf =
   hr ppf "E2 (Theorem 2): toroidal/cylindrical grids need Omega(sqrt n)";
   Format.fprintf ppf
     "@.Two-row attack: defeat requires odd side and 4T+4 <= side, i.e. the@.";
   Format.fprintf ppf
-    "threshold is linear in sqrt(n).  Playing across sides and localities:@.";
+    "threshold is linear in sqrt(n).  Playing locality-1 algorithms across sides:@.";
   Format.fprintf ppf "%-12s %-6s %-18s %-10s %-10s %s@." "wrap" "side" "algorithm"
     "preconds" "result" "s-values (e/w)";
   let sides = if quick then [ 9; 21 ] else [ 9; 13; 21; 33; 51 ] in
@@ -129,18 +139,17 @@ let e2_torus_lower_bound ?(quick = false) ppf =
           List.iter
             (fun (name, algorithm) ->
               let r = Thm2_adversary.run ~wrap ~side ~algorithm () in
-              Format.fprintf ppf "%-12s %-6d %-18s %-10b %-10s %d/%d@."
+              Format.fprintf ppf "%-12s %-6d %-18s %-10b %-10s %s@."
                 (match wrap with `Cylindrical -> "cylinder" | `Toroidal -> "torus")
                 side name r.Thm2_adversary.preconditions_met
-                (match r.Thm2_adversary.result with
-                | `Defeated _ -> "DEFEATED"
-                | `Survived -> "survived")
-                r.Thm2_adversary.s_east r.Thm2_adversary.s_west)
+                (result_label r.Thm2_adversary.result)
+                (if is_fault r.Thm2_adversary.result then "-/-"
+                 else Printf.sprintf "%d/%d" r.Thm2_adversary.s_east r.Thm2_adversary.s_west))
             algorithms)
         sides)
     [ `Cylindrical; `Toroidal ];
   Format.fprintf ppf
-    "@.Guaranteed thresholds: T*(side) = (side - 4) / 4 (linear in sqrt n):@.";
+    "@.Guaranteed thresholds (formula): T*(side) = (side - 4) / 4 (linear in sqrt n):@.";
   Format.fprintf ppf "%-8s %-8s@." "side" "T*";
   List.iter
     (fun side -> Format.fprintf ppf "%-8d %-8d@." side ((side - 4) / 4))
@@ -168,20 +177,19 @@ let e3_gadget_lower_bound ?(quick = false) ppf =
       List.iter
         (fun (name, algo) ->
           let r = Thm3_adversary.run ~k ~gadgets ~algorithm:algo () in
-          Format.fprintf ppf "%-10d %-4d %-7d %-9b %-10s %-12b %s/%s (%s)@." gadgets k
+          let fault = is_fault r.Thm3_adversary.result in
+          Format.fprintf ppf "%-10d %-4d %-7d %-9b %-10s %-12s %s/%s (%s)@." gadgets k
             (gadgets * k * k)
             r.Thm3_adversary.preconditions_met
-            (match r.Thm3_adversary.result with
-            | `Defeated _ -> "DEFEATED"
-            | `Survived -> "survived")
-            r.Thm3_adversary.seam_used
-            (class_name r.Thm3_adversary.first_class)
-            (class_name r.Thm3_adversary.last_class)
+            (result_label r.Thm3_adversary.result)
+            (if fault then "-" else string_of_bool r.Thm3_adversary.seam_used)
+            (if fault then "-" else class_name r.Thm3_adversary.first_class)
+            (if fault then "-" else class_name r.Thm3_adversary.last_class)
             name)
         [ ("greedy", Portfolio.greedy ()); ("gadget-rows", Portfolio.gadget_rows ()) ])
     cases;
   Format.fprintf ppf
-    "@.Defeat precondition T < gadgets/2 - 1: the tolerated locality grows@.";
+    "@.Defeat precondition (formula) T < gadgets/2 - 1: the tolerated locality grows@.";
   Format.fprintf ppf "linearly with n = gadgets * k^2, matching Omega(n):@.";
   Format.fprintf ppf "%-10s %-8s %-8s@." "gadgets" "n(k=3)" "max T";
   List.iter

@@ -72,13 +72,11 @@ let check_deadline t =
       if elapsed > deadline then
         fail t (Misbehavior.Deadline_exceeded { elapsed; deadline })
 
-(* The ambient guard is domain-local, not global: a guard installed on
-   one domain must never meter (or fail) a game on another. *)
-let current : t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* The ambient guard: the innermost guarded call in progress. *)
+let current : t option ref = ref None
 
 let tick ?(cost = 1) () =
-  match !(Domain.DLS.get current) with
+  match !current with
   | None -> ()
   | Some t ->
       t.work <- t.work + cost;
@@ -97,7 +95,6 @@ let tick ?(cost = 1) () =
       end
 
 let with_current t f =
-  let current = Domain.DLS.get current in
   let saved = !current in
   current := Some t;
   Fun.protect ~finally:(fun () -> current := saved) f

@@ -37,12 +37,14 @@
     typed {!Misbehavior.Unresponsive} certificate, which is exactly the
     case this guard cannot catch.
 
-    Domain safety: a guard's meters are mutated only by the domain
-    running its guarded calls, and the {e ambient} guard that {!tick}
-    consults is domain-local — a guard can never charge (or fault) a
-    game running on another domain.  Backtrace recording is per-domain in
-    OCaml 5 and {!create} enables it on the domain that will run the
-    game, since guards are created inside the cell that plays it. *)
+    Single-domain: the {e ambient} guard that {!tick} consults is one
+    plain value per process, the innermost guarded call in progress.
+    A task may spawn a domain (the {!Supervisor} then retires its
+    worker), but it must not record into [Obs], [Guard] or the thm1
+    game cache from that domain: a {!tick} there would charge whatever
+    guard the main domain has installed.  {!create} enables backtrace
+    recording on the calling domain, since guards are created inside
+    the cell that plays the game. *)
 
 type limits = {
   max_color_calls : int option;  (** color calls allowed per guard *)
@@ -79,10 +81,9 @@ val is_fatal : exn -> bool
 
 val tick : ?cost:int -> unit -> unit
 (** Cooperative poll point: consumes [cost] (default 1) work units from
-    the innermost active guard {e of the current domain} and checks its
-    budgets.  A no-op when no guarded call is in progress on this
-    domain, so instrumented algorithms run unchanged outside the
-    harness. *)
+    the innermost active guard and checks its budgets.  A no-op when no
+    guarded call is in progress, so instrumented algorithms run
+    unchanged outside the harness. *)
 
 val algorithm : t -> Models.Algorithm.t -> Models.Algorithm.t
 (** Wrap an algorithm so every [instantiate] and every color call runs

@@ -87,13 +87,31 @@ external close_inherited : Unix.file_descr -> Unix.file_descr -> unit
 
 let heartbeat_byte = Wire.encode_bare 'H'
 
+(* Fork copies [Filename]'s temp-name generator, so sibling workers would
+   draw the same names, and a name one worker freed another could take.
+   Each worker draws its names in a directory of its own instead, named
+   after its pid so the parent can find it.  The worker removes it before
+   it exits; the parent removes it after reaping a worker that could not. *)
+let temp_dir pid =
+  Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "worker-%d" pid)
+
+(* Symlinks are unlinked, never followed. *)
+let rec remove_tree path =
+  try
+    if (Unix.lstat path).Unix.st_kind = Unix.S_DIR then begin
+      Array.iter (fun name -> remove_tree (Filename.concat path name)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Unix.unlink path
+  with Unix.Unix_error _ | Sys_error _ -> ()
+
 (* What a fresh fork gave a task.  The trace sink and recorder are the
-   worker's own capture, started afresh; inherited shards would make a
-   stats drain re-count the parent's history (or the previous task's);
-   the parent's signal handlers must not survive the fork: a server's
-   SIGTERM drain handler would swallow the watchdog's SIGTERM and turn
-   every watchdog kill into a forced SIGKILL.  A reply to a parent that
-   is already gone is dropped, not fatal. *)
+   worker's own capture, started afresh; an inherited stats table would
+   make a stats drain re-count the parent's history (or the previous
+   task's); the parent's signal handlers must not survive the fork: a
+   server's SIGTERM drain handler would swallow the watchdog's SIGTERM
+   and turn every watchdog kill into a forced SIGKILL.  A reply to a
+   parent that is already gone is dropped, not fatal. *)
 let restore capture =
   Obs.Flight.begin_task capture;
   Obs.Stats.reset ();
@@ -126,6 +144,14 @@ let rec next_request fd dec buf =
    second time. *)
 let worker_main config work ~req ~rep =
   close_inherited req rep;
+  let tmp = temp_dir (Unix.getpid ()) in
+  (match Unix.mkdir tmp 0o700 with
+  | () | (exception Unix.Unix_error (Unix.EEXIST, _, _)) -> Filename.set_temp_dir_name tmp
+  | exception Unix.Unix_error _ -> ());
+  let quit code =
+    remove_tree tmp;
+    Unix._exit code
+  in
   let capture = Obs.Flight.capture_in_child () in
   let dec = Wire.decoder ~max_payload:max_int ~tags:"T" () in
   let buf = Bytes.create 4096 in
@@ -135,7 +161,7 @@ let worker_main config work ~req ~rep =
     if !running then begin
       (match Wire.write_all rep heartbeat_byte with
       | () -> ()
-      | exception Unix.Unix_error (Unix.EPIPE, _, _) -> Unix._exit 0 (* the parent is gone *)
+      | exception Unix.Unix_error (Unix.EPIPE, _, _) -> quit 0 (* the parent is gone *)
       | exception Unix.Unix_error _ -> ());
       ignore (Unix.alarm config.heartbeat_interval)
     end
@@ -143,7 +169,7 @@ let worker_main config work ~req ~rep =
   let rec serve () =
     restore capture;
     match next_request req dec buf with
-    | None -> Unix._exit 0
+    | None -> quit 0
     | Some request ->
         if config.heartbeat_interval > 0 then begin
           running := true;
@@ -166,7 +192,7 @@ let worker_main config work ~req ~rep =
                  | snap -> frame 'S' (Obs.Stats.to_string snap));
               frame 'R' s;
               not (domain_is_multicore ())
-          | exception Sys.Break -> Unix._exit 130
+          | exception Sys.Break -> quit 130
           | exception exn ->
               (* Even in-process-fatal conditions (Stack_overflow,
                  Out_of_memory) are contained here: no task, however
@@ -179,7 +205,7 @@ let worker_main config work ~req ~rep =
         ignore (Unix.alarm 0);
         if stays then Buffer.add_bytes out heartbeat_byte;
         (try Wire.write_all rep (Buffer.to_bytes out) with Unix.Unix_error _ -> ());
-        if stays then serve () else Unix._exit 0
+        if stays then serve () else quit 0
   in
   serve ()
 
@@ -222,6 +248,7 @@ type 'a worker = {
   req : Unix.file_descr;
   rep : Unix.file_descr;
   dec : Wire.decoder;
+  tmp : string;  (* its temp directory *)
   mutable state : 'a state;
   mutable key : string;  (* its current or last task, for traces *)
   mutable bad : string option;  (* why its output failed to decode *)
@@ -306,6 +333,7 @@ let fork_worker t task =
           (* Uncapped: the peer is this process's own fork, and a traced
              task's events can outgrow the socket default. *)
           dec = Wire.decoder ~max_payload:max_int ~tags:"VRES" ~bare:"H" ();
+          tmp = temp_dir pid;
           state = Ready;
           key = task.name;
           bad = None;
@@ -604,6 +632,7 @@ let died t w a status =
 let reap t w =
   close_pipes w;
   let _, status = waitpid_retry w.pid in
+  remove_tree w.tmp;
   exited t w status;
   t.workers <- List.filter (fun w' -> w' != w) t.workers;
   match w.state with
@@ -639,7 +668,12 @@ let shutdown t =
       | Replied | Ready | Retiring -> ());
       close_pipes w)
     t.workers;
-  List.iter (fun w -> exited t w (snd (waitpid_retry w.pid))) t.workers;
+  List.iter
+    (fun w ->
+      let _, status = waitpid_retry w.pid in
+      remove_tree w.tmp;
+      exited t w status)
+    t.workers;
   t.workers <- [];
   t.waiting <- [];
   Queue.clear t.queue

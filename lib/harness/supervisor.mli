@@ -63,13 +63,18 @@
     sockets and journal, a sweep's checkpoint, sibling workers' pipes —
     so a closed connection reads EOF at once, a drained server refuses
     connections, and a worker reads EOF and exits 0 when its parent
-    dies, even by [SIGKILL].  Before each task it restores what a fresh
-    fork gave the task: [SIGTERM] and [SIGINT] at their defaults (a
-    parent's own handlers, such as the server's drain, must not swallow
-    the watchdog's [SIGTERM]), [SIGPIPE] ignored, a fresh capture of
-    the task's trace events ({!Obs.Flight.begin_task}; the parent's
-    sink and recorder were detached at fork), and the {!Obs.Stats}
-    shards reset ({!Obs.Stats.reset}).
+    dies, even by [SIGKILL].  It also points [Filename]'s temp directory
+    at a directory of its own, [worker-PID] under the parent's: fork
+    copies the temp-name generator, so sibling workers would otherwise
+    draw the same names.  The worker removes that directory before it
+    exits, and the parent after reaping it.  Before each task it
+    restores what a fresh fork gave the task: [SIGTERM] and [SIGINT] at
+    their defaults (a parent's own handlers, such as the server's
+    drain, must not swallow the watchdog's [SIGTERM]), [SIGPIPE]
+    ignored, a fresh capture of the task's trace events
+    ({!Obs.Flight.begin_task}; the parent's sink and recorder were
+    detached at fork), and an empty {!Obs.Stats} table
+    ({!Obs.Stats.reset}).
 
     A worker is replaced — the next task that needs its slot forks a
     new one — only when it dies (of its task, the watchdog, a {!kill}

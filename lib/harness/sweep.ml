@@ -230,11 +230,10 @@ module Journal = struct
                  input_char ic <> '\n'
                end)
 
-  (* Whole records only: each append happens under the mutex and is
-     flushed before release, so concurrent writers interleave at record
-     granularity and a kill can tear at most the final record — the same
-     torn-record semantics [load] already repairs. *)
-  type t = { oc : out_channel; mutex : Mutex.t }
+  (* Whole records only: each append is flushed before it returns, so a
+     kill can tear at most the final record — the same torn-record
+     semantics [load] already repairs. *)
+  type t = out_channel
 
   let first_line path =
     match open_in_bin path with
@@ -284,18 +283,17 @@ module Journal = struct
           output_char oc '\n')
     end;
     flush oc;
-    { oc; mutex = Mutex.create () }
+    oc
 
-  let append t ~key value =
-    Mutex.protect t.mutex (fun () ->
-        let body = escape key ^ "\t" ^ escape value in
-        let record = body ^ "\t" ^ trailer_of body ^ "\n" in
-        output_string t.oc record;
-        flush t.oc;
-        if Obs.Trace.on () then
-          Obs.Trace.emit (Obs.Trace.Checkpoint_flush { key; bytes = String.length record }))
+  let append oc ~key value =
+    let body = escape key ^ "\t" ^ escape value in
+    let record = body ^ "\t" ^ trailer_of body ^ "\n" in
+    output_string oc record;
+    flush oc;
+    if Obs.Trace.on () then
+      Obs.Trace.emit (Obs.Trace.Checkpoint_flush { key; bytes = String.length record })
 
-  let close t = close_out_noerr t.oc
+  let close = close_out_noerr
 end
 
 let load = Journal.load_table

@@ -88,8 +88,7 @@ module Journal : sig
       for a pre-v2 file, appending a v2 header line). *)
 
   val append : t -> key:string -> string -> unit
-  (** Append one record — escaped, CRC-trailered, and flushed whole —
-      under the journal's mutex.  Safe from any domain. *)
+  (** Append one record — escaped, CRC-trailered, and flushed whole. *)
 
   val close : t -> unit
 

@@ -145,15 +145,14 @@ type ring = {
   ids : Bytes.t;  (** event id per slot *)
   tss : float array;  (** unboxed timestamp per slot *)
   values : Trace.columns;  (** field values, one slot per record *)
-  w : int;  (** the stream it records: a domain id or a worker slot *)
+  w : int;  (** the stream it records: 0 for this process, or a worker slot *)
   mutable now : float;  (** cached clock, refreshed every 32 hot appends *)
   mutable next : int;  (** total records appended *)
   mutable flushed : int;  (** records already written to disk *)
-  buf : Buffer.t;  (** scratch for encoding at flush, domain-private *)
-  r_epoch : int;  (** the install this ring records for *)
+  buf : Buffer.t;  (** scratch for encoding at flush *)
 }
 
-let make_ring ~cap ~w ~epoch =
+let make_ring ~cap ~w =
   {
     ids = Bytes.make cap '\000';
     tss = Array.make cap 0.0;
@@ -163,8 +162,25 @@ let make_ring ~cap ~w ~epoch =
     next = 0;
     flushed = 0;
     buf = Buffer.create 256;
-    r_epoch = epoch;
   }
+
+(* This process's ring is reset, not reallocated, by the next install
+   whose capacity fits.  A worker process installs a fresh capture per
+   task, so a long sweep would otherwise allocate a ring per cell, and
+   that allocation, with the major collections it drives, outweighs the
+   recording itself. *)
+let own_ring : ring option ref = ref None
+
+let fresh_ring cap =
+  match !own_ring with
+  | Some r when Array.length r.tss = cap ->
+      r.next <- 0;
+      r.flushed <- 0;
+      r
+  | _ ->
+      let r = make_ring ~cap ~w:0 in
+      own_ring := Some r;
+      r
 
 (* ------------------------------- sink ------------------------------- *)
 
@@ -179,69 +195,31 @@ type sink = {
   lossless : bool;
       (** flush a full ring rather than overwrite it: a worker whose
           parent streams NDJSON ships every event *)
+  ring : ring;  (** this process's events *)
   relayed : (int, ring) Hashtbl.t;  (** rings of relayed worker streams, by [w] *)
   mutable error : string option;  (** the first I/O error, set once *)
 }
 
-let sink : sink option Atomic.t = Atomic.make None
-let on () = Atomic.get sink <> None
+let sink : sink option ref = ref None
+let on () = Option.is_some !sink
 
-(* Bumped on every install: a ring cached for a previous sink is reset
-   before it records again, so no event is inherited. *)
-let ring_epoch = Atomic.make 0
+(* Anomaly flushes under the current sink: a nonzero count makes the
+   teardown flush the tail, so an anomalous run's file also carries the
+   events {e after} the last anomaly (the verdict, the audit). *)
+let anomaly_flushes = ref 0
+
+let install ~target ~cap ~t0 ~lossless =
+  let ring = fresh_ring cap in
+  let s = { target; cap; t0; lossless; ring; relayed = Hashtbl.create 4; error = None } in
+  sink := Some s;
+  anomaly_flushes := 0;
+  s
 
 (* The frame of the record parked in slot [k] (an absolute index). *)
 let slot_frame s r k =
   let idx = k mod s.cap in
   let id = Char.code (Bytes.get r.ids idx) in
   encode_frame r.buf ~i:k ~w:r.w ~ts:r.tss.(idx) (id, Trace.load r.values idx id)
-
-let ring_key : ring option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-(* A ring is reset, not reallocated, when a new sink is installed, and
-   the rings of exited domains are handed on to the next domain that
-   records.  A worker process installs a fresh capture per task, so a
-   long sweep would otherwise allocate a ring per cell, and that
-   allocation, with the major collections it drives, outweighs the
-   recording itself. *)
-let spares : ring list ref = ref []
-let spares_mutex = Mutex.create ()
-
-let ring_for s =
-  let cell = Domain.DLS.get ring_key in
-  let epoch = Atomic.get ring_epoch in
-  match !cell with
-  | Some r when r.r_epoch = epoch -> r
-  | previous ->
-      let fits r = Array.length r.tss = s.cap in
-      let reused =
-        match previous with
-        | Some r when fits r -> Some r
-        | _ ->
-            (* Spares of another capacity belong to an earlier sink. *)
-            Mutex.protect spares_mutex (fun () ->
-                match List.filter fits !spares with
-                | r :: rest ->
-                    spares := rest;
-                    Some r
-                | [] ->
-                    spares := [];
-                    None)
-      in
-      let w = (Domain.self () :> int) in
-      let r =
-        match reused with
-        | Some r -> { r with w; next = 0; flushed = 0; r_epoch = epoch }
-        | None -> make_ring ~cap:s.cap ~w ~epoch
-      in
-      if Option.is_none previous then
-        Domain.at_exit (fun () ->
-            Option.iter
-              (fun r -> Mutex.protect spares_mutex (fun () -> spares := r :: !spares))
-              !cell);
-      cell := Some r;
-      r
 
 (* Write [data] to [path] and flush it before closing, so a full disk
    raises here rather than in a [close_out_noerr] that would swallow
@@ -255,10 +233,10 @@ let write_file flags path data =
       flush oc)
 
 let uninstall s =
-  match Atomic.get sink with
-  | Some s' as cur when s' == s ->
+  match !sink with
+  | Some s' when s' == s ->
       Trace.set_hook None;
-      ignore (Atomic.compare_and_set sink cur None)
+      sink := None
   | _ -> ()
 
 (* Observers never raise into the code they observe: the first I/O
@@ -267,31 +245,21 @@ let detach s msg =
   if s.error = None then s.error <- Some msg;
   uninstall s
 
-(* One writer at a time, one [output] per flush: concurrent anomalies on
-   different domains interleave at flush granularity, never inside a
-   frame. *)
-let flush_mutex = Mutex.create ()
-
+(* One [write] per flush, so a flush never splits a frame. *)
 let flush_ring s r =
-  Mutex.protect flush_mutex (fun () ->
-      let first = max r.flushed (r.next - s.cap) in
-      if s.error = None && first < r.next then begin
-        let out = match s.target with Memory frames -> frames | File _ -> Buffer.create 4096 in
-        for k = first to r.next - 1 do
-          Buffer.add_string out (slot_frame s r k)
-        done;
-        match s.target with
-        | Memory _ -> r.flushed <- r.next
-        | File path -> (
-            match write_file [ Open_append ] path (Buffer.contents out) with
-            | () -> r.flushed <- r.next
-            | exception Sys_error msg -> detach s msg)
-      end)
-
-(* Anomaly flushes under the current sink: a nonzero count makes the
-   teardown flush the tail, so an anomalous run's file also carries the
-   events {e after} the last anomaly (the verdict, the audit). *)
-let anomaly_flushes = Atomic.make 0
+  let first = max r.flushed (r.next - s.cap) in
+  if s.error = None && first < r.next then begin
+    let out = match s.target with Memory frames -> frames | File _ -> Buffer.create 4096 in
+    for k = first to r.next - 1 do
+      Buffer.add_string out (slot_frame s r k)
+    done;
+    match s.target with
+    | Memory _ -> r.flushed <- r.next
+    | File path -> (
+        match write_file [ Open_append ] path (Buffer.contents out) with
+        | () -> r.flushed <- r.next
+        | exception Sys_error msg -> detach s msg)
+  end
 
 (* Park [ev] in [r]'s next slot; [ts] stamps it, or — for [nan] — the
    ring's cached clock does.  Hot events share a clock sample refreshed
@@ -311,41 +279,23 @@ let append s r ~ts ev =
   Bytes.set r.ids k (Char.unsafe_chr id);
   r.next <- r.next + 1;
   if Trace.anomalous ev then begin
-    Atomic.incr anomaly_flushes;
+    incr anomaly_flushes;
     flush_ring s r
   end
 
-let record ev =
-  match Atomic.get sink with
-  | None -> ()
-  | Some s -> append s (ring_for s) ~ts:Float.nan ev
-
-let flush () =
-  match Atomic.get sink with
-  | None -> ()
-  | Some s -> flush_ring s (ring_for s)
+let record ev = match !sink with None -> () | Some s -> append s s.ring ~ts:Float.nan ev
+let flush () = match !sink with None -> () | Some s -> flush_ring s s.ring
 
 let with_sink ?(program = Filename.basename Sys.executable_name)
     ?(cap = default_cap) ?(on_error = fun msg -> raise (Sys_error msg)) ~path f =
-  let s =
-    {
-      target = File path;
-      cap;
-      t0 = Unix.gettimeofday ();
-      lossless = false;
-      relayed = Hashtbl.create 4;
-      error = None;
-    }
-  in
-  if not (Atomic.compare_and_set sink None (Some s)) then
+  if Option.is_some !sink then
     invalid_arg "Flight.with_sink: a flight sink is already installed";
-  Atomic.incr ring_epoch;
-  Atomic.set anomaly_flushes 0;
+  let s = install ~target:(File path) ~cap ~t0:(Unix.gettimeofday ()) ~lossless:false in
   (* Header frame, written through the normal encoder so the file is
      self-describing whether or not an anomaly ever flushes. *)
   let header =
     frame
-      { Trace.i = 0; w = (Domain.self () :> int); ts = 0.0;
+      { Trace.i = 0; w = 0; ts = 0.0;
         ev = Trace_header { version = Trace.version; program } }
   in
   (match write_file [ Open_trunc ] path header with
@@ -356,8 +306,8 @@ let with_sink ?(program = Filename.basename Sys.executable_name)
       ~finally:(fun () ->
         (* An anomalous run flushes its tails on the way out — a clean
            run leaves only the header on disk. *)
-        if Atomic.get anomaly_flushes > 0 then begin
-          flush ();
+        if !anomaly_flushes > 0 then begin
+          flush_ring s s.ring;
           Hashtbl.iter (fun _ r -> flush_ring s r) s.relayed
         end;
         uninstall s)
@@ -401,6 +351,19 @@ let iter_records ~path data f =
     cur.pos <- payload_end
   done
 
+(* Binary ids are positions in [Trace.kinds], so a file of another
+   version would misparse: a flight file must open with this version's
+   header. *)
+let check_header ~path (r : Trace.record) =
+  let reject msg = raise (Json.Parse_error (Printf.sprintf "%s: byte 0: %s" path msg)) in
+  match r.ev with
+  | Trace_header { version; _ } when version = Trace.version -> ()
+  | Trace_header { version; _ } ->
+      reject
+        (Printf.sprintf "flight format version %d, this reader reads only version %d"
+           version Trace.version)
+  | _ -> reject "missing trace header"
+
 let read_file path =
   let data =
     let ic = open_in_bin path in
@@ -409,7 +372,9 @@ let read_file path =
       (fun () -> In_channel.input_all ic)
   in
   let records = ref [] in
-  iter_records ~path data (fun r -> records := r :: !records);
+  iter_records ~path data (fun r ->
+      if !records = [] then check_header ~path r;
+      records := r :: !records);
   List.rev !records
 
 (* -------------------------- worker processes ------------------------ *)
@@ -424,39 +389,29 @@ type capture = { mode : [ `Off | `All | `Anomalies ]; frames : Buffer.t }
 let capture_in_child () =
   let streaming = Trace.detach_in_child () in
   let mode =
-    match Atomic.get sink with
+    match !sink with
     | _ when streaming -> `All
     | Some { target = Memory _; lossless = true; _ } -> `All
     | Some _ -> `Anomalies
     | None -> `Off
   in
-  Atomic.set sink None;
+  sink := None;
   { mode; frames = Buffer.create 4096 }
 
 let begin_task c =
   ignore (Trace.detach_in_child ());
-  Atomic.set sink None;
+  sink := None;
   Buffer.clear c.frames;
   if c.mode <> `Off then begin
-    Atomic.set sink
-      (Some
-         {
-           target = Memory c.frames;
-           cap = default_cap;
-           t0 = 0.;
-           lossless = c.mode = `All;
-           relayed = Hashtbl.create 1;
-           error = None;
-         });
-    Atomic.incr ring_epoch;
-    Atomic.set anomaly_flushes 0;
+    ignore
+      (install ~target:(Memory c.frames) ~cap:default_cap ~t0:0. ~lossless:(c.mode = `All));
     Trace.set_hook (Some record)
   end
 
 let end_task c =
-  match Atomic.get sink with
+  match !sink with
   | Some ({ target = Memory frames; _ } as s) when frames == c.frames ->
-      if s.lossless || Atomic.get anomaly_flushes > 0 then flush_ring s (ring_for s);
+      if s.lossless || !anomaly_flushes > 0 then flush_ring s s.ring;
       uninstall s;
       if Buffer.length frames = 0 then None else Some (Buffer.contents frames)
   | Some _ | None -> None
@@ -467,15 +422,15 @@ let end_task c =
 let relay ~w frames =
   let forward (r : Trace.record) =
     Trace.relay ~w ~at:r.ts r.ev;
-    match Atomic.get sink with
+    match !sink with
     | None -> ()
-    | Some ({ target = Memory _; _ } as s) -> append s (ring_for s) ~ts:r.ts r.ev
+    | Some ({ target = Memory _; _ } as s) -> append s s.ring ~ts:r.ts r.ev
     | Some ({ target = File _; _ } as s) ->
         let ring =
           match Hashtbl.find_opt s.relayed w with
           | Some ring -> ring
           | None ->
-              let ring = make_ring ~cap:s.cap ~w ~epoch:0 in
+              let ring = make_ring ~cap:s.cap ~w in
               Hashtbl.replace s.relayed w ring;
               ring
         in

@@ -1,17 +1,21 @@
-(** The flight recorder: a per-domain in-memory ring of {!Trace.event}s,
-    written to disk in a compact binary encoding {e only on anomaly}.
+(** The flight recorder: an in-memory ring of {!Trace.event}s, written
+    to disk in a compact binary encoding {e only on anomaly}.
 
     NDJSON tracing (E9) costs ~121% on a hot game because every step
-    formats JSON and hits the file through a shared mutex.  The flight
-    recorder records the same event vocabulary into a domain-private
-    ring buffer — no lock, no formatting, no I/O, not even encoding
-    (the ring holds the record values; the binary codec runs at flush
-    time) — and writes bytes
-    only when something worth investigating happens: a misbehavior
-    certificate, a quarantine, a watchdog kill, a fault injection, or a
-    failed audit.  A clean million-game campaign leaves just the header
-    on disk; a crash leaves the last [cap] events each involved domain
-    saw, exactly when forensics wants them.
+    formats JSON and writes to the file.  The flight recorder records
+    the same event vocabulary into a ring buffer — no formatting, no
+    I/O, not even encoding (the ring holds the record values; the
+    binary codec runs at flush time) — and writes bytes only when
+    something worth investigating happens: a misbehavior certificate, a
+    quarantine, a watchdog kill, a fault injection, or a failed audit.
+    A clean million-game campaign leaves just the header on disk; a
+    crash leaves the last [cap] events each involved process saw,
+    exactly when forensics wants them.
+
+    Single-domain: the recorder and its rings are plain state and take
+    no lock.  A task may spawn a domain (the [Harness.Supervisor] then
+    retires its worker), but it must not record into [Obs], [Guard] or
+    the thm1 game cache from that domain.
 
     {2 Wire format}
 
@@ -25,21 +29,21 @@
     ~120 as NDJSON.  The file stays binary because anomaly-heavy runs
     flush tens of thousands of records: NDJSON would triple their size
     and add ~3 µs per record.  The first frame of every file is the
-    {!Trace.Trace_header}, so a flight file is self-describing and
-    {!read_file} rejects newer format versions like the NDJSON reader
-    does.  [bin/trace_report.exe] sniffs the first byte (['F'] vs
-    ['{']) and renders both formats identically.
+    {!Trace.Trace_header}, so a flight file is self-describing;
+    {!read_file} accepts only this {!Trace.version}, since binary ids
+    are positions in {!Trace.kinds}.  [bin/trace_report.exe] sniffs the
+    first byte (['F'] vs ['{']) and renders both formats identically.
 
     {2 Scope}
 
     Rings are per stream: an anomaly flushes the ring of the stream that
     saw it (the events causally near the anomaly), not every ring.  A
-    stream is a domain of this process, or a supervised worker process
-    relayed by {!relay}.  Flushes append under a process-wide mutex with
-    one [write] each, so concurrent anomalies interleave at flush
-    granularity.  Record [i] is the per-stream sequence number, [w] the
-    stream (the domain id, or the worker's 1-based slot) — per-worker
-    streams stay causally ordered, as [trace_report] expects.
+    stream is this process, or a supervised worker process relayed by
+    {!relay}.  Each flush appends with one [write], so streams
+    interleave at flush granularity.  Record [i] is the per-stream
+    sequence number, [w] the stream (0 for this process, or the
+    worker's 1-based slot) — per-worker streams stay causally ordered,
+    as [trace_report] expects.
 
     A worker process records its task's events into a ring of its own
     ({!capture_in_child}) and ships them with its reply, but only when
@@ -57,13 +61,13 @@ val on : unit -> bool
 (** Whether a flight sink is installed. *)
 
 val record : Trace.event -> unit
-(** Append one event to this domain's ring (no-op without a sink);
+(** Append one event to this process's ring (no-op without a sink);
     flush the ring if the event is {!Trace.anomalous}.  Installed as
     the {!Trace.set_hook} consumer by {!with_sink} — call sites keep
     emitting through {!Trace.emit}. *)
 
 val flush : unit -> unit
-(** Force-flush this domain's ring (e.g. before a deliberate abort). *)
+(** Force-flush this process's ring (e.g. before a deliberate abort). *)
 
 val with_sink :
   ?program:string ->
@@ -75,11 +79,12 @@ val with_sink :
 (** Truncate [path], write the header frame, install the recorder (and
     the {!Trace.set_hook} tap) for the duration of the callback, then
     uninstall — also on exception.  If any anomaly flushed during the
-    callback, teardown flushes the calling domain's ring and every
-    relayed worker's ring once more, so an anomalous run's file also
-    carries the events after the last anomaly (the verdict, the audit);
-    a clean run leaves only the header on disk.  Rings from a previous sink are invalidated, not
-    inherited.  Nesting raises [Invalid_argument].
+    callback, teardown flushes this process's ring and every relayed
+    worker's ring once more, so an anomalous run's file also carries the
+    events after the last anomaly (the verdict, the audit); a clean run
+    leaves only the header on disk.  Events recorded under a previous
+    sink are dropped, not inherited.  Nesting raises
+    [Invalid_argument].
 
     Like {!Trace.with_sink}, the recorder catches its own I/O errors:
     the first one (writing the header or any flush) detaches it, the
@@ -104,8 +109,9 @@ val is_flight_file : string -> bool
 
 val read_file : string -> Trace.record list
 (** Decode a whole flight file.
-    @raise Json.Parse_error on a malformed frame or an incompatible
-    header version, naming the byte offset (same exception family as
+    @raise Json.Parse_error on a malformed frame, or when the first
+    frame is not a {!Trace.Trace_header} of this {!Trace.version},
+    naming the byte offset (same exception family as
     {!Trace.read_file}, so readers handle both formats uniformly). *)
 
 (** {2 Worker processes}
@@ -114,7 +120,7 @@ val read_file : string -> Trace.record list
     worker captures each task's events with {!begin_task} and
     {!end_task} and ships the frames in its reply; the parent hands them
     to {!relay}.  The frames are this module's file frames, so every
-    event kind crosses unchanged.  Single-domain on both sides. *)
+    event kind crosses unchanged. *)
 
 type capture
 (** What a worker records of its tasks, decided once at fork. *)

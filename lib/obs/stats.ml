@@ -122,42 +122,17 @@ let series_of_acc acc =
 
 (* ----------------------------- registry ----------------------------- *)
 
-type shard = { s_series : (string, acc) Hashtbl.t; s_epoch : int }
+let enabled = ref false
+let on () = !enabled
+let enable () = enabled := true
+let disable () = enabled := false
 
-let enabled = Atomic.make false
-let on () = Atomic.get enabled
-let enable () = Atomic.set enabled true
-let disable () = Atomic.set enabled false
+(* Everything this process recorded or absorbed.  Inside {!scoped},
+   recording goes to the scope's own table instead. *)
+let table : (string, acc) Hashtbl.t = Hashtbl.create 32
+let scope : (string, acc) Hashtbl.t option ref = ref None
 
-(* Domain-private shards for lock-free recording, registered globally
-   so drain can merge shards of terminated workers; [foreign] collects
-   absorbed child-process and checkpoint snapshots. *)
-let registry : shard list ref = ref []
-let foreign : (string, acc) Hashtbl.t = Hashtbl.create 32
-let registry_mutex = Mutex.create ()
-let epoch = Atomic.make 0
-
-let shard_key : shard option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let scope_key : (string, acc) Hashtbl.t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let shard () =
-  let cell = Domain.DLS.get shard_key in
-  match !cell with
-  | Some s when s.s_epoch = Atomic.get epoch -> s
-  | _ ->
-      let s = { s_series = Hashtbl.create 16; s_epoch = Atomic.get epoch } in
-      Mutex.protect registry_mutex (fun () -> registry := s :: !registry);
-      cell := Some s;
-      s
-
-let reset () =
-  Atomic.incr epoch;
-  Mutex.protect registry_mutex (fun () ->
-      registry := [];
-      Hashtbl.reset foreign)
+let reset () = Hashtbl.reset table
 
 let find_acc tbl name =
   match Hashtbl.find_opt tbl name with
@@ -168,14 +143,8 @@ let find_acc tbl name =
       acc
 
 let observe name v =
-  if Atomic.get enabled then begin
-    let tbl =
-      match !(Domain.DLS.get scope_key) with
-      | Some scope -> scope
-      | None -> (shard ()).s_series
-    in
-    record (find_acc tbl name) v
-  end
+  if !enabled then
+    record (find_acc (match !scope with Some tbl -> tbl | None -> table) name) v
 
 let snapshot_of_tbl tbl =
   Hashtbl.fold (fun k acc l -> (k, series_of_acc acc) :: l) tbl []
@@ -256,44 +225,27 @@ let merge a b =
   merge_into_tbl tbl b;
   snapshot_of_tbl tbl
 
-let absorb (snap : snapshot) =
-  if snap <> [] then
-    Mutex.protect registry_mutex (fun () ->
-        List.iter (fun (name, s) -> merge_series_into (find_acc foreign name) s) snap)
+let absorb (snap : snapshot) = merge_into_tbl table snap
 
 let absorb_string str =
   if str = "" then Ok ()
   else match of_string str with Ok snap -> absorb snap; Ok () | Error e -> Error e
 
 let scoped f =
-  if not (Atomic.get enabled) then (f (), "")
+  if not !enabled then (f (), "")
   else begin
-    let cell = Domain.DLS.get scope_key in
-    let saved = !cell in
+    let saved = !scope in
     let tbl = Hashtbl.create 8 in
-    cell := Some tbl;
-    let x = Fun.protect ~finally:(fun () -> cell := saved) f in
+    scope := Some tbl;
+    let x = Fun.protect ~finally:(fun () -> scope := saved) f in
     let snap = snapshot_of_tbl tbl in
     (* The scope's contribution still counts toward this process's own
        drain — only the encoded delta travels to checkpoints. *)
-    if Atomic.get enabled then begin
-      let s = (shard ()).s_series in
-      match saved with
-      | Some outer -> merge_into_tbl outer snap
-      | None -> merge_into_tbl s snap
-    end;
+    if !enabled then merge_into_tbl (Option.value saved ~default:table) snap;
     (x, if snap = [] then "" else to_string snap)
   end
 
-let drain () =
-  let shards, absorbed =
-    Mutex.protect registry_mutex (fun () ->
-        (!registry, snapshot_of_tbl foreign))
-  in
-  let tbl = Hashtbl.create 32 in
-  List.iter (fun s -> merge_into_tbl tbl (snapshot_of_tbl s.s_series)) shards;
-  merge_into_tbl tbl absorbed;
-  snapshot_of_tbl tbl
+let drain () = snapshot_of_tbl table
 
 (* ----------------------------- derived ----------------------------- *)
 

@@ -1,16 +1,21 @@
 (** Streaming campaign statistics: mergeable per-series accumulators —
     count, mean, variance, min/max, and an HDR-style quantile sketch —
-    {e sharded per domain} and merged at {!drain}.  Each domain records
-    into a private [Domain.DLS] shard, so the hot path takes no lock;
-    shards register in a global list, so {!drain} also merges the
-    shards of domains that have since terminated.
+    held in one table per process and merged exactly.  A worker
+    process's table travels to its parent as an encoded snapshot (the
+    supervisor's ['S'] frame), and a resumed sweep replays each cell's
+    checkpointed delta; the parent {!absorb}s both into its own table.
+
+    Single-domain: nothing in the library spawns a domain, so the table
+    is plain state and takes no lock.  A task may spawn a domain (the
+    [Harness.Supervisor] then retires its worker), but it must not
+    record into [Obs], [Guard] or the thm1 game cache from that domain.
 
     The OnlineStats idiom: every series is O(1) memory however many
     observations it absorbs, and two partial accumulators merge with
     Chan's parallel identities (counts and sums add, the cross term of
     the variance falls out of the exact sums).  A series answers both
     "how many" (its count and sum) and "how were they distributed" —
-    still at one atomic load per call when disabled.  Run-dependent
+    still at one load and a branch per call when disabled.  Run-dependent
     counts (cache hits, retries, kills, flushes) are not kept here:
     they are {!Trace} events, which [trace_report] tallies.
 
@@ -27,7 +32,7 @@
     {!snapshot_to_json} bytes) is byte-identical however the work was
     distributed: same totals at [--jobs 1] and [--jobs 4], in-process or
     on worker processes (CI diffs exactly this).  Keep wall-clock and
-    jobs-dependent values out of the registry; they belong in the
+    jobs-dependent values out of the table; they belong in the
     {!Trace}, which makes no such promise.
 
     {2 Value range}
@@ -67,17 +72,18 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val reset : unit -> unit
-(** Discard every shard and every absorbed foreign snapshot (live
-    domains holding a stale shard re-register lazily on next use). *)
+(** Clear this process's table: everything recorded and absorbed so
+    far.  An open {!scoped} call keeps its own table. *)
 
 val observe : string -> int -> unit
-(** Record one observation into a series.  Disabled (the default), one
-    atomic load and a branch. *)
+(** Record one observation into a series of this process's table, or of
+    the innermost open {!scoped} call's.  Disabled (the default), one
+    load and a branch. *)
 
 val scoped : (unit -> 'a) -> 'a * string
-(** [scoped f] runs [f] with this domain's recording redirected into a
-    fresh scope, then merges the scope into the domain shard and
-    returns [f]'s result together with the scope's encoded delta
+(** [scoped f] runs [f] with recording redirected into a fresh scope,
+    then merges the scope into the enclosing scope (or the process's
+    table) and returns [f]'s result together with the scope's encoded delta
     (see {!to_string}; [""] when stats are off or nothing was
     recorded).  The delta is exactly what [f] contributed — the unit
     {!Harness.Sweep} checkpoints per cell so a resumed run restores
@@ -85,8 +91,8 @@ val scoped : (unit -> 'a) -> 'a * string
 
 val absorb : snapshot -> unit
 (** Merge a foreign snapshot (a child process's drain, a checkpoint
-    delta) into the registry, to be included by the next {!drain}.
-    No-op on the empty snapshot. *)
+    delta) into this process's table, to be included by the next
+    {!drain}.  No-op on the empty snapshot. *)
 
 val absorb_string : string -> (unit, string) result
 (** {!absorb} an encoded snapshot; [Error] on a malformed encoding. *)
@@ -95,8 +101,8 @@ val merge : snapshot -> snapshot -> snapshot
 (** Exact commutative/associative merge of two snapshots. *)
 
 val drain : unit -> snapshot
-(** Merge all shards and absorbed snapshots, names sorted.  Does not
-    reset.  Call it from the main domain after the parallel section. *)
+(** This process's table, recorded and absorbed alike, names sorted.
+    Does not reset. *)
 
 val to_string : snapshot -> string
 (** Canonical compact encoding (deterministic bytes) for transport over

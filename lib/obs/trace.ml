@@ -1,12 +1,10 @@
-let version = 5
+let version = 6
 
 type event =
   | Trace_header of { version : int; program : string }
   | Cell_start of { key : string }
   | Cell_finish of { key : string; status : string }
   | Checkpoint_flush of { key : string; bytes : int }
-  | Worker_start of { index : int }
-  | Worker_stop of { index : int; tasks : int }
   | Game_start of {
       adversary : string;
       algorithm : string;
@@ -71,15 +69,14 @@ type kind = { tag : string; fields : (string * ty) list; hot : bool }
 let kind ?(hot = false) tag fields = { tag; fields; hot }
 
 (* One entry per constructor, in the order of [event]: an event's binary
-   id is its position here, so entries are only ever appended. *)
+   id is its position here, so removing or reordering an entry needs a
+   [version] bump. *)
 let kinds =
   [|
     kind "trace_header" [ ("version", Int); ("program", String) ];
     kind "cell_start" [ ("key", String) ];
     kind "cell_finish" [ ("key", String); ("status", String) ];
     kind "checkpoint_flush" [ ("key", String); ("bytes", Int) ];
-    kind "worker_start" [ ("index", Int) ];
-    kind "worker_stop" [ ("index", Int); ("tasks", Int) ];
     kind "game_start"
       [
         ("adversary", String); ("algorithm", String); ("n", Int);
@@ -195,52 +192,50 @@ let store c k ev =
   | Cell_start { key } -> put_str c 0 key; 1
   | Cell_finish { key; status } -> put_str c 0 key; put_str c 1 status; 2
   | Checkpoint_flush { key; bytes } -> put_str c 0 key; put_int c 0 bytes; 3
-  | Worker_start { index } -> put_int c 0 index; 4
-  | Worker_stop { index; tasks } -> put_int c 0 index; put_int c 1 tasks; 5
   | Game_start { adversary; algorithm; n; max_color_calls; max_work; deadline } ->
       put_str c 0 adversary; put_str c 1 algorithm; put_int c 0 n;
       put_opt_int c 1 max_color_calls; put_opt_int c 2 max_work;
-      put_opt_float c 0 deadline; 6
+      put_opt_float c 0 deadline; 4
   | Game_verdict { adversary; algorithm; n; outcome; guaranteed; color_calls; work } ->
       put_str c 0 adversary; put_str c 1 algorithm; put_int c 0 n; put_str c 2 outcome;
-      put_bool c 1 guaranteed; put_int c 2 color_calls; put_int c 3 work; 7
+      put_bool c 1 guaranteed; put_int c 2 color_calls; put_int c 3 work; 5
   | Step { executor; step; target; revealed; max_view } ->
       put_str c 0 executor; put_int c 0 step; put_int c 1 target; put_int c 2 revealed;
-      put_int c 3 max_view; 8
+      put_int c 3 max_view; 6
   | Reveal { executor; step; fresh; revealed } ->
-      put_str c 0 executor; put_int c 0 step; put_int c 1 fresh; put_int c 2 revealed; 9
-  | Color_call { calls; work } -> put_int c 0 calls; put_int c 1 work; 10
+      put_str c 0 executor; put_int c 0 step; put_int c 1 fresh; put_int c 2 revealed; 7
+  | Color_call { calls; work } -> put_int c 0 calls; put_int c 1 work; 8
   | Audit { executor; ok; detail } ->
-      put_str c 0 executor; put_bool c 0 ok; put_str c 1 detail; 11
-  | Fault_injected { tag; call } -> put_str c 0 tag; put_int c 0 call; 12
-  | Misbehavior { label; detail } -> put_str c 0 label; put_str c 1 detail; 13
+      put_str c 0 executor; put_bool c 0 ok; put_str c 1 detail; 9
+  | Fault_injected { tag; call } -> put_str c 0 tag; put_int c 0 call; 10
+  | Misbehavior { label; detail } -> put_str c 0 label; put_str c 1 detail; 11
   | Child_spawn { key; pid; attempt } ->
-      put_str c 0 key; put_int c 0 pid; put_int c 1 attempt; 14
-  | Child_heartbeat { key; pid } -> put_str c 0 key; put_int c 0 pid; 15
+      put_str c 0 key; put_int c 0 pid; put_int c 1 attempt; 12
+  | Child_heartbeat { key; pid } -> put_str c 0 key; put_int c 0 pid; 13
   | Child_kill { key; pid; signal; elapsed } ->
-      put_str c 0 key; put_int c 0 pid; put_str c 1 signal; put_float c 0 elapsed; 16
+      put_str c 0 key; put_int c 0 pid; put_str c 1 signal; put_float c 0 elapsed; 14
   | Child_exit { key; pid; status; cpu_user; cpu_sys } ->
       put_str c 0 key; put_int c 0 pid; put_str c 1 status; put_float c 0 cpu_user;
-      put_float c 1 cpu_sys; 17
+      put_float c 1 cpu_sys; 15
   | Cell_retry { key; attempt; delay } ->
-      put_str c 0 key; put_int c 0 attempt; put_float c 0 delay; 18
+      put_str c 0 key; put_int c 0 attempt; put_float c 0 delay; 16
   | Cell_quarantined { key; attempts; reason } ->
-      put_str c 0 key; put_int c 0 attempts; put_str c 1 reason; 19
+      put_str c 0 key; put_int c 0 attempts; put_str c 1 reason; 17
   | Server_start { socket; jobs; queue_limit } ->
-      put_str c 0 socket; put_int c 0 jobs; put_int c 1 queue_limit; 20
-  | Conn_open { conn } -> put_int c 0 conn; 21
-  | Conn_close { conn; reason } -> put_int c 0 conn; put_str c 0 reason; 22
+      put_str c 0 socket; put_int c 0 jobs; put_int c 1 queue_limit; 18
+  | Conn_open { conn } -> put_int c 0 conn; 19
+  | Conn_close { conn; reason } -> put_int c 0 conn; put_str c 0 reason; 20
   | Job_submit { id; kind; disposition } ->
-      put_str c 0 id; put_str c 1 kind; put_str c 2 disposition; 23
+      put_str c 0 id; put_str c 1 kind; put_str c 2 disposition; 21
   | Job_reject { id; queued; limit } ->
-      put_str c 0 id; put_int c 0 queued; put_int c 1 limit; 24
-  | Job_start { id; attempt } -> put_str c 0 id; put_int c 0 attempt; 25
-  | Job_done { id; status } -> put_str c 0 id; put_str c 1 status; 26
-  | Server_drain { queued; running } -> put_int c 0 queued; put_int c 1 running; 27
-  | Chaos_injected { kind } -> put_str c 0 kind; 28
-  | Canon_hit { kind; key } -> put_str c 0 kind; put_str c 1 key; 29
+      put_str c 0 id; put_int c 0 queued; put_int c 1 limit; 22
+  | Job_start { id; attempt } -> put_str c 0 id; put_int c 0 attempt; 23
+  | Job_done { id; status } -> put_str c 0 id; put_str c 1 status; 24
+  | Server_drain { queued; running } -> put_int c 0 queued; put_int c 1 running; 25
+  | Chaos_injected { kind } -> put_str c 0 kind; 26
+  | Canon_hit { kind; key } -> put_str c 0 kind; put_str c 1 key; 27
   | Journal_corrupt { path; line; reason } ->
-      put_str c 0 path; put_int c 0 line; put_str c 1 reason; 30
+      put_str c 0 path; put_int c 0 line; put_str c 1 reason; 28
 
 let load c k id =
   let i = ref (k * int_width) and f = ref (k * float_width) and s = ref (k * str_width) in
@@ -291,40 +286,38 @@ let of_values id values =
   | 1, [ S key ] -> Cell_start { key }
   | 2, [ S key; S status ] -> Cell_finish { key; status }
   | 3, [ S key; I bytes ] -> Checkpoint_flush { key; bytes }
-  | 4, [ I index ] -> Worker_start { index }
-  | 5, [ I index; I tasks ] -> Worker_stop { index; tasks }
-  | 6, [ S adversary; S algorithm; I n; calls; work; deadline ] ->
+  | 4, [ S adversary; S algorithm; I n; calls; work; deadline ] ->
       let max_color_calls = int_opt calls and max_work = int_opt work in
       let deadline = float_opt deadline in
       Game_start { adversary; algorithm; n; max_color_calls; max_work; deadline }
-  | 7, [ S adversary; S algorithm; I n; S outcome; B guaranteed; I color_calls; I work ] ->
+  | 5, [ S adversary; S algorithm; I n; S outcome; B guaranteed; I color_calls; I work ] ->
       Game_verdict { adversary; algorithm; n; outcome; guaranteed; color_calls; work }
-  | 8, [ S executor; I step; I target; I revealed; I max_view ] ->
+  | 6, [ S executor; I step; I target; I revealed; I max_view ] ->
       Step { executor; step; target; revealed; max_view }
-  | 9, [ S executor; I step; I fresh; I revealed ] ->
+  | 7, [ S executor; I step; I fresh; I revealed ] ->
       Reveal { executor; step; fresh; revealed }
-  | 10, [ I calls; I work ] -> Color_call { calls; work }
-  | 11, [ S executor; B ok; S detail ] -> Audit { executor; ok; detail }
-  | 12, [ S tag; I call ] -> Fault_injected { tag; call }
-  | 13, [ S label; S detail ] -> Misbehavior { label; detail }
-  | 14, [ S key; I pid; I attempt ] -> Child_spawn { key; pid; attempt }
-  | 15, [ S key; I pid ] -> Child_heartbeat { key; pid }
-  | 16, [ S key; I pid; S signal; F elapsed ] -> Child_kill { key; pid; signal; elapsed }
-  | 17, [ S key; I pid; S status; F cpu_user; F cpu_sys ] ->
+  | 8, [ I calls; I work ] -> Color_call { calls; work }
+  | 9, [ S executor; B ok; S detail ] -> Audit { executor; ok; detail }
+  | 10, [ S tag; I call ] -> Fault_injected { tag; call }
+  | 11, [ S label; S detail ] -> Misbehavior { label; detail }
+  | 12, [ S key; I pid; I attempt ] -> Child_spawn { key; pid; attempt }
+  | 13, [ S key; I pid ] -> Child_heartbeat { key; pid }
+  | 14, [ S key; I pid; S signal; F elapsed ] -> Child_kill { key; pid; signal; elapsed }
+  | 15, [ S key; I pid; S status; F cpu_user; F cpu_sys ] ->
       Child_exit { key; pid; status; cpu_user; cpu_sys }
-  | 18, [ S key; I attempt; F delay ] -> Cell_retry { key; attempt; delay }
-  | 19, [ S key; I attempts; S reason ] -> Cell_quarantined { key; attempts; reason }
-  | 20, [ S socket; I jobs; I queue_limit ] -> Server_start { socket; jobs; queue_limit }
-  | 21, [ I conn ] -> Conn_open { conn }
-  | 22, [ I conn; S reason ] -> Conn_close { conn; reason }
-  | 23, [ S id; S kind; S disposition ] -> Job_submit { id; kind; disposition }
-  | 24, [ S id; I queued; I limit ] -> Job_reject { id; queued; limit }
-  | 25, [ S id; I attempt ] -> Job_start { id; attempt }
-  | 26, [ S id; S status ] -> Job_done { id; status }
-  | 27, [ I queued; I running ] -> Server_drain { queued; running }
-  | 28, [ S kind ] -> Chaos_injected { kind }
-  | 29, [ S kind; S key ] -> Canon_hit { kind; key }
-  | 30, [ S path; I line; S reason ] -> Journal_corrupt { path; line; reason }
+  | 16, [ S key; I attempt; F delay ] -> Cell_retry { key; attempt; delay }
+  | 17, [ S key; I attempts; S reason ] -> Cell_quarantined { key; attempts; reason }
+  | 18, [ S socket; I jobs; I queue_limit ] -> Server_start { socket; jobs; queue_limit }
+  | 19, [ I conn ] -> Conn_open { conn }
+  | 20, [ I conn; S reason ] -> Conn_close { conn; reason }
+  | 21, [ S id; S kind; S disposition ] -> Job_submit { id; kind; disposition }
+  | 22, [ S id; I queued; I limit ] -> Job_reject { id; queued; limit }
+  | 23, [ S id; I attempt ] -> Job_start { id; attempt }
+  | 24, [ S id; S status ] -> Job_done { id; status }
+  | 25, [ I queued; I running ] -> Server_drain { queued; running }
+  | 26, [ S kind ] -> Chaos_injected { kind }
+  | 27, [ S kind; S key ] -> Canon_hit { kind; key }
+  | 28, [ S path; I line; S reason ] -> Journal_corrupt { path; line; reason }
   | _ -> decode_error (Printf.sprintf "trace record: values do not fit event id %d" id)
 
 let anomalous = function
@@ -403,26 +396,22 @@ let read_file path =
 
 type sink = {
   oc : out_channel;
-  mutex : Mutex.t;
   mutable seq : int;
   t0 : float;
-  mutable error : string option;  (** the first I/O error; set once, under [mutex] *)
+  mutable error : string option;  (** the first I/O error; set once *)
 }
 
-let sink : sink option Atomic.t = Atomic.make None
+let sink : sink option ref = ref None
 
 (* Secondary in-process consumer (the flight recorder): events flow to
    it after the NDJSON sink, and its presence alone turns [on] true so
    instrumentation sites construct events for it. *)
-let hook : (event -> unit) option Atomic.t = Atomic.make None
-let set_hook h = Atomic.set hook h
+let hook : (event -> unit) option ref = ref None
+let set_hook h = hook := h
 
-let on () = Atomic.get sink <> None || Atomic.get hook <> None
+let on () = match (!sink, !hook) with None, None -> false | _ -> true
 
-let uninstall s =
-  match Atomic.get sink with
-  | Some s' as cur when s' == s -> ignore (Atomic.compare_and_set sink cur None)
-  | _ -> ()
+let uninstall s = match !sink with Some s' when s' == s -> sink := None | _ -> ()
 
 (* Observers never raise into the code they observe: the first I/O
    error detaches the sink, and its teardown reports the error. *)
@@ -431,59 +420,47 @@ let fail s msg =
   uninstall s
 
 let write s ~w ~at ev =
-  (* Whole lines under the mutex: emitters on several domains interleave
-     at record granularity, never inside one. *)
-  Mutex.protect s.mutex (fun () ->
-      if s.error = None then begin
-        let r = { i = s.seq; w; ts = at -. s.t0; ev } in
-        s.seq <- s.seq + 1;
-        try
-          output_string s.oc (record_to_string r);
-          output_char s.oc '\n'
-        with Sys_error msg -> fail s msg
-      end)
+  if s.error = None then begin
+    let r = { i = s.seq; w; ts = at -. s.t0; ev } in
+    s.seq <- s.seq + 1;
+    try
+      output_string s.oc (record_to_string r);
+      output_char s.oc '\n'
+    with Sys_error msg -> fail s msg
+  end
 
+(* [w] 0 is this process: relayed events carry their worker's slot. *)
 let emit ev =
-  (match Atomic.get sink with
-  | None -> ()
-  | Some s -> write s ~w:(Domain.self () :> int) ~at:(Unix.gettimeofday ()) ev);
-  match Atomic.get hook with None -> () | Some f -> f ev
+  (match !sink with None -> () | Some s -> write s ~w:0 ~at:(Unix.gettimeofday ()) ev);
+  match !hook with None -> () | Some f -> f ev
 
-let relay ~w ~at ev =
-  match Atomic.get sink with None -> () | Some s -> write s ~w ~at ev
+let relay ~w ~at ev = match !sink with None -> () | Some s -> write s ~w ~at ev
 
 let detach_in_child () =
-  let streaming = Atomic.get sink <> None in
-  Atomic.set sink None;
-  Atomic.set hook None;
+  let streaming = Option.is_some !sink in
+  sink := None;
+  hook := None;
   streaming
 
 let with_sink ?(program = Filename.basename Sys.executable_name)
     ?(on_error = fun msg -> raise (Sys_error msg)) ~path f =
-  let nested () = invalid_arg "Trace.with_sink: a sink is already installed" in
-  if Atomic.get sink <> None then nested ();
+  if Option.is_some !sink then
+    invalid_arg "Trace.with_sink: a sink is already installed";
   match open_out_bin path with
   | exception Sys_error msg ->
       let v = f () in
       on_error msg;
       v
   | oc ->
-      let s =
-        { oc; mutex = Mutex.create (); seq = 0; t0 = Unix.gettimeofday (); error = None }
-      in
-      if not (Atomic.compare_and_set sink None (Some s)) then begin
-        close_out_noerr oc;
-        nested ()
-      end;
-      write s ~w:(Domain.self () :> int) ~at:(Unix.gettimeofday ())
-        (Trace_header { version; program });
+      let s = { oc; seq = 0; t0 = Unix.gettimeofday (); error = None } in
+      sink := Some s;
+      write s ~w:0 ~at:(Unix.gettimeofday ()) (Trace_header { version; program });
       let v =
         Fun.protect
           ~finally:(fun () ->
             uninstall s;
-            Mutex.protect s.mutex (fun () ->
-                if s.error = None then (try close_out oc with Sys_error msg -> fail s msg);
-                close_out_noerr oc))
+            if s.error = None then (try close_out oc with Sys_error msg -> fail s msg);
+            close_out_noerr oc)
           f
       in
       Option.iter on_error s.error;

@@ -8,13 +8,12 @@
     where [i] is a global emission index (total order over the whole
     trace — records are written to the file in [i] order), [w] names
     the stream that emitted the event, and [ts] is seconds since the
-    sink was opened.  [w] is the emitting domain's id (0 for the main
-    domain) for an event emitted in this process, and the worker's
-    1-based [--jobs] slot for an event a supervised worker process
-    captured and its parent {!relay}ed.  A reader demultiplexes
-    per-worker streams by [w]: events with equal [w] are causally
-    ordered.  A relayed event keeps the time the worker emitted it, so
-    [ts] need not grow with [i] across streams.
+    sink was opened.  [w] is 0 for an event emitted in this process,
+    and the worker's 1-based [--jobs] slot for an event a supervised
+    worker process captured and its parent {!relay}ed.  A reader
+    demultiplexes per-worker streams by [w]: events with equal [w] are
+    causally ordered.  A relayed event keeps the time the worker
+    emitted it, so [ts] need not grow with [i] across streams.
 
     {2 One declaration, two codecs}
 
@@ -28,39 +27,41 @@
 
     {2 Overhead contract}
 
-    With no sink installed, {!on} is a single atomic load and {!emit} is
-    a no-op.  Instrumentation sites must guard event {e construction}
-    behind {!on} — [if Trace.on () then Trace.emit (Step {...})] — so a
+    With no sink installed, {!on} is two loads and {!emit} is a no-op.
+    Instrumentation sites must guard event {e construction} behind
+    {!on} — [if Trace.on () then Trace.emit (Step {...})] — so a
     disabled trace allocates nothing.  The [harness_overhead] bench pins
     this (BENCH_trace_overhead.json).
 
-    {2 Concurrency}
+    {2 One domain, many processes}
 
-    One sink serves every domain: records are appended under a mutex,
-    whole lines at a time, so the file stays one valid NDJSON stream.
-    A parallel sweep's workers are processes: each captures its task's
-    events and ships them with its reply, and the parent relays them
-    into this sink ({!relay}, through {!Flight.relay}).  Event
-    {e interleaving} across workers follows completion order and is
-    not deterministic; determinism lives in {!Stats}, whose drained
-    snapshot is jobs-count-invariant.
+    The library is single-domain: the sink and the hook are plain
+    state, and a record is written without a lock.  A task may spawn a
+    domain (the [Harness.Supervisor] then retires its worker), but it
+    must not record into [Obs], [Guard] or the thm1 game cache from
+    that domain.  A parallel sweep's workers are processes: each
+    captures its task's events and ships them with its reply, and the
+    parent relays them into this sink ({!relay}, through
+    {!Flight.relay}).  Event {e interleaving} across workers follows
+    completion order and is not deterministic; determinism lives in
+    {!Stats}, whose drained snapshot is jobs-count-invariant.
 
     The first record of every trace is a {!Trace_header} carrying the
     format version ({!version}) and the emitting program's name. *)
 
 val version : int
-(** Trace format version, [5] (v2 added the supervisor child-lifecycle
+(** Trace format version, [6].  v2 added the supervisor child-lifecycle
     events; v3 the job-server events; v4 the memo-cache [Canon_hit]
-    event; v5 the multi-server dispatch events and [Journal_corrupt]).
-    Readers must reject newer versions rather than misparse them;
-    older traces parse fine under a newer reader.
+    event; v5 the multi-server dispatch events and [Journal_corrupt].
+    v6 deletes the retired domain pool's [worker_start] and
+    [worker_stop], so every kind after [checkpoint_flush] moved down two
+    binary ids.  (v5's dispatch kinds were the tail of {!kinds} and
+    went without a bump.)
 
-    v5's five multi-server dispatch kinds (binary ids 31–35) are
-    retired, together with the dispatcher that emitted them.  They were
-    the tail of {!kinds}, so every other id keeps its value; a v5 trace
-    that holds one no longer decodes.  A new kind that reuses ids 31–35
-    must bump [version], so that an old v5 trace cannot be misread as
-    it. *)
+    The NDJSON reader decodes by tag: it rejects newer versions rather
+    than misparse them, and reads older traces unless they hold a
+    deleted kind.  Binary ids are positions in {!kinds}, so the flight
+    reader accepts only this version. *)
 
 type event =
   | Trace_header of { version : int; program : string }
@@ -70,14 +71,6 @@ type event =
           checkpoint without re-running) *)
   | Checkpoint_flush of { key : string; bytes : int }
       (** one record appended and flushed to the checkpoint file *)
-  | Worker_start of { index : int }
-      (** retired: a worker domain of the deleted domain pool started.
-          Nothing emits it; it stays so that later ids do not shift and
-          older traces still decode. *)
-  | Worker_stop of { index : int; tasks : int }
-      (** retired with [Worker_start]: that worker domain stopped after
-          [tasks] tasks.  Worker processes report through [Child_spawn]
-          and [Child_exit]. *)
   | Game_start of {
       adversary : string;
       algorithm : string;
@@ -237,8 +230,8 @@ val on : unit -> bool
     instrumentation site checks before constructing an event. *)
 
 val emit : event -> unit
-(** Append one record to the installed sink, then hand it to the
-    installed hook (no-op without either).  Safe from any domain. *)
+(** Append one record to the installed sink with envelope [w] 0, then
+    hand it to the installed hook (no-op without either). *)
 
 val set_hook : (event -> unit) option -> unit
 (** Install a secondary in-process event consumer, called after the

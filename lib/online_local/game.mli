@@ -12,10 +12,11 @@
     upper-bound grid runs (oracle-free for AEL, bipartition oracle for
     the Theorem 4 algorithm).
 
-    Distinct games share no mutable state, and the guard's ambient
-    tick state is domain-local, so separate verdicts may be computed
-    concurrently on separate domains — this is what
-    [Harness.Sweep.run ~jobs] relies on. *)
+    Distinct games share no mutable state, so verdicts may be computed
+    in any order, or concurrently on separate worker processes — this
+    is what [Harness.Sweep.run ~jobs] relies on.  The guard's ambient
+    tick state is one value per process: games run one at a time on a
+    process's single domain. *)
 
 type outcome =
   | Defeated  (** the adversary produced a genuine violation certificate *)

@@ -453,8 +453,10 @@ let sweep_kill =
   in
   let prop (payloads, victim, kill_work, jobs) =
     let baseline = render (plain_cells payloads) in
+    (* The marker starts empty and the victim writes a byte into it, so
+       the name stays this case's own from draw to removal: a deleted
+       temp file's name could be drawn again by a sibling worker. *)
     with_temp_file (fun marker ->
-        (try Sys.remove marker with Sys_error _ -> ());
         let cells =
           List.mapi
             (fun i payload ->
@@ -462,8 +464,9 @@ let sweep_kill =
                 Harness.Sweep.key = Printf.sprintf "cell-%d" i;
                 run =
                   (fun () ->
-                    if i = victim && not (Sys.file_exists marker) then begin
-                      Out_channel.with_open_bin marker (fun _ -> ());
+                    if i = victim && (Unix.stat marker).Unix.st_size = 0 then begin
+                      Out_channel.with_open_gen [ Open_wronly; Open_binary ] 0 marker
+                        (fun oc -> Out_channel.output_char oc 'k');
                       (* burn a randomized amount of work so the SIGKILL
                          lands at a random phase of the parent loop *)
                       for _ = 1 to kill_work * 200 do

@@ -13,8 +13,6 @@ let all_events : T.event list =
     T.Cell_start { key = "k space\ttab" };
     T.Cell_finish { key = "t=1 k=6"; status = "ok" };
     T.Checkpoint_flush { key = "t=1 k=6"; bytes = 0 };
-    T.Worker_start { index = 3 };
-    T.Worker_stop { index = 3; tasks = 17 };
     T.Game_start
       {
         adversary = "thm1-grid";

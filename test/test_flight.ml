@@ -17,6 +17,13 @@ let with_temp_file suffix f =
 
 let all_events = Trace_fixture.all_events
 
+let contains ~needle haystack =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length haystack && (String.sub haystack i n = needle || go (i + 1))
+  in
+  go 0
+
 (* Decoded records minus the leading file-header frame. *)
 let recorded path =
   match F.read_file path with
@@ -36,7 +43,7 @@ let test_roundtrip_all_constructors () =
     (fun sent (r : T.record) ->
       check_bool "event survives the codec" true (sent = r.T.ev))
     all_events back;
-  (* Envelopes: per-domain sequence numbers ascending from 0, and
+  (* Envelopes: per-stream sequence numbers ascending from 0, and
      nonnegative timestamps. *)
   List.iteri
     (fun i (r : T.record) ->
@@ -166,6 +173,39 @@ let test_read_rejects_corruption () =
     | { T.ev = T.Trace_header { program; _ }; _ } :: _ -> program
     | _ -> "?")
 
+(* A header frame as written by the given format version: 'F', length,
+   envelope (i 0, w 0, ts 0), id 0 (Trace_header at every version), the
+   zigzag version and an empty program name. *)
+let header_frame version =
+  let b = Buffer.create 32 in
+  Buffer.add_char b 'F';
+  Buffer.add_int32_be b 13l;
+  Buffer.add_char b '\000';
+  Buffer.add_char b '\000';
+  Buffer.add_string b (String.make 8 '\000');
+  Buffer.add_char b '\000';
+  Buffer.add_char b (Char.chr (version lsl 1));
+  Buffer.add_char b '\000';
+  Buffer.contents b
+
+(* v6 dropped two kinds, so every later binary id moved: a v5 file must
+   be refused with a version error, never misparsed. *)
+let test_read_rejects_older_version () =
+  with_temp_file ".flight" @@ fun path ->
+  let read version =
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc (header_frame version));
+    F.read_file path
+  in
+  (match read 5 with
+  | exception Obs.Json.Parse_error msg ->
+      check_bool ("a version error: " ^ msg) true (contains ~needle:"version 5" msg)
+  | _ -> Alcotest.fail "a v5 header was accepted");
+  match read T.version with
+  | [ { T.ev = T.Trace_header { version; program = "" }; _ } ] ->
+      check_int "current version reads" T.version version
+  | _ -> Alcotest.fail "the current version's header did not read"
+
 let () =
   Alcotest.run "flight"
     [
@@ -175,6 +215,8 @@ let () =
             test_roundtrip_all_constructors;
           Alcotest.test_case "rejects corruption" `Quick
             test_read_rejects_corruption;
+          Alcotest.test_case "rejects a pre-v6 header" `Quick
+            test_read_rejects_older_version;
         ] );
       ( "flush",
         [

@@ -223,7 +223,7 @@ let test_scoped_exception_discards () =
   | _ -> Alcotest.fail "expected Failure");
   (* The aborted scope's observations never reach the registry... *)
   check_bool "discarded" true (List.assoc_opt "t.boom" (St.drain ()) = None);
-  (* ...and recording is restored to the shard afterwards. *)
+  (* ...and recording is restored to the table afterwards. *)
   St.observe "t.after" 1;
   check_int "restored" 1 (series "t.after" (St.drain ())).St.n
 
@@ -261,7 +261,7 @@ let test_absorb_and_drain () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "empty absorb: %s" e);
   let snap = St.drain () in
-  (* snap_of already merged [foreign] into this domain's shard once, so
+  (* snap_of already merged [foreign] into this process's table once, so
      the absorbed copy doubles it. *)
   check_int "t.a" (1 + 200) (series "t.a" snap).St.sum;
   check_int "t.b" 10 (series "t.b" snap).St.sum;
@@ -269,28 +269,6 @@ let test_absorb_and_drain () =
     (List.map fst snap = List.sort String.compare (List.map fst snap));
   St.reset ();
   check_bool "reset" true (St.drain () = [])
-
-let test_multi_domain_drain () =
-  with_stats @@ fun () ->
-  let domains =
-    List.init 4 (fun i ->
-        Domain.spawn (fun () ->
-            for v = 1 to 10 do
-              St.observe "t.par" ((i * 10) + v)
-            done))
-  in
-  List.iter Domain.join domains;
-  St.observe "t.par" 0;
-  let s = series "t.par" (St.drain ()) in
-  check_int "n" 41 s.St.n;
-  let expected =
-    List.fold_left ( + ) 0
-      (List.concat_map (fun i -> List.init 10 (fun v -> (i * 10) + v + 1))
-         [ 0; 1; 2; 3 ])
-  in
-  check_int "sum" expected s.St.sum;
-  check_int "min" 0 s.St.min_v;
-  check_int "max" 40 s.St.max_v
 
 let () =
   Alcotest.run "stats"
@@ -329,6 +307,5 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "absorb and drain" `Quick test_absorb_and_drain;
-          Alcotest.test_case "multi-domain drain" `Quick test_multi_domain_drain;
         ] );
     ]

@@ -268,11 +268,11 @@ let test_inline_short_circuits () =
   check_bool "delivered in index order" true
     (List.rev !seen = [ (0, "inline-0"); (1, "inline-1"); (2, "inline-2") ])
 
-(* Memo cells under the process backend.  The thm1 game cache lives in
-   Domain.DLS of whichever process runs the cell, so nothing about it
-   crosses the supervisor wire or the checkpoint file — which is what
-   makes memo-on output independent of isolation mode, worker count,
-   kills, and resume history. *)
+(* Memo cells under the process backend.  The thm1 game cache is a plain
+   table in whichever process runs the cell, so nothing about it crosses
+   the supervisor wire or the checkpoint file — which is what makes
+   memo-on output independent of isolation mode, worker count, kills,
+   and resume history. *)
 let memo_cells ~memo () =
   List.concat_map
     (fun t ->
@@ -282,12 +282,9 @@ let memo_cells ~memo () =
         [ "greedy"; "stripes" ])
     [ 1; 2 ]
 
-(* No `In_domain jobs > 1 here: spawning even one domain latches
-   Unix.fork off for the rest of the process (see the header comment),
-   and the later proc-backend tests fork.  The multi-domain half of the
-   memo contract is covered by test_catalog's "memo variants agree",
-   which renders a memo grid at jobs 1 and jobs 4 in an executable that
-   never forks. *)
+(* `In_domain runs the cells one after another whatever [jobs] is, so
+   its one leg is jobs 1; test_catalog's "memo variants agree" renders a
+   memo grid on 4 worker processes too. *)
 let test_memo_isolation_modes () =
   let baseline = render ~isolation:`In_domain (memo_cells ~memo:false ()) in
   List.iter
@@ -375,6 +372,51 @@ let test_ordered_delivery_uneven () =
     (List.init 8 (fun i ->
          (i, if i = 5 then "ERROR: Failure(\"task 5\")" else string_of_int (i * i))))
     (List.rev !seen)
+
+(* Fork copies Filename's temp-name generator, so once the parent has
+   drawn a name, sibling workers would draw one and the same sequence:
+   a name one worker freed, the other could take.  The parent draws
+   first here; then two workers draw names and remove the files, as the
+   sweep-kill fuzz target does.  No path may repeat, and no worker's
+   temp directory may outlive the run. *)
+let test_sibling_temp_names () =
+  with_temp_file (fun _ ->
+      let names = ref [] in
+      Sup.run ~config:fast ~jobs:2 ~tasks:4 ~key:string_of_int
+        ~work:(fun _ ->
+          String.concat "\n"
+            (List.init 5 (fun _ ->
+                 let path = Filename.temp_file "sibling" ".tmp" in
+                 Sys.remove path;
+                 path)))
+        ~consume:(fun _ o ->
+          names := String.split_on_char '\n' (Sup.outcome_to_string o) @ !names)
+        ();
+      check_int "paths drawn" 20 (List.length !names);
+      check_int "no path repeats" 20 (List.length (List.sort_uniq String.compare !names));
+      List.iter
+        (fun path ->
+          check_bool "worker directory removed" false
+            (Sys.file_exists (Filename.dirname path)))
+        !names)
+
+(* A worker killed mid-task cannot clean up after itself: the parent
+   removes its temp directory when it reaps it. *)
+let test_killed_worker_temp_dir () =
+  with_temp_file (fun record ->
+      Sup.run ~config:{ fast with Sup.retries = 0 } ~jobs:1 ~tasks:1 ~key:string_of_int
+        ~work:(fun _ ->
+          let path = Filename.temp_file "killed" ".tmp" in
+          Out_channel.with_open_bin record (fun oc -> output_string oc path);
+          Unix.kill (Unix.getpid ()) Sys.sigkill;
+          "unreachable")
+        ~consume:(fun _ _ -> ())
+        ();
+      let path = In_channel.with_open_bin record In_channel.input_all in
+      check_bool "drawn in the worker's directory" true
+        (Filename.dirname path <> Filename.get_temp_dir_name ());
+      check_bool "killed worker's directory removed" false
+        (Sys.file_exists (Filename.dirname path)))
 
 (* OCaml 5.1 refuses Unix.fork for the rest of a process's life once a
    domain was spawned, joined or not.  A worker whose task spawned one
@@ -570,6 +612,10 @@ let () =
             test_ordered_delivery_uneven;
           Alcotest.test_case "a worker that spawned a domain retires" `Quick
             test_domain_spawner_retires;
+          Alcotest.test_case "sibling workers draw distinct temp names" `Quick
+            test_sibling_temp_names;
+          Alcotest.test_case "a killed worker's temp directory is removed" `Quick
+            test_killed_worker_temp_dir;
           Alcotest.test_case "validation" `Quick test_validation;
         ] );
       ( "worker-events",
