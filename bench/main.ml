@@ -1,239 +1,17 @@
-(* Benchmark harness: one bechamel micro-benchmark per experiment (the
-   inner loops that dominate each reproduction), the worker-scaling
-   benchmark of the parallel sweep engine (E8), and the full
-   regeneration of every experiment table (EXPERIMENTS.md).
+(* Benchmark records: one mode per experiment record, each writing its
+   BENCH_*.json in the working directory, and the CI gates that re-check
+   a committed record against a fresh measurement.  With no mode it
+   prints the list of modes to stderr and exits 2; bin/repro.exe prints
+   the experiment tables.
 
-   dune exec bench/main.exe                     -- everything
-   dune exec bench/main.exe -- --sweep-scaling  -- only the E8 scaling
-                                                   run (writes
-                                                   BENCH_sweep_parallel.json)
-   dune exec bench/main.exe -- --trace-overhead -- only the E9 overhead
-                                                   run (writes
-                                                   BENCH_trace_overhead.json)
-   dune exec bench/main.exe -- --isolation-overhead
-                                                -- only the E11 process-
-                                                   isolation overhead run (writes
-                                                   BENCH_isolation_overhead.json)
-   dune exec bench/main.exe -- --game-steps     -- only the E13 game-step
-                                                   throughput run (writes
-                                                   BENCH_game_steps.json)
-   dune exec bench/main.exe -- --game-steps-check
-                                                -- E13 regression gate: fresh
-                                                   thm3 steps/s vs the
-                                                   committed record
-   dune exec bench/main.exe -- --canon-memo     -- only the E15 memoization
-                                                   run (writes
-                                                   BENCH_canon_memo.json)
-   dune exec bench/main.exe -- --canon-memo-check
-                                                -- E15 regression gate: the
-                                                   committed record claims
-                                                   >= 2x, fresh smoke >= 1.5x *)
+   dune exec bench/main.exe -- --sweep-scaling
+   dune exec bench/main.exe -- --stats-overhead-check *)
 
-open Bechamel
-open Toolkit
 open Online_local
-
-(* ---------------------- benchmark subjects ---------------------- *)
-
-let bench_bvalue =
-  (* E6: the b-value of a 10k-arc directed row path. *)
-  let len = 10_000 in
-  let colors = Array.init (len + 1) (fun i -> i mod 3) in
-  let path = List.init (len + 1) (fun i -> i) in
-  Test.make ~name:"e6: b-value of 10k-arc path"
-    (Staged.stage (fun () -> ignore (Colorings.Bvalue.b_path colors path)))
-
-let bench_brute =
-  (* E6: exhaustive proper-coloring enumeration (Lemma 3.4 checker). *)
-  let grid = Topology.Grid2d.create Topology.Grid2d.Simple ~rows:3 ~cols:3 in
-  let g = Topology.Grid2d.graph grid in
-  Test.make ~name:"e6: enumerate 3-colorings of 3x3 grid"
-    (Staged.stage (fun () -> ignore (Colorings.Brute.count_colorings g ~colors:3)))
-
-let bench_ball =
-  (* substrate: the per-presentation reveal cost. *)
-  let grid = Topology.Grid2d.create Topology.Grid2d.Simple ~rows:64 ~cols:64 in
-  let g = Topology.Grid2d.graph grid in
-  let center = Topology.Grid2d.node grid ~row:32 ~col:32 in
-  Test.make ~name:"substrate: B(v,8) on 64x64 grid"
-    (Staged.stage (fun () -> ignore (Grid_graph.Bfs.ball g [ center ] 8)))
-
-let bench_thm1 =
-  (* E1: one full adversary game against greedy (k = 6). *)
-  Test.make ~name:"e1: thm1 adversary vs greedy (k=6)"
-    (Staged.stage (fun () ->
-         ignore
-           (Thm1_adversary.run ~n_side:400 ~k:6 ~algorithm:(Portfolio.greedy ()) ())))
-
-let bench_harness_overhead =
-  (* The same thm1 game with the algorithm under full guarding (budgets +
-     deadline + exception containment).  Comparing against the raw e1
-     benchmark above bounds the per-verdict cost of the guarded engine;
-     the happy-path overhead should stay within ~10%. *)
-  Test.make ~name:"harness: thm1 vs greedy (k=6), guarded"
-    (Staged.stage (fun () ->
-         let guard = Harness.Guard.create ~limits:Harness.Guard.default_limits () in
-         let algorithm = Harness.Guard.algorithm guard (Portfolio.greedy ()) in
-         ignore (Thm1_adversary.run ~n_side:400 ~k:6 ~algorithm ())))
-
-let bench_harness_overhead_traced =
-  (* The guarded game again, now streaming its trace to /dev/null —
-     with the sink-open cost paid per run, this upper-bounds the cost of
-     enabled tracing; BENCH_trace_overhead.json isolates the components. *)
-  Test.make ~name:"harness: thm1 vs greedy (k=6), guarded+traced"
-    (Staged.stage (fun () ->
-         Obs.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
-             let guard = Harness.Guard.create ~limits:Harness.Guard.default_limits () in
-             let algorithm = Harness.Guard.algorithm guard (Portfolio.greedy ()) in
-             ignore (Thm1_adversary.run ~n_side:400 ~k:6 ~algorithm ()))))
-
-let bench_thm2 =
-  Test.make ~name:"e2: thm2 two-row attack (torus 13)"
-    (Staged.stage (fun () ->
-         ignore
-           (Thm2_adversary.run ~wrap:`Toroidal ~side:13
-              ~algorithm:(Portfolio.greedy ())
-              ())))
-
-let bench_thm3 =
-  Test.make ~name:"e3: thm3 gadget attack (9 gadgets)"
-    (Staged.stage (fun () ->
-         ignore
-           (Thm3_adversary.run ~k:3 ~gadgets:9 ~algorithm:(Portfolio.greedy ()) ())))
-
-let bench_kp1 =
-  (* E4: one full upper-bound run on a 20x20 grid. *)
-  let grid = Topology.Grid2d.create Topology.Grid2d.Simple ~rows:20 ~cols:20 in
-  let host = Topology.Grid2d.graph grid in
-  let order = Models.Fixed_host.orders ~all:host (`Random 5) in
-  Test.make ~name:"e4: kp1 3-colors 20x20 grid (T=4)"
-    (Staged.stage (fun () ->
-         ignore
-           (Models.Fixed_host.run
-              ~oracle:(Oracles.grid_bipartition grid)
-              ~host ~palette:3
-              ~algorithm:(Kp1_coloring.make ~k:2 ~locality:(fun ~n:_ -> 4) ())
-              ~order ())))
-
-let bench_ael =
-  let grid = Topology.Grid2d.create Topology.Grid2d.Simple ~rows:20 ~cols:20 in
-  let host = Topology.Grid2d.graph grid in
-  let order = Models.Fixed_host.orders ~all:host (`Random 5) in
-  Test.make ~name:"e4: ael (oracle-free) 20x20 grid (T=4)"
-    (Staged.stage (fun () ->
-         ignore
-           (Models.Fixed_host.run ~host ~palette:3
-              ~algorithm:(Kp1_coloring.ael_bipartite ~locality:(fun ~n:_ -> 4) ())
-              ~order ())))
-
-let bench_thm5 =
-  let base =
-    Topology.Grid2d.graph (Topology.Grid2d.create Topology.Grid2d.Simple ~rows:4 ~cols:4)
-  in
-  let lay = Topology.Layered.create ~base ~k:3 in
-  let host = Topology.Layered.graph lay in
-  let order = Models.Fixed_host.orders ~all:host (`Random 3) in
-  Test.make ~name:"e5: reduced algorithm colors G_3"
-    (Staged.stage (fun () ->
-         ignore
-           (Models.Fixed_host.run ~oracle:(Oracles.layered lay) ~host ~palette:4
-              ~algorithm:
-                (Thm5_reduction.reduce
-                   ~inner:(Kp1_coloring.make ~k:4 ~locality:(fun ~n:_ -> 6) ()))
-              ~order ())))
-
-let bench_gadget_classify =
-  let chain = Topology.Gadget.create ~k:4 ~gadgets:2 () in
-  let coloring = Colorings.Coloring.of_array (Topology.Gadget.canonical_k_coloring chain) in
-  Test.make ~name:"e3: classify gadget matrix (k=4)"
-    (Staged.stage (fun () ->
-         ignore
-           (Colorings.Colorful.classify
-              (Colorings.Colorful.matrix_of_gadget chain coloring ~gadget:1))))
-
-let bench_clique_chain =
-  (* The structural oracle's clique walk on a triangular grid fragment. *)
-  let t = Topology.Tri_grid.create ~side:12 in
-  let g = Topology.Tri_grid.graph t in
-  let view =
-    {
-      Models.View.n_total = Grid_graph.Graph.n g;
-      palette = 4;
-      node_count = (fun () -> Grid_graph.Graph.n g);
-      neighbors = (fun v -> Array.to_list (Grid_graph.Graph.neighbors g v));
-      mem_edge = (fun a b -> Grid_graph.Graph.mem_edge g a b);
-      id = (fun v -> v + 1);
-      output = (fun _ -> None);
-      hint = (fun _ -> None);
-      target = 0;
-      new_nodes = [];
-      step = 1;
-    }
-  in
-  let frag = [ 0; 1; 2; 3; 4 ] in
-  Test.make ~name:"e4: structural triangle-chain oracle query"
-    (Staged.stage (fun () ->
-         ignore (Oracles.triangle_chain.Models.Oracle.query view frag)))
-
-let bench_dynamic_repair =
-  let grid = Topology.Grid2d.create Topology.Grid2d.Simple ~rows:12 ~cols:12 in
-  let order =
-    Models.Fixed_host.orders ~all:(Topology.Grid2d.graph grid) (`Random 2)
-  in
-  let updates = Models.Dynamic_local.incremental_grid_updates grid ~order in
-  Test.make ~name:"models: dynamic greedy repair, 12x12 incremental build"
-    (Staged.stage (fun () ->
-         ignore
-           (Models.Dynamic_local.run ~n_hint:144 ~palette:5
-              ~algorithm:Models.Dynamic_local.greedy_repair ~updates ())))
-
-let bench_cole_vishkin =
-  let grid = Topology.Grid2d.create Topology.Grid2d.Simple ~rows:40 ~cols:40 in
-  Test.make ~name:"models: cole-vishkin 5-coloring, 40x40"
-    (Staged.stage (fun () -> ignore (Models.Cole_vishkin.five_color grid)))
-
-let tests =
-  Test.make_grouped ~name:"online-local-grids"
-    [
-      bench_bvalue;
-      bench_brute;
-      bench_ball;
-      bench_gadget_classify;
-      bench_thm1;
-      bench_harness_overhead;
-      bench_harness_overhead_traced;
-      bench_thm2;
-      bench_thm3;
-      bench_kp1;
-      bench_ael;
-      bench_thm5;
-      bench_clique_chain;
-      bench_dynamic_repair;
-      bench_cole_vishkin;
-    ]
-
-let run_benchmarks () =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Bechamel.Measure.run |]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name v acc -> (name, v) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
-  Format.printf "%-55s %15s@." "benchmark" "ns/run";
-  List.iter
-    (fun (name, v) ->
-      match Analyze.OLS.estimates v with
-      | Some [ est ] -> Format.printf "%-55s %15.0f@." name est
-      | Some _ | None -> Format.printf "%-55s %15s@." name "-")
-    rows
 
 (* -------------------- shared BENCH_*.json schema ------------------ *)
 
-(* Both scaling records share one envelope:
+(* Every record shares one envelope:
      {"bench": NAME, "meta": {cores, jobs_axis, ocaml_version, commit},
       "results": ...}
    so downstream tooling can parse every BENCH_*.json the same way. *)
@@ -381,130 +159,6 @@ let sweep_scaling () =
     (bench_record ~bench:"sweep_parallel"
        ~jobs_axis:(List.map (fun (jobs, _, _, _) -> jobs) rows)
        ~results)
-
-(* ---------------- trace/flight/stats overhead (E9) ---------------- *)
-
-(* The overhead contract of the observability layer, measured on the
-   same guarded thm1 game as the bechamel harness-overhead subject:
-
-     raw                        unguarded, hooks disabled
-     guarded_untraced           guarded, hooks disabled (production default)
-     guarded_untraced_control   identical second measurement of the above
-     guarded_traced             guarded, sink streaming to /dev/null
-     guarded_flight             guarded, flight-recorder ring armed
-     guarded_stats              guarded, stats registry enabled
-
-   A disabled hook is one atomic load per site, inseparable from
-   measurement noise — so the tracing-disabled regression is measured as
-   untraced vs its interleaved control, and the contract is that it
-   stays under 2%.  Passes run round-robin and each subject keeps its
-   minimum, so clock drift and allocator state cancel instead of
-   biasing one side. *)
-
-let raw_thm1 () =
-  ignore (Thm1_adversary.run ~n_side:400 ~k:6 ~algorithm:(Portfolio.greedy ()) ())
-
-let guarded_thm1 () =
-  let guard = Harness.Guard.create ~limits:Harness.Guard.default_limits () in
-  let algorithm = Harness.Guard.algorithm guard (Portfolio.greedy ()) in
-  ignore (Thm1_adversary.run ~n_side:400 ~k:6 ~algorithm ())
-
-(* One timed measurement: [inner] runs of [f], seconds per run. *)
-let measure_inner ~inner f =
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to inner do
-    f ()
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int inner
-
-(* Round-robin best-of-passes runner shared by the overhead benches:
-   each pass runs every subject once and keeps its per-subject minimum,
-   so clock drift and allocator state cancel instead of biasing one
-   side. *)
-let round_robin_best ~passes subjects =
-  List.iter (fun (_, pass) -> ignore (pass ())) subjects (* warm-up *);
-  let best = Hashtbl.create 8 in
-  for _ = 1 to passes do
-    List.iter
-      (fun (name, pass) ->
-        let t = pass () in
-        let prev = Option.value ~default:infinity (Hashtbl.find_opt best name) in
-        Hashtbl.replace best name (Float.min prev t))
-      subjects
-  done;
-  fun name -> Hashtbl.find best name
-
-(* The flight-recorder and stats subjects shared by E9 and E14: same
-   guarded thm1 game, observability in its campaign configuration. *)
-let flight_subject measure =
-  Obs.Flight.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
-      measure guarded_thm1)
-
-let stats_subject measure =
-  Obs.Stats.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Stats.disable ();
-      Obs.Stats.reset ())
-    (fun () -> measure guarded_thm1)
-
-let trace_overhead () =
-  let inner = 60 and passes = 8 in
-  Format.printf
-    "== E9: trace/flight/stats overhead (thm1 vs greedy, k=6, side=400; best of \
-     %d passes x %d runs) ==@.@."
-    passes inner;
-  let measure f = measure_inner ~inner f in
-  let subjects =
-    [
-      ("raw", fun () -> measure raw_thm1);
-      ("guarded_untraced", fun () -> measure guarded_thm1);
-      ("guarded_untraced_control", fun () -> measure guarded_thm1);
-      ( "guarded_traced",
-        fun () ->
-          Obs.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
-              measure guarded_thm1) );
-      ("guarded_flight", fun () -> flight_subject measure);
-      ("guarded_stats", fun () -> stats_subject measure);
-    ]
-  in
-  let t = round_robin_best ~passes subjects in
-  let pct a b = 100. *. (t a -. t b) /. t b in
-  Format.printf "%-28s %12s@." "subject" "s/run";
-  List.iter
-    (fun (name, _) -> Format.printf "%-28s %12.6f@." name (t name))
-    subjects;
-  let disabled_pct = Float.max 0. (pct "guarded_untraced_control" "guarded_untraced") in
-  let traced_pct = pct "guarded_traced" "guarded_untraced" in
-  let flight_pct = pct "guarded_flight" "guarded_untraced" in
-  let stats_pct = pct "guarded_stats" "guarded_untraced" in
-  Format.printf
-    "@.tracing disabled: %+.2f%%  traced: %+.2f%%  flight: %+.2f%%  \
-     stats: %+.2f%%@."
-    disabled_pct traced_pct flight_pct stats_pct;
-  let results =
-    Obs.Json.Obj
-      [
-        ("subject", Obs.Json.String "thm1 adversary vs greedy (k=6, side=400)");
-        ("inner_runs", Obs.Json.Int inner);
-        ("passes", Obs.Json.Int passes);
-        ( "seconds_per_run",
-          Obs.Json.Obj
-            (List.map (fun (name, _) -> (name, Obs.Json.Float (t name))) subjects)
-        );
-        ( "overhead_pct",
-          Obs.Json.Obj
-            [
-              ("guard_vs_raw", Obs.Json.Float (pct "guarded_untraced" "raw"));
-              ("tracing_disabled", Obs.Json.Float disabled_pct);
-              ("tracing_enabled", Obs.Json.Float traced_pct);
-              ("flight_enabled", Obs.Json.Float flight_pct);
-              ("stats_enabled", Obs.Json.Float stats_pct);
-            ] );
-      ]
-  in
-  write_bench_record "BENCH_trace_overhead.json"
-    (bench_record ~bench:"trace_overhead" ~jobs_axis:[ 1 ] ~results)
 
 (* ------------------ fuzz-harness throughput (E10) ----------------- *)
 
@@ -814,31 +468,89 @@ let serve_throughput () =
   write_bench_record "BENCH_serve_throughput.json"
     (bench_record ~bench:"serve_throughput" ~jobs_axis:[ jobs ] ~results)
 
-(* ------------- E14: stats/flight overhead and its gate ------------ *)
+(* ------------ E9/E14: observability overhead and its gate ----------- *)
 
-(* The campaign-observability overhead contract on the E9 subject.  The
-   NDJSON sink pays string formatting and a write per event (~121% on
-   this game); the flight recorder encodes into an in-memory ring and
+(* What each observability hook costs on one guarded thm1 game against
+   greedy (k = 6, side 400, about a millisecond):
+
+     raw       unguarded, every hook disabled
+     baseline  guarded, every hook disabled (the production default)
+     control   the baseline again, timed in the same passes
+     ndjson    guarded, NDJSON trace sink streaming to /dev/null
+     flight    guarded, flight-recorder ring armed
+     stats     guarded, stats registry enabled
+
+   A disabled hook is a load per site, inseparable from measurement
+   noise, so control against baseline is the floor any other reading
+   must clear.  The NDJSON sink pays string formatting and a write per
+   event; the flight recorder stores into a preallocated ring and
    touches disk only on anomaly, so it must stay within 10% of the
-   untraced guarded game; the stats registry is two integer
-   accumulations per game and must stay within 5%.
+   baseline; stats are two integer accumulations per game.  Passes run
+   round-robin and each subject keeps its minimum, so clock drift and
+   allocator state cancel instead of biasing one side.
 
-   --stats-overhead        measure and write BENCH_stats_overhead.json
+   --stats-overhead        measure and write BENCH_stats_overhead.json;
+                           fail over the 10% flight budget
    --stats-overhead-check  assert the committed record honors the 10%
                            flight budget, then re-measure flight vs
                            baseline with a generous 35% bound (the CI
                            gate; shared runners are noisy) *)
 
+let raw_thm1 () =
+  ignore (Thm1_adversary.run ~n_side:400 ~k:6 ~algorithm:(Portfolio.greedy ()) ())
+
+let guarded_thm1 () =
+  let guard = Harness.Guard.create ~limits:Harness.Guard.default_limits () in
+  let algorithm = Harness.Guard.algorithm guard (Portfolio.greedy ()) in
+  ignore (Thm1_adversary.run ~n_side:400 ~k:6 ~algorithm ())
+
+(* One timed measurement: [inner] runs of [f], seconds per run. *)
+let measure_inner ~inner f =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to inner do
+    f ()
+  done;
+  (Unix.gettimeofday () -. t0) /. float_of_int inner
+
+(* One warm-up pass, then [passes] passes that each run every subject
+   once; a subject's time is its minimum. *)
+let round_robin_best ~passes subjects =
+  List.iter (fun (_, pass) -> ignore (pass ())) subjects (* warm-up *);
+  let best = Hashtbl.create 8 in
+  for _ = 1 to passes do
+    List.iter
+      (fun (name, pass) ->
+        let t = pass () in
+        let prev = Option.value ~default:infinity (Hashtbl.find_opt best name) in
+        Hashtbl.replace best name (Float.min prev t))
+      subjects
+  done;
+  fun name -> Hashtbl.find best name
+
+let flight_subject measure =
+  Obs.Flight.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
+      measure guarded_thm1)
+
+let stats_subject measure =
+  Obs.Stats.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Stats.disable ();
+      Obs.Stats.reset ())
+    (fun () -> measure guarded_thm1)
+
 let stats_overhead () =
   let inner = 60 and passes = 8 in
   Format.printf
-    "== E14: stats/flight overhead (thm1 vs greedy, k=6, side=400; best of \
+    "== E9/E14: observability overhead (thm1 vs greedy, k=6, side=400; best of \
      %d passes x %d runs) ==@.@."
     passes inner;
   let measure f = measure_inner ~inner f in
   let subjects =
     [
+      ("raw", fun () -> measure raw_thm1);
       ("baseline", fun () -> measure guarded_thm1);
+      ("control", fun () -> measure guarded_thm1);
       ( "ndjson",
         fun () ->
           Obs.Trace.with_sink ~program:"bench" ~path:"/dev/null" (fun () ->
@@ -854,8 +566,10 @@ let stats_overhead () =
     (fun (name, _) ->
       Format.printf "%-28s %12.6f %+11.2f%%@." name (t name) (pct name))
     subjects;
-  let flight_pct = pct "flight" and stats_pct = pct "stats" in
-  Format.printf "@.flight budget: %+.2f%% of <= 10%%  (ndjson for scale: %+.2f%%)@."
+  let guard_pct = 100. *. (t "baseline" -. t "raw") /. t "raw" in
+  let flight_pct = pct "flight" in
+  Format.printf "@.guard vs raw: %+.2f%%  control: %+.2f%%@." guard_pct (pct "control");
+  Format.printf "flight budget: %+.2f%% of <= 10%%  (ndjson for scale: %+.2f%%)@."
     flight_pct (pct "ndjson");
   let results =
     Obs.Json.Obj
@@ -870,9 +584,11 @@ let stats_overhead () =
         ( "overhead_pct",
           Obs.Json.Obj
             [
+              ("guard_vs_raw", Obs.Json.Float guard_pct);
+              ("control", Obs.Json.Float (pct "control"));
               ("ndjson", Obs.Json.Float (pct "ndjson"));
               ("flight", Obs.Json.Float flight_pct);
-              ("stats", Obs.Json.Float stats_pct);
+              ("stats", Obs.Json.Float (pct "stats"));
             ] );
         ("flight_budget_pct", Obs.Json.Float 10.);
       ]
@@ -1320,37 +1036,34 @@ let canon_memo_check () =
          fresh);
   Format.printf "@.within budget@."
 
+
+(* The first mode named on the command line runs. *)
+let modes =
+  [
+    ("--sweep-scaling", "E8: worker scaling, writes BENCH_sweep_parallel.json", sweep_scaling);
+    ("--fuzz-throughput", "E10: fuzz cases/s, writes BENCH_fuzz_throughput.json", fuzz_throughput);
+    ( "--isolation-overhead",
+      "E11: worker-process premium, writes BENCH_isolation_overhead.json",
+      isolation_overhead );
+    ( "--serve-throughput",
+      "E12: job-server jobs/s, writes BENCH_serve_throughput.json",
+      serve_throughput );
+    ("--game-steps", "E13: game steps/s, writes BENCH_game_steps.json", game_steps);
+    ("--game-steps-check", "E13 gate: fresh thm3 steps/s vs the record", game_steps_check);
+    ("--canon-memo-check", "E15 gate: the record claims >= 2x, fresh >= 1.5x", canon_memo_check);
+    ("--canon-memo", "E15: --memo speedup, writes BENCH_canon_memo.json", canon_memo);
+    ( "--stats-overhead-check",
+      "E14 gate: the record's flight <= 10%, fresh <= 35%",
+      stats_overhead_check );
+    ( "--stats-overhead",
+      "E9/E14: observability overhead, writes BENCH_stats_overhead.json",
+      stats_overhead );
+  ]
+
 let () =
-  if Array.exists (String.equal "--sweep-scaling") Sys.argv then
-    sweep_scaling ()
-  else if Array.exists (String.equal "--trace-overhead") Sys.argv then
-    trace_overhead ()
-  else if Array.exists (String.equal "--fuzz-throughput") Sys.argv then
-    fuzz_throughput ()
-  else if Array.exists (String.equal "--isolation-overhead") Sys.argv then
-    isolation_overhead ()
-  else if Array.exists (String.equal "--serve-throughput") Sys.argv then
-    serve_throughput ()
-  else if Array.exists (String.equal "--game-steps") Sys.argv then
-    game_steps ()
-  else if Array.exists (String.equal "--game-steps-check") Sys.argv then
-    game_steps_check ()
-  else if Array.exists (String.equal "--canon-memo-check") Sys.argv then
-    canon_memo_check ()
-  else if Array.exists (String.equal "--canon-memo") Sys.argv then
-    canon_memo ()
-  else if Array.exists (String.equal "--stats-overhead-check") Sys.argv then
-    stats_overhead_check ()
-  else if Array.exists (String.equal "--stats-overhead") Sys.argv then
-    stats_overhead ()
-  else begin
-    Format.printf "== Bechamel micro-benchmarks (one per experiment) ==@.@.";
-    run_benchmarks ();
-    Format.printf "@.";
-    sweep_scaling ();
-    Format.printf "@.";
-    trace_overhead ();
-    Format.printf "@.== Experiment regeneration (see EXPERIMENTS.md) ==@.";
-    Experiments.run_all ~quick:false Format.std_formatter;
-    Format.printf "@."
-  end
+  match List.find_opt (fun (flag, _, _) -> Array.exists (String.equal flag) Sys.argv) modes with
+  | Some (_, _, run) -> run ()
+  | None ->
+      prerr_endline "usage: bench/main.exe MODE, where MODE is one of";
+      List.iter (fun (flag, doc, _) -> Printf.eprintf "  %-24s %s\n" flag doc) modes;
+      exit 2

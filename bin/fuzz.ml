@@ -36,14 +36,6 @@ let mkdir_p dir =
   in
   if dir <> "" then go dir
 
-let status_line (r : FR.report) =
-  match r.status with
-  | FR.Passed { cases } -> Printf.sprintf "%s: PASS (%d cases)" r.target.FT.name cases
-  | FR.Skipped reason -> Printf.sprintf "%s: SKIP (%s)" r.target.FT.name reason
-  | FR.Failed c ->
-      Printf.sprintf "%s: FAIL (case %d, size %d, %d shrinks)" r.target.FT.name
-        c.Runner.case c.Runner.size c.Runner.shrink_steps
-
 (* Everything the parent needs from a finished target, reduced to plain
    strings/bools so a supervised worker can Marshal it over the result
    pipe (a full FR.report holds the target record, hence closures). *)
@@ -55,7 +47,7 @@ type rendered = {
 }
 
 let render_report (r : FR.report) =
-  let line = status_line r in
+  let line = FR.status_line r in
   match r.status with
   | FR.Failed c ->
       let pp = Format.asprintf "%a" Runner.pp_counterexample c in

@@ -17,9 +17,20 @@
      --isolate proc       the only mode, accepted and ignored; "domain"
                           is a usage error
      --retries N          extra attempts per task whose worker crashed
-     --kill-grace-ms MS   SIGTERM -> SIGKILL escalation gap
      --cell-timeout-ms MS per-attempt wall-clock watchdog (in serve, the
                           deadline of jobs submitted without one)
+
+   The watchdog escalates SIGTERM -> SIGKILL after
+   Harness.Supervisor.default_config's kill_grace (0.5 s).
+
+   The five sweep_thm* binaries share one front end (sweep_term and
+   run_sweep): the flags above plus
+
+     --checkpoint FILE    append finished cells to FILE
+     --resume             replay the cells already in the checkpoint
+
+   and exit 130 with "interrupted; finished cells are checkpointed" on
+   SIGINT.
 
    A worker's trace events reach --trace and --flight through its
    parent, tagged with the worker's slot (see Obs.Flight.relay).
@@ -122,15 +133,6 @@ let retries =
           "Extra attempts after a task's worker dies abnormally, before the \
            task is quarantined.  0 disables retrying.")
 
-let kill_grace_ms =
-  Arg.(
-    value
-    & opt positive_int 500
-    & info [ "kill-grace-ms" ] ~docv:"MS"
-        ~doc:
-          "How long the worker of a timed-out task gets between SIGTERM and \
-           the SIGKILL escalation.")
-
 let cell_timeout_ms =
   Arg.(
     value
@@ -144,15 +146,14 @@ let cell_timeout_ms =
 type exec = { jobs : int; supervisor : Harness.Supervisor.config }
 
 let supervisor_term =
-  let make retries kill_grace_ms cell_timeout_ms =
+  let make retries cell_timeout_ms =
     {
       Harness.Supervisor.default_config with
       Harness.Supervisor.retries;
-      kill_grace = float_of_int kill_grace_ms /. 1000.;
       timeout = Option.map (fun ms -> float_of_int ms /. 1000.) cell_timeout_ms;
     }
   in
-  Term.(const make $ retries $ kill_grace_ms $ cell_timeout_ms)
+  Term.(const make $ retries $ cell_timeout_ms)
 
 let exec_term =
   let make jobs () supervisor = { jobs; supervisor } in
@@ -186,3 +187,42 @@ let with_observability ~program ~trace:trace_path ?(stats = None)
             Out_channel.flush oc)
       with Sys_error msg -> report "--stats" path msg));
   if !failed && code = 0 then 1 else code
+
+(* ------------------------------- sweeps -------------------------------- *)
+
+type sweep = {
+  checkpoint : string option;
+  resume : bool;
+  exec : exec;
+  trace : string option;
+  stats : string option;
+  flight : string option;
+}
+
+let sweep_term =
+  let checkpoint =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "checkpoint" ] ~doc:"Append finished cells to this file.")
+  in
+  let resume =
+    Arg.(value & flag & info [ "resume" ] ~doc:"Replay cells already in the checkpoint.")
+  in
+  let make checkpoint resume exec trace stats flight =
+    { checkpoint; resume; exec; trace; stats; flight }
+  in
+  Term.(const make $ checkpoint $ resume $ exec_term $ trace $ stats $ flight)
+
+let run_sweep ~program s cells =
+  with_observability ~program ~trace:s.trace ~stats:s.stats ~flight:s.flight
+  @@ fun () ->
+  match
+    Harness.Sweep.run ~resume:s.resume ?checkpoint:s.checkpoint ~jobs:s.exec.jobs
+      ~isolation:`Process ~supervisor:s.exec.supervisor ~ppf:Format.std_formatter
+      cells
+  with
+  | () -> 0
+  | exception Harness.Sweep.Interrupted ->
+      Format.eprintf "interrupted; finished cells are checkpointed@.";
+      130

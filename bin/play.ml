@@ -2,7 +2,10 @@
 
    dune exec bin/play.exe -- --game thm1-grid --algo ael -t 2 --size 500
    dune exec bin/play.exe -- --game thm1-grid --algo ael --paranoid --deadline 30
-   dune exec bin/play.exe -- --list *)
+   dune exec bin/play.exe -- --list
+
+   --max-calls and --deadline bound the algorithm; every other guard
+   limit is Harness.Guard.default_limits'. *)
 
 open Online_local
 open Cmdliner
@@ -17,8 +20,8 @@ let algorithm_of name t =
   | "kp1" -> Portfolio.kp1 ~k:2 ~t ()
   | other -> failwith ("unknown algorithm: " ^ other)
 
-let run list_games game_name algo_name t n paranoid max_calls max_work deadline
-    trace stats flight =
+let run list_games game_name algo_name t n paranoid max_calls deadline trace stats
+    flight =
   if list_games then begin
     List.iter
       (fun g -> Format.printf "%-18s %s@." g.Game.name g.Game.description)
@@ -33,14 +36,8 @@ let run list_games game_name algo_name t n paranoid max_calls max_work deadline
     | Some g ->
         Obs_cli.with_observability ~program:"play" ~trace ~stats ~flight
         @@ fun () ->
-        let d = Harness.Guard.default_limits in
         let limits =
-          {
-            Harness.Guard.max_color_calls =
-              (match max_calls with Some _ as c -> c | None -> d.max_color_calls);
-            max_work = (match max_work with Some _ as w -> w | None -> d.max_work);
-            deadline;
-          }
+          { Harness.Guard.default_limits with max_color_calls = max_calls; deadline }
         in
         let verdict = g.Game.play ~paranoid ~limits ~n (algorithm_of algo_name t) in
         Format.printf "%a@." Game.pp_verdict verdict;
@@ -69,12 +66,6 @@ let max_calls =
     & opt (some int) None
     & info [ "max-calls" ] ~doc:"Color-call budget for the algorithm.")
 
-let max_work =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-work" ] ~doc:"Cooperative work budget for the algorithm.")
-
 let deadline =
   Arg.(
     value
@@ -85,7 +76,7 @@ let cmd =
   Cmd.v
     (Cmd.info "play" ~doc:"Pit an algorithm against a lower-bound adversary")
     Term.(
-      const run $ list_games $ game $ algo $ t $ n $ paranoid $ max_calls
-      $ max_work $ deadline $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
+      const run $ list_games $ game $ algo $ t $ n $ paranoid $ max_calls $ deadline
+      $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

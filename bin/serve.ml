@@ -4,10 +4,11 @@
 
      dune exec bin/serve.exe -- --socket /tmp/jobs.sock --jobs 4 \
        --journal jobs.journal
-     dune exec bin/serve.exe -- --socket tcp:7421 --queue-limit 16
+     dune exec bin/serve.exe -- --socket tcp:7421
      dune exec bin/serve.exe -- --socket /tmp/jobs.sock --chaos 42
 
-   Admission is bounded (--queue-limit; excess submits get a typed
+   Admission is bounded (Harness.Server.default_config's queue_limit,
+   64 jobs admitted but not yet running; excess submits get a typed
    rejection), duplicate submits dedup on the content-derived job id,
    and each job runs on the sweeps' worker engine (Harness.Supervisor):
    at most --jobs jobs at a time, one warm worker process each, forked
@@ -15,7 +16,7 @@
    its job raised or spawned a domain; crashed jobs retry with seeded
    backoff (--retries) and then quarantine, and the watchdog kills a
    job over its deadline, or over --cell-timeout-ms for a job that
-   carries none, escalating SIGTERM -> SIGKILL after --kill-grace-ms.
+   carries none, escalating SIGTERM -> SIGKILL after 0.5 s.
    --isolate proc is accepted and changes nothing; --isolate domain is
    a usage error.  SIGTERM drains gracefully (in-flight jobs finish,
    queued jobs stay in the --journal), and --resume replays the journal
@@ -26,15 +27,13 @@
 
 open Cmdliner
 
-let run socket queue_limit journal resume chaos (exec : Obs_cli.exec) trace stats
-    flight =
+let run socket journal resume chaos (exec : Obs_cli.exec) trace stats flight =
   Obs_cli.with_observability ~program:"serve" ~trace ~stats ~flight @@ fun () ->
   let jobs = exec.Obs_cli.jobs in
   let config =
     {
       Harness.Server.default_config with
       Harness.Server.jobs;
-      queue_limit;
       supervisor = exec.Obs_cli.supervisor;
       chaos = Option.map (fun seed -> Harness.Server.default_chaos ~seed) chaos;
     }
@@ -63,16 +62,6 @@ let socket =
           "Listen on this Unix-domain socket path, or on loopback TCP with \
            $(b,tcp:PORT).  A stale socket file is replaced; the file is \
            removed on exit.")
-
-let queue_limit =
-  Arg.(
-    value
-    & opt Obs_cli.positive_int Harness.Server.default_config.Harness.Server.queue_limit
-    & info [ "queue-limit" ] ~docv:"N"
-        ~doc:
-          "Max jobs admitted but not yet running.  Submits beyond it are \
-           answered with a typed rejection (backpressure), never queued \
-           unboundedly.")
 
 let journal =
   Arg.(
@@ -107,7 +96,7 @@ let cmd =
   Cmd.v
     (Cmd.info "serve" ~doc:"Resilient job server over a Unix/TCP socket")
     Term.(
-      const run $ socket $ queue_limit $ journal $ resume $ chaos
+      const run $ socket $ journal $ resume $ chaos
       $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

@@ -7,11 +7,14 @@
      dune exec bin/submit.exe -- --socket /tmp/jobs.sock --health
      dune exec bin/submit.exe -- --socket /tmp/jobs.sock --server-stats
 
-   A --from file holds one job per line, "kind<TAB>payload".  Retries
-   (dropped connections, truncated frames, typed rejections) are
-   automatic, seeded, and safe: job ids are content-derived, so a
-   resubmit can never run a job twice.  The retry/reconnect tally goes
-   to stderr; stdout carries only results. *)
+   A --from file holds one job per line, "kind<TAB>payload".  Up to 16
+   jobs are kept in flight.  Retries (dropped connections, truncated
+   frames, typed rejections) are automatic, seeded, and safe: job ids
+   are content-derived, so a resubmit can never run a job twice; the
+   campaign gives up after 10,000 consecutive connection failures, or
+   10,000 rejections of one job (Harness.Client.run_campaign's
+   defaults).  The retry/reconnect tally goes to stderr; stdout carries
+   only results. *)
 
 open Cmdliner
 
@@ -31,8 +34,7 @@ let read_specs_file path =
   in
   go []
 
-let run socket kind payloads from deadline_ms window max_attempts health stats
-    trace stats_out flight =
+let run socket kind payloads from deadline_ms health stats trace stats_out flight =
   Obs_cli.with_observability ~program:"submit" ~trace ~stats:stats_out ~flight
   @@ fun () ->
   (* exit 2: the server is unreachable — an operational state with its
@@ -61,10 +63,7 @@ let run socket kind payloads from deadline_ms window max_attempts health stats
         let deadline =
           Option.map (fun ms -> float_of_int ms /. 1000.) deadline_ms
         in
-        let campaign =
-          Harness.Client.run_campaign ~window ?deadline ~max_attempts ~socket
-            specs
-        in
+        let campaign = Harness.Client.run_campaign ?deadline ~socket specs in
         List.iter
           (fun result -> Format.printf "%s@." result)
           campaign.Harness.Client.results;
@@ -110,21 +109,6 @@ let deadline_ms =
     & info [ "deadline-ms" ] ~docv:"MS"
         ~doc:"Per-attempt job deadline forwarded with each submit.")
 
-let window =
-  Arg.(
-    value
-    & opt Obs_cli.positive_int 16
-    & info [ "window" ] ~docv:"N" ~doc:"Max jobs kept in flight (pipelining).")
-
-let max_attempts =
-  Arg.(
-    value
-    & opt Obs_cli.positive_int 10_000
-    & info [ "max-attempts" ] ~docv:"N"
-        ~doc:
-          "Give up after $(docv) consecutive connection failures, or $(docv) \
-           rejections of one job.")
-
 let health =
   Arg.(
     value & flag
@@ -142,8 +126,7 @@ let cmd =
   Cmd.v
     (Cmd.info "submit" ~doc:"Submit jobs to serve.exe and print their results")
     Term.(
-      const run $ socket $ kind $ payloads $ from $ deadline_ms $ window
-      $ max_attempts $ health $ stats $ Obs_cli.trace $ Obs_cli.stats
-      $ Obs_cli.flight)
+      const run $ socket $ kind $ payloads $ from $ deadline_ms $ health $ stats
+      $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

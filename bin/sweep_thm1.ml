@@ -13,8 +13,7 @@
 
 open Cmdliner
 
-let run ts ks sides algos validate checkpoint resume exec trace stats flight
-    memo =
+let run ts ks sides algos validate memo sweep =
   let cells =
     List.concat_map
       (fun t ->
@@ -30,17 +29,7 @@ let run ts ks sides algos validate checkpoint resume exec trace stats flight
           (Harness.Sweep.int_axis ~flag:"-k" ks))
       (Harness.Sweep.int_axis ~flag:"-t" ts)
   in
-  Obs_cli.with_observability ~program:"sweep_thm1" ~trace ~stats ~flight
-  @@ fun () ->
-  match
-    Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
-      ~isolation:`Process ~supervisor:exec.Obs_cli.supervisor
-      ~ppf:Format.std_formatter cells
-  with
-  | () -> 0
-  | exception Harness.Sweep.Interrupted ->
-      Format.eprintf "interrupted; finished cells are checkpointed@.";
-      130
+  Obs_cli.run_sweep ~program:"sweep_thm1" sweep cells
 
 let ts =
   Arg.(value & opt string "1" & info [ "t" ] ~doc:"Algorithm localities (comma-separated).")
@@ -56,15 +45,6 @@ let algos =
 
 let validate =
   Arg.(value & flag & info [ "validate" ] ~doc:"Replay-check the transcript (slow).")
-
-let checkpoint =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint" ] ~doc:"Append finished cells to this file.")
-
-let resume =
-  Arg.(value & flag & info [ "resume" ] ~doc:"Replay cells already in the checkpoint.")
 
 let memo =
   Arg.(
@@ -82,9 +62,6 @@ let memo =
 let cmd =
   Cmd.v
     (Cmd.info "sweep_thm1" ~doc:"Theorem 1 adversary sweep")
-    Term.(
-      const run $ ts $ ks $ sides $ algos $ validate $ checkpoint $ resume
-      $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight
-      $ memo)
+    Term.(const run $ ts $ ks $ sides $ algos $ validate $ memo $ Obs_cli.sweep_term)
 
 let () = exit (Cmd.eval' cmd)

@@ -5,7 +5,7 @@
 
 open Cmdliner
 
-let run sides wraps checkpoint resume exec trace stats flight =
+let run sides wraps sweep =
   let cells =
     List.concat_map
       (fun wrap ->
@@ -17,17 +17,7 @@ let run sides wraps checkpoint resume exec trace stats flight =
           (Harness.Sweep.int_axis ~flag:"--side" sides))
       (Harness.Sweep.string_axis ~flag:"--wrap" wraps)
   in
-  Obs_cli.with_observability ~program:"sweep_thm2" ~trace ~stats ~flight
-  @@ fun () ->
-  match
-    Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
-      ~isolation:`Process ~supervisor:exec.Obs_cli.supervisor
-      ~ppf:Format.std_formatter cells
-  with
-  | () -> 0
-  | exception Harness.Sweep.Interrupted ->
-      Format.eprintf "interrupted; finished cells are checkpointed@.";
-      130
+  Obs_cli.run_sweep ~program:"sweep_thm2" sweep cells
 
 let sides =
   Arg.(value & opt string "21" & info [ "side" ] ~doc:"Grid sides (odd, comma-separated).")
@@ -35,20 +25,9 @@ let sides =
 let wraps =
   Arg.(value & opt string "torus" & info [ "wrap" ] ~doc:"torus|cylinder (comma-separated).")
 
-let checkpoint =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint" ] ~doc:"Append finished cells to this file.")
-
-let resume =
-  Arg.(value & flag & info [ "resume" ] ~doc:"Replay cells already in the checkpoint.")
-
 let cmd =
   Cmd.v
     (Cmd.info "sweep_thm2" ~doc:"Theorem 2 adversary sweep")
-    Term.(
-      const run $ sides $ wraps $ checkpoint $ resume $ Obs_cli.exec_term
-      $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
+    Term.(const run $ sides $ wraps $ Obs_cli.sweep_term)
 
 let () = exit (Cmd.eval' cmd)

@@ -47,7 +47,7 @@ let cell host_name ~size ~seeds =
   in
   { Harness.Sweep.key; run }
 
-let run host_name sides ns seeds checkpoint resume exec trace stats flight =
+let run host_name sides ns seeds sweep =
   let seeds = List.init seeds (fun i -> i + 1) in
   (* grid/tri scale by side, ktree by node count. *)
   let sizes =
@@ -55,17 +55,7 @@ let run host_name sides ns seeds checkpoint resume exec trace stats flight =
     else Harness.Sweep.int_axis ~flag:"--side" sides
   in
   let cells = List.map (fun size -> cell host_name ~size ~seeds) sizes in
-  Obs_cli.with_observability ~program:"sweep_thm4" ~trace ~stats ~flight
-  @@ fun () ->
-  match
-    Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
-      ~isolation:`Process ~supervisor:exec.Obs_cli.supervisor
-      ~ppf:Format.std_formatter cells
-  with
-  | () -> 0
-  | exception Harness.Sweep.Interrupted ->
-      Format.eprintf "interrupted; finished cells are checkpointed@.";
-      130
+  Obs_cli.run_sweep ~program:"sweep_thm4" sweep cells
 
 let host = Arg.(value & opt string "grid" & info [ "host" ] ~doc:"grid|tri|ktree.")
 
@@ -75,20 +65,9 @@ let sides =
 let ns = Arg.(value & opt string "300" & info [ "n" ] ~doc:"Node counts (ktree, comma-separated).")
 let seeds = Arg.(value & opt int 2 & info [ "seeds" ] ~doc:"Random orders to include.")
 
-let checkpoint =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint" ] ~doc:"Append finished cells to this file.")
-
-let resume =
-  Arg.(value & flag & info [ "resume" ] ~doc:"Replay cells already in the checkpoint.")
-
 let cmd =
   Cmd.v
     (Cmd.info "sweep_thm4" ~doc:"Theorem 4 locality scaling sweep")
-    Term.(
-      const run $ host $ sides $ ns $ seeds $ checkpoint $ resume
-      $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
+    Term.(const run $ host $ sides $ ns $ seeds $ Obs_cli.sweep_term)
 
 let () = exit (Cmd.eval' cmd)

@@ -31,7 +31,7 @@ let cell ~k ~base_side ~t =
           (Models.Run_stats.succeeded outcome ~colors:(k + 1) ~host));
   }
 
-let run ks base_sides ts checkpoint resume exec trace stats flight =
+let run ks base_sides ts sweep =
   let cells =
     List.concat_map
       (fun k ->
@@ -43,17 +43,7 @@ let run ks base_sides ts checkpoint resume exec trace stats flight =
           (Harness.Sweep.int_axis ~flag:"--base-side" base_sides))
       (Harness.Sweep.int_axis ~flag:"-k" ks)
   in
-  Obs_cli.with_observability ~program:"sweep_thm5" ~trace ~stats ~flight
-  @@ fun () ->
-  match
-    Harness.Sweep.run ~resume ?checkpoint ~jobs:exec.Obs_cli.jobs
-      ~isolation:`Process ~supervisor:exec.Obs_cli.supervisor
-      ~ppf:Format.std_formatter cells
-  with
-  | () -> 0
-  | exception Harness.Sweep.Interrupted ->
-      Format.eprintf "interrupted; finished cells are checkpointed@.";
-      130
+  Obs_cli.run_sweep ~program:"sweep_thm5" sweep cells
 
 let ks = Arg.(value & opt string "3" & info [ "k" ] ~doc:"Layer counts of G_k (>= 2).")
 
@@ -62,20 +52,9 @@ let base_sides =
 
 let ts = Arg.(value & opt string "8" & info [ "t" ] ~doc:"Inner algorithm localities.")
 
-let checkpoint =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint" ] ~doc:"Append finished cells to this file.")
-
-let resume =
-  Arg.(value & flag & info [ "resume" ] ~doc:"Replay cells already in the checkpoint.")
-
 let cmd =
   Cmd.v
     (Cmd.info "sweep_thm5" ~doc:"Theorem 5 reduction sweep")
-    Term.(
-      const run $ ks $ base_sides $ ts $ checkpoint $ resume $ Obs_cli.exec_term
-      $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
+    Term.(const run $ ks $ base_sides $ ts $ Obs_cli.sweep_term)
 
 let () = exit (Cmd.eval' cmd)

@@ -6,10 +6,12 @@
    that parses here is a trace the whole toolchain agrees on.
 
    Reconstruction: records carry a global emission index [i] and the
-   emitting domain id [w].  Events with equal [w] are causally ordered,
-   so walking the records in [i] order with per-worker state rebuilds
-   cell spans (Cell_start .. Cell_finish) and game spans
-   (Game_start .. Game_verdict) even when workers interleave.
+   stream [w] that emitted them: 0 for the process that wrote the
+   trace, a worker's --jobs slot for the events it shipped to its
+   parent.  Events with equal [w] are causally ordered, so walking the
+   records in [i] order with per-worker state rebuilds cell spans
+   (Cell_start .. Cell_finish) and game spans (Game_start ..
+   Game_verdict) even when workers interleave.
 
    dune exec bin/trace_report.exe -- sweep.trace *)
 
@@ -129,7 +131,6 @@ let report path =
   let ckpt_bytes = ref 0 in
   let color_calls = ref 0 in
   let child_spawns = ref 0 in
-  let child_heartbeats = ref 0 in
   let child_cpu_user = ref 0. in
   let child_cpu_sys = ref 0. in
   let exit_statuses = Hashtbl.create 4 in  (* "exit:0"/"signal:SIGKILL" -> count *)
@@ -218,7 +219,6 @@ let report path =
       | T.Fault_injected { tag; _ } -> count fault_tags tag 1
       | T.Misbehavior { label; _ } -> count misbehaviors label 1
       | T.Child_spawn _ -> incr child_spawns
-      | T.Child_heartbeat _ -> incr child_heartbeats
       | T.Child_kill { signal; _ } -> count kill_signals signal 1
       | T.Child_exit { status; cpu_user; cpu_sys; _ } ->
           count exit_statuses status 1;
@@ -283,8 +283,6 @@ let report path =
         Format.fprintf ppf "  quarantined %s after %d attempts (%s)@." key
           attempts reason)
       (List.rev !quarantined);
-    if !child_heartbeats > 0 then
-      Format.fprintf ppf "  heartbeats         %d@." !child_heartbeats;
     Format.fprintf ppf "  worker cpu         %.3fs user, %.3fs sys@."
       !child_cpu_user !child_cpu_sys
   end;

@@ -150,8 +150,8 @@ let thm3_of_key payload =
 (* ------------------------------- fuzz -------------------------------- *)
 
 (* Payload "target=NAME seed=N cases=N".  Cases run one after another
-   on the job's worker; the one-line report matches bin/fuzz.exe's
-   status line for the same (seed, cases). *)
+   on the job's worker; the first line is Fuzz_run.status_line, which
+   bin/fuzz.exe prints for the same (seed, cases). *)
 let fuzz_of_payload payload =
   Scanf.sscanf payload "target=%s seed=%d cases=%d" (fun name seed cases ->
       match Proptest.Fuzz_targets.find name with
@@ -161,16 +161,12 @@ let fuzz_of_payload payload =
             { Proptest.Runner.default_config with Proptest.Runner.seed; cases }
           in
           let r = Proptest.Fuzz_run.run_target ~config target in
+          let line = Proptest.Fuzz_run.status_line r in
           match r.Proptest.Fuzz_run.status with
-          | Proptest.Fuzz_run.Passed { cases } ->
-              Printf.sprintf "%s: PASS (%d cases)" name cases
-          | Proptest.Fuzz_run.Skipped reason ->
-              Printf.sprintf "%s: SKIP (%s)" name reason
           | Proptest.Fuzz_run.Failed c ->
-              Printf.sprintf "%s: FAIL (case %d, size %d, %d shrinks)\n  %s" name
-                c.Proptest.Runner.case c.Proptest.Runner.size
-                c.Proptest.Runner.shrink_steps
-                (Format.asprintf "%a" Proptest.Runner.pp_counterexample c)))
+              Printf.sprintf "%s\n  %s" line
+                (Format.asprintf "%a" Proptest.Runner.pp_counterexample c)
+          | Proptest.Fuzz_run.Passed _ | Proptest.Fuzz_run.Skipped _ -> line))
 
 (* ------------------------------ dispatch ------------------------------ *)
 

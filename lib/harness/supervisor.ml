@@ -2,7 +2,6 @@ type config = {
   retries : int;
   timeout : float option;
   kill_grace : float;
-  heartbeat_interval : int;
   backoff : Backoff.config;
 }
 
@@ -11,7 +10,6 @@ let default_config =
     retries = 2;
     timeout = None;
     kill_grace = 0.5;
-    heartbeat_interval = 1;
     backoff = Backoff.default;
   }
 
@@ -23,8 +21,6 @@ let validate_config c =
   | _ -> ());
   if c.kill_grace <= 0. then
     invalid_arg "Supervisor: kill_grace must be positive";
-  if c.heartbeat_interval < 0 then
-    invalid_arg "Supervisor: heartbeat_interval must be >= 0";
   Backoff.validate c.backoff
 
 type failure =
@@ -85,7 +81,10 @@ external close_inherited : Unix.file_descr -> Unix.file_descr -> unit
   = "harness_close_inherited"
 [@@noalloc]
 
-let heartbeat_byte = Wire.encode_bare 'H'
+external hup_on_parent_death : int -> bool = "harness_hup_on_parent_death"
+[@@noalloc]
+
+let ready_byte = Wire.encode_bare 'H'
 
 (* Fork copies [Filename]'s temp-name generator, so sibling workers would
    draw the same names, and a name one worker freed another could take.
@@ -142,7 +141,7 @@ let rec next_request fd dec buf =
    longer fork.  [Unix._exit] (not [exit]) so inherited channel buffers —
    the parent's trace sink, the parent's stdout — are not flushed a
    second time. *)
-let worker_main config work ~req ~rep =
+let worker_main work ~parent ~req ~rep =
   close_inherited req rep;
   let tmp = temp_dir (Unix.getpid ()) in
   (match Unix.mkdir tmp 0o700 with
@@ -152,30 +151,19 @@ let worker_main config work ~req ~rep =
     remove_tree tmp;
     Unix._exit code
   in
+  (* An orphan quits at once, mid-task too, instead of finishing a task
+     nobody will read.  Elsewhere than Linux it quits at its next
+     request, when it reads EOF. *)
+  Sys.set_signal Sys.sighup (Sys.Signal_handle (fun _ -> quit 0));
+  if not (hup_on_parent_death parent) then quit 0;
   let capture = Obs.Flight.capture_in_child () in
   let dec = Wire.decoder ~max_payload:max_int ~tags:"T" () in
   let buf = Bytes.create 4096 in
-  (* Heartbeats go out only while a task runs, never after its reply. *)
-  let running = ref false in
-  let beat _ =
-    if !running then begin
-      (match Wire.write_all rep heartbeat_byte with
-      | () -> ()
-      | exception Unix.Unix_error (Unix.EPIPE, _, _) -> quit 0 (* the parent is gone *)
-      | exception Unix.Unix_error _ -> ());
-      ignore (Unix.alarm config.heartbeat_interval)
-    end
-  in
   let rec serve () =
     restore capture;
     match next_request req dec buf with
     | None -> quit 0
     | Some request ->
-        if config.heartbeat_interval > 0 then begin
-          running := true;
-          Sys.set_signal Sys.sigalrm (Sys.Signal_handle beat);
-          ignore (Unix.alarm config.heartbeat_interval)
-        end;
         let out = Buffer.create 256 in
         let frame tag payload = Buffer.add_bytes out (Wire.encode ~tag payload) in
         (* Events and stats travel in their own frames, before the
@@ -201,9 +189,7 @@ let worker_main config work ~req ~rep =
               frame 'E' (Printexc.to_string exn);
               false
         in
-        running := false;
-        ignore (Unix.alarm 0);
-        if stays then Buffer.add_bytes out heartbeat_byte;
+        if stays then Buffer.add_bytes out ready_byte;
         (try Wire.write_all rep (Buffer.to_bytes out) with Unix.Unix_error _ -> ());
         if stays then serve () else quit 0
   in
@@ -315,8 +301,9 @@ let fork_worker t task =
   let slot = free_slot t 1 in
   let req_r, req_w = Unix.pipe ~cloexec:true () in
   let rep_r, rep_w = Unix.pipe ~cloexec:true () in
+  let parent = Unix.getpid () in
   match Unix.fork () with
-  | 0 -> worker_main t.config t.work ~req:req_r ~rep:rep_w
+  | 0 -> worker_main t.work ~parent ~req:req_r ~rep:rep_w
   | pid ->
       Unix.close req_r;
       Unix.close rep_w;
@@ -527,10 +514,6 @@ let rec parse w settled =
       settled
   | Ok (Some { Wire.tag; payload }) -> (
       match (w.state, tag) with
-      | Busy a, 'H' ->
-          if Obs.Trace.on () then
-            Obs.Trace.emit (Obs.Trace.Child_heartbeat { key = a.task.name; pid = w.pid });
-          parse w settled
       | Busy a, 'V' ->
           a.events <- Some payload;
           parse w settled

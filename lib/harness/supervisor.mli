@@ -16,8 +16,7 @@
     {v
       parent (single domain: fork/select/waitpid loop)
         ├─ worker[pid] ◀── pipe ──  'T' len bytes  a task's request
-        │              ── pipe ──▶  'H'            heartbeat (SIGALRM-driven)
-        │                           'V' len bytes  the task's trace events
+        │              ── pipe ──▶  'V' len bytes  the task's trace events
         │                                          (optional, first)
         │                           'S' len bytes  stats snapshot (optional,
         │                                          just before a success 'R')
@@ -63,7 +62,9 @@
     sockets and journal, a sweep's checkpoint, sibling workers' pipes —
     so a closed connection reads EOF at once, a drained server refuses
     connections, and a worker reads EOF and exits 0 when its parent
-    dies, even by [SIGKILL].  It also points [Filename]'s temp directory
+    dies, even by [SIGKILL].  On Linux it does not wait for EOF: it asks
+    the kernel for [SIGHUP] when its parent dies, and quits on it at
+    once, mid-task too.  It also points [Filename]'s temp directory
     at a directory of its own, [worker-PID] under the parent's: fork
     copies the temp-name generator, so sibling workers would otherwise
     draw the same names.  The worker removes that directory before it
@@ -105,18 +106,19 @@
     own [?timeout]) escalates [SIGTERM] → [config.kill_grace] →
     [SIGKILL] on the task's worker; a task killed this way records a
     {!Misbehavior.Unresponsive} certificate — exactly the case the
-    in-process guard cannot catch.  Heartbeats are traced for
-    observability but play no role in kill decisions (the watchdog is
-    pure wall-clock, so a heartbeating-but-stuck task still dies).
+    in-process guard cannot catch.  The watchdog is pure wall-clock: a
+    worker sends nothing while its task runs and arms no timer, so a
+    task blocked in a system call ([Unix.select], [Unix.read]) returns
+    what it would in-process, never [EINTR] (the parent-death [SIGHUP]
+    aside, which ends the worker).
 
     {2 Observability}
 
     Worker lifecycle is emitted through {!Obs.Trace} ([Child_spawn] and
     [Child_exit], with exit status and the worker's lifetime CPU
-    rusage from [Unix.times], once per worker process;
-    [Child_heartbeat], [Child_kill], [Cell_retry], [Cell_quarantined]
-    per task); [trace_report] tallies them.  Heartbeat counts are
-    timing-dependent and therefore {e not} jobs-count-invariant.
+    rusage from [Unix.times], once per worker process; [Child_kill],
+    [Cell_retry], [Cell_quarantined] per task); [trace_report] tallies
+    them.
 
     A task's own events cross the boundary too.  When the parent has an
     NDJSON sink or a flight recorder, the worker captures the task's
@@ -141,10 +143,6 @@ type config = {
   kill_grace : float;
       (** seconds between the watchdog's [SIGTERM] and its [SIGKILL]
           escalation.  Default [0.5]. *)
-  heartbeat_interval : int;
-      (** seconds between a running task's heartbeat bytes; [0]
-          disables them.
-          Default [1]. *)
   backoff : Backoff.config;
       (** the retry schedule — the same seed, task key and attempt
           number always produce the same delay.  Default
@@ -155,8 +153,8 @@ val default_config : config
 
 val validate_config : config -> unit
 (** @raise Invalid_argument naming the offending field if [retries < 0],
-    [timeout <= 0], [kill_grace <= 0], [heartbeat_interval < 0], or an
-    invalid [backoff] ({!Backoff.validate}). *)
+    [timeout <= 0], [kill_grace <= 0], or an invalid [backoff]
+    ({!Backoff.validate}). *)
 
 type failure =
   | Exited of int  (** abnormal worker exit with this nonzero code *)

@@ -1,8 +1,12 @@
-/* Two primitives for the supervisor's warm workers. */
+/* Three primitives for the supervisor's warm workers. */
 
 #include <dirent.h>
+#include <signal.h>
 #include <stdlib.h>
 #include <unistd.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 #include <caml/mlvalues.h>
 
 /* The condition Unix.fork checks: OCaml 5.1 refuses to fork, for the
@@ -39,4 +43,15 @@ value harness_close_inherited(value keep1, value keep2)
       if (fd != a && fd != b) close(fd);
   }
   return Val_unit;
+}
+
+/* Ask the kernel for SIGHUP when the parent dies (Linux only), and say
+   whether [parent] is still this process's parent: it may have died
+   before the request. */
+value harness_hup_on_parent_death(value parent)
+{
+#ifdef __linux__
+  prctl(PR_SET_PDEATHSIG, SIGHUP);
+#endif
+  return Val_bool(getppid() == Int_val(parent));
 }

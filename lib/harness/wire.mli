@@ -11,9 +11,9 @@
         +-----+----+----+----+----+----------------+ v}
 
     Some protocols also use {e bare} tags — a single byte with no
-    length and no payload (the supervisor's ['H'] heartbeat) — so a
-    decoder is created with two tag alphabets: [tags] (framed) and
-    [bare] (single-byte).
+    length and no payload (the ['H'] a supervisor worker sends when it
+    is ready for another task) — so a decoder is created with two tag
+    alphabets: [tags] (framed) and [bare] (single-byte).
 
     {2 Robustness contract}
 

@@ -1,4 +1,4 @@
-let version = 6
+let version = 7
 
 type event =
   | Trace_header of { version : int; program : string }
@@ -35,7 +35,6 @@ type event =
   | Fault_injected of { tag : string; call : int }
   | Misbehavior of { label : string; detail : string }
   | Child_spawn of { key : string; pid : int; attempt : int }
-  | Child_heartbeat of { key : string; pid : int }
   | Child_kill of { key : string; pid : int; signal : string; elapsed : float }
   | Child_exit of {
       key : string;
@@ -99,7 +98,6 @@ let kinds =
     kind "fault_injected" [ ("tag", String); ("call", Int) ];
     kind "misbehavior" [ ("label", String); ("detail", String) ];
     kind "child_spawn" [ ("key", String); ("pid", Int); ("attempt", Int) ];
-    kind "child_heartbeat" [ ("key", String); ("pid", Int) ];
     kind "child_kill"
       [ ("key", String); ("pid", Int); ("signal", String); ("elapsed", Float) ];
     kind "child_exit"
@@ -211,31 +209,30 @@ let store c k ev =
   | Misbehavior { label; detail } -> put_str c 0 label; put_str c 1 detail; 11
   | Child_spawn { key; pid; attempt } ->
       put_str c 0 key; put_int c 0 pid; put_int c 1 attempt; 12
-  | Child_heartbeat { key; pid } -> put_str c 0 key; put_int c 0 pid; 13
   | Child_kill { key; pid; signal; elapsed } ->
-      put_str c 0 key; put_int c 0 pid; put_str c 1 signal; put_float c 0 elapsed; 14
+      put_str c 0 key; put_int c 0 pid; put_str c 1 signal; put_float c 0 elapsed; 13
   | Child_exit { key; pid; status; cpu_user; cpu_sys } ->
       put_str c 0 key; put_int c 0 pid; put_str c 1 status; put_float c 0 cpu_user;
-      put_float c 1 cpu_sys; 15
+      put_float c 1 cpu_sys; 14
   | Cell_retry { key; attempt; delay } ->
-      put_str c 0 key; put_int c 0 attempt; put_float c 0 delay; 16
+      put_str c 0 key; put_int c 0 attempt; put_float c 0 delay; 15
   | Cell_quarantined { key; attempts; reason } ->
-      put_str c 0 key; put_int c 0 attempts; put_str c 1 reason; 17
+      put_str c 0 key; put_int c 0 attempts; put_str c 1 reason; 16
   | Server_start { socket; jobs; queue_limit } ->
-      put_str c 0 socket; put_int c 0 jobs; put_int c 1 queue_limit; 18
-  | Conn_open { conn } -> put_int c 0 conn; 19
-  | Conn_close { conn; reason } -> put_int c 0 conn; put_str c 0 reason; 20
+      put_str c 0 socket; put_int c 0 jobs; put_int c 1 queue_limit; 17
+  | Conn_open { conn } -> put_int c 0 conn; 18
+  | Conn_close { conn; reason } -> put_int c 0 conn; put_str c 0 reason; 19
   | Job_submit { id; kind; disposition } ->
-      put_str c 0 id; put_str c 1 kind; put_str c 2 disposition; 21
+      put_str c 0 id; put_str c 1 kind; put_str c 2 disposition; 20
   | Job_reject { id; queued; limit } ->
-      put_str c 0 id; put_int c 0 queued; put_int c 1 limit; 22
-  | Job_start { id; attempt } -> put_str c 0 id; put_int c 0 attempt; 23
-  | Job_done { id; status } -> put_str c 0 id; put_str c 1 status; 24
-  | Server_drain { queued; running } -> put_int c 0 queued; put_int c 1 running; 25
-  | Chaos_injected { kind } -> put_str c 0 kind; 26
-  | Canon_hit { kind; key } -> put_str c 0 kind; put_str c 1 key; 27
+      put_str c 0 id; put_int c 0 queued; put_int c 1 limit; 21
+  | Job_start { id; attempt } -> put_str c 0 id; put_int c 0 attempt; 22
+  | Job_done { id; status } -> put_str c 0 id; put_str c 1 status; 23
+  | Server_drain { queued; running } -> put_int c 0 queued; put_int c 1 running; 24
+  | Chaos_injected { kind } -> put_str c 0 kind; 25
+  | Canon_hit { kind; key } -> put_str c 0 kind; put_str c 1 key; 26
   | Journal_corrupt { path; line; reason } ->
-      put_str c 0 path; put_int c 0 line; put_str c 1 reason; 28
+      put_str c 0 path; put_int c 0 line; put_str c 1 reason; 27
 
 let load c k id =
   let i = ref (k * int_width) and f = ref (k * float_width) and s = ref (k * str_width) in
@@ -301,23 +298,22 @@ let of_values id values =
   | 10, [ S tag; I call ] -> Fault_injected { tag; call }
   | 11, [ S label; S detail ] -> Misbehavior { label; detail }
   | 12, [ S key; I pid; I attempt ] -> Child_spawn { key; pid; attempt }
-  | 13, [ S key; I pid ] -> Child_heartbeat { key; pid }
-  | 14, [ S key; I pid; S signal; F elapsed ] -> Child_kill { key; pid; signal; elapsed }
-  | 15, [ S key; I pid; S status; F cpu_user; F cpu_sys ] ->
+  | 13, [ S key; I pid; S signal; F elapsed ] -> Child_kill { key; pid; signal; elapsed }
+  | 14, [ S key; I pid; S status; F cpu_user; F cpu_sys ] ->
       Child_exit { key; pid; status; cpu_user; cpu_sys }
-  | 16, [ S key; I attempt; F delay ] -> Cell_retry { key; attempt; delay }
-  | 17, [ S key; I attempts; S reason ] -> Cell_quarantined { key; attempts; reason }
-  | 18, [ S socket; I jobs; I queue_limit ] -> Server_start { socket; jobs; queue_limit }
-  | 19, [ I conn ] -> Conn_open { conn }
-  | 20, [ I conn; S reason ] -> Conn_close { conn; reason }
-  | 21, [ S id; S kind; S disposition ] -> Job_submit { id; kind; disposition }
-  | 22, [ S id; I queued; I limit ] -> Job_reject { id; queued; limit }
-  | 23, [ S id; I attempt ] -> Job_start { id; attempt }
-  | 24, [ S id; S status ] -> Job_done { id; status }
-  | 25, [ I queued; I running ] -> Server_drain { queued; running }
-  | 26, [ S kind ] -> Chaos_injected { kind }
-  | 27, [ S kind; S key ] -> Canon_hit { kind; key }
-  | 28, [ S path; I line; S reason ] -> Journal_corrupt { path; line; reason }
+  | 15, [ S key; I attempt; F delay ] -> Cell_retry { key; attempt; delay }
+  | 16, [ S key; I attempts; S reason ] -> Cell_quarantined { key; attempts; reason }
+  | 17, [ S socket; I jobs; I queue_limit ] -> Server_start { socket; jobs; queue_limit }
+  | 18, [ I conn ] -> Conn_open { conn }
+  | 19, [ I conn; S reason ] -> Conn_close { conn; reason }
+  | 20, [ S id; S kind; S disposition ] -> Job_submit { id; kind; disposition }
+  | 21, [ S id; I queued; I limit ] -> Job_reject { id; queued; limit }
+  | 22, [ S id; I attempt ] -> Job_start { id; attempt }
+  | 23, [ S id; S status ] -> Job_done { id; status }
+  | 24, [ I queued; I running ] -> Server_drain { queued; running }
+  | 25, [ S kind ] -> Chaos_injected { kind }
+  | 26, [ S kind; S key ] -> Canon_hit { kind; key }
+  | 27, [ S path; I line; S reason ] -> Journal_corrupt { path; line; reason }
   | _ -> decode_error (Printf.sprintf "trace record: values do not fit event id %d" id)
 
 let anomalous = function

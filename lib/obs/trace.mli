@@ -30,8 +30,9 @@
     With no sink installed, {!on} is two loads and {!emit} is a no-op.
     Instrumentation sites must guard event {e construction} behind
     {!on} — [if Trace.on () then Trace.emit (Step {...})] — so a
-    disabled trace allocates nothing.  The [harness_overhead] bench pins
-    this (BENCH_trace_overhead.json).
+    disabled trace allocates nothing.  [bench/main.exe --stats-overhead]
+    pins this: it times the guarded game with every hook disabled twice,
+    interleaved, as [baseline] and [control] (BENCH_stats_overhead.json).
 
     {2 One domain, many processes}
 
@@ -50,13 +51,15 @@
     format version ({!version}) and the emitting program's name. *)
 
 val version : int
-(** Trace format version, [6].  v2 added the supervisor child-lifecycle
+(** Trace format version, [7].  v2 added the supervisor child-lifecycle
     events; v3 the job-server events; v4 the memo-cache [Canon_hit]
     event; v5 the multi-server dispatch events and [Journal_corrupt].
     v6 deletes the retired domain pool's [worker_start] and
     [worker_stop], so every kind after [checkpoint_flush] moved down two
-    binary ids.  (v5's dispatch kinds were the tail of {!kinds} and
-    went without a bump.)
+    binary ids.  v7 deletes the worker liveness event that followed
+    [child_spawn] (a worker sends nothing while its task runs), so every
+    later kind moved down one binary id.  (v5's dispatch kinds were the
+    tail of {!kinds} and went without a bump.)
 
     The NDJSON reader decodes by tag: it rejects newer versions rather
     than misparse them, and reads older traces unless they hold a
@@ -111,8 +114,6 @@ type event =
       (** the supervisor forked a worker process, once per worker: for
           the cell [key] that first needed it ([attempt] is that cell's,
           0 for the first try); the worker then runs cell after cell *)
-  | Child_heartbeat of { key : string; pid : int }
-      (** a liveness byte arrived from the worker running cell [key] *)
   | Child_kill of { key : string; pid : int; signal : string; elapsed : float }
       (** the supervisor sent [signal] (["sigterm"] or ["sigkill"]) to
           the worker running cell [key] — a watchdog escalation, a

@@ -5,40 +5,11 @@ type status =
   | Failed of Runner.counterexample
   | Skipped of string
 
-type report = {
-  target : Fuzz_targets.t;
-  status : status;
-  cases_run : int;
-}
-
-type 'a failure = {
-  case : int;
-  size : int;
-  tree : 'a Gen.tree;
-  message : string;
-}
-
-let counterexample_of ~config ~name ~print prop (f : _ failure) =
-  let minimal, steps, message =
-    Runner.shrink ~max_shrinks:config.Runner.max_shrinks prop f.tree
-      ~message:f.message
-  in
-  {
-    Runner.name;
-    seed = config.Runner.seed;
-    case = f.case;
-    size = f.size;
-    shrink_steps = steps;
-    printed = print minimal;
-    message;
-    replay =
-      Runner.replay_token ~name ~seed:config.Runner.seed ~case:f.case
-        ~size:f.size;
-  }
+type report = { target : Fuzz_targets.t; status : status }
 
 let run_target ~config (t : Fuzz_targets.t) =
   match t.Fuzz_targets.available () with
-  | Error reason -> { target = t; status = Skipped reason; cases_run = 0 }
+  | Error reason -> { target = t; status = Skipped reason }
   | Ok () ->
       let (Fuzz_targets.Packed { gen; print; prop }) = t.Fuzz_targets.packed in
       let cases =
@@ -57,12 +28,15 @@ let run_target ~config (t : Fuzz_targets.t) =
         | Runner.Case_pass -> ()
         | Runner.Case_fail { tree; message } ->
             if Option.is_none !first_failure then
-              first_failure := Some { case = i; size; tree; message }
+              first_failure := Some (i, size, tree, message)
       done;
       let status =
         match !first_failure with
         | None -> Passed { cases }
-        | Some f -> Failed (counterexample_of ~config ~name:t.name ~print prop f)
+        | Some (case, size, tree, message) ->
+            Failed
+              (Runner.counterexample_of ~config ~name:t.name ~print ~case ~size prop tree
+                 message)
       in
       if Tr.on () then
         Tr.emit
@@ -71,7 +45,7 @@ let run_target ~config (t : Fuzz_targets.t) =
                key = "fuzz:" ^ t.name;
                status = (match status with Passed _ -> "ok" | _ -> "error");
              });
-      { target = t; status; cases_run = cases }
+      { target = t; status }
 
 let replay ?(max_shrinks = Runner.default_config.Runner.max_shrinks) token =
   match Runner.parse_replay_token token with
@@ -89,7 +63,16 @@ let replay ?(max_shrinks = Runner.default_config.Runner.max_shrinks) token =
             | Runner.Case_pass -> Passed { cases = 1 }
             | Runner.Case_fail { tree; message } ->
                 Failed
-                  (counterexample_of ~config ~name ~print prop
-                     { case; size; tree; message })
+                  (Runner.counterexample_of ~config ~name ~print ~case ~size prop tree
+                     message)
           in
-          Ok { target = t; status; cases_run = 1 })
+          Ok { target = t; status })
+
+let status_line r =
+  let name = r.target.Fuzz_targets.name in
+  match r.status with
+  | Passed { cases } -> Printf.sprintf "%s: PASS (%d cases)" name cases
+  | Skipped reason -> Printf.sprintf "%s: SKIP (%s)" name reason
+  | Failed c ->
+      Printf.sprintf "%s: FAIL (case %d, size %d, %d shrinks)" name c.Runner.case
+        c.Runner.size c.Runner.shrink_steps

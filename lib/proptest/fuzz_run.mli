@@ -20,11 +20,7 @@ type status =
   | Failed of Runner.counterexample
   | Skipped of string  (** the target's [available] said no *)
 
-type report = {
-  target : Fuzz_targets.t;
-  status : status;
-  cases_run : int;  (** 0 when skipped *)
-}
+type report = { target : Fuzz_targets.t; status : status }
 
 val run_target : config:Runner.config -> Fuzz_targets.t -> report
 (** Run one target's full case budget (capped at the target's
@@ -37,3 +33,8 @@ val replay : ?max_shrinks:int -> string -> (report, string) result
     evaluation, shrinking on failure.  Bypasses the target's
     [available] gate (the token proves intent).  [Error] on a malformed
     token or an unknown target name. *)
+
+val status_line : report -> string
+(** The one-line verdict [fuzz.exe] prints and a served fuzz job answers
+    first: ["NAME: PASS (N cases)"], ["NAME: SKIP (reason)"] or
+    ["NAME: FAIL (case I, size S, K shrinks)"]. *)

@@ -447,8 +447,8 @@ let sweep_kill =
   let fast_supervisor =
     {
       Harness.Supervisor.default_config with
-      Harness.Supervisor.heartbeat_interval = 0;
-      backoff = { Harness.Backoff.default with base = 0.001; max = 0.01 };
+      Harness.Supervisor.backoff =
+        { Harness.Backoff.default with base = 0.001; max = 0.01 };
     }
   in
   let prop (payloads, victim, kill_work, jobs) =

@@ -75,6 +75,21 @@ val shrink :
 (** Greedy descent to a minimal failing value:
     [(minimal, accepted_steps, final_message)]. *)
 
+val counterexample_of :
+  config:config ->
+  name:string ->
+  print:('a -> string) ->
+  case:int ->
+  size:int ->
+  ('a -> bool) ->
+  'a Gen.tree ->
+  string ->
+  counterexample
+(** [counterexample_of ~config ~name ~print ~case ~size prop tree
+    message] shrinks the failing [tree] of case [case] (at most
+    [config.max_shrinks] steps) and reports the minimal value, with its
+    replay token.  [message] is why [prop] failed on the tree's root. *)
+
 (** {2 Whole checks} *)
 
 val check :

@@ -40,7 +40,6 @@ let all_events : T.event list =
     T.Fault_injected { tag = "wrong-color"; call = 9 };
     T.Misbehavior { label = "budget"; detail = "line1\nline2\x00nul" };
     T.Child_spawn { key = "cell"; pid = 4242; attempt = 2 };
-    T.Child_heartbeat { key = "cell"; pid = 4242 };
     T.Child_kill { key = "cell"; pid = 4242; signal = "sigkill"; elapsed = 0.25 };
     T.Child_exit
       { key = "cell"; pid = 4242; status = "signal:KILL"; cpu_user = 0.5; cpu_sys = 0.125 };

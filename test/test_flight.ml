@@ -188,8 +188,8 @@ let header_frame version =
   Buffer.add_char b '\000';
   Buffer.contents b
 
-(* v6 dropped two kinds, so every later binary id moved: a v5 file must
-   be refused with a version error, never misparsed. *)
+(* v7 dropped a kind, so every later binary id moved: a v6 file must be
+   refused with a version error, never misparsed. *)
 let test_read_rejects_older_version () =
   with_temp_file ".flight" @@ fun path ->
   let read version =
@@ -197,10 +197,10 @@ let test_read_rejects_older_version () =
         Out_channel.output_string oc (header_frame version));
     F.read_file path
   in
-  (match read 5 with
+  (match read 6 with
   | exception Obs.Json.Parse_error msg ->
-      check_bool ("a version error: " ^ msg) true (contains ~needle:"version 5" msg)
-  | _ -> Alcotest.fail "a v5 header was accepted");
+      check_bool ("a version error: " ^ msg) true (contains ~needle:"version 6" msg)
+  | _ -> Alcotest.fail "a v6 header was accepted");
   match read T.version with
   | [ { T.ev = T.Trace_header { version; program = "" }; _ } ] ->
       check_int "current version reads" T.version version
@@ -215,7 +215,7 @@ let () =
             test_roundtrip_all_constructors;
           Alcotest.test_case "rejects corruption" `Quick
             test_read_rejects_corruption;
-          Alcotest.test_case "rejects a pre-v6 header" `Quick
+          Alcotest.test_case "rejects a pre-v7 header" `Quick
             test_read_rejects_older_version;
         ] );
       ( "flush",

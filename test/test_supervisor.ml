@@ -4,8 +4,7 @@
 
    Everything here forks, so every test runs on the main domain (alcotest
    executes cases sequentially in-process) and uses a fast supervisor
-   config — millisecond backoff, no heartbeats — to keep the suite
-   quick. *)
+   config — millisecond backoff — to keep the suite quick. *)
 
 module Sup = Harness.Supervisor
 module Sweep = Harness.Sweep
@@ -14,11 +13,15 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+let contains ~needle s =
+  let n = String.length needle in
+  let rec at i = i + n <= String.length s && (String.sub s i n = needle || at (i + 1)) in
+  at 0
+
 let fast =
   {
     Sup.default_config with
-    Sup.heartbeat_interval = 0;
-    backoff = { Harness.Backoff.default with base = 0.001; max = 0.01 };
+    Sup.backoff = { Harness.Backoff.default with base = 0.001; max = 0.01 };
   }
 
 let with_temp_file f =
@@ -80,6 +83,56 @@ let test_cross_mode_resume () =
       check_string "proc checkpoint, proc resume at jobs 2" clean
         (render ~resume:true ~checkpoint:ckpt ~jobs:2 ~isolation:`Process
            ~supervisor:fast full))
+
+(* Two cells that block 1.5 s in a system call: [Unix.select] on
+   nothing, and [Unix.read] on a pipe a forked child writes to after
+   the wait.  In-process they return normally; a worker must not
+   interrupt them (with a timer signal, say), so on workers they print
+   the same bytes.  [Unix.sleepf] would not show it: it restarts after
+   a signal. *)
+let blocking_cells () =
+  [
+    {
+      Sweep.key = "select";
+      run =
+        (fun () ->
+          ignore (Unix.select [] [] [] 1.5);
+          "select ok");
+    };
+    {
+      Sweep.key = "read";
+      run =
+        (fun () ->
+          let r, w = Unix.pipe () in
+          match Unix.fork () with
+          | 0 ->
+              (* Nothing may escape the child: it runs the rest of its
+                 parent's program otherwise. *)
+              (try
+                 Unix.close r;
+                 Unix.sleepf 1.5;
+                 ignore (Unix.write_substring w "x" 0 1)
+               with _ -> ());
+              Unix._exit 0
+          | pid ->
+              Unix.close w;
+              Fun.protect
+                ~finally:(fun () ->
+                  Unix.close r;
+                  ignore (Unix.waitpid [] pid))
+                (fun () ->
+                  let n = Unix.read r (Bytes.create 1) 0 1 in
+                  Printf.sprintf "read ok (%d byte)" n));
+    };
+  ]
+
+let test_blocking_cells () =
+  let baseline = render (blocking_cells ()) in
+  check_bool "in-process cells return" true
+    (contains ~needle:"select ok" baseline && contains ~needle:"read ok" baseline);
+  check_string "shipped config, jobs 2" baseline
+    (render ~jobs:2 ~isolation:`Process ~supervisor:Sup.default_config
+       (blocking_cells ()))
 
 let test_self_kill_retried () =
   (* First attempt SIGKILLs its own worker process; the retry succeeds.
@@ -549,6 +602,54 @@ let test_worker_anomaly_in_flight_file () =
       check_int "a clean sweep leaves the header only" 1
         (List.length (Obs.Flight.read_file path)))
 
+(* A worker whose parent dies mid-task quits at once, removing its temp
+   directory, instead of finishing a task nobody will read.  The
+   kernel's parent-death signal is Linux's: without /proc this checks
+   nothing. *)
+let test_orphan_quits () =
+  let alive pid =
+    match
+      In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all
+    with
+    | stat -> stat.[String.rindex stat ')' + 2] <> 'Z'
+    | exception Sys_error _ -> false
+  in
+  if Sys.file_exists "/proc/self/stat" then
+    with_temp_file (fun record ->
+        match Unix.fork () with
+        | 0 ->
+            (try
+               Sup.run ~jobs:1 ~tasks:1 ~key:string_of_int
+                 ~work:(fun _ ->
+                   Out_channel.with_open_bin record (fun oc ->
+                       output_string oc (string_of_int (Unix.getpid ())));
+                   ignore (Unix.select [] [] [] 10.);
+                   "finished")
+                 ~consume:(fun _ _ -> ())
+                 ()
+             with _ -> ());
+            Unix._exit 0
+        | parent ->
+            let rec worker tries =
+              match int_of_string_opt (In_channel.with_open_bin record In_channel.input_all) with
+              | Some pid -> pid
+              | None when tries > 0 ->
+                  Unix.sleepf 0.01;
+                  worker (tries - 1)
+              | None -> Alcotest.fail "the worker never started its task"
+            in
+            let pid = worker 1000 in
+            Unix.kill parent Sys.sigkill;
+            ignore (Unix.waitpid [] parent);
+            let dir = Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "worker-%d" pid) in
+            let t0 = Unix.gettimeofday () in
+            let rec quits () =
+              (not (alive pid || Sys.file_exists dir))
+              || (Unix.gettimeofday () -. t0 < 0.5 && (Unix.sleepf 0.01; quits ()))
+            in
+            check_bool "the orphan quit within 0.5 s and removed its directory" true
+              (quits ()))
+
 let test_validation () =
   let rejects what f =
     match f () with
@@ -565,8 +666,6 @@ let test_validation () =
   rejects "retries < 0" (fun () -> run_with { fast with Sup.retries = -1 });
   rejects "timeout <= 0" (fun () -> run_with { fast with Sup.timeout = Some 0. });
   rejects "kill_grace <= 0" (fun () -> run_with { fast with Sup.kill_grace = 0. });
-  rejects "heartbeat_interval < 0" (fun () ->
-      run_with { fast with Sup.heartbeat_interval = -1 });
   rejects "backoff_base < 0" (fun () ->
       run_with { fast with Sup.backoff = { fast.Sup.backoff with base = -0.1 } });
   rejects "backoff_max < backoff_base" (fun () ->
@@ -591,6 +690,8 @@ let () =
             test_memo_isolation_modes;
           Alcotest.test_case "memo kill + resume, cache not checkpointed"
             `Quick test_memo_kill_resume;
+          Alcotest.test_case "blocking cells print the in-process bytes on workers"
+            `Quick test_blocking_cells;
         ] );
       ( "kill-tolerance",
         [
@@ -616,6 +717,7 @@ let () =
             test_sibling_temp_names;
           Alcotest.test_case "a killed worker's temp directory is removed" `Quick
             test_killed_worker_temp_dir;
+          Alcotest.test_case "an orphaned worker quits mid-task" `Quick test_orphan_quits;
           Alcotest.test_case "validation" `Quick test_validation;
         ] );
       ( "worker-events",

@@ -128,7 +128,7 @@ let test_overlapping_alphabets_rejected () =
 let test_supervisor_compat_bytes () =
   (* the extraction must not have changed the supervisor's wire bytes:
      'H' is one bare byte, a framed reply is tag + BE length + payload *)
-  check_string "bare heartbeat byte" "H"
+  check_string "bare ready byte" "H"
     (Bytes.to_string (Wire.encode_bare 'H'));
   check_string "framed reply image" "R\x00\x00\x00\x02ok"
     (Bytes.to_string (Wire.encode ~tag:'R' "ok"))
