@@ -242,7 +242,7 @@ let fuzz_throughput () =
    (the Sweep isolation contract), and the per-cell premium of `Process
    over `In_domain at jobs 1 is reported.  Cells are deliberately light
    (~ms) so the premium is visible rather than drowned in cell cost —
-   this is the worst case for --isolate proc. *)
+   this is the worst case for worker processes. *)
 
 let isolation_overhead () =
   let cells () =
@@ -874,17 +874,20 @@ let game_steps_check () =
 
 (* -------------- cross-cell memoization speedup (E15) --------------- *)
 
-(* The --memo speedup claim: on a dense t-axis thm1 sweep of
-   locality-independent algorithms, the game-level report cache
-   collapses the campaign to one live adversary run per (algorithm, k,
-   side) — every other cell replays the recorded report and re-formats
-   it with its own t.  Wall-clock of the identical sweep is measured
-   memo-off and memo-on, and byte-identity of the rendered output is
-   asserted: the contract is that --memo may only change wall-clock.
+(* The game-cache speedup claim: on a dense t-axis thm1 sweep of
+   locality-independent algorithms, the cache behind
+   Jobs_catalog.thm1_cell collapses the campaign to one live adversary
+   run per (algorithm, k, side) — every other cell replays the recorded
+   report and re-formats it with its own t.  Wall-clock of the same
+   sweep is measured on live cells (Jobs_catalog.thm1_run, the path
+   served jobs take) and on the sweep's cached cells, and byte-identity
+   of the rendered output is asserted: the cache may only change
+   wall-clock.
 
-   The memo-on sweep is measured twice: cold (the caches start empty,
-   so the sweep itself pays the live runs — this is the headline
-   number) and warm (a second sweep on the same domain, all hits).
+   The cached sweep is measured twice: cold (the first cached sweep in
+   this process, so the cache starts empty and the sweep itself pays
+   the live runs — the headline number) and warm (a second sweep in the
+   same process, all hits).
 
    --canon-memo        measure and write BENCH_canon_memo.json; fail
                        unless the cold speedup reaches 2x
@@ -899,10 +902,13 @@ let canon_memo_axes =
     (fun t -> List.map (fun algo -> (t, algo)) [ "greedy"; "stripes" ])
     (List.init 12 (fun i -> i + 1))
 
-let canon_memo_cells ~memo () =
+let canon_memo_cells ~cached () =
   List.map
     (fun (t, algo) ->
-      Jobs_catalog.thm1_cell ~memo ~validate:true ~t ~k:12 ~side:16_000 ~algo ())
+      let cell = Jobs_catalog.thm1_cell ~validate:true ~t ~k:12 ~side:16_000 ~algo () in
+      if cached then cell
+      else
+        { cell with run = Jobs_catalog.thm1_run ~validate:true ~t ~k:12 ~side:16_000 ~algo })
     canon_memo_axes
 
 (* The game cache runs the first cell of each distinct game key live and
@@ -916,40 +922,39 @@ let canon_memo_misses =
     canon_memo_axes
   |> List.sort_uniq compare |> List.length
 
-let canon_memo_render ~memo () =
+let canon_memo_render ~cached () =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
   let t0 = Unix.gettimeofday () in
-  Harness.Sweep.run ~jobs:1 ~ppf (canon_memo_cells ~memo ());
+  Harness.Sweep.run ~jobs:1 ~ppf (canon_memo_cells ~cached ());
   let dt = Unix.gettimeofday () -. t0 in
   (dt, Buffer.contents buf)
 
-(* One measurement pass: memo-off (best of [passes]; the caches stay
-   untouched, memo-off never reads or writes them), then memo-on cold,
-   then memo-on warm.  Returns (off, cold, warm) after asserting all
-   three outputs byte-equal. *)
+(* One measurement pass: live (best of [passes]; live cells never read
+   or write the cache), then cached cold, then cached warm.  Returns
+   (live, cold, warm) after asserting all three outputs byte-equal. *)
 let canon_memo_measure ~passes () =
-  ignore (canon_memo_render ~memo:false ());
-  let off_t, off_out =
+  ignore (canon_memo_render ~cached:false ());
+  let live_t, live_out =
     List.fold_left
       (fun (best_t, out) _ ->
-        let t, o = canon_memo_render ~memo:false () in
+        let t, o = canon_memo_render ~cached:false () in
         if t < best_t then (t, o) else (best_t, out))
-      (canon_memo_render ~memo:false ())
+      (canon_memo_render ~cached:false ())
       (List.init (passes - 1) Fun.id)
   in
-  let cold_t, cold_out = canon_memo_render ~memo:true () in
-  let warm_t, warm_out = canon_memo_render ~memo:true () in
+  let cold_t, cold_out = canon_memo_render ~cached:true () in
+  let warm_t, warm_out = canon_memo_render ~cached:true () in
   List.iter
     (fun (label, out) ->
-      if not (String.equal out off_out) then
+      if not (String.equal out live_out) then
         failwith
           (Printf.sprintf
-             "BENCH canon_memo: %s output differs from memo-off — the --memo \
-              byte-identity contract is broken"
+             "BENCH canon_memo: %s output differs from the live cells — the \
+              game cache's byte-identity contract is broken"
              label))
-    [ ("memo-on (cold)", cold_out); ("memo-on (warm)", warm_out) ];
-  (off_t, cold_t, warm_t)
+    [ ("cached (cold)", cold_out); ("cached (warm)", warm_out) ];
+  (live_t, cold_t, warm_t)
 
 let canon_memo () =
   let cells = List.length canon_memo_axes in
@@ -957,12 +962,12 @@ let canon_memo () =
   let hits = cells - misses in
   Format.printf "== E15: cross-cell memoization (%s; %d cells) ==@.@."
     canon_memo_grid cells;
-  let off_t, cold_t, warm_t = canon_memo_measure ~passes:3 () in
-  let speedup = off_t /. cold_t in
+  let live_t, cold_t, warm_t = canon_memo_measure ~passes:3 () in
+  let speedup = live_t /. cold_t in
   Format.printf "%-16s %-12s %s@." "mode" "seconds" "speedup";
-  Format.printf "%-16s %-12.3f %.2fx@." "memo-off" off_t 1.0;
-  Format.printf "%-16s %-12.3f %.2fx@." "memo-on (cold)" cold_t speedup;
-  Format.printf "%-16s %-12.3f %.2fx@." "memo-on (warm)" warm_t (off_t /. warm_t);
+  Format.printf "%-16s %-12.3f %.2fx@." "live" live_t 1.0;
+  Format.printf "%-16s %-12.3f %.2fx@." "cached (cold)" cold_t speedup;
+  Format.printf "%-16s %-12.3f %.2fx@." "cached (warm)" warm_t (live_t /. warm_t);
   Format.printf "game cache: %d hits, %d misses (live runs)@." hits misses;
   let results =
     Obs.Json.Obj
@@ -984,9 +989,9 @@ let canon_memo () =
                      ("speedup", Obs.Json.Float s);
                    ])
                [
-                 ("memo-off", off_t, 1.0);
-                 ("memo-on-cold", cold_t, speedup);
-                 ("memo-on-warm", warm_t, off_t /. warm_t);
+                 ("live", live_t, 1.0);
+                 ("cached-cold", cold_t, speedup);
+                 ("cached-warm", warm_t, live_t /. warm_t);
                ]) );
       ]
   in
@@ -1024,8 +1029,8 @@ let canon_memo_check () =
          "BENCH canon_memo check: committed speedup %.2fx is below the 2x \
           claim — regenerate with --canon-memo on a quiet machine"
          committed_speedup);
-  let off_t, cold_t, _ = canon_memo_measure ~passes:2 () in
-  let fresh = off_t /. cold_t in
+  let live_t, cold_t, _ = canon_memo_measure ~passes:2 () in
+  let fresh = live_t /. cold_t in
   Format.printf "fresh cold speedup: %.2fx (bound 1.5x; %d live runs)@." fresh
     canon_memo_misses;
   if fresh < 1.5 then
@@ -1051,7 +1056,7 @@ let modes =
     ("--game-steps", "E13: game steps/s, writes BENCH_game_steps.json", game_steps);
     ("--game-steps-check", "E13 gate: fresh thm3 steps/s vs the record", game_steps_check);
     ("--canon-memo-check", "E15 gate: the record claims >= 2x, fresh >= 1.5x", canon_memo_check);
-    ("--canon-memo", "E15: --memo speedup, writes BENCH_canon_memo.json", canon_memo);
+    ("--canon-memo", "E15: game-cache speedup, writes BENCH_canon_memo.json", canon_memo);
     ( "--stats-overhead-check",
       "E14 gate: the record's flight <= 10%, fresh <= 35%",
       stats_overhead_check );

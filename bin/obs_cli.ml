@@ -1,7 +1,8 @@
 (* Shared flag plumbing for the binaries in this directory.
 
-   Every binary but exhaust and trace_report takes the same
-   observability flags:
+   Every binary but exhaust, submit and trace_report takes the same
+   observability flags (submit records nothing: Harness.Client emits no
+   Obs event):
 
      --trace FILE   stream NDJSON trace events to FILE
      --stats FILE   write drained streaming stats (JSON) to FILE
@@ -14,8 +15,6 @@
    identically everywhere, naming the flag:
 
      --jobs N             worker processes (default: cores, capped at 8)
-     --isolate proc       the only mode, accepted and ignored; "domain"
-                          is a usage error
      --retries N          extra attempts per task whose worker crashed
      --cell-timeout-ms MS per-attempt wall-clock watchdog (in serve, the
                           deadline of jobs submitted without one)
@@ -108,22 +107,6 @@ let jobs =
            one warm worker (default: available cores, capped at 8).  Output \
            bytes never depend on $(docv).")
 
-(* The one mode there is, still accepted by name: command lines that
-   pass --isolate proc keep working, and any other value is a usage
-   error. *)
-let isolate =
-  Arg.(
-    value
-    & opt (enum [ ("proc", ()) ]) ()
-    & info [ "isolate" ] ~docv:"MODE"
-        ~doc:
-          "Isolation: $(b,proc), the only mode.  Every task runs on a \
-           supervised worker process: one per --jobs slot, forked when a \
-           task first needs it, and replaced when it dies, is killed, or \
-           its task raised or spawned a domain.  A task survives kills of \
-           its worker: crashed tasks retry with seeded backoff, and \
-           crash-looping ones are quarantined.")
-
 let retries =
   Arg.(
     value
@@ -156,8 +139,8 @@ let supervisor_term =
   Term.(const make $ retries $ cell_timeout_ms)
 
 let exec_term =
-  let make jobs () supervisor = { jobs; supervisor } in
-  Term.(const make $ jobs $ isolate $ supervisor_term)
+  let make jobs supervisor = { jobs; supervisor } in
+  Term.(const make $ jobs $ supervisor_term)
 
 let with_observability ~program ~trace:trace_path ?(stats = None)
     ?(flight = None) f =

@@ -8,7 +8,7 @@
 
 let run quick exec trace stats flight =
   Obs_cli.with_observability ~program:"repro" ~trace ~stats ~flight @@ fun () ->
-  Experiments.run_all ~quick ~jobs:exec.Obs_cli.jobs ~isolation:`Process
+  Experiments.run_all ~quick ~jobs:exec.Obs_cli.jobs
     ~supervisor:exec.Obs_cli.supervisor Format.std_formatter;
   Format.printf "@.";
   0

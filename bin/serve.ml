@@ -17,17 +17,18 @@
    backoff (--retries) and then quarantine, and the watchdog kills a
    job over its deadline, or over --cell-timeout-ms for a job that
    carries none, escalating SIGTERM -> SIGKILL after 0.5 s.
-   --isolate proc is accepted and changes nothing; --isolate domain is
-   a usage error.  SIGTERM drains gracefully (in-flight jobs finish,
-   queued jobs stay in the --journal), and --resume replays the journal
-   after a crash or drain: finished jobs become cached results,
-   accepted-but-unfinished jobs re-enter the queue.  --chaos SEED
-   injects deterministic faults (dropped connections, partial/truncated
-   frames, worker SIGKILLs) to rehearse exactly those failure paths. *)
+   --isolate proc is accepted and changes nothing (command lines that
+   pass it keep working); --isolate domain is a usage error.  SIGTERM
+   drains gracefully (in-flight jobs finish, queued jobs stay in the
+   --journal), and --resume replays the journal after a crash or drain:
+   finished jobs become cached results, accepted-but-unfinished jobs
+   re-enter the queue.  --chaos SEED injects deterministic faults
+   (dropped connections, partial/truncated frames, worker SIGKILLs) to
+   rehearse exactly those failure paths. *)
 
 open Cmdliner
 
-let run socket journal resume chaos (exec : Obs_cli.exec) trace stats flight =
+let run socket journal resume chaos (exec : Obs_cli.exec) () trace stats flight =
   Obs_cli.with_observability ~program:"serve" ~trace ~stats ~flight @@ fun () ->
   let jobs = exec.Obs_cli.jobs in
   let config =
@@ -92,11 +93,27 @@ let chaos =
            kills are charged no retry budget, so chaos never quarantines a \
            healthy job.")
 
+(* The one mode there is, still accepted by name because command lines
+   pass it (bench/suite starts the server with --isolate proc); any
+   other value is a usage error. *)
+let isolate =
+  Arg.(
+    value
+    & opt (enum [ ("proc", ()) ]) ()
+    & info [ "isolate" ] ~docv:"MODE"
+        ~doc:
+          "Isolation: $(b,proc), the only mode.  Every task runs on a \
+           supervised worker process: one per --jobs slot, forked when a \
+           task first needs it, and replaced when it dies, is killed, or \
+           its task raised or spawned a domain.  A task survives kills of \
+           its worker: crashed tasks retry with seeded backoff, and \
+           crash-looping ones are quarantined.")
+
 let cmd =
   Cmd.v
     (Cmd.info "serve" ~doc:"Resilient job server over a Unix/TCP socket")
     Term.(
       const run $ socket $ journal $ resume $ chaos
-      $ Obs_cli.exec_term $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
+      $ Obs_cli.exec_term $ isolate $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
 
 let () = exit (Cmd.eval' cmd)

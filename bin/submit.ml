@@ -14,7 +14,8 @@
    campaign gives up after 10,000 consecutive connection failures, or
    10,000 rejections of one job (Harness.Client.run_campaign's
    defaults).  The retry/reconnect tally goes to stderr; stdout carries
-   only results. *)
+   only results.  submit takes no --trace, --stats or --flight: the
+   client emits no Obs event, so there would be nothing to record. *)
 
 open Cmdliner
 
@@ -34,9 +35,7 @@ let read_specs_file path =
   in
   go []
 
-let run socket kind payloads from deadline_ms health stats trace stats_out flight =
-  Obs_cli.with_observability ~program:"submit" ~trace ~stats:stats_out ~flight
-  @@ fun () ->
+let run socket kind payloads from deadline_ms health stats =
   (* exit 2: the server is unreachable — an operational state with its
      own exit code, distinct from protocol/usage failures (exit 1) *)
   let print_or_unreachable = function
@@ -118,15 +117,12 @@ let stats =
   Arg.(
     value & flag
     & info [ "server-stats" ]
-        ~doc:
-          "Print the server's stats JSON and exit.  (The shared --stats \
-           FILE flag writes this client's own streaming statistics.)")
+        ~doc:"Print the server's stats JSON and exit.")
 
 let cmd =
   Cmd.v
     (Cmd.info "submit" ~doc:"Submit jobs to serve.exe and print their results")
     Term.(
-      const run $ socket $ kind $ payloads $ from $ deadline_ms $ health $ stats
-      $ Obs_cli.trace $ Obs_cli.stats $ Obs_cli.flight)
+      const run $ socket $ kind $ payloads $ from $ deadline_ms $ health $ stats)
 
 let () = exit (Cmd.eval' cmd)

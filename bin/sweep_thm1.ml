@@ -5,7 +5,9 @@
    replays completed cells verbatim, so a killed sweep can be restarted
    and still print byte-identical final output.  --jobs N runs cells on
    N worker processes; output order and resume behavior do not depend
-   on N.
+   on N.  Each worker keeps the thm1 game cache (see jobs_catalog.ml):
+   a cell whose game already ran there replays its report, so greedy
+   and stripes play one game per (k, side) however long the t-axis.
 
    dune exec bin/sweep_thm1.exe -- -t 1,2 -k 6,9 --side 4000 --algo ael \
      --jobs 4 --checkpoint sweep_thm1.ckpt
@@ -13,7 +15,7 @@
 
 open Cmdliner
 
-let run ts ks sides algos validate memo sweep =
+let run ts ks sides algos validate sweep =
   let cells =
     List.concat_map
       (fun t ->
@@ -23,7 +25,7 @@ let run ts ks sides algos validate memo sweep =
               (fun side ->
                 List.map
                   (fun algo ->
-                    Jobs_catalog.thm1_cell ~memo ~validate ~t ~k ~side ~algo ())
+                    Jobs_catalog.thm1_cell ~validate ~t ~k ~side ~algo ())
                   (Harness.Sweep.string_axis ~flag:"--algo" algos))
               (Harness.Sweep.int_axis ~flag:"--side" sides))
           (Harness.Sweep.int_axis ~flag:"-k" ks))
@@ -46,22 +48,9 @@ let algos =
 let validate =
   Arg.(value & flag & info [ "validate" ] ~doc:"Replay-check the transcript (slow).")
 
-let memo =
-  Arg.(
-    value
-    & flag
-    & info [ "memo" ]
-        ~doc:
-          "Game cache: a cell whose (algorithm, radius, k, side, validate) \
-           already ran on this worker replays that run's report instead of \
-           playing it again (see lib/canon/README.md).  Result bytes and \
-           --stats files are identical with and without $(b,--memo) at \
-           every --jobs count and resume history; the cache lives in each \
-           worker process and is never checkpointed.")
-
 let cmd =
   Cmd.v
     (Cmd.info "sweep_thm1" ~doc:"Theorem 1 adversary sweep")
-    Term.(const run $ ts $ ks $ sides $ algos $ validate $ memo $ Obs_cli.sweep_term)
+    Term.(const run $ ts $ ks $ sides $ algos $ validate $ Obs_cli.sweep_term)
 
 let () = exit (Cmd.eval' cmd)

@@ -392,18 +392,16 @@ let main path =
       Format.eprintf "trace_report: %s@." msg;
       1
 
-(* Integrity-check a sweep/server journal: verify the v2 CRC trailers
+(* Integrity-check a sweep/server journal: verify the CRC trailers
    and report — without replaying — exactly which records a resume
-   would skip.  Exit 0 on a clean journal, 1 when corruption is found. *)
+   would skip.  Exit 0 on a clean journal, 1 when corruption is found,
+   2 when the file cannot be read or is in another format version. *)
 let fsck_main path =
   match Harness.Sweep.Journal.fsck path with
-  | { Harness.Sweep.Journal.version; records; corrupt } ->
-      Format.printf "journal %s: format v%d, %d valid record%s@." path version
-        records
+  | { Harness.Sweep.Journal.records; corrupt } ->
+      Format.printf "journal %s: format v%d, %d valid record%s@." path
+        Harness.Sweep.Journal.version records
         (if records = 1 then "" else "s");
-      if version < 2 then
-        Format.printf
-          "  (pre-v2 format: records carry no CRC trailer to verify)@.";
       List.iter
         (fun { Harness.Sweep.Journal.line; reason } ->
           Format.printf "  line %d: CORRUPT — %s@." line reason)

@@ -13,11 +13,33 @@
    A payload that does not parse, or an unknown kind, raises — which the
    server maps to a typed "ERROR: ..." result, never a crash.
 
-   thm1 cell constructors take ~memo (the game cache below; identical
-   result strings either way — a hit replays the recorded report and its
-   Stats observes).  The socket handler always runs memo-off: server
-   results stay byte-identical to historical runs by construction, not
-   just by the equivalence argument. *)
+   The thm1 game cache.  A thm1 sweep cell ([thm1_cell]) answers through
+   [thm1_reports], a table of whole adversary reports keyed on
+   (algorithm name, radius, k, side, validate).  A cell's t enters only
+   through the algorithm's radius, so on a dense t-axis a
+   locality-independent algorithm (greedy, stripes) plays one live run
+   per (k, side) on each worker, and every other cell re-formats the
+   cached report with its own t; AEL's radius moves with t, so its cells
+   never hit.  Sound for any deterministic algorithm, stateful or not:
+   a live run always instantiates a fresh instance, so the whole-run
+   report carries no hidden state.  Each hit emits a
+   [Canon_hit {kind = "game"}] trace event, which trace_report tallies
+   under "memo cache hits".
+
+   The cache may only change wall-clock.  Sweep text, checkpoint files
+   and --stats snapshots are the bytes the live path ([thm1_run])
+   prints, at every --jobs count, in-process and on workers, and after
+   any kill/resume history:
+   - a hit replays the Obs.Stats observes the live run would have made;
+   - the table is plain state in the process that runs the cell (the
+     library is single-domain): per worker, never checkpointed, never
+     shipped across the supervisor wire, so a resumed sweep or a
+     replaced worker starts cold — slower, never different.
+
+   Served jobs ([handler]) always run live: a server worker outlives any
+   one sweep, so a cache there would grow with the job stream.  The
+   tests that pin all this are test_catalog's "memo variants agree" and
+   "served thm1 jobs run live", and test_supervisor's memo cases. *)
 
 open Online_local
 module Sweep = Harness.Sweep
@@ -34,47 +56,7 @@ let thm1_algorithm name t =
   | "ael" -> Portfolio.ael ~t ()
   | other -> failwith ("unknown algorithm: " ^ other)
 
-(* Game-level report cache for thm1 cells.  The adversary's report is a
-   pure function of (algorithm, executor radius, k, side, validate):
-   the cell's [t] only enters through the algorithm's locality, so a
-   t-axis sweep of a locality-independent algorithm replays one run per
-   (k, side) — the cell text re-formats the cached report with its own
-   t.  Sound for *any* deterministic algorithm, stateful or not: each
-   live run instantiates a fresh instance, so the whole-run result
-   carries no hidden state.  One table per process (the library is
-   single-domain), never checkpointed (see lib/canon/README.md). *)
-let thm1_reports : (string, Thm1_adversary.report) Hashtbl.t = Hashtbl.create 64
-
-let thm1_run ?(memo = false) ~validate ~t ~k ~side ~algo () =
-  let algorithm = thm1_algorithm algo t in
-  let run_live () = Thm1_adversary.run ~validate ~n_side:side ~k ~algorithm () in
-  let r =
-    if not memo then run_live ()
-    else begin
-      let radius = algorithm.Models.Algorithm.locality ~n:(side * side) in
-      let gkey =
-        Printf.sprintf "thm1|%s|%d|%d|%d|%b" algorithm.Models.Algorithm.name
-          radius k side validate
-      in
-      match Hashtbl.find_opt thm1_reports gkey with
-      | Some r ->
-          if Obs.Trace.on () then
-            Obs.Trace.emit (Obs.Trace.Canon_hit { kind = "game"; key = gkey });
-          (* Replay the Stats observes the live run would have made, so
-             a --stats file is byte-identical to the memo-off run. *)
-          if Obs.Stats.on () then begin
-            Obs.Stats.observe "thm1.presented" r.Thm1_adversary.presented;
-            Obs.Stats.observe "thm1.revealed" r.Thm1_adversary.revealed;
-            Obs.Stats.observe "thm1.span_width" r.Thm1_adversary.width;
-            Obs.Stats.observe "thm1.span_height" r.Thm1_adversary.height
-          end;
-          r
-      | None ->
-          let r = run_live () in
-          Hashtbl.replace thm1_reports gkey r;
-          r
-    end
-  in
+let thm1_text ~t ~k ~side ~algo r =
   Format.asprintf
     "thm1 vs %s (T=%d) on %d^2 grid, b-target k=%d:@.  %a@.  guaranteed by \
      theory: %b (needs k > 4T+4)@.  max fitting k at this side/T: %d"
@@ -82,10 +64,45 @@ let thm1_run ?(memo = false) ~validate ~t ~k ~side ~algo () =
     (Thm1_adversary.guaranteed ~t ~k)
     (Thm1_adversary.recommended_k ~n_side:side ~t)
 
-let thm1_cell ?(memo = false) ~validate ~t ~k ~side ~algo () =
+(* The live path: one fresh game per call. *)
+let thm1_run ~validate ~t ~k ~side ~algo () =
+  let algorithm = thm1_algorithm algo t in
+  thm1_text ~t ~k ~side ~algo
+    (Thm1_adversary.run ~validate ~n_side:side ~k ~algorithm ())
+
+let thm1_reports : (string, Thm1_adversary.report) Hashtbl.t = Hashtbl.create 64
+
+let thm1_cached ~validate ~t ~k ~side ~algo () =
+  let algorithm = thm1_algorithm algo t in
+  let radius = algorithm.Models.Algorithm.locality ~n:(side * side) in
+  let gkey =
+    Printf.sprintf "thm1|%s|%d|%d|%d|%b" algorithm.Models.Algorithm.name radius
+      k side validate
+  in
+  let r =
+    match Hashtbl.find_opt thm1_reports gkey with
+    | Some r ->
+        if Obs.Trace.on () then
+          Obs.Trace.emit (Obs.Trace.Canon_hit { kind = "game"; key = gkey });
+        (* the observes the live run would have made *)
+        if Obs.Stats.on () then begin
+          Obs.Stats.observe "thm1.presented" r.Thm1_adversary.presented;
+          Obs.Stats.observe "thm1.revealed" r.Thm1_adversary.revealed;
+          Obs.Stats.observe "thm1.span_width" r.Thm1_adversary.width;
+          Obs.Stats.observe "thm1.span_height" r.Thm1_adversary.height
+        end;
+        r
+    | None ->
+        let r = Thm1_adversary.run ~validate ~n_side:side ~k ~algorithm () in
+        Hashtbl.replace thm1_reports gkey r;
+        r
+  in
+  thm1_text ~t ~k ~side ~algo r
+
+let thm1_cell ~validate ~t ~k ~side ~algo () =
   {
     Sweep.key = Printf.sprintf "t=%d k=%d side=%d algo=%s" t k side algo;
-    run = thm1_run ~memo ~validate ~t ~k ~side ~algo;
+    run = thm1_cached ~validate ~t ~k ~side ~algo;
   }
 
 let thm1_of_key payload =

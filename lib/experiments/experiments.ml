@@ -462,41 +462,32 @@ let driver_names =
   [ "e6-lemmas"; "e1-grid"; "e2-torus"; "e3-gadget"; "e4-upper"; "e5-reduction";
     "e7-faults" ]
 
-let run_all ?(quick = false) ?(jobs = 1) ?(isolation = `In_domain) ?supervisor
-    ppf =
-  match isolation with
-  | `In_domain ->
-      List.iter
-        (fun (driver : ?quick:bool -> Format.formatter -> unit) -> driver ~quick ppf)
-        drivers
-  | `Process ->
-      (* Each driver renders into a buffer on a supervised worker, and
-         the buffers are printed in driver order, so the output is
-         byte-identical to the in-domain run at any jobs count.  A driver
-         that raises or is quarantined aborts the repro — tables must be
-         whole. *)
-      let drivers = Array.of_list drivers in
-      let names = Array.of_list driver_names in
-      let render_driver (driver : ?quick:bool -> Format.formatter -> unit) =
-        let buf = Buffer.create 4096 in
-        let bppf = Format.formatter_of_buffer buf in
-        driver ~quick bppf;
-        Format.pp_print_flush bppf ();
-        Buffer.contents buf
-      in
-      Harness.Supervisor.run ?config:supervisor ~jobs
-        ~tasks:(Array.length drivers)
-        ~key:(fun i -> names.(i))
-        ~work:(fun i -> render_driver drivers.(i))
-        ~consume:(fun i outcome ->
-          match outcome with
-          | Harness.Supervisor.Done rendered ->
-              Format.pp_print_string ppf rendered
-          | Harness.Supervisor.Failed msg ->
-              failwith (Printf.sprintf "driver %s failed: %s" names.(i) msg)
-          | Harness.Supervisor.Quarantined q ->
-              failwith
-                (Printf.sprintf "driver %s: %s" names.(i)
-                   (Harness.Supervisor.quarantine_to_string q)))
-        ();
-      Format.pp_print_flush ppf ()
+let run_all ?(quick = false) ?(jobs = 1) ?supervisor ppf =
+  (* Each driver renders into a buffer on a supervised worker, and the
+     buffers are printed in driver order, so the output is the same at
+     any jobs count.  A driver that raises or is quarantined aborts the
+     repro — tables must be whole. *)
+  let drivers = Array.of_list drivers in
+  let names = Array.of_list driver_names in
+  let render_driver (driver : ?quick:bool -> Format.formatter -> unit) =
+    let buf = Buffer.create 4096 in
+    let bppf = Format.formatter_of_buffer buf in
+    driver ~quick bppf;
+    Format.pp_print_flush bppf ();
+    Buffer.contents buf
+  in
+  Harness.Supervisor.run ?config:supervisor ~jobs
+    ~tasks:(Array.length drivers)
+    ~key:(fun i -> names.(i))
+    ~work:(fun i -> render_driver drivers.(i))
+    ~consume:(fun i outcome ->
+      match outcome with
+      | Harness.Supervisor.Done rendered -> Format.pp_print_string ppf rendered
+      | Harness.Supervisor.Failed msg ->
+          failwith (Printf.sprintf "driver %s failed: %s" names.(i) msg)
+      | Harness.Supervisor.Quarantined q ->
+          failwith
+            (Printf.sprintf "driver %s: %s" names.(i)
+               (Harness.Supervisor.quarantine_to_string q)))
+    ();
+  Format.pp_print_flush ppf ()

@@ -55,21 +55,17 @@ val e7_fault_matrix : ?quick:bool -> Format.formatter -> unit
 val run_all :
   ?quick:bool ->
   ?jobs:int ->
-  ?isolation:Harness.Sweep.isolation ->
   ?supervisor:Harness.Supervisor.config ->
   Format.formatter ->
   unit
-(** All of the above, in order.  By default the drivers run one after
-    another in the calling domain, printing straight to the formatter;
-    [jobs] and [supervisor] are then unused.  With
-    [~isolation:`Process] (what [repro.exe] runs) each driver renders
-    into a private buffer on a supervised worker process — at most
-    [jobs] at a time, tuned by [?supervisor] ({!Harness.Supervisor}) —
-    and the buffers are printed in driver order, so the output is
-    byte-identical.  A driver whose worker dies abnormally is retried,
-    then — unlike a sweep cell — aborts the repro with [Failure]
-    (partial experiment tables are worse than no tables).  One caveat:
-    E7's 10-second wall-clock deadline is measured per game, so extreme
-    oversubscription could in principle push a game past it; the E7
-    games finish in milliseconds, leaving orders of magnitude of
-    slack. *)
+(** All of the above, in order — what [repro.exe] runs.  Each driver
+    renders into a private buffer on a supervised worker process — at
+    most [jobs] at a time (default 1), tuned by [?supervisor]
+    ({!Harness.Supervisor}) — and the buffers are printed in driver
+    order, so the output is the same at every [jobs].  A driver whose
+    worker dies abnormally is retried, then — unlike a sweep cell —
+    aborts the repro with [Failure] (partial experiment tables are worse
+    than no tables).  One caveat: E7's 10-second wall-clock deadline is
+    measured per game, so extreme oversubscription could in principle
+    push a game past it; the E7 games finish in milliseconds, leaving
+    orders of magnitude of slack. *)

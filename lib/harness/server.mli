@@ -47,9 +47,9 @@
 
     Every job runs in a worker process, as one task of the
     {!Supervisor}'s engine — the same engine, workers and failure
-    handling as a [Sweep] under [--isolate proc].  The server forks no
-    worker before it is listening: the first [jobs] jobs that run side
-    by side fork one warm worker each, and those workers run every
+    handling as a [Sweep] run with [~isolation:`Process].  The server
+    forks no worker before it is listening: the first [jobs] jobs that
+    run side by side fork one warm worker each, and those workers run every
     later job, the handler applied to the request [kind TAB payload].
     The watchdog escalates SIGTERM → SIGKILL on the job's own deadline
     or else [supervisor.timeout], crashes retry on the seeded

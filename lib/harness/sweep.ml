@@ -3,23 +3,17 @@ type cell = { key : string; run : unit -> string }
 exception Interrupted
 
 module Journal = struct
-  (* Journal format version.  The header is a tab-less line, which a
-     pre-versioning loader already skipped as foreign (so v1 files replay
-     under v0 code), and a file with no header is v0 (so old checkpoints
-     replay here).  Bump [version] — and keep parsing the old
-     layouts — when the record format changes.
-
-     v2 adds a per-record integrity trailer: each record is
-     [escape(key) TAB escape(value) TAB @crc:len] where [crc] is the
-     8-hex-digit {!Wire.crc32} of everything before the last tab and
-     [len] its byte length.  Escaping removes raw tabs from key and
-     value, so the trailer is unambiguously the suffix after the last
-     tab.  Records whose trailer is missing, malformed, or fails the
-     length/CRC check are skipped with a typed, traced warning — a
-     resume then reruns exactly the affected cells instead of replaying
-     silently corrupted bytes.  The loader keys parsing off the most
-     recent header line, so v0/v1 files (and v0/v1 prefixes of resumed
-     files) replay unchanged. *)
+  (* Journal format version, named by the header line every journal
+     starts with.  Each record is [escape(key) TAB escape(value) TAB
+     @crc:len] where [crc] is the 8-hex-digit {!Wire.crc32} of
+     everything before the last tab and [len] its byte length.
+     Escaping removes raw tabs from key and value, so the trailer is
+     unambiguously the suffix after the last tab.  Records whose trailer
+     is missing, malformed, or fails the length/CRC check are skipped
+     with a typed, traced warning — a resume then reruns exactly the
+     affected cells instead of replaying silently corrupted bytes.  A
+     file that names another version, or has no header (v0), is
+     rejected: every writer since v2 has emitted this one format. *)
   let version = 2
   let header_prefix = "#sweep-checkpoint v"
   let header = Printf.sprintf "%s%d" header_prefix version
@@ -88,13 +82,24 @@ module Journal = struct
 
   type corruption = { line : int; reason : string }
 
-  (* The one scanner behind [load] and [fsck]: walks newline-delimited
-     records, tracks the version context set by the most recent header
-     line, verifies v2 trailers, and reports each good record /
-     corrupt record through the callbacks.  Returns the last header
-     version seen (0 for a headerless v0 file). *)
+  let check_version path v =
+    if v > version then
+      invalid_arg
+        (Printf.sprintf "Sweep: checkpoint %s is format v%d, newer than this binary (v%d)"
+           path v version)
+    else if v < version then
+      invalid_arg
+        (Printf.sprintf
+           "Sweep: checkpoint %s is format v%d%s, which this binary (v%d) no longer reads"
+           path v
+           (if v = 0 then " (no header)" else "")
+           version)
+
+  (* The one scanner behind [load] and [fsck]: checks the header, walks
+     the newline-delimited records after it, verifies their trailers,
+     and reports each good record / corrupt record through the
+     callbacks. *)
   let scan path ~record ~corrupt =
-    let ver = ref 0 in
     if Sys.file_exists path then begin
       let contents =
         let ic = open_in_bin path in
@@ -112,74 +117,63 @@ module Journal = struct
               incr lineno;
               let line = String.sub contents start (stop - start) in
               (match parse_header line with
-              | Some v when v > version ->
-                  invalid_arg
-                    (Printf.sprintf
-                       "Sweep: checkpoint %s is format v%d, newer than this \
-                        binary (v%d)"
-                       path v version)
-              | Some v -> ver := v
-              | None -> ());
-              (match String.index_opt line '\t' with
-              | None -> ()  (* headerless = v0; other foreign lines: dropped *)
-              | Some _ when !ver >= 2 -> (
-                  (* escaping strips raw tabs from key and value, so the
-                     trailer is exactly the suffix after the last tab *)
-                  let cut = String.rindex line '\t' in
-                  let body = String.sub line 0 cut in
-                  let trailer =
-                    String.sub line (cut + 1) (String.length line - cut - 1)
-                  in
-                  match parse_trailer trailer with
-                  | None ->
-                      corrupt
-                        { line = !lineno; reason = "malformed record trailer" }
-                  | Some (crc, len) ->
-                      if len <> String.length body then
-                        corrupt
-                          {
-                            line = !lineno;
-                            reason =
-                              Printf.sprintf
-                                "length mismatch: trailer says %d bytes, \
-                                 record has %d"
-                                len (String.length body);
-                          }
-                      else
-                        let actual = Wire.crc32 body in
-                        if crc <> actual then
+              | Some v -> check_version path v
+              | None when !lineno = 1 -> check_version path 0
+              | None -> (
+                  match String.rindex_opt line '\t' with
+                  | None -> ()  (* a foreign tab-less line: dropped *)
+                  | Some cut -> (
+                      (* escaping strips raw tabs from key and value, so
+                         the trailer is exactly the suffix after the last
+                         tab *)
+                      let body = String.sub line 0 cut in
+                      let trailer =
+                        String.sub line (cut + 1) (String.length line - cut - 1)
+                      in
+                      match parse_trailer trailer with
+                      | None ->
                           corrupt
-                            {
-                              line = !lineno;
-                              reason =
-                                Printf.sprintf
-                                  "crc mismatch: trailer %08x, computed %08x"
-                                  crc actual;
-                            }
-                        else
-                          (match String.index_opt body '\t' with
-                          | None ->
+                            { line = !lineno; reason = "malformed record trailer" }
+                      | Some (crc, len) ->
+                          if len <> String.length body then
+                            corrupt
+                              {
+                                line = !lineno;
+                                reason =
+                                  Printf.sprintf
+                                    "length mismatch: trailer says %d bytes, \
+                                     record has %d"
+                                    len (String.length body);
+                              }
+                          else
+                            let actual = Wire.crc32 body in
+                            if crc <> actual then
                               corrupt
                                 {
                                   line = !lineno;
-                                  reason = "missing key/value separator";
+                                  reason =
+                                    Printf.sprintf
+                                      "crc mismatch: trailer %08x, computed %08x"
+                                      crc actual;
                                 }
-                          | Some cut ->
-                              record
-                                (unescape (String.sub body 0 cut))
-                                (unescape
-                                   (String.sub body (cut + 1)
-                                      (String.length body - cut - 1)))))
-              | Some cut ->
-                  record
-                    (unescape (String.sub line 0 cut))
-                    (unescape
-                       (String.sub line (cut + 1) (String.length line - cut - 1))));
+                            else
+                              match String.index_opt body '\t' with
+                              | None ->
+                                  corrupt
+                                    {
+                                      line = !lineno;
+                                      reason = "missing key/value separator";
+                                    }
+                              | Some cut ->
+                                  record
+                                    (unescape (String.sub body 0 cut))
+                                    (unescape
+                                       (String.sub body (cut + 1)
+                                          (String.length body - cut - 1))))));
               go (stop + 1)
       in
       go 0
-    end;
-    !ver
+    end
 
   let load path =
     let records = ref [] in
@@ -189,25 +183,16 @@ module Journal = struct
       Printf.eprintf "journal: %s:%d: corrupt record skipped (%s)\n%!" path
         line reason
     in
-    ignore
-      (scan path ~record:(fun k v -> records := (k, v) :: !records) ~corrupt);
+    scan path ~record:(fun k v -> records := (k, v) :: !records) ~corrupt;
     List.rev !records
 
-  type fsck_report = {
-    version : int;
-    records : int;
-    corrupt : corruption list;
-  }
+  type fsck_report = { records : int; corrupt : corruption list }
 
   let fsck path =
     let n = ref 0 in
     let cs = ref [] in
-    let version =
-      scan path
-        ~record:(fun _ _ -> incr n)
-        ~corrupt:(fun c -> cs := c :: !cs)
-    in
-    { version; records = !n; corrupt = List.rev !cs }
+    scan path ~record:(fun _ _ -> incr n) ~corrupt:(fun c -> cs := c :: !cs);
+    { records = !n; corrupt = List.rev !cs }
 
   let load_table path =
     let completed = Hashtbl.create 64 in
@@ -235,14 +220,6 @@ module Journal = struct
      semantics [load] already repairs. *)
   type t = out_channel
 
-  let first_line path =
-    match open_in_bin path with
-    | exception Sys_error _ -> None
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> In_channel.input_line ic)
-
   let open_out ?(resume = false) path =
     let existing =
       resume && Sys.file_exists path
@@ -252,7 +229,7 @@ module Journal = struct
       (* Fresh journal: the header is written to a tmp file and renamed
          into place, so a kill during creation leaves either no journal
          or a complete headered one — never a half-written header that
-         a later resume would misparse as a v0 record stream. *)
+         a later resume would reject as headerless. *)
       let tmp = path ^ ".tmp" in
       let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 tmp in
       Fun.protect
@@ -267,21 +244,10 @@ module Journal = struct
     let oc = open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path in
     (* A kill mid-write can leave a torn, newline-less final record;
        terminate it so the records appended below stay line-delimited.
-       [load] already skipped the torn record (under v2 the repaired
-       line additionally fails its CRC), so its key reruns and its
-       fresh record supersedes the torn one on any later load. *)
+       [load] already skipped the torn record (the repaired line fails
+       its CRC), so its key reruns and its fresh record supersedes the
+       torn one on any later load. *)
     if torn then output_char oc '\n';
-    (* Resuming into a pre-v2 file keeps its existing records as-is and
-       appends a v2 header line to switch the version context, so the
-       records appended below carry — and are verified against — CRC
-       trailers while the old prefix still replays under v0/v1 rules. *)
-    if existing then begin
-      (match first_line path with
-      | Some l when parse_header l = Some version -> ()
-      | _ ->
-          output_string oc header;
-          output_char oc '\n')
-    end;
     flush oc;
     oc
 

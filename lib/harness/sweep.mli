@@ -53,25 +53,23 @@ type cell = { key : string; run : unit -> string }
 
 (** The checkpoint journal behind [?checkpoint] — and behind the
     {!Server}'s crash-recovery log.  A journal is a line-delimited file
-    of escaped [key TAB value] records under a [#sweep-checkpoint vN]
-    header; appends are mutex-serialized, flushed whole, and traced as
-    [Checkpoint_flush] events, so a kill can tear at most the final
-    record and {!Journal.load} drops exactly that torn tail.
+    of escaped [key TAB value] records under a [#sweep-checkpoint v2]
+    header; appends are flushed whole and traced as [Checkpoint_flush]
+    events, so a kill can tear at most the final record and
+    {!Journal.load} drops exactly that torn tail.
 
-    Since v2 every appended record carries an integrity trailer
-    ([... TAB @crc32hex:length], checksummed with {!Wire.crc32}); a
-    record whose trailer is missing or fails verification — torn,
-    bit-flipped, hand-edited — is {e skipped} on load with a typed
-    warning ([Journal_corrupt] trace event, one stderr line), so a
-    resume reruns exactly the affected cells instead of replaying
-    corrupted bytes.  v0 (headerless) and v1 files replay unchanged;
-    resuming into one appends a v2 header line so new records are
-    CRC-protected while the old prefix keeps its original parsing
-    rules. *)
+    Every record carries an integrity trailer ([... TAB
+    @crc32hex:length], checksummed with {!Wire.crc32}); a record whose
+    trailer is missing or fails verification — torn, bit-flipped,
+    hand-edited — is {e skipped} on load with a typed warning
+    ([Journal_corrupt] trace event, one stderr line), so a resume reruns
+    exactly the affected cells instead of replaying corrupted bytes.  A
+    file in any other format version — a newer one, or the v0
+    (headerless) and v1 (no trailers) layouts of older writers — is
+    rejected with [Invalid_argument]. *)
 module Journal : sig
   val version : int
-  (** Journal format version, [2].  {!load} accepts this version and
-      older (a headerless file is v0) and rejects newer. *)
+  (** Journal format version, [2], the only one {!load} accepts. *)
 
   val header : string
   (** The header line written at the top of a fresh journal. *)
@@ -84,8 +82,7 @@ module Journal : sig
       replaced by a fresh headered one — the header is written to a tmp
       file and atomically renamed into place, so a kill during creation
       can never leave a half-written header.  With [~resume:true]
-      records are appended after repairing a torn final record (and,
-      for a pre-v2 file, appending a v2 header line). *)
+      records are appended after repairing a torn final record. *)
 
   val append : t -> key:string -> string -> unit
   (** Append one record — escaped, CRC-trailered, and flushed whole. *)
@@ -95,12 +92,12 @@ module Journal : sig
   val load : string -> (string * string) list
   (** All complete, integrity-checked records in file order (a missing
       file is []).  Newline-terminated records only: a torn final
-      record is dropped, and a v2 record failing its CRC/length check
-      is skipped with the typed warning described above.  Duplicate
-      keys are all returned — callers that want last-record-wins
-      semantics use {!load_table}.
-      @raise Invalid_argument on a journal written by a newer format
-      version. *)
+      record is dropped, and a record failing its CRC/length check is
+      skipped with the typed warning described above.  Duplicate keys
+      are all returned — callers that want last-record-wins semantics
+      use {!load_table}.
+      @raise Invalid_argument naming the version of a journal in any
+      format but {!version} (a headerless file is v0). *)
 
   val load_table : string -> (string, string) Hashtbl.t
   (** {!load} folded into a table, later records superseding earlier
@@ -112,7 +109,6 @@ module Journal : sig
       mismatch, missing separator). *)
 
   type fsck_report = {
-    version : int;  (** last header version seen; 0 = headerless v0 *)
     records : int;  (** records that parsed and verified *)
     corrupt : corruption list;  (** skipped records, in file order *)
   }
@@ -121,7 +117,8 @@ module Journal : sig
   (** Integrity-check a journal without replaying it — the engine
       behind [trace_report.exe journal-fsck].  Emits no warnings
       itself; corruption is returned, not printed.
-      @raise Invalid_argument like {!load} on a newer-format journal. *)
+      @raise Invalid_argument like {!load} on a journal in another
+      format version. *)
 end
 
 val join_delta : string -> string -> string

@@ -52,7 +52,7 @@
 
 val version : int
 (** Trace format version, [7].  v2 added the supervisor child-lifecycle
-    events; v3 the job-server events; v4 the memo-cache [Canon_hit]
+    events; v3 the job-server events; v4 the game-cache [Canon_hit]
     event; v5 the multi-server dispatch events and [Journal_corrupt].
     v6 deletes the retired domain pool's [worker_start] and
     [worker_stop], so every kind after [checkpoint_flush] moved down two
@@ -160,9 +160,9 @@ type event =
           ["partial_frame"], ["truncate_frame"], ["kill_child"], or
           ["corrupt_journal"] *)
   | Canon_hit of { kind : string; key : string }
-      (** the thm1 game cache ([sweep_thm1 --memo]) answered a cell from
-          a cached adversary report: [kind] is ["game"] and [key] the
-          resolved cell parameters.  Traces written before the per-step
+      (** the thm1 game cache behind [Jobs_catalog.thm1_cell] answered
+          a sweep cell from a cached adversary report: [kind] is
+          ["game"] and [key] the resolved cell parameters.  Traces written before the per-step
           cache was deleted may also carry [kind = "step"]. *)
   | Journal_corrupt of { path : string; line : int; reason : string }
       (** a checkpoint/journal record failed its v2 CRC/length check and

@@ -13,11 +13,6 @@ let grid_bipartition grid =
   if not bipartite then invalid_arg "Oracles.grid_bipartition: grid not bipartite";
   of_coloring ~parts:2 ~radius:0 (Topology.Grid2d.canonical_2_coloring grid)
 
-let bipartite_graph host =
-  match Grid_graph.Bipartite.two_color host with
-  | None -> invalid_arg "Oracles.bipartite_graph: host not bipartite"
-  | Some side -> of_coloring ~parts:2 ~radius:0 side
-
 let tri_grid t = of_coloring ~parts:3 ~radius:1 (Topology.Tri_grid.canonical_3_coloring t)
 
 let clique_chain ~parts ~radius =
@@ -168,7 +163,3 @@ let ktree t =
 let layered t =
   of_coloring ~parts:(Topology.Layered.k t) ~radius:(Topology.Layered.k t)
     (Topology.Layered.canonical_k_coloring t)
-
-let gadget_chain t =
-  of_coloring ~parts:(Topology.Gadget.k t) ~radius:1
-    (Topology.Gadget.canonical_k_coloring t)

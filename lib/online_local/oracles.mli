@@ -4,7 +4,7 @@
     a {!Models.Oracle.t} with the radius claimed in the paper:
 
     {ul
-    {- connected bipartite graphs: radius 0 (the bipartition is free);}
+    {- bipartite grids: radius 0 (the bipartition is free);}
     {- triangular grids: radius 1 (triangle chains, Figure 1);}
     {- k-trees: radius 1 (clique-tree chains);}
     {- the layered graphs [G_k]: radius k (Lemma 5.6).}}
@@ -21,10 +21,6 @@ val grid_bipartition : Topology.Grid2d.t -> maker
 (** Radius-0, 2-part oracle from the grid's parity coloring.  Requires a
     bipartite grid (simple, or wrapped with even wrapped dimensions).
     @raise Invalid_argument otherwise. *)
-
-val bipartite_graph : Grid_graph.Graph.t -> maker
-(** Radius-0 oracle for any bipartite host graph.
-    @raise Invalid_argument if the host is not bipartite. *)
 
 val tri_grid : Topology.Tri_grid.t -> maker
 (** Radius-1, 3-part oracle from the triangular grid's tripartition. *)
@@ -53,9 +49,3 @@ val ktree : Topology.Ktree.t -> maker
 
 val layered : Topology.Layered.t -> maker
 (** Radius-k, k-part oracle for [G_k] (Lemma 5.6). *)
-
-val gadget_chain : Topology.Gadget.t -> maker
-(** Radius-1, k-part oracle from the row coloring of Proposition 4.1.
-    Note [G*] does {e not} have a locally inferable unique coloring —
-    this oracle exists so tests can demonstrate that fact (the partition
-    it claims is not unique), not for use by correct algorithms. *)

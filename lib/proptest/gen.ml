@@ -79,11 +79,6 @@ let bool : bool t =
   if Rng.bool rng then Tree (true, Seq.return (Tree (false, Seq.empty)))
   else Tree (false, Seq.empty)
 
-let oneof gens : _ t =
-  let n = List.length gens in
-  if n = 0 then invalid_arg "Gen.oneof: empty list";
-  fun ~size rng -> (List.nth gens (Rng.int rng n)) ~size rng
-
 let frequency weighted : _ t =
   let total = List.fold_left (fun acc (w, _) -> acc + w) 0 weighted in
   if weighted = [] || total <= 0 then
@@ -214,5 +209,4 @@ let such_that ?(max_tries = 100) pred (g : _ t) : _ t =
   in
   attempt max_tries
 
-let no_shrink (g : _ t) : _ t = fun ~size rng -> Tree (generate g ~size rng, Seq.empty)
 let of_rng_fun f : _ t = fun ~size rng -> Tree (f ~size rng, Seq.empty)

@@ -49,11 +49,6 @@ val int_range : int -> int -> int t
 val bool : bool t
 (** Shrinks [true] to [false]. *)
 
-val oneof : 'a t list -> 'a t
-(** Uniform choice among generators; shrinks within the chosen
-    generator only.
-    @raise Invalid_argument on an empty list. *)
-
 val frequency : (int * 'a t) list -> 'a t
 (** Weighted choice.
     @raise Invalid_argument on an empty list or nonpositive total. *)
@@ -82,9 +77,6 @@ val such_that : ?max_tries:int -> ('a -> bool) -> 'a t -> 'a t
 (** Retry (fresh stream each time, default 100 tries) until the
     predicate holds, and prune shrink candidates that violate it.
     @raise Failure when no try satisfies the predicate. *)
-
-val no_shrink : 'a t -> 'a t
-(** Discard the shrink tree (keep only the root). *)
 
 val of_rng_fun : (size:int -> Rng.t -> 'a) -> 'a t
 (** Lift a plain seeded sampling function into a (non-shrinking)

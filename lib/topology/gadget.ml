@@ -66,9 +66,6 @@ let create ?seam ~k ~gadgets () =
 let gadget_nodes t g =
   List.init (t.k * t.k) (fun p -> node t ~gadget:g ~row:(p / t.k) ~col:(p mod t.k))
 
-let row_of_gadget t ~gadget ~row = List.init t.k (fun j -> node t ~gadget ~row ~col:j)
-let col_of_gadget t ~gadget ~col = List.init t.k (fun i -> node t ~gadget ~row:i ~col)
-
 let canonical_k_coloring t =
   Array.init (t.gadgets * t.k * t.k) (fun v ->
       let g, i, j = coords t v in

@@ -39,12 +39,6 @@ val coords : t -> Grid_graph.Graph.node -> int * int * int
 val gadget_nodes : t -> int -> Grid_graph.Graph.node list
 (** The [k^2] nodes of one gadget, in row-major order. *)
 
-val row_of_gadget : t -> gadget:int -> row:int -> Grid_graph.Graph.node list
-(** The [k] nodes of one row of one gadget. *)
-
-val col_of_gadget : t -> gadget:int -> col:int -> Grid_graph.Graph.node list
-(** The [k] nodes of one column of one gadget. *)
-
 val canonical_k_coloring : t -> int array
 (** The proper k-coloring of Proposition 4.1: color every node by its row
     index (transposed after the seam, if any). *)

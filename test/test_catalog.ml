@@ -5,6 +5,7 @@
 
 let check_string = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
 
 (* Pinned payloads: these strings travel over the socket.  Changing a
    cell key format is a wire-protocol break, not a cosmetic edit. *)
@@ -52,50 +53,85 @@ let render ?(jobs = 1) ?isolation cells =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-let memo_grid ~memo =
+(* The E1-style grid the game cache is built for: greedy and stripes
+   ignore t, so their t = 2, 3 cells replay the t = 1 game; ael's radius
+   moves with t and never hits. *)
+let grid =
   List.concat_map
-    (fun t ->
-      List.map
-        (fun algo ->
-          Jobs_catalog.thm1_cell ~memo ~validate:false ~t ~k:5 ~side:60 ~algo ())
-        [ "greedy"; "stripes"; "ael" ])
+    (fun t -> List.map (fun algo -> (t, algo)) [ "greedy"; "stripes"; "ael" ])
     [ 1; 2; 3 ]
 
-(* Memo is an execution strategy, not semantics: a cold and a warmed
-   memo cell yield the plain cell's bytes, and so does a memo-on grid
-   in-process and on 4 worker processes.  The game cache lives in each
-   worker, so which cells hit depends on how cells land on workers; the
-   output must not.  greedy and stripes ignore t, so the grid's t = 2,
-   3 cells of both are game-cache hits on one worker, and the trace of
-   a one-worker sweep shows them: the worker's events reach the
-   parent's sink. *)
-let test_cell_variants_agree () =
-  let base ~memo =
-    (Jobs_catalog.thm1_cell ~memo ~validate:false ~t:1 ~k:5 ~side:60 ~algo:"stripes" ())
-      .Harness.Sweep.run ()
-  in
-  let plain = base ~memo:false in
-  check_string "memo" plain (base ~memo:true);
-  check_string "memo warmed" plain (base ~memo:true);
-  let off = render (memo_grid ~memo:false) in
-  check_string "memo grid jobs 4" off
-    (render ~jobs:4 ~isolation:`Process (memo_grid ~memo:true));
+let cached_cells () =
+  List.map
+    (fun (t, algo) -> Jobs_catalog.thm1_cell ~validate:false ~t ~k:5 ~side:60 ~algo ())
+    grid
+
+let game_hits path =
+  List.length
+    (List.filter
+       (fun r ->
+         match r.Obs.Trace.ev with
+         | Obs.Trace.Canon_hit { kind = "game"; _ } -> true
+         | _ -> false)
+       (Obs.Trace.read_file path))
+
+let with_trace f =
   let path = Filename.temp_file "test_catalog" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let on =
+    (fun () -> f path)
+
+let with_stats f =
+  Obs.Stats.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Stats.disable ();
+      Obs.Stats.reset ())
+    f
+
+(* The game cache is an execution strategy, not semantics: every cell
+   of the grid through the sweep's cached [thm1_cell] yields the text
+   and the Stats delta of the same key through the live [thm1_run], and
+   the cached pass, started cold, does hit.  The cached grid on 4 cold
+   worker processes prints the live bytes too. *)
+let test_cell_variants_agree () =
+  with_stats @@ fun () ->
+  Hashtbl.reset Jobs_catalog.thm1_reports;
+  let live =
+    List.map
+      (fun (t, algo) ->
+        Obs.Stats.scoped (Jobs_catalog.thm1_run ~validate:false ~t ~k:5 ~side:60 ~algo))
+      grid
+  in
+  with_trace (fun path ->
+      let cached =
         Obs.Trace.with_sink ~program:"test_catalog" ~path (fun () ->
-            render ~isolation:`Process (memo_grid ~memo:true))
+            List.map (fun c -> Obs.Stats.scoped c.Harness.Sweep.run) (cached_cells ()))
       in
-      check_string "memo grid jobs 1" off on;
-      let game_hit r =
-        match r.Obs.Trace.ev with
-        | Obs.Trace.Canon_hit { kind = "game"; _ } -> r.Obs.Trace.w = 1
-        | _ -> false
-      in
-      check_bool "game cache hit traced on the worker's stream" true
-        (List.exists game_hit (Obs.Trace.read_file path)))
+      List.iter2
+        (fun ((t, algo), (live_text, live_delta)) (text, delta) ->
+          let label = Printf.sprintf "t=%d %s" t algo in
+          check_string (label ^ " text") live_text text;
+          check_string (label ^ " stats") live_delta delta)
+        (List.combine grid live) cached;
+      check_bool "a game cache hit is traced" true (game_hits path > 0));
+  (* workers fork from this process: empty the table they inherit *)
+  Hashtbl.reset Jobs_catalog.thm1_reports;
+  check_string "cached grid on 4 workers"
+    (String.concat "" (List.map (fun (text, _) -> text ^ "\n") live))
+    (render ~jobs:4 ~isolation:`Process (cached_cells ()))
+
+(* Served jobs run live: two identical thm1 jobs through the handler
+   play two games, so a long-lived server worker's memory does not grow
+   with its job stream. *)
+let test_served_jobs_live () =
+  with_trace (fun path ->
+      Obs.Trace.with_sink ~program:"test_catalog" ~path (fun () ->
+          for _ = 1 to 2 do
+            ignore
+              (Jobs_catalog.handler ~kind:"thm1" ~payload:"t=1 k=5 side=60 algo=greedy")
+          done);
+      check_int "no game cache hit" 0 (game_hits path))
 
 (* Pinned result prefix: the report layout itself is part of what the
    server replays to historical clients. *)
@@ -142,6 +178,8 @@ let () =
             test_catalog_matches_sweep_cells;
           Alcotest.test_case "memo variants agree" `Quick
             test_cell_variants_agree;
+          Alcotest.test_case "served thm1 jobs run live" `Quick
+            test_served_jobs_live;
           Alcotest.test_case "pinned result shape" `Quick
             test_pinned_result_shape;
           Alcotest.test_case "fuzz payload" `Quick test_fuzz_payload;

@@ -321,29 +321,38 @@ let test_inline_short_circuits () =
   check_bool "delivered in index order" true
     (List.rev !seen = [ (0, "inline-0"); (1, "inline-1"); (2, "inline-2") ])
 
-(* Memo cells under the process backend.  The thm1 game cache is a plain
-   table in whichever process runs the cell, so nothing about it crosses
-   the supervisor wire or the checkpoint file — which is what makes
-   memo-on output independent of isolation mode, worker count, kills,
-   and resume history. *)
-let memo_cells ~memo () =
+(* thm1 sweep cells under the process backend.  The game cache behind
+   Jobs_catalog.thm1_cell is a plain table in whichever process runs the
+   cell, so nothing about it crosses the supervisor wire or the
+   checkpoint file — which is what makes the cached cells' output
+   independent of isolation mode, worker count, kills, and resume
+   history.  [~cached:false] gives the same keys on the live path
+   (Jobs_catalog.thm1_run), the reference. *)
+let thm1_cells ~cached () =
   List.concat_map
     (fun t ->
       List.map
         (fun algo ->
-          Jobs_catalog.thm1_cell ~memo ~validate:false ~t ~k:5 ~side:60 ~algo ())
+          let cell = Jobs_catalog.thm1_cell ~validate:false ~t ~k:5 ~side:60 ~algo () in
+          if cached then cell
+          else { cell with run = Jobs_catalog.thm1_run ~validate:false ~t ~k:5 ~side:60 ~algo })
         [ "greedy"; "stripes" ])
     [ 1; 2 ]
 
+(* Workers fork from this process and inherit its table: empty it so a
+   leg's workers start cold. *)
+let cold_cache () = Hashtbl.reset Jobs_catalog.thm1_reports
+
 (* `In_domain runs the cells one after another whatever [jobs] is, so
-   its one leg is jobs 1; test_catalog's "memo variants agree" renders a
-   memo grid on 4 worker processes too. *)
+   its one leg is jobs 1; test_catalog's "memo variants agree" renders
+   the cached grid on 4 worker processes too. *)
 let test_memo_isolation_modes () =
-  let baseline = render ~isolation:`In_domain (memo_cells ~memo:false ()) in
+  let baseline = render ~isolation:`In_domain (thm1_cells ~cached:false ()) in
   List.iter
     (fun (label, jobs, isolation) ->
+      cold_cache ();
       check_string label baseline
-        (render ~jobs ~isolation ~supervisor:fast (memo_cells ~memo:true ())))
+        (render ~jobs ~isolation ~supervisor:fast (thm1_cells ~cached:true ())))
     [
       ("memo in-domain jobs 1", 1, `In_domain);
       ("memo proc jobs 1", 1, `Process);
@@ -351,12 +360,13 @@ let test_memo_isolation_modes () =
     ]
 
 let test_memo_kill_resume () =
-  (* A memo-on sweep whose worker gets SIGKILLed mid-cell, retried, then
+  (* A cached sweep whose worker gets SIGKILLed mid-cell, retried, then
      cut off and resumed from the checkpoint: the final output must be
-     byte-identical to a clean memo-off run (the resumed process starts
-     with a cold cache — only wall-clock may differ), and the
-     checkpoint bytes themselves must be identical to a memo-off
-     checkpoint — the cache is never serialized into it. *)
+     byte-identical to a clean live run (the replacement worker and the
+     resumed process start with a cold cache — only wall-clock may
+     differ), and the checkpoint bytes themselves must be identical to
+     the live run's checkpoint — the cache is never serialized into
+     it. *)
   let killer marker =
     {
       Sweep.key = "killer";
@@ -369,31 +379,32 @@ let test_memo_kill_resume () =
           "survived")
     }
   in
-  let cells ~memo marker = memo_cells ~memo () @ [ killer marker ] in
+  let cells ~cached marker = thm1_cells ~cached () @ [ killer marker ] in
   (* The marker file gates the kill: it exists during every in-domain
      render (killer returns immediately — killing there would take down
      the test process) and is removed only just before the
      process-isolated render, whose forked worker takes the SIGKILL. *)
   with_temp_file (fun marker ->
-      let clean = render ~isolation:`In_domain (cells ~memo:false marker) in
+      let clean = render ~isolation:`In_domain (cells ~cached:false marker) in
       with_temp_file (fun ckpt_off ->
           with_temp_file (fun ckpt_on ->
               ignore
                 (render ~checkpoint:ckpt_off ~isolation:`In_domain
-                   (cells ~memo:false marker));
+                   (cells ~cached:false marker));
               (try Sys.remove marker with Sys_error _ -> ());
+              cold_cache ();
               let killed =
                 render ~checkpoint:ckpt_on ~isolation:`Process
-                  ~supervisor:fast (cells ~memo:true marker)
+                  ~supervisor:fast (cells ~cached:true marker)
               in
-              check_string "memo-on survives the kill" clean killed;
+              check_string "the cached sweep survives the kill" clean killed;
               let bytes path =
                 In_channel.with_open_bin path In_channel.input_all
               in
               check_string "checkpoint bytes carry no cache" (bytes ckpt_off)
                 (bytes ckpt_on);
               (* Truncate the checkpoint to its first records and resume
-                 memo-on in the other isolation mode. *)
+                 the cached cells in the other isolation mode, cold. *)
               let contents = bytes ckpt_on in
               let cut =
                 match String.index_from_opt contents
@@ -404,9 +415,10 @@ let test_memo_kill_resume () =
               in
               Out_channel.with_open_bin ckpt_on (fun oc ->
                   Out_channel.output_string oc (String.sub contents 0 cut));
-              check_string "memo-on resume replays byte-identically" clean
+              cold_cache ();
+              check_string "the cached resume replays byte-identically" clean
                 (render ~resume:true ~checkpoint:ckpt_on ~isolation:`In_domain
-                   (cells ~memo:true marker)))))
+                   (cells ~cached:true marker)))))
 
 let test_ordered_delivery_uneven () =
   (* Tasks finish in reverse order on four workers; consume still sees
@@ -515,7 +527,7 @@ let budget_cell =
         Online_local.Game.outcome_label v.Online_local.Game.outcome);
   }
 
-let traced_cells () = memo_cells ~memo:false () @ [ budget_cell ]
+let traced_cells () = thm1_cells ~cached:false () @ [ budget_cell ]
 
 let with_traced f =
   with_temp_file (fun path ->
@@ -598,7 +610,7 @@ let test_worker_anomaly_in_flight_file () =
       ignore
         (Obs.Flight.with_sink ~program:"test_supervisor" ~path (fun () ->
              render ~jobs:2 ~isolation:`Process ~supervisor:fast
-               (memo_cells ~memo:false ())));
+               (thm1_cells ~cached:false ())));
       check_int "a clean sweep leaves the header only" 1
         (List.length (Obs.Flight.read_file path)))
 

@@ -258,16 +258,32 @@ let test_checkpoint_v2_header_written () =
       check_string "byte-identical resume" full resumed;
       check_int "nothing reran" 0 (List.length !log))
 
-let test_checkpoint_v1_still_replays () =
-  (* A v1 journal (header, no CRC trailers) keeps replaying unchanged. *)
+(* A journal in a format no writer emits any more is refused, naming
+   its version, before anything runs or the file is touched; fsck
+   refuses it the same way. *)
+let rejected_checkpoint ~version contents () =
   with_temp_file ".ckpt" (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc
-            "#sweep-checkpoint v1\na\tresult a\nb\tresult b\n");
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
       let log = ref [] in
-      let out = render ~resume:true ~checkpoint:path (cells_of log) in
-      check_int "nothing reran" 0 (List.length !log);
-      check_string "replayed v1 results" "result a\nresult b\n" out)
+      let names_version msg =
+        let needle = Printf.sprintf "format v%d" version in
+        let n = String.length needle in
+        let rec at i =
+          i + n <= String.length msg && (String.sub msg i n = needle || at (i + 1))
+        in
+        at 0
+      in
+      (match render ~resume:true ~checkpoint:path (cells_of log) with
+      | exception Invalid_argument msg ->
+          check_bool ("names the version: " ^ msg) true (names_version msg)
+      | _ -> Alcotest.fail (Printf.sprintf "resumed a v%d checkpoint" version));
+      check_int "nothing ran" 0 (List.length !log);
+      check_string "the file is untouched" contents
+        (In_channel.with_open_bin path In_channel.input_all);
+      check_bool "fsck rejects it" true
+        (match Harness.Sweep.Journal.fsck path with
+        | exception Invalid_argument msg -> names_version msg
+        | _ -> false))
 
 let corrupt_last_record path =
   (* flip one bit in the middle of the final record *)
@@ -287,7 +303,6 @@ let test_checkpoint_corrupt_record_skipped_and_rerun () =
           corrupt_last_record ckpt;
           (* fsck sees exactly the damaged record *)
           let report = Harness.Sweep.Journal.fsck ckpt in
-          check_int "fsck version" 2 report.Harness.Sweep.Journal.version;
           check_int "one corrupt record" 1
             (List.length report.Harness.Sweep.Journal.corrupt);
           (* resume: the bit-flipped record is skipped with a typed,
@@ -318,17 +333,6 @@ let test_checkpoint_corrupt_record_skipped_and_rerun () =
           let again = render ~resume:true ~checkpoint:ckpt (cells_of log) in
           check_string "second resume byte-identical" full again;
           check_int "nothing reran" 0 (List.length !log)))
-
-let test_checkpoint_v0_headerless_still_replays () =
-  (* A checkpoint written before versioning has no header line; it must
-     keep resuming. *)
-  with_temp_file ".ckpt" (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc "a\tresult a\nb\tresult b\n");
-      let log = ref [] in
-      let out = render ~resume:true ~checkpoint:path (cells_of log) in
-      check_int "nothing reran" 0 (List.length !log);
-      check_string "replayed v0 results" "result a\nresult b\n" out)
 
 let test_checkpoint_newer_version_rejected () =
   with_temp_file ".ckpt" (fun path ->
@@ -399,9 +403,11 @@ let () =
         [
           Alcotest.test_case "v2 header with crc trailers" `Quick
             test_checkpoint_v2_header_written;
-          Alcotest.test_case "v1 replays" `Quick test_checkpoint_v1_still_replays;
-          Alcotest.test_case "v0 replays" `Quick
-            test_checkpoint_v0_headerless_still_replays;
+          Alcotest.test_case "v1 rejected" `Quick
+            (rejected_checkpoint ~version:1
+               "#sweep-checkpoint v1\na\tresult a\nb\tresult b\n");
+          Alcotest.test_case "v0 rejected" `Quick
+            (rejected_checkpoint ~version:0 "a\tresult a\nb\tresult b\n");
           Alcotest.test_case "newer rejected" `Quick
             test_checkpoint_newer_version_rejected;
           Alcotest.test_case "corrupt record skipped, rerun, fsck" `Quick
