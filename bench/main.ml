@@ -668,8 +668,10 @@ let stats_overhead_check () =
    the production code path, not an instrumented twin.
 
    [meta.before] pins the measurements of the same configurations taken
-   on this container immediately before the incremental executor core
-   landed (batch ball-and-filter reveals, (int*int)-keyed hashtables).
+   on a 1-core container immediately before the incremental executor
+   core landed (batch ball-and-filter reveals, (int*int)-keyed
+   hashtables); the fresh rates come from the host that runs the mode,
+   so the speedups compare two machines.
    The committed record asserts the headline claim of the rewrite:
    thm3's per-reveal O(region) filtering is gone, so its step rate must
    beat the old executor by >= 10x.
@@ -680,7 +682,7 @@ let stats_overhead_check () =
                        > 20% steps/s regression (the CI gate) *)
 
 let game_steps_before =
-  (* steps/s of the pre-incremental executor, same configs, same box *)
+  (* steps/s of the pre-incremental executor, same configs, 1-core container *)
   [
     ("thm3 k=3 gadgets=32", 43_983.);
     ("thm3 k=3 gadgets=128", 14_370.);

@@ -29,7 +29,10 @@
      --resume             replay the cells already in the checkpoint
 
    and exit 130 with "interrupted; finished cells are checkpointed" on
-   SIGINT.
+   SIGINT.  Input that Harness.Sweep.run refuses before it runs any cell
+   (a repeated axis value, hence a duplicate cell key; a --resume
+   checkpoint in another format version) ends the sweep with one
+   "<program>: <message>" line on stderr and exit 1.
 
    A worker's trace events reach --trace and --flight through its
    parent, tagged with the worker's slot (see Obs.Flight.relay).
@@ -209,3 +212,7 @@ let run_sweep ~program s cells =
   | exception Harness.Sweep.Interrupted ->
       Format.eprintf "interrupted; finished cells are checkpointed@.";
       130
+  | exception Invalid_argument msg ->
+      (* Sweep.run raises it only on its input, before any cell runs. *)
+      Printf.eprintf "%s: %s\n%!" program msg;
+      1

@@ -22,7 +22,8 @@
    drains gracefully (in-flight jobs finish, queued jobs stay in the
    --journal), and --resume replays the journal after a crash or drain:
    finished jobs become cached results, accepted-but-unfinished jobs
-   re-enter the queue.  --chaos SEED injects deterministic faults
+   re-enter the queue; a journal in another format version is refused
+   with one "serve: <message>" line and exit 1, left as it was.  --chaos SEED injects deterministic faults
    (dropped connections, partial/truncated frames, worker SIGKILLs) to
    rehearse exactly those failure paths. *)
 
@@ -50,7 +51,8 @@ let run socket journal resume chaos (exec : Obs_cli.exec) () trace stats flight 
   | () ->
       Format.eprintf "serve: drained cleanly@.";
       0
-  | exception Failure msg ->
+  | exception (Failure msg | Invalid_argument msg) ->
+      (* Invalid_argument: a --resume journal in another format version. *)
       Format.eprintf "serve: %s@." msg;
       1
 

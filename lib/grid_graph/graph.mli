@@ -13,15 +13,41 @@ type node = int
 type t
 (** An immutable simple undirected graph. *)
 
+val build : n:int -> ((node -> node -> unit) -> unit) -> t
+(** [build ~n gen] is the graph on [n] nodes whose edges are the arcs
+    [gen] passes to the [add] function it is given: [gen add] calls
+    [add u v] once per arc.  Every other constructor is a call to it.
+
+    [gen] runs twice and must pass the same arcs, in any order, both
+    times: the first run checks each arc and counts degrees, the
+    second fills one exact-size array per node.  Each array is then
+    sorted ascending and deduplicated in place, so an arc given twice
+    or in both orientations is one edge, and the result does not depend
+    on the arcs' order.  The cost is O(n + m + Σ d log d) over the
+    nodes' degrees [d] (linear in [d] for rows of at most 32 that
+    arrive nearly sorted), and nothing is allocated per arc: only the
+    degree counts, one array per node, a merge buffer for each longer
+    row, and a shorter copy of a row that held duplicates.
+
+    Errors come from the first run, in arc order, and nothing is built
+    then: the first bad arc raises [Invalid_argument], with
+    ["Graph: node V out of range \[0,N)"] for an endpoint [V] outside
+    [0 .. n-1] (its first endpoint is checked first) and
+    ["Graph: self-loop"] for [add v v].
+    @raise Invalid_argument if [n < 0], or if the second run passes a
+    different number of arcs at some node than the first. *)
+
 val create : n:int -> edges:(node * node) list -> t
 (** [create ~n ~edges] builds a graph on [n] nodes with the given edge
     list.  Duplicate edges (in either orientation) are collapsed.
-    @raise Invalid_argument on self-loops or out-of-range endpoints. *)
+    @raise Invalid_argument on self-loops or out-of-range endpoints, as
+    {!build} does, with the list order as arc order. *)
 
 val of_adjacency : int array array -> t
 (** [of_adjacency adj] builds a graph from a raw adjacency structure;
     symmetry is enforced (an arc in either direction yields the edge).
-    @raise Invalid_argument on self-loops or out-of-range endpoints. *)
+    @raise Invalid_argument on self-loops or out-of-range endpoints, as
+    {!build} does, with the arcs taken row by row. *)
 
 val n : t -> int
 (** Number of nodes. *)

@@ -23,23 +23,23 @@ let variant_host_rect ~wrap ~rows ~cols ~reflect ~band_lo ~band_hi =
   let id r j = (r * cols) + j in
   let sigma j = if reflect then (cols - j) mod cols else j in
   let in_band r = r >= band_lo && r <= band_hi in
-  let edges = ref [] in
-  for r = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      (* Horizontal row cycle (identical in both variants). *)
-      edges := (id r j, id r ((j + 1) mod cols)) :: !edges;
-      (* Vertical edge r -> r+1 (torus wraps; cylinder stops). *)
-      let r' = r + 1 in
-      let r'' = if r' = rows then (match wrap with `Toroidal -> Some 0 | `Cylindrical -> None) else Some r' in
-      match r'' with
-      | None -> ()
-      | Some r'' ->
-          let crossing = in_band r <> in_band r'' in
-          let j' = if crossing then sigma j else j in
-          edges := (id r j, id r'' j') :: !edges
-    done
-  done;
-  Graph.create ~n:(rows * cols) ~edges:!edges
+  Graph.build ~n:(rows * cols) (fun add ->
+      for r = 0 to rows - 1 do
+        for j = 0 to cols - 1 do
+          (* Horizontal row cycle (identical in both variants). *)
+          add (id r j) (id r ((j + 1) mod cols));
+          (* Vertical edge r -> r+1 (torus wraps; cylinder stops: -1). *)
+          let r' =
+            if r + 1 < rows then r + 1
+            else match wrap with `Toroidal -> 0 | `Cylindrical -> -1
+          in
+          if r' >= 0 then begin
+            let crossing = in_band r <> in_band r' in
+            let j' = if crossing then sigma j else j in
+            add (id r j) (id r' j')
+          end
+        done
+      done)
 
 let variant_host ~wrap ~side ~reflect ~band_lo ~band_hi =
   variant_host_rect ~wrap ~rows:side ~cols:side ~reflect ~band_lo ~band_hi

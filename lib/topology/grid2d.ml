@@ -19,19 +19,20 @@ let create wrap ~rows ~cols =
   if wraps_rows wrap && rows < 3 then
     invalid_arg "Grid2d.create: wrapping rows needs rows >= 3";
   let id i j = (i * cols) + j in
-  let edges = ref [] in
-  for i = 0 to rows - 1 do
-    for j = 0 to cols - 1 do
-      if j + 1 < cols then edges := (id i j, id i (j + 1)) :: !edges;
-      if i + 1 < rows then edges := (id i j, id (i + 1) j) :: !edges
+  let arcs add =
+    for i = 0 to rows - 1 do
+      for j = 0 to cols - 1 do
+        if j + 1 < cols then add (id i j) (id i (j + 1));
+        if i + 1 < rows then add (id i j) (id (i + 1) j)
+      done;
+      if wraps_cols wrap then add (id i (cols - 1)) (id i 0)
     done;
-    if wraps_cols wrap then edges := (id i (cols - 1), id i 0) :: !edges
-  done;
-  if wraps_rows wrap then
-    for j = 0 to cols - 1 do
-      edges := (id (rows - 1) j, id 0 j) :: !edges
-    done;
-  { wrap; rows; cols; graph = Graph.create ~n:(rows * cols) ~edges:!edges }
+    if wraps_rows wrap then
+      for j = 0 to cols - 1 do
+        add (id (rows - 1) j) (id 0 j)
+      done
+  in
+  { wrap; rows; cols; graph = Graph.build ~n:(rows * cols) arcs }
 
 let node g ~row ~col =
   if row < 0 || row >= g.rows || col < 0 || col >= g.cols then

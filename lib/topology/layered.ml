@@ -27,15 +27,14 @@ let create ~base ~k =
     if level = k then (current, layer, parent)
     else begin
       let size = Graph.n current in
-      (* Duplicate node u as u + size, adjacent to u and N(u). *)
-      let extra = ref [] in
-      Graph.iter_nodes current (fun u ->
-          extra := (u, u + size) :: !extra;
-          Array.iter
-            (fun w -> extra := (u + size, w) :: !extra)
-            (Graph.neighbors current u));
+      (* The current graph, and node u duplicated as u + size, adjacent
+         to u and N(u). *)
       let bigger =
-        Graph.add_edges (Graph.union_disjoint current (Graph.empty size)) !extra
+        Graph.build ~n:(2 * size) (fun add ->
+            Graph.iter_edges current add;
+            Graph.iter_nodes current (fun u ->
+                add u (u + size);
+                Array.iter (fun w -> add (u + size) w) (Graph.neighbors current u)))
       in
       let layer' = Array.append layer (Array.make size (level + 1)) in
       let parent' = Array.append parent (Array.init size (fun u -> u)) in

@@ -127,6 +127,236 @@ let prop_max_degree =
       let manual = Graph.fold_nodes g ~init:0 ~f:(fun acc v -> max acc (Graph.degree g v)) in
       manual = Graph.max_degree g)
 
+(* The list-and-sort builder that Graph.build replaced, kept as the
+   model of its output: per-node cons buckets, [Array.sort compare], a
+   consing dedup.  Arcs are checked in list order, so it also pins
+   which error a bad list raises. *)
+module Ref_build = struct
+  let check_endpoint size v =
+    if v < 0 || v >= size then
+      invalid_arg (Printf.sprintf "Graph: node %d out of range [0,%d)" v size)
+
+  let dedup_sorted a =
+    let len = Array.length a in
+    if len <= 1 then a
+    else begin
+      let out = ref [] in
+      for i = len - 1 downto 0 do
+        if i = 0 || a.(i) <> a.(i - 1) then out := a.(i) :: !out
+      done;
+      Array.of_list !out
+    end
+
+  (* The adjacency rows and the edge count. *)
+  let of_arcs size arcs =
+    let buckets = Array.make size [] in
+    List.iter
+      (fun (u, v) ->
+        check_endpoint size u;
+        check_endpoint size v;
+        if u = v then invalid_arg "Graph: self-loop";
+        buckets.(u) <- v :: buckets.(u);
+        buckets.(v) <- u :: buckets.(v))
+      arcs;
+    let adj =
+      Array.map
+        (fun l ->
+          let a = Array.of_list l in
+          Array.sort compare a;
+          dedup_sorted a)
+        buckets
+    in
+    (adj, Array.fold_left (fun acc a -> acc + Array.length a) 0 adj / 2)
+end
+
+type arc_case = { nodes : int; arcs : (int * int) list }
+
+let print_arc_case { nodes; arcs } =
+  Printf.sprintf "n=%d arcs=%s" nodes
+    (String.concat " " (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) arcs))
+
+(* Clean arcs crowd onto hubs 0..2; a third of them come again as
+   [(v, u)], a sixth as themselves.  Half the cases add a hub joined to
+   every other node in descending order: past 65 nodes that row is
+   longer than 64, so it takes the merge sort, while the shorter ones
+   take the insertion sort at its worst case.  A third of the cases
+   slip in one or two bad arcs (a self-loop, or an endpoint just
+   outside the range) at random places; both endpoints of one may be
+   outside. *)
+let arc_case_gen =
+  let open Proptest.Gen in
+  sized (fun size ->
+      bind (int_range 2 (3 * size)) (fun nodes ->
+          let node =
+            frequency [ (1, int_range 0 (min 2 (nodes - 1))); (3, int_range 0 (nodes - 1)) ]
+          in
+          let clean = map2 (fun u d -> (u, (u + d) mod nodes)) node (int_range 1 (nodes - 1)) in
+          let outside = frequency [ (1, int_range (-2) (-1)); (1, int_range nodes (nodes + 1)) ] in
+          let bad_arc =
+            frequency
+              [
+                (1, map (fun v -> (v, v)) node);
+                (1, pair node outside);
+                (1, pair outside node);
+                (1, pair outside outside);
+              ]
+          in
+          let hub_run =
+            frequency
+              [
+                (1, return []);
+                ( 1,
+                  map2
+                    (fun hub out ->
+                      List.filter_map
+                        (fun i ->
+                          let v = nodes - 1 - i in
+                          if v = hub then None else Some (if out then (hub, v) else (v, hub)))
+                        (List.init nodes Fun.id))
+                    node bool );
+              ]
+          in
+          let bad =
+            frequency
+              [ (2, return []); (1, list ~min_len:1 ~max_len:2 (pair (int_range 0 1000) bad_arc)) ]
+          in
+          map3
+            (fun arcs hub bad ->
+              let again =
+                List.concat
+                  (List.mapi
+                     (fun i (u, v) ->
+                       match i mod 6 with 0 | 3 -> [ (v, u) ] | 4 -> [ (u, v) ] | _ -> [])
+                     arcs)
+              in
+              let good = arcs @ hub @ again in
+              let arcs =
+                List.fold_left
+                  (fun acc (pos, arc) ->
+                    let pos = pos mod (List.length acc + 1) in
+                    List.filteri (fun i _ -> i < pos) acc
+                    @ (arc :: List.filteri (fun i _ -> i >= pos) acc))
+                  good bad
+              in
+              { nodes; arcs })
+            (list ~max_len:(4 * nodes) clean)
+            hub_run bad))
+
+let build_agrees { nodes; arcs } =
+  let built =
+    match Graph.create ~n:nodes ~edges:arcs with
+    | g -> Ok (Array.init nodes (Graph.neighbors g), Graph.m g)
+    | exception Invalid_argument m -> Error m
+  in
+  let model =
+    match Ref_build.of_arcs nodes arcs with
+    | r -> Ok r
+    | exception Invalid_argument m -> Error m
+  in
+  built = model
+
+let prop_build_model =
+  Alcotest.test_case "create matches the list-and-sort model" `Quick (fun () ->
+      Proptest.Runner.check_exn ~config ~name:"graph build model" ~print:print_arc_case
+        arc_case_gen build_agrees)
+
+(* A star of 300 leaves in descending, ascending and scrambled (7 is
+   prime to 300) order, each arc also given from the leaf side. *)
+let test_build_hub () =
+  let leaves = 300 in
+  List.iter
+    (fun leaf ->
+      let arcs =
+        List.concat_map
+          (fun i -> [ (0, leaf i); (leaf i, 0) ])
+          (List.init leaves Fun.id)
+      in
+      check_bool "agrees with the model" true
+        (build_agrees { nodes = leaves + 1; arcs }))
+    [ (fun i -> leaves - i); (fun i -> i + 1); (fun i -> 1 + (i * 7 mod leaves)) ]
+
+(* A generator whose second run passes [second] after the first run's
+   one arc 0-1. *)
+let changing second =
+  let runs = ref 0 in
+  fun add ->
+    incr runs;
+    if !runs = 1 then add 0 1 else second add
+
+let test_build_changed_arcs () =
+  List.iter
+    (fun (name, second) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Graph.build: generator changed its arcs") (fun () ->
+          ignore (Graph.build ~n:3 (changing second))))
+    [
+      ("an extra arc", fun add -> add 0 1; add 0 2);
+      ("an arc missing", ignore);
+      ("another arc", fun add -> add 1 2);
+    ]
+
+(* [Graph.edges] digests of the fixed-host generators at small sizes,
+   taken from the list-and-sort builder before they moved to
+   Graph.build: the hosts are edge for edge what they were. *)
+let edges_digest g =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (string_of_int (Graph.n g));
+  List.iter (fun (u, v) -> Printf.bprintf b " %d-%d" u v) (Graph.edges g);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_host_digests () =
+  let open Topology in
+  let thm2 = Online_local.Thm2_adversary.variant_host in
+  let base = Grid2d.graph (Grid2d.create Grid2d.Simple ~rows:3 ~cols:4) in
+  List.iter
+    (fun (name, host, digest) -> Alcotest.(check string) name digest (edges_digest (host ())))
+    [
+      ( "gadget k=3 g=5",
+        (fun () -> Gadget.graph (Gadget.create ~k:3 ~gadgets:5 ())),
+        "339b9b0256b31463db903005028536ee" );
+      ( "gadget k=3 g=5 seam 2",
+        (fun () -> Gadget.graph (Gadget.create ~seam:2 ~k:3 ~gadgets:5 ())),
+        "98f167512ffe7cd4227edb9eec96599b" );
+      ( "gadget k=4 g=4",
+        (fun () -> Gadget.graph (Gadget.create ~k:4 ~gadgets:4 ())),
+        "ba0daf583495a2095b63f99bb2386ee1" );
+      ( "gadget k=4 g=4 seam 1",
+        (fun () -> Gadget.graph (Gadget.create ~seam:1 ~k:4 ~gadgets:4 ())),
+        "4c55ae1771773b4a2b20bb23af0635c8" );
+      ( "variant torus plain",
+        (fun () -> thm2 ~wrap:`Toroidal ~side:9 ~reflect:false ~band_lo:3 ~band_hi:6),
+        "1451fdf428b79f8e4bfb9aaccceac226" );
+      ( "variant torus reflected",
+        (fun () -> thm2 ~wrap:`Toroidal ~side:9 ~reflect:true ~band_lo:3 ~band_hi:6),
+        "22b758b40c57d21c79f57ae957b56100" );
+      ( "variant cylinder plain",
+        (fun () -> thm2 ~wrap:`Cylindrical ~side:9 ~reflect:false ~band_lo:3 ~band_hi:6),
+        "17fa157b342450ce030be31970d55058" );
+      ( "variant cylinder reflected",
+        (fun () -> thm2 ~wrap:`Cylindrical ~side:9 ~reflect:true ~band_lo:3 ~band_hi:6),
+        "8e0d930ab213b85dc70029c4b89acc29" );
+      ( "variant rect torus 10x7 reflected",
+        (fun () ->
+          Online_local.Thm2_adversary.variant_host_rect ~wrap:`Toroidal ~rows:10 ~cols:7
+            ~reflect:true ~band_lo:2 ~band_hi:6),
+        "7d71853c44a7063e447ba4d447cf4268" );
+      ( "grid2d simple 5x7",
+        (fun () -> Grid2d.graph (Grid2d.create Grid2d.Simple ~rows:5 ~cols:7)),
+        "ddd3d74806035dfe522e188fa6daf7ab" );
+      ( "grid2d cylindrical 5x7",
+        (fun () -> Grid2d.graph (Grid2d.create Grid2d.Cylindrical ~rows:5 ~cols:7)),
+        "856ef752d94502fdb5323520bdb7f805" );
+      ( "grid2d toroidal 5x7",
+        (fun () -> Grid2d.graph (Grid2d.create Grid2d.Toroidal ~rows:5 ~cols:7)),
+        "942be63e2003a47d45f0d4f7d174dd79" );
+      ( "layered k=3 on 3x4",
+        (fun () -> Layered.graph (Layered.create ~base ~k:3)),
+        "b05ce691af79c02f4619c3222e9c9b72" );
+      ( "layered k=4 on 3x4",
+        (fun () -> Layered.graph (Layered.create ~base ~k:4)),
+        "282b57ffeff7ff68041442986b1fbb24" );
+    ]
+
 let test_union_find () =
   let uf = Union_find.create 6 in
   Alcotest.(check int) "initial count" 6 (Union_find.count uf);
@@ -314,6 +544,13 @@ let () =
         ] );
       ( "graph-properties",
         [ prop_degree_sum; prop_mem_edge_symmetric; prop_edges_roundtrip; prop_max_degree ] );
+      ( "graph-build",
+        [
+          prop_build_model;
+          Alcotest.test_case "hub rows in three orders" `Quick test_build_hub;
+          Alcotest.test_case "changed arcs rejected" `Quick test_build_changed_arcs;
+          Alcotest.test_case "host digests pinned" `Quick test_host_digests;
+        ] );
       ( "union-find",
         [
           Alcotest.test_case "union find" `Quick test_union_find;
