@@ -118,6 +118,15 @@ let mem_edge g u v =
   check g v;
   adjacent g u v
 
+let degree g v =
+  check g v;
+  g.deg.(v)
+
+let neighbor g v i =
+  check g v;
+  if i < 0 || i >= g.deg.(v) then invalid_arg "Dyn_graph.neighbor: index out of range";
+  g.pool.(g.off.(v) + i)
+
 let neighbors g v =
   check g v;
   let a = g.pool and o = g.off.(v) in

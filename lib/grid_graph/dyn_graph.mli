@@ -43,5 +43,13 @@ val mem_edge : t -> Graph.node -> Graph.node -> bool
 val neighbors : t -> Graph.node -> Graph.node list
 (** Current neighbors, in the order described above. *)
 
+val degree : t -> Graph.node -> int
+(** Number of current neighbors. O(1). *)
+
+val neighbor : t -> Graph.node -> int -> Graph.node
+(** [neighbor g v i] is element [i] of [neighbors g v], read without
+    building the list.  O(1), allocation-free.
+    @raise Invalid_argument unless [0 <= i < degree g v]. *)
+
 val snapshot : t -> Graph.t
 (** An immutable copy of the current graph; handles coincide. *)

@@ -76,9 +76,7 @@ let normalize_forward vg p =
 
 let present_row vg f ~row ~col_lo ~col_hi =
   for col = col_lo to col_hi do
-    (match Vg.handle_at vg f ~row ~col with
-    | Some h when Vg.color_at vg f ~row ~col <> None -> ignore h
-    | Some _ | None -> ignore (Vg.present vg f ~row ~col));
+    if Vg.color_at vg f ~row ~col = None then ignore (Vg.present vg f ~row ~col);
     check vg
   done
 

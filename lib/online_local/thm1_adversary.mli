@@ -54,7 +54,7 @@ val run :
     [~endgame:false] stops after the path construction (useful for
     measuring forced b-values at scale without paying for the rectangle
     fill).  [~validate:true] replays the transcript through
-    {!Virtual_grid.validate} — quadratic, tests only. *)
+    {!Virtual_grid.validate}. *)
 
 val recommended_k : n_side:int -> t:int -> int
 (** The largest b-value target whose construction (path plus endgame

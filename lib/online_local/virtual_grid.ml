@@ -1,10 +1,20 @@
 module V = Models.View
 module Coord = Grid_graph.Packed.Coord
 module Ptable = Grid_graph.Packed.Table
+module Dyn_graph = Grid_graph.Dyn_graph
 
+(* A frame stores its cells at (row, col * orient): [reflect] flips
+   [orient] instead of rekeying, and every entry point converts frame
+   columns to stored ones and back.  The box bounds the stored cells
+   ([row_hi < row_lo] while the frame is empty). *)
 type frame_state = {
   fid : int;
-  table : Ptable.t;  (* packed frame coords -> handle *)
+  table : Ptable.t;  (* packed stored coords -> handle *)
+  mutable orient : int;  (* +1 or -1 *)
+  mutable row_lo : int;
+  mutable row_hi : int;
+  mutable col_lo : int;
+  mutable col_hi : int;
   mutable alive : bool;
 }
 
@@ -14,13 +24,13 @@ type t = {
   palette : int;
   n_total : int;
   radius : int;
-  region : Grid_graph.Dyn_graph.t;
-  mutable coords : int array;  (* handle -> current packed frame coords *)
+  region : Dyn_graph.t;
+  mutable coords : int array;  (* handle -> current packed stored coords *)
   mutable frame_ids : int array;  (* handle -> current frame id *)
   mutable revealed_step : int array;  (* handle -> step at which it appeared *)
   mutable outputs : int array;  (* handle -> color; -1 = none *)
   mutable presented : Bytes.t;  (* handle set *)
-  frames : (int, frame_state) Hashtbl.t;
+  mutable by_fid : frame_state array;  (* fid -> frame, for fid < next_fid *)
   mutable next_fid : int;
   instance : Models.Algorithm.instance Lazy.t ref;
   mutable targets : int list;  (* reverse presentation order *)
@@ -34,13 +44,13 @@ let create ~palette ~n_total ~radius ~algorithm () =
       palette;
       n_total;
       radius;
-      region = Grid_graph.Dyn_graph.create ();
+      region = Dyn_graph.create ();
       coords = Array.make 64 0;
       frame_ids = Array.make 64 (-1);
       revealed_step = Array.make 64 (-1);
       outputs = Array.make 64 (-1);
       presented = Bytes.make 64 '\000';
-      frames = Hashtbl.create 8;
+      by_fid = [||];
       next_fid = 0;
       instance = ref (lazy (fun _ -> 0));
       targets = [];
@@ -54,9 +64,25 @@ let create ~palette ~n_total ~radius ~algorithm () =
   t
 
 let new_frame t =
-  let f = { fid = t.next_fid; table = Ptable.create (); alive = true } in
+  let f =
+    {
+      fid = t.next_fid;
+      table = Ptable.create ();
+      orient = 1;
+      row_lo = max_int;
+      row_hi = min_int;
+      col_lo = max_int;
+      col_hi = min_int;
+      alive = true;
+    }
+  in
+  if f.fid = Array.length t.by_fid then begin
+    let by_fid = Array.make (max 8 (2 * f.fid)) f in
+    Array.blit t.by_fid 0 by_fid 0 f.fid;
+    t.by_fid <- by_fid
+  end;
+  t.by_fid.(f.fid) <- f;
   t.next_fid <- t.next_fid + 1;
-  Hashtbl.replace t.frames f.fid f;
   f
 
 let grow t needed =
@@ -83,8 +109,14 @@ let grow t needed =
 let check_alive f op =
   if not f.alive then invalid_arg ("Virtual_grid: frame used after merge in " ^ op)
 
+let is_empty f = f.row_hi < f.row_lo
+
+(* The frame column of a handle. *)
+let frame_col t h = t.by_fid.(t.frame_ids.(h)).orient * Coord.col t.coords.(h)
+
 let handle_at _t f ~row ~col =
-  if Coord.in_range row col then Ptable.find_opt f.table (Coord.pack row col)
+  if Coord.in_range row col then
+    Ptable.find_opt f.table (Coord.pack row (f.orient * col))
   else None
 
 let output_opt t h = let c = t.outputs.(h) in if c < 0 then None else Some c
@@ -94,35 +126,81 @@ let color_at t f ~row ~col =
   | None -> None
   | Some h -> output_opt t h
 
-(* [k] is a packed coordinate already checked in range by the caller. *)
-let reveal_node t f k =
-  let h = Ptable.find_default f.table k ~default:(-1) in
-  if h >= 0 then (h, false)
-  else begin
-    let h = Grid_graph.Dyn_graph.add_node t.region in
+(* [k] is a packed stored coordinate already checked in range by the
+   caller; an unrevealed cell gets the next handle. *)
+let reveal_cell t f k =
+  if not (Ptable.mem f.table k) then begin
+    let h = Dyn_graph.add_node t.region in
     grow t (h + 1);
     t.coords.(h) <- k;
     t.frame_ids.(h) <- f.fid;
     t.revealed_step.(h) <- t.steps;
     Ptable.set f.table k h;
-    (h, true)
+    let r = Coord.row k and c = Coord.col k in
+    if r < f.row_lo then f.row_lo <- r;
+    if r > f.row_hi then f.row_hi <- r;
+    if c < f.col_lo then f.col_lo <- c;
+    if c > f.col_hi then f.col_hi <- c
   end
 
-let neighbors4 (r, c) = [ (r - 1, c); (r + 1, c); (r, c - 1); (r, c + 1) ]
+let presented_at t f k =
+  let h = Ptable.find_default f.table k ~default:(-1) in
+  h >= 0 && Bytes.get t.presented h <> '\000'
+
+(* Reveal B(v, R) around the stored key [base], in the diamond's
+   row-major frame order (row offset, then column offset).  If a grid
+   neighbour u of v is presented, B(u, R) is already revealed — merges
+   and reflections move frames rigidly — so only the far rim
+   B(v, R) \ B(u, R) can hold fresh cells: the cells at distance R
+   whose offset (dr, dc) points away from u's offset (er, ec),
+   dr * er + dc * ec <= 0.  Skipping the rest leaves the fresh set and
+   its order as the full diamond's. *)
+let reveal_ball t f base =
+  let r = t.radius and o = f.orient in
+  let er, ec =
+    if r = 0 then (0, 0)
+    else if presented_at t f (Coord.north base) then (-1, 0)
+    else if presented_at t f (Coord.south base) then (1, 0)
+    else if presented_at t f (base - o) then (0, -1)
+    else if presented_at t f (base + o) then (0, 1)
+    else (0, 0)
+  in
+  for dr = -r to r do
+    let budget = r - abs dr in
+    let row_base = base + (dr * Coord.row_step) in
+    if er = 0 && ec = 0 then
+      for dc = -budget to budget do
+        reveal_cell t f (row_base + (o * dc))
+      done
+    else begin
+      if (dr * er) - (budget * ec) <= 0 then reveal_cell t f (row_base - (o * budget));
+      if budget > 0 && (dr * er) + (budget * ec) <= 0 then
+        reveal_cell t f (row_base + (o * budget))
+    end
+  done
+
+let wire t f h k =
+  let h' = Ptable.find_default f.table k ~default:(-1) in
+  if h' >= 0 then Dyn_graph.add_edge t.region h h'
 
 let make_view t ~target ~new_nodes =
   {
     V.n_total = t.n_total;
     palette = t.palette;
-    node_count = (fun () -> Grid_graph.Dyn_graph.n t.region);
-    neighbors = (fun h -> Grid_graph.Dyn_graph.neighbors t.region h);
-    mem_edge = (fun a b -> Grid_graph.Dyn_graph.mem_edge t.region a b);
+    node_count = (fun () -> Dyn_graph.n t.region);
+    neighbors = (fun h -> Dyn_graph.neighbors t.region h);
+    mem_edge = (fun a b -> Dyn_graph.mem_edge t.region a b);
     id = (fun h -> h + 1);
     output = (fun h -> output_opt t h);
     hint =
       (fun h ->
-        let k = t.coords.(h) in
-        Some (V.Grid_pos { frame = t.frame_ids.(h); row = Coord.row k; col = Coord.col k }));
+        Some
+          (V.Grid_pos
+             {
+               frame = t.frame_ids.(h);
+               row = Coord.row t.coords.(h);
+               col = frame_col t h;
+             }));
     target;
     new_nodes;
     step = t.steps;
@@ -137,46 +215,31 @@ let present t f ~row ~col =
       (Coord.in_range (row - t.radius) (col - t.radius)
       && Coord.in_range (row + t.radius) (col + t.radius))
   then invalid_arg "Virtual_grid.present: coordinates outside packable range";
-  let base = Coord.pack row col in
-  (match Ptable.find_default f.table base ~default:(-1) with
-  | h when h >= 0 && Bytes.get t.presented h <> '\000' ->
-      raise
-        (Models.Run_stats.Dishonest_transcript
-           "Virtual_grid.present: node already presented")
-  | _ -> ());
+  let o = f.orient in
+  let base = Coord.pack row (o * col) in
+  if presented_at t f base then
+    raise
+      (Models.Run_stats.Dishonest_transcript
+         "Virtual_grid.present: node already presented");
   t.steps <- t.steps + 1;
-  (* Reveal the radius-R diamond around the node. *)
-  let fresh = ref [] in
-  for dr = -t.radius to t.radius do
-    let budget = t.radius - abs dr in
-    let row_base = base + (dr * Coord.row_step) in
-    for dc = -budget to budget do
-      let h, is_new = reveal_node t f (row_base + dc) in
-      if is_new then fresh := h :: !fresh
-    done
+  let first = Dyn_graph.n t.region in
+  reveal_ball t f base;
+  let fresh_end = Dyn_graph.n t.region in
+  (* Fresh handles are [first, fresh_end), in reveal order.  Each
+     connects to every already-revealed grid neighbor.  Probe order
+     north, south, west, east (in frame orientation) orders the
+     neighbors that share a bucket of the region graph (see
+     dyn_graph.mli), which algorithms observe — do not reorder. *)
+  for h = first to fresh_end - 1 do
+    let k = t.coords.(h) in
+    wire t f h (Coord.north k);
+    wire t f h (Coord.south k);
+    wire t f h (k - o);
+    wire t f h (k + o)
   done;
-  let new_nodes = List.sort compare !fresh in
-  (* Each fresh node connects to every already-revealed grid neighbor.
-     Probe order north, south, west, east orders the neighbors that
-     share a bucket of the region graph (see dyn_graph.mli), which
-     algorithms observe — do not reorder. *)
-  List.iter
-    (fun h ->
-      let k = t.coords.(h) in
-      let probe k' =
-        let h' = Ptable.find_default f.table k' ~default:(-1) in
-        if h' >= 0 then Grid_graph.Dyn_graph.add_edge t.region h h'
-      in
-      probe (Coord.north k);
-      probe (Coord.south k);
-      probe (Coord.west k);
-      probe (Coord.east k))
-    new_nodes;
-  let target =
-    match Ptable.find_default f.table base ~default:(-1) with
-    | -1 -> assert false
-    | h -> h
-  in
+  let new_nodes = List.init (fresh_end - first) (fun i -> first + i) in
+  let target = Ptable.find_default f.table base ~default:(-1) in
+  assert (target >= 0);
   Bytes.set t.presented target '\001';
   t.targets <- target :: t.targets;
   if Obs.Trace.on () then begin
@@ -185,8 +248,8 @@ let present t f ~row ~col =
          {
            executor = "virtual_grid";
            step = t.steps;
-           fresh = List.length new_nodes;
-           revealed = Grid_graph.Dyn_graph.n t.region;
+           fresh = fresh_end - first;
+           revealed = fresh_end;
          });
     Obs.Trace.emit
       (Obs.Trace.Step
@@ -194,10 +257,10 @@ let present t f ~row ~col =
            executor = "virtual_grid";
            step = t.steps;
            target;
-           revealed = Grid_graph.Dyn_graph.n t.region;
+           revealed = fresh_end;
            (* the virtual grid has one growing region, so the revealed
               count is also the largest view so far *)
-           max_view = Grid_graph.Dyn_graph.n t.region;
+           max_view = fresh_end;
          })
   end;
   let color =
@@ -220,85 +283,93 @@ let present t f ~row ~col =
   end
   else begin
     t.outputs.(target) <- color;
-    if t.first_violation = None then
-      List.iter
-        (fun h ->
-          if t.outputs.(h) = color then
-            t.first_violation <- Some (Models.Run_stats.Monochromatic_edge (target, h)))
-        (Grid_graph.Dyn_graph.neighbors t.region target)
+    if t.first_violation = None then begin
+      (* The certificate names the last same-colored neighbor in
+         [neighbors] order. *)
+      let i = ref (Dyn_graph.degree t.region target - 1) in
+      while !i >= 0 && t.outputs.(Dyn_graph.neighbor t.region target !i) <> color do
+        decr i
+      done;
+      if !i >= 0 then
+        t.first_violation <-
+          Some
+            (Models.Run_stats.Monochromatic_edge
+               (target, Dyn_graph.neighbor t.region target !i))
+    end
   end;
   color
 
-let reflect t f =
+let reflect _t f =
   check_alive f "reflect";
-  let entries = Ptable.fold f.table ~init:[] ~f:(fun acc k h -> (k, h) :: acc) in
-  Ptable.clear f.table;
-  List.iter
-    (fun (k, h) ->
-      let k' = Coord.pack (Coord.row k) (- Coord.col k) in
-      Ptable.set f.table k' h;
-      t.coords.(h) <- k')
-    entries
+  f.orient <- -f.orient
 
 let merge t ~keep ~absorb ~reflect:refl ~dr ~dc =
   check_alive keep "merge";
   check_alive absorb "merge";
   if keep.fid = absorb.fid then invalid_arg "Virtual_grid.merge: same frame";
-  let map k =
-    let r = Coord.row k + dr in
-    let c = (if refl then - Coord.col k else Coord.col k) + dc in
-    if not (Coord.in_range r c) then
+  if not (is_empty absorb) then begin
+    (* Stored (r, c) of [absorb] lands at stored (r + dr, sign * c + shift)
+       of [keep]. *)
+    let sign = keep.orient * absorb.orient * if refl then -1 else 1 in
+    let shift = keep.orient * dc in
+    let row_lo = absorb.row_lo + dr and row_hi = absorb.row_hi + dr in
+    let col_lo = if sign > 0 then absorb.col_lo + shift else shift - absorb.col_hi in
+    let col_hi = if sign > 0 then absorb.col_hi + shift else shift - absorb.col_lo in
+    if not (Coord.in_range row_lo col_lo && Coord.in_range row_hi col_hi) then
       invalid_arg "Virtual_grid.merge: placement outside packable range";
-    Coord.pack r c
-  in
-  let entries = Ptable.fold absorb.table ~init:[] ~f:(fun acc k h -> (k, h) :: acc) in
-  (* The committed placement must not contradict any view already shown:
-     no collisions and no adjacencies between the two revealed regions. *)
-  List.iter
-    (fun (k, _) ->
-      let m = map k in
-      List.iter
-        (fun probe ->
-          if Ptable.mem keep.table probe then
+    let map k = Coord.pack (Coord.row k + dr) ((sign * Coord.col k) + shift) in
+    (* The committed placement must not contradict any view already
+       shown: no collisions and no adjacencies between the two revealed
+       regions.  Boxes two or more cells apart cannot touch. *)
+    if
+      not
+        (is_empty keep
+        || row_lo > keep.row_hi + 1
+        || row_hi < keep.row_lo - 1
+        || col_lo > keep.col_hi + 1
+        || col_hi < keep.col_lo - 1)
+    then
+      Ptable.iter absorb.table ~f:(fun k _ ->
+          let m = map k in
+          if
+            Ptable.mem keep.table m
+            || Ptable.mem keep.table (Coord.north m)
+            || Ptable.mem keep.table (Coord.south m)
+            || Ptable.mem keep.table (Coord.west m)
+            || Ptable.mem keep.table (Coord.east m)
+          then
             invalid_arg
-              "Virtual_grid.merge: placement collides with or touches the kept region")
-        [ m; Coord.north m; Coord.south m; Coord.west m; Coord.east m ])
-    entries;
-  List.iter
-    (fun (k, h) ->
-      let m = map k in
-      Ptable.set keep.table m h;
-      t.coords.(h) <- m;
-      t.frame_ids.(h) <- keep.fid)
-    entries;
-  absorb.alive <- false;
-  Hashtbl.remove t.frames absorb.fid
+              "Virtual_grid.merge: placement collides with or touches the kept region");
+    Ptable.iter absorb.table ~f:(fun k h ->
+        let m = map k in
+        Ptable.set keep.table m h;
+        t.coords.(h) <- m;
+        t.frame_ids.(h) <- keep.fid);
+    keep.row_lo <- min keep.row_lo row_lo;
+    keep.row_hi <- max keep.row_hi row_hi;
+    keep.col_lo <- min keep.col_lo col_lo;
+    keep.col_hi <- max keep.col_hi col_hi
+  end;
+  absorb.alive <- false
 
 let frames t =
-  Hashtbl.fold (fun _ f acc -> f :: acc) t.frames []
-  |> List.sort (fun a b -> compare a.fid b.fid)
+  List.filter (fun f -> f.alive) (Array.to_list (Array.sub t.by_fid 0 t.next_fid))
 
 let span _t f =
   check_alive f "span";
-  let row_lo = ref max_int and row_hi = ref min_int in
-  let col_lo = ref max_int and col_hi = ref min_int in
-  Ptable.iter f.table ~f:(fun k _ ->
-      let r = Coord.row k and c = Coord.col k in
-      row_lo := min !row_lo r;
-      row_hi := max !row_hi r;
-      col_lo := min !col_lo c;
-      col_hi := max !col_hi c);
-  ((!row_lo, !row_hi), (!col_lo, !col_hi))
+  if is_empty f then ((max_int, min_int), (max_int, min_int))
+  else if f.orient > 0 then ((f.row_lo, f.row_hi), (f.col_lo, f.col_hi))
+  else ((f.row_lo, f.row_hi), (-f.col_hi, -f.col_lo))
 
 let violation t = t.first_violation
 let presented_count t = t.steps
-let revealed_count t = Grid_graph.Dyn_graph.n t.region
-let snapshot_region t = Grid_graph.Dyn_graph.snapshot t.region
+let revealed_count t = Dyn_graph.n t.region
+let snapshot_region t = Dyn_graph.snapshot t.region
 let output t h = output_opt t h
 
 let scan_monochromatic t =
   let found = ref None in
-  let count = Grid_graph.Dyn_graph.n t.region in
+  let count = Dyn_graph.n t.region in
   (try
      for h = 0 to count - 1 do
        match output_opt t h with
@@ -310,35 +381,32 @@ let scan_monochromatic t =
                  found := Some (h, h');
                  raise Exit
                end)
-             (Grid_graph.Dyn_graph.neighbors t.region h)
+             (Dyn_graph.neighbors t.region h)
      done
    with Exit -> ());
   !found
 
+let neighbors4 (r, c) = [ (r - 1, c); (r + 1, c); (r, c - 1); (r, c + 1) ]
+
 let validate_placement t =
-  let count = Grid_graph.Dyn_graph.n t.region in
+  let count = Dyn_graph.n t.region in
+  let live = frames t in
   (* Absolute coordinates: surviving frames are placed far apart. *)
   let (_, (glo, ghi)) =
-    Hashtbl.fold
-      (fun _ f ((rl, rh), (cl, ch)) ->
-        if Ptable.length f.table = 0 then ((rl, rh), (cl, ch))
+    List.fold_left
+      (fun ((rl, rh), (cl, ch)) f ->
+        if is_empty f then ((rl, rh), (cl, ch))
         else
           let (rl', rh'), (cl', ch') = span t f in
           ((min rl rl', max rh rh'), (min cl cl', max ch ch')))
-      t.frames
       ((0, 0), (0, 0))
+      live
   in
   let big = 4 * (ghi - glo + 2 * t.radius + 10) in
   let offset_of_fid = Hashtbl.create 8 in
-  let next = ref 0 in
-  Hashtbl.iter
-    (fun fid _ ->
-      Hashtbl.replace offset_of_fid fid (!next * big);
-      incr next)
-    t.frames;
+  List.iteri (fun i f -> Hashtbl.replace offset_of_fid f.fid (i * big)) live;
   let abs_coords h =
-    let k = t.coords.(h) in
-    (Coord.row k, Coord.col k + Hashtbl.find offset_of_fid t.frame_ids.(h))
+    (Coord.row t.coords.(h), frame_col t h + Hashtbl.find offset_of_fid t.frame_ids.(h))
   in
   let by_coord = Hashtbl.create (count * 2 + 1) in
   for h = 0 to count - 1 do
@@ -355,30 +423,40 @@ let validate_placement t =
         (neighbors4 (abs_coords h))
       |> List.sort compare
     in
-    let actual = List.sort compare (Grid_graph.Dyn_graph.neighbors t.region h) in
+    let actual = List.sort compare (Dyn_graph.neighbors t.region h) in
     if expected <> actual then
       raise
         (Models.Run_stats.Dishonest_transcript
            (Printf.sprintf
               "validate: node %d has wrong adjacency under final placement" h))
   done;
-  (* (b) Every node appeared exactly at the first presentation whose ball
-     contains it under the final placement. *)
-  let targets = Array.of_list (List.rev t.targets) in
+  (* (b) Every presentation's whole ball is revealed under the final
+     placement, and every node appeared exactly at the first
+     presentation whose ball contains it, never earlier, never later. *)
+  let first = Array.make count max_int in
+  List.iteri
+    (fun i tgt ->
+      let step = i + 1 and tr, tc = abs_coords tgt in
+      for r = tr - t.radius to tr + t.radius do
+        let budget = t.radius - abs (r - tr) in
+        for c = tc - budget to tc + budget do
+          match Hashtbl.find_opt by_coord (r, c) with
+          | Some h -> if step < first.(h) then first.(h) <- step
+          | None ->
+              raise
+                (Models.Run_stats.Dishonest_transcript
+                   (Printf.sprintf "validate: step %d's ball misses cell (%d,%d)" step
+                      r c))
+        done
+      done)
+    (List.rev t.targets);
   for h = 0 to count - 1 do
-    let hr, hc = abs_coords h in
-    let first = ref max_int in
-    Array.iteri
-      (fun j tgt ->
-        let tr, tc = abs_coords tgt in
-        if abs (hr - tr) + abs (hc - tc) <= t.radius then first := min !first (j + 1))
-      targets;
-    if !first <> t.revealed_step.(h) then
+    if first.(h) <> t.revealed_step.(h) then
       raise
         (Models.Run_stats.Dishonest_transcript
            (Printf.sprintf
               "validate: node %d revealed at step %d but first containing ball is step %d"
-              h t.revealed_step.(h) !first))
+              h t.revealed_step.(h) first.(h)))
   done
 
 let validate t =
@@ -398,9 +476,7 @@ let bipartition_oracle t =
     let raw =
       Array.of_list
         (List.map
-           (fun h ->
-             let k = t.coords.(h) in
-             ((Coord.row k + Coord.col k) mod 2 + 2) mod 2)
+           (fun h -> ((Coord.row t.coords.(h) + frame_col t h) mod 2 + 2) mod 2)
            handles)
     in
     Models.Oracle.canonicalize raw handles

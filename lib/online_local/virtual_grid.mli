@@ -32,12 +32,21 @@
 
     Frame coordinates are packed into single integers
     ({!Grid_graph.Packed.Coord}) and each frame's coordinate table is an
-    open-addressing int map, so revealing a radius-R diamond costs
-    O(R{^2}) allocation-free probes with the four grid-neighbor lookups
-    done by integer arithmetic.  Outputs and the presented set are flat
-    arrays indexed by handle: O(1) reads, no boxing.  Coordinates must
-    stay within [|row|, |col| < 2{^29}] ([Invalid_argument] otherwise) —
-    vastly beyond any constructible instance.  See
+    open-addressing int map, so every probe is allocation-free and the
+    four grid-neighbor lookups are integer arithmetic.  A presentation
+    costs O(R) probes: once a grid neighbor [u] of the target [v] has
+    been presented, [B(u, R)] is already revealed (merges and
+    reflections move frames rigidly), so only the far rim — the
+    [2R + 1] cells of [B(v, R)] outside [B(u, R)] — is probed, in the
+    full diamond's row-major order, so fresh handles and their order
+    are the full diamond's.  A target with no presented neighbor (the
+    first node of a frame) probes its whole diamond, O(R{^2}).  Each
+    frame keeps its bounding box and an orientation, so {!reflect} and
+    {!span} are O(1) and {!merge} is O(absorbed nodes) with no
+    per-entry allocation.  Outputs and the presented set are flat arrays indexed
+    by handle: O(1) reads, no boxing.  Coordinates must stay within
+    [|row|, |col| < 2{^29}] ([Invalid_argument] otherwise) — vastly
+    beyond any constructible instance.  See
     [lib/online_local/README.md]. *)
 
 type t
@@ -69,7 +78,7 @@ val handle_at : t -> frame -> row:int -> col:int -> Grid_graph.Graph.node option
 (** The view handle of a revealed coordinate, if revealed. *)
 
 val reflect : t -> frame -> unit
-(** Re-orient a frame in place: [(r, c) -> (r, -c)]. *)
+(** Re-orient a frame in place: [(r, c) -> (r, -c)].  O(1). *)
 
 val merge : t -> keep:frame -> absorb:frame -> reflect:bool -> dr:int -> dc:int -> unit
 (** Commit [absorb]'s placement relative to [keep]:
@@ -83,7 +92,9 @@ val frames : t -> frame list
 (** All frames still alive (not absorbed by a merge), in creation order. *)
 
 val span : t -> frame -> (int * int) * (int * int)
-(** [(row_lo, row_hi), (col_lo, col_hi)] of the frame's revealed region. *)
+(** [(row_lo, row_hi), (col_lo, col_hi)] of the frame's revealed region
+    — [((max_int, min_int), (max_int, min_int))] while it is empty.
+    O(1). *)
 
 val violation : t -> Models.Run_stats.violation option
 (** First violation observed so far: an out-of-palette answer, or a
@@ -105,11 +116,14 @@ val scan_monochromatic : t -> (Grid_graph.Graph.node * Grid_graph.Graph.node) op
     presented nodes. *)
 
 val validate : t -> unit
-(** Replay honesty check (O(presented x revealed) — test-sized runs
-    only): under the final placement, (a) every revealed pair of
+(** Replay honesty check, O(presented x R{^2} + revealed) with
+    ordinary hashtables (an audit, off the hot path): under the final
+    placement, in absolute coordinates, (a) every revealed pair of
     grid-adjacent nodes is an edge of the region graph and vice versa,
-    and (b) every node entered the revealed region exactly at the first
-    presentation whose ball contains it, never earlier, never later.
+    and (b) every presentation's whole ball is revealed, and every node
+    entered the revealed region exactly at the first presentation whose
+    ball contains it, never earlier, never later.  Step (b) enumerates
+    each full diamond itself and shares no code with the rim reveal.
     Frames never merged are taken as placed unboundedly far apart.
     @raise Models.Run_stats.Dishonest_transcript with a diagnostic if the
     transcript was dishonest — the typed form the guarded engine turns

@@ -476,11 +476,15 @@ let dyn_ops_gen =
 
 let outcome f = match f () with x -> Ok x | exception Invalid_argument m -> Error m
 
-(* Play [ops] on both graphs; every result, exception, neighbor list,
-   adjacency answer and snapshot must agree. *)
+(* Play [ops] on both graphs; every result, exception, neighbor list
+   (also read by index), adjacency answer and snapshot must agree. *)
 let dyn_agrees ops =
   let d = Dyn_graph.create () and r = Ref_dyn.create () in
-  let same_neighbors v = Dyn_graph.neighbors d v = Ref_dyn.neighbors r v in
+  let same_neighbors v =
+    let expected = Ref_dyn.neighbors r v in
+    Dyn_graph.neighbors d v = expected
+    && List.init (Dyn_graph.degree d v) (Dyn_graph.neighbor d v) = expected
+  in
   List.for_all
     (function
       | Add_node -> Dyn_graph.add_node d = Ref_dyn.add_node r
