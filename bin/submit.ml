@@ -5,7 +5,6 @@
        "t=1 k=9 side=4000 algo=ael" "t=2 k=9 side=4000 algo=ael"
      dune exec bin/submit.exe -- --socket /tmp/jobs.sock --from jobs.txt
      dune exec bin/submit.exe -- --socket /tmp/jobs.sock --health
-     dune exec bin/submit.exe -- --socket /tmp/jobs.sock --server-stats
 
    A --from file holds one job per line, "kind<TAB>payload".  Up to 16
    jobs are kept in flight.  Retries (dropped connections, truncated
@@ -35,20 +34,20 @@ let read_specs_file path =
   in
   go []
 
-let run socket kind payloads from deadline_ms health stats =
-  (* exit 2: the server is unreachable — an operational state with its
-     own exit code, distinct from protocol/usage failures (exit 1) *)
-  let print_or_unreachable = function
-    | Ok json ->
-        print_endline json;
-        0
-    | Error (`Unreachable reason) ->
-        Format.eprintf "submit: cannot reach %s: %s@." socket reason;
-        2
-  in
+let run socket kind payloads from deadline_ms health =
   try
-    if health then print_or_unreachable (Harness.Client.health ~socket ())
-    else if stats then print_or_unreachable (Harness.Client.stats ~socket ())
+    if health then begin
+      match Harness.Client.health ~socket () with
+      | Ok json ->
+          print_endline json;
+          0
+      | Error (`Unreachable reason) ->
+          (* exit 2: the server is unreachable — an operational state
+             with its own exit code, distinct from protocol/usage
+             failures (exit 1) *)
+          Format.eprintf "submit: cannot reach %s: %s@." socket reason;
+          2
+    end
     else begin
       let specs =
         (match from with Some path -> read_specs_file path | None -> [])
@@ -113,16 +112,10 @@ let health =
     value & flag
     & info [ "health" ] ~doc:"Print the server's health JSON and exit.")
 
-let stats =
-  Arg.(
-    value & flag
-    & info [ "server-stats" ]
-        ~doc:"Print the server's stats JSON and exit.")
-
 let cmd =
   Cmd.v
     (Cmd.info "submit" ~doc:"Submit jobs to serve.exe and print their results")
     Term.(
-      const run $ socket $ kind $ payloads $ from $ deadline_ms $ health $ stats)
+      const run $ socket $ kind $ payloads $ from $ deadline_ms $ health)
 
 let () = exit (Cmd.eval' cmd)

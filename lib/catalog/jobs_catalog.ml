@@ -56,19 +56,36 @@ let thm1_algorithm name t =
   | "ael" -> Portfolio.ael ~t ()
   | other -> failwith ("unknown algorithm: " ^ other)
 
-let thm1_text ~t ~k ~side ~algo r =
+(* A cell's text from [play]'s report.  A transcript that fails the
+   --validate audit is the adversary's fault, not the cell's: its result
+   line carries Game's label and the audit's message, where a report
+   line would be, and the sweep goes on. *)
+let thm1_text ~t ~k ~side ~algo play =
+  let pp_result ppf = function
+    | Ok r -> Thm1_adversary.pp_report ppf r
+    | Error message ->
+        Format.fprintf ppf "%s: %s"
+          (Game.outcome_label
+             (Game.Adversary_fault (Harness.Misbehavior.Dishonest_transcript { message })))
+          message
+  in
+  let result =
+    match play () with
+    | r -> Ok r
+    | exception Models.Run_stats.Dishonest_transcript message -> Error message
+  in
   Format.asprintf
     "thm1 vs %s (T=%d) on %d^2 grid, b-target k=%d:@.  %a@.  guaranteed by \
      theory: %b (needs k > 4T+4)@.  max fitting k at this side/T: %d"
-    algo t side k Thm1_adversary.pp_report r
+    algo t side k pp_result result
     (Thm1_adversary.guaranteed ~t ~k)
     (Thm1_adversary.recommended_k ~n_side:side ~t)
 
 (* The live path: one fresh game per call. *)
 let thm1_run ~validate ~t ~k ~side ~algo () =
   let algorithm = thm1_algorithm algo t in
-  thm1_text ~t ~k ~side ~algo
-    (Thm1_adversary.run ~validate ~n_side:side ~k ~algorithm ())
+  thm1_text ~t ~k ~side ~algo (fun () ->
+      Thm1_adversary.run ~validate ~n_side:side ~k ~algorithm ())
 
 let thm1_reports : (string, Thm1_adversary.report) Hashtbl.t = Hashtbl.create 64
 
@@ -79,25 +96,23 @@ let thm1_cached ~validate ~t ~k ~side ~algo () =
     Printf.sprintf "thm1|%s|%d|%d|%d|%b" algorithm.Models.Algorithm.name radius
       k side validate
   in
-  let r =
-    match Hashtbl.find_opt thm1_reports gkey with
-    | Some r ->
-        if Obs.Trace.on () then
-          Obs.Trace.emit (Obs.Trace.Canon_hit { kind = "game"; key = gkey });
-        (* the observes the live run would have made *)
-        if Obs.Stats.on () then begin
-          Obs.Stats.observe "thm1.presented" r.Thm1_adversary.presented;
-          Obs.Stats.observe "thm1.revealed" r.Thm1_adversary.revealed;
-          Obs.Stats.observe "thm1.span_width" r.Thm1_adversary.width;
-          Obs.Stats.observe "thm1.span_height" r.Thm1_adversary.height
-        end;
-        r
-    | None ->
-        let r = Thm1_adversary.run ~validate ~n_side:side ~k ~algorithm () in
-        Hashtbl.replace thm1_reports gkey r;
-        r
-  in
-  thm1_text ~t ~k ~side ~algo r
+  thm1_text ~t ~k ~side ~algo @@ fun () ->
+  match Hashtbl.find_opt thm1_reports gkey with
+  | Some r ->
+      if Obs.Trace.on () then
+        Obs.Trace.emit (Obs.Trace.Canon_hit { kind = "game"; key = gkey });
+      (* the observes the live run would have made *)
+      if Obs.Stats.on () then begin
+        Obs.Stats.observe "thm1.presented" r.Thm1_adversary.presented;
+        Obs.Stats.observe "thm1.revealed" r.Thm1_adversary.revealed;
+        Obs.Stats.observe "thm1.span_width" r.Thm1_adversary.width;
+        Obs.Stats.observe "thm1.span_height" r.Thm1_adversary.height
+      end;
+      r
+  | None ->
+      let r = Thm1_adversary.run ~validate ~n_side:side ~k ~algorithm () in
+      Hashtbl.replace thm1_reports gkey r;
+      r
 
 let thm1_cell ~validate ~t ~k ~side ~algo () =
   {

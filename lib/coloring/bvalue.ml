@@ -8,11 +8,12 @@ let check_color c =
   if c < 0 || c > 2 then
     invalid_arg (Printf.sprintf "Bvalue: color %d outside {0,1,2}" c)
 
-let a_value colors u v =
-  let cu = colors.(u) and cv = colors.(v) in
+let a_of_colors cu cv =
   check_color cu;
   check_color cv;
   if cu = special || cv = special then 0 else cu - cv
+
+let a_value colors u v = a_of_colors colors.(u) colors.(v)
 
 let indicator colors u =
   check_color colors.(u);

@@ -24,8 +24,16 @@ type colors = int array
 val special : int
 (** The special color (2 here, 3 in the paper). *)
 
+val a_of_colors : int -> int -> int
+(** [a_of_colors cu cv] is Definition 3.1's a-value of an arc whose
+    tail has color [cu] and head color [cv]: [cu - cv], or 0 when
+    either is the special color.  For callers that read colors one at
+    a time rather than from a {!colors} array.
+    @raise Invalid_argument if a color is outside [{0, 1, 2}]. *)
+
 val a_value : colors -> Grid_graph.Graph.node -> Grid_graph.Graph.node -> int
-(** [a_value c u v] per Definition 3.1.  Always in [{-1, 0, 1}].
+(** [a_value c u v] is [a_of_colors c.(u) c.(v)].  Always in
+    [{-1, 0, 1}].
     @raise Invalid_argument if a color is outside [{0, 1, 2}]. *)
 
 val indicator : colors -> Grid_graph.Graph.node -> int

@@ -75,9 +75,8 @@ let split_tab s =
   | None -> (s, "")
   | Some t -> (String.sub s 0 t, String.sub s (t + 1) (String.length s - t - 1))
 
-(* every server→client tag: ack, result, reject, health, stats (usage)
-   and error *)
-let reply_tags = "ARXHUE"
+(* every server→client tag: ack, result, reject, health and error *)
+let reply_tags = "ARXHE"
 
 (* ------------------------------ campaign ------------------------------ *)
 
@@ -257,13 +256,13 @@ let run_campaign ?(backoff = Backoff.default) ?(window = 16) ?deadline
     reconnects = !reconnects;
   }
 
-(* ------------------------------ one-shots ----------------------------- *)
+(* ------------------------------- health ------------------------------- *)
 
 (* Reachability failures (refused/missing socket, EOF, reset, timeout)
    are a typed [`Unreachable] — a condition callers are expected to
    branch on.  A server that answers with the wrong tag is still a
    [Failure]: that is protocol corruption, not a health state. *)
-let one_shot ~recv_timeout ~socket ~request ~expect =
+let health ?(recv_timeout = 30.) ~socket () =
   with_sigpipe_ignored @@ fun () ->
   match connect ~recv_timeout socket with
   | exception Unix.Unix_error (e, _, _) ->
@@ -273,18 +272,10 @@ let one_shot ~recv_timeout ~socket ~request ~expect =
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       @@ fun () ->
       match
-        send_frame fd ~tag:request "";
+        send_frame fd ~tag:'P' "";
         read_frame fd (Wire.decoder ~tags:reply_tags ()) (Bytes.create 4096)
       with
-      | { Wire.tag; payload } when tag = expect -> Ok payload
+      | { Wire.tag = 'H'; payload } -> Ok payload
       | { Wire.tag; payload } ->
-          failwith
-            (Printf.sprintf "Client: unexpected %C reply to %C: %s" tag request
-               payload)
+          failwith (Printf.sprintf "Client: unexpected %C reply to 'P': %s" tag payload)
       | exception Conn_lost reason -> Error (`Unreachable reason))
-
-let health ?(recv_timeout = 30.) ~socket () =
-  one_shot ~recv_timeout ~socket ~request:'P' ~expect:'H'
-
-let stats ?(recv_timeout = 30.) ~socket () =
-  one_shot ~recv_timeout ~socket ~request:'T' ~expect:'U'

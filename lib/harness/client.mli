@@ -75,11 +75,3 @@ val health :
     naming the socket, which is how scripts wait for a restarted server).
     @raise Failure only on protocol corruption: a reachable server that
     answers with anything but ['H']. *)
-
-val stats :
-  ?recv_timeout:float ->
-  socket:string ->
-  unit ->
-  (string, [ `Unreachable of string ]) result
-(** One-shot ['T'] request; [Ok json] is the server's stats JSON.
-    Errors as {!health}. *)

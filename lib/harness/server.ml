@@ -61,13 +61,11 @@ let validate_config c =
 (* Every injection point draws from one splitmix stream off the chaos
    seed, in the order the server reaches them. *)
 module Chaos = struct
-  type t = { rates : chaos option; mutable rng : Int64.t; mutable injected : int }
+  type t = { rates : chaos option; mutable rng : Int64.t }
 
   let create rates =
     let seed = match rates with Some c -> c.chaos_seed | None -> 0 in
-    { rates; rng = Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L; injected = 0 }
-
-  let injected t = t.injected
+    { rates; rng = Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L }
 
   let draw t =
     t.rng <- Int64.add t.rng 0x9E3779B97F4A7C15L;
@@ -81,8 +79,8 @@ module Chaos = struct
 
   let delay t = match t.rates with Some c -> draw t *. c.max_chaos_delay | None -> 0.
 
-  let fire t kind =
-    t.injected <- t.injected + 1;
+  (* An injection leaves no record but its trace event. *)
+  let fire kind =
     if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Chaos_injected { kind })
 end
 
@@ -216,7 +214,7 @@ module Conn = struct
     {
       id;
       fd;
-      dec = Wire.decoder ~max_payload:max_frame ~tags:"SPT" ();
+      dec = Wire.decoder ~max_payload:max_frame ~tags:"SP" ();
       chaos;
       out = Bytes.create 256;
       out_pos = 0;
@@ -271,13 +269,13 @@ module Conn = struct
       let now = Unix.gettimeofday () in
       if not (Queue.is_empty t.deferred) then Queue.push (now, s) t.deferred
       else if n > 1 && Chaos.roll t.chaos (fun c -> c.truncate_frame) then begin
-        Chaos.fire t.chaos "truncate_frame";
+        Chaos.fire "truncate_frame";
         append t (String.sub s 0 (n / 2));
         t.close_after_out <- true;
         t.close_reason <- "truncate_frame"
       end
       else if n > 1 && Chaos.roll t.chaos (fun c -> c.partial_frame) then begin
-        Chaos.fire t.chaos "partial_frame";
+        Chaos.fire "partial_frame";
         append t (String.sub s 0 (n / 2));
         Queue.push (now +. Chaos.delay t.chaos, String.sub s (n / 2) (n - (n / 2))) t.deferred
       end
@@ -336,23 +334,10 @@ type job = {
   mutable attempts : int;  (* starts so far (a requeue starts afresh) *)
 }
 
-type stats = {
-  mutable accepted : int;
-  mutable rejected : int;
-  mutable completed : int;
-  mutable errors : int;
-  mutable quarantined : int;
-  mutable dedup_cached : int;
-  mutable dedup_inflight : int;
-  mutable retries : int;
-  mutable recovered : int;
-  mutable conns_opened : int;
-}
-
 type t = {
   config : config;
   chaos : Chaos.t;
-  stats : stats;
+  mutable completed : int;  (* jobs finished since start, for the health answer *)
   jobs : (string, job) Hashtbl.t;
   pending : job Queue.t;  (* admitted, not started; only the loop touches it *)
   engine : job Supervisor.t;
@@ -375,7 +360,7 @@ let journal_append t record =
       let key, value = Journal.encode record in
       Sweep.Journal.append j ~key value;
       if Chaos.roll t.chaos (fun c -> c.corrupt_journal) then begin
-        Chaos.fire t.chaos "corrupt_journal";
+        Chaos.fire "corrupt_journal";
         corrupt_tail t.chaos path
       end)
     t.journal
@@ -386,9 +371,7 @@ let complete t job result delta =
   let id = job.spec.Journal.id and status = status_of_result result in
   job.result <- Some result;
   journal_append t (Journal.Finished { id; value = Sweep.join_delta result delta });
-  t.stats.completed <- t.stats.completed + 1;
-  if status = "error" then t.stats.errors <- t.stats.errors + 1;
-  if status = "quarantined" then t.stats.quarantined <- t.stats.quarantined + 1;
+  t.completed <- t.completed + 1;
   if Obs.Trace.on () then Obs.Trace.emit (Obs.Trace.Job_done { id; status });
   List.iter (fun conn -> Conn.send conn (result_frame id result)) (List.rev job.waiters);
   job.waiters <- []
@@ -409,7 +392,7 @@ let kill_due t =
   let due, later = List.partition (fun (at, _) -> at <= now) t.kills in
   t.kills <- later;
   List.iter
-    (fun (_, job) -> if Supervisor.kill t.engine job then Chaos.fire t.chaos "kill_child")
+    (fun (_, job) -> if Supervisor.kill t.engine job then Chaos.fire "kill_child")
     due
 
 let settle t (job, settled) =
@@ -418,7 +401,7 @@ let settle t (job, settled) =
       let delta = Option.value stats ~default:"" in
       if delta <> "" then ignore (Obs.Stats.absorb_string delta);
       complete t job (Supervisor.outcome_to_string outcome) delta
-  | Supervisor.Retrying -> t.stats.retries <- t.stats.retries + 1
+  | Supervisor.Retrying -> ()
   | Supervisor.Abandoned ->
       (* a worker killed by chaos or dead during the drain: back to the
          queue with its retry budget uncharged; a drained server leaves
@@ -433,27 +416,7 @@ let health_json t =
       ("status", Obs.Json.String (if t.draining then "draining" else "ok"));
       ("queued", Obs.Json.Int (Queue.length t.pending));
       ("running", Obs.Json.Int (Supervisor.live t.engine));
-      ("completed", Obs.Json.Int t.stats.completed);
-    ]
-
-let stats_json t =
-  let s = t.stats in
-  Obs.Json.Obj
-    [
-      ("accepted", Obs.Json.Int s.accepted);
-      ("rejected", Obs.Json.Int s.rejected);
-      ("completed", Obs.Json.Int s.completed);
-      ("errors", Obs.Json.Int s.errors);
-      ("quarantined", Obs.Json.Int s.quarantined);
-      ("dedup_cached", Obs.Json.Int s.dedup_cached);
-      ("dedup_inflight", Obs.Json.Int s.dedup_inflight);
-      ("retries", Obs.Json.Int s.retries);
-      ("recovered", Obs.Json.Int s.recovered);
-      ("conns", Obs.Json.Int s.conns_opened);
-      ("chaos_injected", Obs.Json.Int (Chaos.injected t.chaos));
-      ("queued", Obs.Json.Int (Queue.length t.pending));
-      ("running", Obs.Json.Int (Supervisor.live t.engine));
-      ("draining", Obs.Json.Bool t.draining);
+      ("completed", Obs.Json.Int t.completed);
     ]
 
 (* A submit's payload: [kind TAB deadline_ms LF job-payload]. *)
@@ -470,7 +433,6 @@ let parse_submit payload =
           Ok { Journal.id = Client.job_id ~kind ~payload; kind; deadline_ms; payload })
 
 let reject t conn id reason =
-  t.stats.rejected <- t.stats.rejected + 1;
   if Obs.Trace.on () then
     Obs.Trace.emit
       (Obs.Trace.Job_reject
@@ -487,7 +449,7 @@ let handle_submit t conn spec =
      already happened, so the client's retry dedups *)
   let answer frames =
     if Chaos.roll t.chaos (fun c -> c.drop_conn) then begin
-      Chaos.fire t.chaos "drop_conn";
+      Chaos.fire "drop_conn";
       Conn.close conn "drop_conn"
     end
     else List.iter (Conn.send conn) frames
@@ -496,11 +458,9 @@ let handle_submit t conn spec =
   match Hashtbl.find_opt t.jobs id with
   | Some { result = Some result; _ } ->
       submitted "cached";
-      t.stats.dedup_cached <- t.stats.dedup_cached + 1;
       answer [ ack; result_frame id result ]
   | Some job ->
       submitted "inflight";
-      t.stats.dedup_inflight <- t.stats.dedup_inflight + 1;
       if not (List.memq conn job.waiters) then job.waiters <- conn :: job.waiters;
       answer [ ack ]
   | None when t.draining -> reject t conn id "draining"
@@ -514,7 +474,6 @@ let handle_submit t conn spec =
       journal_append t (Journal.Accepted spec);
       Queue.push job t.pending;
       submitted "new";
-      t.stats.accepted <- t.stats.accepted + 1;
       answer [ ack ]
 
 let rec serve_frames t conn =
@@ -528,8 +487,6 @@ let rec serve_frames t conn =
           | Error reason -> Conn.fail conn reason)
       | { tag = 'P'; _ } ->
           Conn.send conn (Wire.encode ~tag:'H' (Obs.Json.to_string (health_json t)))
-      | { tag = 'T'; _ } ->
-          Conn.send conn (Wire.encode ~tag:'U' (Obs.Json.to_string (stats_json t)))
       | { tag; _ } -> Conn.fail conn (Printf.sprintf "unexpected request tag %C" tag));
       serve_frames t conn
 
@@ -540,7 +497,6 @@ let recover t path =
   let add spec result =
     let job = { spec; result; waiters = []; attempts = 0 } in
     Hashtbl.replace t.jobs spec.Journal.id job;
-    t.stats.recovered <- t.stats.recovered + 1;
     job
   in
   (* the stats delta is absorbed into this process's registry, so
@@ -574,8 +530,7 @@ let accept t listener =
   | fd, _ ->
       let conn = Conn.create ~chaos:t.chaos ~max_frame:t.config.max_frame t.next_conn fd in
       t.next_conn <- t.next_conn + 1;
-      Hashtbl.replace t.conns fd conn;
-      t.stats.conns_opened <- t.stats.conns_opened + 1
+      Hashtbl.replace t.conns fd conn
   | exception
       Unix.Unix_error
         ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _) ->
@@ -681,19 +636,7 @@ let run ?(config = default_config) ?journal ?(resume = false)
     {
       config;
       chaos = Chaos.create config.chaos;
-      stats =
-        {
-          accepted = 0;
-          rejected = 0;
-          completed = 0;
-          errors = 0;
-          quarantined = 0;
-          dedup_cached = 0;
-          dedup_inflight = 0;
-          retries = 0;
-          recovered = 0;
-          conns_opened = 0;
-        };
+      completed = 0;
       jobs = Hashtbl.create 64;
       pending = Queue.create ();
       engine =

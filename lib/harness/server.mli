@@ -11,8 +11,9 @@
     {ul
     {- ['S'] submit — payload [kind "\t" deadline_ms "\n" job-payload]
        ([deadline_ms] empty for the server default);}
-    {- ['P'] health ping — empty payload;}
-    {- ['T'] stats — empty payload.}}
+    {- ['P'] health ping — empty payload.}}
+
+    Any other tag is a protocol error.
 
     Server→client frames:
 
@@ -22,7 +23,9 @@
     {- ['X'] rejected — payload [id "\t" reason] (the typed
        [REJECTED (Overloaded)] backpressure answer, also sent while
        draining);}
-    {- ['H'] health / ['U'] stats — one canonical JSON object;}
+    {- ['H'] health — one canonical JSON object: [status] (["ok"] or
+       ["draining"]), [queued], [running] and [completed] (jobs finished
+       since start);}
     {- ['E'] protocol error — a {!Wire.error} rendering or a malformed
        submit; the connection closes after it.}}
 
@@ -91,7 +94,16 @@
     abandoned — by a chaos kill, or by a death during a drain — back in
     the queue with its retry budget uncharged; and journaling each
     finished job's stats delta.  Its cleanup reaps every worker before
-    {!run} returns. *)
+    {!run} returns.
+
+    {2 Telemetry}
+
+    The server keeps no counters beyond the health answer's [completed].
+    What it did is in its trace ([serve --trace], tallied by
+    [trace_report]): each submit's disposition ([new], [inflight] or
+    [cached]), each rejection, job start and finished job's status,
+    each retry, connection and chaos injection.  After a [--resume],
+    recovered jobs show up as [cached] submits or as job starts. *)
 
 type chaos = {
   chaos_seed : int;  (** seed for the injection schedule *)
@@ -182,10 +194,8 @@ module Chaos : sig
   type t
 
   val create : chaos option -> t
-  (** [None] never injects anything. *)
-
-  val injected : t -> int
-  (** Injections fired so far. *)
+  (** [None] never injects anything.  Each injection emits a
+      [Chaos_injected] trace event, its only record. *)
 end
 
 (** The crash-recovery records the server appends to its

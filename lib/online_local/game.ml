@@ -53,7 +53,7 @@ let of_violation = function
         (M.Dishonest_transcript
            { message = Printf.sprintf "node %d presented twice" v })
 
-let referee ?(limits = G.default_limits) ~adversary ~n ~guaranteed algorithm play =
+let referee ?(limits = G.default_limits) ~adversary ~n algorithm play =
   if Tr.on () then
     Tr.emit
       (Tr.Game_start
@@ -68,19 +68,20 @@ let referee ?(limits = G.default_limits) ~adversary ~n ~guaranteed algorithm pla
   let guard = G.create ~limits () in
   let guarded = G.algorithm guard algorithm in
   let result = G.capture guard (fun () -> play guarded) in
+  let guaranteed = match result with Ok (_, _, g) -> g | Error _ -> false in
   let outcome, detail =
     (* A typed fault recorded on the guard wins over whatever the
        executor turned it into: the executor only sees a generic
        exception, the guard knows it was a budget/deadline/raise. *)
     match (G.fault guard, result) with
-    | Some m, Ok (_, detail) -> (Algorithm_fault m, M.to_string m ^ "; " ^ detail)
+    | Some m, Ok (_, detail, _) -> (Algorithm_fault m, M.to_string m ^ "; " ^ detail)
     | Some m, Error _ -> (Algorithm_fault m, M.to_string m)
     (* An exception escaping the adversary's own code is an adversary
        fault; Guard.capture already sharpened typed audit failures
        (Run_stats.Dishonest_transcript) into their certificate. *)
     | None, Error m -> (Adversary_fault m, M.to_string m)
-    | None, Ok (`Survived, detail) -> (Survived, detail)
-    | None, Ok (`Defeated v, detail) -> (of_violation v, detail)
+    | None, Ok (`Survived, detail, _) -> (Survived, detail)
+    | None, Ok (`Defeated v, detail, _) -> (of_violation v, detail)
   in
   if Tr.on () then
     Tr.emit
@@ -121,14 +122,14 @@ let thm1 =
       (fun ?(paranoid = false) ?limits ~n algorithm ->
         let t = algorithm.Models.Algorithm.locality ~n:(n * n) in
         let k = max 1 (Thm1_adversary.recommended_k ~n_side:n ~t) in
-        referee ?limits ~adversary:"thm1-grid" ~n
-          ~guaranteed:(Thm1_adversary.guaranteed ~t ~k) algorithm
-          (fun guarded ->
+        referee ?limits ~adversary:"thm1-grid" ~n algorithm (fun guarded ->
             let r =
               Thm1_adversary.run ~validate:paranoid ~n_side:n ~k
                 ~algorithm:guarded ()
             in
-            (r.Thm1_adversary.result, Format.asprintf "%a" Thm1_adversary.pp_report r)));
+            ( r.Thm1_adversary.result,
+              Format.asprintf "%a" Thm1_adversary.pp_report r,
+              Thm1_adversary.guaranteed ~t ~k )));
   }
 
 let thm2 wrap name =
@@ -143,23 +144,11 @@ let thm2 wrap name =
             Printf.sprintf "side rounded %d -> %d (odd side required); " n side
           else ""
         in
-        let r = ref None in
-        let v =
-          referee ?limits ~adversary:name ~n:side ~guaranteed:false algorithm
-            (fun guarded ->
-              let report =
-                Thm2_adversary.run ~wrap ~side ~algorithm:guarded ()
-              in
-              r := Some report;
-              ( report.Thm2_adversary.result,
-                rounding ^ Format.asprintf "%a" Thm2_adversary.pp_report report ))
-        in
-        let guaranteed =
-          match !r with
-          | Some report -> report.Thm2_adversary.preconditions_met
-          | None -> false
-        in
-        { v with guaranteed });
+        referee ?limits ~adversary:name ~n:side algorithm (fun guarded ->
+            let r = Thm2_adversary.run ~wrap ~side ~algorithm:guarded () in
+            ( r.Thm2_adversary.result,
+              rounding ^ Format.asprintf "%a" Thm2_adversary.pp_report r,
+              r.Thm2_adversary.preconditions_met )));
   }
 
 let thm2_torus = thm2 `Toroidal "thm2-torus"
@@ -172,23 +161,11 @@ let thm3 =
     play =
       (fun ?paranoid:_ ?limits ~n algorithm ->
         let gadgets = max 3 n in
-        let r = ref None in
-        let v =
-          referee ?limits ~adversary:"thm3-gadgets" ~n:gadgets ~guaranteed:false
-            algorithm (fun guarded ->
-              let report =
-                Thm3_adversary.run ~k:3 ~gadgets ~algorithm:guarded ()
-              in
-              r := Some report;
-              ( report.Thm3_adversary.result,
-                Format.asprintf "%a" Thm3_adversary.pp_report report ))
-        in
-        let guaranteed =
-          match !r with
-          | Some report -> report.Thm3_adversary.preconditions_met
-          | None -> false
-        in
-        { v with guaranteed });
+        referee ?limits ~adversary:"thm3-gadgets" ~n:gadgets algorithm (fun guarded ->
+            let r = Thm3_adversary.run ~k:3 ~gadgets ~algorithm:guarded () in
+            ( r.Thm3_adversary.result,
+              Format.asprintf "%a" Thm3_adversary.pp_report r,
+              r.Thm3_adversary.preconditions_met )));
   }
 
 (* Upper-bound runs as first-class games: a fixed simple grid, a seeded
@@ -211,8 +188,7 @@ let upper ~with_oracle name description =
         in
         let order = Models.Fixed_host.orders ~all:host (`Random 7) in
         let oracle = if with_oracle then Some (Oracles.grid_bipartition grid) else None in
-        referee ?limits ~adversary:name ~n:side ~guaranteed:false algorithm
-          (fun guarded ->
+        referee ?limits ~adversary:name ~n:side algorithm (fun guarded ->
             let outcome =
               Models.Fixed_host.run ?oracle ~hints ~host ~palette:3
                 ~algorithm:guarded ~order ()
@@ -220,7 +196,8 @@ let upper ~with_oracle name description =
             ( (match outcome.Models.Run_stats.violation with
               | Some v -> `Defeated v
               | None -> `Survived),
-              Format.asprintf "%a" Models.Run_stats.pp_outcome outcome )));
+              Format.asprintf "%a" Models.Run_stats.pp_outcome outcome,
+              false )));
   }
 
 let upper_grid =

@@ -63,14 +63,16 @@ val referee :
   ?limits:Harness.Guard.limits ->
   adversary:string ->
   n:int ->
-  guaranteed:bool ->
   Models.Algorithm.t ->
   (Models.Algorithm.t ->
-  [ `Defeated of Models.Run_stats.violation | `Survived ] * string) ->
+  [ `Defeated of Models.Run_stats.violation | `Survived ] * string * bool) ->
   verdict
 (** The guarded engine behind every game: wrap [algorithm] in a fresh
     guard, run [play] on the guarded twin under {!Harness.Guard.capture},
-    and classify.  Precedence: a fault recorded on the guard wins (the
+    and classify.  [play] returns the run's result, its detail and
+    whether theory guarantees the defeat on this instance; the verdict
+    and its [game_verdict] trace event both carry that flag, which is
+    [false] when [play] raised.  Precedence: a fault recorded on the guard wins (the
     executor only saw a generic exception; the guard knows it was a
     budget, deadline, or raise); then an adversary-side escape becomes
     {!Adversary_fault} (a {!Models.Run_stats.Dishonest_transcript}

@@ -39,15 +39,16 @@ let color_exn vg f ~row ~col =
       invalid_arg
         (Printf.sprintf "thm1: expected a color at (%d,%d)" row col)
 
-let a_value cu cv = if cu = 2 || cv = 2 then 0 else cu - cv
-
-(* b-value of the row-0 path [lo .. hi] traversed forward. *)
+(* b-value of the row-0 path [lo .. hi] traversed forward
+   (Definition 3.1). *)
 let b_row vg f ~lo ~hi =
   let b = ref 0 in
   for col = lo to hi - 1 do
     b :=
       !b
-      + a_value (color_exn vg f ~row:0 ~col) (color_exn vg f ~row:0 ~col:(col + 1))
+      + Colorings.Bvalue.a_of_colors
+          (color_exn vg f ~row:0 ~col)
+          (color_exn vg f ~row:0 ~col:(col + 1))
   done;
   !b
 
@@ -60,7 +61,7 @@ let b_col vg f ~col ~row_from ~row_to =
   while !row <> row_to do
     b :=
       !b
-      + a_value
+      + Colorings.Bvalue.a_of_colors
           (color_exn vg f ~row:!row ~col)
           (color_exn vg f ~row:(!row + step) ~col);
     row := !row + step

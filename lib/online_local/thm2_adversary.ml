@@ -18,7 +18,7 @@ let pp_report ppf r =
     | `Survived -> "survived")
     r.s_east r.s_west r.reflected r.presented r.preconditions_met
 
-let variant_host_rect ~wrap ~rows ~cols ~reflect ~band_lo ~band_hi =
+let variant_host ~wrap ~rows ~cols ~reflect ~band_lo ~band_hi =
   if rows < 3 || cols < 3 then invalid_arg "thm2: dimensions must be >= 3";
   let id r j = (r * cols) + j in
   let sigma j = if reflect then (cols - j) mod cols else j in
@@ -41,22 +41,6 @@ let variant_host_rect ~wrap ~rows ~cols ~reflect ~band_lo ~band_hi =
         done
       done)
 
-let variant_host ~wrap ~side ~reflect ~band_lo ~band_hi =
-  variant_host_rect ~wrap ~rows:side ~cols:side ~reflect ~band_lo ~band_hi
-
-let row_cycle_b_rect coloring ~cols ~row ~east =
-  let color j = Colorings.Coloring.get_exn coloring ((row * cols) + j) in
-  let a cu cv = if cu = 2 || cv = 2 then 0 else cu - cv in
-  let b = ref 0 in
-  for j = 0 to cols - 1 do
-    let j' = (j + 1) mod cols in
-    if east then b := !b + a (color j) (color j')
-    else b := !b + a (color j') (color j)
-  done;
-  !b
-
-let row_cycle_b coloring ~side ~row ~east = row_cycle_b_rect coloring ~cols:side ~row ~east
-
 let run_rect ~wrap ~rows ~cols ~algorithm () =
   let n = rows * cols in
   let t = algorithm.Models.Algorithm.locality ~n in
@@ -75,8 +59,14 @@ let run_rect ~wrap ~rows ~cols ~algorithm () =
   let row_nodes r =
     if r < rows then List.init cols (fun j -> (r * cols) + j) else []
   in
+  (* Equation (1)'s b-value of row [row] as a cycle (Definition 3.1),
+     directed east or west, from the colors of its nodes. *)
   let row_b coloring ~row ~east =
-    if row < rows then row_cycle_b_rect coloring ~cols ~row ~east else 0
+    let colors =
+      Array.of_list (List.map (Colorings.Coloring.get_exn coloring) (row_nodes row))
+    in
+    let cycle = List.init (Array.length colors) Fun.id in
+    Colorings.Bvalue.b_cycle colors (if east then cycle else List.rev cycle)
   in
   let prefix = row_nodes row1 @ row_nodes row2 in
   (* Dense packed-int set — the executor core's representation — instead
@@ -88,70 +78,44 @@ let run_rect ~wrap ~rows ~cols ~algorithm () =
       (fun v -> not (Grid_graph.Packed.Set.mem in_prefix v))
       (List.init n (fun v -> v))
   in
-  let full_order = prefix @ rest in
   let run_on host order =
     Models.Fixed_host.run ~host ~palette:3 ~algorithm ~order ()
   in
-  if not preconditions_met then
-    (* The attack is only guaranteed above the threshold; still play the
-       plain host so sweeps can chart the frontier. *)
-    let host = variant_host_rect ~wrap ~rows ~cols ~reflect:false ~band_lo ~band_hi in
-    let outcome = run_on host full_order in
-    let coloring = outcome.Models.Run_stats.coloring in
-    let s_east, s_west =
-      if Colorings.Coloring.is_total coloring then
-        (row_b coloring ~row:row1 ~east:true, row_b coloring ~row:row2 ~east:false)
-      else (0, 0)
-    in
-    {
-      result =
-        (match outcome.Models.Run_stats.violation with
-        | Some v -> `Defeated v
-        | None -> `Survived);
-      s_east;
-      s_west;
-      reflected = false;
-      presented = outcome.Models.Run_stats.presented;
-      revealed = outcome.Models.Run_stats.revealed;
-      preconditions_met;
-    }
-  else begin
-    (* Probe: color the two rows on the plain host. *)
-    let plain = variant_host_rect ~wrap ~rows ~cols ~reflect:false ~band_lo ~band_hi in
+  let host reflect = variant_host ~wrap ~rows ~cols ~reflect ~band_lo ~band_hi in
+  let plain = host false in
+  (* The attack is only guaranteed above the threshold; below it, play
+     the plain host anyway so sweeps can chart the frontier.  Above it,
+     color the two rows on the plain host and reflect exactly when
+     they satisfy Equation (1). *)
+  let reflect =
+    preconditions_met
+    &&
     let probe = run_on plain prefix in
-    let reflect =
-      match probe.Models.Run_stats.violation with
-      | Some _ -> false  (* already failing; no need to reflect *)
-      | None ->
-          let s1 = row_cycle_b_rect probe.Models.Run_stats.coloring ~cols ~row:row1 ~east:true in
-          let s2 = row_cycle_b_rect probe.Models.Run_stats.coloring ~cols ~row:row2 ~east:false in
-          s1 + s2 = 0
-    in
-    let host =
-      if reflect then variant_host_rect ~wrap ~rows ~cols ~reflect:true ~band_lo ~band_hi
-      else plain
-    in
-    let outcome = run_on host full_order in
-    let coloring = outcome.Models.Run_stats.coloring in
-    let s_east, s_west =
-      if Colorings.Coloring.is_total coloring then
-        ( row_cycle_b_rect coloring ~cols ~row:row1 ~east:true,
-          row_cycle_b_rect coloring ~cols ~row:row2 ~east:false )
-      else (0, 0)
-    in
-    {
-      result =
-        (match outcome.Models.Run_stats.violation with
-        | Some v -> `Defeated v
-        | None -> `Survived);
-      s_east;
-      s_west;
-      reflected = reflect;
-      presented = outcome.Models.Run_stats.presented;
-      revealed = outcome.Models.Run_stats.revealed;
-      preconditions_met;
-    }
-  end
+    match probe.Models.Run_stats.violation with
+    | Some _ -> false (* already failing; no need to reflect *)
+    | None ->
+        let coloring = probe.Models.Run_stats.coloring in
+        row_b coloring ~row:row1 ~east:true + row_b coloring ~row:row2 ~east:false = 0
+  in
+  let outcome = run_on (if reflect then host true else plain) (prefix @ rest) in
+  let coloring = outcome.Models.Run_stats.coloring in
+  let s_east, s_west =
+    if Colorings.Coloring.is_total coloring then
+      (row_b coloring ~row:row1 ~east:true, row_b coloring ~row:row2 ~east:false)
+    else (0, 0)
+  in
+  {
+    result =
+      (match outcome.Models.Run_stats.violation with
+      | Some v -> `Defeated v
+      | None -> `Survived);
+    s_east;
+    s_west;
+    reflected = reflect;
+    presented = outcome.Models.Run_stats.presented;
+    revealed = outcome.Models.Run_stats.revealed;
+    preconditions_met;
+  }
 
 let run ~wrap ~side ~algorithm () =
   run_rect ~wrap ~rows:side ~cols:side ~algorithm ()

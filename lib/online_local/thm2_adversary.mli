@@ -33,32 +33,13 @@ type report = {
 val pp_report : Format.formatter -> report -> unit
 
 val variant_host :
-  wrap:[ `Cylindrical | `Toroidal ] -> side:int -> reflect:bool ->
-  band_lo:int -> band_hi:int -> Grid_graph.Graph.t
-(** The [side x side] grid of the given wrap, with rows
-    [band_lo .. band_hi] column-reflected when [reflect] (the crossing
-    seams sit just outside the band).  [reflect:false] is the plain
-    grid.  Exposed for the isomorphism tests. *)
-
-val run :
-  wrap:[ `Cylindrical | `Toroidal ] ->
-  side:int ->
-  algorithm:Models.Algorithm.t ->
-  unit ->
-  report
-(** Play the adversary on a [side x side] grid ([side] odd).  Probes the
-    two rows on the plain host, selects the variant, replays in full,
-    and audits the outcome. *)
-
-val row_cycle_b : Colorings.Coloring.t -> side:int -> row:int -> east:bool -> int
-(** b-value of the directed cycle along one row of a [side x side]
-    wrapped grid under the (row-major) coloring; [east] traverses by
-    increasing column. *)
-
-val variant_host_rect :
   wrap:[ `Cylindrical | `Toroidal ] -> rows:int -> cols:int -> reflect:bool ->
   band_lo:int -> band_hi:int -> Grid_graph.Graph.t
-(** Rectangular generalization of {!variant_host}. *)
+(** The [rows x cols] grid of the given wrap, nodes numbered row-major,
+    with rows [band_lo .. band_hi] column-reflected when [reflect] (the
+    crossing seams sit just outside the band).  [reflect:false] is the
+    plain grid.  Exposed for the isomorphism tests.
+    @raise Invalid_argument if [rows] or [cols] is below 3. *)
 
 val run_rect :
   wrap:[ `Cylindrical | `Toroidal ] ->
@@ -70,8 +51,15 @@ val run_rect :
 (** The remark after Theorem 2: on an [(a x b)] wrapped grid with an odd
     number of columns [b], the attack defeats any algorithm of locality
     [T <= (a - 4) / 4] — linear in the number of rows, independent of
-    [b].  [run] is the square [a = b] case. *)
+    [b].  When those preconditions hold it probes the two rows on the
+    plain host, selects the variant, and replays in full; otherwise it
+    plays the plain host.  Row b-values are {!Colorings.Bvalue.b_cycle}
+    over the row's nodes, in reverse for [s_west]. *)
 
-val row_cycle_b_rect :
-  Colorings.Coloring.t -> cols:int -> row:int -> east:bool -> int
-(** Rectangular generalization of {!row_cycle_b}. *)
+val run :
+  wrap:[ `Cylindrical | `Toroidal ] ->
+  side:int ->
+  algorithm:Models.Algorithm.t ->
+  unit ->
+  report
+(** [run_rect] on a [side x side] grid ([side] odd). *)

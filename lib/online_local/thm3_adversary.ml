@@ -44,7 +44,7 @@ let run ~k ~gadgets ~algorithm () =
     let middle =
       List.concat_map (fun l -> g l) (List.init (gadgets - 2) (fun i -> i + 1))
     in
-    (g first @ g last, prefix @ middle)
+    (prefix, prefix @ middle)
   in
   let run_on chain order =
     (* Raw gadget coordinates as hints: identical on the plain and seam
@@ -59,79 +59,63 @@ let run ~k ~gadgets ~algorithm () =
       ~palette ~algorithm ~order ()
   in
   let prefix, full_order = order_for plain in
-  if not preconditions_met then begin
-    let outcome = run_on plain full_order in
-    {
-      result =
-        (match outcome.Models.Run_stats.violation with
-        | Some v -> `Defeated v
-        | None -> `Survived);
-      first_class = None;
-      last_class = None;
-      seam_used = false;
-      presented = outcome.Models.Run_stats.presented;
-      revealed = outcome.Models.Run_stats.revealed;
-      preconditions_met;
-    }
-  end
-  else begin
-    let probe = run_on plain prefix in
-    let classify chain coloring l =
-      Colorings.Colorful.classify
-        (Colorings.Colorful.matrix_of_gadget chain coloring ~gadget:l)
-    in
-    let seam_used, first_class, last_class =
+  let classify chain coloring l =
+    Colorings.Colorful.classify (Colorings.Colorful.matrix_of_gadget chain coloring ~gadget:l)
+  in
+  (* Above the threshold, probe: color the two end gadgets on the plain
+     chain and classify them.  Below it, play the plain chain anyway so
+     sweeps can chart the frontier. *)
+  let probed =
+    if not preconditions_met then None
+    else
+      let probe = run_on plain prefix in
       match probe.Models.Run_stats.violation with
-      | Some _ -> (false, None, None)
+      | Some _ -> None
       | None ->
-          let c0 = classify plain probe.Models.Run_stats.coloring first in
-          let cl = classify plain probe.Models.Run_stats.coloring last in
-          (* Transpose the suffix exactly when the two ends agree; under
-             the seam host the last gadget's classification flips. *)
-          let same =
-            match (c0, cl) with
-            | Colorings.Colorful.Row_colorful, Colorings.Colorful.Row_colorful
-            | Colorings.Colorful.Column_colorful, Colorings.Colorful.Column_colorful ->
-                true
-            | _ -> false
-          in
-          (same, Some c0, Some cl)
-    in
-    let chain =
-      if seam_used then Topology.Gadget.create ~seam ~k ~gadgets () else plain
-    in
-    let _, full_order =
-      if seam_used then order_for chain else (prefix, full_order)
-    in
-    let outcome = run_on chain full_order in
-    (* Re-derive the last gadget's classification on the chosen host
-       (identical colors; the transposition changes what counts as a row). *)
-    let last_class =
-      match (last_class, seam_used) with
-      | Some _, _ when Colorings.Coloring.colored_count outcome.Models.Run_stats.coloring > 0 -> (
-          match
-            List.for_all
-              (fun v -> Colorings.Coloring.is_colored outcome.Models.Run_stats.coloring v)
-              (Topology.Gadget.gadget_nodes chain last)
-          with
-          | true ->
-              Some
-                (Colorings.Colorful.classify
-                   (Colorings.Colorful.matrix_of_gadget chain
-                      outcome.Models.Run_stats.coloring ~gadget:last))
-          | false -> last_class)
-      | lc, _ -> lc
-    in
-    {
-      result =
-        (match outcome.Models.Run_stats.violation with
-        | Some v -> `Defeated v
-        | None -> `Survived);
-      first_class;
-      last_class;
-      seam_used;
-      presented = outcome.Models.Run_stats.presented;
-      revealed = outcome.Models.Run_stats.revealed;
-      preconditions_met;
-    }
-  end
+          let coloring = probe.Models.Run_stats.coloring in
+          let c0 = classify plain coloring first in
+          let cl = classify plain coloring last in
+          Some (c0, cl)
+  in
+  (* Transpose the suffix exactly when the two ends agree; under the seam
+     host the last gadget's classification flips. *)
+  let seam_used =
+    match probed with
+    | Some (Colorings.Colorful.Row_colorful, Colorings.Colorful.Row_colorful)
+    | Some (Colorings.Colorful.Column_colorful, Colorings.Colorful.Column_colorful) ->
+        true
+    | _ -> false
+  in
+  let chain, full_order =
+    if seam_used then
+      let chain = Topology.Gadget.create ~seam ~k ~gadgets () in
+      (chain, snd (order_for chain))
+    else (plain, full_order)
+  in
+  let outcome = run_on chain full_order in
+  let coloring = outcome.Models.Run_stats.coloring in
+  (* Re-derive the last gadget's classification on the chosen host
+     (identical colors; the transposition changes what counts as a row). *)
+  let last_class =
+    Option.map
+      (fun (_, probed_last) ->
+        if
+          Colorings.Coloring.colored_count coloring > 0
+          && List.for_all (Colorings.Coloring.is_colored coloring)
+               (Topology.Gadget.gadget_nodes chain last)
+        then classify chain coloring last
+        else probed_last)
+      probed
+  in
+  {
+    result =
+      (match outcome.Models.Run_stats.violation with
+      | Some v -> `Defeated v
+      | None -> `Survived);
+    first_class = Option.map fst probed;
+    last_class;
+    seam_used;
+    presented = outcome.Models.Run_stats.presented;
+    revealed = outcome.Models.Run_stats.revealed;
+    preconditions_met;
+  }

@@ -33,6 +33,9 @@ val run :
   unit ->
   report
 (** Play the adversary on a chain of [gadgets] gadgets of side [k]
-    (so [n = gadgets * k^2]) with palette [2k - 2].
+    (so [n = gadgets * k^2]) with palette [2k - 2].  When the
+    preconditions hold it probes the end gadgets on the plain chain,
+    picks the host, and replays in full; otherwise it plays the plain
+    chain and reports no classes.
     @raise Invalid_argument if [k < 3] (with [k = 2] the palette would
     have 2 colors and the instance is degenerate) or [gadgets < 3]. *)

@@ -1,7 +1,6 @@
-(** Union-find over a growing universe.
-
-    Like {!Grid_graph.Union_find} but elements (view handles) appear over
-    time, which is how groups evolve in an Online-LOCAL run. *)
+(** Union-find over a growing universe: a disjoint-set forest with path
+    compression and union by size, whose elements (view handles) appear
+    over time, which is how groups evolve in an Online-LOCAL run. *)
 
 type t
 

@@ -470,15 +470,3 @@ let validate t =
         Obs.Trace.emit
           (Obs.Trace.Audit { executor = "virtual_grid"; ok = false; detail = msg });
       raise e
-
-let bipartition_oracle t =
-  let query _view handles =
-    let raw =
-      Array.of_list
-        (List.map
-           (fun h -> ((Coord.row t.coords.(h) + frame_col t h) mod 2 + 2) mod 2)
-           handles)
-    in
-    Models.Oracle.canonicalize raw handles
-  in
-  { Models.Oracle.parts = 2; radius = 0; query }

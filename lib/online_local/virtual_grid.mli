@@ -126,10 +126,8 @@ val validate : t -> unit
     each full diamond itself and shares no code with the rim reveal.
     Frames never merged are taken as placed unboundedly far apart.
     @raise Models.Run_stats.Dishonest_transcript with a diagnostic if the
-    transcript was dishonest — the typed form the guarded engine turns
-    into an [Adversary_fault] certificate. *)
-
-val bipartition_oracle : t -> Models.Oracle.t
-(** A radius-0 bipartition oracle reading coordinate parity from the
-    current frames — the honest oracle for algorithms that want one on
-    this (bipartite) virtual host. *)
+    transcript was dishonest — the typed form that {!Game}'s guarded
+    engine turns into an [Adversary_fault] certificate, and that a
+    [sweep_thm1 --validate] cell prints as its result line
+    [ADVERSARY-FAULT (dishonest-transcript): <diagnostic>] (the sweep
+    still exits 0, as for any fault confined to one cell). *)

@@ -168,6 +168,25 @@ let test_bad_inputs_raise () =
          Jobs_catalog.handler ~kind:"thm1" ~payload:"t=1 k=5 side=60 algo=zeta"));
   check_bool "kinds listed" true (List.mem "thm1" Jobs_catalog.kinds)
 
+(* A game whose --validate audit fails: the thm1 path (live and cached
+   both format through thm1_text) prints the adversary fault as the
+   cell's result line, where the report would be; any other exception
+   still escapes to the sweep's ERROR line. *)
+let test_dishonest_transcript_line () =
+  let message = "validate: step 3's ball misses cell (3,1)" in
+  check_string "fault line"
+    "thm1 vs ael (T=3) on 30000^2 grid, b-target k=9:\n\
+    \  ADVERSARY-FAULT (dishonest-transcript): validate: step 3's ball misses cell (3,1)\n\
+    \  guaranteed by theory: false (needs k > 4T+4)\n\
+    \  max fitting k at this side/T: 11"
+    (Jobs_catalog.thm1_text ~t:3 ~k:9 ~side:30000 ~algo:"ael" (fun () ->
+         raise (Models.Run_stats.Dishonest_transcript message)));
+  check_bool "other exceptions escape" true
+    (match Jobs_catalog.thm1_text ~t:3 ~k:9 ~side:30000 ~algo:"ael" (fun () -> failwith "bug")
+     with
+    | _ -> false
+    | exception Failure _ -> true)
+
 let () =
   Alcotest.run "catalog"
     [
@@ -184,5 +203,7 @@ let () =
             test_pinned_result_shape;
           Alcotest.test_case "fuzz payload" `Quick test_fuzz_payload;
           Alcotest.test_case "bad inputs raise" `Quick test_bad_inputs_raise;
+          Alcotest.test_case "dishonest transcript is a result line" `Quick
+            test_dishonest_transcript_line;
         ] );
     ]

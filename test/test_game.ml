@@ -81,6 +81,32 @@ let test_verdict_renders () =
   let s = Format.asprintf "%a" Game.pp_verdict v in
   check_bool "mentions adversary" true (contains ~needle:"thm3" s)
 
+(* The game_verdict trace event carries the verdict's own guaranteed
+   flag, which thm2 and thm3 take from their run's preconditions. *)
+let test_traced_flag_agrees () =
+  List.iter
+    (fun (game, n, algorithm, want) ->
+      let traced = ref [] in
+      Obs.Trace.set_hook
+        (Some
+           (function
+           | Obs.Trace.Game_verdict { guaranteed; _ } -> traced := guaranteed :: !traced
+           | _ -> ()));
+      let v =
+        Fun.protect
+          ~finally:(fun () -> Obs.Trace.set_hook None)
+          (fun () -> game.Game.play ~n algorithm)
+      in
+      let what = Printf.sprintf "%s n=%d" game.Game.name n in
+      check_bool (what ^ " verdict") want v.Game.guaranteed;
+      Alcotest.(check (list bool)) (what ^ " trace") [ want ] !traced)
+    [
+      (Game.thm2_torus, 21, Portfolio.greedy (), true);
+      (Game.thm2_cylinder, 7, Portfolio.greedy (), false);
+      (Game.thm3, 9, Portfolio.gadget_rows (), true);
+      (Game.thm1, 3200, Portfolio.greedy (), true);
+    ]
+
 let () =
   Alcotest.run "game"
     [
@@ -98,5 +124,6 @@ let () =
           Alcotest.test_case "upper games survivable" `Quick test_upper_games_survivable;
           Alcotest.test_case "portfolio total" `Quick test_portfolio_run_games_total;
           Alcotest.test_case "verdict renders" `Quick test_verdict_renders;
+          Alcotest.test_case "traced flag agrees" `Quick test_traced_flag_agrees;
         ] );
     ]

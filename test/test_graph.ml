@@ -324,21 +324,19 @@ let test_host_digests () =
         (fun () -> Gadget.graph (Gadget.create ~seam:1 ~k:4 ~gadgets:4 ())),
         "4c55ae1771773b4a2b20bb23af0635c8" );
       ( "variant torus plain",
-        (fun () -> thm2 ~wrap:`Toroidal ~side:9 ~reflect:false ~band_lo:3 ~band_hi:6),
+        (fun () -> thm2 ~wrap:`Toroidal ~rows:9 ~cols:9 ~reflect:false ~band_lo:3 ~band_hi:6),
         "1451fdf428b79f8e4bfb9aaccceac226" );
       ( "variant torus reflected",
-        (fun () -> thm2 ~wrap:`Toroidal ~side:9 ~reflect:true ~band_lo:3 ~band_hi:6),
+        (fun () -> thm2 ~wrap:`Toroidal ~rows:9 ~cols:9 ~reflect:true ~band_lo:3 ~band_hi:6),
         "22b758b40c57d21c79f57ae957b56100" );
       ( "variant cylinder plain",
-        (fun () -> thm2 ~wrap:`Cylindrical ~side:9 ~reflect:false ~band_lo:3 ~band_hi:6),
+        (fun () -> thm2 ~wrap:`Cylindrical ~rows:9 ~cols:9 ~reflect:false ~band_lo:3 ~band_hi:6),
         "17fa157b342450ce030be31970d55058" );
       ( "variant cylinder reflected",
-        (fun () -> thm2 ~wrap:`Cylindrical ~side:9 ~reflect:true ~band_lo:3 ~band_hi:6),
+        (fun () -> thm2 ~wrap:`Cylindrical ~rows:9 ~cols:9 ~reflect:true ~band_lo:3 ~band_hi:6),
         "8e0d930ab213b85dc70029c4b89acc29" );
       ( "variant rect torus 10x7 reflected",
-        (fun () ->
-          Online_local.Thm2_adversary.variant_host_rect ~wrap:`Toroidal ~rows:10 ~cols:7
-            ~reflect:true ~band_lo:2 ~band_hi:6),
+        (fun () -> thm2 ~wrap:`Toroidal ~rows:10 ~cols:7 ~reflect:true ~band_lo:2 ~band_hi:6),
         "7d71853c44a7063e447ba4d447cf4268" );
       ( "grid2d simple 5x7",
         (fun () -> Grid2d.graph (Grid2d.create Grid2d.Simple ~rows:5 ~cols:7)),
@@ -356,19 +354,6 @@ let test_host_digests () =
         (fun () -> Layered.graph (Layered.create ~base ~k:4)),
         "282b57ffeff7ff68041442986b1fbb24" );
     ]
-
-let test_union_find () =
-  let uf = Union_find.create 6 in
-  Alcotest.(check int) "initial count" 6 (Union_find.count uf);
-  ignore (Union_find.union uf 0 1);
-  ignore (Union_find.union uf 2 3);
-  ignore (Union_find.union uf 0 3);
-  check_bool "same" true (Union_find.same uf 1 2);
-  check_bool "different" false (Union_find.same uf 1 4);
-  check_int "size" 4 (Union_find.size uf 1);
-  check_int "count" 3 (Union_find.count uf);
-  ignore (Union_find.union uf 1 2);
-  check_int "idempotent count" 3 (Union_find.count uf)
 
 let test_uf_dyn () =
   let uf = Online_local.Uf_dyn.create () in
@@ -557,7 +542,6 @@ let () =
         ] );
       ( "union-find",
         [
-          Alcotest.test_case "union find" `Quick test_union_find;
           Alcotest.test_case "uf_dyn" `Quick test_uf_dyn;
         ] );
       ( "dyn-graph",

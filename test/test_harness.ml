@@ -184,7 +184,7 @@ let test_chaos_oracle_preserves_shared_buffer () =
 
 let test_rigged_dishonest_transcript () =
   let v =
-    Game.referee ~adversary:"rigged" ~n:1 ~guaranteed:false (Portfolio.greedy ())
+    Game.referee ~adversary:"rigged" ~n:1 (Portfolio.greedy ())
       (fun _ -> raise (RS.Dishonest_transcript "frame 0 lied about an edge"))
   in
   match v.Game.outcome with
@@ -198,7 +198,7 @@ let test_audit_like_message_stays_raised () =
      generic crash whose message merely resembles an audit diagnostic
      must not be promoted to a Dishonest_transcript certificate. *)
   let v =
-    Game.referee ~adversary:"rigged" ~n:1 ~guaranteed:false (Portfolio.greedy ())
+    Game.referee ~adversary:"rigged" ~n:1 (Portfolio.greedy ())
       (fun _ -> failwith "validate: node 7 presented twice")
   in
   match v.Game.outcome with
@@ -207,8 +207,8 @@ let test_audit_like_message_stays_raised () =
 
 let test_rigged_repeated_presentation () =
   let v =
-    Game.referee ~adversary:"rigged" ~n:1 ~guaranteed:false (Portfolio.greedy ())
-      (fun _ -> (`Defeated (RS.Repeated_presentation 3), "rigged detail"))
+    Game.referee ~adversary:"rigged" ~n:1 (Portfolio.greedy ())
+      (fun _ -> (`Defeated (RS.Repeated_presentation 3), "rigged detail", false))
   in
   match v.Game.outcome with
   | Game.Adversary_fault (M.Dishonest_transcript _) -> ()
@@ -216,7 +216,7 @@ let test_rigged_repeated_presentation () =
 
 let test_rigged_adversary_crash () =
   let v =
-    Game.referee ~adversary:"rigged" ~n:1 ~guaranteed:false (Portfolio.greedy ())
+    Game.referee ~adversary:"rigged" ~n:1 (Portfolio.greedy ())
       (fun _ -> invalid_arg "adversary bug")
   in
   check_bool "adversary fault" true

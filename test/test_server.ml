@@ -129,14 +129,14 @@ let test_dedup_duplicate_specs () =
   let specs = [ ("rev", "same"); ("rev", "same"); ("rev", "same") ] in
   let c = campaign ~socket specs in
   List.iter (fun got -> check_string "deduped result" "emas" got) c.Client.results;
-  let stats =
-    match Client.stats ~socket () with
+  let health =
+    match Client.health ~socket () with
     | Ok json -> json
-    | Error (`Unreachable reason) -> Alcotest.failf "stats unreachable: %s" reason
+    | Error (`Unreachable reason) -> Alcotest.failf "health unreachable: %s" reason
   in
-  check_bool "server accepted exactly one job" true (contains ~sub:"\"accepted\":1" stats)
+  check_bool "server ran exactly one job" true (contains ~sub:"\"completed\":1" health)
 
-let test_health_and_stats () =
+let test_health () =
   with_server ~config:(fast_config 1) @@ fun ~socket ~pid:_ ->
   let retry_oneshot f =
     (* the forked server may still be binding; retry briefly *)
@@ -153,21 +153,16 @@ let test_health_and_stats () =
   in
   let health = retry_oneshot (fun () -> Client.health ~socket ()) in
   check_bool "health mentions status" true
-    (String.length health > 0 && health.[0] = '{');
-  let stats = retry_oneshot (fun () -> Client.stats ~socket ()) in
-  check_bool "stats is json" true (String.length stats > 0 && stats.[0] = '{')
+    (String.length health > 0 && health.[0] = '{')
 
 let test_health_unreachable_is_typed () =
-  (* no server behind this path: the one-shots answer with a typed
+  (* no server behind this path: the health one-shot answers with a typed
      [`Unreachable], never a bare exception *)
   let socket = temp_path ".sock" in
-  (match Client.health ~socket () with
+  match Client.health ~socket () with
   | Ok json -> Alcotest.failf "health of a missing socket answered: %s" json
   | Error (`Unreachable reason) ->
-      check_bool "unreachable reason is non-empty" true (String.length reason > 0));
-  match Client.stats ~socket () with
-  | Ok json -> Alcotest.failf "stats of a missing socket answered: %s" json
-  | Error (`Unreachable _) -> ()
+      check_bool "unreachable reason is non-empty" true (String.length reason > 0)
 
 (* --------------------------- backpressure ---------------------------- *)
 
@@ -456,6 +451,40 @@ let test_error_reply_fails () =
   | `Timed_out -> Alcotest.fail "campaign still retrying after 10 s"
   | `Returned | `Other -> Alcotest.fail "campaign did not fail with Failure"
 
+(* The server keeps no stats of its own (its trace is the record): the
+   retired stats request 'T' is an unknown tag, answered with 'E'. *)
+let test_stats_request_refused () =
+  with_server ~config:(fast_config 1) @@ fun ~socket ~pid:_ ->
+  let addr = Client.sockaddr_of_spec socket in
+  (* the forked server may still be binding; retry briefly *)
+  let rec connect n =
+    let fd = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+    match Unix.connect fd addr with
+    | () -> fd
+    | exception Unix.Unix_error _ when n > 0 ->
+        Unix.close fd;
+        Unix.sleepf 0.02;
+        connect (n - 1)
+  in
+  let fd = connect 100 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Harness.Wire.write_all fd (Harness.Wire.encode ~tag:'T' "");
+  (* 'U' was the stats reply: decoding it fails the check below, not here *)
+  let dec = Harness.Wire.decoder ~tags:"ARXHUE" () and chunk = Bytes.create 4096 in
+  let rec reply () =
+    match Harness.Wire.decode dec with
+    | Ok (Some frame) -> frame
+    | Ok None -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Alcotest.fail "EOF before any reply"
+        | n ->
+            Harness.Wire.feed dec chunk 0 n;
+            reply ())
+    | Error e -> Alcotest.failf "bad reply: %s" (Harness.Wire.error_to_string e)
+  in
+  let { Harness.Wire.tag; payload } = reply () in
+  check_string ("reply tag, payload " ^ payload) "E" (String.make 1 tag)
+
 let test_dead_socket_bound () =
   let socket = temp_path ".sock" in
   match campaign ~max_attempts:3 ~socket [ ("rev", "x") ] with
@@ -705,7 +734,7 @@ let () =
             test_results_jobs_isolation_invariant;
           Alcotest.test_case "duplicate specs dedup" `Quick
             test_dedup_duplicate_specs;
-          Alcotest.test_case "health and stats" `Quick test_health_and_stats;
+          Alcotest.test_case "health" `Quick test_health;
           Alcotest.test_case "unreachable one-shots are typed" `Quick
             test_health_unreachable_is_typed;
         ] );
@@ -733,6 +762,8 @@ let () =
           Alcotest.test_case "malformed kind refused before connecting" `Quick
             test_malformed_kind_refused;
           Alcotest.test_case "error reply fails, never loops" `Quick test_error_reply_fails;
+          Alcotest.test_case "stats request is a protocol error" `Quick
+            test_stats_request_refused;
           Alcotest.test_case "dead socket gives up after max_attempts" `Quick
             test_dead_socket_bound;
         ] );

@@ -115,6 +115,19 @@ let test_frontier_grows_with_locality () =
   | Some k1, Some k4 -> check_bool "frontier grows" true (k1 <= k4)
   | _ -> Alcotest.fail "both should be defeated within k <= 10"
 
+(* The adversary's b-values go through Colorings.Bvalue; its own rule
+   before that, kept as the reference, agrees on every color pair. *)
+let test_a_value_rule () =
+  let old_a_value cu cv = if cu = 2 || cv = 2 then 0 else cu - cv in
+  for cu = 0 to 2 do
+    for cv = 0 to 2 do
+      let what = Printf.sprintf "a(%d, %d)" cu cv in
+      check_int what (old_a_value cu cv) (Colorings.Bvalue.a_of_colors cu cv);
+      check_int (what ^ " by node") (old_a_value cu cv)
+        (Colorings.Bvalue.a_value [| cu; cv |] 0 1)
+    done
+  done
+
 let () =
   Alcotest.run "thm1-adversary"
     [
@@ -129,6 +142,7 @@ let () =
         [
           Alcotest.test_case "guaranteed" `Quick test_guaranteed_formula;
           Alcotest.test_case "recommended_k" `Quick test_recommended_k;
+          Alcotest.test_case "a-value rule" `Quick test_a_value_rule;
         ] );
       ( "survival-side",
         [

@@ -12,7 +12,9 @@ let test_variant_plain_is_the_grid () =
   List.iter
     (fun (wrap, g2wrap) ->
       let side = 7 in
-      let plain = T2.variant_host ~wrap ~side ~reflect:false ~band_lo:3 ~band_hi:5 in
+      let plain =
+        T2.variant_host ~wrap ~rows:side ~cols:side ~reflect:false ~band_lo:3 ~band_hi:5
+      in
       let reference =
         Topology.Grid2d.graph (Topology.Grid2d.create g2wrap ~rows:side ~cols:side)
       in
@@ -25,8 +27,8 @@ let test_variant_isomorphic () =
   List.iter
     (fun wrap ->
       let side = 7 and band_lo = 3 and band_hi = 5 in
-      let plain = T2.variant_host ~wrap ~side ~reflect:false ~band_lo ~band_hi in
-      let refl = T2.variant_host ~wrap ~side ~reflect:true ~band_lo ~band_hi in
+      let plain = T2.variant_host ~wrap ~rows:side ~cols:side ~reflect:false ~band_lo ~band_hi in
+      let refl = T2.variant_host ~wrap ~rows:side ~cols:side ~reflect:true ~band_lo ~band_hi in
       let phi v =
         let r = v / side and j = v mod side in
         if r >= band_lo && r <= band_hi then (r * side) + ((side - j) mod side) else v
@@ -40,8 +42,8 @@ let test_variant_agrees_on_bands () =
   (* Induced subgraphs on the revealed bands coincide between variants. *)
   let wrap = `Toroidal and side = 13 in
   let band_lo = 3 and band_hi = 7 in
-  let plain = T2.variant_host ~wrap ~side ~reflect:false ~band_lo ~band_hi in
-  let refl = T2.variant_host ~wrap ~side ~reflect:true ~band_lo ~band_hi in
+  let plain = T2.variant_host ~wrap ~rows:side ~cols:side ~reflect:false ~band_lo ~band_hi in
+  let refl = T2.variant_host ~wrap ~rows:side ~cols:side ~reflect:true ~band_lo ~band_hi in
   let rows_nodes rows = List.concat_map (fun r -> List.init side (fun j -> (r * side) + j)) rows in
   List.iter
     (fun rows ->
@@ -50,15 +52,49 @@ let test_variant_agrees_on_bands () =
       check_bool "identical induced band" true (Graph.equal a.Subgraph.graph b.Subgraph.graph))
     [ [ 0; 1; 2 ]; [ 4; 5; 6 ]; [ 8; 9 ] ]
 
+(* The row b-value the adversary computed before it went through
+   Colorings.Bvalue, kept verbatim as the reference. *)
+let row_cycle_b_rect coloring ~cols ~row ~east =
+  let color j = Colorings.Coloring.get_exn coloring ((row * cols) + j) in
+  let a cu cv = if cu = 2 || cv = 2 then 0 else cu - cv in
+  let b = ref 0 in
+  for j = 0 to cols - 1 do
+    let j' = (j + 1) mod cols in
+    if east then b := !b + a (color j) (color j')
+    else b := !b + a (color j') (color j)
+  done;
+  !b
+
+(* What the adversary computes now: Bvalue.b_cycle over the row's nodes,
+   reversed for the westward direction. *)
+let bvalue_row colors ~cols ~row ~east =
+  let nodes = List.init cols (fun j -> (row * cols) + j) in
+  Colorings.Bvalue.b_cycle colors (if east then nodes else List.rev nodes)
+
 let test_row_cycle_b () =
+  let rng = Random.State.make [| 0x7B2 |] in
+  for case = 1 to 400 do
+    (* odd and even widths; arbitrary, often improper, colors *)
+    let rows = 1 + Random.State.int rng 3 and cols = 3 + Random.State.int rng 18 in
+    let colors = Array.init (rows * cols) (fun _ -> Random.State.int rng 3) in
+    let coloring = Colorings.Coloring.of_array colors in
+    for row = 0 to rows - 1 do
+      List.iter
+        (fun east ->
+          check_int
+            (Printf.sprintf "case %d: %dx%d row %d east=%b" case rows cols row east)
+            (row_cycle_b_rect coloring ~cols ~row ~east)
+            (bvalue_row colors ~cols ~row ~east))
+        [ true; false ]
+    done
+  done;
   (* Stripes (i + j) mod 3 on a 3-divisible cylinder: each a-value along
      a row is defined and sums telescope. *)
   let side = 9 in
   let colors = Array.init (side * side) (fun v -> ((v / side) + (v mod side)) mod 3) in
-  let c = Colorings.Coloring.of_array colors in
-  let b_east = T2.row_cycle_b c ~side ~row:2 ~east:true in
-  let b_west = T2.row_cycle_b c ~side ~row:2 ~east:false in
-  check_int "reversal negates" 0 (b_east + b_west)
+  check_int "reversal negates" 0
+    (bvalue_row colors ~cols:side ~row:2 ~east:true
+    + bvalue_row colors ~cols:side ~row:2 ~east:false)
 
 let test_defeats_greedy () =
   List.iter
@@ -85,7 +121,10 @@ let test_defeats_stripes () =
   in
   let side = 9 in
   (* id-stripes 3-colors the plain toroidal grid properly (side mod 3 = 0). *)
-  let host = T2.variant_host ~wrap:`Toroidal ~side ~reflect:false ~band_lo:3 ~band_hi:5 in
+  let host =
+    T2.variant_host ~wrap:`Toroidal ~rows:side ~cols:side ~reflect:false ~band_lo:3
+      ~band_hi:5
+  in
   let outcome =
     Models.Fixed_host.run ~host ~palette:3 ~algorithm:(id_stripes side)
       ~order:(Models.Fixed_host.orders ~all:host `Sequential)
@@ -160,7 +199,9 @@ let test_below_threshold_games () =
     [ `Toroidal; `Cylindrical ]
 
 let test_fixed_host_rejects_foreign_nodes () =
-  let host = T2.variant_host ~wrap:`Toroidal ~side:5 ~reflect:false ~band_lo:1 ~band_hi:3 in
+  let host =
+    T2.variant_host ~wrap:`Toroidal ~rows:5 ~cols:5 ~reflect:false ~band_lo:1 ~band_hi:3
+  in
   List.iter
     (fun bad ->
       match

@@ -145,35 +145,6 @@ let test_hints_follow_merges () =
   check_bool "distinct frames seen" true
     (List.length (List.sort_uniq compare !seen_frames) = 2)
 
-let test_bipartition_oracle_parity () =
-  let vg = fresh ~radius:2 () in
-  let f = Vg.new_frame vg in
-  ignore (Vg.present vg f ~row:0 ~col:0);
-  let o = Vg.bipartition_oracle vg in
-  let h00 = Option.get (Vg.handle_at vg f ~row:0 ~col:0) in
-  let h01 = Option.get (Vg.handle_at vg f ~row:0 ~col:1) in
-  let h11 = Option.get (Vg.handle_at vg f ~row:1 ~col:1) in
-  (* Dummy view: the oracle only reads coordinates. *)
-  let dummy =
-    {
-      Models.View.n_total = 0;
-      palette = 3;
-      node_count = (fun () -> 0);
-      neighbors = (fun _ -> []);
-      mem_edge = (fun _ _ -> false);
-      id = (fun h -> h);
-      output = (fun _ -> None);
-      hint = (fun _ -> None);
-      target = 0;
-      new_nodes = [];
-      step = 0;
-    }
-  in
-  let parts = o.Models.Oracle.query dummy [ h00; h01; h11 ] in
-  check_int "h00 part" 0 parts.(0);
-  check_int "h01 other part" 1 parts.(1);
-  check_int "h11 same as h00" 0 parts.(2)
-
 (* Fuzz: a random but rule-abiding adversary (random presentations within
    random frames, merges at legal gaps, reflections) always produces a
    transcript that the replay validator accepts. *)
@@ -656,20 +627,6 @@ module Ref_vg = struct
           Obs.Trace.emit
             (Obs.Trace.Audit { executor = "virtual_grid"; ok = false; detail = msg });
         raise e
-
-  let bipartition_oracle t =
-    let query _view handles =
-      let raw =
-        Array.of_list
-          (List.map
-             (fun h ->
-               let k = t.coords.(h) in
-               ((Coord.row k + Coord.col k) mod 2 + 2) mod 2)
-             handles)
-      in
-      Models.Oracle.canonicalize raw handles
-    in
-    { Models.Oracle.parts = 2; radius = 0; query }
 end
 
 (* Differential test: seeded random operation sequences drive [Ref_vg]
@@ -935,12 +892,7 @@ let run_differential seed =
   same "scan_monochromatic" (Ref_vg.scan_monochromatic rvg) (Vg.scan_monochromatic nvg);
   same "validate"
     (attempt (fun () -> Ref_vg.validate rvg))
-    (attempt (fun () -> Vg.validate nvg));
-  let handles = List.init (Vg.revealed_count nvg) Fun.id in
-  let parts o = Option.map (fun v -> o.Models.Oracle.query v handles) !nv in
-  same "bipartition oracle"
-    (parts (Ref_vg.bipartition_oracle rvg))
-    (parts (Vg.bipartition_oracle nvg))
+    (attempt (fun () -> Vg.validate nvg))
 
 let prop_matches_reference =
   let name = "matches the reference executor on random operation sequences" in
@@ -985,7 +937,6 @@ let () =
         [
           Alcotest.test_case "validate accepts honest" `Quick test_validate_catches_dishonesty;
           Alcotest.test_case "hints follow merges" `Quick test_hints_follow_merges;
-          Alcotest.test_case "bipartition oracle" `Quick test_bipartition_oracle_parity;
           Alcotest.test_case "reflected merge then connect" `Quick test_reflected_merge_then_connect;
           prop_random_honest_adversary_validates;
         ] );
