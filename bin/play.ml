@@ -58,7 +58,7 @@ let n = Arg.(value & opt int 400 & info [ "n"; "size" ] ~doc:"Instance size (per
 let paranoid =
   Arg.(
     value & flag
-    & info [ "paranoid" ] ~doc:"Audit the adversary's transcript (thm1; slow).")
+    & info [ "paranoid" ] ~doc:"Replay-audit the adversary's transcript (every game; slow).")
 
 let max_calls =
   Arg.(

@@ -20,12 +20,7 @@ let make ~n ~edges ~colors =
 
 let of_graph g ~colors =
   let n = Grid_graph.Graph.n g in
-  let adj =
-    Array.init n (fun v ->
-        let a = Array.copy (Grid_graph.Graph.neighbors g v) in
-        Array.sort compare a;
-        a)
-  in
+  let adj = Array.init n (Grid_graph.Graph.neighbors g) in
   { n; adj; colors = Array.init n colors }
 
 let of_dyn g ~colors =

@@ -18,7 +18,7 @@ let solve ?partial g ~colors ~on_solution =
   let order = search_order g in
   let free = Array.of_list (List.filter (fun v -> assignment.(v) = -1) (Array.to_list order)) in
   let allowed v c =
-    Array.for_all (fun w -> assignment.(w) <> c) (Graph.neighbors g v)
+    Graph.for_all_neighbors g v (fun w -> assignment.(w) <> c)
   in
   (* Check the pre-colored part is itself consistent before searching. *)
   let precolored_ok =

@@ -1,22 +1,20 @@
 let distances_from g sources =
-  let dist = Array.make (Graph.n g) max_int in
-  let queue = Queue.create () in
-  List.iter
-    (fun s ->
-      if dist.(s) = max_int then begin
-        dist.(s) <- 0;
-        Queue.add s queue
-      end)
-    sources;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    Array.iter
-      (fun v ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v queue
-        end)
-      (Graph.neighbors g u)
+  let n = Graph.n g in
+  let dist = Array.make n max_int in
+  (* Each node enters the FIFO at most once. *)
+  let queue = Array.make (max n 1) 0 in
+  let head = ref 0 and tail = ref 0 in
+  let push v d =
+    dist.(v) <- d;
+    queue.(!tail) <- v;
+    incr tail
+  in
+  List.iter (fun s -> if dist.(s) = max_int then push s 0) sources;
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let du1 = dist.(u) + 1 in
+    Graph.iter_neighbors g u (fun v -> if dist.(v) = max_int then push v du1)
   done;
   dist
 
@@ -72,15 +70,13 @@ module Frontier = struct
       incr head;
       let du = t.dist.(u) in
       if du < r then
-        Array.iter
-          (fun v ->
+        Graph.iter_neighbors t.g u (fun v ->
             if t.mark.(v) <> ep then begin
               t.mark.(v) <- ep;
               t.dist.(v) <- du + 1;
               q.(!tail) <- v;
               incr tail
             end)
-          (Graph.neighbors t.g u)
     done;
     let out = Array.sub q 0 !tail in
     Array.sort compare out;
@@ -105,15 +101,13 @@ module Frontier = struct
         t.slack.(u) <- rem;
         if rem > 0 then
           let du1 = t.dist.(u) + 1 in
-          Array.iter
-            (fun v ->
+          Graph.iter_neighbors t.g u (fun v ->
               if t.mark.(v) <> ep then begin
                 t.mark.(v) <- ep;
                 t.dist.(v) <- du1;
                 q.(!tail) <- v;
                 incr tail
               end)
-            (Graph.neighbors t.g u)
       end
     done;
     List.sort compare !fresh

@@ -11,8 +11,7 @@ let two_color_with_conflict g =
          Queue.add start queue;
          while not (Queue.is_empty queue) do
            let u = Queue.pop queue in
-           Array.iter
-             (fun v ->
+           Graph.iter_neighbors g u (fun v ->
                if side.(v) = -1 then begin
                  side.(v) <- 1 - side.(u);
                  parent.(v) <- u;
@@ -22,7 +21,6 @@ let two_color_with_conflict g =
                  conflict := Some (u, v);
                  raise Exit
                end)
-             (Graph.neighbors g u)
          done
        end
      done

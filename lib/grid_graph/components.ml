@@ -10,13 +10,11 @@ let components_within g subset =
     while not (Queue.is_empty queue) do
       let u = Queue.pop queue in
       comp := u :: !comp;
-      Array.iter
-        (fun v ->
+      Graph.iter_neighbors g u (fun v ->
           if Hashtbl.mem in_subset v && not (Hashtbl.mem visited v) then begin
             Hashtbl.replace visited v ();
             Queue.add v queue
           end)
-        (Graph.neighbors g u)
     done;
     List.sort compare !comp
   in

@@ -1,80 +1,97 @@
 type node = int
 
-type t = { size : int; adj : int array array; edge_count : int }
+(* Compressed sparse rows: node [v]'s neighbors are
+   [tgt.(off.(v)) .. tgt.(off.(v + 1) - 1)], ascending, without repeats;
+   [off] has [size + 1] entries and [tgt] one per arc, 2m in all. *)
+type t = { size : int; off : int array; tgt : int array }
 
 let n g = g.size
-let m g = g.edge_count
+let m g = Array.length g.tgt / 2
 
 let check_endpoint size v =
   if v < 0 || v >= size then
     invalid_arg (Printf.sprintf "Graph: node %d out of range [0,%d)" v size)
 
-(* Ascending int sort in place: insertion sort on short rows (linear
-   on the near-sorted rows the generators emit), a merge sort above
-   [short_row], where insertion sort's quadratic worst case would show
-   on a hub.  [Array.stable_sort] is the merge sort: on a 60,000-entry
-   row it takes a third to a half of [Array.sort]'s heap sort. *)
+(* Ascending int sort of [a.(lo) .. a.(hi - 1)] in place: insertion sort
+   on short rows (linear on the near-sorted rows the generators emit), a
+   merge sort above [short_row], where insertion sort's quadratic worst
+   case would show on a hub.  [Array.stable_sort] is the merge sort: on
+   a 60,000-entry row it takes a third to a half of [Array.sort]'s heap
+   sort. *)
 let short_row = 32
 
-let sort_row a =
-  let len = Array.length a in
-  if len > short_row then Array.stable_sort Int.compare a
+let sort_range a lo hi =
+  let len = hi - lo in
+  if len > short_row then begin
+    let row = Array.sub a lo len in
+    Array.stable_sort Int.compare row;
+    Array.blit row 0 a lo len
+  end
   else
-    for i = 1 to len - 1 do
+    for i = lo + 1 to hi - 1 do
       let x = a.(i) in
       let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > x do
+      while !j >= lo && a.(!j) > x do
         a.(!j + 1) <- a.(!j);
         decr j
       done;
       a.(!j + 1) <- x
     done
 
-(* Drops repeats from a sorted row; copies only when there were some. *)
-let dedup_row a =
-  let len = Array.length a in
-  let w = ref (min len 1) in
-  for i = 1 to len - 1 do
-    if a.(i) <> a.(!w - 1) then begin
-      a.(!w) <- a.(i);
-      incr w
-    end
+(* Drops the repeats from every sorted row, moving the rows down over
+   the gaps, and trims [tgt]; [off] is rewritten in place. *)
+let compact off tgt size =
+  let w = ref 0 and lo = ref 0 in
+  for v = 0 to size - 1 do
+    let hi = off.(v + 1) in
+    off.(v) <- !w;
+    for i = !lo to hi - 1 do
+      if i = !lo || tgt.(i) <> tgt.(!w - 1) then begin
+        tgt.(!w) <- tgt.(i);
+        incr w
+      end
+    done;
+    lo := hi
   done;
-  if !w = len then a else Array.sub a 0 !w
+  off.(size) <- !w;
+  Array.sub tgt 0 !w
 
 let build ~n:size gen =
   if size < 0 then invalid_arg "Graph.build: negative size";
-  (* Pass 1: check every arc, count degrees. *)
-  let deg = Array.make size 0 in
+  (* Pass 1: check every arc, count degrees into [off.(v + 1)]. *)
+  let off = Array.make (size + 1) 0 in
   gen (fun u v ->
       check_endpoint size u;
       check_endpoint size v;
       if u = v then invalid_arg "Graph: self-loop";
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1);
-  (* Pass 2: fill exact-size rows, [deg] now counting what each holds. *)
-  let adj = Array.map (fun d -> Array.make d 0) deg in
-  Array.fill deg 0 size 0;
+      off.(u + 1) <- off.(u + 1) + 1;
+      off.(v + 1) <- off.(v + 1) + 1);
+  for v = 1 to size do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  (* Pass 2: fill the rows, [next.(v)] being row [v]'s next free slot. *)
+  let tgt = Array.make off.(size) 0 in
+  let next = Array.sub off 0 size in
   let place u v =
-    let row = adj.(u) and i = deg.(u) in
-    if i = Array.length row then invalid_arg "Graph.build: generator changed its arcs";
-    row.(i) <- v;
-    deg.(u) <- i + 1
+    let i = next.(u) in
+    if i = off.(u + 1) then invalid_arg "Graph.build: generator changed its arcs";
+    tgt.(i) <- v;
+    next.(u) <- i + 1
   in
   gen (fun u v ->
       place u v;
       place v u);
-  let edge_count = ref 0 in
+  let repeats = ref false in
   for v = 0 to size - 1 do
-    let row = adj.(v) in
-    if deg.(v) <> Array.length row then
-      invalid_arg "Graph.build: generator changed its arcs";
-    sort_row row;
-    let row = dedup_row row in
-    adj.(v) <- row;
-    edge_count := !edge_count + Array.length row
+    let lo = off.(v) and hi = off.(v + 1) in
+    if next.(v) <> hi then invalid_arg "Graph.build: generator changed its arcs";
+    sort_range tgt lo hi;
+    for i = lo + 1 to hi - 1 do
+      if tgt.(i) = tgt.(i - 1) then repeats := true
+    done
   done;
-  { size; adj; edge_count = !edge_count / 2 }
+  let tgt = if !repeats then compact off tgt size else tgt in
+  { size; off; tgt }
 
 let create ~n:size ~edges =
   if size < 0 then invalid_arg "Graph.create: negative size";
@@ -84,19 +101,37 @@ let of_adjacency raw =
   build ~n:(Array.length raw) (fun add ->
       Array.iteri (fun u nbrs -> Array.iter (fun v -> add u v) nbrs) raw)
 
-let neighbors g v =
+let degree g v =
   check_endpoint g.size v;
-  g.adj.(v)
+  g.off.(v + 1) - g.off.(v)
 
-let degree g v = Array.length (neighbors g v)
+let neighbors g v =
+  let d = degree g v in
+  Array.sub g.tgt g.off.(v) d
+
+let iter_neighbors g v f =
+  check_endpoint g.size v;
+  for i = g.off.(v) to g.off.(v + 1) - 1 do
+    f g.tgt.(i)
+  done
+
+let for_all_neighbors g v p =
+  check_endpoint g.size v;
+  let hi = g.off.(v + 1) in
+  let rec go i = i >= hi || (p g.tgt.(i) && go (i + 1)) in
+  go g.off.(v)
 
 let max_degree g =
-  Array.fold_left (fun acc a -> max acc (Array.length a)) 0 g.adj
+  let best = ref 0 in
+  for v = 0 to g.size - 1 do
+    best := max !best (g.off.(v + 1) - g.off.(v))
+  done;
+  !best
 
 let mem_edge g u v =
   check_endpoint g.size u;
   check_endpoint g.size v;
-  let a = g.adj.(u) in
+  let a = g.tgt in
   let rec search lo hi =
     if lo >= hi then false
     else
@@ -105,10 +140,15 @@ let mem_edge g u v =
       else if a.(mid) < v then search (mid + 1) hi
       else search lo mid
   in
-  search 0 (Array.length a)
+  search g.off.(u) g.off.(u + 1)
 
 let iter_edges g f =
-  Array.iteri (fun u nbrs -> Array.iter (fun v -> if u < v then f u v) nbrs) g.adj
+  for u = 0 to g.size - 1 do
+    for i = g.off.(u) to g.off.(u + 1) - 1 do
+      let v = g.tgt.(i) in
+      if u < v then f u v
+    done
+  done
 
 let fold_edges g ~init ~f =
   let acc = ref init in
@@ -127,10 +167,10 @@ let fold_nodes g ~init ~f =
   iter_nodes g (fun v -> acc := f !acc v);
   !acc
 
-let equal g h = g.size = h.size && g.adj = h.adj
+let equal g h = g.off = h.off && g.tgt = h.tgt
 
 let pp ppf g =
-  Format.fprintf ppf "@[<v>graph n=%d m=%d@," g.size g.edge_count;
+  Format.fprintf ppf "@[<v>graph n=%d m=%d@," g.size (m g);
   iter_edges g (fun u v -> Format.fprintf ppf "%d -- %d@," u v);
   Format.fprintf ppf "@]"
 

@@ -1,8 +1,10 @@
 (** Immutable, simple, undirected graphs over nodes [0 .. n-1].
 
     This is the substrate every topology and model in the library is built
-    on.  Graphs are stored as sorted adjacency arrays, so neighbor iteration
-    is cache-friendly and edge membership is a binary search.  All
+    on.  A graph is two flat arrays (compressed sparse rows): [n + 1] row
+    offsets and [2m] targets, each node's row ascending.  Neighbor
+    iteration ({!iter_neighbors}) reads one contiguous range without
+    allocating, and edge membership is a binary search in it.  All
     constructors deduplicate edges and reject self-loops, keeping every
     value of type {!t} a simple graph as required by the paper's
     preliminaries (Section 2). *)
@@ -19,15 +21,17 @@ val build : n:int -> ((node -> node -> unit) -> unit) -> t
     [add u v] once per arc.  Every other constructor is a call to it.
 
     [gen] runs twice and must pass the same arcs, in any order, both
-    times: the first run checks each arc and counts degrees, the
-    second fills one exact-size array per node.  Each array is then
-    sorted ascending and deduplicated in place, so an arc given twice
-    or in both orientations is one edge, and the result does not depend
-    on the arcs' order.  The cost is O(n + m + Σ d log d) over the
-    nodes' degrees [d] (linear in [d] for rows of at most 32 that
-    arrive nearly sorted), and nothing is allocated per arc: only the
-    degree counts, one array per node, a merge buffer for each longer
-    row, and a shorter copy of a row that held duplicates.
+    times: the first run checks each arc and counts degrees into the
+    row offsets, the second fills each node's row of the target array.
+    Each row range is then sorted ascending in place, so the result
+    does not depend on the arcs' order; when some row holds an arc
+    given twice or in both orientations, one pass compacts every row
+    over its repeats, so such an arc is one edge.  The cost is
+    O(n + m + Σ d log d) over the nodes' degrees [d] (linear in [d] for
+    rows of at most 32 that arrive nearly sorted), and nothing is
+    allocated per arc or per node: only the offsets, the targets, an
+    n-entry array of fill cursors, a merge buffer for each longer row,
+    and a trimmed copy of the targets when there were repeats.
 
     Errors come from the first run, in arc order, and nothing is built
     then: the first bad arc raises [Invalid_argument], with
@@ -56,11 +60,21 @@ val m : t -> int
 (** Number of (undirected) edges. *)
 
 val neighbors : t -> node -> node array
-(** [neighbors g v] is the sorted array of neighbors of [v].  The returned
-    array is owned by the graph and must not be mutated. *)
+(** [neighbors g v] is a fresh array of the neighbors of [v], ascending;
+    writing into it leaves [g] unchanged.  It allocates, so hot paths use
+    {!iter_neighbors} instead. *)
+
+val iter_neighbors : t -> node -> (node -> unit) -> unit
+(** [iter_neighbors g v f] calls [f w] on each neighbor [w] of [v], in
+    ascending order, without allocating. *)
+
+val for_all_neighbors : t -> node -> (node -> bool) -> bool
+(** [for_all_neighbors g v p] is whether [p] holds on every neighbor of
+    [v], tried in ascending order up to the first that fails, without
+    allocating. *)
 
 val degree : t -> node -> int
-(** Degree of a node. *)
+(** Degree of a node, O(1). *)
 
 val max_degree : t -> int
 (** Maximum degree over all nodes; 0 for the empty graph. *)

@@ -12,12 +12,10 @@ let induced g subset =
   let edges = ref [] in
   Array.iteri
     (fun i v ->
-      Array.iter
-        (fun w ->
+      Graph.iter_neighbors g v (fun w ->
           match Hashtbl.find_opt of_host w with
           | Some j when i < j -> edges := (i, j) :: !edges
-          | Some _ | None -> ())
-        (Graph.neighbors g v))
+          | Some _ | None -> ()))
     to_host;
   { graph = Graph.create ~n:(Array.length to_host) ~edges:!edges; to_host; of_host }
 

@@ -20,8 +20,9 @@ type t =
       (** the wall-clock deadline of the {!Guard} passed *)
   | Dishonest_transcript of { message : string }
       (** the adversary's transcript failed an honesty audit (e.g.
-          {!Online_local.Virtual_grid.validate} under [~paranoid], or a
-          node presented twice) *)
+          {!Online_local.Virtual_grid.validate} or
+          {!Models.Fixed_host.validate} under [~paranoid], or a node
+          presented twice) *)
   | Unresponsive of { elapsed : float; limit : float }
       (** the cell stopped responding entirely — it blocked without
           ticking, so the in-process {!Guard} deadline poll never fired,

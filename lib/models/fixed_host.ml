@@ -9,6 +9,8 @@ type t = {
   frontier : Bfs.Frontier.t;  (* incremental revealed-view state *)
   handle_of_host : int array;  (* host node -> handle; -1 = unrevealed *)
   mutable host_of_handle : Graph.node array;  (* grown by doubling *)
+  mutable targets : Graph.node array;  (* step s's presented node at s - 1; grown by doubling *)
+  mutable first_fresh : int array;  (* step s's first fresh handle at s - 1; grown with [targets] *)
   ids : Graph.node -> int;
   hints : Graph.node -> View.hint option;  (* by host node *)
   coloring : Colorings.Coloring.t;
@@ -20,13 +22,16 @@ type t = {
 
 let to_host t handle = t.host_of_handle.(handle)
 
+(* [a] at twice its length, the new slots -1. *)
+let doubled a =
+  let bigger = Array.make (max 16 (2 * Array.length a)) (-1) in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
 let record_handle t host_node =
   let handle = Dyn_graph.add_node t.region in
-  if handle >= Array.length t.host_of_handle then begin
-    let bigger = Array.make (max 16 (2 * Array.length t.host_of_handle)) (-1) in
-    Array.blit t.host_of_handle 0 bigger 0 (Array.length t.host_of_handle);
-    t.host_of_handle <- bigger
-  end;
+  if handle >= Array.length t.host_of_handle then
+    t.host_of_handle <- doubled t.host_of_handle;
   t.host_of_handle.(handle) <- host_node;
   t.handle_of_host.(host_node) <- handle;
   handle
@@ -46,6 +51,8 @@ let start ?ids ?hints ?oracle ~host ~palette ~algorithm () =
       frontier = Bfs.Frontier.create host;
       handle_of_host = Array.make (max n 1) (-1);
       host_of_handle = Array.make 16 (-1);
+      targets = Array.make 16 (-1);
+      first_fresh = Array.make 16 0;
       ids;
       hints;
       coloring = Colorings.Coloring.create n;
@@ -70,11 +77,9 @@ let reveal_ball t center =
   List.iter
     (fun v ->
       let hv = t.handle_of_host.(v) in
-      Array.iter
-        (fun w ->
+      Graph.iter_neighbors t.host v (fun w ->
           let hw = t.handle_of_host.(w) in
-          if hw >= 0 then Dyn_graph.add_edge t.region hv hw)
-        (Graph.neighbors t.host v))
+          if hw >= 0 then Dyn_graph.add_edge t.region hv hw))
     fresh;
   fresh_handles
 
@@ -108,6 +113,12 @@ let present t v =
       (Run_stats.Dishonest_transcript
          (Printf.sprintf "Fixed_host.present: node %d presented twice" v));
   Packed.Set.add t.presented_set v;
+  if t.steps = Array.length t.targets then begin
+    t.targets <- doubled t.targets;
+    t.first_fresh <- doubled t.first_fresh
+  end;
+  t.targets.(t.steps) <- v;
+  t.first_fresh.(t.steps) <- Dyn_graph.n t.region;
   t.steps <- t.steps + 1;
   let new_nodes = reveal_ball t v in
   t.max_view <- max t.max_view (Dyn_graph.n t.region);
@@ -155,6 +166,93 @@ let coloring t = t.coloring
 let revealed_host_nodes t =
   List.init (Dyn_graph.n t.region) (fun h -> t.host_of_handle.(h))
 
+let dishonest fmt = Printf.ksprintf (fun m -> raise (Run_stats.Dishonest_transcript m)) fmt
+
+(* The replay audit.  It reads the executor's transcript (targets,
+   fresh-handle boundaries, handle maps, region graph) and recomputes
+   every ball with its own bounded BFS over the host, so it shares no
+   code with [Bfs.Frontier] or [Dyn_graph]'s bookkeeping. *)
+let check_transcript t ~radius =
+  let n = Graph.n t.host and count = Dyn_graph.n t.region in
+  (* The handle map must be a bijection onto the revealed host nodes. *)
+  let handle = Array.make n (-1) in
+  for h = 0 to count - 1 do
+    let v = t.host_of_handle.(h) in
+    if v < 0 || v >= n then dishonest "validate: handle %d maps to %d, outside the host" h v;
+    if handle.(v) >= 0 then dishonest "validate: host node %d has two handles" v;
+    handle.(v) <- h
+  done;
+  for v = 0 to n - 1 do
+    if t.handle_of_host.(v) <> handle.(v) then
+      dishonest "validate: host node %d maps to handle %d, not %d" v t.handle_of_host.(v)
+        handle.(v)
+  done;
+  (* The region graph is the host's subgraph induced on them. *)
+  for h = 0 to count - 1 do
+    let expected = ref [] in
+    Graph.iter_neighbors t.host t.host_of_handle.(h) (fun w ->
+        if handle.(w) >= 0 then expected := handle.(w) :: !expected);
+    if List.sort compare !expected <> List.sort compare (Dyn_graph.neighbors t.region h)
+    then dishonest "validate: handle %d's region neighbors are not its host neighbors" h
+  done;
+  (* [first.(v)]: the first step whose radius-[radius] ball holds [v],
+     0 for none.  One bounded BFS per step, level by level, stamped
+     with the step. *)
+  let first = Array.make n 0 and stamp = Array.make n 0 in
+  let queue = Array.make (max n 1) 0 in
+  for s = 1 to t.steps do
+    let c = t.targets.(s - 1) in
+    stamp.(c) <- s;
+    queue.(0) <- c;
+    let lo = ref 0 and hi = ref 1 and depth = ref 0 in
+    while !depth < radius && !lo < !hi do
+      let tail = ref !hi in
+      for i = !lo to !hi - 1 do
+        Graph.iter_neighbors t.host queue.(i) (fun w ->
+            if stamp.(w) <> s then begin
+              stamp.(w) <- s;
+              queue.(!tail) <- w;
+              incr tail
+            end)
+      done;
+      lo := !hi;
+      hi := !tail;
+      incr depth
+    done;
+    for i = 0 to !hi - 1 do
+      let w = queue.(i) in
+      if first.(w) = 0 then first.(w) <- s
+    done
+  done;
+  (* Each node was revealed exactly at the first ball that holds it. *)
+  let revealed_at = Array.make count 0 in
+  for s = 1 to t.steps do
+    let stop = if s < t.steps then t.first_fresh.(s) else count in
+    for h = t.first_fresh.(s - 1) to stop - 1 do
+      revealed_at.(h) <- s
+    done
+  done;
+  for v = 0 to n - 1 do
+    let h = handle.(v) in
+    if h < 0 then begin
+      if first.(v) > 0 then dishonest "validate: step %d's ball misses node %d" first.(v) v
+    end
+    else if first.(v) = 0 then
+      dishonest "validate: node %d revealed at step %d outside every ball" v revealed_at.(h)
+    else if revealed_at.(h) <> first.(v) then
+      dishonest "validate: node %d revealed at step %d but first containing ball is step %d"
+        v revealed_at.(h) first.(v)
+  done
+
+let validate ?radius t =
+  let radius = Option.value radius ~default:t.radius in
+  match check_transcript t ~radius with
+  | () -> ()
+  | exception (Run_stats.Dishonest_transcript msg as e) ->
+      if Obs.Trace.on () then
+        Obs.Trace.emit (Obs.Trace.Audit { executor = "fixed_host"; ok = false; detail = msg });
+      raise e
+
 let audit t =
   let violation =
     match t.first_violation with
@@ -169,7 +267,12 @@ let audit t =
       (Obs.Trace.Audit
          {
            executor = "fixed_host";
-           ok = violation = None;
+           (* Honest unless the order repeated a node: a lost game is
+              the adversary's intended result, not an anomaly. *)
+           ok =
+             (match violation with
+             | Some (Run_stats.Repeated_presentation _) -> false
+             | _ -> true);
            detail =
              (match violation with
              | None -> ""
@@ -188,7 +291,7 @@ let audit t =
     max_view_size = t.max_view;
   }
 
-let run ?ids ?hints ?oracle ~host ~palette ~algorithm ~order () =
+let run ?validate:(replay = false) ?ids ?hints ?oracle ~host ~palette ~algorithm ~order () =
   let t = start ?ids ?hints ?oracle ~host ~palette ~algorithm () in
   let rec go = function
     | [] -> ()
@@ -203,6 +306,7 @@ let run ?ids ?hints ?oracle ~host ~palette ~algorithm ~order () =
         end
   in
   go order;
+  if replay then validate t;
   audit t
 
 let orders ~all = function

@@ -20,7 +20,9 @@
     read, presented-twice detection a dense byte set: both O(1) and
     allocation-free.  Per step the executor allocates only the fresh
     handle list, the view closure record, and (while a trace sink is
-    on) the trace events.  See [lib/online_local/README.md]. *)
+    on) the trace events; it records the step's target and first fresh
+    handle in two flat arrays, grown by doubling, for {!validate}.  See
+    [lib/online_local/README.md]. *)
 
 type t
 (** A running execution (host, algorithm instance, revealed region). *)
@@ -58,7 +60,24 @@ val revealed_host_nodes : t -> Grid_graph.Graph.node list
 val to_host : t -> Grid_graph.Graph.node -> Grid_graph.Graph.node
 (** Map a view handle to its host node. *)
 
+val validate : ?radius:int -> t -> unit
+(** Replay honesty audit of the steps so far, O(presented x ball +
+    n + m) with flat arrays (an audit, off the hot path).  For each
+    presented node, in order, it recomputes the ball of radius [radius]
+    (default: the radius the executor reveals, locality plus oracle
+    radius) by a bounded BFS over the host with a stamp array, sharing
+    no code with {!Grid_graph.Bfs.Frontier} or {!Grid_graph.Dyn_graph}.
+    It checks that the handle map is a bijection onto the revealed host
+    nodes, that the region graph is the host's subgraph induced on
+    them, and that every node was revealed exactly at the first
+    presented ball that contains it, and never outside every ball.  A
+    [radius] other than the executor's makes an honest transcript fail
+    (that is how the audit is tested).
+    @raise Run_stats.Dishonest_transcript with a diagnostic on the first
+    mismatch, after emitting an [Audit] trace event with [ok = false]. *)
+
 val run :
+  ?validate:bool ->
   ?ids:(Grid_graph.Graph.node -> int) ->
   ?hints:(Grid_graph.Graph.node -> View.hint option) ->
   ?oracle:(to_host:(Grid_graph.Graph.node -> Grid_graph.Graph.node) -> Oracle.t) ->
@@ -71,9 +90,13 @@ val run :
 (** Whole-run convenience: present every node of [order] (stopping early
     on a violation), then audit the result.  When [order] covers all host
     nodes and no violation occurred, [Run_stats.succeeded] on the outcome
-    decides whether the algorithm won.
+    decides whether the algorithm won.  [~validate:true] (default
+    [false]) runs {!validate} on the transcript before the audit.  The
+    audit's [Audit] trace event has [ok = true] unless the order
+    repeated a node: a run the algorithm lost is an honest transcript,
+    with its violation in [detail].
     @raise Run_stats.Dishonest_transcript on an [order] entry that is not
-    a host node (see {!present}). *)
+    a host node (see {!present}), or when {!validate} fails. *)
 
 val orders : all:Grid_graph.Graph.t -> [ `Sequential | `Random of int ] -> Grid_graph.Graph.node list
 (** Common presentation orders: [`Sequential] is [0, 1, ..., n-1];

@@ -105,7 +105,11 @@ type event =
       (** guard-meter snapshot at a color call *)
   | Audit of { executor : string; ok : bool; detail : string }
       (** transcript audit result (end-of-run violation scan, or a
-          [--validate]/[--paranoid] replay check) *)
+          [--validate]/[--paranoid] replay check).  [ok] says whether
+          the {e transcript} was honest, not who won: it is [false] only
+          when the adversary broke the rules (a failed replay check, or
+          an order that presented a node twice).  A game the algorithm
+          lost is [ok], with its violation in [detail]. *)
   | Fault_injected of { tag : string; call : int }
       (** a [Harness.Faults] combinator actually fired *)
   | Misbehavior of { label : string; detail : string }

@@ -137,7 +137,7 @@ let thm2 wrap name =
     name;
     description = "two-row b-value attack on an n x n wrapped grid (n rounded to odd)";
     play =
-      (fun ?paranoid:_ ?limits ~n algorithm ->
+      (fun ?(paranoid = false) ?limits ~n algorithm ->
         let side = if n mod 2 = 0 then n + 1 else n in
         let rounding =
           if side <> n then
@@ -145,7 +145,9 @@ let thm2 wrap name =
           else ""
         in
         referee ?limits ~adversary:name ~n:side algorithm (fun guarded ->
-            let r = Thm2_adversary.run ~wrap ~side ~algorithm:guarded () in
+            let r =
+              Thm2_adversary.run ~validate:paranoid ~wrap ~side ~algorithm:guarded ()
+            in
             ( r.Thm2_adversary.result,
               rounding ^ Format.asprintf "%a" Thm2_adversary.pp_report r,
               r.Thm2_adversary.preconditions_met )));
@@ -159,10 +161,12 @@ let thm3 =
     name = "thm3-gadgets";
     description = "gadget seam attack on a chain of n gadgets (k = 3)";
     play =
-      (fun ?paranoid:_ ?limits ~n algorithm ->
+      (fun ?(paranoid = false) ?limits ~n algorithm ->
         let gadgets = max 3 n in
         referee ?limits ~adversary:"thm3-gadgets" ~n:gadgets algorithm (fun guarded ->
-            let r = Thm3_adversary.run ~k:3 ~gadgets ~algorithm:guarded () in
+            let r =
+              Thm3_adversary.run ~validate:paranoid ~k:3 ~gadgets ~algorithm:guarded ()
+            in
             ( r.Thm3_adversary.result,
               Format.asprintf "%a" Thm3_adversary.pp_report r,
               r.Thm3_adversary.preconditions_met )));
@@ -178,7 +182,7 @@ let upper ~with_oracle name description =
     name;
     description;
     play =
-      (fun ?paranoid:_ ?limits ~n algorithm ->
+      (fun ?(paranoid = false) ?limits ~n algorithm ->
         let side = max 4 n in
         let grid = Topology.Grid2d.(create Simple ~rows:side ~cols:side) in
         let host = Topology.Grid2d.graph grid in
@@ -190,7 +194,7 @@ let upper ~with_oracle name description =
         let oracle = if with_oracle then Some (Oracles.grid_bipartition grid) else None in
         referee ?limits ~adversary:name ~n:side algorithm (fun guarded ->
             let outcome =
-              Models.Fixed_host.run ?oracle ~hints ~host ~palette:3
+              Models.Fixed_host.run ~validate:paranoid ?oracle ~hints ~host ~palette:3
                 ~algorithm:guarded ~order ()
             in
             ( (match outcome.Models.Run_stats.violation with

@@ -49,9 +49,10 @@ type t = {
     verdict;
       (** [n] is interpreted per adversary (grid side, torus side, or
           gadget count) — see {!val-games}.  [~paranoid:true] replays the
-          Theorem 1 transcript through {!Virtual_grid.validate}; an audit
-          failure surfaces as {!Adversary_fault} with a
-          [Dishonest_transcript] certificate.
+          transcript through an honesty audit: {!Virtual_grid.validate}
+          for Theorem 1, {!Models.Fixed_host.validate} on every fixed-host
+          run of the other games; an audit failure surfaces as
+          {!Adversary_fault} with a [Dishonest_transcript] certificate.
           A game of [k] steps costs O(sum of per-step frontier sizes)
           in the executor plus the algorithm's own work — see
           [lib/online_local/README.md] for the per-step cost model and

@@ -41,7 +41,7 @@ let variant_host ~wrap ~rows ~cols ~reflect ~band_lo ~band_hi =
         done
       done)
 
-let run_rect ~wrap ~rows ~cols ~algorithm () =
+let run_rect ?validate ~wrap ~rows ~cols ~algorithm () =
   let n = rows * cols in
   let t = algorithm.Models.Algorithm.locality ~n in
   (* Odd columns make the row b-values odd; 4T+4 rows leave room for two
@@ -79,7 +79,7 @@ let run_rect ~wrap ~rows ~cols ~algorithm () =
       (List.init n (fun v -> v))
   in
   let run_on host order =
-    Models.Fixed_host.run ~host ~palette:3 ~algorithm ~order ()
+    Models.Fixed_host.run ?validate ~host ~palette:3 ~algorithm ~order ()
   in
   let host reflect = variant_host ~wrap ~rows ~cols ~reflect ~band_lo ~band_hi in
   let plain = host false in
@@ -117,5 +117,5 @@ let run_rect ~wrap ~rows ~cols ~algorithm () =
     preconditions_met;
   }
 
-let run ~wrap ~side ~algorithm () =
-  run_rect ~wrap ~rows:side ~cols:side ~algorithm ()
+let run ?validate ~wrap ~side ~algorithm () =
+  run_rect ?validate ~wrap ~rows:side ~cols:side ~algorithm ()

@@ -42,6 +42,7 @@ val variant_host :
     @raise Invalid_argument if [rows] or [cols] is below 3. *)
 
 val run_rect :
+  ?validate:bool ->
   wrap:[ `Cylindrical | `Toroidal ] ->
   rows:int ->
   cols:int ->
@@ -54,9 +55,13 @@ val run_rect :
     [b].  When those preconditions hold it probes the two rows on the
     plain host, selects the variant, and replays in full; otherwise it
     plays the plain host.  Row b-values are {!Colorings.Bvalue.b_cycle}
-    over the row's nodes, in reverse for [s_west]. *)
+    over the row's nodes, in reverse for [s_west].  [~validate:true]
+    (default [false]) replay-checks both runs with
+    {!Models.Fixed_host.validate}; a failure raises
+    {!Models.Run_stats.Dishonest_transcript}. *)
 
 val run :
+  ?validate:bool ->
   wrap:[ `Cylindrical | `Toroidal ] ->
   side:int ->
   algorithm:Models.Algorithm.t ->

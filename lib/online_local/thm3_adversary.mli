@@ -27,6 +27,7 @@ type report = {
 val pp_report : Format.formatter -> report -> unit
 
 val run :
+  ?validate:bool ->
   k:int ->
   gadgets:int ->
   algorithm:Models.Algorithm.t ->
@@ -36,6 +37,8 @@ val run :
     (so [n = gadgets * k^2]) with palette [2k - 2].  When the
     preconditions hold it probes the end gadgets on the plain chain,
     picks the host, and replays in full; otherwise it plays the plain
-    chain and reports no classes.
+    chain and reports no classes.  [~validate:true] (default [false])
+    replay-checks both runs with {!Models.Fixed_host.validate}; a
+    failure raises {!Models.Run_stats.Dishonest_transcript}.
     @raise Invalid_argument if [k < 3] (with [k = 2] the palette would
     have 2 colors and the instance is degenerate) or [gadgets < 3]. *)

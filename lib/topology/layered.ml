@@ -34,7 +34,7 @@ let create ~base ~k =
             Graph.iter_edges current add;
             Graph.iter_nodes current (fun u ->
                 add u (u + size);
-                Array.iter (fun w -> add (u + size) w) (Graph.neighbors current u)))
+                Graph.iter_neighbors current u (fun w -> add (u + size) w)))
       in
       let layer' = Array.append layer (Array.make size (level + 1)) in
       let parent' = Array.append parent (Array.init size (fun u -> u)) in

@@ -242,10 +242,50 @@ let arc_case_gen =
             (list ~max_len:(4 * nodes) clean)
             hub_run bad))
 
+(* Every read of [g] against the model's rows [adj]: [neighbors] (a
+   copy: writing into it changes nothing), [iter_neighbors],
+   [for_all_neighbors] up to its first failure, [degree],
+   [max_degree], [mem_edge] on every pair and [iter_edges]. *)
+let reads_agree g adj =
+  let nodes = Array.length adj in
+  let rows_ok v =
+    let row = adj.(v) in
+    let copy = Graph.neighbors g v in
+    Array.fill copy 0 (Array.length copy) (-1);
+    let seen = ref [] in
+    Graph.iter_neighbors g v (fun w -> seen := w :: !seen);
+    let pivot = if row = [||] then 0 else row.(Array.length row / 2) in
+    let tried = ref [] in
+    let all_below = Graph.for_all_neighbors g v (fun w -> tried := w :: !tried; w < pivot) in
+    Graph.neighbors g v = row
+    && Array.of_list (List.rev !seen) = row
+    && all_below = (row = [||])
+    && Array.of_list (List.rev !tried)
+       = Array.sub row 0 (if row = [||] then 0 else (Array.length row / 2) + 1)
+    && Graph.degree g v = Array.length row
+  in
+  let pairs = ref [] in
+  Graph.iter_edges g (fun u v -> pairs := (u, v) :: !pairs);
+  let model_pairs =
+    List.concat
+      (List.init nodes (fun u ->
+           List.filter_map (fun v -> if u < v then Some (u, v) else None)
+             (Array.to_list adj.(u))))
+  in
+  List.for_all rows_ok (List.init nodes Fun.id)
+  && Graph.max_degree g = Array.fold_left (fun acc row -> max acc (Array.length row)) 0 adj
+  && List.rev !pairs = model_pairs
+  && List.for_all
+       (fun u ->
+         List.for_all
+           (fun v -> Graph.mem_edge g u v = Array.mem v adj.(u))
+           (List.init nodes Fun.id))
+       (List.init nodes Fun.id)
+
 let build_agrees { nodes; arcs } =
   let built =
     match Graph.create ~n:nodes ~edges:arcs with
-    | g -> Ok (Array.init nodes (Graph.neighbors g), Graph.m g)
+    | g -> Ok g
     | exception Invalid_argument m -> Error m
   in
   let model =
@@ -253,7 +293,10 @@ let build_agrees { nodes; arcs } =
     | r -> Ok r
     | exception Invalid_argument m -> Error m
   in
-  built = model
+  match (built, model) with
+  | Ok g, Ok (adj, m) -> Graph.m g = m && reads_agree g adj
+  | Error a, Error b -> a = b
+  | Ok _, Error _ | Error _, Ok _ -> false
 
 let prop_build_model =
   Alcotest.test_case "create matches the list-and-sort model" `Quick (fun () ->

@@ -229,6 +229,22 @@ let test_paranoid_thm1_stays_defeated () =
   let v = Game.thm1.Game.play ~paranoid:true ~n:25 (Portfolio.greedy ()) in
   check_bool "audited defeat" true v.Game.defeated
 
+(* The fixed-host games audit their runs under [~paranoid] too, and
+   the audit changes no verdict. *)
+let test_paranoid_fixed_host_games () =
+  List.iter
+    (fun (g, n, algorithm) ->
+      let plain = g.Game.play ~n (algorithm ()) in
+      let audited = g.Game.play ~paranoid:true ~n (algorithm ()) in
+      check_bool g.Game.name true (plain = audited))
+    [
+      (Game.thm2_torus, 13, Portfolio.greedy);
+      (Game.thm2_cylinder, 15, Portfolio.greedy);
+      (Game.thm3, 5, Portfolio.greedy);
+      (Game.upper_grid, 9, fun () -> Portfolio.ael ~t:1 ());
+      (Game.upper_grid_oracle, 9, fun () -> Online_local.Kp1_coloring.make ~k:2 ());
+    ]
+
 (* ---------------------------- fault matrix -------------------------- *)
 
 (* Pinned from a reference run; every row is deterministic (seeded
@@ -747,6 +763,7 @@ let () =
             test_rigged_repeated_presentation;
           Alcotest.test_case "adversary crash" `Quick test_rigged_adversary_crash;
           Alcotest.test_case "paranoid thm1" `Quick test_paranoid_thm1_stays_defeated;
+          Alcotest.test_case "paranoid fixed-host games" `Quick test_paranoid_fixed_host_games;
         ] );
       ( "matrix",
         [

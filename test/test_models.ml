@@ -315,6 +315,99 @@ let test_oracle_radius_extends_reveals () =
     "radius = locality + oracle radius" expected
     (List.sort compare (FH.revealed_host_nodes t))
 
+(* The replay audit passes the executor's own transcripts — random
+   orders, an oracle radius, locality 2, a run stopped after its first
+   step — and changes nothing in the outcome. *)
+let test_validate_accepts_honest_runs () =
+  let g2 = grid 9 9 in
+  let host = Topology.Grid2d.graph g2 in
+  let oracle ~to_host:_ =
+    { Models.Oracle.parts = 2; radius = 2; query = (fun _ hs -> Array.make (List.length hs) 0) }
+  in
+  let c7 = A.stateless ~name:"c7" ~locality:(fun ~n:_ -> 1) (fun _ -> 7) in
+  List.iter
+    (fun (name, run) ->
+      check_bool name true (run ~validate:false () = run ~validate:true ()))
+    [
+      ( "random order",
+        fun ~validate () ->
+          FH.run ~validate ~host ~palette:3 ~algorithm:A.greedy_first_fit
+            ~order:(FH.orders ~all:host (`Random 4)) () );
+      ( "oracle radius",
+        fun ~validate () ->
+          FH.run ~validate ~oracle ~host ~palette:3 ~algorithm:A.greedy_first_fit
+            ~order:(FH.orders ~all:host (`Random 5)) () );
+      ( "locality 2",
+        fun ~validate () ->
+          FH.run ~validate ~host ~palette:3 ~algorithm:(spy (ref [])) ~order:[ 40; 0; 41 ] () );
+      ( "stopped by a palette overflow",
+        fun ~validate () ->
+          FH.run ~validate ~host ~palette:3 ~algorithm:c7 ~order:[ 10; 11; 12 ] () );
+    ];
+  let t = FH.start ~host ~palette:3 ~algorithm:A.greedy_first_fit () in
+  List.iter
+    (fun v ->
+      ignore (FH.present t v);
+      FH.validate t)
+    [ 40; 42; 0; 80; 41 ]
+
+(* Validating an honest transcript against another radius is how the
+   audit is tampered with: one more misses a ball node, one less finds
+   a node revealed outside every ball or before its first ball. *)
+let test_validate_rejects_tampered_radius () =
+  let host = Graph.path_graph 10 in
+  let t = FH.start ~host ~palette:3 ~algorithm:A.greedy_first_fit () in
+  ignore (FH.present t 0);
+  ignore (FH.present t 5);
+  FH.validate t;
+  FH.validate ~radius:1 t;
+  Alcotest.check_raises "radius + 1"
+    (RS.Dishonest_transcript "validate: step 1's ball misses node 2") (fun () ->
+      FH.validate ~radius:2 t);
+  Alcotest.check_raises "radius - 1"
+    (RS.Dishonest_transcript "validate: node 1 revealed at step 1 outside every ball")
+    (fun () -> FH.validate ~radius:0 t);
+  let t = FH.start ~host ~palette:3 ~algorithm:A.greedy_first_fit () in
+  ignore (FH.present t 0);
+  ignore (FH.present t 3);
+  Alcotest.check_raises "revealed late"
+    (RS.Dishonest_transcript
+       "validate: node 2 revealed at step 2 but first containing ball is step 1")
+    (fun () -> FH.validate ~radius:2 t)
+
+(* [f ()] and every trace event it emits, in order, with a hook
+   installed. *)
+let traced f =
+  let events = ref [] in
+  Obs.Trace.set_hook (Some (fun ev -> events := ev :: !events));
+  let r = Fun.protect ~finally:(fun () -> Obs.Trace.set_hook None) f in
+  (r, List.rev !events)
+
+(* A run the algorithm loses is an honest transcript: its audit event
+   is [ok], so a flight recorder does not flush for it.  A repeated
+   presentation is the adversary's fault, and anomalous. *)
+let test_defeat_is_not_anomalous () =
+  let host = Graph.path_graph 6 in
+  let outcome, events =
+    traced (fun () ->
+        FH.run ~validate:true ~host ~palette:2 ~algorithm:A.greedy_first_fit
+          ~order:[ 0; 3; 1; 4; 2; 5 ] ())
+  in
+  check_bool "defeated" true
+    (outcome.RS.violation = Some (RS.Monochromatic_edge (2, 3)));
+  check_bool "nothing anomalous" false (List.exists Obs.Trace.anomalous events);
+  check_bool "audit ok, violation in detail" true
+    (List.exists
+       (function
+         | Obs.Trace.Audit { executor = "fixed_host"; ok = true; detail } ->
+             detail = "monochromatic edge 2 -- 3"
+         | _ -> false)
+       events);
+  let _, events =
+    traced (fun () -> FH.run ~host ~palette:2 ~algorithm:A.greedy_first_fit ~order:[ 0; 0 ] ())
+  in
+  check_bool "repeated presentation anomalous" true (List.exists Obs.Trace.anomalous events)
+
 let test_orders () =
   let host = Graph.path_graph 6 in
   Alcotest.(check (list int)) "sequential" [ 0; 1; 2; 3; 4; 5 ]
@@ -374,6 +467,11 @@ let () =
           Alcotest.test_case "ids and hints" `Quick test_ids_and_hints_plumbing;
           Alcotest.test_case "monotone reveals" `Quick test_spy_sees_monotone_reveals;
           Alcotest.test_case "orders" `Quick test_orders;
+          Alcotest.test_case "validate accepts honest runs" `Quick
+            test_validate_accepts_honest_runs;
+          Alcotest.test_case "validate rejects a tampered radius" `Quick
+            test_validate_rejects_tampered_radius;
+          Alcotest.test_case "a defeat is not anomalous" `Quick test_defeat_is_not_anomalous;
           Alcotest.test_case "oracle radius accounting" `Quick
             test_oracle_radius_extends_reveals;
           Alcotest.test_case "partial order partial coloring" `Quick

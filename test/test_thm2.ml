@@ -212,6 +212,28 @@ let test_fixed_host_rejects_foreign_nodes () =
       | exception Models.Run_stats.Dishonest_transcript _ -> ())
     [ 25; 100; -1 ]
 
+(* Every trace event [f] emits with a hook installed, and its result. *)
+let traced f =
+  let events = ref [] in
+  Obs.Trace.set_hook (Some (fun ev -> events := ev :: !events));
+  let r = Fun.protect ~finally:(fun () -> Obs.Trace.set_hook None) f in
+  (r, List.rev !events)
+
+(* The replay audit passes both runs of the attack and changes nothing
+   in its report, and the adversary's win traces nothing anomalous, so
+   a flight recorder keeps its ring. *)
+let test_validated_attack () =
+  List.iter
+    (fun wrap ->
+      let plain = T2.run ~wrap ~side:13 ~algorithm:A.greedy_first_fit () in
+      let audited, events =
+        traced (fun () -> T2.run ~validate:true ~wrap ~side:13 ~algorithm:A.greedy_first_fit ())
+      in
+      check_bool "defeated" true (defeated audited && audited.T2.reflected);
+      check_bool "same report" true (plain = audited);
+      check_bool "nothing anomalous" false (List.exists Obs.Trace.anomalous events))
+    [ `Toroidal; `Cylindrical ]
+
 let () =
   Alcotest.run "thm2-adversary"
     [
@@ -233,5 +255,6 @@ let () =
           Alcotest.test_case "below-threshold games end" `Quick test_below_threshold_games;
           Alcotest.test_case "fixed host rejects foreign nodes" `Quick
             test_fixed_host_rejects_foreign_nodes;
+          Alcotest.test_case "validated attack" `Quick test_validated_attack;
         ] );
     ]

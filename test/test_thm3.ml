@@ -14,6 +14,22 @@ let test_defeats_greedy () =
       check_bool "preconditions" true r.T3.preconditions_met)
     [ 3; 4 ]
 
+(* The replay audit passes every run of the attack, on the seam host
+   and on the plain one, and changes nothing in its report. *)
+let test_validated_attack () =
+  let reports =
+    List.map
+      (fun (k, gadgets) ->
+        let plain = T3.run ~k ~gadgets ~algorithm:A.greedy_first_fit () in
+        let audited = T3.run ~validate:true ~k ~gadgets ~algorithm:A.greedy_first_fit () in
+        check_bool "same report" true (plain = audited);
+        audited)
+      [ (3, 7); (4, 7); (3, 3) ]
+  in
+  check_bool "seam and plain hosts" true
+    (List.exists (fun r -> r.T3.seam_used) reports
+    && List.exists (fun r -> not r.T3.seam_used) reports)
+
 let test_gadget_rows_proper_on_plain () =
   (* The row-coloring baseline is proper on the plain chain... with only
      k colors, well inside the 2k-2 palette. *)
@@ -128,6 +144,7 @@ let () =
           Alcotest.test_case "baseline proper on plain" `Quick test_gadget_rows_proper_on_plain;
           Alcotest.test_case "classification conflict" `Quick test_classifications_conflict;
           Alcotest.test_case "seam choice" `Quick test_seam_choice_logic;
+          Alcotest.test_case "validated attack" `Quick test_validated_attack;
         ] );
       ( "validation",
         [
