@@ -4,7 +4,12 @@
     nodes enter when first seen and never leave, and edges are only ever
     added.  Handles are allocated densely in discovery order and stay
     valid forever, which is what lets an algorithm keep per-node state
-    across reveals.
+    across reveals.  The deferred-placement executor of Theorem 1
+    ([Online_local.Virtual_grid]) wires its region at every reveal; the
+    fixed-host executor ([Models.Fixed_host]) reads its host's rows and
+    wires its region only when an algorithm first reads
+    [View.neighbors], step by step as each reveal would have.
+    [Canon.of_dyn] reads a region too.
 
     {b Neighbor order.}  Algorithms observe {!neighbors} through
     [View.neighbors], so its order is part of every game's output.  It

@@ -21,8 +21,12 @@ type t = {
 exception Misbehaved of Misbehavior.t
 
 let () =
-  (* The printer keeps executor-recorded messages readable. *)
+  (* The printer keeps executor-recorded messages readable.  An executor
+     stores a contained exception's text next to its own backtrace, so a
+     raise prints as the algorithm's own exception, with no second
+     "raised:" tag or backtrace note. *)
   Printexc.register_printer (function
+    | Misbehaved (Misbehavior.Raised { message; _ }) -> Some message
     | Misbehaved m -> Some (Misbehavior.to_string m)
     | _ -> None)
 

@@ -11,10 +11,10 @@ let stateless ?pure:_ ~name ~locality f =
 
 let greedy_first_fit =
   let answer (view : View.t) =
-    let used =
-      List.filter_map (fun w -> view.View.output w) (view.View.neighbors view.View.target)
-    in
-    let rec first c = if List.mem c used then first (c + 1) else c in
+    let used = ref [] in
+    view.View.iter_neighbors view.View.target (fun w ->
+        match view.View.output w with Some c -> used := c :: !used | None -> ());
+    let rec first c = if List.mem c !used then first (c + 1) else c in
     let candidate = first 0 in
     if candidate < view.View.palette then candidate else 0
   in

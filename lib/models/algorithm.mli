@@ -28,7 +28,9 @@ val greedy_first_fit : t
     already-output neighbor, or color 0 when stuck (which then shows up
     as a monochromatic edge — greedy cannot refuse to answer).  This is
     the classic SLOCAL (degree+1)-coloring specialised to a fixed
-    palette, and the first victim of every adversary in this library. *)
+    palette, and the first victim of every adversary in this library.
+    Its answer does not depend on neighbor order, so it collects the
+    neighbors' colors over [View.iter_neighbors]. *)
 
 val hint_parity : t
 (** Colors by coordinate parity taken from grid hints, using colors

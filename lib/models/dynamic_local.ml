@@ -92,12 +92,19 @@ let ball w center radius =
     List.sort compare !out
   end
 
-let make_view w ~n_hint ~palette ~target ~new_nodes =
+(* The accessors, built once per run; [target] and [new_nodes] are set
+   per change. *)
+let make_view w ~n_hint ~palette =
   {
     View.n_total = n_hint;
     palette;
     node_count = (fun () -> w.next);
     neighbors = (fun v -> neighbors w v);
+    iter_neighbors =
+      (fun v f ->
+        match Hashtbl.find_opt w.adj v with
+        | None -> ()
+        | Some tbl -> Hashtbl.iter (fun x () -> f x) tbl);
     mem_edge =
       (fun u v ->
         match Hashtbl.find_opt w.adj u with
@@ -106,13 +113,14 @@ let make_view w ~n_hint ~palette ~target ~new_nodes =
     id = (fun v -> v + 1);
     output = (fun v -> Hashtbl.find_opt w.labels v);
     hint = (fun _ -> None);
-    target;
-    new_nodes;
+    target = -1;
+    new_nodes = [];
     step = 0;
   }
 
 let run ?(allow_deletions = false) ~n_hint ~palette ~algorithm ~updates () =
   let w = { next = 0; adj = Hashtbl.create 256; labels = Hashtbl.create 256 } in
+  let base = make_view w ~n_hint ~palette in
   let radius = algorithm.locality ~n:n_hint in
   let violation = ref None in
   let relabelings = ref 0 in
@@ -135,7 +143,7 @@ let run ?(allow_deletions = false) ~n_hint ~palette ~algorithm ~updates () =
     end
   in
   let react step change ~new_nodes =
-    let view = make_view w ~n_hint ~palette ~target:change ~new_nodes in
+    let view = { base with View.target = change; new_nodes } in
     let changes = algorithm.react ~n:n_hint ~palette view in
     let allowed = ball w change radius in
     List.iter

@@ -5,14 +5,15 @@ type t = {
   palette : int;
   mutable radius : int;  (* locality + oracle radius; fixed after [start] *)
   mutable instance : Algorithm.instance;  (* fixed after [start] *)
-  region : Dyn_graph.t;
+  view : View.t;  (* the accessors; a step copies them with its own fields *)
+  region : Dyn_graph.t;  (* the first [wired] steps' handles and edges *)
+  mutable wired : int;  (* steps wired into [region] *)
   frontier : Bfs.Frontier.t;  (* incremental revealed-view state *)
   handle_of_host : int array;  (* host node -> handle; -1 = unrevealed *)
+  mutable count : int;  (* handles allocated: the revealed region's size *)
   mutable host_of_handle : Graph.node array;  (* grown by doubling *)
   mutable targets : Graph.node array;  (* step s's presented node at s - 1; grown by doubling *)
   mutable first_fresh : int array;  (* step s's first fresh handle at s - 1; grown with [targets] *)
-  ids : Graph.node -> int;
-  hints : Graph.node -> View.hint option;  (* by host node *)
   coloring : Colorings.Coloring.t;
   presented_set : Packed.Set.t;
   mutable steps : int;
@@ -29,32 +30,89 @@ let doubled a =
   bigger
 
 let record_handle t host_node =
-  let handle = Dyn_graph.add_node t.region in
+  let handle = t.count in
   if handle >= Array.length t.host_of_handle then
     t.host_of_handle <- doubled t.host_of_handle;
   t.host_of_handle.(handle) <- host_node;
   t.handle_of_host.(host_node) <- handle;
+  t.count <- handle + 1;
   handle
+
+(* The revealed region is the host's subgraph induced on the revealed
+   nodes, so [iter_neighbors] and [mem_edge] read the host rows through
+   the handle map.  Their error for an unknown handle is the region
+   graph's. *)
+let check t h = if h < 0 || h >= t.count then invalid_arg "Dyn_graph: unknown handle"
+
+let iter_neighbors t h f =
+  check t h;
+  Graph.iter_neighbors t.host t.host_of_handle.(h) (fun w ->
+      let hw = t.handle_of_host.(w) in
+      if hw >= 0 then f hw)
+
+let mem_edge t a b =
+  check t a;
+  check t b;
+  Graph.mem_edge t.host t.host_of_handle.(a) t.host_of_handle.(b)
+
+(* [neighbors]' order is [region]'s, which depends only on the order its
+   edges were added (dyn_graph.mli).  So the region is wired on the
+   first call that needs it, step by step as if each step had wired it
+   on reveal: the step's fresh handles in order, each over its host
+   row, to every handle revealed by the end of that step. *)
+let wire t =
+  for s = t.wired + 1 to t.steps do
+    let lo = t.first_fresh.(s - 1) in
+    let hi = if s < t.steps then t.first_fresh.(s) else t.count in
+    for _ = lo to hi - 1 do
+      ignore (Dyn_graph.add_node t.region : int)
+    done;
+    for h = lo to hi - 1 do
+      Graph.iter_neighbors t.host t.host_of_handle.(h) (fun w ->
+          let hw = t.handle_of_host.(w) in
+          if hw >= 0 && hw < hi then Dyn_graph.add_edge t.region h hw)
+    done
+  done;
+  t.wired <- t.steps
+
+let neighbors t h =
+  if t.wired < t.steps then wire t;
+  Dyn_graph.neighbors t.region h
 
 let start ?ids ?hints ?oracle ~host ~palette ~algorithm () =
   let n = Graph.n host in
   let ids = match ids with Some f -> f | None -> fun v -> v + 1 in
   let hints = match hints with Some f -> f | None -> fun _ -> None in
   let locality = algorithm.Algorithm.locality ~n in
-  let t =
+  let rec t =
     {
       host;
       palette;
       radius = locality;
       instance = (fun _ -> assert false);
+      view =
+        {
+          View.n_total = n;
+          palette;
+          node_count = (fun () -> t.count);
+          neighbors = (fun h -> neighbors t h);
+          iter_neighbors = (fun h f -> iter_neighbors t h f);
+          mem_edge = (fun a b -> mem_edge t a b);
+          id = (fun h -> ids (to_host t h));
+          output = (fun h -> Colorings.Coloring.get t.coloring (to_host t h));
+          hint = (fun h -> hints (to_host t h));
+          target = -1;
+          new_nodes = [];
+          step = 0;
+        };
       region = Dyn_graph.create ();
+      wired = 0;
       frontier = Bfs.Frontier.create host;
       handle_of_host = Array.make (max n 1) (-1);
+      count = 0;
       host_of_handle = Array.make 16 (-1);
       targets = Array.make 16 (-1);
       first_fresh = Array.make 16 0;
-      ids;
-      hints;
       coloring = Colorings.Coloring.create n;
       presented_set = Packed.Set.create (max n 1);
       steps = 0;
@@ -67,36 +125,11 @@ let start ?ids ?hints ?oracle ~host ~palette ~algorithm () =
   t.instance <- algorithm.Algorithm.instantiate ~n ~palette ~oracle;
   t
 
+(* Extend the region from the previous frontier; returns the new handles
+   in order.  [Frontier.reveal] yields exactly the nodes of
+   [B(center, radius)] not yet revealed, ascending, at O(frontier) cost. *)
 let reveal_ball t center =
-  (* Extend the region from the previous frontier; returns new handles in
-     order.  [Frontier.reveal] yields exactly the nodes of
-     [B(center, radius)] not yet revealed, ascending — byte-identical to
-     the batch [Bfs.ball]-then-filter it replaces, at O(frontier) cost. *)
-  let fresh = Bfs.Frontier.reveal t.frontier center t.radius in
-  let fresh_handles = List.map (fun v -> record_handle t v) fresh in
-  List.iter
-    (fun v ->
-      let hv = t.handle_of_host.(v) in
-      Graph.iter_neighbors t.host v (fun w ->
-          let hw = t.handle_of_host.(w) in
-          if hw >= 0 then Dyn_graph.add_edge t.region hv hw))
-    fresh;
-  fresh_handles
-
-let make_view t ~target ~new_nodes =
-  {
-    View.n_total = Graph.n t.host;
-    palette = t.palette;
-    node_count = (fun () -> Dyn_graph.n t.region);
-    neighbors = (fun h -> Dyn_graph.neighbors t.region h);
-    mem_edge = (fun a b -> Dyn_graph.mem_edge t.region a b);
-    id = (fun h -> t.ids (to_host t h));
-    output = (fun h -> Colorings.Coloring.get t.coloring (to_host t h));
-    hint = (fun h -> t.hints (to_host t h));
-    target;
-    new_nodes;
-    step = t.steps;
-  }
+  List.map (record_handle t) (Bfs.Frontier.reveal t.frontier center t.radius)
 
 (* An order entry outside the host is an adversary bug, certified before
    any per-node table is indexed with it. *)
@@ -118,10 +151,10 @@ let present t v =
     t.first_fresh <- doubled t.first_fresh
   end;
   t.targets.(t.steps) <- v;
-  t.first_fresh.(t.steps) <- Dyn_graph.n t.region;
+  t.first_fresh.(t.steps) <- t.count;
   t.steps <- t.steps + 1;
   let new_nodes = reveal_ball t v in
-  t.max_view <- max t.max_view (Dyn_graph.n t.region);
+  t.max_view <- max t.max_view t.count;
   if Obs.Trace.on () then begin
     Obs.Trace.emit
       (Obs.Trace.Reveal
@@ -129,7 +162,7 @@ let present t v =
            executor = "fixed_host";
            step = t.steps;
            fresh = List.length new_nodes;
-           revealed = Dyn_graph.n t.region;
+           revealed = t.count;
          });
     Obs.Trace.emit
       (Obs.Trace.Step
@@ -137,13 +170,13 @@ let present t v =
            executor = "fixed_host";
            step = t.steps;
            target = v;
-           revealed = Dyn_graph.n t.region;
+           revealed = t.count;
            max_view = t.max_view;
          })
   end;
   let target = t.handle_of_host.(v) in
   let color =
-    match t.instance (make_view t ~target ~new_nodes) with
+    match t.instance { t.view with target; new_nodes; step = t.steps } with
     | c -> c
     | exception ((Stack_overflow | Out_of_memory | Sys.Break) as e) -> raise e
     | exception exn ->
@@ -164,7 +197,7 @@ let present t v =
 let coloring t = t.coloring
 
 let revealed_host_nodes t =
-  List.init (Dyn_graph.n t.region) (fun h -> t.host_of_handle.(h))
+  List.init t.count (fun h -> t.host_of_handle.(h))
 
 let dishonest fmt = Printf.ksprintf (fun m -> raise (Run_stats.Dishonest_transcript m)) fmt
 
@@ -173,7 +206,7 @@ let dishonest fmt = Printf.ksprintf (fun m -> raise (Run_stats.Dishonest_transcr
    every ball with its own bounded BFS over the host, so it shares no
    code with [Bfs.Frontier] or [Dyn_graph]'s bookkeeping. *)
 let check_transcript t ~radius =
-  let n = Graph.n t.host and count = Dyn_graph.n t.region in
+  let n = Graph.n t.host and count = t.count in
   (* The handle map must be a bijection onto the revealed host nodes. *)
   let handle = Array.make n (-1) in
   for h = 0 to count - 1 do
@@ -192,7 +225,7 @@ let check_transcript t ~radius =
     let expected = ref [] in
     Graph.iter_neighbors t.host t.host_of_handle.(h) (fun w ->
         if handle.(w) >= 0 then expected := handle.(w) :: !expected);
-    if List.sort compare !expected <> List.sort compare (Dyn_graph.neighbors t.region h)
+    if List.sort compare !expected <> List.sort compare (neighbors t h)
     then dishonest "validate: handle %d's region neighbors are not its host neighbors" h
   done;
   (* [first.(v)]: the first step whose radius-[radius] ball holds [v],
@@ -280,14 +313,14 @@ let audit t =
          });
   if Obs.Stats.on () then begin
     Obs.Stats.observe "fixed_host.presented" t.steps;
-    Obs.Stats.observe "fixed_host.revealed" (Dyn_graph.n t.region);
+    Obs.Stats.observe "fixed_host.revealed" t.count;
     Obs.Stats.observe "fixed_host.max_view" t.max_view
   end;
   {
     Run_stats.coloring = t.coloring;
     violation;
     presented = t.steps;
-    revealed = Dyn_graph.n t.region;
+    revealed = t.count;
     max_view_size = t.max_view;
   }
 

@@ -8,8 +8,16 @@
     adversary of Theorem 1 needs the richer executor in the core library.
 
     Per presented node [v] the executor reveals the host ball
-    [B(v, T + oracle_radius)], extends the revealed region, and asks the
-    algorithm instance for the color of [v].
+    [B(v, T + oracle_radius)] and asks the algorithm instance for the
+    color of [v].  The revealed graph is the host's subgraph induced on
+    the union of the balls, so the view's [node_count], [iter_neighbors]
+    and [mem_edge] read the host's rows through the handle map.  Only
+    [neighbors] needs a region graph ({!Grid_graph.Dyn_graph}), whose
+    order it shows; the executor wires that graph on the first
+    [neighbors] call that needs it, each pending step as it would have
+    been wired on reveal (the step's fresh handles in order, each over
+    its host row, to every handle revealed by the end of that step), so
+    the order is the one a region wired at every reveal has.
 
     {2 Cost model}
 
@@ -19,9 +27,17 @@
     O(revealed region) and not O(host).  Handle lookup is a flat array
     read, presented-twice detection a dense byte set: both O(1) and
     allocation-free.  Per step the executor allocates only the fresh
-    handle list, the view closure record, and (while a trace sink is
-    on) the trace events; it records the step's target and first fresh
-    handle in two flat arrays, grown by doubling, for {!validate}.  See
+    handle list, one view record (its accessors are built once per
+    run) and, while a trace sink is on, the trace events; it records
+    the step's target and first fresh handle in two flat arrays, grown
+    by doubling, for {!validate}.
+
+    [iter_neighbors] reads the host row in O(degree) with one closure
+    per call, [mem_edge] in O(log degree).  The first [neighbors] call
+    of a step wires the region up to that step, at the cost of the
+    wiring it defers (every induced edge of those steps inserted into
+    [Dyn_graph]); a run whose algorithm never calls [neighbors] (greedy,
+    constant and hint-only algorithms) wires nothing.  See
     [lib/online_local/README.md]. *)
 
 type t
@@ -68,9 +84,10 @@ val validate : ?radius:int -> t -> unit
     radius) by a bounded BFS over the host with a stamp array, sharing
     no code with {!Grid_graph.Bfs.Frontier} or {!Grid_graph.Dyn_graph}.
     It checks that the handle map is a bijection onto the revealed host
-    nodes, that the region graph is the host's subgraph induced on
-    them, and that every node was revealed exactly at the first
-    presented ball that contains it, and never outside every ball.  A
+    nodes, that the region graph (wired first, if it is behind) is the
+    host's subgraph induced on them, and that every node was revealed
+    exactly at the first presented ball that contains it, and never
+    outside every ball.  A
     [radius] other than the executor's makes an honest transcript fail
     (that is how the audit is tested).
     @raise Run_stats.Dishonest_transcript with a diagnostic on the first

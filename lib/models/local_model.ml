@@ -23,6 +23,7 @@ let ball_view ~ids ~host ~palette ~radius ~center ~outputs =
     palette;
     node_count = (fun () -> Array.length host_of);
     neighbors;
+    iter_neighbors = (fun h f -> List.iter f (neighbors h));
     mem_edge =
       (fun a b ->
         a < Array.length host_of && b < Array.length host_of
@@ -58,15 +59,18 @@ let to_online t =
     let handle_of = Hashtbl.create (List.length nodes * 2 + 1) in
     List.iteri (fun i h -> Hashtbl.replace handle_of h i) nodes;
     let old_of = Array.of_list nodes in
+    let neighbors h =
+      List.filter_map
+        (fun w -> Hashtbl.find_opt handle_of w)
+        (view.View.neighbors old_of.(h))
+    in
     let sub =
       {
-        view with
-        View.node_count = (fun () -> Array.length old_of);
-        neighbors =
-          (fun h ->
-            List.filter_map
-              (fun w -> Hashtbl.find_opt handle_of w)
-              (view.View.neighbors old_of.(h)));
+        View.n_total = view.View.n_total;
+        palette = view.View.palette;
+        node_count = (fun () -> Array.length old_of);
+        neighbors;
+        iter_neighbors = (fun h f -> List.iter f (neighbors h));
         mem_edge = (fun a b -> view.View.mem_edge old_of.(a) old_of.(b));
         id = (fun h -> view.View.id old_of.(h));
         output = (fun _ -> None);

@@ -29,15 +29,18 @@ let to_online t =
     let handle_of = Hashtbl.create (List.length nodes * 2 + 1) in
     List.iteri (fun i h -> Hashtbl.replace handle_of h i) nodes;
     let old_of = Array.of_list nodes in
+    let neighbors h =
+      List.filter_map
+        (fun w -> Hashtbl.find_opt handle_of w)
+        (view.View.neighbors old_of.(h))
+    in
     let sub =
       {
-        view with
-        View.node_count = (fun () -> Array.length old_of);
-        neighbors =
-          (fun h ->
-            List.filter_map
-              (fun w -> Hashtbl.find_opt handle_of w)
-              (view.View.neighbors old_of.(h)));
+        View.n_total = view.View.n_total;
+        palette = view.View.palette;
+        node_count = (fun () -> Array.length old_of);
+        neighbors;
+        iter_neighbors = (fun h f -> List.iter f (neighbors h));
         mem_edge = (fun a b -> view.View.mem_edge old_of.(a) old_of.(b));
         id = (fun h -> view.View.id old_of.(h));
         output = (fun h -> view.View.output old_of.(h));

@@ -10,6 +10,7 @@ type t = {
   palette : int;
   node_count : unit -> int;
   neighbors : Graph.node -> Graph.node list;
+  iter_neighbors : Graph.node -> (Graph.node -> unit) -> unit;
   mem_edge : Graph.node -> Graph.node -> bool;
   id : Graph.node -> int;
   output : Graph.node -> int option;

@@ -32,7 +32,17 @@ type t = {
   palette : int;  (** number of allowed colors *)
   node_count : unit -> int;  (** handles allocated so far *)
   neighbors : Grid_graph.Graph.node -> Grid_graph.Graph.node list;
-      (** revealed neighbors of a revealed handle *)
+      (** revealed neighbors of a revealed handle, in the executor's
+          order: for [Fixed_host] and the deferred executor, the
+          order [Grid_graph.Dyn_graph] documents.  That order is part of
+          every game's output, so an algorithm whose answers depend on
+          neighbor order must read this field. *)
+  iter_neighbors : Grid_graph.Graph.node -> (Grid_graph.Graph.node -> unit) -> unit;
+      (** [iter_neighbors h f] calls [f] once on each revealed neighbor
+          of [h]: the set [neighbors] lists, in an unspecified order,
+          without building the list.  [Fixed_host] reads it from the
+          host row without wiring its region graph, which only
+          [neighbors] needs. *)
   mem_edge : Grid_graph.Graph.node -> Grid_graph.Graph.node -> bool;
   id : Grid_graph.Graph.node -> int;  (** the adversary-assigned unique identifier *)
   output : Grid_graph.Graph.node -> int option;

@@ -74,6 +74,10 @@ let referee ?(limits = G.default_limits) ~adversary ~n algorithm play =
        executor turned it into: the executor only sees a generic
        exception, the guard knows it was a budget/deadline/raise. *)
     match (G.fault guard, result) with
+    (* The executor contained the guard's exception and its record, in
+       the adversary's report, already states the cause. *)
+    | Some m, Ok (`Defeated (Models.Run_stats.Algorithm_failure _), detail, _) ->
+        (Algorithm_fault m, detail)
     | Some m, Ok (_, detail, _) -> (Algorithm_fault m, M.to_string m ^ "; " ^ detail)
     | Some m, Error _ -> (Algorithm_fault m, M.to_string m)
     (* An exception escaping the adversary's own code is an adversary

@@ -64,6 +64,7 @@ let make_a_view m ~n2 ~palette_a ~target ~new_nodes =
     palette = palette_a;
     node_count = (fun () -> m.count);
     neighbors = (fun a -> a_neighbors m a);
+    iter_neighbors = (fun a f -> List.iter f (a_neighbors m a));
     mem_edge =
       (fun a b ->
         let h1, t1 = m.back.(a) and h2, t2 = m.back.(b) in

@@ -33,13 +33,19 @@ type t = {
   mutable by_fid : frame_state array;  (* fid -> frame, for fid < next_fid *)
   mutable next_fid : int;
   instance : Models.Algorithm.instance Lazy.t ref;
+  view : V.t;  (* the accessors; a step copies them with its own fields *)
   mutable targets : int list;  (* reverse presentation order *)
   mutable steps : int;
   mutable first_violation : Models.Run_stats.violation option;
 }
 
+(* The frame column of a handle. *)
+let frame_col t h = t.by_fid.(t.frame_ids.(h)).orient * Coord.col t.coords.(h)
+
+let output_opt t h = let c = t.outputs.(h) in if c < 0 then None else Some c
+
 let create ~palette ~n_total ~radius ~algorithm () =
-  let t =
+  let rec t =
     {
       palette;
       n_total;
@@ -53,6 +59,33 @@ let create ~palette ~n_total ~radius ~algorithm () =
       by_fid = [||];
       next_fid = 0;
       instance = ref (lazy (fun _ -> 0));
+      view =
+        {
+          V.n_total;
+          palette;
+          node_count = (fun () -> Dyn_graph.n t.region);
+          neighbors = (fun h -> Dyn_graph.neighbors t.region h);
+          iter_neighbors =
+            (fun h f ->
+              for i = 0 to Dyn_graph.degree t.region h - 1 do
+                f (Dyn_graph.neighbor t.region h i)
+              done);
+          mem_edge = (fun a b -> Dyn_graph.mem_edge t.region a b);
+          id = (fun h -> h + 1);
+          output = (fun h -> output_opt t h);
+          hint =
+            (fun h ->
+              Some
+                (V.Grid_pos
+                   {
+                     frame = t.frame_ids.(h);
+                     row = Coord.row t.coords.(h);
+                     col = frame_col t h;
+                   }));
+          target = -1;
+          new_nodes = [];
+          step = 0;
+        };
       targets = [];
       steps = 0;
       first_violation = None;
@@ -111,15 +144,10 @@ let check_alive f op =
 
 let is_empty f = f.row_hi < f.row_lo
 
-(* The frame column of a handle. *)
-let frame_col t h = t.by_fid.(t.frame_ids.(h)).orient * Coord.col t.coords.(h)
-
 let handle_at _t f ~row ~col =
   if Coord.in_range row col then
     Ptable.find_opt f.table (Coord.pack row (f.orient * col))
   else None
-
-let output_opt t h = let c = t.outputs.(h) in if c < 0 then None else Some c
 
 let color_at t f ~row ~col =
   match handle_at t f ~row ~col with
@@ -183,29 +211,6 @@ let wire t f h k =
   let h' = Ptable.find_default f.table k ~default:(-1) in
   if h' >= 0 then Dyn_graph.add_edge t.region h h'
 
-let make_view t ~target ~new_nodes =
-  {
-    V.n_total = t.n_total;
-    palette = t.palette;
-    node_count = (fun () -> Dyn_graph.n t.region);
-    neighbors = (fun h -> Dyn_graph.neighbors t.region h);
-    mem_edge = (fun a b -> Dyn_graph.mem_edge t.region a b);
-    id = (fun h -> h + 1);
-    output = (fun h -> output_opt t h);
-    hint =
-      (fun h ->
-        Some
-          (V.Grid_pos
-             {
-               frame = t.frame_ids.(h);
-               row = Coord.row t.coords.(h);
-               col = frame_col t h;
-             }));
-    target;
-    new_nodes;
-    step = t.steps;
-  }
-
 let present t f ~row ~col =
   check_alive f "present";
   (* One range check per presentation covers the whole diamond plus the
@@ -264,7 +269,7 @@ let present t f ~row ~col =
          })
   end;
   let color =
-    match (Lazy.force !(t.instance)) (make_view t ~target ~new_nodes) with
+    match (Lazy.force !(t.instance)) { t.view with target; new_nodes; step = t.steps } with
     | c -> c
     | exception ((Stack_overflow | Out_of_memory | Sys.Break) as e) -> raise e
     | exception exn ->

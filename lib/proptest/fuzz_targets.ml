@@ -693,77 +693,148 @@ let wire_codec =
 
 (* Differential for the incremental executor core: the real
    {!Models.Fixed_host} executor (incremental {!Grid_graph.Bfs.Frontier}
-   reveals, flat handle map, packed presented set) against a reference
-   replay of the pre-incremental reveal rule from first principles — per
-   presented node, a batch [Bfs.ball] over the whole host filtered
-   against the revealed-so-far set.  Per step the fresh host-node list
-   must agree, order included: handle numbering is observable through
-   greedy first-fit. *)
+   reveals, flat handle map, packed presented set, the view read from
+   the host rows) against a reference replay from first principles.
+   Per step:
+   - the fresh host-node list must equal a batch [Bfs.ball] over the
+     whole host filtered against the revealed-so-far set, order
+     included: handle numbering is observable through greedy first-fit;
+   - every [stride]-th step (1 to 3, so one read may wire several
+     steps), every handle's [View.neighbors] must equal, order
+     included, the definition in dyn_graph.mli: a per-node stdlib
+     [Hashtbl.create 4], filled by [replace] as the region was wired
+     (each step's fresh nodes in handle order, each over its host row,
+     both endpoints) and read with a consing fold.  The reference
+     shares no code with [Dyn_graph] or [Fixed_host]. *)
+
+(* Hosts the executor plays on: simple grids, tori and cylinders, thm2
+   variant hosts and gadget chains (k = 5 passes degree 32, where the
+   bucket count doubles). *)
+let executor_host =
+  Gen.bind (Gen.int_range 0 3) (function
+    | 0 ->
+        Gen.map
+          (fun g ->
+            (Printf.sprintf "grid %dx%d" (Grid2d.rows g) (Grid2d.cols g), Grid2d.graph g))
+          (Domain_gen.simple_grid ~rows:(2, 6) ~cols:(2, 6))
+    | 1 ->
+        Gen.map3
+          (fun torus rows cols ->
+            let wrap = if torus then Grid2d.Toroidal else Grid2d.Cylindrical in
+            ( Printf.sprintf "%s %dx%d" (if torus then "torus" else "cylinder") rows cols,
+              Grid2d.graph (Grid2d.create wrap ~rows ~cols) ))
+          Gen.bool (Gen.int_range 3 6) (Gen.int_range 3 6)
+    | 2 ->
+        Gen.map3
+          (fun torus (rows, cols) (lo, span) ->
+            let band_lo = lo mod rows in
+            let band_hi = min (rows - 1) (band_lo + span) in
+            ( Printf.sprintf "thm2 %s %dx%d band %d..%d"
+                (if torus then "torus" else "cylinder") rows cols band_lo band_hi,
+              Online_local.Thm2_adversary.variant_host
+                ~wrap:(if torus then `Toroidal else `Cylindrical)
+                ~rows ~cols ~reflect:true ~band_lo ~band_hi ))
+          Gen.bool
+          (Gen.pair (Gen.int_range 3 7) (Gen.int_range 3 7))
+          (Gen.pair (Gen.int_range 0 6) (Gen.int_range 0 3))
+    | _ ->
+        Gen.map2
+          (fun k gadgets ->
+            ( Printf.sprintf "gadgets k=%d x%d" k gadgets,
+              Topology.Gadget.graph (Topology.Gadget.create ~k ~gadgets ()) ))
+          (Gen.int_range 3 5) (Gen.int_range 1 3))
 
 let view_incremental =
   let gen =
-    Gen.bind (Domain_gen.simple_grid ~rows:(2, 6) ~cols:(2, 6)) (fun grid ->
-        Gen.map2
-          (fun (alg_name, algorithm) order -> (grid, alg_name, algorithm, order))
-          Domain_gen.grid_algorithm
-          (Domain_gen.order (Grid2d.graph grid)))
+    Gen.bind executor_host (fun ((_, host) as named) ->
+        Gen.map3
+          (fun (alg_name, algorithm) order stride ->
+            (named, alg_name, algorithm, order, stride))
+          Domain_gen.grid_algorithm (Domain_gen.order host) (Gen.int_range 1 3))
   in
-  let print (grid, alg_name, _, order) =
-    Printf.sprintf "grid %dx%d alg=%s order=[%s]" (Grid2d.rows grid)
-      (Grid2d.cols grid) alg_name
+  let print ((name, _), alg_name, _, order, stride) =
+    Printf.sprintf "%s alg=%s stride=%d order=[%s]" name alg_name stride
       (String.concat ";" (List.map string_of_int order))
   in
-  let prop (grid, _, algorithm, order) =
-    let host = Grid2d.graph grid in
+  let prop ((_, host), _, algorithm, order, stride) =
     let palette = 3 in
     let radius = algorithm.Models.Algorithm.locality ~n:(Graph.n host) in
-    (* Per-step transcript of one real execution: (node, fresh host
-       nodes in handle order, answered color).  Stops where [run]
-       stops — on the first out-of-palette answer (an algorithm raise
-       surfaces as color -1). *)
-    let transcript =
-      let t = Models.Fixed_host.start ~host ~palette ~algorithm () in
-      let steps = ref [] in
-      let stop = ref false in
-      List.iter
-        (fun v ->
-          if not !stop then begin
-            let before =
-              List.length (Models.Fixed_host.revealed_host_nodes t)
-            in
-            let color = Models.Fixed_host.present t v in
-            let fresh =
-              List.filteri
-                (fun i _ -> i >= before)
-                (Models.Fixed_host.revealed_host_nodes t)
-            in
-            steps := (v, fresh, color) :: !steps;
-            if color < 0 || color >= palette then stop := true
-          end)
-        order;
-      List.rev !steps
+    (* The real execution, stopped where [run] stops: on the first
+       out-of-palette answer (an algorithm raise surfaces as color -1).
+       The algorithm is wrapped to keep each step's view, which still
+       shows that step after [present] returns. *)
+    let view = ref None in
+    let spy =
+      {
+        algorithm with
+        Models.Algorithm.instantiate =
+          (fun ~n ~palette ~oracle ->
+            let inner = algorithm.Models.Algorithm.instantiate ~n ~palette ~oracle in
+            fun v ->
+              view := Some v;
+              inner v);
+      }
     in
-    (* Reference reveal bookkeeping, replayed over the real transcript's
-       steps: batch ball minus already-revealed, both in ascending host
-       order. *)
-    let revealed = Hashtbl.create 64 in
-    List.for_all
-      (fun (v, fresh, _) ->
-        let expect =
-          List.filter
-            (fun u -> not (Hashtbl.mem revealed u))
-            (Grid_graph.Bfs.ball host [ v ] radius)
-        in
-        List.iter (fun u -> Hashtbl.replace revealed u ()) expect;
-        fresh = expect)
-      transcript
+    let t = Models.Fixed_host.start ~host ~palette ~algorithm:spy () in
+    (* The reference: each revealed host node's handle, in reveal order,
+       and one [Hashtbl] of neighbor handles per handle. *)
+    let handle_of = Hashtbl.create 64 and tables = Hashtbl.create 64 in
+    let wire h h' = Hashtbl.replace (Hashtbl.find tables h) h' () in
+    let rec go step = function
+      | [] -> true
+      | v :: rest ->
+          let before = Hashtbl.length handle_of in
+          let color = Models.Fixed_host.present t v in
+          let fresh =
+            List.filter
+              (fun u -> not (Hashtbl.mem handle_of u))
+              (Grid_graph.Bfs.ball host [ v ] radius)
+          in
+          List.iter
+            (fun u ->
+              let h = Hashtbl.length handle_of in
+              Hashtbl.replace handle_of u h;
+              Hashtbl.replace tables h (Hashtbl.create ~random:false 4))
+            fresh;
+          List.iter
+            (fun u ->
+              let h = Hashtbl.find handle_of u in
+              Graph.iter_neighbors host u (fun w ->
+                  match Hashtbl.find_opt handle_of w with
+                  | Some h' ->
+                      wire h h';
+                      wire h' h
+                  | None -> ()))
+            fresh;
+          let count = Hashtbl.length handle_of in
+          let real_fresh =
+            List.filteri (fun i _ -> i >= before) (Models.Fixed_host.revealed_host_nodes t)
+          in
+          let same_order =
+            match !view with
+            | None -> false
+            | Some view ->
+                view.Models.View.node_count () = count
+                && (step mod stride <> 0
+                   || List.for_all
+                        (fun h ->
+                          view.Models.View.neighbors h
+                          = Hashtbl.fold (fun w () acc -> w :: acc) (Hashtbl.find tables h) [])
+                        (List.init count Fun.id))
+          in
+          real_fresh = fresh && same_order
+          && (color < 0 || color >= palette || go (step + 1) rest)
+    in
+    go 1 order
   in
   {
     name = "view-incremental";
     doc =
-      "Fixed_host executor differential: incremental Frontier reveals vs a \
+      "Fixed_host executor differential on grids, tori, cylinders, thm2 \
+       variant hosts and gadget chains: incremental Frontier reveals vs a \
        batch ball-and-filter reference agree on every per-step fresh-node \
-       list";
+       list, and every handle's neighbor order equals a per-node Hashtbl \
+       filled in wiring order";
     max_cases = None;
     available = always_available;
     packed = Packed { gen; print; prop };

@@ -81,6 +81,19 @@ let test_verdict_renders () =
   let s = Format.asprintf "%a" Game.pp_verdict v in
   check_bool "mentions adversary" true (contains ~needle:"thm3" s)
 
+(* An algorithm fault names its cause, and that a backtrace was
+   recorded, once: the guard's exception reaches the executor's record
+   as the algorithm's own exception text. *)
+let test_algorithm_fault_line_pinned () =
+  let v = Game.thm2_torus.Game.play ~n:41 (Portfolio.ael ~t:1 ()) in
+  Alcotest.(check string)
+    "verdict"
+    "thm2-torus vs ael-3coloring-bipartite (n=41): ALGORITHM-FAULT (raised) [guaranteed]\n\
+     result=DEFEATED (algorithm raised on node 41: Invalid_argument(\"kp1: inconsistent \
+     bipartite contacts (host not bipartite?)\") [backtrace recorded]) s_east=0 s_west=0 \
+     reflected=false presented=1 preconditions=true"
+    (Format.asprintf "%a" Game.pp_verdict v)
+
 (* The game_verdict trace event carries the verdict's own guaranteed
    flag, which thm2 and thm3 take from their run's preconditions. *)
 let test_traced_flag_agrees () =
@@ -124,6 +137,8 @@ let () =
           Alcotest.test_case "upper games survivable" `Quick test_upper_games_survivable;
           Alcotest.test_case "portfolio total" `Quick test_portfolio_run_games_total;
           Alcotest.test_case "verdict renders" `Quick test_verdict_renders;
+          Alcotest.test_case "algorithm fault line pinned" `Quick
+            test_algorithm_fault_line_pinned;
           Alcotest.test_case "traced flag agrees" `Quick test_traced_flag_agrees;
         ] );
     ]

@@ -152,6 +152,7 @@ let dummy_view =
     palette = 3;
     node_count = (fun () -> 1);
     neighbors = (fun _ -> []);
+    iter_neighbors = (fun _ _ -> ());
     mem_edge = (fun _ _ -> false);
     id = (fun h -> h);
     output = (fun _ -> None);

@@ -121,6 +121,237 @@ let test_spy_sees_monotone_reveals () =
   check_bool "handles unique" true (List.length (List.sort_uniq compare all) = List.length all);
   check_bool "allocation order" true (all = sorted)
 
+(* ------------------- neighbor order, differentially ------------------- *)
+
+(* The executor's region wiring from when each reveal wired its step at
+   once, kept verbatim as the reference for the region it now wires on
+   the first [neighbors] call: each reveal copies the induced edges into
+   a [Dyn_graph] region, whose neighbor order (dyn_graph.mli) algorithms
+   observe through [View.neighbors]. *)
+module Ref_region = struct
+  type t = {
+    host : Graph.t;
+    radius : int;
+    region : Dyn_graph.t;
+    frontier : Bfs.Frontier.t;
+    handle_of_host : int array;
+    mutable host_of_handle : Graph.node array;
+  }
+
+  let create host radius =
+    {
+      host;
+      radius;
+      region = Dyn_graph.create ();
+      frontier = Bfs.Frontier.create host;
+      handle_of_host = Array.make (max (Graph.n host) 1) (-1);
+      host_of_handle = Array.make 16 (-1);
+    }
+
+  (* [a] at twice its length, the new slots -1. *)
+  let doubled a =
+    let bigger = Array.make (max 16 (2 * Array.length a)) (-1) in
+    Array.blit a 0 bigger 0 (Array.length a);
+    bigger
+
+  let record_handle t host_node =
+    let handle = Dyn_graph.add_node t.region in
+    if handle >= Array.length t.host_of_handle then
+      t.host_of_handle <- doubled t.host_of_handle;
+    t.host_of_handle.(handle) <- host_node;
+    t.handle_of_host.(host_node) <- handle;
+    handle
+
+  let reveal_ball t center =
+    let fresh = Bfs.Frontier.reveal t.frontier center t.radius in
+    let fresh_handles = List.map (fun v -> record_handle t v) fresh in
+    List.iter
+      (fun v ->
+        let hv = t.handle_of_host.(v) in
+        Graph.iter_neighbors t.host v (fun w ->
+            let hw = t.handle_of_host.(w) in
+            if hw >= 0 then Dyn_graph.add_edge t.region hv hw))
+      fresh;
+    fresh_handles
+end
+
+(* Hosts of every family the executor plays on, small enough to compare
+   every handle at every step: simple grids, tori and cylinders, thm2
+   variant hosts, gadget chains at k = 3..5 (k = 5 rows pass degree 32,
+   where the bucket count doubles), random and complete graphs. *)
+let random_host state =
+  let int lo hi = lo + Random.State.int state (hi - lo + 1) in
+  let wraps = [| Topology.Grid2d.Simple; Toroidal; Cylindrical |] in
+  match Random.State.int state 6 with
+  | 0 ->
+      let wrap = wraps.(Random.State.int state 3) in
+      let rows = int 3 8 and cols = int 3 8 in
+      ( Printf.sprintf "grid %dx%d" rows cols,
+        Topology.Grid2d.graph (Topology.Grid2d.create wrap ~rows ~cols) )
+  | 1 ->
+      let rows = int 3 9 and cols = int 3 9 in
+      let band_lo = int 0 (rows - 1) in
+      let band_hi = int band_lo (rows - 1) in
+      let wrap = if Random.State.bool state then `Toroidal else `Cylindrical in
+      ( Printf.sprintf "thm2 variant %dx%d band %d..%d" rows cols band_lo band_hi,
+        Online_local.Thm2_adversary.variant_host ~wrap ~rows ~cols ~reflect:true ~band_lo
+          ~band_hi )
+  | 2 ->
+      let k = int 3 5 and gadgets = int 1 4 in
+      let seam = if gadgets > 1 && Random.State.bool state then Some (int 0 (gadgets - 2)) else None in
+      ( Printf.sprintf "gadgets k=%d x%d" k gadgets,
+        Topology.Gadget.graph (Topology.Gadget.create ?seam ~k ~gadgets ()) )
+  | 3 | 4 ->
+      let n = int 2 40 in
+      let edges = List.init (int 0 (4 * n)) (fun _ -> (int 0 (n - 1), int 0 (n - 1))) in
+      ( Printf.sprintf "random n=%d" n,
+        Graph.create ~n ~edges:(List.filter (fun (u, v) -> u <> v) edges) )
+  | _ ->
+      let n = int 1 40 in
+      (Printf.sprintf "K%d" n, Graph.complete n)
+
+(* After every step, the view of a run and the reference region agree on
+   the node count, the new nodes, the handle map, the set
+   [iter_neighbors] visits, [mem_edge] on sampled pairs, the error for
+   unknown handles, and every handle's neighbor list, order included.
+   Half the runs read the lists at random steps only, so that one
+   [neighbors] call wires several steps. *)
+let test_neighbor_order_matches_region () =
+  let state = Random.State.make [| 29 |] in
+  for run = 1 to 400 do
+    let name, host = random_host state in
+    let n = Graph.n host in
+    let locality = Random.State.int state 4 and oracle_radius = Random.State.int state 2 in
+    let ref_region = Ref_region.create host (locality + oracle_radius) in
+    let order =
+      let all = FH.orders ~all:host (`Random (Random.State.bits state)) in
+      if Random.State.bool state then all
+      else List.filteri (fun i _ -> i < 1 + Random.State.int state n) all
+    in
+    let case = Printf.sprintf "run %d, %s, T=%d+%d" run name locality oracle_radius in
+    let expected_new = ref [] in
+    let every_step = Random.State.bool state in
+    let compare_view (view : V.t) =
+      let read_order = every_step || Random.State.int state 4 = 0 in
+      let count = Dyn_graph.n ref_region.Ref_region.region in
+      let fail what = Alcotest.failf "%s, step %d: %s" case view.V.step what in
+      if view.V.node_count () <> count then fail "node_count";
+      if view.V.new_nodes <> !expected_new then fail "new_nodes";
+      for h = 0 to count - 1 do
+        let expected = Dyn_graph.neighbors ref_region.Ref_region.region h in
+        let got = if read_order then view.V.neighbors h else expected in
+        if got <> expected then
+          fail
+            (Printf.sprintf "handle %d neighbors [%s], expected [%s]" h
+               (String.concat ";" (List.map string_of_int got))
+               (String.concat ";" (List.map string_of_int expected)));
+        let seen = ref [] in
+        view.V.iter_neighbors h (fun w -> seen := w :: !seen);
+        if List.sort compare !seen <> List.sort compare expected then
+          fail (Printf.sprintf "handle %d iter_neighbors" h);
+        let b = Random.State.int state count in
+        if view.V.mem_edge h b <> Dyn_graph.mem_edge ref_region.Ref_region.region h b then
+          fail (Printf.sprintf "mem_edge %d %d" h b);
+        List.iter
+          (fun w -> if not (view.V.mem_edge w h) then fail (Printf.sprintf "mem_edge %d %d" w h))
+          expected
+      done;
+      List.iter
+        (fun bad ->
+          let raises f =
+            match f () with
+            | () -> false
+            | exception Invalid_argument msg -> msg = "Dyn_graph: unknown handle"
+          in
+          if
+            not
+              (((not read_order) || raises (fun () -> ignore (view.V.neighbors bad)))
+              && raises (fun () -> view.V.iter_neighbors bad ignore)
+              && raises (fun () -> ignore (view.V.mem_edge bad 0))
+              && raises (fun () -> ignore (view.V.mem_edge 0 bad)))
+          then fail (Printf.sprintf "unknown handle %d accepted" bad))
+        [ -1; count ]
+    in
+    (* The executor contains what an algorithm raises, so the view is
+       compared after [present] returns; it still shows that step. *)
+    let seen = ref None in
+    let algorithm =
+      A.stateless ~name:"order-check" ~locality:(fun ~n:_ -> locality) (fun view ->
+          seen := Some view;
+          0)
+    in
+    let oracle ~to_host:_ =
+      {
+        Models.Oracle.parts = 2;
+        radius = oracle_radius;
+        query = (fun _ hs -> Array.make (List.length hs) 0);
+      }
+    in
+    let t = FH.start ~oracle ~host ~palette:3 ~algorithm () in
+    List.iter
+      (fun v ->
+        expected_new := Ref_region.reveal_ball ref_region v;
+        seen := None;
+        ignore (FH.present t v);
+        (match !seen with Some view -> compare_view view | None -> Alcotest.fail "no view");
+        for h = 0 to Dyn_graph.n ref_region.Ref_region.region - 1 do
+          if FH.to_host t h <> ref_region.Ref_region.host_of_handle.(h) then
+            Alcotest.failf "%s: handle %d's host node" case h
+        done)
+      order
+  done
+
+(* ------------------------- greedy first-fit ------------------------- *)
+
+(* Greedy's answer from the neighbor list, as it was before it walked
+   [iter_neighbors]. *)
+let list_greedy (view : V.t) =
+  let used = List.filter_map (fun w -> view.V.output w) (view.V.neighbors view.V.target) in
+  let rec first c = if List.mem c used then first (c + 1) else c in
+  let candidate = first 0 in
+  if candidate < view.V.palette then candidate else 0
+
+(* Random views around one target, with up to 80 neighbors, partial
+   outputs, colors past the palette, and palettes 1..70: the walk must
+   answer as the list did.  The first [used] neighbors take colors 0,
+   1, ... (one of them sometimes left uncolored), so first-fit often
+   searches past 62 colors. *)
+let test_greedy_matches_list_answer () =
+  let state = Random.State.make [| 62 |] in
+  let greedy = A.greedy_first_fit.A.instantiate ~n:100 ~palette:3 ~oracle:None in
+  for _ = 1 to 3000 do
+    let d = Random.State.int state 81 in
+    let used = Random.State.int state 76 and gap = Random.State.int state 100 in
+    let outputs =
+      Array.init (d + 1) (fun i ->
+          if i = 0 || i - 1 = gap then None
+          else if i <= used then Some (i - 1)
+          else if Random.State.bool state then None
+          else Some (Random.State.int state 76))
+    in
+    let neighbors = List.init d (fun i -> i + 1) in
+    let view =
+      {
+        V.n_total = 100;
+        palette = 1 + Random.State.int state 70;
+        node_count = (fun () -> d + 1);
+        neighbors = (fun h -> if h = 0 then neighbors else [ 0 ]);
+        iter_neighbors = (fun h f -> List.iter f (if h = 0 then neighbors else [ 0 ]));
+        mem_edge = (fun a b -> a <> b && (a = 0 || b = 0));
+        id = (fun h -> h + 1);
+        output = (fun h -> outputs.(h));
+        hint = (fun _ -> None);
+        target = 0;
+        new_nodes = [];
+        step = 1;
+      }
+    in
+    let expected = list_greedy view and got = greedy view in
+    if got <> expected then
+      Alcotest.failf "palette %d, %d neighbors: greedy %d, list answer %d" view.V.palette d got
+        expected
+  done
+
 (* ------------------------- LOCAL model ------------------------- *)
 
 let test_local_stripes_runs () =
@@ -490,6 +721,10 @@ let () =
             test_fatal_exception_not_contained;
           Alcotest.test_case "backtrace recorded" `Quick
             test_failure_records_backtrace_field;
+          Alcotest.test_case "neighbor order matches the region graph" `Quick
+            test_neighbor_order_matches_region;
+          Alcotest.test_case "greedy matches the list answer" `Quick
+            test_greedy_matches_list_answer;
         ] );
       ( "local",
         [

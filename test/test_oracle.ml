@@ -28,6 +28,7 @@ let full_view host =
     palette = 3;
     node_count = (fun () -> Graph.n host);
     neighbors = (fun v -> Array.to_list (Graph.neighbors host v));
+    iter_neighbors = (fun v f -> Graph.iter_neighbors host v f);
     mem_edge = (fun a b -> Graph.mem_edge host a b);
     id = (fun v -> v + 1);
     output = (fun _ -> None);

@@ -351,6 +351,7 @@ module Ref_vg = struct
       palette = t.palette;
       node_count = (fun () -> Grid_graph.Dyn_graph.n t.region);
       neighbors = (fun h -> Grid_graph.Dyn_graph.neighbors t.region h);
+      iter_neighbors = (fun h f -> List.iter f (Grid_graph.Dyn_graph.neighbors t.region h));
       mem_edge = (fun a b -> Grid_graph.Dyn_graph.mem_edge t.region a b);
       id = (fun h -> h + 1);
       output = (fun h -> output_opt t h);
@@ -729,6 +730,10 @@ let run_differential seed =
         same "node_count" (r.V.node_count ()) (n.V.node_count ());
         for h = 0 to n.V.node_count () - 1 do
           same "neighbors" (r.V.neighbors h) (n.V.neighbors h);
+          (let visited = ref [] in
+           n.V.iter_neighbors h (fun w -> visited := w :: !visited);
+           same "iter_neighbors" (List.sort compare (r.V.neighbors h))
+             (List.sort compare !visited));
           same "hint" (r.V.hint h) (n.V.hint h);
           same "output" (r.V.output h) (n.V.output h)
         done
