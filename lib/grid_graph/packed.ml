@@ -29,98 +29,72 @@ module Coord = struct
   let east k = k + 1
 end
 
-module Table = struct
-  (* Open-addressing int -> int hash table with linear probing.  No
-     deletion (the executors only ever add bindings); [clear] recycles
-     the arrays.  Capacity is a power of two and load is kept under
-     50%. *)
+module Box = struct
+  (* A dense row-major box of cells: [cells.((r - row0) * cols + c - col0)]
+     holds the value at (r, c), -1 when unset.  It only grows, and only
+     to cover cells that fall outside it. *)
 
   type t = {
-    mutable keys : int array;
-    mutable vals : int array;
-    mutable mask : int;
-    mutable count : int;
+    mutable cells : int array;
+    mutable row0 : int;
+    mutable col0 : int;
+    mutable rows : int;
+    mutable cols : int;
   }
 
-  (* [min_int] has all of bits 62..31 set as a row and is outside
-     [Coord]'s valid range, so it can never be produced by [pack] on an
-     in-range coordinate. *)
-  let empty_key = min_int
+  let create () = { cells = [||]; row0 = 0; col0 = 0; rows = 0; cols = 0 }
 
-  let create ?(capacity = 16) () =
-    let cap = ref 16 in
-    while !cap < capacity * 2 do
-      cap := !cap * 2
-    done;
-    {
-      keys = Array.make !cap empty_key;
-      vals = Array.make !cap 0;
-      mask = !cap - 1;
-      count = 0;
-    }
+  let find t k =
+    let i = Coord.row k - t.row0 and j = Coord.col k - t.col0 in
+    if i >= 0 && i < t.rows && j >= 0 && j < t.cols then
+      Array.unsafe_get t.cells ((i * t.cols) + j)
+    else -1
 
-  let length t = t.count
+  (* Grow to cover rows [rlo, rhi] and columns [clo, chi].  An empty box
+     takes exactly that range.  Otherwise every side that must move moves
+     by at least the box's extent along it, so a box that grows a cell at
+     a time doubles, and copying stays O(1) amortized per cell. *)
+  let cover_range t rlo rhi clo chi =
+    let rend = t.row0 + t.rows and cend = t.col0 + t.cols in
+    if t.rows = 0 || rlo < t.row0 || rhi >= rend || clo < t.col0 || chi >= cend then begin
+      let row0, rend', col0, cend' =
+        if t.rows = 0 then (rlo, rhi + 1, clo, chi + 1)
+        else
+          ( (if rlo < t.row0 then min rlo (t.row0 - t.rows) else t.row0),
+            (if rhi >= rend then max (rhi + 1) (rend + t.rows) else rend),
+            (if clo < t.col0 then min clo (t.col0 - t.cols) else t.col0),
+            if chi >= cend then max (chi + 1) (cend + t.cols) else cend )
+      in
+      let rows = rend' - row0 and cols = cend' - col0 in
+      let cells = Array.make (rows * cols) (-1) in
+      (* The old box lands row by row inside the new one. *)
+      for i = 0 to t.rows - 1 do
+        Array.blit t.cells (i * t.cols) cells
+          (((t.row0 + i - row0) * cols) + t.col0 - col0)
+          t.cols
+      done;
+      t.cells <- cells;
+      t.row0 <- row0;
+      t.col0 <- col0;
+      t.rows <- rows;
+      t.cols <- cols
+    end
 
-  let slot t k =
-    let h = k * 0x2545F4914F6CDD1D in
-    let h = h lxor (h lsr 31) in
-    let i = ref (h land t.mask) in
-    while
-      let k' = t.keys.(!i) in
-      k' <> empty_key && k' <> k
-    do
-      i := (!i + 1) land t.mask
-    done;
-    !i
-
-  let grow t =
-    let old_keys = t.keys and old_vals = t.vals in
-    let cap = (t.mask + 1) * 2 in
-    t.keys <- Array.make cap empty_key;
-    t.vals <- Array.make cap 0;
-    t.mask <- cap - 1;
-    Array.iteri
-      (fun i k ->
-        if k <> empty_key then begin
-          let j = slot t k in
-          t.keys.(j) <- k;
-          t.vals.(j) <- old_vals.(i)
-        end)
-      old_keys
+  let cover t lo hi =
+    cover_range t (Coord.row lo) (Coord.row hi) (Coord.col lo) (Coord.col hi)
 
   let set t k v =
-    let i = slot t k in
-    if t.keys.(i) = empty_key then begin
-      t.keys.(i) <- k;
-      t.vals.(i) <- v;
-      t.count <- t.count + 1;
-      if t.count * 2 > t.mask then grow t
-    end
-    else t.vals.(i) <- v
-
-  let mem t k = t.keys.(slot t k) <> empty_key
-
-  let find_default t k ~default =
-    let i = slot t k in
-    if t.keys.(i) = empty_key then default else t.vals.(i)
-
-  let find_opt t k =
-    let i = slot t k in
-    if t.keys.(i) = empty_key then None else Some t.vals.(i)
-
-  let fold t ~init ~f =
-    let acc = ref init in
-    Array.iteri
-      (fun i k -> if k <> empty_key then acc := f !acc k t.vals.(i))
-      t.keys;
-    !acc
+    let r = Coord.row k and c = Coord.col k in
+    cover_range t r r c c;
+    t.cells.(((r - t.row0) * t.cols) + c - t.col0) <- v
 
   let iter t ~f =
-    Array.iteri (fun i k -> if k <> empty_key then f k t.vals.(i)) t.keys
-
-  let clear t =
-    Array.fill t.keys 0 (Array.length t.keys) empty_key;
-    t.count <- 0
+    for i = 0 to t.rows - 1 do
+      for j = 0 to t.cols - 1 do
+        let v = t.cells.((i * t.cols) + j) in
+        if v >= 0 then f (Coord.pack (t.row0 + i) (t.col0 + j)) v
+      done
+    done
 end
 
 module Set = struct

@@ -53,46 +53,46 @@ module Coord : sig
   (** [east k] is the cell one column right ([col + 1]). O(1). *)
 end
 
-module Table : sig
-  (** Open-addressing [int -> int] hash table with linear probing.
+module Box : sig
+  (** A dense row-major box of non-negative [int] values keyed by packed
+      coordinates: one [int array] with an origin and dimensions, in
+      which [-1] marks an unset cell.
 
-      No deletion — the executors only accumulate bindings.  All
-      operations are O(1) amortized with load kept below 50%; probes
-      allocate nothing.  Keys must avoid {!empty_key} ([min_int]), which
-      {!Coord.pack} never produces in range. *)
+      An empty box allocates nothing.  It grows only to cover a cell
+      outside it: the first cell or range it covers sets its extent
+      exactly, and after that every side that must move moves by at
+      least the box's extent along it, so a box grown one cell at a
+      time doubles and each cell is copied O(1) times amortized.
+      Memory is O(rows x cols of the box) — the cells' bounding box, up
+      to that doubling — whatever the number of set cells.  Lookups are
+      index arithmetic and allocate nothing; growing reallocates and
+      copies the box row by row.  No deletion: the executors only
+      accumulate bindings. *)
 
   type t
 
-  val empty_key : int
-  (** The reserved sentinel key ([min_int]). *)
+  val create : unit -> t
+  (** An empty box. *)
 
-  val create : ?capacity:int -> unit -> t
-  (** Fresh table sized for [capacity] bindings (default 16). *)
-
-  val length : t -> int
-  (** Number of bindings. O(1). *)
+  val find : t -> int -> int
+  (** The value at packed key [k], or [-1] when unset or outside the
+      box.  O(1), allocation-free. *)
 
   val set : t -> int -> int -> unit
-  (** [set t k v] binds [k] to [v], replacing any previous binding. *)
+  (** [set t k v] binds [k] to [v >= 0], replacing any previous value,
+      and grows the box first if [k] falls outside it. *)
 
-  val mem : t -> int -> bool
-  (** Whether [k] is bound. Allocation-free. *)
-
-  val find_default : t -> int -> default:int -> int
-  (** Binding of [k], or [default] when unbound. Allocation-free. *)
-
-  val find_opt : t -> int -> int option
-  (** Binding of [k] as an option. *)
-
-  val fold : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
-  (** Fold over bindings in unspecified order — callers must be
-      order-insensitive (see DESIGN.md invariants). *)
+  val cover : t -> int -> int -> unit
+  (** [cover t lo hi] grows the box, as {!set} would, to cover every
+      cell whose row and column lie between those of the packed keys
+      [lo] and [hi] (which must satisfy [row lo <= row hi] and
+      [col lo <= col hi]).  Bindings are unchanged.  A caller that
+      knows where a batch of cells lands grows once instead of per
+      cell. *)
 
   val iter : t -> f:(int -> int -> unit) -> unit
-  (** Iterate over bindings in unspecified order. *)
-
-  val clear : t -> unit
-  (** Remove all bindings, keeping the allocated capacity. *)
+  (** [iter t ~f] calls [f k v] once per binding, in row-major order of
+      the keys.  O(rows x cols of the box). *)
 end
 
 module Set : sig

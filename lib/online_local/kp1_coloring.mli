@@ -13,7 +13,37 @@
     the [O(log n)] upper bound.  Run with a deliberately smaller locality,
     the barriers escape the revealed region and the adversaries of
     Section 3 catch the algorithm: both directions of the tight bound are
-    exercised by the same code. *)
+    exercised by the same code.
+
+    {2 The barrier's frontier}
+
+    Algorithm 1 commits one layer, the {e ring}, around [X'], the
+    group's committed nodes.  Each group keeps the {e frontier} of
+    [X']: the committed nodes that may still have an uncommitted
+    neighbor.  A ring is read off the frontier alone, since every other
+    node of [X'] has only committed neighbors, and the ring becomes the
+    new frontier, since the ring now covers every uncommitted neighbor
+    of the old one.  So a barrier costs O(frontier), not O(|X'|).
+
+    The frontier stays complete because views grow as induced
+    subgraphs: a step shows its new nodes together with their edges to
+    the revealed region, and never a new edge between two old nodes.
+    [Fixed_host] and the reduction's mirror show the subgraph induced
+    by what they revealed, and [Virtual_grid.merge] refuses any
+    placement that makes two revealed regions touch.  Every edge a step
+    adds therefore has a new endpoint, and a committed node gains an
+    uncommitted neighbor only next to a new node; the step's first
+    pass puts every such node back on its group's frontier.  This needs
+    the instance to see every step of its game, as it does under every
+    executor and wrapper here (a step answered for it ends the game).
+
+    The ring is a set: a ring node's color depends on its label alone,
+    so the order in which it is built ([View.iter_neighbors], and the
+    frontier's own order) is not observable.  The passes whose order
+    reaches the output read [View.neighbors] in its documented order,
+    once per new node per step: the old-roots table, whose fold order
+    breaks size ties between merging groups; the union order, which
+    decides root identity; and the bipartite labeling. *)
 
 type stats = {
   mutable merges : int;  (** group-merge events (Case 3 steps) *)

@@ -1,15 +1,16 @@
 module V = Models.View
 module Coord = Grid_graph.Packed.Coord
-module Ptable = Grid_graph.Packed.Table
+module Box = Grid_graph.Packed.Box
 module Dyn_graph = Grid_graph.Dyn_graph
 
 (* A frame stores its cells at (row, col * orient): [reflect] flips
    [orient] instead of rekeying, and every entry point converts frame
-   columns to stored ones and back.  The box bounds the stored cells
-   ([row_hi < row_lo] while the frame is empty). *)
+   columns to stored ones and back.  [cells] is a dense box over the
+   stored cells, grown geometrically; the bounding box [row_lo ..
+   col_hi] is exact ([row_hi < row_lo] while the frame is empty). *)
 type frame_state = {
   fid : int;
-  table : Ptable.t;  (* packed stored coords -> handle *)
+  cells : Box.t;  (* packed stored coords -> handle *)
   mutable orient : int;  (* +1 or -1 *)
   mutable row_lo : int;
   mutable row_hi : int;
@@ -100,7 +101,7 @@ let new_frame t =
   let f =
     {
       fid = t.next_fid;
-      table = Ptable.create ();
+      cells = Box.create ();
       orient = 1;
       row_lo = max_int;
       row_hi = min_int;
@@ -146,7 +147,8 @@ let is_empty f = f.row_hi < f.row_lo
 
 let handle_at _t f ~row ~col =
   if Coord.in_range row col then
-    Ptable.find_opt f.table (Coord.pack row (f.orient * col))
+    let h = Box.find f.cells (Coord.pack row (f.orient * col)) in
+    if h < 0 then None else Some h
   else None
 
 let color_at t f ~row ~col =
@@ -157,13 +159,13 @@ let color_at t f ~row ~col =
 (* [k] is a packed stored coordinate already checked in range by the
    caller; an unrevealed cell gets the next handle. *)
 let reveal_cell t f k =
-  if not (Ptable.mem f.table k) then begin
+  if Box.find f.cells k < 0 then begin
     let h = Dyn_graph.add_node t.region in
     grow t (h + 1);
     t.coords.(h) <- k;
     t.frame_ids.(h) <- f.fid;
     t.revealed_step.(h) <- t.steps;
-    Ptable.set f.table k h;
+    Box.set f.cells k h;
     let r = Coord.row k and c = Coord.col k in
     if r < f.row_lo then f.row_lo <- r;
     if r > f.row_hi then f.row_hi <- r;
@@ -172,7 +174,7 @@ let reveal_cell t f k =
   end
 
 let presented_at t f k =
-  let h = Ptable.find_default f.table k ~default:(-1) in
+  let h = Box.find f.cells k in
   h >= 0 && Bytes.get t.presented h <> '\000'
 
 (* Reveal B(v, R) around the stored key [base], in the diamond's
@@ -182,9 +184,11 @@ let presented_at t f k =
    B(v, R) \ B(u, R) can hold fresh cells: the cells at distance R
    whose offset (dr, dc) points away from u's offset (er, ec),
    dr * er + dc * ec <= 0.  Skipping the rest leaves the fresh set and
-   its order as the full diamond's. *)
+   its order as the full diamond's.  The frame's box grows once, to the
+   diamond's bounding box, before any cell is revealed. *)
 let reveal_ball t f base =
   let r = t.radius and o = f.orient in
+  Box.cover f.cells (base - (r * Coord.row_step) - r) (base + (r * Coord.row_step) + r);
   let er, ec =
     if r = 0 then (0, 0)
     else if presented_at t f (Coord.north base) then (-1, 0)
@@ -208,7 +212,7 @@ let reveal_ball t f base =
   done
 
 let wire t f h k =
-  let h' = Ptable.find_default f.table k ~default:(-1) in
+  let h' = Box.find f.cells k in
   if h' >= 0 then Dyn_graph.add_edge t.region h h'
 
 let present t f ~row ~col =
@@ -243,7 +247,7 @@ let present t f ~row ~col =
     wire t f h (k + o)
   done;
   let new_nodes = List.init (fresh_end - first) (fun i -> first + i) in
-  let target = Ptable.find_default f.table base ~default:(-1) in
+  let target = Box.find f.cells base in
   assert (target >= 0);
   Bytes.set t.presented target '\001';
   t.targets <- target :: t.targets;
@@ -334,20 +338,22 @@ let merge t ~keep ~absorb ~reflect:refl ~dr ~dc =
         || col_lo > keep.col_hi + 1
         || col_hi < keep.col_lo - 1)
     then
-      Ptable.iter absorb.table ~f:(fun k _ ->
+      Box.iter absorb.cells ~f:(fun k _ ->
           let m = map k in
           if
-            Ptable.mem keep.table m
-            || Ptable.mem keep.table (Coord.north m)
-            || Ptable.mem keep.table (Coord.south m)
-            || Ptable.mem keep.table (Coord.west m)
-            || Ptable.mem keep.table (Coord.east m)
+            Box.find keep.cells m >= 0
+            || Box.find keep.cells (Coord.north m) >= 0
+            || Box.find keep.cells (Coord.south m) >= 0
+            || Box.find keep.cells (Coord.west m) >= 0
+            || Box.find keep.cells (Coord.east m) >= 0
           then
             invalid_arg
               "Virtual_grid.merge: placement collides with or touches the kept region");
-    Ptable.iter absorb.table ~f:(fun k h ->
+    (* Grow the kept box once to the placement, then copy row by row. *)
+    Box.cover keep.cells (Coord.pack row_lo col_lo) (Coord.pack row_hi col_hi);
+    Box.iter absorb.cells ~f:(fun k h ->
         let m = map k in
-        Ptable.set keep.table m h;
+        Box.set keep.cells m h;
         t.coords.(h) <- m;
         t.frame_ids.(h) <- keep.fid);
     keep.row_lo <- min keep.row_lo row_lo;
@@ -372,21 +378,22 @@ let revealed_count t = Dyn_graph.n t.region
 let snapshot_region t = Dyn_graph.snapshot t.region
 let output t h = output_opt t h
 
+(* Neighbors are read by index, in [neighbors] order, so the reported
+   pair is the first in handle order and then in that order. *)
 let scan_monochromatic t =
   let found = ref None in
   let count = Dyn_graph.n t.region in
   (try
      for h = 0 to count - 1 do
-       match output_opt t h with
-       | None -> ()
-       | Some c ->
-           List.iter
-             (fun h' ->
-               if h' > h && t.outputs.(h') = c then begin
-                 found := Some (h, h');
-                 raise Exit
-               end)
-             (Dyn_graph.neighbors t.region h)
+       let c = t.outputs.(h) in
+       if c >= 0 then
+         for i = 0 to Dyn_graph.degree t.region h - 1 do
+           let h' = Dyn_graph.neighbor t.region h i in
+           if h' > h && t.outputs.(h') = c then begin
+             found := Some (h, h');
+             raise Exit
+           end
+         done
      done
    with Exit -> ());
   !found

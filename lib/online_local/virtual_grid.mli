@@ -31,23 +31,29 @@
     {2 Cost model}
 
     Frame coordinates are packed into single integers
-    ({!Grid_graph.Packed.Coord}) and each frame's coordinate table is an
-    open-addressing int map, so every probe is allocation-free and the
-    four grid-neighbor lookups are integer arithmetic.  A presentation
-    costs O(R) probes: once a grid neighbor [u] of the target [v] has
-    been presented, [B(u, R)] is already revealed (merges and
-    reflections move frames rigidly), so only the far rim — the
-    [2R + 1] cells of [B(v, R)] outside [B(u, R)] — is probed, in the
-    full diamond's row-major order, so fresh handles and their order
-    are the full diamond's.  A target with no presented neighbor (the
-    first node of a frame) probes its whole diamond, O(R{^2}).  Each
-    frame keeps its bounding box and an orientation, so {!reflect} and
-    {!span} are O(1) and {!merge} is O(absorbed nodes) with no
-    per-entry allocation.  Outputs and the presented set are flat arrays indexed
-    by handle: O(1) reads, no boxing.  Coordinates must stay within
-    [|row|, |col| < 2{^29}] ([Invalid_argument] otherwise) — vastly
-    beyond any constructible instance.  See
-    [lib/online_local/README.md]. *)
+    ({!Grid_graph.Packed.Coord}) and each frame keeps its handles in a
+    dense row-major box ({!Grid_graph.Packed.Box}), so every probe —
+    the rim, the four wiring probes of a fresh cell, {!color_at} — is
+    index arithmetic, allocation-free.  A frame's box grows
+    geometrically toward cells outside it and starts at the first
+    cells revealed, so its memory is O(its bounding box), which the
+    Theorem 1 adversary keeps within a small factor of its revealed
+    cells (rows of diamonds, stacked at most 2R + 2 apart).  A
+    presentation costs O(R) probes: once a grid neighbor [u] of the
+    target [v] has been presented, [B(u, R)] is already revealed
+    (merges and reflections move frames rigidly), so only the far rim
+    — the [2R + 1] cells of [B(v, R)] outside [B(u, R)] — is probed,
+    in the full diamond's row-major order, so fresh handles and their
+    order are the full diamond's.  A target with no presented neighbor
+    (the first node of a frame) probes its whole diamond, O(R{^2}).
+    Each frame keeps its exact bounding box and an orientation, so
+    {!reflect} and {!span} are O(1); {!merge} grows the kept box once
+    to the placement and copies the absorbed box row by row, O(absorbed
+    box), with no per-entry allocation.  Outputs and the presented set
+    are flat arrays indexed by handle: O(1) reads, no boxing.
+    Coordinates must stay within [|row|, |col| < 2{^29}]
+    ([Invalid_argument] otherwise) — vastly beyond any constructible
+    instance.  See [lib/online_local/README.md]. *)
 
 type t
 type frame

@@ -66,30 +66,42 @@ let test_coord_range () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* ------------------------- Packed.Table -------------------------- *)
+(* -------------------------- Packed.Box --------------------------- *)
 
-let test_table_basics () =
-  let t = Packed.Table.create ~capacity:2 () in
-  check_int "empty" 0 (Packed.Table.length t);
-  (* grow well past the initial capacity, negatives included *)
-  for i = -40 to 40 do
-    Packed.Table.set t (i * 7) (i * i)
-  done;
-  check_int "length" 81 (Packed.Table.length t);
-  check_bool "mem" true (Packed.Table.mem t (-280));
-  check_bool "not mem" false (Packed.Table.mem t 1);
-  check_int "find" 1600 (Packed.Table.find_default t (-280) ~default:(-1));
-  check_int "default" (-1) (Packed.Table.find_default t 3 ~default:(-1));
-  Packed.Table.set t 0 99;
-  check_int "replace" 99 (Packed.Table.find_default t 0 ~default:(-1));
-  check_int "replace keeps length" 81 (Packed.Table.length t);
-  let sum = Packed.Table.fold t ~init:0 ~f:(fun acc _ v -> acc + v) in
-  let sum' = ref 0 in
-  Packed.Table.iter t ~f:(fun _ v -> sum' := !sum' + v);
-  check_int "fold = iter" sum !sum';
-  Packed.Table.clear t;
-  check_int "cleared" 0 (Packed.Table.length t);
-  check_bool "cleared mem" false (Packed.Table.mem t 0)
+(* Every binding of [b], in [iter] order. *)
+let box_bindings b =
+  let acc = ref [] in
+  Packed.Box.iter b ~f:(fun k v -> acc := (k, v) :: !acc);
+  List.rev !acc
+
+let test_box_basics () =
+  let b = Packed.Box.create () in
+  let key = Packed.Coord.pack in
+  check_int "empty finds nothing" (-1) (Packed.Box.find b (key 0 0));
+  check_int "empty visits nothing" 0 (List.length (box_bindings b));
+  (* the first cell, then growth toward each of the four directions,
+     into negative coordinates *)
+  let cells =
+    [ ((0, 0), 1); ((-5, 0), 2); ((7, 0), 3); ((0, -9), 4); ((0, 11), 5);
+      ((-20, -20), 6); ((20, 20), 7); ((-3, 4), 8) ]
+  in
+  List.iter (fun ((r, c), v) -> Packed.Box.set b (key r c) v) cells;
+  List.iter
+    (fun ((r, c), v) ->
+      check_int (Printf.sprintf "find (%d,%d)" r c) v (Packed.Box.find b (key r c)))
+    cells;
+  check_int "unset inside" (-1) (Packed.Box.find b (key 1 1));
+  check_int "outside north" (-1) (Packed.Box.find b (key (-500) 0));
+  check_int "outside east" (-1) (Packed.Box.find b (key 0 500));
+  Packed.Box.set b (key 0 0) 99;
+  check_int "replace" 99 (Packed.Box.find b (key 0 0));
+  Packed.Box.cover b (key (-40) (-3)) (key 2 60);
+  check_int "cover keeps bindings" 7 (Packed.Box.find b (key 20 20));
+  let visited = box_bindings b in
+  check_int "one visit per binding" (List.length cells) (List.length visited);
+  check_bool "row-major = ascending keys" true
+    (List.sort compare visited = visited);
+  check_int "visit sees the replaced value" 99 (List.assoc (key 0 0) visited)
 
 (* -------------------------- Packed.Set --------------------------- *)
 
@@ -194,34 +206,50 @@ let prop_frontier_reveal =
                  acc && Bfs.Frontier.revealed f v = Hashtbl.mem seen v))
         ops)
 
-let table_ops_gen =
+(* cells in a window around the origin, negative coordinates included;
+   [None] sets nothing and covers a random range instead *)
+let box_ops_gen =
+  let coord = Gen.int_range (-40) 40 in
   Gen.list ~max_len:60
-    (Gen.pair (Gen.int_range (-50) 50) (Gen.int_range 0 1000))
+    (Gen.pair (Gen.pair coord coord)
+       (Gen.frequency
+          [ (6, Gen.map Option.some (Gen.int_range 0 1000)); (1, Gen.return None) ]))
 
-let print_table_ops ops =
-  String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) ops)
+let print_box_ops ops =
+  String.concat ";"
+    (List.map
+       (fun ((r, c), v) ->
+         match v with
+         | Some v -> Printf.sprintf "(%d,%d):%d" r c v
+         | None -> Printf.sprintf "cover(%d,%d)" r c)
+       ops)
 
-let prop_table_vs_hashtbl =
-  prop "Packed.Table = Hashtbl reference" table_ops_gen print_table_ops
-    (fun ops ->
-      let t = Packed.Table.create ~capacity:1 () in
+let prop_box_vs_hashtbl =
+  prop "Packed.Box = Hashtbl reference" box_ops_gen print_box_ops (fun ops ->
+      let key = Packed.Coord.pack in
+      let b = Packed.Box.create () in
       let h = Hashtbl.create 16 in
       List.iter
-        (fun (k, v) ->
-          (* spread keys through the packed-coordinate shape too *)
-          let k = Packed.Coord.pack k (k * 3) in
-          Packed.Table.set t k v;
-          Hashtbl.replace h k v)
+        (fun ((r, c), v) ->
+          match v with
+          | Some v ->
+              Packed.Box.set b (key r c) v;
+              Hashtbl.replace h (key r c) v
+          | None ->
+              Packed.Box.cover b (key (min r c) (min r c)) (key (max r c) (max r c)))
         ops;
-      Packed.Table.length t = Hashtbl.length h
-      && Hashtbl.fold
-           (fun k v acc ->
-             acc
-             && Packed.Table.find_opt t k = Some v
-             && Packed.Table.mem t k)
-           h true
-      && Packed.Table.fold t ~init:true ~f:(fun acc k v ->
-             acc && Hashtbl.find_opt h k = Some v))
+      let window = ref true in
+      for r = -42 to 42 do
+        for c = -42 to 42 do
+          let expect = Option.value (Hashtbl.find_opt h (key r c)) ~default:(-1) in
+          if Packed.Box.find b (key r c) <> expect then window := false
+        done
+      done;
+      let visited = box_bindings b in
+      !window
+      && List.length visited = Hashtbl.length h
+      && List.for_all (fun (k, v) -> Hashtbl.find_opt h k = Some v) visited
+      && List.sort_uniq compare (List.map fst visited) = List.map fst visited)
 
 let set_ops_gen =
   Gen.bind (Gen.int_range 1 60) (fun n ->
@@ -273,7 +301,7 @@ let () =
         ] );
       ( "packed-containers",
         [
-          Alcotest.test_case "table basics" `Quick test_table_basics;
+          Alcotest.test_case "box basics" `Quick test_box_basics;
           Alcotest.test_case "set basics" `Quick test_set_basics;
         ] );
       ( "frontier",
@@ -286,7 +314,7 @@ let () =
         [
           prop_frontier_ball;
           prop_frontier_reveal;
-          prop_table_vs_hashtbl;
+          prop_box_vs_hashtbl;
           prop_set_vs_reference;
           prop_coord_roundtrip;
         ] );

@@ -285,6 +285,158 @@ let test_stats_counters_behave () =
   check_bool "waves accompany swaps" true
     (stats.K.swaps = 0 || stats.K.wave_commits > 0)
 
+(* ------------------------------------------------------------------ *)
+(* The frontier barrier against the barrier that rescanned X' ([Ref_kp1]) *)
+(* ------------------------------------------------------------------ *)
+
+module R = Ref_kp1
+
+let outcome f = match f () with v -> Ok v | exception e -> Error e
+
+let show = function
+  | Ok c -> string_of_int c
+  | Error e -> "raised " ^ Printexc.to_string e
+
+(* Steps on which both sides raised, over every game: the exception
+   messages must be compared at least once. *)
+let raised_steps = ref 0
+
+(* One algorithm that instantiates [current] and [reference] alike and
+   asks both on every view, the reference first.  A disagreement (an
+   answer, or an exception by its message) is recorded in [mismatches],
+   not raised, since the executor would turn it into a verdict; the game
+   goes on with [current]'s answer or exception. *)
+let lockstep ~current ~reference mismatches =
+  let record fmt = Printf.ksprintf (fun m -> mismatches := m :: !mismatches) fmt in
+  {
+    current with
+    Models.Algorithm.instantiate =
+      (fun ~n ~palette ~oracle ->
+        let start a =
+          outcome (fun () -> a.Models.Algorithm.instantiate ~n ~palette ~oracle)
+        in
+        match (start current, start reference) with
+        | Ok c, Ok r ->
+            fun view ->
+              let ra = outcome (fun () -> r view) in
+              let ca = outcome (fun () -> c view) in
+              if show ca <> show ra then
+                record "step %d: current %s, reference %s" view.Models.View.step (show ca)
+                  (show ra);
+              (match ca with
+              | Ok color -> color
+              | Error e ->
+                  incr raised_steps;
+                  raise e)
+        | c, r ->
+            let s = function Ok _ -> "started" | Error e -> Printexc.to_string e in
+            if s c <> s r then record "instantiate: current %s, reference %s" (s c) (s r);
+            (match c with Ok c -> c | Error e -> raise e));
+  }
+
+(* Swaps and escapes summed over every game, for the coverage checks. *)
+let totals = K.fresh_stats ()
+
+(* Plays one game with [play] on the lockstep pair that [make] builds
+   around two fresh stats records, then compares every counter. *)
+let differential name make play =
+  let cs = K.fresh_stats () and rs = R.fresh_stats () in
+  let current, reference = make cs rs in
+  let mismatches = ref [] in
+  play (lockstep ~current ~reference mismatches);
+  List.iter
+    (fun (what, c, r) ->
+      if c <> r then
+        mismatches :=
+          Printf.sprintf "stats %s: current %d, reference %d" what c r :: !mismatches)
+    [
+      ("wave_commits", cs.K.wave_commits, rs.R.wave_commits);
+      ("escapes", cs.K.escapes, rs.R.escapes);
+      ("swaps", cs.K.swaps, rs.R.swaps);
+      ("type_changes", cs.K.type_changes, rs.R.type_changes);
+      ("merges", cs.K.merges, rs.R.merges);
+      ("largest_group", cs.K.largest_group, rs.R.largest_group);
+    ];
+  (match List.rev !mismatches with
+  | [] -> ()
+  | m :: _ -> Alcotest.failf "%s: %s" name m);
+  totals.K.escapes <- totals.K.escapes + cs.K.escapes;
+  totals.K.swaps <- totals.K.swaps + cs.K.swaps
+
+let ael_pair t cs rs =
+  let locality ~n:_ = t in
+  (K.ael_bipartite ~stats:cs ~locality (), R.ael_bipartite ~stats:rs ~locality ())
+
+let kp1_pair ~k t cs rs =
+  let locality ~n:_ = t in
+  (K.make ~stats:cs ~k ~locality (), R.make ~stats:rs ~k ~locality ())
+
+(* [games ()] plays one family of games; it must make the barrier run. *)
+let family name games =
+  let swaps = totals.K.swaps in
+  games ();
+  if totals.K.swaps = swaps then Alcotest.failf "%s: no game ran Algorithm 1" name
+
+let test_matches_reference () =
+  raised_steps := 0;
+  family "thm1" (fun () ->
+      (* Theorem 1: the Lemma 3.6 adversary on the deferred executor. *)
+      List.iter
+        (fun side ->
+          for t = 1 to 8 do
+            let k = Thm1_adversary.recommended_k ~n_side:side ~t in
+            differential
+              (Printf.sprintf "thm1 ael T=%d side %d k=%d" t side k)
+              (ael_pair t)
+              (fun algorithm -> ignore (Thm1_adversary.run ~n_side:side ~k ~algorithm ()))
+          done)
+        [ 256; 4096 ]);
+  (* Theorem 2's wrapped grids, where AEL at T = 1 raises. *)
+  List.iter
+    (fun (wrap, name) ->
+      List.iter
+        (fun side ->
+          differential
+            (Printf.sprintf "thm2 %s ael T=1 side %d" name side)
+            (ael_pair 1)
+            (fun algorithm -> ignore (Thm2_adversary.run ~wrap ~side ~algorithm ())))
+        [ 13; 17; 21 ])
+    [ (`Toroidal, "torus"); (`Cylindrical, "cylinder") ];
+  if !raised_steps = 0 then Alcotest.fail "thm2: no step raised";
+  (* A band, so that small localities see groups merge. *)
+  let base = Topology.Grid2d.graph (grid 3 24) in
+  family "thm4" (fun () ->
+      (* Theorem 4: kp1 with k = 3 on G_3, with the layered oracle. *)
+      let g3 = Topology.Layered.create ~base ~k:3 in
+      let host = Topology.Layered.graph g3 in
+      for seed = 0 to 11 do
+        let t = 1 + (seed mod 2) in
+        differential
+          (Printf.sprintf "kp1 k=3 on G3 T=%d seed %d" t seed)
+          (kp1_pair ~k:3 t)
+          (fun algorithm ->
+            ignore
+              (FH.run ~oracle:(Oracles.layered g3) ~host ~palette:4 ~algorithm
+                 ~order:(FH.orders ~all:host (`Random seed)) ()))
+      done);
+  family "thm5" (fun () ->
+      (* Theorem 5: reduce (kp1 with k = 3) plays its inner kp1 on the
+         G_3 it mirrors from a G_2 host. *)
+      let g2 = Topology.Layered.create ~base ~k:2 in
+      let host = Topology.Layered.graph g2 in
+      for seed = 0 to 11 do
+        let t = 1 + (seed mod 2) in
+        differential
+          (Printf.sprintf "reduce (kp1 k=3) T=%d seed %d" t seed)
+          (kp1_pair ~k:3 t)
+          (fun inner ->
+            ignore
+              (FH.run ~oracle:(Oracles.layered g2) ~host ~palette:3
+                 ~algorithm:(Thm5_reduction.reduce ~inner)
+                 ~order:(FH.orders ~all:host (`Random seed)) ()))
+      done);
+  if totals.K.escapes = 0 then Alcotest.fail "no barrier node escaped its group"
+
 let () =
   Alcotest.run "kp1-coloring"
     [
@@ -314,5 +466,10 @@ let () =
           Alcotest.test_case "k >= 2" `Quick test_k_validation;
           Alcotest.test_case "default locality" `Quick test_default_locality_formula;
           Alcotest.test_case "stats counters" `Quick test_stats_counters_behave;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "frontier barrier = rescanning barrier" `Quick
+            test_matches_reference;
         ] );
     ]

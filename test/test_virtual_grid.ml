@@ -229,17 +229,18 @@ let test_reflected_merge_then_connect () =
   Vg.validate vg
 
 (* The executor before the rim reveal, O(1) [reflect] and the frame
-   boxes, kept verbatim as the model of the current one: it probes every
-   cell of each diamond, rekeys a whole frame on [reflect] and [merge],
-   and scans the frame table for [span]. *)
+   boxes, kept as the model of the current one: it probes every cell of
+   each diamond, rekeys a whole frame on [reflect] and [merge], and scans
+   the frame table for [span].  It is verbatim except that each frame's
+   table is a stdlib [Hashtbl], so the model shares no container code
+   with the executor it checks. *)
 module Ref_vg = struct
   module V = Models.View
   module Coord = Grid_graph.Packed.Coord
-  module Ptable = Grid_graph.Packed.Table
 
   type frame_state = {
     fid : int;
-    table : Ptable.t;  (* packed frame coords -> handle *)
+    table : (int, int) Hashtbl.t;  (* packed frame coords -> handle *)
     mutable alive : bool;
   }
 
@@ -289,7 +290,7 @@ module Ref_vg = struct
     t
 
   let new_frame t =
-    let f = { fid = t.next_fid; table = Ptable.create (); alive = true } in
+    let f = { fid = t.next_fid; table = Hashtbl.create 16; alive = true } in
     t.next_fid <- t.next_fid + 1;
     Hashtbl.replace t.frames f.fid f;
     f
@@ -319,7 +320,7 @@ module Ref_vg = struct
     if not f.alive then invalid_arg ("Virtual_grid: frame used after merge in " ^ op)
 
   let handle_at _t f ~row ~col =
-    if Coord.in_range row col then Ptable.find_opt f.table (Coord.pack row col)
+    if Coord.in_range row col then Hashtbl.find_opt f.table (Coord.pack row col)
     else None
 
   let output_opt t h = let c = t.outputs.(h) in if c < 0 then None else Some c
@@ -331,7 +332,7 @@ module Ref_vg = struct
 
   (* [k] is a packed coordinate already checked in range by the caller. *)
   let reveal_node t f k =
-    let h = Ptable.find_default f.table k ~default:(-1) in
+    let h = Option.value (Hashtbl.find_opt f.table k) ~default:(-1) in
     if h >= 0 then (h, false)
     else begin
       let h = Grid_graph.Dyn_graph.add_node t.region in
@@ -339,7 +340,7 @@ module Ref_vg = struct
       t.coords.(h) <- k;
       t.frame_ids.(h) <- f.fid;
       t.revealed_step.(h) <- t.steps;
-      Ptable.set f.table k h;
+      Hashtbl.replace f.table k h;
       (h, true)
     end
 
@@ -374,7 +375,7 @@ module Ref_vg = struct
         && Coord.in_range (row + t.radius) (col + t.radius))
     then invalid_arg "Virtual_grid.present: coordinates outside packable range";
     let base = Coord.pack row col in
-    (match Ptable.find_default f.table base ~default:(-1) with
+    (match Option.value (Hashtbl.find_opt f.table base) ~default:(-1) with
     | h when h >= 0 && Bytes.get t.presented h <> '\000' ->
         raise
           (Models.Run_stats.Dishonest_transcript
@@ -400,7 +401,7 @@ module Ref_vg = struct
       (fun h ->
         let k = t.coords.(h) in
         let probe k' =
-          let h' = Ptable.find_default f.table k' ~default:(-1) in
+          let h' = Option.value (Hashtbl.find_opt f.table k') ~default:(-1) in
           if h' >= 0 then Grid_graph.Dyn_graph.add_edge t.region h h'
         in
         probe (Coord.north k);
@@ -409,7 +410,7 @@ module Ref_vg = struct
         probe (Coord.east k))
       new_nodes;
     let target =
-      match Ptable.find_default f.table base ~default:(-1) with
+      match Option.value (Hashtbl.find_opt f.table base) ~default:(-1) with
       | -1 -> assert false
       | h -> h
     in
@@ -467,12 +468,12 @@ module Ref_vg = struct
 
   let reflect t f =
     check_alive f "reflect";
-    let entries = Ptable.fold f.table ~init:[] ~f:(fun acc k h -> (k, h) :: acc) in
-    Ptable.clear f.table;
+    let entries = Hashtbl.fold (fun k h acc -> (k, h) :: acc) f.table [] in
+    Hashtbl.reset f.table;
     List.iter
       (fun (k, h) ->
         let k' = Coord.pack (Coord.row k) (- Coord.col k) in
-        Ptable.set f.table k' h;
+        Hashtbl.replace f.table k' h;
         t.coords.(h) <- k')
       entries
 
@@ -487,7 +488,7 @@ module Ref_vg = struct
         invalid_arg "Virtual_grid.merge: placement outside packable range";
       Coord.pack r c
     in
-    let entries = Ptable.fold absorb.table ~init:[] ~f:(fun acc k h -> (k, h) :: acc) in
+    let entries = Hashtbl.fold (fun k h acc -> (k, h) :: acc) absorb.table [] in
     (* The committed placement must not contradict any view already shown:
        no collisions and no adjacencies between the two revealed regions. *)
     List.iter
@@ -495,7 +496,7 @@ module Ref_vg = struct
         let m = map k in
         List.iter
           (fun probe ->
-            if Ptable.mem keep.table probe then
+            if Hashtbl.mem keep.table probe then
               invalid_arg
                 "Virtual_grid.merge: placement collides with or touches the kept region")
           [ m; Coord.north m; Coord.south m; Coord.west m; Coord.east m ])
@@ -503,7 +504,7 @@ module Ref_vg = struct
     List.iter
       (fun (k, h) ->
         let m = map k in
-        Ptable.set keep.table m h;
+        Hashtbl.replace keep.table m h;
         t.coords.(h) <- m;
         t.frame_ids.(h) <- keep.fid)
       entries;
@@ -518,12 +519,14 @@ module Ref_vg = struct
     check_alive f "span";
     let row_lo = ref max_int and row_hi = ref min_int in
     let col_lo = ref max_int and col_hi = ref min_int in
-    Ptable.iter f.table ~f:(fun k _ ->
+    Hashtbl.iter
+      (fun k _ ->
         let r = Coord.row k and c = Coord.col k in
         row_lo := min !row_lo r;
         row_hi := max !row_hi r;
         col_lo := min !col_lo c;
-        col_hi := max !col_hi c);
+        col_hi := max !col_hi c)
+      f.table;
     ((!row_lo, !row_hi), (!col_lo, !col_hi))
 
   let violation t = t.first_violation
@@ -557,7 +560,7 @@ module Ref_vg = struct
     let (_, (glo, ghi)) =
       Hashtbl.fold
         (fun _ f ((rl, rh), (cl, ch)) ->
-          if Ptable.length f.table = 0 then ((rl, rh), (cl, ch))
+          if Hashtbl.length f.table = 0 then ((rl, rh), (cl, ch))
           else
             let (rl', rh'), (cl', ch') = span t f in
             ((min rl rl', max rh rh'), (min cl cl', max ch ch')))
