@@ -31,10 +31,11 @@
    replay identically up to the changed decision because both sides are
    deterministic.
 
-   A leaf "survives" if the run ends Survived with forced_b < k.  The
-   Lemma 3.6 failwith (improper coloring slipping past the per-present
-   check, printed as REFUTED) or a surviving leaf (counted in the
-   summary) is a refutation and exits 1.  A search that exceeds
+   A leaf "survives" if Verdict.classify calls its run Survived with
+   forced_b < k.  The Lemma 3.6 failwith (improper coloring slipping
+   past the per-present check, printed as REFUTED) or a surviving leaf
+   (counted in the summary) is a refutation and exits 1, and so is a
+   faulted leaf, which only a bug could produce.  A search that exceeds
    --max-leaves proves nothing either way: it prints INCOMPLETE and
    exits 2.
 
@@ -176,11 +177,12 @@ let enumerate ~mode ~side ~k ~max_leaves =
     totals.max_presents <- max totals.max_presents presents;
     totals.max_depth <- max totals.max_depth (List.length decisions);
     totals.max_width <- max totals.max_width report.Thm1_adversary.width;
-    (match report.Thm1_adversary.result with
-    | `Defeated _ -> totals.defeated <- totals.defeated + 1
-    | `Survived ->
+    (match Verdict.classify None (Ok report.Thm1_adversary.result) with
+    | Verdict.Defeated -> totals.defeated <- totals.defeated + 1
+    | Verdict.Survived ->
         if report.Thm1_adversary.forced_b < k then
-          totals.survivors <- totals.survivors + 1);
+          totals.survivors <- totals.survivors + 1
+    | o -> failwith ("a strategy's run ended " ^ Verdict.label o));
     match next_strategy (List.rev decisions) with
     | None -> ()
     | Some prefix -> go prefix

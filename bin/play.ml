@@ -40,7 +40,7 @@ let run list_games game_name algo_name t n paranoid max_calls deadline trace sta
           { Harness.Guard.default_limits with max_color_calls = max_calls; deadline }
         in
         let verdict = g.Game.play ~paranoid ~limits ~n (algorithm_of algo_name t) in
-        Format.printf "%a@." Game.pp_verdict verdict;
+        Format.printf "%a@." Verdict.pp verdict;
         0
 
 let list_games = Arg.(value & flag & info [ "list" ] ~doc:"List the games.")

@@ -44,7 +44,7 @@ let () =
   List.iter
     (fun t ->
       match
-        Measure.min_defeating_b ~n_side:4000 ~t
+        Measure.min_defeating_b ~n_side:4000
           ~algorithm:(fun () -> Portfolio.ael ~t ())
           ~k_max:12
       with

@@ -13,6 +13,11 @@
    A payload that does not parse, or an unknown kind, raises — which the
    server maps to a typed "ERROR: ..." result, never a crash.
 
+   A thmN cell prints its adversary's report, whose result field is the
+   raw result through Models.Run_stats.pp_result: an algorithm that
+   raised reads "result=DEFEATED (algorithm raised ...)", not Verdict's
+   ALGORITHM-FAULT.  That is the one legacy mapping (ROADMAP item 5).
+
    The thm1 game cache.  A thm1 sweep cell ([thm1_cell]) answers through
    [thm1_reports], a table of whole adversary reports keyed on
    (algorithm name, radius, k, side, validate).  A cell's t enters only
@@ -58,15 +63,16 @@ let thm1_algorithm name t =
 
 (* A cell's text from [play]'s report.  A transcript that fails the
    --validate audit is the adversary's fault, not the cell's: its result
-   line carries Game's label and the audit's message, where a report
+   line carries Verdict's label and the audit's message, where a report
    line would be, and the sweep goes on. *)
 let thm1_text ~t ~k ~side ~algo play =
   let pp_result ppf = function
     | Ok r -> Thm1_adversary.pp_report ppf r
     | Error message ->
         Format.fprintf ppf "%s: %s"
-          (Game.outcome_label
-             (Game.Adversary_fault (Harness.Misbehavior.Dishonest_transcript { message })))
+          (Verdict.label
+             (Verdict.classify None
+                (Error (Harness.Misbehavior.Dishonest_transcript { message }))))
           message
   in
   let result =

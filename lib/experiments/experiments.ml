@@ -7,6 +7,15 @@ module RS = Models.Run_stats
 let hr ppf title =
   Format.fprintf ppf "@.----- %s -----@." title
 
+(* E1-E3 classify their adversaries' raw reports.  The result column
+   abbreviates an algorithm fault to ALG-FAULT, and a fault's evidence
+   columns print "-": the adversary never gathered them. *)
+let result_column result =
+  match Verdict.classify None (Ok result) with
+  | Verdict.Algorithm_fault _ -> ("ALG-FAULT", true)
+  | Verdict.Adversary_fault _ as o -> (Verdict.label o, true)
+  | (Verdict.Defeated | Verdict.Survived) as o -> (Verdict.label o, false)
+
 (* ------------------------------- E1 ------------------------------- *)
 
 let e1_grid_lower_bound ?(quick = false) ppf =
@@ -19,9 +28,7 @@ let e1_grid_lower_bound ?(quick = false) ppf =
     (fun (name, algo) ->
       let r = Thm1_adversary.run ~n_side:400 ~k:9 ~algorithm:algo () in
       Format.fprintf ppf "%-24s %-10s %-9d %-10d %dx%d@." name
-        (match r.Thm1_adversary.result with
-        | `Defeated _ -> "DEFEATED"
-        | `Survived -> "survived")
+        (fst (result_column r.Thm1_adversary.result))
         r.Thm1_adversary.forced_b r.Thm1_adversary.presented r.Thm1_adversary.width
         r.Thm1_adversary.height)
     (Portfolio.grid_baselines ());
@@ -34,7 +41,7 @@ let e1_grid_lower_bound ?(quick = false) ppf =
   List.iter
     (fun t ->
       match
-        Measure.min_defeating_b ~n_side:6000 ~t
+        Measure.min_defeating_b ~n_side:6000
           ~algorithm:(fun () -> Portfolio.ael ~t ())
           ~k_max:12
       with
@@ -101,16 +108,6 @@ let e1_grid_lower_bound ?(quick = false) ppf =
 
 (* ------------------------------- E2 ------------------------------- *)
 
-(* A played run whose violation is the algorithm's own failure is a
-   fault, not a defeat: it proves nothing about the theorem, and the
-   adversary's evidence (s-values, classes, seam) was never gathered. *)
-let is_fault = function `Defeated (RS.Algorithm_failure _) -> true | _ -> false
-
-let result_label = function
-  | `Defeated (RS.Algorithm_failure _) -> "ALG-FAULT"
-  | `Defeated _ -> "DEFEATED"
-  | `Survived -> "survived"
-
 let e2_torus_lower_bound ?(quick = false) ppf =
   hr ppf "E2 (Theorem 2): toroidal/cylindrical grids need Omega(sqrt n)";
   Format.fprintf ppf
@@ -139,11 +136,11 @@ let e2_torus_lower_bound ?(quick = false) ppf =
           List.iter
             (fun (name, algorithm) ->
               let r = Thm2_adversary.run ~wrap ~side ~algorithm () in
+              let result, fault = result_column r.Thm2_adversary.result in
               Format.fprintf ppf "%-12s %-6d %-18s %-10b %-10s %s@."
                 (match wrap with `Cylindrical -> "cylinder" | `Toroidal -> "torus")
-                side name r.Thm2_adversary.preconditions_met
-                (result_label r.Thm2_adversary.result)
-                (if is_fault r.Thm2_adversary.result then "-/-"
+                side name r.Thm2_adversary.preconditions_met result
+                (if fault then "-/-"
                  else Printf.sprintf "%d/%d" r.Thm2_adversary.s_east r.Thm2_adversary.s_west))
             algorithms)
         sides)
@@ -177,11 +174,10 @@ let e3_gadget_lower_bound ?(quick = false) ppf =
       List.iter
         (fun (name, algo) ->
           let r = Thm3_adversary.run ~k ~gadgets ~algorithm:algo () in
-          let fault = is_fault r.Thm3_adversary.result in
+          let result, fault = result_column r.Thm3_adversary.result in
           Format.fprintf ppf "%-10d %-4d %-7d %-9b %-10s %-12s %s/%s (%s)@." gadgets k
             (gadgets * k * k)
-            r.Thm3_adversary.preconditions_met
-            (result_label r.Thm3_adversary.result)
+            r.Thm3_adversary.preconditions_met result
             (if fault then "-" else string_of_bool r.Thm3_adversary.seam_used)
             (if fault then "-" else class_name r.Thm3_adversary.first_class)
             (if fault then "-" else class_name r.Thm3_adversary.last_class)
@@ -403,7 +399,7 @@ let fault_matrix () =
       List.map
         (fun (fault, inject) ->
           let v = game.Game.play ~limits:e7_limits ~n (inject (base ())) in
-          (game.Game.name, fault, Game.outcome_label v.Game.outcome))
+          (game.Game.name, fault, Verdict.label v.Verdict.outcome))
         injections)
     (e7_games ())
 

@@ -10,12 +10,7 @@ module Coord = struct
   let pack r c = (r lsl col_bits) lor ((c + col_bias) land col_mask)
   let row k = k asr col_bits
   let col k = (k land col_mask) - col_bias
-  let unpack k = (row k, col k)
   let in_range r c = r > -bound && r < bound && c > -bound && c < bound
-
-  let pack_checked r c =
-    if not (in_range r c) then invalid_arg "Packed.Coord.pack_checked: out of range";
-    pack r c
 
   (* With the column biased into [0, 2^31), adding or subtracting 1 moves
      one column and adding or subtracting [row_step] moves one row, with

@@ -19,20 +19,14 @@ module Coord : sig
       so sorting packed keys sorts coordinates. *)
 
   val pack : int -> int -> int
-  (** [pack r c] packs without a range check — O(1), hot path. *)
-
-  val pack_checked : int -> int -> int
-  (** Like {!pack} but raises [Invalid_argument] outside the valid
-      range.  Used once per fresh coordinate at reveal time. *)
+  (** [pack r c] packs without a range check — O(1), hot path.  Callers
+      that can leave the valid range check it with {!in_range} first. *)
 
   val row : int -> int
   (** Row of a packed key. *)
 
   val col : int -> int
   (** Column of a packed key. *)
-
-  val unpack : int -> int * int
-  (** [unpack k] is [(row k, col k)]. *)
 
   val in_range : int -> int -> bool
   (** Whether [(r, c)] lies in the packable range [|r|, |c| < 2{^29}]. *)

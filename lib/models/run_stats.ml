@@ -10,6 +10,8 @@ type violation =
       backtrace : string;
     }
 
+type result = [ `Defeated of violation | `Survived ]
+
 type outcome = {
   coloring : Colorings.Coloring.t;
   violation : violation option;
@@ -27,6 +29,10 @@ let pp_violation ppf = function
   | Algorithm_failure { node; message; backtrace } ->
       Format.fprintf ppf "algorithm raised on node %d: %s%s" node message
         (if backtrace = "" then "" else " [backtrace recorded]")
+
+let pp_result ppf = function
+  | `Defeated v -> Format.fprintf ppf "DEFEATED (%a)" pp_violation v
+  | `Survived -> Format.pp_print_string ppf "survived"
 
 let pp_outcome ppf o =
   Format.fprintf ppf "@[<v>steps=%d revealed=%d max_view=%d colored=%d/%d %a@]"

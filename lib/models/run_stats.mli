@@ -33,6 +33,9 @@ type violation =
           exceptions ([Stack_overflow], [Out_of_memory], [Sys.Break])
           are re-raised by the executors, never recorded here. *)
 
+type result = [ `Defeated of violation | `Survived ]
+(** A run's raw result; [Online_local.Verdict.classify] says what it counts as. *)
+
 type outcome = {
   coloring : Colorings.Coloring.t;  (** indexed by host node *)
   violation : violation option;  (** first violation discovered, if any *)
@@ -42,6 +45,10 @@ type outcome = {
 }
 
 val pp_violation : Format.formatter -> violation -> unit
+
+val pp_result : Format.formatter -> result -> unit
+(** [DEFEATED (<violation>)], whatever the violation, or [survived]. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val succeeded : outcome -> colors:int -> host:Grid_graph.Graph.t -> bool

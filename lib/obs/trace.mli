@@ -86,7 +86,7 @@ type event =
       adversary : string;
       algorithm : string;
       n : int;
-      outcome : string;  (** [Game.outcome_label] *)
+      outcome : string;  (** [Online_local.Verdict.label] *)
       guaranteed : bool;
       color_calls : int;  (** guard meter at verdict *)
       work : int;  (** guard meter at verdict *)

@@ -3,22 +3,6 @@ module M = Harness.Misbehavior
 module Tr = Obs.Trace
 module St = Obs.Stats
 
-type outcome =
-  | Defeated
-  | Survived
-  | Algorithm_fault of M.t
-  | Adversary_fault of M.t
-
-type verdict = {
-  adversary : string;
-  algorithm : string;
-  n : int;
-  outcome : outcome;
-  defeated : bool;
-  guaranteed : bool;
-  detail : string;
-}
-
 type t = {
   name : string;
   description : string;
@@ -27,31 +11,8 @@ type t = {
     ?limits:G.limits ->
     n:int ->
     Models.Algorithm.t ->
-    verdict;
+    Verdict.t;
 }
-
-let outcome_label = function
-  | Defeated -> "DEFEATED"
-  | Survived -> "survived"
-  | Algorithm_fault m -> "ALGORITHM-FAULT (" ^ M.label m ^ ")"
-  | Adversary_fault m -> "ADVERSARY-FAULT (" ^ M.label m ^ ")"
-
-let pp_verdict ppf v =
-  Format.fprintf ppf "@[<v>%s vs %s (n=%d): %s%s@,%s@]" v.adversary v.algorithm v.n
-    (outcome_label v.outcome)
-    (if v.guaranteed then " [guaranteed]" else "")
-    v.detail
-
-let of_violation = function
-  | Models.Run_stats.Monochromatic_edge _ -> Defeated
-  | Models.Run_stats.Palette_overflow { color; _ } ->
-      Algorithm_fault (M.Out_of_palette { color })
-  | Models.Run_stats.Algorithm_failure { message; backtrace; _ } ->
-      Algorithm_fault (M.Raised { message; backtrace })
-  | Models.Run_stats.Repeated_presentation v ->
-      Adversary_fault
-        (M.Dishonest_transcript
-           { message = Printf.sprintf "node %d presented twice" v })
 
 let referee ?(limits = G.default_limits) ~adversary ~n algorithm play =
   if Tr.on () then
@@ -69,23 +30,17 @@ let referee ?(limits = G.default_limits) ~adversary ~n algorithm play =
   let guarded = G.algorithm guard algorithm in
   let result = G.capture guard (fun () -> play guarded) in
   let guaranteed = match result with Ok (_, _, g) -> g | Error _ -> false in
-  let outcome, detail =
-    (* A typed fault recorded on the guard wins over whatever the
-       executor turned it into: the executor only sees a generic
-       exception, the guard knows it was a budget/deadline/raise. *)
-    match (G.fault guard, result) with
+  let fault = G.fault guard in
+  let outcome = Verdict.classify fault (Result.map (fun (r, _, _) -> r) result) in
+  let detail =
+    match (fault, result) with
     (* The executor contained the guard's exception and its record, in
        the adversary's report, already states the cause. *)
-    | Some m, Ok (`Defeated (Models.Run_stats.Algorithm_failure _), detail, _) ->
-        (Algorithm_fault m, detail)
-    | Some m, Ok (_, detail, _) -> (Algorithm_fault m, M.to_string m ^ "; " ^ detail)
-    | Some m, Error _ -> (Algorithm_fault m, M.to_string m)
-    (* An exception escaping the adversary's own code is an adversary
-       fault; Guard.capture already sharpened typed audit failures
-       (Run_stats.Dishonest_transcript) into their certificate. *)
-    | None, Error m -> (Adversary_fault m, M.to_string m)
-    | None, Ok (`Survived, detail, _) -> (Survived, detail)
-    | None, Ok (`Defeated v, detail, _) -> (of_violation v, detail)
+    | Some _, Ok (`Defeated (Models.Run_stats.Algorithm_failure _), detail, _)
+    | None, Ok (_, detail, _) ->
+        detail
+    | Some m, Ok (_, detail, _) -> M.to_string m ^ "; " ^ detail
+    | Some m, Error _ | None, Error m -> M.to_string m
   in
   if Tr.on () then
     Tr.emit
@@ -94,7 +49,7 @@ let referee ?(limits = G.default_limits) ~adversary ~n algorithm play =
            adversary;
            algorithm = algorithm.Models.Algorithm.name;
            n;
-           outcome = outcome_label outcome;
+           outcome = Verdict.label outcome;
            guaranteed;
            color_calls = G.color_calls guard;
            work = G.work guard;
@@ -109,11 +64,10 @@ let referee ?(limits = G.default_limits) ~adversary ~n algorithm play =
     St.observe ("game.n." ^ adversary) n
   end;
   {
-    adversary;
+    Verdict.adversary;
     algorithm = algorithm.Models.Algorithm.name;
     n;
     outcome;
-    defeated = (match outcome with Defeated -> true | _ -> false);
     guaranteed;
     detail;
   }

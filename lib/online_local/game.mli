@@ -18,26 +18,6 @@
     tick state is one value per process: games run one at a time on a
     process's single domain. *)
 
-type outcome =
-  | Defeated  (** the adversary produced a genuine violation certificate *)
-  | Survived  (** the algorithm withstood the attack *)
-  | Algorithm_fault of Harness.Misbehavior.t
-      (** the algorithm misbehaved (raised, over budget, past deadline,
-          out of palette) — the run proves nothing about the theorem *)
-  | Adversary_fault of Harness.Misbehavior.t
-      (** the adversary misbehaved (crashed, or its transcript failed
-          the honesty audit) — the verdict cannot be trusted *)
-
-type verdict = {
-  adversary : string;
-  algorithm : string;
-  n : int;  (** instance size the game was played at *)
-  outcome : outcome;
-  defeated : bool;  (** [outcome = Defeated] — kept for callers charting defeat frontiers *)
-  guaranteed : bool;  (** whether theory guarantees defeat at these parameters *)
-  detail : string;  (** adversary-specific report, pretty-printed *)
-}
-
 type t = {
   name : string;
   description : string;
@@ -46,13 +26,14 @@ type t = {
     ?limits:Harness.Guard.limits ->
     n:int ->
     Models.Algorithm.t ->
-    verdict;
+    Verdict.t;
       (** [n] is interpreted per adversary (grid side, torus side, or
           gadget count) — see {!val-games}.  [~paranoid:true] replays the
           transcript through an honesty audit: {!Virtual_grid.validate}
           for Theorem 1, {!Models.Fixed_host.validate} on every fixed-host
           run of the other games; an audit failure surfaces as
-          {!Adversary_fault} with a [Dishonest_transcript] certificate.
+          [Verdict.Adversary_fault] with a [Dishonest_transcript]
+          certificate.
           A game of [k] steps costs O(sum of per-step frontier sizes)
           in the executor plus the algorithm's own work — see
           [lib/online_local/README.md] for the per-step cost model and
@@ -65,25 +46,19 @@ val referee :
   adversary:string ->
   n:int ->
   Models.Algorithm.t ->
-  (Models.Algorithm.t ->
-  [ `Defeated of Models.Run_stats.violation | `Survived ] * string * bool) ->
-  verdict
+  (Models.Algorithm.t -> Models.Run_stats.result * string * bool) ->
+  Verdict.t
 (** The guarded engine behind every game: wrap [algorithm] in a fresh
     guard, run [play] on the guarded twin under {!Harness.Guard.capture},
-    and classify.  [play] returns the run's result, its detail and
-    whether theory guarantees the defeat on this instance; the verdict
-    and its [game_verdict] trace event both carry that flag, which is
-    [false] when [play] raised.  Precedence: a fault recorded on the guard wins (the
-    executor only saw a generic exception; the guard knows it was a
-    budget, deadline, or raise); then an adversary-side escape becomes
-    {!Adversary_fault} (a {!Models.Run_stats.Dishonest_transcript}
-    escape keeps its [Dishonest_transcript] certificate, by exception
-    type, not message text); then the violation decides — monochromatic
-    edge is a genuine {!Defeated}, palette overflow and algorithm crashes
-    are {!Algorithm_fault}, repeated presentation is {!Adversary_fault}.
-    Exposed so tests can build rigged games. *)
-
-val outcome_label : outcome -> string
+    and classify the guard's fault and [play]'s result with
+    {!Verdict.classify} (which states the precedence).  [play] returns
+    the run's result, its detail and whether theory guarantees the
+    defeat on this instance; the verdict and its [game_verdict] trace
+    event both carry that flag, which is [false] when [play] raised.
+    After a guard fault the detail leads with the guard's certificate,
+    unless the run's [Algorithm_failure] record already states it, and
+    is the certificate alone when [play] raised.  Exposed so tests can
+    build rigged games. *)
 
 val thm1 : t
 (** Theorem 1 on an [n x n] virtual grid, with the largest fitting
@@ -110,5 +85,3 @@ val games : t list
 
 val find : string -> t option
 (** Look up a game by name. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

@@ -1,7 +1,5 @@
 open Grid_graph
 
-type upper_sweep_point = { n : int; t_star : int; swaps_at_t_star : int }
-
 let succeeds ~host ~palette ~orders ~make ?oracle ?hints t =
   List.for_all
     (fun order ->
@@ -64,7 +62,7 @@ let adversarial_orders ~host ~seeds =
   (sequential :: two_ends :: bit_reversal
    :: List.map (fun seed -> Models.Fixed_host.orders ~all:host (`Random seed)) seeds)
 
-let min_defeating_b ~n_side ~t:_ ~algorithm ~k_max =
+let min_defeating_b ~n_side ~algorithm ~k_max =
   let rec go k =
     if k > k_max then None
     else
@@ -74,7 +72,9 @@ let min_defeating_b ~n_side ~t:_ ~algorithm ~k_max =
             Thm1_adversary.run ~n_side ~k ~algorithm:(algorithm ()) ())
       with
       (* A construction wider than the host is not a defeat on it. *)
-      | Ok { Thm1_adversary.result = `Defeated _; fits = true; _ } -> Some k
+      | Ok { Thm1_adversary.result; fits = true; _ }
+        when Verdict.classify None (Ok result) = Verdict.Defeated ->
+          Some k
       | Ok _ | Error _ -> go (k + 1)
   in
   go 1

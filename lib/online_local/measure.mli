@@ -7,12 +7,6 @@
     this should track [3 (k-1) log2 n]; for the Theorem 1 adversary, the
     smallest surviving [T] tracks [log n] from below. *)
 
-type upper_sweep_point = {
-  n : int;  (** host size *)
-  t_star : int;  (** smallest locality that succeeded on all orders *)
-  swaps_at_t_star : int;  (** Algorithm-1 executions at that locality *)
-}
-
 val min_locality_for_success :
   host:Grid_graph.Graph.t ->
   palette:int ->
@@ -34,10 +28,12 @@ val adversarial_orders : host:Grid_graph.Graph.t -> seeds:int list -> Grid_graph
     (maximizes the pairwise merge-tree depth, the Theorem 4 worst case);
     and the seeded shuffles. *)
 
-val min_defeating_b : n_side:int -> t:int -> algorithm:(unit -> Models.Algorithm.t) -> k_max:int -> int option
+val min_defeating_b :
+  n_side:int -> algorithm:(unit -> Models.Algorithm.t) -> k_max:int -> int option
 (** Smallest b-value target at which the Theorem 1 adversary defeats a
     fresh instance of the algorithm on an [n_side^2] virtual grid with a
     construction that fits it (the [fits] field of its
     [Thm1_adversary.report]): a defeat wider than the host is not a
-    defeat on it.  [None] if there
-    is no such defeat for any [k <= k_max]. *)
+    defeat on it, and a run that {!Verdict.classify} calls a fault is
+    no defeat at all.  [None] if there is no such defeat for any
+    [k <= k_max]. *)

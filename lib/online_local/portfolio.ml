@@ -28,9 +28,3 @@ let grid_baselines () =
     ("ael-T2", ael ~t:2 ());
     ("ael-T4", ael ~t:4 ());
   ]
-
-let run_games ?paranoid ?limits ~n entries games =
-  List.concat_map
-    (fun (label, algo) ->
-      List.map (fun g -> (label, g.Game.play ?paranoid ?limits ~n algo)) games)
-    entries

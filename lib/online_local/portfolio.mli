@@ -33,14 +33,3 @@ val kp1 : k:int -> t:int -> unit -> Models.Algorithm.t
 val grid_baselines : unit -> (string * Models.Algorithm.t) list
 (** The grid-adversary portfolio: greedy, hint-parity, stripes3, and ael
     at localities 1, 2 and 4. *)
-
-val run_games :
-  ?paranoid:bool ->
-  ?limits:Harness.Guard.limits ->
-  n:int ->
-  (string * Models.Algorithm.t) list ->
-  Game.t list ->
-  (string * Game.verdict) list
-(** Play every labeled algorithm against every game at size [n].  Each
-    pairing runs guarded (see {!Game.referee}), so one faulty participant
-    costs exactly one verdict — the portfolio always completes. *)

@@ -1,7 +1,7 @@
 module Vg = Virtual_grid
 
 type report = {
-  result : [ `Defeated of Models.Run_stats.violation | `Survived ];
+  result : Models.Run_stats.result;
   forced_b : int;
   cycle_b : int option;
   presented : int;
@@ -14,11 +14,8 @@ type report = {
 
 let pp_report ppf r =
   Format.fprintf ppf
-    "@[<v>result=%s forced_b=%d cycle_b=%s presented=%d revealed=%d span=%dx%d fits=%b@]"
-    (match r.result with
-    | `Defeated v -> Format.asprintf "DEFEATED (%a)" Models.Run_stats.pp_violation v
-    | `Survived -> "survived")
-    r.forced_b
+    "@[<v>result=%a forced_b=%d cycle_b=%s presented=%d revealed=%d span=%dx%d fits=%b@]"
+    Models.Run_stats.pp_result r.result r.forced_b
     (match r.cycle_b with None -> "-" | Some b -> string_of_int b)
     r.presented r.revealed r.width r.height r.fits
 

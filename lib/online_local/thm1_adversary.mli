@@ -18,7 +18,7 @@
     needs [k > 4T + 4]: the executable form of the Omega(log n) bound. *)
 
 type report = {
-  result : [ `Defeated of Models.Run_stats.violation | `Survived ];
+  result : Models.Run_stats.result;
   forced_b : int;  (** b-value of the directed path the recursion achieved *)
   cycle_b : int option;  (** b-value of the closing cycle (endgame only) *)
   presented : int;

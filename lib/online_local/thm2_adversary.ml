@@ -1,7 +1,7 @@
 open Grid_graph
 
 type report = {
-  result : [ `Defeated of Models.Run_stats.violation | `Survived ];
+  result : Models.Run_stats.result;
   s_east : int;
   s_west : int;
   reflected : bool;
@@ -12,10 +12,8 @@ type report = {
 
 let pp_report ppf r =
   Format.fprintf ppf
-    "@[<v>result=%s s_east=%d s_west=%d reflected=%b presented=%d preconditions=%b@]"
-    (match r.result with
-    | `Defeated v -> Format.asprintf "DEFEATED (%a)" Models.Run_stats.pp_violation v
-    | `Survived -> "survived")
+    "@[<v>result=%a s_east=%d s_west=%d reflected=%b presented=%d preconditions=%b@]"
+    Models.Run_stats.pp_result r.result
     r.s_east r.s_west r.reflected r.presented r.preconditions_met
 
 let variant_host ~wrap ~rows ~cols ~reflect ~band_lo ~band_hi =

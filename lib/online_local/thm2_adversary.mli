@@ -20,7 +20,7 @@
     there. *)
 
 type report = {
-  result : [ `Defeated of Models.Run_stats.violation | `Survived ];
+  result : Models.Run_stats.result;
   s_east : int;  (** b-value of row 1 directed east (final coloring) *)
   s_west : int;  (** b-value of row 2 directed west (final coloring) *)
   reflected : bool;  (** whether the reflected variant was selected *)

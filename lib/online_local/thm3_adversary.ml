@@ -1,5 +1,5 @@
 type report = {
-  result : [ `Defeated of Models.Run_stats.violation | `Survived ];
+  result : Models.Run_stats.result;
   first_class : Colorings.Colorful.classification option;
   last_class : Colorings.Colorful.classification option;
   seam_used : bool;
@@ -16,10 +16,8 @@ let class_name = function
 
 let pp_report ppf r =
   Format.fprintf ppf
-    "@[<v>result=%s first=%s last=%s seam=%b presented=%d preconditions=%b@]"
-    (match r.result with
-    | `Defeated v -> Format.asprintf "DEFEATED (%a)" Models.Run_stats.pp_violation v
-    | `Survived -> "survived")
+    "@[<v>result=%a first=%s last=%s seam=%b presented=%d preconditions=%b@]"
+    Models.Run_stats.pp_result r.result
     (match r.first_class with None -> "-" | Some c -> class_name c)
     (match r.last_class with None -> "-" | Some c -> class_name c)
     r.seam_used r.presented r.preconditions_met

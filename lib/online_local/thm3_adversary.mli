@@ -11,7 +11,7 @@
     Either way the completed coloring cannot be proper. *)
 
 type report = {
-  result : [ `Defeated of Models.Run_stats.violation | `Survived ];
+  result : Models.Run_stats.result;
   first_class : Colorings.Colorful.classification option;
       (** classification of gadget 0 after the probe *)
   last_class : Colorings.Colorful.classification option;

@@ -4,6 +4,7 @@ module Coloring = Colorings.Coloring
 module Brute = Colorings.Brute
 module Bvalue = Colorings.Bvalue
 module Game = Online_local.Game
+module Verdict = Online_local.Verdict
 
 type packed =
   | Packed : {
@@ -153,7 +154,6 @@ let print_game_case game c =
 
 (* The verdict invariants every adversary must satisfy, fault injection
    or not:
-   - the [defeated] flag is exactly [outcome = Defeated];
    - an honest adversary never produces [Adversary_fault];
    - a theory-guaranteed honest game never ends [Survived] (an honest
      algorithm may still fault, e.g. AEL raising on a non-bipartite
@@ -170,24 +170,21 @@ let game_prop game c =
   let v =
     game.Game.play ~limits:fuzz_limits ~n:c.n algorithm
   in
-  let flag_consistent =
-    v.Game.defeated = (match v.Game.outcome with Game.Defeated -> true | _ -> false)
-  in
   let honest_adversary =
-    match v.Game.outcome with Game.Adversary_fault _ -> false | _ -> true
+    match v.Verdict.outcome with Verdict.Adversary_fault _ -> false | _ -> true
   in
   let guaranteed_defeat =
-    match (c.fault, v.Game.guaranteed, v.Game.outcome) with
-    | None, true, Game.Survived -> false
+    match (c.fault, v.Verdict.guaranteed, v.Verdict.outcome) with
+    | None, true, Verdict.Survived -> false
     | _ -> true
   in
   let faults_classified =
     match c.fault with
     | Some (name, _) when hard_fault name -> (
-        match v.Game.outcome with Game.Algorithm_fault _ -> true | _ -> false)
+        match v.Verdict.outcome with Verdict.Algorithm_fault _ -> true | _ -> false)
     | _ -> true
   in
-  flag_consistent && honest_adversary && guaranteed_defeat && faults_classified
+  honest_adversary && guaranteed_defeat && faults_classified
 
 let game_target ~name ~doc ~n_range pick_game =
   let gen =

@@ -7,6 +7,13 @@ let check_string = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+module Verdict = Online_local.Verdict
+
+let contains ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
 (* Pinned payloads: these strings travel over the socket.  Changing a
    cell key format is a wire-protocol break, not a cosmetic edit. *)
 let test_pinned_keys () =
@@ -187,6 +194,53 @@ let test_dishonest_transcript_line () =
     | _ -> false
     | exception Failure _ -> true)
 
+(* One game, three routes, one verdict: thm2 on the side-21 torus as
+   play classifies it (Game), as Verdict classifies the catalog's own
+   report, and as E2's quick table prints it, where an algorithm fault
+   is abbreviated to ALG-FAULT.  The catalog's cell text still prints
+   the raw result, DEFEATED, for an algorithm that raised: the one
+   legacy mapping left (ROADMAP item 5, stage B). *)
+let test_one_verdict_across_routes () =
+  let e2_rows =
+    let buf = Buffer.create 4096 in
+    let ppf = Format.formatter_of_buffer buf in
+    Experiments.e2_torus_lower_bound ~quick:true ppf;
+    Format.pp_print_flush ppf ();
+    List.map
+      (fun line -> List.filter (( <> ) "") (String.split_on_char ' ' line))
+      (String.split_on_char '\n' (Buffer.contents buf))
+  in
+  let e2_result name =
+    match
+      List.find_map
+        (function
+          | "torus" :: "21" :: n :: _ :: result :: _ when n = name -> Some result
+          | _ -> None)
+        e2_rows
+    with
+    | Some result -> result
+    | None -> Alcotest.failf "E2 prints no torus 21 row for %s" name
+  in
+  List.iter
+    (fun (algo, e2_name, want) ->
+      let make = List.assoc algo Jobs_catalog.thm2_algorithms in
+      let game = Online_local.Game.thm2_torus.Online_local.Game.play ~n:21 (make ()) in
+      let report =
+        Online_local.Thm2_adversary.run ~wrap:`Toroidal ~side:21 ~algorithm:(make ()) ()
+      in
+      let catalog = Verdict.classify None (Ok report.Online_local.Thm2_adversary.result) in
+      check_string (algo ^ " via Game") want (Verdict.label game.Verdict.outcome);
+      check_string (algo ^ " via the catalog's report") want (Verdict.label catalog);
+      check_string (algo ^ " via E2")
+        (match catalog with Verdict.Algorithm_fault _ -> "ALG-FAULT" | o -> Verdict.label o)
+        (e2_result e2_name))
+    [ ("greedy", "greedy", "DEFEATED"); ("ael(T=1)", "ael-T1", "ALGORITHM-FAULT (raised)") ];
+  let served =
+    Jobs_catalog.handler ~kind:"thm2" ~payload:"wrap=torus side=21 algo=ael(T=1)"
+  in
+  check_bool "the served line keeps the raw result" true
+    (contains ~needle:"result=DEFEATED (algorithm raised on node 39" served)
+
 let () =
   Alcotest.run "catalog"
     [
@@ -205,5 +259,7 @@ let () =
           Alcotest.test_case "bad inputs raise" `Quick test_bad_inputs_raise;
           Alcotest.test_case "dishonest transcript is a result line" `Quick
             test_dishonest_transcript_line;
+          Alcotest.test_case "one verdict across routes" `Quick
+            test_one_verdict_across_routes;
         ] );
     ]

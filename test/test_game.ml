@@ -11,9 +11,9 @@ let test_registry () =
 
 let test_thm1_game_defeats_greedy () =
   let v = Game.thm1.Game.play ~n:3200 (Portfolio.greedy ()) in
-  check_bool "defeated" true v.Game.defeated;
-  check_bool "guaranteed at T=1" true v.Game.guaranteed;
-  check_int "size recorded" 3200 v.Game.n
+  check_bool "defeated" true (v.Verdict.outcome = Verdict.Defeated);
+  check_bool "guaranteed at T=1" true v.Verdict.guaranteed;
+  check_int "size recorded" 3200 v.Verdict.n
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -22,40 +22,40 @@ let contains ~needle haystack =
 
 let test_thm2_game_rounds_to_odd () =
   let v = Game.thm2_torus.Game.play ~n:20 (Portfolio.greedy ()) in
-  check_int "odd side" 21 v.Game.n;
+  check_int "odd side" 21 v.Verdict.n;
   check_bool "rounding visible in detail" true
-    (contains ~needle:"side rounded 20 -> 21" v.Game.detail);
-  check_bool "defeated" true v.Game.defeated
+    (contains ~needle:"side rounded 20 -> 21" v.Verdict.detail);
+  check_bool "defeated" true (v.Verdict.outcome = Verdict.Defeated)
 
 let test_thm2_game_odd_input_not_rounded () =
   let v = Game.thm2_torus.Game.play ~n:21 (Portfolio.greedy ()) in
-  check_int "side kept" 21 v.Game.n;
-  check_bool "no rounding note" false (contains ~needle:"rounded" v.Game.detail)
+  check_int "side kept" 21 v.Verdict.n;
+  check_bool "no rounding note" false (contains ~needle:"rounded" v.Verdict.detail)
 
 let test_thm2_cylinder_game () =
   let v = Game.thm2_cylinder.Game.play ~n:13 (Portfolio.greedy ()) in
-  check_bool "defeated" true v.Game.defeated;
-  check_bool "guaranteed" true v.Game.guaranteed
+  check_bool "defeated" true (v.Verdict.outcome = Verdict.Defeated);
+  check_bool "guaranteed" true v.Verdict.guaranteed
 
 let test_thm3_game () =
   let v = Game.thm3.Game.play ~n:9 (Portfolio.gadget_rows ()) in
-  check_bool "defeated" true v.Game.defeated;
-  check_bool "guaranteed" true v.Game.guaranteed
+  check_bool "defeated" true (v.Verdict.outcome = Verdict.Defeated);
+  check_bool "guaranteed" true v.Verdict.guaranteed
 
 let test_every_lower_game_beats_greedy () =
   List.iter
     (fun g ->
       let v = g.Game.play ~n:25 (Portfolio.greedy ()) in
-      check_bool (g.Game.name ^ " beats greedy") true v.Game.defeated)
+      check_bool (g.Game.name ^ " beats greedy") true (v.Verdict.outcome = Verdict.Defeated))
     [ Game.thm1; Game.thm2_torus; Game.thm2_cylinder; Game.thm3 ]
 
 let test_upper_games_survivable () =
   let v = Game.upper_grid.Game.play ~n:8 (Portfolio.ael ~t:4 ()) in
-  check_bool "ael survives the oracle-free grid" true (v.Game.outcome = Game.Survived);
+  check_bool "ael survives the oracle-free grid" true (v.Verdict.outcome = Verdict.Survived);
   let v = Game.upper_grid_oracle.Game.play ~n:8 (Portfolio.kp1 ~k:2 ~t:8 ()) in
-  check_bool "kp1 survives with the oracle" true (v.Game.outcome = Game.Survived)
+  check_bool "kp1 survives with the oracle" true (v.Verdict.outcome = Verdict.Survived)
 
-let test_portfolio_run_games_total () =
+let test_portfolio_total () =
   (* One faulty entry degrades its own verdicts only. *)
   let entries =
     [
@@ -63,22 +63,27 @@ let test_portfolio_run_games_total () =
       ("saboteur", Harness.Faults.raise_at ~step:1 (Portfolio.greedy ()));
     ]
   in
-  let results = Portfolio.run_games ~n:9 entries [ Game.thm3; Game.upper_grid ] in
+  let results =
+    List.concat_map
+      (fun (label, algo) ->
+        List.map (fun g -> (label, g.Game.play ~n:9 algo)) [ Game.thm3; Game.upper_grid ])
+      entries
+  in
   check_int "all pairings produced verdicts" 4 (List.length results);
   List.iter
     (fun (label, v) ->
-      match (label, v.Game.outcome) with
-      | "saboteur", Game.Algorithm_fault _ -> ()
+      match (label, v.Verdict.outcome) with
+      | "saboteur", Verdict.Algorithm_fault _ -> ()
       | "saboteur", o ->
-          Alcotest.failf "saboteur should fault, got %s" (Game.outcome_label o)
-      | _, (Game.Algorithm_fault _ | Game.Adversary_fault _) ->
+          Alcotest.failf "saboteur should fault, got %s" (Verdict.label o)
+      | _, (Verdict.Algorithm_fault _ | Verdict.Adversary_fault _) ->
           Alcotest.fail "healthy entry faulted"
       | _ -> ())
     results
 
 let test_verdict_renders () =
   let v = Game.thm3.Game.play ~n:5 (Portfolio.greedy ()) in
-  let s = Format.asprintf "%a" Game.pp_verdict v in
+  let s = Format.asprintf "%a" Verdict.pp v in
   check_bool "mentions adversary" true (contains ~needle:"thm3" s)
 
 (* An algorithm fault names its cause, and that a backtrace was
@@ -92,7 +97,7 @@ let test_algorithm_fault_line_pinned () =
      result=DEFEATED (algorithm raised on node 41: Invalid_argument(\"kp1: inconsistent \
      bipartite contacts (host not bipartite?)\") [backtrace recorded]) s_east=0 s_west=0 \
      reflected=false presented=1 preconditions=true"
-    (Format.asprintf "%a" Game.pp_verdict v)
+    (Format.asprintf "%a" Verdict.pp v)
 
 (* The game_verdict trace event carries the verdict's own guaranteed
    flag, which thm2 and thm3 take from their run's preconditions. *)
@@ -111,7 +116,7 @@ let test_traced_flag_agrees () =
           (fun () -> game.Game.play ~n algorithm)
       in
       let what = Printf.sprintf "%s n=%d" game.Game.name n in
-      check_bool (what ^ " verdict") want v.Game.guaranteed;
+      check_bool (what ^ " verdict") want v.Verdict.guaranteed;
       Alcotest.(check (list bool)) (what ^ " trace") [ want ] !traced)
     [
       (Game.thm2_torus, 21, Portfolio.greedy (), true);
@@ -135,7 +140,7 @@ let () =
           Alcotest.test_case "lower games beat greedy" `Slow
             test_every_lower_game_beats_greedy;
           Alcotest.test_case "upper games survivable" `Quick test_upper_games_survivable;
-          Alcotest.test_case "portfolio total" `Quick test_portfolio_run_games_total;
+          Alcotest.test_case "portfolio total" `Quick test_portfolio_total;
           Alcotest.test_case "verdict renders" `Quick test_verdict_renders;
           Alcotest.test_case "algorithm fault line pinned" `Quick
             test_algorithm_fault_line_pinned;

@@ -183,16 +183,87 @@ let test_chaos_oracle_preserves_shared_buffer () =
 
 (* --------------------------- classification ------------------------ *)
 
+(* Verdict.classify, one row per precedence case: a guard fault beats
+   everything, then an exception that escaped the adversary, then the
+   run's own result, where only a monochromatic edge is a defeat. *)
+let test_classify_table () =
+  let budget = M.Budget_exhausted { used = 6; budget = 5 } in
+  let crash = M.Raised { message = "adversary bug"; backtrace = "" } in
+  let mono = `Defeated (RS.Monochromatic_edge (1, 2)) in
+  List.iter
+    (fun (what, fault, run, want) ->
+      let got = Verdict.classify fault run in
+      if got <> want then
+        Alcotest.failf "%s: expected %s, got %s" what (Verdict.label want)
+          (Verdict.label got))
+    [
+      ("guard fault over a survival", Some budget, Ok `Survived, Verdict.Algorithm_fault budget);
+      ("guard fault over a defeat", Some budget, Ok mono, Verdict.Algorithm_fault budget);
+      ("guard fault over an escape", Some budget, Error crash, Verdict.Algorithm_fault budget);
+      ("adversary escape", None, Error crash, Verdict.Adversary_fault crash);
+      ("survival", None, Ok `Survived, Verdict.Survived);
+      ("monochromatic edge", None, Ok mono, Verdict.Defeated);
+      ( "palette overflow",
+        None,
+        Ok (`Defeated (RS.Palette_overflow { node = 4; color = 5 })),
+        Verdict.Algorithm_fault (M.Out_of_palette { color = 5 }) );
+      ( "algorithm failure",
+        None,
+        Ok (`Defeated (RS.Algorithm_failure { node = 4; message = "boom"; backtrace = "bt" })),
+        Verdict.Algorithm_fault (M.Raised { message = "boom"; backtrace = "bt" }) );
+      ( "repeated presentation",
+        None,
+        Ok (`Defeated (RS.Repeated_presentation 3)),
+        Verdict.Adversary_fault (M.Dishonest_transcript { message = "node 3 presented twice" }) );
+    ]
+
+(* Game.referee's detail rule.  After a guard fault the guard's
+   certificate leads the detail, unless the executor's Algorithm_failure
+   record already states the cause, and is the whole detail when the
+   adversary then raised.  With no guard fault the detail is play's, or
+   the escape's certificate. *)
+let test_referee_detail_rule () =
+  let limits = { G.no_limits with G.max_color_calls = Some 0 } in
+  let play_on guarded =
+    FH.run ~host:(Grid_graph.Graph.path_graph 2) ~palette:3 ~algorithm:guarded
+      ~order:[ 0; 1 ] ()
+  in
+  let certificate = M.to_string (M.Budget_exhausted { used = 1; budget = 0 }) in
+  let check_faulted what want play =
+    let v = Game.referee ~limits ~adversary:"rigged" ~n:2 (Portfolio.greedy ()) play in
+    (match v.Verdict.outcome with
+    | Verdict.Algorithm_fault (M.Budget_exhausted { used = 1; budget = 0 }) -> ()
+    | o -> Alcotest.failf "%s: expected the budget fault, got %s" what (Verdict.label o));
+    Alcotest.(check string) what want v.Verdict.detail
+  in
+  check_faulted "the executor's record states the cause" "the report" (fun g ->
+      match (play_on g).RS.violation with
+      | Some v -> (`Defeated v, "the report", false)
+      | None -> Alcotest.fail "the budget must stop the run");
+  check_faulted "the certificate leads any other result"
+    (certificate ^ "; rigged survival")
+    (fun g ->
+      ignore (play_on g);
+      (`Survived, "rigged survival", false));
+  check_faulted "the certificate alone when the adversary raised" certificate (fun g ->
+      ignore (play_on g);
+      failwith "adversary bug");
+  let unguarded play = (Game.referee ~adversary:"rigged" ~n:1 (Portfolio.greedy ()) play).Verdict.detail in
+  Alcotest.(check string) "play's detail" "clean" (unguarded (fun _ -> (`Survived, "clean", false)));
+  check_bool "the escape's certificate" true
+    (String.starts_with ~prefix:"raised: Failure(\"adversary bug\")"
+       (unguarded (fun _ -> failwith "adversary bug")))
+
 let test_rigged_dishonest_transcript () =
   let v =
     Game.referee ~adversary:"rigged" ~n:1 (Portfolio.greedy ())
       (fun _ -> raise (RS.Dishonest_transcript "frame 0 lied about an edge"))
   in
-  match v.Game.outcome with
-  | Game.Adversary_fault
+  match v.Verdict.outcome with
+  | Verdict.Adversary_fault
       (M.Dishonest_transcript { message = "frame 0 lied about an edge" }) ->
       ()
-  | o -> Alcotest.failf "expected dishonest transcript, got %s" (Game.outcome_label o)
+  | o -> Alcotest.failf "expected dishonest transcript, got %s" (Verdict.label o)
 
 let test_audit_like_message_stays_raised () =
   (* Classification is by exception constructor, never message text: a
@@ -202,18 +273,18 @@ let test_audit_like_message_stays_raised () =
     Game.referee ~adversary:"rigged" ~n:1 (Portfolio.greedy ())
       (fun _ -> failwith "validate: node 7 presented twice")
   in
-  match v.Game.outcome with
-  | Game.Adversary_fault (M.Raised _) -> ()
-  | o -> Alcotest.failf "expected generic raised, got %s" (Game.outcome_label o)
+  match v.Verdict.outcome with
+  | Verdict.Adversary_fault (M.Raised _) -> ()
+  | o -> Alcotest.failf "expected generic raised, got %s" (Verdict.label o)
 
 let test_rigged_repeated_presentation () =
   let v =
     Game.referee ~adversary:"rigged" ~n:1 (Portfolio.greedy ())
       (fun _ -> (`Defeated (RS.Repeated_presentation 3), "rigged detail", false))
   in
-  match v.Game.outcome with
-  | Game.Adversary_fault (M.Dishonest_transcript _) -> ()
-  | o -> Alcotest.failf "expected adversary fault, got %s" (Game.outcome_label o)
+  match v.Verdict.outcome with
+  | Verdict.Adversary_fault (M.Dishonest_transcript _) -> ()
+  | o -> Alcotest.failf "expected adversary fault, got %s" (Verdict.label o)
 
 let test_rigged_adversary_crash () =
   let v =
@@ -221,14 +292,14 @@ let test_rigged_adversary_crash () =
       (fun _ -> invalid_arg "adversary bug")
   in
   check_bool "adversary fault" true
-    (match v.Game.outcome with
-    | Game.Adversary_fault (M.Raised _) -> true
+    (match v.Verdict.outcome with
+    | Verdict.Adversary_fault (M.Raised _) -> true
     | _ -> false);
-  check_bool "not a defeat" false v.Game.defeated
+  check_bool "not a defeat" false (v.Verdict.outcome = Verdict.Defeated)
 
 let test_paranoid_thm1_stays_defeated () =
   let v = Game.thm1.Game.play ~paranoid:true ~n:25 (Portfolio.greedy ()) in
-  check_bool "audited defeat" true v.Game.defeated
+  check_bool "audited defeat" true (v.Verdict.outcome = Verdict.Defeated)
 
 (* The fixed-host games audit their runs under [~paranoid] too, and
    the audit changes no verdict. *)
@@ -651,7 +722,7 @@ let test_parallel_guarded_games_deterministic () =
                       ~n
                       (inject (base ()))
                   in
-                  Game.outcome_label v.Game.outcome);
+                  Verdict.label v.Verdict.outcome);
             })
           (("none", fun algo -> algo) :: Harness.Faults.algorithm_faults))
       [
@@ -757,6 +828,8 @@ let () =
         ] );
       ( "classification",
         [
+          Alcotest.test_case "classify precedence table" `Quick test_classify_table;
+          Alcotest.test_case "referee detail rule" `Quick test_referee_detail_rule;
           Alcotest.test_case "dishonest transcript" `Quick test_rigged_dishonest_transcript;
           Alcotest.test_case "audit-like message stays raised" `Quick
             test_audit_like_message_stays_raised;

@@ -1,9 +1,10 @@
-(* Coverage for Online_local.Portfolio (the baseline algorithm registry
-   and run_games) and Online_local.Measure (empirical locality and
-   defeat-threshold search). *)
+(* Coverage for Online_local.Portfolio (the baseline algorithm registry)
+   and Online_local.Measure (empirical locality and defeat-threshold
+   search). *)
 
 open Grid_graph
 module Game = Online_local.Game
+module Verdict = Online_local.Verdict
 module Portfolio = Online_local.Portfolio
 module Measure = Online_local.Measure
 
@@ -25,7 +26,7 @@ let test_baselines_named () =
   List.iter2
     (fun (l1, _) (l2, _) -> check_bool "same labels" true (String.equal l1 l2))
     b1 b2;
-  (* Labels are unique — run_games output would be ambiguous otherwise. *)
+  (* Labels are unique — a table keyed by label would be ambiguous otherwise. *)
   let labels = List.map fst b1 in
   check_int "unique labels" (List.length labels)
     (List.length (List.sort_uniq compare labels))
@@ -34,35 +35,20 @@ let test_stripes3_survives_upper_grid () =
   (* stripes3 colors (row + col) mod 3 from hints: proper on the fixed
      simple grid of the upper-bound game. *)
   let v = Game.upper_grid.Game.play ~limits ~n:6 (Portfolio.stripes3 ()) in
-  check_bool "survived" true (v.Game.outcome = Game.Survived)
+  check_bool "survived" true (v.Verdict.outcome = Verdict.Survived)
 
 let test_thm1_defeats_ael_t1 () =
   (* The E7 pinned baseline: Theorem 1 at side 30 defeats AEL at
      locality 1.  Side 30 only fits k = 2 < 4T + 5, so the theory
      guarantee flag stays off even though the attack lands. *)
   let v = Game.thm1.Game.play ~limits ~n:30 (Portfolio.ael ~t:1 ()) in
-  check_bool "defeated" true v.Game.defeated;
-  check_bool "not guaranteed at side 30" false v.Game.guaranteed;
+  check_bool "defeated" true (v.Verdict.outcome = Verdict.Defeated);
+  check_bool "not guaranteed at side 30" false v.Verdict.guaranteed;
   (* The guarantee threshold itself: at T = 1 the attack is certified
      once the side fits k = 9 nested calls. *)
   let k = Online_local.Thm1_adversary.recommended_k ~n_side:4000 ~t:1 in
   check_bool "guaranteed at side 4000" true
     (Online_local.Thm1_adversary.guaranteed ~t:1 ~k)
-
-let test_run_games_total () =
-  (* Every (algorithm, game) pairing yields exactly one labeled verdict,
-     in portfolio-major order, and honest adversaries never produce
-     Adversary_fault. *)
-  let algs = [ ("greedy", Portfolio.greedy ()); ("stripes3", Portfolio.stripes3 ()) ] in
-  let games = [ Game.thm1; Game.thm3 ] in
-  let verdicts = Portfolio.run_games ~limits ~n:8 algs games in
-  check_int "pairings" 4 (List.length verdicts);
-  List.iter
-    (fun (label, v) ->
-      check_bool "label from portfolio" true (List.mem_assoc label algs);
-      check_bool "honest adversary" true
-        (match v.Game.outcome with Game.Adversary_fault _ -> false | _ -> true))
-    verdicts
 
 let test_adversarial_orders_are_permutations () =
   let host = Graph.path_graph 16 in
@@ -113,7 +99,7 @@ let test_min_defeating_b () =
   (* The Theorem 1 adversary defeats greedy at some b-target within the
      side's fitting range. *)
   match
-    Measure.min_defeating_b ~n_side:16 ~t:1
+    Measure.min_defeating_b ~n_side:16
       ~algorithm:(fun () -> Portfolio.greedy ())
       ~k_max:9
   with
@@ -132,7 +118,7 @@ let test_unfitting_defeat_not_counted () =
     (match r.Online_local.Thm1_adversary.result with `Defeated _ -> true | `Survived -> false);
   check_bool "wider than the host" false r.Online_local.Thm1_adversary.fits;
   check_bool "no fitting defeat for k <= 7" true
-    (Measure.min_defeating_b ~n_side:4096 ~t:16 ~algorithm ~k_max:7 = None)
+    (Measure.min_defeating_b ~n_side:4096 ~algorithm ~k_max:7 = None)
 
 let () =
   Alcotest.run "portfolio"
@@ -144,7 +130,6 @@ let () =
             test_stripes3_survives_upper_grid;
           Alcotest.test_case "thm1 defeats ael T1" `Quick
             test_thm1_defeats_ael_t1;
-          Alcotest.test_case "run_games total" `Quick test_run_games_total;
         ] );
       ( "measure",
         [

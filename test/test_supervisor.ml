@@ -524,7 +524,7 @@ let budget_cell =
             ~n:30
             (Online_local.Portfolio.greedy ())
         in
-        Online_local.Game.outcome_label v.Online_local.Game.outcome);
+        Online_local.Verdict.label v.Online_local.Verdict.outcome);
   }
 
 let traced_cells () = thm1_cells ~cached:false () @ [ budget_cell ]

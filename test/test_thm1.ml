@@ -75,7 +75,7 @@ let test_monotone_defeat_threshold () =
   (* If the adversary defeats ael(t) at b-target k, larger targets keep
      defeating it (the recursion only grows). *)
   let algo () = Portfolio.ael ~t:2 () in
-  match Measure.min_defeating_b ~n_side:3000 ~t:2 ~algorithm:algo ~k_max:8 with
+  match Measure.min_defeating_b ~n_side:3000 ~algorithm:algo ~k_max:8 with
   | None -> Alcotest.fail "expected ael(2) to fall by k=8"
   | Some k0 ->
       let r = T1.run ~n_side:3000 ~k:(min 8 (k0 + 1)) ~algorithm:(algo ()) () in
@@ -107,7 +107,7 @@ let test_frontier_grows_with_locality () =
   (* The minimal defeating b-target is non-decreasing in the algorithm's
      locality — the empirical shape of Theta(log n). *)
   let frontier t =
-    Measure.min_defeating_b ~n_side:4000 ~t
+    Measure.min_defeating_b ~n_side:4000
       ~algorithm:(fun () -> Portfolio.ael ~t ())
       ~k_max:10
   in

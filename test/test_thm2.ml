@@ -153,19 +153,15 @@ let test_row_b_values_odd () =
     check_int "s_west odd" 1 (abs r.T2.s_west mod 2)
   end
 
-let test_defeats_ael_on_torus () =
+let test_ael_faults_on_torus () =
   (* AEL assumes a bipartite host; on an odd torus its parity labeling
-     eventually meets an odd cycle and the executor converts the crash
-     into an Algorithm_failure certificate — defeat, like any other. *)
+     meets an odd cycle and raises.  The executor records the crash as
+     an Algorithm_failure certificate, which Verdict classifies as an
+     algorithm fault: the run proves nothing about the theorem. *)
   let r = T2.run ~wrap:`Toroidal ~side:13 ~algorithm:(Portfolio.ael ~t:1 ()) () in
-  check_bool "defeated" true (defeated r);
-  match r.T2.result with
-  | `Defeated (Models.Run_stats.Algorithm_failure _)
-  | `Defeated (Models.Run_stats.Monochromatic_edge _) ->
-      ()
-  | `Defeated other ->
-      Alcotest.failf "unexpected violation: %a" Models.Run_stats.pp_violation other
-  | `Survived -> Alcotest.fail "cannot survive"
+  match Verdict.classify None (Ok r.T2.result) with
+  | Verdict.Algorithm_fault (Harness.Misbehavior.Raised _) -> ()
+  | o -> Alcotest.failf "expected a raised algorithm fault, got %s" (Verdict.label o)
 
 let test_preconditions_reported () =
   (* side too small for T=1: 4T+4 = 8 > 7. *)
@@ -249,7 +245,7 @@ let () =
           Alcotest.test_case "defeats greedy" `Quick test_defeats_greedy;
           Alcotest.test_case "defeats proper stripes" `Quick test_defeats_stripes;
           Alcotest.test_case "row b odd" `Quick test_row_b_values_odd;
-          Alcotest.test_case "ael crashes into a certificate" `Quick test_defeats_ael_on_torus;
+          Alcotest.test_case "ael crashes into a certificate" `Quick test_ael_faults_on_torus;
           Alcotest.test_case "preconditions small side" `Quick test_preconditions_reported;
           Alcotest.test_case "preconditions even side" `Quick test_even_side_not_guaranteed;
           Alcotest.test_case "below-threshold games end" `Quick test_below_threshold_games;

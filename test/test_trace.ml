@@ -202,7 +202,7 @@ let test_traced_game_has_spans () =
         T.with_sink ~program:"test" ~path (fun () ->
             Game.thm1.Game.play ~n:40 (Portfolio.greedy ()))
       in
-      check_bool "greedy is defeated" true verdict.Game.defeated;
+      check_bool "greedy is defeated" true (verdict.Verdict.outcome = Verdict.Defeated);
       let records = T.read_file path in
       let has p = List.exists (fun r -> p r.T.ev) records in
       check_bool "game_start present" true
