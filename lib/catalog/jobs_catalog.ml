@@ -13,11 +13,6 @@
    A payload that does not parse, or an unknown kind, raises — which the
    server maps to a typed "ERROR: ..." result, never a crash.
 
-   A thmN cell prints its adversary's report, whose result field is the
-   raw result through Models.Run_stats.pp_result: an algorithm that
-   raised reads "result=DEFEATED (algorithm raised ...)", not Verdict's
-   ALGORITHM-FAULT.  That is the one legacy mapping (ROADMAP item 5).
-
    The thm1 game cache.  A thm1 sweep cell ([thm1_cell]) answers through
    [thm1_reports], a table of whole adversary reports keyed on
    (algorithm name, radius, k, side, validate).  A cell's t enters only
@@ -71,8 +66,7 @@ let thm1_text ~t ~k ~side ~algo play =
     | Error message ->
         Format.fprintf ppf "%s: %s"
           (Verdict.label
-             (Verdict.classify None
-                (Error (Harness.Misbehavior.Dishonest_transcript { message }))))
+             (Verdict.Adversary_fault (Harness.Misbehavior.Dishonest_transcript { message })))
           message
   in
   let result =

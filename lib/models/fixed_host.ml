@@ -342,6 +342,11 @@ let run ?validate:(replay = false) ?ids ?hints ?oracle ~host ~palette ~algorithm
   if replay then validate t;
   audit t
 
+let stopped o =
+  match o.Run_stats.violation with
+  | Some (Run_stats.Monochromatic_edge _) | None -> false
+  | Some _ -> true
+
 let orders ~all = function
   | `Sequential -> List.init (Graph.n all) (fun i -> i)
   | `Random seed ->

@@ -115,6 +115,10 @@ val run :
     @raise Run_stats.Dishonest_transcript on an [order] entry that is not
     a host node (see {!present}), or when {!validate} fails. *)
 
+val stopped : Run_stats.outcome -> bool
+(** Whether {!run} stopped before the end of its order: on any violation
+    but a monochromatic edge, which only the final audit finds. *)
+
 val orders : all:Grid_graph.Graph.t -> [ `Sequential | `Random of int ] -> Grid_graph.Graph.node list
 (** Common presentation orders: [`Sequential] is [0, 1, ..., n-1];
     [`Random seed] is a seeded uniform shuffle. *)

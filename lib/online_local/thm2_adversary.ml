@@ -84,18 +84,18 @@ let run_rect ?validate ~wrap ~rows ~cols ~algorithm () =
   (* The attack is only guaranteed above the threshold; below it, play
      the plain host anyway so sweeps can chart the frontier.  Above it,
      color the two rows on the plain host and reflect exactly when
-     they satisfy Equation (1). *)
-  let reflect =
-    preconditions_met
-    &&
-    let probe = run_on plain prefix in
-    match probe.Models.Run_stats.violation with
-    | Some _ -> false (* already failing; no need to reflect *)
-    | None ->
-        let coloring = probe.Models.Run_stats.coloring in
-        row_b coloring ~row:row1 ~east:true + row_b coloring ~row:row2 ~east:false = 0
+     they satisfy Equation (1).  A probe the executor stopped is the
+     run: a replay would fail at the same node, or, against a guard that
+     re-raises its first fault, at the replay's first presentation. *)
+  let probe = if preconditions_met then Some (run_on plain prefix) else None in
+  let reflect, outcome =
+    match probe with
+    | Some p when Models.Fixed_host.stopped p -> (false, p)
+    | Some { Models.Run_stats.violation = None; coloring; _ }
+      when row_b coloring ~row:row1 ~east:true + row_b coloring ~row:row2 ~east:false = 0 ->
+        (true, run_on (host true) (prefix @ rest))
+    | Some _ | None -> (false, run_on plain (prefix @ rest))
   in
-  let outcome = run_on (if reflect then host true else plain) (prefix @ rest) in
   let coloring = outcome.Models.Run_stats.coloring in
   let s_east, s_west =
     if Colorings.Coloring.is_total coloring then

@@ -53,8 +53,9 @@ val run_rect :
     number of columns [b], the attack defeats any algorithm of locality
     [T <= (a - 4) / 4] — linear in the number of rows, independent of
     [b].  When those preconditions hold it probes the two rows on the
-    plain host, selects the variant, and replays in full; otherwise it
-    plays the plain host.  Row b-values are {!Colorings.Bvalue.b_cycle}
+    plain host, selects the variant, and replays in full (a probe that
+    {!Models.Fixed_host.stopped} is the run); otherwise it plays the
+    plain host.  Row b-values are {!Colorings.Bvalue.b_cycle}
     over the row's nodes, in reverse for [s_west].  [~validate:true]
     (default [false]) replay-checks both runs with
     {!Models.Fixed_host.validate}; a failure raises

@@ -62,18 +62,14 @@ let run ?validate ~k ~gadgets ~algorithm () =
   in
   (* Above the threshold, probe: color the two end gadgets on the plain
      chain and classify them.  Below it, play the plain chain anyway so
-     sweeps can chart the frontier. *)
+     sweeps can chart the frontier.  A probe the executor stopped is the
+     run, as in Thm2_adversary. *)
+  let probe = if preconditions_met then Some (run_on plain prefix) else None in
   let probed =
-    if not preconditions_met then None
-    else
-      let probe = run_on plain prefix in
-      match probe.Models.Run_stats.violation with
-      | Some _ -> None
-      | None ->
-          let coloring = probe.Models.Run_stats.coloring in
-          let c0 = classify plain coloring first in
-          let cl = classify plain coloring last in
-          Some (c0, cl)
+    match probe with
+    | Some { Models.Run_stats.violation = None; coloring; _ } ->
+        Some (classify plain coloring first, classify plain coloring last)
+    | Some _ | None -> None
   in
   (* Transpose the suffix exactly when the two ends agree; under the seam
      host the last gadget's classification flips. *)
@@ -90,7 +86,9 @@ let run ?validate ~k ~gadgets ~algorithm () =
       (chain, snd (order_for chain))
     else (plain, full_order)
   in
-  let outcome = run_on chain full_order in
+  let outcome =
+    match probe with Some p when Models.Fixed_host.stopped p -> p | _ -> run_on chain full_order
+  in
   let coloring = outcome.Models.Run_stats.coloring in
   (* Re-derive the last gadget's classification on the chosen host
      (identical colors; the transposition changes what counts as a row). *)

@@ -36,8 +36,9 @@ val run :
 (** Play the adversary on a chain of [gadgets] gadgets of side [k]
     (so [n = gadgets * k^2]) with palette [2k - 2].  When the
     preconditions hold it probes the end gadgets on the plain chain,
-    picks the host, and replays in full; otherwise it plays the plain
-    chain and reports no classes.  [~validate:true] (default [false])
+    picks the host, and replays in full (a probe that
+    {!Models.Fixed_host.stopped} is the run); otherwise it plays the
+    plain chain and reports no classes.  [~validate:true] (default [false])
     replay-checks both runs with {!Models.Fixed_host.validate}; a
     failure raises {!Models.Run_stats.Dishonest_transcript}.
     @raise Invalid_argument if [k < 3] (with [k = 2] the palette would

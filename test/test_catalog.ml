@@ -199,7 +199,8 @@ let test_dishonest_transcript_line () =
    report, and as E2's quick table prints it, where an algorithm fault
    is abbreviated to ALG-FAULT.  The catalog's cell text still prints
    the raw result, DEFEATED, for an algorithm that raised: the one
-   legacy mapping left (ROADMAP item 5, stage B). *)
+   legacy mapping left (ROADMAP item 5, stage B).  Both the served
+   line and the Game route name the node and step where AEL raised. *)
 let test_one_verdict_across_routes () =
   let e2_rows =
     let buf = Buffer.create 4096 in
@@ -239,7 +240,16 @@ let test_one_verdict_across_routes () =
     Jobs_catalog.handler ~kind:"thm2" ~payload:"wrap=torus side=21 algo=ael(T=1)"
   in
   check_bool "the served line keeps the raw result" true
-    (contains ~needle:"result=DEFEATED (algorithm raised on node 39" served)
+    (contains ~needle:"result=DEFEATED (algorithm raised on node 39" served);
+  let game =
+    Online_local.Game.thm2_torus.Online_local.Game.play ~n:21
+      (Online_local.Portfolio.ael ~t:1 ())
+  in
+  List.iter
+    (fun needle ->
+      check_bool ("served and Game both name " ^ needle) true
+        (contains ~needle served && contains ~needle game.Verdict.detail))
+    [ "raised on node 39"; "presented=19" ]
 
 let () =
   Alcotest.run "catalog"

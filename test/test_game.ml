@@ -88,15 +88,17 @@ let test_verdict_renders () =
 
 (* An algorithm fault names its cause, and that a backtrace was
    recorded, once: the guard's exception reaches the executor's record
-   as the algorithm's own exception text. *)
+   as the algorithm's own exception text.  The node and step are where
+   the probe failed, as sweep_thm2 --side 41 prints them: a stopped
+   probe is not replayed against the faulted guard. *)
 let test_algorithm_fault_line_pinned () =
   let v = Game.thm2_torus.Game.play ~n:41 (Portfolio.ael ~t:1 ()) in
   Alcotest.(check string)
     "verdict"
     "thm2-torus vs ael-3coloring-bipartite (n=41): ALGORITHM-FAULT (raised) [guaranteed]\n\
-     result=DEFEATED (algorithm raised on node 41: Invalid_argument(\"kp1: inconsistent \
+     result=DEFEATED (algorithm raised on node 79: Invalid_argument(\"kp1: inconsistent \
      bipartite contacts (host not bipartite?)\") [backtrace recorded]) s_east=0 s_west=0 \
-     reflected=false presented=1 preconditions=true"
+     reflected=false presented=39 preconditions=true"
     (Format.asprintf "%a" Verdict.pp v)
 
 (* The game_verdict trace event carries the verdict's own guaranteed
