@@ -248,8 +248,11 @@ let test_referee_detail_rule () =
   check_faulted "the certificate alone when the adversary raised" certificate (fun g ->
       ignore (play_on g);
       failwith "adversary bug");
-  let unguarded play = (Game.referee ~adversary:"rigged" ~n:1 (Portfolio.greedy ()) play).Verdict.detail in
-  Alcotest.(check string) "play's detail" "clean" (unguarded (fun _ -> (`Survived, "clean", false)));
+  let unguarded play =
+    (Game.referee ~adversary:"rigged" ~n:1 (Portfolio.greedy ()) play).Verdict.detail
+  in
+  Alcotest.(check string) "play's detail" "clean"
+    (unguarded (fun _ -> (`Survived, "clean", false)));
   check_bool "the escape's certificate" true
     (String.starts_with ~prefix:"raised: Failure(\"adversary bug\")"
        (unguarded (fun _ -> failwith "adversary bug")))
