@@ -48,8 +48,8 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val pp_result : Format.formatter -> result -> unit
 (** [DEFEATED (<violation>)], whatever the violation, or [survived]: the
-    adversary reports' result field, so sweep and served cells still
-    print an algorithm that raised as DEFEATED (ROADMAP item 5, stage B). *)
+    adversary reports' result field, so sweep and served cells print an
+    algorithm that raised as DEFEATED, not as Verdict's algorithm fault. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 

@@ -199,7 +199,7 @@ let test_dishonest_transcript_line () =
    report, and as E2's quick table prints it, where an algorithm fault
    is abbreviated to ALG-FAULT.  The catalog's cell text still prints
    the raw result, DEFEATED, for an algorithm that raised: the one
-   legacy mapping left (ROADMAP item 5, stage B).  Both the served
+   legacy mapping left.  Both the served
    line and the Game route name the node and step where AEL raised. *)
 let test_one_verdict_across_routes () =
   let e2_rows =
