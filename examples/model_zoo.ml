@@ -54,39 +54,9 @@ let () =
     (RS.succeeded slocal_sim ~colors:5 ~host)
     !agree2;
 
-  (* Dynamic-LOCAL: maintain a coloring while the adversary builds the
-     graph node by node. *)
-  let updates =
-    Models.Dynamic_local.incremental_grid_updates grid
-      ~order:(FH.orders ~all:host (`Random 7))
-  in
-  let dyn =
-    Models.Dynamic_local.run
-      ~n_hint:(Grid_graph.Graph.n host)
-      ~palette:5 ~algorithm:Models.Dynamic_local.greedy_repair ~updates ()
-  in
   Format.printf
-    "Dynamic-LOCAL greedy repair under incremental construction: violation=%s, %d relabelings over %d updates@.@."
-    (match dyn.Models.Dynamic_local.violation with
-    | None -> "none"
-    | Some (_, v) -> Format.asprintf "%a" Models.Dynamic_local.pp_violation v)
-    dyn.Models.Dynamic_local.relabelings dyn.Models.Dynamic_local.steps;
-
-  (* The other end of the locality spectrum: Cole-Vishkin 5-colors grids
-     in Theta(log* n) LOCAL rounds — the contrast that makes the paper's
-     3-coloring bounds bite. *)
-  let big = Topology.Grid2d.create Topology.Grid2d.Simple ~rows:100 ~cols:100 in
-  let trace = Models.Cole_vishkin.five_color big in
+    "Because LOCAL and SLOCAL simulate into Online-LOCAL, the Omega(log n)@.";
   Format.printf
-    "Cole-Vishkin on a 100x100 grid: proper 5-coloring in %d rounds (log* n = %d)@.@."
-    trace.Models.Cole_vishkin.rounds
-    (Models.Cole_vishkin.log_star 10_000);
-
+    "and Omega(sqrt n) adversaries of this library bound all three models@.";
   Format.printf
-    "Because every model simulates into Online-LOCAL, the Omega(log n) and@.";
-  Format.printf
-    "Omega(sqrt n) adversaries of this library bound all of LOCAL, SLOCAL,@.";
-  Format.printf "Dynamic-LOCAL and Online-LOCAL at once (Corollaries 1.1/1.2).@.";
-  Format.printf
-    "5 colors, by contrast, need only Theta(log* n) rounds even in LOCAL —@.";
-  Format.printf "the gap the paper's introduction turns on.@."
+    "at once.  Dynamic-LOCAL, the paper's other model, is context only here.@."

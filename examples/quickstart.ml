@@ -20,17 +20,9 @@ let () =
   Format.printf "algorithm: %s, locality T(n) = %d@." algorithm.Models.Algorithm.name
     (algorithm.Models.Algorithm.locality ~n);
 
-  (* The adversary: a seeded random presentation order.  A transcript
-     wrapper records what the algorithm saw at every step. *)
-  let transcript = Models.Transcript.create () in
+  (* The adversary: a seeded random presentation order. *)
   let order = Models.Fixed_host.orders ~all:host (`Random 2024) in
-  let outcome =
-    Models.Fixed_host.run ~host ~palette:3
-      ~algorithm:(Models.Transcript.wrap transcript algorithm)
-      ~order ()
-  in
-  Format.printf "transcript: %s@." (Models.Transcript.summary transcript);
-
+  let outcome = Models.Fixed_host.run ~host ~palette:3 ~algorithm ~order () in
   Format.printf "outcome: %a@." Models.Run_stats.pp_outcome outcome;
   Format.printf "proper 3-coloring: %b@."
     (Models.Run_stats.succeeded outcome ~colors:3 ~host);

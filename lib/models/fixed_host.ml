@@ -79,9 +79,8 @@ let neighbors t h =
   if t.wired < t.steps then wire t;
   Dyn_graph.neighbors t.region h
 
-let start ?ids ?hints ?oracle ~host ~palette ~algorithm () =
+let start ?hints ?oracle ~host ~palette ~algorithm () =
   let n = Graph.n host in
-  let ids = match ids with Some f -> f | None -> fun v -> v + 1 in
   let hints = match hints with Some f -> f | None -> fun _ -> None in
   let locality = algorithm.Algorithm.locality ~n in
   let rec t =
@@ -98,7 +97,7 @@ let start ?ids ?hints ?oracle ~host ~palette ~algorithm () =
           neighbors = (fun h -> neighbors t h);
           iter_neighbors = (fun h f -> iter_neighbors t h f);
           mem_edge = (fun a b -> mem_edge t a b);
-          id = (fun h -> ids (to_host t h));
+          id = (fun h -> to_host t h + 1);
           output = (fun h -> Colorings.Coloring.get t.coloring (to_host t h));
           hint = (fun h -> hints (to_host t h));
           target = -1;
@@ -324,8 +323,8 @@ let audit t =
     max_view_size = t.max_view;
   }
 
-let run ?validate:(replay = false) ?ids ?hints ?oracle ~host ~palette ~algorithm ~order () =
-  let t = start ?ids ?hints ?oracle ~host ~palette ~algorithm () in
+let run ?validate:(replay = false) ?hints ?oracle ~host ~palette ~algorithm ~order () =
+  let t = start ?hints ?oracle ~host ~palette ~algorithm () in
   let rec go = function
     | [] -> ()
     | v :: rest ->

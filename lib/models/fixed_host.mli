@@ -44,7 +44,6 @@ type t
 (** A running execution (host, algorithm instance, revealed region). *)
 
 val start :
-  ?ids:(Grid_graph.Graph.node -> int) ->
   ?hints:(Grid_graph.Graph.node -> View.hint option) ->
   ?oracle:(to_host:(Grid_graph.Graph.node -> Grid_graph.Graph.node) -> Oracle.t) ->
   host:Grid_graph.Graph.t ->
@@ -52,14 +51,13 @@ val start :
   algorithm:Algorithm.t ->
   unit ->
   t
-(** Create an execution.  [ids] assigns the unique identifier of each
-    host node (default: host node + 1); [hints] attaches per-host-node
-    hints ({e fixed-frame} — this executor commits the embedding up
-    front, so all hints share frame 0 and honestly reveal host
-    coordinates; adversaries that must hide coordinates use the deferred
-    executor instead).  [oracle] builds the partition oracle from the
-    executor's view-to-host mapping; its radius is added to the revealed
-    ball radius. *)
+(** Create an execution.  [hints] attaches per-host-node hints
+    ({e fixed-frame} — this executor commits the embedding up front, so
+    all hints share frame 0 and honestly reveal host coordinates;
+    adversaries that must hide coordinates use the deferred executor
+    instead).  [oracle] builds the partition oracle from the executor's
+    view-to-host mapping; its radius is added to the revealed ball
+    radius. *)
 
 val present : t -> Grid_graph.Graph.node -> int
 (** Present one host node; returns the color the algorithm answered.
@@ -95,7 +93,6 @@ val validate : ?radius:int -> t -> unit
 
 val run :
   ?validate:bool ->
-  ?ids:(Grid_graph.Graph.node -> int) ->
   ?hints:(Grid_graph.Graph.node -> View.hint option) ->
   ?oracle:(to_host:(Grid_graph.Graph.node -> Grid_graph.Graph.node) -> Oracle.t) ->
   host:Grid_graph.Graph.t ->

@@ -9,7 +9,7 @@ type t = {
 (* Build a self-contained ball view around [center] inside [host].  The
    handles are fresh (BFS order from the center), so a LOCAL algorithm
    cannot accidentally observe anything outside the ball. *)
-let ball_view ~ids ~host ~palette ~radius ~center ~outputs =
+let ball_view ~host ~palette ~radius ~center ~outputs =
   let nodes = Bfs.ball host [ center ] radius in
   let handle_of = Hashtbl.create (List.length nodes * 2 + 1) in
   List.iteri (fun i v -> Hashtbl.replace handle_of v i) nodes;
@@ -28,7 +28,7 @@ let ball_view ~ids ~host ~palette ~radius ~center ~outputs =
       (fun a b ->
         a < Array.length host_of && b < Array.length host_of
         && Graph.mem_edge host host_of.(a) host_of.(b));
-    id = (fun h -> ids host_of.(h));
+    id = (fun h -> host_of.(h) + 1);
     output = (fun h -> outputs host_of.(h));
     hint = (fun _ -> None);
     target = Hashtbl.find handle_of center;
@@ -36,14 +36,13 @@ let ball_view ~ids ~host ~palette ~radius ~center ~outputs =
     step = 1;
   }
 
-let run ?ids ~host ~palette t =
+let run ~host ~palette t =
   let n = Graph.n host in
-  let ids = match ids with Some f -> f | None -> fun v -> v + 1 in
   let radius = t.locality ~n in
   let coloring = Colorings.Coloring.create n in
   Graph.iter_nodes host (fun v ->
       let view =
-        ball_view ~ids ~host ~palette ~radius ~center:v ~outputs:(fun _ -> None)
+        ball_view ~host ~palette ~radius ~center:v ~outputs:(fun _ -> None)
       in
       let c = t.output ~n ~palette view in
       Colorings.Coloring.set coloring v c);

@@ -16,7 +16,6 @@ type t = {
 }
 
 val ball_view :
-  ids:(Grid_graph.Graph.node -> int) ->
   host:Grid_graph.Graph.t ->
   palette:int ->
   radius:int ->
@@ -28,7 +27,6 @@ val ball_view :
     and SLOCAL executors. *)
 
 val run :
-  ?ids:(Grid_graph.Graph.node -> int) ->
   host:Grid_graph.Graph.t ->
   palette:int ->
   t ->
@@ -44,5 +42,5 @@ val grid_stripes : Topology.Grid2d.t -> t
 (** The trivial locality-O(sqrt n) LOCAL algorithm that 3-colors a grid
     by seeing the entire graph and using canonical stripes; the matching
     upper bound for Theorem 2 (up to constants).  The returned algorithm
-    is host-specific: its view decoding assumes the given grid's
-    identifier layout (executors pass host node + 1 by default). *)
+    is host-specific: it decodes the given grid's host node from the
+    view's [id]. *)

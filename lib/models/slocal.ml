@@ -6,15 +6,14 @@ type t = {
   output : n:int -> palette:int -> View.t -> int;
 }
 
-let run ?ids ~host ~palette ~order t =
+let run ~host ~palette ~order t =
   let n = Graph.n host in
-  let ids = match ids with Some f -> f | None -> fun v -> v + 1 in
   let radius = t.locality ~n in
   let coloring = Colorings.Coloring.create n in
   List.iter
     (fun v ->
       let view =
-        Local_model.ball_view ~ids ~host ~palette ~radius ~center:v
+        Local_model.ball_view ~host ~palette ~radius ~center:v
           ~outputs:(fun w -> Colorings.Coloring.get coloring w)
       in
       let c = t.output ~n ~palette view in
@@ -56,22 +55,6 @@ let to_online t =
     Algorithm.name = "online<-slocal:" ^ t.name;
     locality = t.locality;
     instantiate = (fun ~n ~palette ~oracle -> instantiate ~n ~palette ~oracle);
-  }
-
-let list_greedy ~lists =
-  {
-    name = "slocal-list-greedy";
-    locality = (fun ~n:_ -> 1);
-    output =
-      (fun ~n:_ ~palette:_ (view : View.t) ->
-        let target = view.View.target in
-        let own = lists (view.View.id target - 1) in
-        let taken =
-          List.filter_map (fun w -> view.View.output w) (view.View.neighbors target)
-        in
-        match List.find_opt (fun c -> not (List.mem c taken)) own with
-        | Some c -> c
-        | None -> ( match own with c :: _ -> c | [] -> 0));
   }
 
 let greedy =

@@ -14,7 +14,6 @@ type t = {
 }
 
 val run :
-  ?ids:(Grid_graph.Graph.node -> int) ->
   host:Grid_graph.Graph.t ->
   palette:int ->
   order:Grid_graph.Graph.node list ->
@@ -30,11 +29,3 @@ val greedy : t
 (** The locality-1 greedy coloring — the textbook SLOCAL example: pick
     the smallest color unused among already-colored neighbors.  Solves
     (degree+1)-coloring; with a smaller palette it answers 0 when stuck. *)
-
-val list_greedy : lists:(Grid_graph.Graph.node -> int list) -> t
-(** The (degree+1)-list-coloring greedy of the paper's introduction:
-    locality 1, picks the first color of the target's list unused by an
-    already-colored neighbor.  Lists are addressed by host node, decoded
-    from the view's identifier ([id - 1] — executors' default scheme);
-    answers the list's head when stuck (only possible on invalid
-    instances). *)

@@ -8,7 +8,7 @@
     {ul
     {- nodes are {e handles} — dense integers allocated in discovery
        order, stable for the whole run, carrying no geometric meaning;}
-    {- each handle has a unique identifier chosen by the adversary;}
+    {- each handle has a unique identifier, [id] below;}
     {- optional {e hints} expose coordinates in a per-component frame.
        A frame is only meaningful up to the isometries of the host
        family (translation, reflection), and frames merge when the
@@ -44,7 +44,12 @@ type t = {
           host row without wiring its region graph, which only
           [neighbors] needs. *)
   mem_edge : Grid_graph.Graph.node -> Grid_graph.Graph.node -> bool;
-  id : Grid_graph.Graph.node -> int;  (** the adversary-assigned unique identifier *)
+  id : Grid_graph.Graph.node -> int;
+      (** the handle's unique identifier.  On a fixed host ([Fixed_host],
+          and the balls of [Local_model] and [Slocal]) it is host node + 1,
+          which [Local_model.grid_stripes] and E2's [id-stripes] decode as
+          [id - 1]; the deferred executor, whose host is placed only at
+          the end, uses handle + 1. *)
   output : Grid_graph.Graph.node -> int option;
       (** the color already output for a handle, if presented before *)
   hint : Grid_graph.Graph.node -> hint option;

@@ -95,19 +95,25 @@ let test_ids_and_hints_plumbing () =
   let got_ids = ref [] and got_hint = ref None in
   let probe =
     A.stateless ~name:"probe" ~locality:(fun ~n:_ -> 1) (fun view ->
-        got_ids := List.map view.V.id view.V.new_nodes;
+        got_ids := view.V.id view.V.target :: !got_ids;
         got_hint := view.V.hint view.V.target;
         0)
   in
   let outcome =
     FH.run
-      ~ids:(fun v -> 100 + v)
       ~hints:(fun v -> Some (V.Layer_pos { layer = v }))
       ~host ~palette:3 ~algorithm:probe ~order:[ 1 ] ()
   in
   ignore outcome;
-  check_bool "custom ids" true (List.mem 101 !got_ids);
-  check_bool "custom hint" true (!got_hint = Some (V.Layer_pos { layer = 1 }))
+  check_bool "custom hint" true (!got_hint = Some (V.Layer_pos { layer = 1 }));
+  (* The one identifier scheme, host node + 1, which id-stripes and
+     Local_model.grid_stripes decode: node 1 is id 2.  Presenting node 2
+     first gives it handle 1 and node 0 handle 2, so ids by handle would
+     read [2; 3] here. *)
+  check_int "node 1's id" 2 (List.hd !got_ids);
+  got_ids := [];
+  ignore (FH.run ~host ~palette:3 ~algorithm:probe ~order:[ 2; 0 ] ());
+  Alcotest.(check (list int)) "ids are host node + 1" [ 3; 1 ] (List.rev !got_ids)
 
 let test_spy_sees_monotone_reveals () =
   let g2 = grid 8 8 in
