@@ -38,7 +38,10 @@ type t = {
 }
 
 let pp ppf v =
+  let flag =
+    match v.outcome with
+    | (Defeated | Survived) when v.guaranteed -> " [guaranteed]"
+    | _ -> ""
+  in
   Format.fprintf ppf "@[<v>%s vs %s (n=%d): %s%s@,%s@]" v.adversary v.algorithm v.n
-    (label v.outcome)
-    (if v.guaranteed then " [guaranteed]" else "")
-    v.detail
+    (label v.outcome) flag v.detail

@@ -38,11 +38,18 @@ type t = {
   algorithm : string;
   n : int;  (** instance size the game was played at *)
   outcome : outcome;
-  guaranteed : bool;  (** whether theory guarantees defeat at these parameters *)
+  guaranteed : bool;
+      (** whether theory guarantees defeat at these parameters (thm2
+          and thm3: the run's preconditions held).  Recorded whatever the
+          outcome, here and in the [game_verdict] trace event; {!pp}
+          prints it only beside [Defeated] or [Survived]. *)
   detail : string;  (** adversary-specific report, pretty-printed *)
 }
 (** A guarded game's verdict. *)
 
 val pp : Format.formatter -> t -> unit
 (** [<adversary> vs <algorithm> (n=<n>): <label>], with [" [guaranteed]"]
-    when theory guarantees the defeat, then the detail on its own line. *)
+    when theory guarantees the defeat and the outcome is [Defeated] or
+    [Survived] (a guaranteed survival contradicts the theorem, so it
+    stays visible; a fault proves nothing about it), then the detail on
+    its own line. *)

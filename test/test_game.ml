@@ -95,7 +95,7 @@ let test_algorithm_fault_line_pinned () =
   let v = Game.thm2_torus.Game.play ~n:41 (Portfolio.ael ~t:1 ()) in
   Alcotest.(check string)
     "verdict"
-    "thm2-torus vs ael-3coloring-bipartite (n=41): ALGORITHM-FAULT (raised) [guaranteed]\n\
+    "thm2-torus vs ael-3coloring-bipartite (n=41): ALGORITHM-FAULT (raised)\n\
      result=DEFEATED (algorithm raised on node 79: Invalid_argument(\"kp1: inconsistent \
      bipartite contacts (host not bipartite?)\") [backtrace recorded]) s_east=0 s_west=0 \
      reflected=false presented=39 preconditions=true"
