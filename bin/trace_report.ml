@@ -129,7 +129,7 @@ let report path =
   let max_view_by_t = Hashtbl.create 8 in  (* T -> max view size *)
   let ckpt_flushes = ref 0 in
   let ckpt_bytes = ref 0 in
-  let color_calls = ref 0 in
+  let color_calls = ref 0 in  (* summed guard meters at verdict *)
   let child_spawns = ref 0 in
   let child_cpu_user = ref 0. in
   let child_cpu_sys = ref 0. in
@@ -184,6 +184,7 @@ let report path =
                 g_steps = 0;
               }
       | T.Game_verdict { adversary = a; outcome; color_calls = calls; _ } ->
+          color_calls := !color_calls + calls;
           let st = adversary a in
           st.games <- st.games + 1;
           count st.outcomes outcome 1;
@@ -205,15 +206,13 @@ let report path =
               | _ -> ())
           | None -> ());
           w.cur_game <- None
-      | T.Step { step; max_view; _ } ->
+      | T.Step { step; revealed; _ } ->
           (match w.cur_game with
           | Some g -> g.g_steps <- max g.g_steps step
           | None -> ());
           (match w.cur_cell with
-          | Some c -> c.c_max_view <- max c.c_max_view max_view
+          | Some c -> c.c_max_view <- max c.c_max_view revealed
           | None -> ())
-      | T.Reveal _ -> ()
-      | T.Color_call _ -> incr color_calls
       | T.Audit { executor; ok; _ } ->
           count (if ok then audit_ok else audit_fail) executor 1
       | T.Fault_injected { tag; _ } -> count fault_tags tag 1

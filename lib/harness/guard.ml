@@ -121,8 +121,6 @@ let guarded_call t inst view =
       fail t (Misbehavior.Budget_exhausted { used = t.color_calls; budget })
   | _ -> ());
   check_deadline t;
-  if Obs.Trace.on () then
-    Obs.Trace.emit (Obs.Trace.Color_call { calls = t.color_calls; work = t.work });
   with_current t (fun () ->
       match inst view with
       | color -> color

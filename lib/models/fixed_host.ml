@@ -17,7 +17,6 @@ type t = {
   coloring : Colorings.Coloring.t;
   presented_set : Packed.Set.t;
   mutable steps : int;
-  mutable max_view : int;
   mutable first_violation : Run_stats.violation option;
 }
 
@@ -115,7 +114,6 @@ let start ?hints ?oracle ~host ~palette ~algorithm () =
       coloring = Colorings.Coloring.create n;
       presented_set = Packed.Set.create (max n 1);
       steps = 0;
-      max_view = 0;
       first_violation = None;
     }
   in
@@ -153,26 +151,10 @@ let present t v =
   t.first_fresh.(t.steps) <- t.count;
   t.steps <- t.steps + 1;
   let new_nodes = reveal_ball t v in
-  t.max_view <- max t.max_view t.count;
-  if Obs.Trace.on () then begin
-    Obs.Trace.emit
-      (Obs.Trace.Reveal
-         {
-           executor = "fixed_host";
-           step = t.steps;
-           fresh = List.length new_nodes;
-           revealed = t.count;
-         });
+  if Obs.Trace.on () then
     Obs.Trace.emit
       (Obs.Trace.Step
-         {
-           executor = "fixed_host";
-           step = t.steps;
-           target = v;
-           revealed = t.count;
-           max_view = t.max_view;
-         })
-  end;
+         { executor = "fixed_host"; step = t.steps; target = v; revealed = t.count });
   let target = t.handle_of_host.(v) in
   let color =
     match t.instance { t.view with target; new_nodes; step = t.steps } with
@@ -312,15 +294,13 @@ let audit t =
          });
   if Obs.Stats.on () then begin
     Obs.Stats.observe "fixed_host.presented" t.steps;
-    Obs.Stats.observe "fixed_host.revealed" t.count;
-    Obs.Stats.observe "fixed_host.max_view" t.max_view
+    Obs.Stats.observe "fixed_host.revealed" t.count
   end;
   {
     Run_stats.coloring = t.coloring;
     violation;
     presented = t.steps;
     revealed = t.count;
-    max_view_size = t.max_view;
   }
 
 let run ?validate:(replay = false) ?hints ?oracle ~host ~palette ~algorithm ~order () =

@@ -28,7 +28,7 @@
     read, presented-twice detection a dense byte set: both O(1) and
     allocation-free.  Per step the executor allocates only the fresh
     handle list, one view record (its accessors are built once per
-    run) and, while a trace sink is on, the trace events; it records
+    run) and, while a trace sink is on, its [Step] event; it records
     the step's target and first fresh handle in two flat arrays, grown
     by doubling, for {!validate}.
 

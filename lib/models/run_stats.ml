@@ -17,7 +17,6 @@ type outcome = {
   violation : violation option;
   presented : int;
   revealed : int;
-  max_view_size : int;
 }
 
 let pp_violation ppf = function
@@ -35,8 +34,8 @@ let pp_result ppf = function
   | `Survived -> Format.pp_print_string ppf "survived"
 
 let pp_outcome ppf o =
-  Format.fprintf ppf "@[<v>steps=%d revealed=%d max_view=%d colored=%d/%d %a@]"
-    o.presented o.revealed o.max_view_size
+  Format.fprintf ppf "@[<v>steps=%d revealed=%d colored=%d/%d %a@]"
+    o.presented o.revealed
     (Colorings.Coloring.colored_count o.coloring)
     (Colorings.Coloring.size o.coloring)
     (fun ppf -> function

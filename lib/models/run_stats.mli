@@ -40,8 +40,9 @@ type outcome = {
   coloring : Colorings.Coloring.t;  (** indexed by host node *)
   violation : violation option;  (** first violation discovered, if any *)
   presented : int;  (** number of presentation steps executed *)
-  revealed : int;  (** number of host nodes revealed (in some ball) *)
-  max_view_size : int;  (** largest revealed-region size at any step *)
+  revealed : int;
+      (** number of host nodes revealed (in some ball): the revealed
+          region only grows, so this is also the largest view *)
 }
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -1,4 +1,4 @@
-let version = 7
+let version = 8
 
 type event =
   | Trace_header of { version : int; program : string }
@@ -22,15 +22,7 @@ type event =
       color_calls : int;
       work : int;
     }
-  | Step of {
-      executor : string;
-      step : int;
-      target : int;
-      revealed : int;
-      max_view : int;
-    }
-  | Reveal of { executor : string; step : int; fresh : int; revealed : int }
-  | Color_call of { calls : int; work : int }
+  | Step of { executor : string; step : int; target : int; revealed : int }
   | Audit of { executor : string; ok : bool; detail : string }
   | Fault_injected of { tag : string; call : int }
   | Misbehavior of { label : string; detail : string }
@@ -87,13 +79,7 @@ let kinds =
         ("guaranteed", Bool); ("color_calls", Int); ("work", Int);
       ];
     kind ~hot:true "step"
-      [
-        ("executor", String); ("step", Int); ("target", Int); ("revealed", Int);
-        ("max_view", Int);
-      ];
-    kind ~hot:true "reveal"
-      [ ("executor", String); ("step", Int); ("fresh", Int); ("revealed", Int) ];
-    kind ~hot:true "color_call" [ ("calls", Int); ("work", Int) ];
+      [ ("executor", String); ("step", Int); ("target", Int); ("revealed", Int) ];
     kind "audit" [ ("executor", String); ("ok", Bool); ("detail", String) ];
     kind "fault_injected" [ ("tag", String); ("call", Int) ];
     kind "misbehavior" [ ("label", String); ("detail", String) ];
@@ -197,42 +183,38 @@ let store c k ev =
   | Game_verdict { adversary; algorithm; n; outcome; guaranteed; color_calls; work } ->
       put_str c 0 adversary; put_str c 1 algorithm; put_int c 0 n; put_str c 2 outcome;
       put_bool c 1 guaranteed; put_int c 2 color_calls; put_int c 3 work; 5
-  | Step { executor; step; target; revealed; max_view } ->
-      put_str c 0 executor; put_int c 0 step; put_int c 1 target; put_int c 2 revealed;
-      put_int c 3 max_view; 6
-  | Reveal { executor; step; fresh; revealed } ->
-      put_str c 0 executor; put_int c 0 step; put_int c 1 fresh; put_int c 2 revealed; 7
-  | Color_call { calls; work } -> put_int c 0 calls; put_int c 1 work; 8
+  | Step { executor; step; target; revealed } ->
+      put_str c 0 executor; put_int c 0 step; put_int c 1 target; put_int c 2 revealed; 6
   | Audit { executor; ok; detail } ->
-      put_str c 0 executor; put_bool c 0 ok; put_str c 1 detail; 9
-  | Fault_injected { tag; call } -> put_str c 0 tag; put_int c 0 call; 10
-  | Misbehavior { label; detail } -> put_str c 0 label; put_str c 1 detail; 11
+      put_str c 0 executor; put_bool c 0 ok; put_str c 1 detail; 7
+  | Fault_injected { tag; call } -> put_str c 0 tag; put_int c 0 call; 8
+  | Misbehavior { label; detail } -> put_str c 0 label; put_str c 1 detail; 9
   | Child_spawn { key; pid; attempt } ->
-      put_str c 0 key; put_int c 0 pid; put_int c 1 attempt; 12
+      put_str c 0 key; put_int c 0 pid; put_int c 1 attempt; 10
   | Child_kill { key; pid; signal; elapsed } ->
-      put_str c 0 key; put_int c 0 pid; put_str c 1 signal; put_float c 0 elapsed; 13
+      put_str c 0 key; put_int c 0 pid; put_str c 1 signal; put_float c 0 elapsed; 11
   | Child_exit { key; pid; status; cpu_user; cpu_sys } ->
       put_str c 0 key; put_int c 0 pid; put_str c 1 status; put_float c 0 cpu_user;
-      put_float c 1 cpu_sys; 14
+      put_float c 1 cpu_sys; 12
   | Cell_retry { key; attempt; delay } ->
-      put_str c 0 key; put_int c 0 attempt; put_float c 0 delay; 15
+      put_str c 0 key; put_int c 0 attempt; put_float c 0 delay; 13
   | Cell_quarantined { key; attempts; reason } ->
-      put_str c 0 key; put_int c 0 attempts; put_str c 1 reason; 16
+      put_str c 0 key; put_int c 0 attempts; put_str c 1 reason; 14
   | Server_start { socket; jobs; queue_limit } ->
-      put_str c 0 socket; put_int c 0 jobs; put_int c 1 queue_limit; 17
-  | Conn_open { conn } -> put_int c 0 conn; 18
-  | Conn_close { conn; reason } -> put_int c 0 conn; put_str c 0 reason; 19
+      put_str c 0 socket; put_int c 0 jobs; put_int c 1 queue_limit; 15
+  | Conn_open { conn } -> put_int c 0 conn; 16
+  | Conn_close { conn; reason } -> put_int c 0 conn; put_str c 0 reason; 17
   | Job_submit { id; kind; disposition } ->
-      put_str c 0 id; put_str c 1 kind; put_str c 2 disposition; 20
+      put_str c 0 id; put_str c 1 kind; put_str c 2 disposition; 18
   | Job_reject { id; queued; limit } ->
-      put_str c 0 id; put_int c 0 queued; put_int c 1 limit; 21
-  | Job_start { id; attempt } -> put_str c 0 id; put_int c 0 attempt; 22
-  | Job_done { id; status } -> put_str c 0 id; put_str c 1 status; 23
-  | Server_drain { queued; running } -> put_int c 0 queued; put_int c 1 running; 24
-  | Chaos_injected { kind } -> put_str c 0 kind; 25
-  | Canon_hit { kind; key } -> put_str c 0 kind; put_str c 1 key; 26
+      put_str c 0 id; put_int c 0 queued; put_int c 1 limit; 19
+  | Job_start { id; attempt } -> put_str c 0 id; put_int c 0 attempt; 20
+  | Job_done { id; status } -> put_str c 0 id; put_str c 1 status; 21
+  | Server_drain { queued; running } -> put_int c 0 queued; put_int c 1 running; 22
+  | Chaos_injected { kind } -> put_str c 0 kind; 23
+  | Canon_hit { kind; key } -> put_str c 0 kind; put_str c 1 key; 24
   | Journal_corrupt { path; line; reason } ->
-      put_str c 0 path; put_int c 0 line; put_str c 1 reason; 27
+      put_str c 0 path; put_int c 0 line; put_str c 1 reason; 25
 
 let load c k id =
   let i = ref (k * int_width) and f = ref (k * float_width) and s = ref (k * str_width) in
@@ -289,31 +271,28 @@ let of_values id values =
       Game_start { adversary; algorithm; n; max_color_calls; max_work; deadline }
   | 5, [ S adversary; S algorithm; I n; S outcome; B guaranteed; I color_calls; I work ] ->
       Game_verdict { adversary; algorithm; n; outcome; guaranteed; color_calls; work }
-  | 6, [ S executor; I step; I target; I revealed; I max_view ] ->
-      Step { executor; step; target; revealed; max_view }
-  | 7, [ S executor; I step; I fresh; I revealed ] ->
-      Reveal { executor; step; fresh; revealed }
-  | 8, [ I calls; I work ] -> Color_call { calls; work }
-  | 9, [ S executor; B ok; S detail ] -> Audit { executor; ok; detail }
-  | 10, [ S tag; I call ] -> Fault_injected { tag; call }
-  | 11, [ S label; S detail ] -> Misbehavior { label; detail }
-  | 12, [ S key; I pid; I attempt ] -> Child_spawn { key; pid; attempt }
-  | 13, [ S key; I pid; S signal; F elapsed ] -> Child_kill { key; pid; signal; elapsed }
-  | 14, [ S key; I pid; S status; F cpu_user; F cpu_sys ] ->
+  | 6, [ S executor; I step; I target; I revealed ] ->
+      Step { executor; step; target; revealed }
+  | 7, [ S executor; B ok; S detail ] -> Audit { executor; ok; detail }
+  | 8, [ S tag; I call ] -> Fault_injected { tag; call }
+  | 9, [ S label; S detail ] -> Misbehavior { label; detail }
+  | 10, [ S key; I pid; I attempt ] -> Child_spawn { key; pid; attempt }
+  | 11, [ S key; I pid; S signal; F elapsed ] -> Child_kill { key; pid; signal; elapsed }
+  | 12, [ S key; I pid; S status; F cpu_user; F cpu_sys ] ->
       Child_exit { key; pid; status; cpu_user; cpu_sys }
-  | 15, [ S key; I attempt; F delay ] -> Cell_retry { key; attempt; delay }
-  | 16, [ S key; I attempts; S reason ] -> Cell_quarantined { key; attempts; reason }
-  | 17, [ S socket; I jobs; I queue_limit ] -> Server_start { socket; jobs; queue_limit }
-  | 18, [ I conn ] -> Conn_open { conn }
-  | 19, [ I conn; S reason ] -> Conn_close { conn; reason }
-  | 20, [ S id; S kind; S disposition ] -> Job_submit { id; kind; disposition }
-  | 21, [ S id; I queued; I limit ] -> Job_reject { id; queued; limit }
-  | 22, [ S id; I attempt ] -> Job_start { id; attempt }
-  | 23, [ S id; S status ] -> Job_done { id; status }
-  | 24, [ I queued; I running ] -> Server_drain { queued; running }
-  | 25, [ S kind ] -> Chaos_injected { kind }
-  | 26, [ S kind; S key ] -> Canon_hit { kind; key }
-  | 27, [ S path; I line; S reason ] -> Journal_corrupt { path; line; reason }
+  | 13, [ S key; I attempt; F delay ] -> Cell_retry { key; attempt; delay }
+  | 14, [ S key; I attempts; S reason ] -> Cell_quarantined { key; attempts; reason }
+  | 15, [ S socket; I jobs; I queue_limit ] -> Server_start { socket; jobs; queue_limit }
+  | 16, [ I conn ] -> Conn_open { conn }
+  | 17, [ I conn; S reason ] -> Conn_close { conn; reason }
+  | 18, [ S id; S kind; S disposition ] -> Job_submit { id; kind; disposition }
+  | 19, [ S id; I queued; I limit ] -> Job_reject { id; queued; limit }
+  | 20, [ S id; I attempt ] -> Job_start { id; attempt }
+  | 21, [ S id; S status ] -> Job_done { id; status }
+  | 22, [ I queued; I running ] -> Server_drain { queued; running }
+  | 23, [ S kind ] -> Chaos_injected { kind }
+  | 24, [ S kind; S key ] -> Canon_hit { kind; key }
+  | 25, [ S path; I line; S reason ] -> Journal_corrupt { path; line; reason }
   | _ -> decode_error (Printf.sprintf "trace record: values do not fit event id %d" id)
 
 let anomalous = function

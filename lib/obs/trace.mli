@@ -51,15 +51,20 @@
     format version ({!version}) and the emitting program's name. *)
 
 val version : int
-(** Trace format version, [7].  v2 added the supervisor child-lifecycle
+(** Trace format version, [8].  v2 added the supervisor child-lifecycle
     events; v3 the job-server events; v4 the game-cache [Canon_hit]
     event; v5 the multi-server dispatch events and [Journal_corrupt].
     v6 deletes the retired domain pool's [worker_start] and
     [worker_stop], so every kind after [checkpoint_flush] moved down two
     binary ids.  v7 deletes the worker liveness event that followed
     [child_spawn] (a worker sends nothing while its task runs), so every
-    later kind moved down one binary id.  (v5's dispatch kinds were the
-    tail of {!kinds} and went without a bump.)
+    later kind moved down one binary id.  v8 deletes [reveal] and
+    [color_call] and [step]'s [max_view] field, so a presentation step
+    is one [Step] record and every kind after [step] moved down two
+    binary ids: [Step.revealed] is the view size ([max_view] always
+    equalled it), and [Game_verdict.color_calls] the guard's count.
+    (v5's dispatch kinds were the tail of {!kinds} and went without a
+    bump.)
 
     The NDJSON reader decodes by tag: it rejects newer versions rather
     than misparse them, and reads older traces unless they hold a
@@ -91,18 +96,10 @@ type event =
       color_calls : int;  (** guard meter at verdict *)
       work : int;  (** guard meter at verdict *)
     }
-  | Step of {
-      executor : string;
-      step : int;
-      target : int;
-      revealed : int;
-      max_view : int;
-    }  (** one presentation step, with cumulative run counters *)
-  | Reveal of { executor : string; step : int; fresh : int; revealed : int }
-      (** the ball revealed at a step: [fresh] new nodes, [revealed]
-          total *)
-  | Color_call of { calls : int; work : int }
-      (** guard-meter snapshot at a color call *)
+  | Step of { executor : string; step : int; target : int; revealed : int }
+      (** one presentation step: the presented node's handle, and the
+          revealed region's size after its ball was revealed, which is
+          the algorithm's view size at this step *)
   | Audit of { executor : string; ok : bool; detail : string }
       (** transcript audit result (end-of-run violation scan, or a
           [--validate]/[--paranoid] replay check).  [ok] says whether
@@ -187,9 +184,9 @@ type kind = {
   tag : string;  (** the NDJSON ["ev"] value *)
   fields : (string * ty) list;  (** names and types, in encoding order *)
   hot : bool;
-      (** emitted per presentation step or color call ([Step], [Reveal],
-          [Color_call]): most of a trace's records, so consumers may
-          amortize per-event costs over them *)
+      (** emitted once per presentation step ([Step] only): most of a
+          trace's records, so consumers may amortize per-event costs
+          over them *)
 }
 
 val kinds : kind array

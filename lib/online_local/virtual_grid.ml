@@ -251,27 +251,10 @@ let present t f ~row ~col =
   assert (target >= 0);
   Bytes.set t.presented target '\001';
   t.targets <- target :: t.targets;
-  if Obs.Trace.on () then begin
-    Obs.Trace.emit
-      (Obs.Trace.Reveal
-         {
-           executor = "virtual_grid";
-           step = t.steps;
-           fresh = fresh_end - first;
-           revealed = fresh_end;
-         });
+  if Obs.Trace.on () then
     Obs.Trace.emit
       (Obs.Trace.Step
-         {
-           executor = "virtual_grid";
-           step = t.steps;
-           target;
-           revealed = fresh_end;
-           (* the virtual grid has one growing region, so the revealed
-              count is also the largest view so far *)
-           max_view = fresh_end;
-         })
-  end;
+         { executor = "virtual_grid"; step = t.steps; target; revealed = fresh_end });
   let color =
     match (Lazy.force !(t.instance)) { t.view with target; new_nodes; step = t.steps } with
     | c -> c

@@ -32,10 +32,7 @@ let all_events : T.event list =
         color_calls = 41;
         work = 1234;
       };
-    T.Step
-      { executor = "virtual_grid"; step = 7; target = -1; revealed = 99; max_view = 99 };
-    T.Reveal { executor = "virtual_grid"; step = 7; fresh = 4; revealed = 99 };
-    T.Color_call { calls = 1; work = 0 };
+    T.Step { executor = "virtual_grid"; step = 7; target = -1; revealed = 99 };
     T.Audit { executor = "fixed_host"; ok = false; detail = "monochromatic edge 0 -- 1" };
     T.Fault_injected { tag = "wrong-color"; call = 9 };
     T.Misbehavior { label = "budget"; detail = "line1\nline2\x00nul" };

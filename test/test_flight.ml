@@ -32,6 +32,9 @@ let recorded path =
 
 let recorded_events path = List.map (fun (r : T.record) -> r.T.ev) (recorded path)
 
+(* A presentation step: the recorder's hot event. *)
+let step i = T.Step { executor = "test"; step = i; target = i; revealed = i }
+
 let test_roundtrip_all_constructors () =
   with_temp_file ".flight" @@ fun path ->
   F.with_sink ~program:"test" ~path (fun () ->
@@ -55,7 +58,7 @@ let test_clean_run_leaves_header_only () =
   with_temp_file ".flight" @@ fun path ->
   F.with_sink ~program:"test" ~path (fun () ->
       for i = 1 to 100 do
-        T.emit (T.Color_call { calls = i; work = i })
+        T.emit (step i)
       done);
   match F.read_file path with
   | [ { T.ev = T.Trace_header { program = "test"; _ }; _ } ] -> ()
@@ -65,7 +68,7 @@ let test_clean_run_leaves_header_only () =
 let test_anomaly_flush_and_tail () =
   with_temp_file ".flight" @@ fun path ->
   F.with_sink ~program:"test" ~path (fun () ->
-      T.emit (T.Color_call { calls = 1; work = 1 });
+      T.emit (step 1);
       check_bool "anomalous" true
         (T.anomalous (T.Misbehavior { label = "l"; detail = "d" }));
       check_bool "audit ok not anomalous" false
@@ -79,19 +82,19 @@ let test_anomaly_flush_and_tail () =
       (* Events after the last anomaly ride out on the teardown flush. *)
       T.emit (T.Job_done { id = "post"; status = "done" }));
   match recorded_events path with
-  | [ T.Color_call _; T.Misbehavior _; T.Job_done { id = "post"; _ } ] -> ()
+  | [ T.Step _; T.Misbehavior _; T.Job_done { id = "post"; _ } ] -> ()
   | evs -> Alcotest.failf "unexpected records after teardown: %d" (List.length evs)
 
 let test_ring_capacity () =
   with_temp_file ".flight" @@ fun path ->
   F.with_sink ~program:"test" ~cap:4 ~path (fun () ->
       for i = 1 to 10 do
-        T.emit (T.Color_call { calls = i; work = 0 })
+        T.emit (step i)
       done;
       F.flush ());
   match recorded_events path with
-  | [ T.Color_call { calls = 7; _ }; T.Color_call { calls = 8; _ };
-      T.Color_call { calls = 9; _ }; T.Color_call { calls = 10; _ } ] ->
+  | [ T.Step { step = 7; _ }; T.Step { step = 8; _ };
+      T.Step { step = 9; _ }; T.Step { step = 10; _ } ] ->
       ()
   | evs -> Alcotest.failf "expected the last 4 events, got %d" (List.length evs)
 

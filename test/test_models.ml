@@ -680,14 +680,14 @@ let test_pp_outcome_pinned () =
   let ok =
     FH.run ~host ~palette:3 ~algorithm:A.greedy_first_fit ~order:[ 0; 1; 2 ] ()
   in
-  Alcotest.(check string) "clean run" "steps=3 revealed=3 max_view=3 colored=3/3 ok"
+  Alcotest.(check string) "clean run" "steps=3 revealed=3 colored=3/3 ok"
     (Format.asprintf "%a" RS.pp_outcome ok);
   let bad =
     let c = A.stateless ~name:"c0" ~locality:(fun ~n:_ -> 1) (fun _ -> 0) in
     FH.run ~host ~palette:3 ~algorithm:c ~order:[ 0; 1; 2 ] ()
   in
   Alcotest.(check string) "violating run"
-    "steps=3 revealed=3 max_view=3 colored=3/3 VIOLATION: monochromatic edge 0 -- 1"
+    "steps=3 revealed=3 colored=3/3 VIOLATION: monochromatic edge 0 -- 1"
     (Format.asprintf "%a" RS.pp_outcome bad)
 
 let () =

@@ -158,7 +158,7 @@ let test_sink_on_full_disk () =
   let emitted = ref 0 in
   let emit_many () =
     for i = 1 to 20_000 do
-      T.emit (T.Color_call { calls = i; work = i });
+      T.emit (T.Step { executor = "test"; step = i; target = i; revealed = i });
       incr emitted
     done
   in
@@ -214,7 +214,60 @@ let test_traced_game_has_spans () =
       check_bool "steps present" true
         (has (function T.Step _ -> true | _ -> false));
       check_bool "color calls metered" true
-        (has (function T.Color_call _ -> true | _ -> false)))
+        (has (function T.Game_verdict { color_calls; _ } -> color_calls > 0 | _ -> false)))
+
+(* A presentation step appends one hot record, its [Step], in both
+   executors: a guarded greedy game on the virtual grid (thm1) and on a
+   fixed host (the thm2 torus) traces exactly as many [Step]s as its
+   verdict counts color calls, and thm1's view sizes grow to the run's
+   revealed count. *)
+let test_one_hot_record_per_step () =
+  with_temp_file ".trace" (fun path ->
+      let thm1 = ref None in
+      T.with_sink ~program:"test" ~path (fun () ->
+          let n = 40 in
+          let greedy = Portfolio.greedy () in
+          let t = greedy.Models.Algorithm.locality ~n:(n * n) in
+          let k = max 1 (Thm1_adversary.recommended_k ~n_side:n ~t) in
+          ignore
+            (Game.referee ~adversary:"thm1-grid" ~n greedy (fun algorithm ->
+                 let r = Thm1_adversary.run ~n_side:n ~k ~algorithm () in
+                 thm1 := Some r;
+                 (r.Thm1_adversary.result, "", false)));
+          ignore (Game.thm2_torus.Game.play ~n:13 (Portfolio.greedy ())));
+      let events = List.map (fun r -> r.T.ev) (T.read_file path) in
+      List.iter
+        (fun ev ->
+          let id, _ = T.to_values ev in
+          match ev with
+          | T.Step _ -> ()
+          | _ when T.kinds.(id).T.hot -> Alcotest.failf "hot %s record" T.kinds.(id).T.tag
+          | _ -> ())
+        events;
+      (* Per game, in trace order: its adversary, its steps' revealed
+         counts and its verdict's color-call meter. *)
+      let rec games acc steps = function
+        | [] -> List.rev acc
+        | T.Step { revealed; _ } :: rest -> games acc (revealed :: steps) rest
+        | T.Game_verdict { adversary; color_calls; _ } :: rest ->
+            games ((adversary, List.rev steps, color_calls) :: acc) [] rest
+        | _ :: rest -> games acc steps rest
+      in
+      match games [] [] events with
+      | [ ("thm1-grid", thm1_steps, thm1_calls); ("thm2-torus", thm2_steps, thm2_calls) ] ->
+          check_bool "thm1 made color calls" true (thm1_calls > 0);
+          check_int "thm1: one step per color call" thm1_calls (List.length thm1_steps);
+          check_bool "thm2 made color calls" true (thm2_calls > 0);
+          check_int "thm2: one step per color call" thm2_calls (List.length thm2_steps);
+          let rec nondecreasing = function
+            | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
+            | _ -> true
+          in
+          check_bool "thm1 revealed never decreases" true (nondecreasing thm1_steps);
+          check_int "thm1 revealed ends at the run's"
+            (Option.get !thm1).Thm1_adversary.revealed
+            (List.nth thm1_steps (List.length thm1_steps - 1))
+      | gs -> Alcotest.failf "expected a thm1 then a thm2 game, got %d games" (List.length gs))
 
 (* --------------------- checkpoint versioning ----------------------- *)
 
@@ -396,6 +449,7 @@ let () =
       ( "integration",
         [
           Alcotest.test_case "traced game spans" `Quick test_traced_game_has_spans;
+          Alcotest.test_case "one hot record per step" `Quick test_one_hot_record_per_step;
           Alcotest.test_case "traced sweep replays" `Quick
             test_traced_sweep_marks_replays;
         ] );

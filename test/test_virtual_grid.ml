@@ -233,7 +233,8 @@ let test_reflected_merge_then_connect () =
    each diamond, rekeys a whole frame on [reflect] and [merge], and scans
    the frame table for [span].  It is verbatim except that each frame's
    table is a stdlib [Hashtbl], so the model shares no container code
-   with the executor it checks. *)
+   with the executor it checks, and that it traces one [Step] per
+   presentation, as the executor does. *)
 module Ref_vg = struct
   module V = Models.View
   module Coord = Grid_graph.Packed.Coord
@@ -416,15 +417,7 @@ module Ref_vg = struct
     in
     Bytes.set t.presented target '\001';
     t.targets <- target :: t.targets;
-    if Obs.Trace.on () then begin
-      Obs.Trace.emit
-        (Obs.Trace.Reveal
-           {
-             executor = "virtual_grid";
-             step = t.steps;
-             fresh = List.length new_nodes;
-             revealed = Grid_graph.Dyn_graph.n t.region;
-           });
+    if Obs.Trace.on () then
       Obs.Trace.emit
         (Obs.Trace.Step
            {
@@ -432,11 +425,7 @@ module Ref_vg = struct
              step = t.steps;
              target;
              revealed = Grid_graph.Dyn_graph.n t.region;
-             (* the virtual grid has one growing region, so the revealed
-                count is also the largest view so far *)
-             max_view = Grid_graph.Dyn_graph.n t.region;
-           })
-    end;
+           });
     let color =
       match (Lazy.force !(t.instance)) (make_view t ~target ~new_nodes) with
       | c -> c
