@@ -22,9 +22,9 @@ val ball_view :
   center:Grid_graph.Graph.node ->
   outputs:(Grid_graph.Graph.node -> int option) ->
   View.t
-(** A self-contained view of the ball [B(center, radius)] in the host,
-    with fresh handles in BFS order from the center; shared by the LOCAL
-    and SLOCAL executors. *)
+(** A self-contained view of the ball [B(center, radius)] in the host
+    ({!View.ball_view}), with fresh handles in increasing host-node
+    order; shared by the LOCAL and SLOCAL executors. *)
 
 val run :
   host:Grid_graph.Graph.t ->

@@ -22,39 +22,12 @@ let run ~host ~palette ~order t =
   coloring
 
 let to_online t =
-  let instantiate ~n ~palette ~oracle:_ (view : View.t) =
-    let radius = t.locality ~n in
-    let nodes = View.ball view view.View.target radius in
-    let handle_of = Hashtbl.create (List.length nodes * 2 + 1) in
-    List.iteri (fun i h -> Hashtbl.replace handle_of h i) nodes;
-    let old_of = Array.of_list nodes in
-    let neighbors h =
-      List.filter_map
-        (fun w -> Hashtbl.find_opt handle_of w)
-        (view.View.neighbors old_of.(h))
-    in
-    let sub =
-      {
-        View.n_total = view.View.n_total;
-        palette = view.View.palette;
-        node_count = (fun () -> Array.length old_of);
-        neighbors;
-        iter_neighbors = (fun h f -> List.iter f (neighbors h));
-        mem_edge = (fun a b -> view.View.mem_edge old_of.(a) old_of.(b));
-        id = (fun h -> view.View.id old_of.(h));
-        output = (fun h -> view.View.output old_of.(h));
-        hint = (fun _ -> None);
-        target = Hashtbl.find handle_of view.View.target;
-        new_nodes = List.init (Array.length old_of) (fun i -> i);
-        step = 1;
-      }
-    in
-    t.output ~n ~palette sub
-  in
   {
     Algorithm.name = "online<-slocal:" ^ t.name;
     locality = t.locality;
-    instantiate = (fun ~n ~palette ~oracle -> instantiate ~n ~palette ~oracle);
+    instantiate =
+      (fun ~n ~palette ~oracle:_ view ->
+        t.output ~n ~palette (View.ball_view view (t.locality ~n) ~output:view.View.output));
   }
 
 let greedy =

@@ -48,3 +48,22 @@ let ball view v r =
         (view.neighbors u)
   done;
   List.sort compare !out
+
+let ball_view view radius ~output =
+  let outer = Array.of_list (ball view view.target radius) in
+  let handle = Hashtbl.create ((Array.length outer * 2) + 1) in
+  Array.iteri (fun h v -> Hashtbl.replace handle v h) outer;
+  let neighbors h = List.filter_map (Hashtbl.find_opt handle) (view.neighbors outer.(h)) in
+  {
+    view with
+    node_count = (fun () -> Array.length outer);
+    neighbors;
+    iter_neighbors = (fun h f -> List.iter f (neighbors h));
+    mem_edge = (fun a b -> view.mem_edge outer.(a) outer.(b));
+    id = (fun h -> view.id outer.(h));
+    output = (fun h -> output outer.(h));
+    hint = (fun _ -> None);
+    target = Hashtbl.find handle view.target;
+    new_nodes = List.init (Array.length outer) Fun.id;
+    step = 1;
+  }

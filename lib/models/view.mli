@@ -71,3 +71,11 @@ val ball : t -> Grid_graph.Graph.node -> int -> Grid_graph.Graph.node list
     revealed region}.  When the executor guarantees the host ball
     [B(v, r)] is fully revealed (always true for [v = target], [r <=
     locality]), this equals the host ball. *)
+
+val ball_view : t -> int -> output:(Grid_graph.Graph.node -> int option) -> t
+(** [ball_view view r ~output]: the target's [ball view view.target r]
+    as a self-contained view, the one a LOCAL or SLOCAL rule sees.  Its
+    handles are fresh, [0, 1, ...] in increasing order of [view]'s, so
+    nothing outside the ball is reachable; [n_total], [palette], ids and
+    edges read through to [view]; there are no hints; [output] is asked
+    at [view]'s handle.  It is step 1, and every handle is new. *)
