@@ -11,7 +11,10 @@
    --jobs/--chaos settings were.
 
    A payload that does not parse, or an unknown kind, raises — which the
-   server maps to a typed "ERROR: ..." result, never a crash.
+   server maps to a typed "ERROR: ..." result, never a crash.  A sweep
+   cell is checked as it is built instead: a name missing from the
+   table it picks from raises Invalid_argument then, so a sweep binary
+   refuses it before any cell runs.
 
    The thm1 game cache.  A thm1 sweep cell ([thm1_cell]) answers through
    [thm1_reports], a table of whole adversary reports keyed on
@@ -46,15 +49,28 @@ module Sweep = Harness.Sweep
 
 let kinds = [ "thm1"; "thm2"; "thm3"; "fuzz" ]
 
+(* A cell's [name] must be a key of [table]. *)
+let check_name what table name =
+  if not (List.mem_assoc name table) then
+    invalid_arg
+      (Printf.sprintf "unknown %s: %s (known: %s)" what name
+         (String.concat ", " (List.map fst table)))
+
 (* ------------------------------- thm1 -------------------------------- *)
 
+(* By name; each takes the locality, which only ael reads. *)
+let thm1_algorithms =
+  [
+    ("greedy", fun _ -> Portfolio.greedy ());
+    ("parity", fun _ -> Portfolio.hint_parity ());
+    ("stripes", fun _ -> Portfolio.stripes3 ());
+    ("ael", fun t -> Portfolio.ael ~t ());
+  ]
+
 let thm1_algorithm name t =
-  match name with
-  | "greedy" -> Portfolio.greedy ()
-  | "parity" -> Portfolio.hint_parity ()
-  | "stripes" -> Portfolio.stripes3 ()
-  | "ael" -> Portfolio.ael ~t ()
-  | other -> failwith ("unknown algorithm: " ^ other)
+  match List.assoc_opt name thm1_algorithms with
+  | Some a -> a t
+  | None -> failwith ("unknown algorithm: " ^ name)
 
 (* A cell's text from [play]'s report.  A transcript that fails the
    --validate audit is the adversary's fault, not the cell's: its result
@@ -102,12 +118,7 @@ let thm1_cached ~validate ~t ~k ~side ~algo () =
       if Obs.Trace.on () then
         Obs.Trace.emit (Obs.Trace.Canon_hit { kind = "game"; key = gkey });
       (* the observes the live run would have made *)
-      if Obs.Stats.on () then begin
-        Obs.Stats.observe "thm1.presented" r.Thm1_adversary.presented;
-        Obs.Stats.observe "thm1.revealed" r.Thm1_adversary.revealed;
-        Obs.Stats.observe "thm1.span_width" r.Thm1_adversary.width;
-        Obs.Stats.observe "thm1.span_height" r.Thm1_adversary.height
-      end;
+      Thm1_adversary.observe r;
       r
   | None ->
       let r = Thm1_adversary.run ~validate ~n_side:side ~k ~algorithm () in
@@ -115,6 +126,7 @@ let thm1_cached ~validate ~t ~k ~side ~algo () =
       r
 
 let thm1_cell ~validate ~t ~k ~side ~algo () =
+  check_name "algorithm" thm1_algorithms algo;
   {
     Sweep.key = Printf.sprintf "t=%d k=%d side=%d algo=%s" t k side algo;
     run = thm1_cached ~validate ~t ~k ~side ~algo;
@@ -126,10 +138,12 @@ let thm1_of_key payload =
 
 (* ------------------------------- thm2 -------------------------------- *)
 
-let thm2_wrap_of = function
-  | "torus" -> `Toroidal
-  | "cylinder" -> `Cylindrical
-  | other -> failwith ("unknown wrap: " ^ other)
+let thm2_wraps = [ ("torus", `Toroidal); ("cylinder", `Cylindrical) ]
+
+let thm2_wrap_of name =
+  match List.assoc_opt name thm2_wraps with
+  | Some wrap -> wrap
+  | None -> failwith ("unknown wrap: " ^ name)
 
 let thm2_algorithms =
   [ ("greedy", Portfolio.greedy); ("ael(T=1)", fun () -> Portfolio.ael ~t:1 ()) ]
@@ -145,6 +159,8 @@ let thm2_run ~side ~wrap ~algo () =
     Thm2_adversary.pp_report r
 
 let thm2_cell ~side ~wrap ~algo () =
+  check_name "wrap" thm2_wraps wrap;
+  check_name "algorithm" thm2_algorithms algo;
   {
     Sweep.key = Printf.sprintf "wrap=%s side=%d algo=%s" wrap side algo;
     run = thm2_run ~side ~wrap ~algo;
@@ -170,6 +186,7 @@ let thm3_run ~k ~gadgets ~algo () =
     (gadgets * k * k) algo Thm3_adversary.pp_report r
 
 let thm3_cell ~k ~gadgets ~algo () =
+  check_name "algorithm" thm3_algorithms algo;
   {
     Sweep.key = Printf.sprintf "k=%d gadgets=%d algo=%s" k gadgets algo;
     run = thm3_run ~k ~gadgets ~algo;

@@ -19,6 +19,17 @@ let pp_report ppf r =
     (match r.cycle_b with None -> "-" | Some b -> string_of_int b)
     r.presented r.revealed r.width r.height r.fits
 
+(* Per-run distributions for sweep campaigns (thm2/thm3 get the
+   equivalent from Fixed_host.audit).  Deterministic per cell, so the
+   drained totals honor the Stats jobs-invariance contract. *)
+let observe r =
+  if Obs.Stats.on () then begin
+    Obs.Stats.observe "thm1.presented" r.presented;
+    Obs.Stats.observe "thm1.revealed" r.revealed;
+    Obs.Stats.observe "thm1.span_width" r.width;
+    Obs.Stats.observe "thm1.span_height" r.height
+  end
+
 (* A directed row path, fully presented, inside a frame: row 0, columns
    [lo .. hi], traversed left-to-right ([`Fwd]) or right-to-left, with
    b-value [b] in that direction. *)
@@ -166,32 +177,27 @@ let run ?(endgame = true) ?(validate = false)
       match Vg.frames vg with [] -> (0, 0) | frames -> total_span vg frames
     in
     if validate then Vg.validate vg;
-    if Obs.Stats.on () then begin
-      (* Per-run distributions for sweep campaigns (thm2/thm3 get the
-         equivalent from Fixed_host.audit).  Deterministic per cell, so
-         the drained totals honor the Stats jobs-invariance contract. *)
-      Obs.Stats.observe "thm1.presented" (Vg.presented_count vg);
-      Obs.Stats.observe "thm1.revealed" (Vg.revealed_count vg);
-      Obs.Stats.observe "thm1.span_width" width;
-      Obs.Stats.observe "thm1.span_height" height
-    end;
     let snapshot =
       match (snapshot, window) with
       | true, Some (frame, row_range, col_range) ->
           Some (render_window frame ~row_range ~col_range)
       | _ -> None
     in
-    {
-      result;
-      forced_b;
-      cycle_b;
-      presented = Vg.presented_count vg;
-      revealed = Vg.revealed_count vg;
-      width;
-      height;
-      fits = width <= cols && height <= rows;
-      snapshot;
-    }
+    let r =
+      {
+        result;
+        forced_b;
+        cycle_b;
+        presented = Vg.presented_count vg;
+        revealed = Vg.revealed_count vg;
+        width;
+        height;
+        fits = width <= cols && height <= rows;
+        snapshot;
+      }
+    in
+    observe r;
+    r
   in
   try
     let p = build vg ~k ~radius in

@@ -35,6 +35,13 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
+val observe : report -> unit
+(** Observe the report's [thm1.presented], [thm1.revealed],
+    [thm1.span_width] and [thm1.span_height] stats series (a no-op while
+    {!Obs.Stats} is off).  {!run} calls it on every report it returns;
+    a cache that answers a run from a stored report calls it too, so a
+    cached run's stats are the live run's. *)
+
 val run :
   ?endgame:bool ->
   ?validate:bool ->
