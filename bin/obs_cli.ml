@@ -29,10 +29,11 @@
      --resume             replay the cells already in the checkpoint
 
    and exit 130 with "interrupted; finished cells are checkpointed" on
-   SIGINT.  Input that Harness.Sweep.run refuses before it runs any cell
-   (a repeated axis value, hence a duplicate cell key; a --resume
-   checkpoint in another format version) ends the sweep with one
-   "<program>: <message>" line on stderr and exit 1.
+   SIGINT.  Input refused before any cell runs ends the sweep with one
+   "<program>: <message>" line on stderr and exit 1: a malformed axis or
+   an unknown name (refused as the cells are built), a repeated axis
+   value, hence a duplicate cell key, or a --resume checkpoint in another
+   format version (refused by Harness.Sweep.run).
 
    A worker's trace events reach --trace and --flight through its
    parent, tagged with the worker's slot (see Obs.Flight.relay).
@@ -200,19 +201,21 @@ let sweep_term =
   in
   Term.(const make $ checkpoint $ resume $ exec_term $ trace $ stats $ flight)
 
+(* [cells] builds the grid, raising Invalid_argument on bad input. *)
 let run_sweep ~program s cells =
   with_observability ~program ~trace:s.trace ~stats:s.stats ~flight:s.flight
   @@ fun () ->
   match
     Harness.Sweep.run ~resume:s.resume ?checkpoint:s.checkpoint ~jobs:s.exec.jobs
       ~isolation:`Process ~supervisor:s.exec.supervisor ~ppf:Format.std_formatter
-      cells
+      (cells ())
   with
   | () -> 0
   | exception Harness.Sweep.Interrupted ->
       Format.eprintf "interrupted; finished cells are checkpointed@.";
       130
   | exception Invalid_argument msg ->
-      (* Sweep.run raises it only on its input, before any cell runs. *)
+      (* [cells] and Sweep.run raise it only on their input, before any
+         cell runs. *)
       Printf.eprintf "%s: %s\n%!" program msg;
       1

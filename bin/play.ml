@@ -10,15 +10,18 @@
 open Online_local
 open Cmdliner
 
-let algorithm_of name t =
-  match name with
-  | "greedy" -> Portfolio.greedy ()
-  | "parity" -> Portfolio.hint_parity ()
-  | "stripes" -> Portfolio.stripes3 ()
-  | "gadget-rows" -> Portfolio.gadget_rows ()
-  | "ael" -> Portfolio.ael ~t ()
-  | "kp1" -> Portfolio.kp1 ~k:2 ~t ()
-  | other -> failwith ("unknown algorithm: " ^ other)
+(* By name; each takes the locality, which only ael and kp1 read. *)
+let algorithms =
+  [
+    ("greedy", fun _ -> Portfolio.greedy ());
+    ("parity", fun _ -> Portfolio.hint_parity ());
+    ("stripes", fun _ -> Portfolio.stripes3 ());
+    ("gadget-rows", fun _ -> Portfolio.gadget_rows ());
+    ("ael", fun t -> Portfolio.ael ~t ());
+    ("kp1", fun t -> Portfolio.kp1 ~k:2 ~t ());
+  ]
+
+let algorithm_names = String.concat "|" (List.map fst algorithms)
 
 let run list_games game_name algo_name t n paranoid max_calls deadline trace stats
     flight =
@@ -29,17 +32,20 @@ let run list_games game_name algo_name t n paranoid max_calls deadline trace sta
     0
   end
   else
-    match Game.find game_name with
-    | None ->
-        Format.printf "unknown game %s; try --list@." game_name;
+    match (Game.find game_name, List.assoc_opt algo_name algorithms) with
+    | None, _ ->
+        Printf.eprintf "play: unknown game %s; try --list\n%!" game_name;
         1
-    | Some g ->
+    | _, None ->
+        Printf.eprintf "play: unknown algorithm %s; try %s\n%!" algo_name algorithm_names;
+        1
+    | Some g, Some algorithm ->
         Obs_cli.with_observability ~program:"play" ~trace ~stats ~flight
         @@ fun () ->
         let limits =
           { Harness.Guard.default_limits with max_color_calls = max_calls; deadline }
         in
-        let verdict = g.Game.play ~paranoid ~limits ~n (algorithm_of algo_name t) in
+        let verdict = g.Game.play ~paranoid ~limits ~n (algorithm t) in
         Format.printf "%a@." Verdict.pp verdict;
         0
 
@@ -50,7 +56,7 @@ let algo =
   Arg.(
     value
     & opt string "ael"
-    & info [ "algo" ] ~doc:"greedy|parity|stripes|gadget-rows|ael|kp1.")
+    & info [ "algo" ] ~doc:(algorithm_names ^ "."))
 
 let t = Arg.(value & opt int 1 & info [ "t"; "locality" ] ~doc:"Locality for ael/kp1.")
 let n = Arg.(value & opt int 400 & info [ "n"; "size" ] ~doc:"Instance size (per game).")

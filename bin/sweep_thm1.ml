@@ -16,22 +16,20 @@
 open Cmdliner
 
 let run ts ks sides algos validate sweep =
-  let cells =
-    List.concat_map
-      (fun t ->
-        List.concat_map
-          (fun k ->
-            List.concat_map
-              (fun side ->
-                List.map
-                  (fun algo ->
-                    Jobs_catalog.thm1_cell ~validate ~t ~k ~side ~algo ())
-                  (Harness.Sweep.string_axis ~flag:"--algo" algos))
-              (Harness.Sweep.int_axis ~flag:"--side" sides))
-          (Harness.Sweep.int_axis ~flag:"-k" ks))
-      (Harness.Sweep.int_axis ~flag:"-t" ts)
-  in
-  Obs_cli.run_sweep ~program:"sweep_thm1" sweep cells
+  Obs_cli.run_sweep ~program:"sweep_thm1" sweep @@ fun () ->
+  List.concat_map
+    (fun t ->
+      List.concat_map
+        (fun k ->
+          List.concat_map
+            (fun side ->
+              List.map
+                (fun algo ->
+                  Jobs_catalog.thm1_cell ~validate ~t ~k ~side ~algo ())
+                (Harness.Sweep.string_axis ~flag:"--algo" algos))
+            (Harness.Sweep.int_axis ~flag:"--side" sides))
+        (Harness.Sweep.int_axis ~flag:"-k" ks))
+    (Harness.Sweep.int_axis ~flag:"-t" ts)
 
 let ts =
   Arg.(value & opt string "1" & info [ "t" ] ~doc:"Algorithm localities (comma-separated).")
@@ -43,7 +41,10 @@ let algos =
   Arg.(
     value
     & opt string "ael"
-    & info [ "algo" ] ~doc:"greedy|parity|stripes|ael (comma-separated).")
+    & info [ "algo" ]
+        ~doc:
+          (String.concat "|" (List.map fst Jobs_catalog.thm1_algorithms)
+          ^ " (comma-separated)."))
 
 let validate =
   Arg.(value & flag & info [ "validate" ] ~doc:"Replay-check the transcript (slow).")

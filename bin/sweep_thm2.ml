@@ -6,24 +6,25 @@
 open Cmdliner
 
 let run sides wraps sweep =
-  let cells =
-    List.concat_map
-      (fun wrap ->
-        List.concat_map
-          (fun side ->
-            List.map
-              (fun (algo, _) -> Jobs_catalog.thm2_cell ~side ~wrap ~algo ())
-              Jobs_catalog.thm2_algorithms)
-          (Harness.Sweep.int_axis ~flag:"--side" sides))
-      (Harness.Sweep.string_axis ~flag:"--wrap" wraps)
-  in
-  Obs_cli.run_sweep ~program:"sweep_thm2" sweep cells
+  Obs_cli.run_sweep ~program:"sweep_thm2" sweep @@ fun () ->
+  List.concat_map
+    (fun wrap ->
+      List.concat_map
+        (fun side ->
+          List.map
+            (fun (algo, _) -> Jobs_catalog.thm2_cell ~side ~wrap ~algo ())
+            Jobs_catalog.thm2_algorithms)
+        (Harness.Sweep.int_axis ~flag:"--side" sides))
+    (Harness.Sweep.string_axis ~flag:"--wrap" wraps)
 
 let sides =
   Arg.(value & opt string "21" & info [ "side" ] ~doc:"Grid sides (odd, comma-separated).")
 
 let wraps =
-  Arg.(value & opt string "torus" & info [ "wrap" ] ~doc:"torus|cylinder (comma-separated).")
+  Arg.(
+    value & opt string "torus"
+    & info [ "wrap" ]
+        ~doc:(String.concat "|" (List.map fst Jobs_catalog.thm2_wraps) ^ " (comma-separated)."))
 
 let cmd =
   Cmd.v

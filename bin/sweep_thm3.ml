@@ -6,18 +6,16 @@
 open Cmdliner
 
 let run ks gadget_counts sweep =
-  let cells =
-    List.concat_map
-      (fun k ->
-        List.concat_map
-          (fun gadgets ->
-            List.map
-              (fun (algo, _) -> Jobs_catalog.thm3_cell ~k ~gadgets ~algo ())
-              Jobs_catalog.thm3_algorithms)
-          (Harness.Sweep.int_axis ~flag:"--gadgets" gadget_counts))
-      (Harness.Sweep.int_axis ~flag:"-k" ks)
-  in
-  Obs_cli.run_sweep ~program:"sweep_thm3" sweep cells
+  Obs_cli.run_sweep ~program:"sweep_thm3" sweep @@ fun () ->
+  List.concat_map
+    (fun k ->
+      List.concat_map
+        (fun gadgets ->
+          List.map
+            (fun (algo, _) -> Jobs_catalog.thm3_cell ~k ~gadgets ~algo ())
+            Jobs_catalog.thm3_algorithms)
+        (Harness.Sweep.int_axis ~flag:"--gadgets" gadget_counts))
+    (Harness.Sweep.int_axis ~flag:"-k" ks)
 
 let ks = Arg.(value & opt string "3" & info [ "k" ] ~doc:"Gadget sides (>= 3, comma-separated).")
 

@@ -22,42 +22,58 @@ let measure name host ~k ~oracle ~seeds =
         (float_of_int t_star /. (log (float_of_int nn) /. log 2.))
   | None -> Format.asprintf "%s: n=%d failed even at T=%d" name nn t_max
 
-let cell host_name ~size ~seeds =
-  let key = Printf.sprintf "host=%s size=%d seeds=%d" host_name size (List.length seeds) in
-  let run () =
-    match host_name with
-    | "grid" ->
+(* Host families by name: each measures one size. *)
+let hosts =
+  [
+    ( "grid",
+      fun ~size ~seeds ->
         let g = Topology.Grid2d.create Topology.Grid2d.Simple ~rows:size ~cols:size in
         measure
           (Printf.sprintf "grid %dx%d (k=2)" size size)
           (Topology.Grid2d.graph g) ~k:2
           ~oracle:(Oracles.grid_bipartition g)
-          ~seeds
-    | "tri" ->
+          ~seeds );
+    ( "tri",
+      fun ~size ~seeds ->
         let t = Topology.Tri_grid.create ~side:size in
         measure
           (Printf.sprintf "tri side=%d (k=3)" size)
-          (Topology.Tri_grid.graph t) ~k:3 ~oracle:(Oracles.tri_grid t) ~seeds
-    | "ktree" ->
+          (Topology.Tri_grid.graph t) ~k:3 ~oracle:(Oracles.tri_grid t) ~seeds );
+    ( "ktree",
+      fun ~size ~seeds ->
         let kt = Topology.Ktree.random ~k:2 ~n:size ~seed:42 in
         measure
           (Printf.sprintf "2-tree n=%d (k=3)" size)
-          (Topology.Ktree.graph kt) ~k:3 ~oracle:(Oracles.ktree kt) ~seeds
-    | other -> failwith ("unknown host: " ^ other)
-  in
-  { Harness.Sweep.key; run }
+          (Topology.Ktree.graph kt) ~k:3 ~oracle:(Oracles.ktree kt) ~seeds );
+  ]
+
+let cell host_name ~size ~seeds =
+  match List.assoc_opt host_name hosts with
+  | None ->
+      invalid_arg
+        (Printf.sprintf "unknown host: %s (known: %s)" host_name
+           (String.concat ", " (List.map fst hosts)))
+  | Some measure_host ->
+      {
+        Harness.Sweep.key =
+          Printf.sprintf "host=%s size=%d seeds=%d" host_name size (List.length seeds);
+        run = (fun () -> measure_host ~size ~seeds);
+      }
 
 let run host_name sides ns seeds sweep =
   let seeds = List.init seeds (fun i -> i + 1) in
+  Obs_cli.run_sweep ~program:"sweep_thm4" sweep @@ fun () ->
   (* grid/tri scale by side, ktree by node count. *)
   let sizes =
     if host_name = "ktree" then Harness.Sweep.int_axis ~flag:"-n" ns
     else Harness.Sweep.int_axis ~flag:"--side" sides
   in
-  let cells = List.map (fun size -> cell host_name ~size ~seeds) sizes in
-  Obs_cli.run_sweep ~program:"sweep_thm4" sweep cells
+  List.map (fun size -> cell host_name ~size ~seeds) sizes
 
-let host = Arg.(value & opt string "grid" & info [ "host" ] ~doc:"grid|tri|ktree.")
+let host =
+  Arg.(
+    value & opt string "grid"
+    & info [ "host" ] ~doc:(String.concat "|" (List.map fst hosts) ^ "."))
 
 let sides =
   Arg.(value & opt string "24" & info [ "side" ] ~doc:"Sides (grid/tri, comma-separated).")

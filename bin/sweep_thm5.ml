@@ -32,18 +32,16 @@ let cell ~k ~base_side ~t =
   }
 
 let run ks base_sides ts sweep =
-  let cells =
-    List.concat_map
-      (fun k ->
-        List.concat_map
-          (fun base_side ->
-            List.map
-              (fun t -> cell ~k ~base_side ~t)
-              (Harness.Sweep.int_axis ~flag:"-t" ts))
-          (Harness.Sweep.int_axis ~flag:"--base-side" base_sides))
-      (Harness.Sweep.int_axis ~flag:"-k" ks)
-  in
-  Obs_cli.run_sweep ~program:"sweep_thm5" sweep cells
+  Obs_cli.run_sweep ~program:"sweep_thm5" sweep @@ fun () ->
+  List.concat_map
+    (fun k ->
+      List.concat_map
+        (fun base_side ->
+          List.map
+            (fun t -> cell ~k ~base_side ~t)
+            (Harness.Sweep.int_axis ~flag:"-t" ts))
+        (Harness.Sweep.int_axis ~flag:"--base-side" base_sides))
+    (Harness.Sweep.int_axis ~flag:"-k" ks)
 
 let ks = Arg.(value & opt string "3" & info [ "k" ] ~doc:"Layer counts of G_k (>= 2).")
 
