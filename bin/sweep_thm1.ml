@@ -41,10 +41,7 @@ let algos =
   Arg.(
     value
     & opt string "ael"
-    & info [ "algo" ]
-        ~doc:
-          (String.concat "|" (List.map fst Jobs_catalog.thm1_algorithms)
-          ^ " (comma-separated)."))
+    & info [ "algo" ] ~doc:"greedy|parity|stripes|ael (comma-separated).")
 
 let validate =
   Arg.(value & flag & info [ "validate" ] ~doc:"Replay-check the transcript (slow).")

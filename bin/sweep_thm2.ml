@@ -21,10 +21,7 @@ let sides =
   Arg.(value & opt string "21" & info [ "side" ] ~doc:"Grid sides (odd, comma-separated).")
 
 let wraps =
-  Arg.(
-    value & opt string "torus"
-    & info [ "wrap" ]
-        ~doc:(String.concat "|" (List.map fst Jobs_catalog.thm2_wraps) ^ " (comma-separated)."))
+  Arg.(value & opt string "torus" & info [ "wrap" ] ~doc:"torus|cylinder (comma-separated).")
 
 let cmd =
   Cmd.v

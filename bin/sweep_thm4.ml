@@ -48,17 +48,9 @@ let hosts =
   ]
 
 let cell host_name ~size ~seeds =
-  match List.assoc_opt host_name hosts with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "unknown host: %s (known: %s)" host_name
-           (String.concat ", " (List.map fst hosts)))
-  | Some measure_host ->
-      {
-        Harness.Sweep.key =
-          Printf.sprintf "host=%s size=%d seeds=%d" host_name size (List.length seeds);
-        run = (fun () -> measure_host ~size ~seeds);
-      }
+  Jobs_catalog.check_name "host" hosts host_name;
+  let key = Printf.sprintf "host=%s size=%d seeds=%d" host_name size (List.length seeds) in
+  { Harness.Sweep.key; run = (fun () -> (List.assoc host_name hosts) ~size ~seeds) }
 
 let run host_name sides ns seeds sweep =
   let seeds = List.init seeds (fun i -> i + 1) in
@@ -70,10 +62,7 @@ let run host_name sides ns seeds sweep =
   in
   List.map (fun size -> cell host_name ~size ~seeds) sizes
 
-let host =
-  Arg.(
-    value & opt string "grid"
-    & info [ "host" ] ~doc:(String.concat "|" (List.map fst hosts) ^ "."))
+let host = Arg.(value & opt string "grid" & info [ "host" ] ~doc:"grid|tri|ktree.")
 
 let sides =
   Arg.(value & opt string "24" & info [ "side" ] ~doc:"Sides (grid/tri, comma-separated).")
