@@ -135,11 +135,11 @@ let default_cap = 4096
    encoding costs ~8 points of E14 overhead, and parking freshly
    allocated records in the ring costs ~11 more — every young record the
    ring keeps alive is promoted at the next minor collection, and a hot
-   game emits ~1000 events per millisecond.  So a slot keeps its event's
-   id, timestamp and field values in preallocated unboxed arrays
+   game emits a [Step] about every microsecond.  So a slot keeps its
+   event's id, timestamp and field values in preallocated unboxed arrays
    ({!Trace.columns}): an append is a handful of plain stores, and a
-   per-step event's one string is a literal executor name, so the ring
-   retains nothing young.  The binary encoding runs only at flush
+   [Step]'s one string is a literal executor name, so the ring retains
+   nothing young.  The binary encoding runs only at flush
    time. *)
 type ring = {
   ids : Bytes.t;  (** event id per slot *)

@@ -1,9 +1,11 @@
 (** The flight recorder: an in-memory ring of {!Trace.event}s, written
     to disk in a compact binary encoding {e only on anomaly}.
 
-    NDJSON tracing (E9) costs +328% on a hot game (the committed
+    NDJSON tracing (E9) costs +216% on a hot game (the committed
     BENCH_stats_overhead.json, 2 cores) because every step formats JSON
-    and writes to the file.  The flight recorder records
+    and writes to the file: one [Step] record per presentation step,
+    which is also every hot event a step emits.  The flight recorder
+    records
     the same event vocabulary into a ring buffer — no formatting, no
     I/O, not even encoding (the ring holds the record values; the
     binary codec runs at flush time) — and writes bytes only when

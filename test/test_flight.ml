@@ -191,8 +191,8 @@ let header_frame version =
   Buffer.add_char b '\000';
   Buffer.contents b
 
-(* v7 dropped a kind, so every later binary id moved: a v6 file must be
-   refused with a version error, never misparsed. *)
+(* v7 and v8 each dropped kinds, so every later binary id moved: a v6 or
+   v7 file must be refused with a version error, never misparsed. *)
 let test_read_rejects_older_version () =
   with_temp_file ".flight" @@ fun path ->
   let read version =
@@ -200,10 +200,14 @@ let test_read_rejects_older_version () =
         Out_channel.output_string oc (header_frame version));
     F.read_file path
   in
-  (match read 6 with
-  | exception Obs.Json.Parse_error msg ->
-      check_bool ("a version error: " ^ msg) true (contains ~needle:"version 6" msg)
-  | _ -> Alcotest.fail "a v6 header was accepted");
+  List.iter
+    (fun old ->
+      match read old with
+      | exception Obs.Json.Parse_error msg ->
+          check_bool ("a version error: " ^ msg) true
+            (contains ~needle:(Printf.sprintf "version %d" old) msg)
+      | _ -> Alcotest.failf "a v%d header was accepted" old)
+    [ 6; 7 ];
   match read T.version with
   | [ { T.ev = T.Trace_header { version; program = "" }; _ } ] ->
       check_int "current version reads" T.version version
