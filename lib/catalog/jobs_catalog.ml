@@ -49,7 +49,8 @@ module Sweep = Harness.Sweep
 
 let kinds = [ "thm1"; "thm2"; "thm3"; "fuzz" ]
 
-(* A cell's [name] must be a key of [table]. *)
+(* Raises Invalid_argument, which a sweep binary reports before any cell
+   runs, unless [name] is a key of [table]. *)
 let check_name what table name =
   if not (List.mem_assoc name table) then
     invalid_arg

@@ -97,9 +97,10 @@ type event =
       work : int;  (** guard meter at verdict *)
     }
   | Step of { executor : string; step : int; target : int; revealed : int }
-      (** one presentation step: the presented node's handle, and the
-          revealed region's size after its ball was revealed, which is
-          the algorithm's view size at this step *)
+      (** one presentation step: the presented node ([fixed_host]'s
+          host node, [virtual_grid]'s handle), and the revealed region's
+          size once its ball is revealed, which is the algorithm's view
+          size at this step *)
   | Audit of { executor : string; ok : bool; detail : string }
       (** transcript audit result (end-of-run violation scan, or a
           [--validate]/[--paranoid] replay check).  [ok] says whether
